@@ -1,17 +1,12 @@
-"""Hot-path micro-benchmarks: flat-vector round-trip and full rounds.
+"""Hot-path micro-benchmarks of the kernels under a communication round.
 
-Times the memory-bound inner loops the :class:`repro.nn.ParameterArena`
-vectorizes, against the per-model fallback path (which is the pre-arena
-code path, preserved verbatim behind ``use_arena=False``):
+Each section times one hot path against a baseline that ships (a second
+dtype, the per-row compressors, the per-worker compute loop, the heap
+scheduler); whole-run numbers live in ``benchmarks/e2e``:
 
-* ``flat_roundtrip`` — ``get_flat_params`` + ``set_flat_params`` once
-  per worker (the per-exchange cost SAPS used to pay per matched pair);
-* ``saps_round`` — one full SAPS-PSGD communication round (local SGD +
-  masked pairwise exchange) at n workers;
-* ``psgd_round`` — one full all-reduce PSGD round at n workers;
-* ``dtype_round`` — the same SAPS round at float64 vs float32 (both on
-  the arena fast path), with resident replica-matrix bytes — the
-  memory-traffic half of the float32 story;
+* ``dtype_round`` — one full SAPS-PSGD round at float64 vs float32,
+  with resident replica-matrix bytes — the memory-traffic half of the
+  float32 story;
 * ``compression_batch`` — per-round ``compress_matrix`` over the
   ``(n, N)`` replica matrix vs the per-worker ``compress`` loop, for the
   shared-mask and top-k sparsifiers;
@@ -35,12 +30,8 @@ code path, preserved verbatim behind ``use_arena=False``):
   thread count, only wall-clock changes.  Records ``cpu_count`` — the
   CI gate requires ≥1.8× at 4 threads on ≥4-core boxes and only "no
   serial regression" on smaller ones;
-* ``fused_round`` — D-PSGD's fused in-place ring mix vs the historical
-  whole-matrix expression at n = 1024, with a bit-identity check — the
-  fused pass streams each row block through cache once instead of
-  materializing four ``(n, N)`` temporaries;
-* ``obs_overhead`` — the telemetry contract on the n = 1024 fused
-  D-PSGD round: the disabled path (null recorder) costs ≤2% — computed
+* ``obs_overhead`` — the telemetry contract on the n = 1024 D-PSGD
+  round: the disabled path (null recorder) costs ≤2% — computed
   analytically from the measured null-span cost times the spans one
   round opens — and the fully enabled path (metrics registry + Chrome
   trace) ≤10% against an interleaved off-arm, both gated in CI;
@@ -68,7 +59,7 @@ The dtype and batched-compression sections always run at n ∈ {32, 128}
 local-step section always runs at n ∈ {32, 128, 1024} — 1024 is the
 acceptance scale point — and the batched conv-step section at
 n ∈ {32, 128}; CI fails if either batched path ever drops below 1× the
-loop; the round benchmarks follow ``--quick`` as before.
+loop.
 
 Results (seconds per op, and speedups) are written to
 ``BENCH_hot_paths.json`` at the repo root so the perf trajectory is
@@ -78,8 +69,8 @@ Usage::
 
     PYTHONPATH=src python -m benchmarks.bench_hot_paths [--quick]
 
-``--quick`` restricts to n ∈ {8, 32} and fewer repeats (finishes well
-under 60 s); the full run adds n = 128.
+``--quick`` uses fewer rounds per timed burst (finishes well under
+60 s).
 """
 
 from __future__ import annotations
@@ -95,7 +86,6 @@ import numpy as np
 
 from repro.algorithms.asynchronous import AsyncGossip
 from repro.algorithms.decentralized import DPSGD
-from repro.algorithms.psgd import PSGD
 from repro.algorithms.saps_psgd import SAPSPSGD
 from repro.compression import RandomMaskCompressor, TopKCompressor
 from repro.data import make_blobs, make_synthetic_images, partition_iid
@@ -156,80 +146,6 @@ def _time(fn, repeats: int) -> float:
         fn()
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
-
-
-def bench_flat_roundtrip(num_workers: int, repeats: int) -> dict:
-    """get+set flat params across all workers, arena vs fallback."""
-    partitions = _workload(num_workers)
-    results = {}
-    for label, use_arena in (("fallback", False), ("arena", True)):
-        config = ExperimentConfig(
-            rounds=1, batch_size=4, lr=0.1, use_arena=use_arena
-        )
-        workers = make_workers(_model_factory(), partitions, config)
-
-        def roundtrip():
-            for worker in workers:
-                worker.set_params(worker.get_params())
-
-        roundtrip()  # warm-up
-        results[label] = _time(roundtrip, repeats)
-    results["speedup"] = results["fallback"] / results["arena"]
-    return results
-
-
-def _bench_rounds(algorithm_factory, num_workers: int, rounds: int,
-                  repeats: int) -> dict:
-    """Seconds per communication round, arena vs fallback.
-
-    Each sample times a burst of ``rounds`` rounds (mean per round —
-    single rounds are too short to time, and the fallback's per-round
-    allocation jitter *is* part of what the arena removes); the section
-    reports the median of ``repeats`` such samples (see :func:`_time`).
-    """
-    partitions = _workload(num_workers)
-    results = {}
-    for label, use_arena in (("fallback", False), ("arena", True)):
-        # Small batches keep the (path-independent) local-SGD compute from
-        # drowning the communication/mixing hot path under test.
-        config = ExperimentConfig(
-            rounds=rounds, batch_size=2, lr=0.05, seed=7, use_arena=use_arena
-        )
-        workers = make_workers(_model_factory(), partitions, config)
-        algorithm = algorithm_factory()
-        network = SimulatedNetwork(num_workers=num_workers)
-        algorithm.setup(workers, network, rng=7)
-        algorithm.run_round(0)  # warm-up
-
-        round_index = 1
-        samples = []
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for _ in range(rounds):
-                    algorithm.run_round(round_index)
-                    round_index += 1
-                samples.append((time.perf_counter() - start) / rounds)
-        finally:
-            gc.enable()
-        results[label] = float(np.median(samples))
-    results["speedup"] = results["fallback"] / results["arena"]
-    return results
-
-
-def bench_saps_round(num_workers: int, rounds: int, repeats: int) -> dict:
-    # Fixed-ring pairing isolates the exchange hot path from the (shared,
-    # identical-cost) blossom matching of the adaptive selector.
-    return _bench_rounds(
-        lambda: SAPSPSGD(compression_ratio=20.0, selector="ring", base_seed=7),
-        num_workers, rounds, repeats,
-    )
-
-
-def bench_psgd_round(num_workers: int, rounds: int, repeats: int) -> dict:
-    return _bench_rounds(lambda: PSGD(), num_workers, rounds, repeats)
 
 
 def bench_dtype_round(num_workers: int, rounds: int, repeats: int) -> dict:
@@ -580,12 +496,11 @@ def bench_fault_round(num_workers: int, repeats: int) -> dict:
 EVENT_ROUND_COUNTS = [32]
 
 
-#: Scale point of the thread-scaling and fused-round sections: the
+#: Scale point of the thread-scaling and telemetry sections: the
 #: acceptance scale, where the round-bench MLP (N = 7210) partitions
 #: into 4 cluster blocks of ≤290 rows under the 16 MB block budget —
 #: enough independent blocks for a 4-thread pool to show its scaling.
 THREADS_SCALING_COUNTS = [1024]
-FUSED_ROUND_COUNTS = [1024]
 OBS_OVERHEAD_COUNTS = [1024]
 
 
@@ -722,49 +637,6 @@ def bench_threads_scaling(
     serial = results["threads"]["1"]
     results["speedup_2"] = serial / results["threads"]["2"]
     results["speedup_4"] = serial / results["threads"]["4"]
-    return results
-
-
-def bench_fused_round(num_workers: int, repeats: int) -> dict:
-    """D-PSGD's fused in-place ring mix vs the whole-matrix expression.
-
-    Sets up a real D-PSGD instance, computes one batched gradient phase
-    (so the grads feeding the mix are realistic), checks the two mix
-    implementations produce bit-identical replicas from the same
-    snapshot, then times them back to back on the live arena.  The
-    fused pass wins by streaming each row block through cache once with
-    in-place ufuncs instead of materializing four ``(n, N)``
-    temporaries; at small n the whole matrix fits in cache either way
-    and the fusion is a wash — which is why only the n = 1024 point is
-    tracked and gated.
-    """
-    partitions = _workload(num_workers)
-    config = ExperimentConfig(rounds=1, batch_size=2, lr=0.05, seed=7)
-    workers = make_workers(_model_factory(), partitions, config)
-    algorithm = DPSGD()
-    algorithm.setup(workers, SimulatedNetwork(num_workers), rng=7)
-    algorithm.cluster_trainer.compute_gradients()
-
-    snapshot = algorithm.arena.data.copy()
-    algorithm._mix_arena_unfused()
-    expected = algorithm.arena.data.copy()
-    algorithm.arena.data[...] = snapshot
-    algorithm._mix_arena_fused()
-    bit_identical = bool(np.array_equal(expected, algorithm.arena.data))
-
-    results = {"bit_identical": bit_identical}
-    for label, fn in (
-        ("unfused", algorithm._mix_arena_unfused),
-        ("fused", algorithm._mix_arena_fused),
-    ):
-        fn()  # warm-up
-        gc.collect()
-        gc.disable()
-        try:
-            results[label] = _time(fn, repeats)
-        finally:
-            gc.enable()
-    results["speedup"] = results["unfused"] / results["fused"]
     return results
 
 
@@ -976,18 +848,12 @@ def bench_gossip_sampled() -> dict:
 
 
 def run_suite(quick: bool, repeats: int) -> dict:
-    worker_counts = [8, 32] if quick else [8, 32, 128]
-    rounds = 20 if quick else 30
     dtype_rounds = 5 if quick else 15
     model_size = _model_factory()().num_parameters()
     report = {
         "model_size": model_size,
         "quick": quick,
         "cpu_count": os.cpu_count(),
-        "worker_counts": worker_counts,
-        "flat_roundtrip": {},
-        "saps_round": {},
-        "psgd_round": {},
         "dtype_round": {},
         "compression_batch": {},
         "local_step_batch": {},
@@ -995,19 +861,11 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "event_round": {},
         "fault_round": {},
         "threads_scaling": {},
-        "fused_round": {},
         "obs_overhead": {},
         "event_throughput": {},
         "sharded_memory": {},
         "gossip_sampled": {},
     }
-    for n in worker_counts:
-        print(f"n={n:4d}  flat round-trip ...", flush=True)
-        report["flat_roundtrip"][str(n)] = bench_flat_roundtrip(n, repeats)
-        print(f"n={n:4d}  SAPS-PSGD round ...", flush=True)
-        report["saps_round"][str(n)] = bench_saps_round(n, rounds, repeats)
-        print(f"n={n:4d}  PSGD round ...", flush=True)
-        report["psgd_round"][str(n)] = bench_psgd_round(n, rounds, repeats)
     for n in DTYPE_BATCH_COUNTS:
         print(f"n={n:4d}  float32 vs float64 round ...", flush=True)
         report["dtype_round"][str(n)] = bench_dtype_round(
@@ -1037,11 +895,6 @@ def run_suite(quick: bool, repeats: int) -> dict:
         report["threads_scaling"][str(n)] = bench_threads_scaling(
             n, max(repeats - 2, 3)
         )
-    for n in FUSED_ROUND_COUNTS:
-        print(f"n={n:4d}  fused vs unfused D-PSGD mix ...", flush=True)
-        report["fused_round"][str(n)] = bench_fused_round(
-            n, max(repeats - 2, 3)
-        )
     for n in OBS_OVERHEAD_COUNTS:
         print(f"n={n:4d}  telemetry overhead (off / trace) ...", flush=True)
         report["obs_overhead"][str(n)] = bench_obs_overhead(
@@ -1069,19 +922,9 @@ def render(report: dict) -> str:
     lines = [
         f"hot paths (model_size={report['model_size']}, "
         f"quick={report['quick']})",
-        f"{'bench':>16} {'n':>5} {'fallback_s':>12} {'arena_s':>12} "
-        f"{'speedup':>8}",
-    ]
-    for bench in ("flat_roundtrip", "saps_round", "psgd_round"):
-        for n, row in report[bench].items():
-            lines.append(
-                f"{bench:>16} {n:>5} {row['fallback']:>12.3e} "
-                f"{row['arena']:>12.3e} {row['speedup']:>7.1f}x"
-            )
-    lines.append(
         f"{'bench':>16} {'n':>5} {'float64_s':>12} {'float32_s':>12} "
-        f"{'speedup':>8} {'mem':>6}"
-    )
+        f"{'speedup':>8} {'mem':>6}",
+    ]
     for n, row in report["dtype_round"].items():
         lines.append(
             f"{'dtype_round':>16} {n:>5} {row['float64']:>12.3e} "
@@ -1135,14 +978,6 @@ def render(report: dict) -> str:
             f"4t {row['speedup_4']:>4.2f}x  "
             f"({row['num_blocks']} blocks, {row['cpu_count']} cores)"
         )
-    for n, row in report["fused_round"].items():
-        lines.append(
-            f"{'fused_round':>16} {n:>5} "
-            f"unfused {row['unfused']:>9.3e}  "
-            f"fused {row['fused']:>9.3e}  "
-            f"{row['speedup']:>4.2f}x  "
-            f"bit_identical={row['bit_identical']}"
-        )
     for n, row in report["obs_overhead"].items():
         lines.append(
             f"{'obs_overhead':>16} {n:>5} "
@@ -1182,7 +1017,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="n in {8, 32} and fewer repeats; finishes well under 60 s",
+        help="fewer rounds per timed burst; finishes well under 60 s",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,

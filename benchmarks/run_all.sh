@@ -2,7 +2,7 @@
 # Quick performance pass for CI / local loops.
 #
 #   benchmarks/run_all.sh           # hot-path micro-benchmarks, < 60 s
-#   benchmarks/run_all.sh --full    # adds n=128 and more repeats
+#   benchmarks/run_all.sh --full    # longer timed bursts
 #
 # Extra arguments are forwarded to benchmarks.bench_hot_paths.
 # The paper-figure benchmark suite (bench_fig*.py, bench_table*.py) runs
@@ -138,30 +138,11 @@ print(
     },
 )
 
-# Fused-mix gate: the fused D-PSGD ring mix must stay bit-identical to
-# the whole-matrix expression and beat it at the tracked n=1024 point
-# (where the replica matrix no longer fits in cache).
-section = report.get("fused_round", {})
-if not section:
-    sys.exit("BENCH_hot_paths.json has no fused_round section")
-for n, row in section.items():
-    if not row["bit_identical"]:
-        sys.exit(f"fused D-PSGD mix is not bit-identical at n={n}")
-    if row["speedup"] < 1.15:
-        sys.exit(
-            f"fused D-PSGD mix speedup {row['speedup']:.2f}x below the "
-            f"1.15x floor at n={n}"
-        )
-print(
-    "fused_round gate ok:",
-    {n: f"{row['speedup']:.2f}x" for n, row in section.items()},
-)
-
 # Telemetry gate: the disabled path (null recorder) must stay near-free
 # — its analytic bound (measured null-span cost x spans per round, over
 # the round's wall time) at most 2% — and the fully enabled path
 # (metrics registry + Chrome trace) at most 10% against the interleaved
-# off-arm on the n=1024 fused round.
+# off-arm on the n=1024 D-PSGD round.
 section = report.get("obs_overhead", {})
 if not section:
     sys.exit("BENCH_hot_paths.json has no obs_overhead section")

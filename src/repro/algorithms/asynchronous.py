@@ -304,19 +304,11 @@ class AsyncAlgorithm(DistributedAlgorithm):
         raise NotImplementedError
 
     def _run_local(self, rank: int, steps: Optional[int] = None) -> float:
-        """Execute the local steps numerically (batched kernels when the
-        trainer is attached — same per-worker RNG streams as the loop);
-        returns the mean loss."""
+        """Execute the local steps numerically (through the base class's
+        compute seam); returns the mean loss."""
         k = self.local_steps if steps is None else steps
-        if self.cluster_trainer is not None:
-            losses = self.cluster_trainer.batched_steps(
-                k, ranks=np.array([rank], dtype=np.intp)
-            )
-            loss = float(np.mean(losses))
-        else:
-            loss = float(
-                np.mean([self.workers[rank].local_step() for _ in range(k)])
-            )
+        losses = self._local_steps(k, np.array([rank], dtype=np.intp))
+        loss = float(np.mean(losses))
         self.total_local_steps += k
         self._loss_sum += loss * k
         self._loss_events += k
@@ -461,26 +453,17 @@ class AsyncGossip(AsyncAlgorithm):
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
         """Eq. 7 on the masked components of the pair — same math as the
-        synchronous SAPS fallback path."""
-        if self.arena is not None:
-            # Pin both endpoints for the exchange (a no-op on a dense
-            # arena): a sharded arena must not evict either row between
-            # the masked read and the scatter-back.
-            ctx = self.participation_ctx
-            with ctx.resident(self.arena, (a, b)):
-                row_a = ctx.client_row(self.arena, a)
-                row_b = ctx.client_row(self.arena, b)
-                averaged = 0.5 * (row_a[indices] + row_b[indices])
-                row_a[indices] = averaged
-                row_b[indices] = averaged
-        else:
-            params_a = self.workers[a].get_params()
-            params_b = self.workers[b].get_params()
-            averaged = 0.5 * (params_a[indices] + params_b[indices])
-            params_a[indices] = averaged
-            params_b[indices] = averaged
-            self.workers[a].set_params(params_a)
-            self.workers[b].set_params(params_b)
+        synchronous SAPS exchange."""
+        # Pin both endpoints for the exchange (a no-op on a dense
+        # arena): a sharded arena must not evict either row between
+        # the masked read and the scatter-back.
+        ctx = self.participation_ctx
+        with ctx.resident(self.arena, (a, b)):
+            row_a = ctx.client_row(self.arena, a)
+            row_b = ctx.client_row(self.arena, b)
+            averaged = 0.5 * (row_a[indices] + row_b[indices])
+            row_a[indices] = averaged
+            row_b[indices] = averaged
         self._begin_cycle(a, now)
         self._begin_cycle(b, now)
 
@@ -509,15 +492,11 @@ class AsyncDPSGD(AsyncAlgorithm):
         super().start()
 
     def _on_compute_done(self, rank: int, now: float) -> None:
-        if self.cluster_trainer is not None:
-            losses = self.cluster_trainer.compute_gradients(
-                ranks=np.array([rank], dtype=np.intp)
-            )
-            loss = float(losses[0])
-            gradient = self.arena.grads[rank].copy()
-        else:
-            loss, gradient = self.workers[rank].compute_gradient()
-            gradient = np.asarray(gradient).copy()
+        losses = self._local_gradients_into_arena(
+            np.array([rank], dtype=np.intp)
+        )
+        loss = float(losses[0])
+        gradient = self.arena.grads[rank].copy()
         self.total_local_steps += 1
         self._loss_sum += loss
         self._loss_events += 1
@@ -587,32 +566,20 @@ class AsyncDPSGD(AsyncAlgorithm):
             on_success, on_give_up, takeover=False,
         )
 
-    def _row(self, rank: int) -> np.ndarray:
-        if self.arena is not None:
-            return self.arena.data[rank]
-        return self.workers[rank].get_params()
-
     def _average_then_apply(
         self, rank: int, peer: int, gradient: np.ndarray, base_mixes: int,
         now: float,
     ) -> None:
         # Atomic pairwise averaging: x_i, x_j <- (x_i + x_j) / 2.  The
         # peer keeps computing through it (that is AD-PSGD's overlap).
-        if self.arena is not None:
-            # Both endpoint rows pinned for the exchange (no-op dense).
-            ctx = self.participation_ctx
-            with ctx.resident(self.arena, (rank, peer)):
-                row_r = ctx.client_row(self.arena, rank)
-                row_p = ctx.client_row(self.arena, peer)
-                mean = 0.5 * (row_r + row_p)
-                row_r[...] = mean
-                row_p[...] = mean
-        else:
-            params_a = self.workers[rank].get_params()
-            params_b = self.workers[peer].get_params()
-            mean = 0.5 * (params_a + params_b)
-            self.workers[rank].set_params(mean)
-            self.workers[peer].set_params(mean)
+        # Both endpoint rows pinned for the exchange (no-op dense).
+        ctx = self.participation_ctx
+        with ctx.resident(self.arena, (rank, peer)):
+            row_r = ctx.client_row(self.arena, rank)
+            row_p = ctx.client_row(self.arena, peer)
+            mean = 0.5 * (row_r + row_p)
+            row_r[...] = mean
+            row_p[...] = mean
         self._mix_counts[rank] += 1
         self._mix_counts[peer] += 1
         self._apply(rank, gradient, base_mixes, now, own_mix=1)
@@ -626,15 +593,11 @@ class AsyncDPSGD(AsyncAlgorithm):
         staleness = int(self._mix_counts[rank]) - base_mixes - own_mix
         self.staleness_log.append(max(staleness, 0))
         lr = self.workers[rank].optimizer.lr
-        if self.arena is not None:
-            ctx = self.participation_ctx
-            with ctx.resident(self.arena, (rank,)):
-                ctx.client_row(self.arena, rank)[...] -= np.asarray(
-                    lr * gradient, dtype=self.arena.dtype
-                )
-        else:
-            worker = self.workers[rank]
-            worker.set_params(worker.get_params() - lr * gradient)
+        ctx = self.participation_ctx
+        with ctx.resident(self.arena, (rank,)):
+            ctx.client_row(self.arena, rank)[...] -= np.asarray(
+                lr * gradient, dtype=self.arena.dtype
+            )
         self.workers[rank].steps_taken += 1
         self._begin_cycle(rank, now)
 
@@ -770,10 +733,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         self, rank: int, cycle: int, snapshot: np.ndarray, base_version: int,
         now: float,
     ) -> None:
-        if self.arena is not None:
-            self.arena.data[rank] = np.asarray(snapshot, dtype=self.arena.dtype)
-        else:
-            self.workers[rank].set_params(snapshot)
+        self.arena.data[rank] = np.asarray(snapshot, dtype=self.arena.dtype)
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", now, now + duration)
@@ -832,16 +792,11 @@ class AsyncFedAvg(AsyncAlgorithm):
         staleness = self.server_version - base_version
         self.staleness_log.append(staleness)
         alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        upload = self._upload_vector(rank)
+        upload = self.arena.data[rank]
         mixed = (1.0 - alpha) * self.global_model + alpha * upload
         self.global_model = mixed.astype(self.global_model.dtype, copy=False)
         self.server_version += 1
         self._cycle_finished(rank, now)
-
-    def _upload_vector(self, rank: int) -> np.ndarray:
-        if self.arena is not None:
-            return self.arena.data[rank]
-        return self.workers[rank].get_params()
 
     def consensus_model(self) -> np.ndarray:
         """The evaluated model is the server's global model."""

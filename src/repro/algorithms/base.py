@@ -5,6 +5,15 @@ Each algorithm binds to a list of :class:`TrainingWorker` and a
 executes synchronous communication rounds (:meth:`run_round`).  Traffic
 and time fall out of the network's meters, so the harness can plot every
 algorithm on the paper's axes without algorithm-specific glue.
+
+The cluster state is always the paper's replica matrix ``X ∈ R^{n×N}``:
+after :meth:`~DistributedAlgorithm.setup` every worker is a row of one
+:class:`~repro.nn.arena.ParameterArena` and every communication phase is
+written over that matrix.  Only local *compute* has two routes — the
+batched :class:`~repro.sim.cluster.ClusterTrainer`, or the per-worker
+loop for models it declines (ResNet-20's BatchNorm + residual wiring) —
+and both sit behind one seam here: :meth:`_local_steps` and
+:meth:`_local_gradients_into_arena`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.network.transport import SimulatedNetwork
-from repro.nn.arena import ParameterArena, shared_arena
+from repro.nn.arena import ParameterArena
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
@@ -35,14 +44,13 @@ class DistributedAlgorithm:
         #: Workers that computed in the last round (None = all).  The
         #: engine's compute-time model reads this to bill stragglers.
         self.last_participants: Optional[List[int]] = None
-        #: The shared :class:`ParameterArena` when every worker's model
-        #: is a row of one arena (rank order); ``None`` selects the
-        #: per-model fallback paths.  Set by :meth:`setup`.
+        #: The :class:`ParameterArena` whose rows ``0..n-1`` are the
+        #: workers' models, in rank order.  Set by :meth:`setup`.
         self.arena: Optional[ParameterArena] = None
         #: Batched local-step engine (:class:`repro.sim.cluster.ClusterTrainer`)
-        #: when the arena-backed workers admit an exactly-equivalent
-        #: batched path; ``None`` keeps the per-worker compute loop.
-        #: Set by :meth:`setup`.
+        #: when the workers admit an exactly-equivalent batched path;
+        #: ``None`` keeps the per-worker compute loop.  Set by
+        #: :meth:`setup`.
         self.cluster_trainer = None
 
     # ------------------------------------------------------------------
@@ -58,7 +66,9 @@ class DistributedAlgorithm:
 
         All algorithms start from identical parameters (the paper's
         consensus analysis notes ``‖X_0 − X̄_0 1ᵀ‖² = 0`` when workers
-        share the initial model), taken from worker 0.
+        share the initial model), taken from worker 0.  Workers that are
+        not yet rows of one arena are adopted into one
+        (:func:`repro.sim.trainer.bind_arena`).
         """
         if len(workers) < 2:
             raise ValueError("distributed algorithms need at least 2 workers")
@@ -76,23 +86,18 @@ class DistributedAlgorithm:
                 f"all workers must share one architecture; got model "
                 f"sizes {sorted(sizes)}"
             )
-        self.arena = shared_arena([worker.model for worker in self.workers])
-        if self.arena is not None:
-            # One broadcast over the replica matrix replaces n-1
-            # concat/split round-trips.
-            self.arena.broadcast_row(0)
-            # Deferred import: repro.sim pulls in repro.algorithms at
-            # package-import time (via the comparison harness).
-            from repro.sim.cluster import ClusterTrainer
+        # Deferred imports: repro.sim pulls in repro.algorithms at
+        # package-import time (via the comparison harness).
+        from repro.sim.cluster import ClusterTrainer
+        from repro.sim.trainer import bind_arena
 
-            self.cluster_trainer = ClusterTrainer.build(
-                self.workers, arena=self.arena
-            )
-        else:
-            self.cluster_trainer = None
-            initial = self.workers[0].get_params()
-            for worker in self.workers[1:]:
-                worker.set_params(initial)
+        self.arena = bind_arena(self.workers)
+        # One broadcast over the replica matrix replaces n-1
+        # concat/split round-trips.
+        self.arena.broadcast_row(0)
+        self.cluster_trainer = ClusterTrainer.build(
+            self.workers, arena=self.arena
+        )
         self._after_setup()
 
     def _after_setup(self) -> None:
@@ -116,18 +121,41 @@ class DistributedAlgorithm:
     def model_size(self) -> int:
         return self.workers[0].model_size
 
-    def _local_gradients_into_arena(self) -> np.ndarray:
-        """One sampled mini-batch gradient per worker, left in
-        ``arena.grads``; returns the per-worker losses (rank order).
+    def _local_gradients_into_arena(self, ranks=None) -> np.ndarray:
+        """One sampled mini-batch gradient per worker (all, or ``ranks``),
+        left in ``arena.grads``; returns the per-worker losses in
+        ``ranks`` order.
 
         Batched through the :class:`ClusterTrainer` when available —
         bit-identical to the per-worker ``compute_gradient`` loop, which
-        remains the fallback.  Requires an arena."""
+        runs the models the trainer declines."""
         if self.cluster_trainer is not None:
-            return self.cluster_trainer.compute_gradients()
+            return self.cluster_trainer.compute_gradients(ranks)
+        if ranks is None:
+            ranks = range(self.num_workers)
         with obs.phase("compute"):
             return np.array(
-                [worker.compute_gradient()[0] for worker in self.workers]
+                [self.workers[rank].compute_gradient()[0] for rank in ranks]
+            )
+
+    def _local_steps(self, k: int, ranks=None) -> np.ndarray:
+        """``k`` local SGD steps on every worker (or ``ranks``); returns
+        the ``(len(ranks), k)`` loss matrix, worker-major.
+
+        Batched: each step is one matrix-level forward/backward/update
+        for all the workers at once — same per-worker RNG streams and
+        loss order as the per-worker ``local_step`` loop, which runs the
+        models the trainer declines; bit-identical trajectories."""
+        if self.cluster_trainer is not None:
+            return self.cluster_trainer.batched_steps(k, ranks=ranks)
+        if ranks is None:
+            ranks = range(self.num_workers)
+        with obs.phase("compute"):
+            return np.array(
+                [
+                    [self.workers[rank].local_step() for _ in range(k)]
+                    for rank in ranks
+                ]
             )
 
     #: Row-block byte budget of the fused update/mix passes — same
@@ -146,61 +174,48 @@ class DistributedAlgorithm:
     def _apply_average_gradient(self, average: np.ndarray) -> None:
         """``xᵢ ← xᵢ − lrᵢ·ḡ`` on every worker (the all-reduce update).
 
-        Arena path: a fused row-blocked pass — each block scales the
-        average gradient into a persistent scratch and subtracts it in
-        place, so no ``(n, N)`` temporary is materialized and each block
-        of replicas streams through cache exactly once.  Blocks are
+        A fused row-blocked pass — each block scales the average
+        gradient into a persistent scratch and subtracts it in place, so
+        no ``(n, N)`` temporary is materialized and each block of
+        replicas streams through cache exactly once.  Blocks are
         independent (disjoint rows) and run on the configured thread
         pool.  Per element the operation sequence (multiply, then
-        subtract) is unchanged, so the result is bit-identical to the
-        historical whole-matrix expression.  Fallback: per-worker flat
-        round-trips.
+        subtract) is that of the whole-matrix expression
+        ``X − rates[:, None]·ḡ``, so the result is bit-identical to it.
         """
-        if self.arena is not None:
-            from repro.utils import parallel
+        from repro.utils import parallel
 
-            # Learning rates in the arena dtype: float32 runs update
-            # without a float64 upcast temporary (no-op at float64).
-            rates = np.array(
-                [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
+        # Learning rates in the arena dtype: float32 runs update
+        # without a float64 upcast temporary (no-op at float64).
+        rates = np.array(
+            [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
+        )
+        data = self.arena.data
+
+        def update_block(bound) -> None:
+            start, stop = bound
+            # The (block, N) product is the only temporary — bounded
+            # by the block budget instead of the full (n, N) matrix.
+            data[start:stop] -= rates[start:stop, None] * average
+
+        with obs.phase("mix"):
+            parallel.parallel_map(
+                update_block,
+                parallel.block_ranges(
+                    self.num_workers, self._mix_block_rows()
+                ),
+                phase="mix.block",
             )
-            data = self.arena.data
-
-            def update_block(bound) -> None:
-                start, stop = bound
-                # The (block, N) product is the only temporary — bounded
-                # by the block budget instead of the full (n, N) matrix.
-                data[start:stop] -= rates[start:stop, None] * average
-
-            with obs.phase("mix"):
-                parallel.parallel_map(
-                    update_block,
-                    parallel.block_ranges(
-                        self.num_workers, self._mix_block_rows()
-                    ),
-                    phase="mix.block",
-                )
-            for worker in self.workers:
-                worker.steps_taken += 1
-        else:
-            with obs.phase("mix"):
-                for worker in self.workers:
-                    worker.apply_gradient(average)
+        for worker in self.workers:
+            worker.steps_taken += 1
 
     def consensus_model(self) -> np.ndarray:
         """The average model ``X̄ = X·1/n`` — what gets evaluated."""
-        if self.arena is not None:
-            return self.arena.mean_model()
-        stacked = np.stack([w.get_params() for w in self.workers])
-        return stacked.mean(axis=0)
+        return self.arena.mean_model()
 
     def consensus_distance(self) -> float:
         """``(1/n)Σᵢ‖xᵢ − x̄‖²`` — the quantity Theorem 1 bounds."""
-        if self.arena is not None:
-            return self.arena.consensus_distance()
-        stacked = np.stack([w.get_params() for w in self.workers])
-        mean = stacked.mean(axis=0)
-        return float(np.mean(np.sum((stacked - mean) ** 2, axis=1)))
+        return self.arena.consensus_distance()
 
     def min_link_bandwidth(self) -> Optional[float]:
         """Slowest pairwise link — the collective-operation bottleneck."""

@@ -28,22 +28,13 @@ class DPSGD(DistributedAlgorithm):
 
     name = "D-PSGD"
 
-    #: Selects the fused row-blocked arena mix (:meth:`_mix_arena_fused`).
-    #: ``False`` restores the historical whole-matrix expression, kept as
-    #: the equivalence oracle and the bench baseline — both produce
-    #: bit-identical replicas.
-    fused_mix = True
-
     def _after_setup(self) -> None:
         # Mixing weights live in the workers' dtype so float32 runs mix
         # without upcast temporaries (no-op cast at float64).
-        dtype = (
-            self.arena.dtype
-            if self.arena is not None
-            else self.workers[0].model.dtype
+        self.gossip = ring_gossip_matrix(self.num_workers).astype(
+            self.arena.dtype, copy=False
         )
-        self.gossip = ring_gossip_matrix(self.num_workers).astype(dtype, copy=False)
-        # Persistent (n, N) pair for the fused mix: the mixed-model
+        # Persistent (n, N) pair for the ring mix: the mixed-model
         # accumulator and the neighbour-gather scratch.  Allocated on
         # first use, reused every round.
         self._mix_buf: np.ndarray | None = None
@@ -58,8 +49,28 @@ class DPSGD(DistributedAlgorithm):
             return 0.0
         return float(self.network.bandwidth[a, b])
 
-    def _ring_mix_terms(self):
-        """Neighbour index vectors and per-row mixing weights (columns)."""
+    def _mix_ring(self) -> None:
+        """Row-blocked ring mix: one cache-hot pass per block.
+
+        ``X ← (self_w·X + prev_w·X[prev] + next_w·X[next]) − rates·G``,
+        accumulated in that order (self, left, right neighbour).  Each
+        block accumulates its mixed rows into a persistent ``(n, N)``
+        buffer with in-place ufuncs — the only transient left is the
+        float64 learning-rate product when the arena is float32 (the
+        float64 ``rates`` promote the expression there, and the block
+        pass keeps its single final rounding).  Blocks write disjoint
+        buffer rows while only *reading* the replica matrix, so they run
+        on the configured thread pool; the write-back happens after the
+        barrier, once no block still needs a neighbour's old row.  Per
+        element the kernel sequence and operand order equal the
+        whole-matrix expression, so the result is bit-identical to it at
+        every dtype and thread count.
+        """
+        from repro.utils import parallel
+
+        replicas = self.arena.data
+        grads = self.arena.grads
+        # Neighbour index vectors and per-row mixing weights (columns).
         n = self.num_workers
         ranks = np.arange(n)
         prev_ranks = (ranks - 1) % n
@@ -68,47 +79,6 @@ class DPSGD(DistributedAlgorithm):
         prev_w = self.gossip[ranks, prev_ranks][:, None]
         next_w = self.gossip[ranks, next_ranks][:, None]
         rates = np.array([w.optimizer.lr for w in self.workers])
-        return prev_ranks, next_ranks, self_w, prev_w, next_w, rates
-
-    def _mix_arena_unfused(self) -> None:
-        """The historical whole-matrix ring mix (oracle / bench baseline).
-
-        The accumulation order (self, left neighbour, right neighbour)
-        matches the per-worker loop, so results are bit-identical to the
-        fallback path — and :meth:`_mix_arena_fused` matches this method
-        bit-for-bit in turn.
-        """
-        replicas = self.arena.data
-        prev_ranks, next_ranks, self_w, prev_w, next_w, rates = (
-            self._ring_mix_terms()
-        )
-        mixed = self_w * replicas
-        mixed = mixed + prev_w * replicas[prev_ranks]
-        mixed = mixed + next_w * replicas[next_ranks]
-        replicas[...] = mixed - rates[:, None] * self.arena.grads
-
-    def _mix_arena_fused(self) -> None:
-        """Fused row-blocked ring mix: one cache-hot pass per block.
-
-        Each block accumulates its mixed rows into a persistent ``(n, N)``
-        buffer with in-place ufuncs — the only transient left is the
-        float64 learning-rate product when the arena is float32 (the
-        unfused expression upcasts there, and matching it bit-for-bit
-        requires the same promotion).  Blocks write disjoint buffer rows
-        while only *reading* the replica matrix, so they run on the
-        configured thread pool; the write-back happens after the barrier,
-        once no block still needs a neighbour's old row.  Per element the
-        kernel sequence and operand order equal the whole-matrix
-        expression, so the result is bit-identical at every dtype and
-        thread count.
-        """
-        from repro.utils import parallel
-
-        replicas = self.arena.data
-        grads = self.arena.grads
-        prev_ranks, next_ranks, self_w, prev_w, next_w, rates = (
-            self._ring_mix_terms()
-        )
         if self._mix_buf is None or self._mix_buf.shape != replicas.shape:
             self._mix_buf = np.empty_like(replicas)
             self._mix_tmp = np.empty_like(replicas)
@@ -131,10 +101,10 @@ class DPSGD(DistributedAlgorithm):
                 np.multiply(rates[start:stop, None], grads[start:stop], out=t)
                 np.subtract(b, t, out=b)
             else:
-                # float32 arena: the unfused expression promotes through
-                # the float64 rates and rounds once on assignment —
-                # replicate that exactly (the float64 transient is one
-                # block, not the full matrix).
+                # float32 arena: the float64 rates promote the product
+                # and the subtraction, which round once on assignment
+                # (the float64 transient is one block, not the full
+                # matrix).
                 b[...] = b - rates[start:stop, None] * grads[start:stop]
 
         parallel.parallel_map(
@@ -147,44 +117,13 @@ class DPSGD(DistributedAlgorithm):
         replicas[...] = buf
 
     def run_round(self, round_index: int) -> float:
-        if self.arena is not None:
-            losses = self._local_gradients_into_arena()
-            with obs.phase("comm"):
-                self._account_ring_traffic(round_index)
-            with obs.phase("mix"):
-                if self.fused_mix:
-                    self._mix_arena_fused()
-                else:
-                    self._mix_arena_unfused()
-            for worker in self.workers:
-                worker.steps_taken += 1
-        else:
-            losses = []
-            gradients = []
-            # Snapshots: a worker adopted into an arena the setup did not
-            # detect (subset/reordered workers) would otherwise hand out
-            # live row views that later set_params calls mutate mid-loop.
-            params = [worker.snapshot_params() for worker in self.workers]
-            with obs.phase("compute"):
-                for worker in self.workers:
-                    loss, gradient = worker.compute_gradient()
-                    losses.append(loss)
-                    gradients.append(gradient)
-            with obs.phase("comm"):
-                self._account_ring_traffic(round_index)
-
-            with obs.phase("mix"):
-                for rank, worker in enumerate(self.workers):
-                    neighbors = self._ring_neighbors(rank)
-                    mixed = self.gossip[rank, rank] * params[rank]
-                    for neighbor in neighbors:
-                        mixed = (
-                            mixed
-                            + self.gossip[rank, neighbor] * params[neighbor]
-                        )
-                    lr = worker.optimizer.lr
-                    worker.set_params(mixed - lr * gradients[rank])
-                    worker.steps_taken += 1
+        losses = self._local_gradients_into_arena()
+        with obs.phase("comm"):
+            self._account_ring_traffic(round_index)
+        with obs.phase("mix"):
+            self._mix_ring()
+        for worker in self.workers:
+            worker.steps_taken += 1
         self.network.finish_round()
         return float(np.mean(losses))
 
@@ -228,19 +167,10 @@ class DCDPSGD(DPSGD):
             self.replicas.append(owned)
 
     def run_round(self, round_index: int) -> float:
-        if self.cluster_trainer is not None:
-            # Batched gradient phase; each worker's mini-batch gradient
-            # is its (live) row of the arena grad matrix.
-            losses = self.cluster_trainer.compute_gradients()
-            gradients = self.arena.grads
-        else:
-            losses = []
-            gradients = []
-            with obs.phase("compute"):
-                for worker in self.workers:
-                    loss, gradient = worker.compute_gradient()
-                    losses.append(loss)
-                    gradients.append(gradient)
+        # Each worker's mini-batch gradient is its (live) row of the
+        # arena grad matrix.
+        losses = self._local_gradients_into_arena()
+        gradients = self.arena.grads
 
         # Phase 1: local updates from replicas; collect the model deltas
         # as one (n, N) matrix, then compress all rows in a single

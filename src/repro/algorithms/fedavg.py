@@ -139,31 +139,15 @@ class FedAvg(DistributedAlgorithm):
     def run_round(self, round_index: int) -> float:
         selected = self._select(round_index)
         self.last_participants = selected
-        if self.cluster_trainer is not None:
-            # Download = one row write per participant; E local steps run
-            # batched over the selected rows (worker-major loss order,
-            # same per-worker RNG streams as the loop).
-            rows = np.asarray(selected, dtype=np.intp)
-            self.arena.data[rows] = np.asarray(
-                self.global_model, dtype=self.arena.dtype
-            )
-            losses = self.cluster_trainer.batched_steps(
-                self.local_steps, ranks=rows
-            )
-        else:
-            losses = []
-            with obs.phase("compute"):
-                for rank in selected:
-                    worker = self.workers[rank]
-                    worker.set_params(self.global_model)
-                    for _ in range(self.local_steps):
-                        losses.append(worker.local_step())
-        if self.arena is not None:
-            # Server-side average straight off the replica matrix rows.
-            self.global_model = self.arena.data[selected].mean(axis=0)
-        else:
-            uploads = [self.workers[rank].get_params() for rank in selected]
-            self.global_model = np.mean(uploads, axis=0)
+        # Download = one row write per participant; E local steps run
+        # over the selected rows (worker-major loss order).
+        rows = np.asarray(selected, dtype=np.intp)
+        self.arena.data[rows] = np.asarray(
+            self.global_model, dtype=self.arena.dtype
+        )
+        losses = self._local_steps(self.local_steps, rows)
+        # Server-side average straight off the replica matrix rows.
+        self.global_model = self.arena.data[selected].mean(axis=0)
         self._account(
             round_index, selected, self.model_size * BYTES_PER_VALUE
         )
@@ -207,29 +191,16 @@ class SparseFedAvg(FedAvg):
         kept = k_for(self.model_size, self.compression_ratio)
         delta_sums = np.zeros(self.model_size, dtype=self.global_model.dtype)
         sender_counts = np.zeros(self.model_size)
-        if self.cluster_trainer is not None:
-            # Batched local phase; the per-rank upload masks below then
-            # draw from the shared RNG in the same rank order as the
-            # loop (local sampling uses per-worker streams, so running
-            # all the steps first leaves the mask stream untouched).
-            rows = np.asarray(selected, dtype=np.intp)
-            self.arena.data[rows] = np.asarray(
-                self.global_model, dtype=self.arena.dtype
-            )
-            losses = self.cluster_trainer.batched_steps(
-                self.local_steps, ranks=rows
-            )
-            uploads = [self.arena.data[rank] for rank in selected]
-        else:
-            losses = []
-            uploads = []
-            with obs.phase("compute"):
-                for rank in selected:
-                    worker = self.workers[rank]
-                    worker.set_params(self.global_model)
-                    for _ in range(self.local_steps):
-                        losses.append(worker.local_step())
-                    uploads.append(worker.get_params())
+        # Local phase first; the per-rank upload masks below then draw
+        # from the shared RNG in rank order (local sampling uses
+        # per-worker streams, so running all the steps first leaves the
+        # mask stream untouched).
+        rows = np.asarray(selected, dtype=np.intp)
+        self.arena.data[rows] = np.asarray(
+            self.global_model, dtype=self.arena.dtype
+        )
+        losses = self._local_steps(self.local_steps, rows)
+        uploads = [self.arena.data[rank] for rank in selected]
         for upload in uploads:
             delta = upload - self.global_model
             # Random-k mask on the *update* (structured/random updates of

@@ -16,7 +16,7 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
 from repro.compression.base import BYTES_PER_VALUE
-from repro.compression.error_feedback import BatchedErrorFeedback, ErrorFeedback
+from repro.compression.error_feedback import BatchedErrorFeedback
 from repro.compression.topk import TopKCompressor
 
 
@@ -26,22 +26,12 @@ class PSGD(DistributedAlgorithm):
     name = "PSGD"
 
     def run_round(self, round_index: int) -> float:
-        if self.arena is not None:
-            # Gradients land in the arena's grad matrix (in one batched
-            # forward/backward when the ClusterTrainer is attached); the
-            # all-reduce is one column-mean and the update one
-            # broadcasted row operation — no per-worker concat/split.
-            losses = self._local_gradients_into_arena()
-            average = self.arena.grads.mean(axis=0)
-        else:
-            losses = []
-            gradients = []
-            with obs.phase("compute"):
-                for worker in self.workers:
-                    loss, gradient = worker.compute_gradient()
-                    losses.append(loss)
-                    gradients.append(gradient)
-            average = np.mean(gradients, axis=0)
+        # Gradients land in the arena's grad matrix (in one batched
+        # forward/backward when the ClusterTrainer is attached); the
+        # all-reduce is one column-mean and the update one broadcasted
+        # row operation — no per-worker concat/split.
+        losses = self._local_gradients_into_arena()
+        average = self.arena.grads.mean(axis=0)
         self._apply_average_gradient(average)
 
         # Ring all-reduce accounting: each worker exchanges ~2N values per
@@ -71,57 +61,31 @@ class TopKPSGD(DistributedAlgorithm):
     def __init__(self, compression_ratio: float = 1000.0) -> None:
         super().__init__()
         self.compressor = TopKCompressor(compression_ratio)
-        self._feedback: list = []
         self._batch_feedback = None
 
     def _after_setup(self) -> None:
-        if self.arena is not None:
-            # Arena fast path: one (n, N) residual matrix; compression
-            # runs over the whole gradient matrix per round.  Top-k is
-            # deterministic, so this is element-for-element identical to
-            # n independent per-worker buffers.
-            self._batch_feedback = BatchedErrorFeedback(
-                self.compressor,
-                self.num_workers,
-                self.model_size,
-                dtype=self.arena.dtype,
-            )
-            self._feedback = []
-        else:
-            self._batch_feedback = None
-            self._feedback = [
-                ErrorFeedback(
-                    self.compressor, self.model_size, dtype=worker.model.dtype
-                )
-                for worker in self.workers
-            ]
+        # One (n, N) residual matrix; compression runs over the whole
+        # gradient matrix per round.  Top-k is deterministic, so this is
+        # element-for-element identical to n independent per-worker
+        # buffers.
+        self._batch_feedback = BatchedErrorFeedback(
+            self.compressor,
+            self.num_workers,
+            self.model_size,
+            dtype=self.arena.dtype,
+        )
 
     def run_round(self, round_index: int) -> float:
-        if self.arena is not None:
-            # Gradients accumulate into the arena's grad matrix (batched
-            # when the ClusterTrainer is attached); compensation + top-k
-            # + residual update are then three matrix operations via
-            # compress_matrix.
-            losses = self._local_gradients_into_arena()
-            batch, dense_sent = self._batch_feedback.compress(
-                self.arena.grads, round_index
-            )
-            payload_bytes = batch.row_bytes()
-            average = dense_sent.mean(axis=0)
-        else:
-            losses = []
-            dense_contributions = []
-            payload_bytes = []
-            with obs.phase("compute"):
-                for worker, feedback in zip(self.workers, self._feedback):
-                    loss, gradient = worker.compute_gradient()
-                    losses.append(loss)
-                    payload, dense_sent = feedback.compress(
-                        gradient, round_index
-                    )
-                    dense_contributions.append(dense_sent)
-                    payload_bytes.append(payload.num_bytes())
-            average = np.mean(dense_contributions, axis=0)
+        # Gradients accumulate into the arena's grad matrix (batched
+        # when the ClusterTrainer is attached); compensation + top-k +
+        # residual update are then three matrix operations via
+        # compress_matrix.
+        losses = self._local_gradients_into_arena()
+        batch, dense_sent = self._batch_feedback.compress(
+            self.arena.grads, round_index
+        )
+        payload_bytes = batch.row_bytes()
+        average = dense_sent.mean(axis=0)
         self._apply_average_gradient(average)
 
         # Allgather: every worker ships its sparse gradient to the other

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
-from repro.compression.base import SharedMaskPayload
 from repro.compression.random_mask import RandomMaskCompressor, generate_mask
 from repro.core.gossip import FixedRingSelector, RandomPeerSelector
 from repro.core.protocol import Coordinator, RoundPlan
@@ -36,12 +35,6 @@ class SAPSPSGD(DistributedAlgorithm):
     """Sparsification + Adaptive Peer Selection PSGD."""
 
     name = "SAPS-PSGD"
-
-    #: Selects the fused local-step/compression pass (the gather of the
-    #: round's masked columns rides the last update's arena pass).
-    #: ``False`` restores update-then-regather — the equivalence oracle
-    #: and bench baseline; both produce bit-identical payloads.
-    fused_gather = True
 
     def __init__(
         self,
@@ -70,9 +63,8 @@ class SAPSPSGD(DistributedAlgorithm):
         #: FedAvg-style extension, ablated in bench_ablations).
         self.local_steps = int(local_steps)
         self.compression_ratio = float(compression_ratio)
-        #: Round-level compressor: the arena fast path compresses the
-        #: whole replica matrix through ``compress_matrix_with_seed``
-        #: (one shared mask, one gather) instead of per worker.
+        #: Round-level compressor: the whole replica matrix goes through
+        #: ``compress_matrix_with_seed`` (one shared mask, one gather).
         self.compressor = RandomMaskCompressor(self.compression_ratio)
         self.bandwidth_threshold = bandwidth_threshold
         self.connectivity_gap = connectivity_gap
@@ -215,13 +207,10 @@ class SAPSPSGD(DistributedAlgorithm):
         # (each block's masked columns are read while that block is
         # cache-hot).  Mask generation uses its own seeded generator, so
         # hoisting it before the local phase perturbs no RNG stream.
-        fuse = (
-            self.fused_gather
-            and self.cluster_trainer is not None
-            and bool(active.all())
-        )
+        # A churn subset, or a model the batched trainer declines, takes
+        # its local steps first and regathers below.
         gathered = mask_indices = None
-        if fuse:
+        if self.cluster_trainer is not None and active.all():
             mask = generate_mask(
                 self.model_size, self.compression_ratio, plan.mask_seed
             )
@@ -229,23 +218,11 @@ class SAPSPSGD(DistributedAlgorithm):
             losses, gathered = self.cluster_trainer.batched_steps_gather(
                 self.local_steps, mask_indices
             )
-        elif self.cluster_trainer is not None:
-            # Batched: each of the k local steps is one matrix-level
-            # forward/backward/update for all online workers at once —
-            # same per-worker RNG streams and (worker-major) loss order
-            # as the loop, bit-identical trajectories.
-            losses = self.cluster_trainer.batched_steps(
-                self.local_steps,
-                ranks=None if active.all() else active_ranks,
-            )
         else:
-            with obs.phase("compute"):
-                losses = [
-                    worker.local_step()
-                    for worker, is_up in zip(self.workers, active)
-                    if is_up
-                    for _ in range(self.local_steps)
-                ]
+            losses = self._local_steps(
+                self.local_steps,
+                None if active.all() else active_ranks,
+            )
 
         # Loss-model filtering first (same RNG consumption order as the
         # historical per-pair loop): surviving pairs actually exchange.
@@ -260,64 +237,35 @@ class SAPSPSGD(DistributedAlgorithm):
                 continue
             pairs.append((a, b))
 
-        if self.arena is not None:
-            # Batched Eq. (7) end-to-end: one compress_matrix call builds
-            # the round's shared mask (Algorithm 2, lines 6-7) and
-            # gathers every replica's surviving components in a single
-            # fancy-indexed read; the merge averages the matched blocks
-            # and scatters back.  Bit-identical to the per-pair path.
-            if pairs:
-                with obs.phase("comm"):
-                    if gathered is not None:
-                        # Fused path: values were gathered during the
-                        # update pass — bit-identical to re-reading the
-                        # arena here.
-                        batch = self.compressor.batch_from_values(
-                            gathered, mask_indices, plan.mask_seed,
-                            model_size=self.model_size,
-                        )
-                    else:
-                        batch = self.compressor.compress_matrix_with_seed(
-                            self.arena.data, plan.mask_seed
-                        )
-                    indices, values = batch.indices, batch.values
-                    pair_array = np.asarray(pairs, dtype=np.int64)
-                    left, right = pair_array[:, 0], pair_array[:, 1]
-                    replicas = self.arena.data
-                    for a, b in pairs:
-                        self.network.exchange(
-                            round_index, a, b, batch[a], batch[b]
-                        )
-                    averaged = 0.5 * (values[left] + values[right])
-                    replicas[np.ix_(left, indices)] = averaged
-                    replicas[np.ix_(right, indices)] = averaged
-        else:
-            # Fallback: per-worker mask application and pairwise Eq. (7)
-            # merge over per-model flat copies.
+        # Batched Eq. (7) end-to-end: one compress_matrix call builds
+        # the round's shared mask (Algorithm 2, lines 6-7) and gathers
+        # every replica's surviving components in a single fancy-indexed
+        # read; the merge averages the matched blocks and scatters back.
+        if pairs:
             with obs.phase("comm"):
-                mask = generate_mask(
-                    self.model_size, self.compression_ratio, plan.mask_seed
-                )
-                indices = np.flatnonzero(mask)
+                if gathered is not None:
+                    # Fused path: values were gathered during the
+                    # update pass — bit-identical to re-reading the
+                    # arena here.
+                    batch = self.compressor.batch_from_values(
+                        gathered, mask_indices, plan.mask_seed,
+                        model_size=self.model_size,
+                    )
+                else:
+                    batch = self.compressor.compress_matrix_with_seed(
+                        self.arena.data, plan.mask_seed
+                    )
+                indices, values = batch.indices, batch.values
+                pair_array = np.asarray(pairs, dtype=np.int64)
+                left, right = pair_array[:, 0], pair_array[:, 1]
+                replicas = self.arena.data
                 for a, b in pairs:
-                    params_a = self.workers[a].get_params()
-                    params_b = self.workers[b].get_params()
-                    payload_a = SharedMaskPayload(
-                        values=params_a[indices], indices=indices,
-                        mask_seed=plan.mask_seed,
-                    )
-                    payload_b = SharedMaskPayload(
-                        values=params_b[indices], indices=indices,
-                        mask_seed=plan.mask_seed,
-                    )
                     self.network.exchange(
-                        round_index, a, b, payload_a, payload_b
+                        round_index, a, b, batch[a], batch[b]
                     )
-                    averaged = 0.5 * (params_a[indices] + params_b[indices])
-                    params_a[indices] = averaged
-                    params_b[indices] = averaged
-                    self.workers[a].set_params(params_a)
-                    self.workers[b].set_params(params_b)
+                averaged = 0.5 * (values[left] + values[right])
+                replicas[np.ix_(left, indices)] = averaged
+                replicas[np.ix_(right, indices)] = averaged
 
         if self.network.bandwidth is not None:
             self.round_bandwidths.append(

@@ -15,6 +15,10 @@ from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 
 FORMAT_VERSION = 1
 
+#: ``ExperimentConfig`` fields saved files may still carry.  Both chose
+#: between bit-identical twins, so they are dropped on load.
+RETIRED_CONFIG_KEYS = ("use_arena", "scheduler")
+
 
 def result_to_dict(result: ExperimentResult) -> dict:
     """JSON-serializable dict of one trajectory."""
@@ -34,9 +38,14 @@ def result_from_dict(payload: dict) -> ExperimentResult:
             f"unsupported result format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    config = {
+        key: value
+        for key, value in payload["config"].items()
+        if key not in RETIRED_CONFIG_KEYS
+    }
     result = ExperimentResult(
         algorithm=payload["algorithm"],
-        config=ExperimentConfig(**payload["config"]),
+        config=ExperimentConfig(**config),
     )
     result.history = [RoundRecord(**record) for record in payload["history"]]
     return result

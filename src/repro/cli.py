@@ -130,7 +130,6 @@ def _config(args) -> ExperimentConfig:
         participation=getattr(args, "participation", "full"),
         sample_size=getattr(args, "sample_size", None),
         population=getattr(args, "population_model", None),
-        scheduler=getattr(args, "scheduler", "calendar"),
         arena=getattr(args, "arena", "dense"),
     )
 
@@ -276,8 +275,7 @@ def cmd_run_event(args, partitions, validation, factory, config) -> int:
             compute_model=compute_model, duration=args.sim_time,
             checkpoint_every=args.checkpoint_every,
             fault_plan=plan, exchange_policy=exchange_policy,
-            recovery=recovery, scheduler=config.scheduler,
-            population=population,
+            recovery=recovery, population=population,
         )
     else:
         if plan is not None:
@@ -342,7 +340,6 @@ def cmd_run(args) -> int:
                 participation=args.participation,
                 sample_size=args.sample_size,
                 population=args.population_model,
-                scheduler=args.scheduler,
                 arena=args.arena,
             )
             print(f"Preset: {args.preset} (fast={not args.full_model})")
@@ -670,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'renewal:up=60,down=30' (exponential up/down times, seconds) or "
         "'none'.  Sampling draws from the currently-up clients; on "
         "--engine event, every async variant gates its cycles on it",
-    )
-    run_p.add_argument(
-        "--scheduler", choices=["calendar", "heap"], default="calendar",
-        help="event-engine scheduler: the bucketed calendar queue "
-        "(default, fast) or the binary-heap oracle — identical event "
-        "order, property-tested bit-for-bit",
     )
     run_p.add_argument(
         "--arena", choices=["dense", "sharded"], default="dense",

@@ -29,8 +29,10 @@ At float64 numerics are bit-identical to the per-model layout: the same
 values flow through the same elementwise operations, only the storage
 layout and copy count change.  A float32 arena halves replica memory and
 memory traffic (matching the fp32 tensors the measured systems exchange)
-at the cost of reduced precision.  Every consumer keeps a fallback path
-for models that were never adopted into an arena.
+at the cost of reduced precision.  The distributed algorithms always
+run on an arena (``DistributedAlgorithm.setup`` adopts workers that are
+not rows of one yet); models outside any algorithm keep their plain
+per-layer storage.
 """
 
 from __future__ import annotations
@@ -168,9 +170,10 @@ class ParameterArena:
 def shared_arena(models: Sequence[Module]) -> Optional[ParameterArena]:
     """The arena backing all of ``models`` at ranks ``0..n-1``, or ``None``.
 
-    Algorithms call this to decide between the vectorized fast path and
-    the per-model fallback: the fast path is only sound when every worker
-    is a distinct row of one arena, in rank order.
+    Matrix-level rounds index ``arena.data`` by worker rank, which is
+    only sound when every worker is a distinct row of one arena, in rank
+    order (:func:`repro.sim.trainer.bind_arena` adopts or rejects the
+    rest).
     """
     if not models:
         return None

@@ -150,7 +150,6 @@ def instantiate_preset(
     participation: str = "full",
     sample_size: Optional[int] = None,
     population: Optional[str] = None,
-    scheduler: str = "calendar",
     arena: str = "dense",
     num_threads: Optional[int] = None,
 ) -> Tuple[List[Dataset], Dataset, Callable[[], Module], ExperimentConfig]:
@@ -237,7 +236,6 @@ def instantiate_preset(
         participation=participation,
         sample_size=sample_size,
         population=population,
-        scheduler=scheduler,
         arena=arena,
     )
     return partitions, validation, model_factory, config

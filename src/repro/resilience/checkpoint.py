@@ -66,17 +66,12 @@ class CheckpointStore:
         while a worker is down must not overwrite the state it will
         restart from.
         """
-        arena = getattr(algorithm, "arena", None)
         for rank in range(len(live_mask)):
             if not live_mask[rank]:
                 continue
-            if arena is not None:
-                params = arena.data[rank].copy()
-            else:
-                params = algorithm.workers[rank].snapshot_params()
             self._snapshots[rank] = WorkerSnapshot(
                 time=float(time),
-                params=params,
+                params=algorithm.arena.data[rank].copy(),
                 velocity=_velocity_row(algorithm, rank),
                 residual=_residual_row(algorithm, rank),
             )

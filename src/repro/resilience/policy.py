@@ -87,17 +87,14 @@ def _write_state(
     velocity: Optional[np.ndarray] = None,
     residual: Optional[np.ndarray] = None,
 ) -> None:
-    """Overwrite one worker's training state (arena or fallback path).
+    """Overwrite one worker's training state.
 
     Optimizer velocity and error-feedback residual rows are zeroed when
     the snapshot carries none — a restarted worker must not inherit the
     momentum of its dead incarnation.
     """
-    arena = getattr(algorithm, "arena", None)
-    if arena is not None:
-        arena.data[rank] = np.asarray(params, dtype=arena.dtype)
-    else:
-        algorithm.workers[rank].set_params(np.asarray(params).copy())
+    arena = algorithm.arena
+    arena.data[rank] = np.asarray(params, dtype=arena.dtype)
     trainer = getattr(algorithm, "cluster_trainer", None)
     velocity_matrix = getattr(trainer, "_velocity", None)
     if velocity_matrix is not None:
@@ -180,12 +177,9 @@ class PeerRecovery(RecoveryPolicy):
             if not engine.worker_up[rank]:
                 return  # crashed again before the fetch completed
             if engine.worker_up[donor]:
-                arena = getattr(algorithm, "arena", None)
-                if arena is not None:
-                    source = arena.data[donor].copy()
-                else:
-                    source = algorithm.workers[donor].snapshot_params()
-                _write_state(algorithm, rank, source)
+                _write_state(
+                    algorithm, rank, algorithm.arena.data[donor].copy()
+                )
                 engine.resilience.record_restore(rank, self.name, 0.0)
                 algorithm.restart_worker(rank, t)
             else:

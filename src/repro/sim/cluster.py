@@ -31,8 +31,8 @@ kernels without borrowing and restoring a worker replica.
 equivalence cannot be guaranteed — no shared arena, a layer without a
 batched kernel (batch norm, residual wiring), heterogeneous batch sizes
 or optimizer hyperparameters, pre-existing per-worker momentum state —
-and callers keep the per-worker loop, which doubles as the equivalence
-oracle.  As of the batched conv kernels, Linear/Conv2d/pooling/Flatten/
+and the algorithms' compute seam (:mod:`repro.algorithms.base`) keeps the
+per-worker loop, which the equivalence tests also diff against.  As of the batched conv kernels, Linear/Conv2d/pooling/Flatten/
 Dropout chains all compile, so the TinyCNN and MnistCNN/Cifar10CNN
 presets ride the batched path alongside the MLP family.
 """

@@ -19,7 +19,7 @@ from repro.data.datasets import Dataset
 from repro.network.transport import SimulatedNetwork
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Module
-from repro.sim.trainer import TrainingWorker
+from repro.sim.trainer import TrainingWorker, bind_arena
 from repro.utils.dtypes import resolve_dtype
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
@@ -45,12 +45,6 @@ class ExperimentConfig:
     seed: int = 0
     lr_milestones: Optional[List[int]] = None
     lr_gamma: float = 0.1
-    #: Back all worker replicas with one contiguous
-    #: :class:`repro.nn.ParameterArena` so flat-vector access is
-    #: zero-copy and rounds vectorize over the replica matrix.  Numerics
-    #: are bit-identical either way; disable only to exercise the
-    #: per-model fallback path.
-    use_arena: bool = True
     #: Numeric dtype of the training substrate: ``"float64"`` (default,
     #: bit-identical to the historical trajectories) or ``"float32"``
     #: (halves replica memory/traffic, matches the fp32 tensors the
@@ -96,9 +90,6 @@ class ExperimentConfig:
     #: :func:`repro.sim.population.parse_population` — ``None``/"none"
     #: (always on), ``"always"``, or ``"renewal:up=60,down=30"``.
     population: Optional[str] = None
-    #: Event-engine scheduler: ``"calendar"`` (bucketed, fast) or
-    #: ``"heap"`` (the binary-heap oracle).  Identical event order.
-    scheduler: str = "calendar"
     #: Arena implementation: ``"dense"`` (:class:`repro.nn.ParameterArena`)
     #: or ``"sharded"`` (:class:`repro.nn.ShardedArena`; bit-identical in
     #: its full-capacity dense mode, LRU-sharded at million scale).
@@ -157,11 +148,6 @@ class ExperimentConfig:
             from repro.sim.population import parse_population
 
             parse_population(self.population, 1, seed=self.seed)
-        if self.scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler must be 'calendar' or 'heap', "
-                f"got {self.scheduler!r}"
-            )
         if self.arena not in ("dense", "sharded"):
             raise ValueError(
                 f"arena must be 'dense' or 'sharded', got {self.arena!r}"
@@ -236,15 +222,14 @@ def make_workers(
     experiment seed; model initializations are later overwritten by the
     algorithm's setup (all workers start from worker 0's weights).
 
-    Unless ``config.use_arena`` is False, all replicas are adopted into
-    one :class:`repro.nn.ParameterArena` (rows in rank order) so the
-    algorithms take their vectorized fast paths.
+    All replicas are adopted into one :class:`repro.nn.ParameterArena`
+    (rows in rank order) — the storage every algorithm's round runs on.
 
     ``config.dtype`` flows through here: shards are cast once so batches
     arrive in the training dtype, and the arena is allocated in it
     (adoption re-homogenizes model parameters, so even a factory that
-    ignores ``dtype`` lands on the configured precision when the arena
-    is on).  The float64 default makes every cast a no-op.
+    ignores ``dtype`` lands on the configured precision).  The float64
+    default makes every cast a no-op.
     """
     dtype = resolve_dtype(config.dtype)
     streams = spawn_generators(config.seed, len(partitions))
@@ -262,24 +247,17 @@ def make_workers(
                 rng=stream,
             )
         )
-    if config.use_arena:
-        if config.arena == "sharded":
-            # Full-capacity ShardedArena: dense-mode storage and
-            # behaviour are the parent class verbatim, so trajectories
-            # stay bit-identical (the sharding machinery only engages
-            # below capacity — million-scale sampled runs).
-            from repro.nn.sharded import ShardedArena
+    if config.arena == "sharded":
+        # Full-capacity ShardedArena: dense-mode storage and behaviour
+        # are the parent class verbatim, so trajectories stay
+        # bit-identical (the sharding machinery only engages below
+        # capacity — million-scale sampled runs).
+        from repro.nn.sharded import ShardedArena
 
-            arena_cls = ShardedArena
-        else:
-            arena_cls = ParameterArena
-        arena_cls.adopt_models(
-            [worker.model for worker in workers], dtype=dtype
-        )
-        for worker in workers:
-            worker.optimizer.attach_flat_storage(
-                worker.model._flat_view, worker.model._flat_grad_view
-            )
+        arena_cls = ShardedArena
+    else:
+        arena_cls = ParameterArena
+    bind_arena(workers, dtype=dtype, arena_cls=arena_cls)
     return workers
 
 
@@ -290,9 +268,10 @@ def evaluate_consensus(
 
     With a batched :class:`~repro.sim.cluster.ClusterTrainer` attached,
     the averaged row is forwarded directly through the batched kernels'
-    eval path — no snapshot/restore dance on a borrowed replica.  The
-    fallback borrows and restores worker 0 as before; both paths produce
-    identical numbers (same weights through the same GEMMs)."""
+    eval path — no snapshot/restore dance on a borrowed replica.  A
+    model the trainer declines (ResNet-20) is evaluated by borrowing and
+    restoring worker 0; both paths produce identical numbers (same
+    weights through the same GEMMs)."""
     vector = algorithm.consensus_model()
     trainer = getattr(algorithm, "cluster_trainer", None)
     if trainer is not None:

@@ -797,7 +797,6 @@ def run_event_experiment(
     fault_plan: Optional[FaultPlan] = None,
     exchange_policy: Optional[ExchangePolicy] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    scheduler: str = "calendar",
     population=None,
 ) -> EventResult:
     """Run an asynchronous algorithm variant on the event engine.
@@ -816,9 +815,6 @@ def run_event_experiment(
     (:mod:`repro.resilience`).  A ``None`` or empty plan leaves the run
     bit-identical to a fault-free one.
 
-    ``scheduler`` selects the queue implementation (``"calendar"``
-    bucketed default, ``"heap"`` binary-heap oracle) — the two pop in
-    identical order, so results are bit-identical either way.
     ``population`` is a client up/down arrival process
     (:mod:`repro.sim.population`); async algorithms defer cycle starts
     to each worker's next up-time instead of skipping per-cycle masks.
@@ -841,7 +837,6 @@ def run_event_experiment(
         fault_plan=fault_plan,
         exchange_policy=exchange_policy,
         recovery=recovery,
-        scheduler=scheduler,
         population=population,
     )
     if checkpoint_every is None:

@@ -6,28 +6,68 @@ operations the distributed algorithms need: apply one local SGD step, or
 just *compute* the gradient (for algorithms that average gradients before
 stepping, like PSGD).
 
-The per-worker loop here also doubles as the **equivalence oracle** for
-the batched :class:`~repro.sim.cluster.ClusterTrainer`: for every
-architecture the batched kernels cover (the MLP/logistic family and, as
-of the batched conv kernels, the TinyCNN / MnistCNN / Cifar10CNN
-Conv/pool/Flatten/Dropout chains) the batched step must reproduce
-``local_step`` bit for bit — enforced by ``tests/test_cluster_trainer.py``.
+The per-worker loop here is the production compute path for every model
+:meth:`repro.sim.cluster.ClusterTrainer.build` declines — ResNet-20's
+BatchNorm + residual wiring — reached through the one seam in
+:mod:`repro.algorithms.base`.  For every architecture the batched
+kernels do cover (the MLP/logistic family and the TinyCNN / MnistCNN /
+Cifar10CNN Conv/pool/Flatten/Dropout chains) the batched step must
+reproduce ``local_step`` bit for bit — enforced by
+``tests/test_cluster_trainer.py``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
+from repro.nn.arena import ParameterArena, shared_arena
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.utils import parallel
+from repro.utils.dtypes import DTypeLike
 from repro.utils.rng import SeedLike, as_generator
+
+
+def bind_arena(
+    workers: Sequence["TrainingWorker"],
+    dtype: DTypeLike = None,
+    arena_cls: Type[ParameterArena] = ParameterArena,
+) -> ParameterArena:
+    """The arena whose rows ``0..n-1`` are ``workers``, in list order.
+
+    Workers that already are such rows keep their arena.  Workers whose
+    models are bound to no arena are adopted into a fresh ``arena_cls``
+    one (``dtype`` defaults to the models' own): every parameter becomes
+    a view of its worker's row and each optimizer updates that row as
+    one vector.  Anything in between — another arena, rows out of rank
+    order, a partial binding — raises ``ValueError``, because every
+    round indexes the replica matrix by rank.
+    """
+    models = [worker.model for worker in workers]
+    arena = shared_arena(models)
+    if arena is not None:
+        return arena
+    for rank, model in enumerate(models):
+        if model._arena is not None:
+            raise ValueError(
+                f"worker {rank}'s model is bound to row {model._arena_rank} "
+                f"of a {model._arena.num_workers}-row arena, but the "
+                f"{len(models)} workers are not rows 0..{len(models) - 1} of "
+                f"one arena in rank order; pass them bound to no arena "
+                f"(they are adopted) or adopted in rank order"
+            )
+    arena = arena_cls.adopt_models(models, dtype=dtype)
+    for worker in workers:
+        worker.optimizer.attach_flat_storage(
+            worker.model._flat_view, worker.model._flat_grad_view
+        )
+    return arena
 
 
 def evaluate_forward(

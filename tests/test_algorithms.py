@@ -129,11 +129,8 @@ class TestTopKPSGD:
         algorithm = TopKPSGD(compression_ratio=20.0)
         algorithm.setup(make_workers(model_factory, partitions, config), network, rng=0)
         algorithm.run_round(0)
-        if algorithm.arena is not None:
-            # Arena fast path: one (n, N) residual matrix.
-            assert np.any(algorithm._batch_feedback.residual != 0)
-        else:
-            assert any(np.any(fb.residual != 0) for fb in algorithm._feedback)
+        # One (n, N) residual matrix.
+        assert np.any(algorithm._batch_feedback.residual != 0)
 
 
 class TestFedAvg:

@@ -1,5 +1,6 @@
-"""Arena invariants: view aliasing, optimizer state under views, and
-bit-identical trajectories between the arena and per-model fallback paths."""
+"""Arena invariants: view aliasing, optimizer state under views,
+bit-identical trajectories between the shipped matrix rounds and the
+per-model reference loop, and ``setup`` making arena backing an invariant."""
 
 from __future__ import annotations
 
@@ -13,8 +14,17 @@ from repro.data import make_blobs, partition_iid
 from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
 from repro.nn import MLP, SGD, ParameterArena, shared_arena
-from repro.sim import ExperimentConfig, evaluate_consensus, make_workers, run_experiment
+from repro.sim import (
+    ExperimentConfig,
+    TrainingWorker,
+    evaluate_consensus,
+    make_workers,
+    run_experiment,
+)
 from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
+from repro.utils.rng import spawn_generators
+
+from reference.per_model import REFERENCE, per_worker_compute
 
 
 def make_model(seed=0):
@@ -237,7 +247,8 @@ class TestFlatCopySemantics:
 
 
 # ----------------------------------------------------------------------
-# trajectory equivalence: arena fast paths vs per-model fallback
+# trajectory equivalence: the shipped matrix rounds vs the per-model
+# reference loop (tests/reference/per_model.py)
 # ----------------------------------------------------------------------
 def _workload(num_workers, seed=5):
     full = make_blobs(
@@ -250,19 +261,33 @@ def _workload(num_workers, seed=5):
     return partition_iid(train, num_workers, rng=seed), validation
 
 
-def _run(algorithm_factory, num_workers, use_arena, rounds=15, momentum=0.9):
+def _bare_workers(partitions, config, factory=None):
+    """Hand-built workers, models bound to no arena — same shards, seeds
+    and hyperparameters as ``make_workers`` would give them."""
+    factory = factory or (lambda: MLP(12, [10], 4, rng=11))
+    streams = spawn_generators(config.seed, len(partitions))
+    return [
+        TrainingWorker(
+            rank=rank, model=factory(), shard=shard,
+            batch_size=config.batch_size, lr=config.lr,
+            momentum=config.momentum, rng=stream,
+        )
+        for rank, (shard, stream) in enumerate(zip(partitions, streams))
+    ]
+
+
+def _run(algorithm, num_workers, rounds=15, momentum=0.9):
     partitions, validation = _workload(num_workers)
     config = ExperimentConfig(
         rounds=rounds, batch_size=8, lr=0.1, momentum=momentum,
-        eval_every=5, seed=3, use_arena=use_arena,
+        eval_every=5, seed=3,
     )
     network = SimulatedNetwork(
         num_workers, bandwidth=random_uniform_bandwidth(num_workers, rng=0)
     )
     factory = lambda: MLP(12, [10], 4, rng=11)
     return run_experiment(
-        algorithm_factory(), partitions, validation, factory, config,
-        network=network,
+        algorithm, partitions, validation, factory, config, network=network,
     )
 
 
@@ -283,39 +308,58 @@ def assert_identical_histories(result_a, result_b):
 
 
 @pytest.mark.parametrize(
-    "algorithm_factory",
+    "cls, kwargs",
     [
-        lambda: SAPSPSGD(compression_ratio=8.0, base_seed=3),
-        lambda: SAPSPSGD(compression_ratio=8.0, selector="ring", base_seed=3),
-        lambda: PSGD(),
+        (SAPSPSGD, dict(compression_ratio=8.0, base_seed=3)),
+        (SAPSPSGD, dict(compression_ratio=8.0, selector="ring", base_seed=3)),
+        (PSGD, {}),
     ],
     ids=["saps-adaptive", "saps-ring", "psgd"],
 )
-def test_trajectories_bit_identical_arena_vs_fallback(algorithm_factory):
-    arena_result = _run(algorithm_factory, num_workers=4, use_arena=True)
-    fallback_result = _run(algorithm_factory, num_workers=4, use_arena=False)
-    assert_identical_histories(arena_result, fallback_result)
+def test_trajectories_bit_identical_arena_vs_fallback(cls, kwargs):
+    shipped = _run(cls(**kwargs), num_workers=4)
+    reference = _run(REFERENCE[cls](**kwargs), num_workers=4)
+    assert_identical_histories(shipped, reference)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "algorithm_factory",
+    "cls, kwargs",
     [
-        lambda: SAPSPSGD(compression_ratio=20.0, base_seed=3),
-        lambda: PSGD(),
-        lambda: TopKPSGD(compression_ratio=50.0),
-        lambda: DPSGD(),
+        (SAPSPSGD, dict(compression_ratio=20.0, base_seed=3)),
+        (PSGD, {}),
+        (TopKPSGD, dict(compression_ratio=50.0)),
+        (DPSGD, {}),
     ],
     ids=["saps", "psgd", "topk", "dpsgd"],
 )
-def test_trajectories_bit_identical_at_scale(algorithm_factory):
-    arena_result = _run(
-        algorithm_factory, num_workers=16, use_arena=True, rounds=30
-    )
-    fallback_result = _run(
-        algorithm_factory, num_workers=16, use_arena=False, rounds=30
-    )
-    assert_identical_histories(arena_result, fallback_result)
+def test_trajectories_bit_identical_at_scale(cls, kwargs):
+    shipped = _run(cls(**kwargs), num_workers=16, rounds=30)
+    reference = _run(REFERENCE[cls](**kwargs), num_workers=16, rounds=30)
+    assert_identical_histories(shipped, reference)
+
+
+def test_reference_loop_also_runs_on_unadopted_models():
+    # The reference never touches an arena, so it runs unchanged on
+    # plain per-layer models — and still lands on the shipped numbers.
+    partitions, _ = _workload(4)
+    config = ExperimentConfig(rounds=3, batch_size=8, lr=0.1, seed=3)
+
+    def final_replicas(algorithm, adopt):
+        if adopt:
+            workers = make_workers(
+                lambda: MLP(12, [10], 4, rng=11), partitions, config
+            )
+        else:
+            workers = _bare_workers(partitions, config)
+        algorithm.setup(workers, SimulatedNetwork(4), rng=3)
+        for round_index in range(3):
+            algorithm.run_round(round_index)
+        return np.stack([w.get_params() for w in workers])
+
+    shipped = final_replicas(DPSGD(), adopt=True)
+    reference = final_replicas(REFERENCE[DPSGD](), adopt=False)
+    np.testing.assert_array_equal(shipped, reference)
 
 
 def test_make_workers_adopts_shared_arena():
@@ -326,11 +370,95 @@ def test_make_workers_adopts_shared_arena():
     assert arena is not None
     assert arena.num_workers == 4
 
-    config_off = ExperimentConfig(rounds=1, batch_size=8, use_arena=False)
-    workers_off = make_workers(
-        lambda: MLP(12, [10], 4, rng=1), partitions, config_off
+
+# ----------------------------------------------------------------------
+# setup: arena-backed state is an invariant
+# ----------------------------------------------------------------------
+def test_setup_adopts_bare_workers():
+    partitions, _ = _workload(4)
+    config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
+    workers = _bare_workers(partitions, config)
+    assert all(w.model._arena is None for w in workers)
+    algorithm = SAPSPSGD(compression_ratio=8.0, base_seed=3)
+    algorithm.setup(workers, SimulatedNetwork(4), rng=3)
+    assert algorithm.arena is not None
+    assert shared_arena([w.model for w in workers]) is algorithm.arena
+    assert algorithm.cluster_trainer is not None
+
+
+def test_setup_adopts_batchnorm_model_and_keeps_the_compute_loop():
+    from repro.data import make_synthetic_images
+    from repro.nn import Linear, Sequential
+    from repro.nn.layers import BatchNorm2d, Conv2d, Flatten
+
+    images = make_synthetic_images(
+        120, num_classes=4, channels=1, size=8, noise=0.2, rng=0
     )
-    assert shared_arena([w.model for w in workers_off]) is None
+    partitions = partition_iid(images, 3, rng=0)
+    config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
+    workers = _bare_workers(
+        partitions, config,
+        factory=lambda: Sequential(
+            Conv2d(1, 4, 3, padding=1, rng=1),
+            BatchNorm2d(4),
+            Flatten(),
+            Linear(4 * 8 * 8, 4, rng=1),
+        ),
+    )
+    algorithm = SAPSPSGD(compression_ratio=8.0, base_seed=3)
+    algorithm.setup(workers, SimulatedNetwork(3), rng=3)
+    assert algorithm.arena is not None
+    assert algorithm.cluster_trainer is None
+    assert np.isfinite(algorithm.run_round(0))
+
+
+def test_saps_through_the_compute_seam_equals_the_batched_run():
+    # An MLP admits both compute routes; forcing the per-worker one (the
+    # state a BatchNorm model is in) must not change a bit in 3 rounds,
+    # with a churn-free fused round on one side and loop + regather on
+    # the other.
+    partitions, _ = _workload(4)
+    config = ExperimentConfig(rounds=3, batch_size=8, lr=0.1, seed=3)
+
+    def run(algorithm):
+        workers = _bare_workers(partitions, config)
+        algorithm.setup(workers, SimulatedNetwork(4), rng=3)
+        losses = [algorithm.run_round(r) for r in range(3)]
+        return losses, algorithm.arena.data.copy()
+
+    factory = lambda: SAPSPSGD(compression_ratio=8.0, base_seed=3, local_steps=2)
+    batched = factory()
+    seam = per_worker_compute(factory())
+    batched_losses, batched_replicas = run(batched)
+    seam_losses, seam_replicas = run(seam)
+    assert batched.cluster_trainer is not None and seam.cluster_trainer is None
+    assert batched_losses == seam_losses
+    np.testing.assert_array_equal(batched_replicas, seam_replicas)
+
+
+@pytest.mark.parametrize("binding", ["out-of-order", "foreign", "partial"])
+def test_setup_rejects_workers_bound_outside_rank_order(binding):
+    # Every round indexes the replica matrix by rank, so a worker list
+    # that is bound but is not rows 0..n-1 of one arena must fail loudly
+    # instead of running on the wrong rows.
+    partitions, _ = _workload(4)
+    config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
+    workers = _bare_workers(partitions, config)
+    size = workers[0].model_size
+    if binding == "out-of-order":
+        arena = ParameterArena(4, size)
+        for row, worker in zip((3, 2, 1, 0), workers):
+            arena.adopt(row, worker.model)
+        message = r"worker 0's model is bound to row 3 of a 4-row arena"
+    elif binding == "foreign":
+        ParameterArena.adopt_models([w.model for w in workers[:2]])
+        ParameterArena.adopt_models([w.model for w in workers[2:]])
+        message = r"worker 0's model is bound to row 0 of a 2-row arena"
+    else:
+        ParameterArena(4, size).adopt(2, workers[2].model)
+        message = r"worker 2's model is bound to row 2 of a 4-row arena"
+    with pytest.raises(ValueError, match=message):
+        DPSGD().setup(workers, SimulatedNetwork(4), rng=3)
 
 
 def test_snapshot_params_is_independent_copy():
@@ -342,32 +470,6 @@ def test_snapshot_params_is_independent_copy():
     assert not np.shares_memory(snapshot, live)
     workers[0].set_params(np.zeros_like(snapshot))
     assert np.any(snapshot != 0.0)
-
-
-def test_dpsgd_fallback_safe_for_undetected_arena_views():
-    # Workers adopted into an arena that setup does NOT detect (models
-    # bound out of rank order) must still see round-start snapshots in
-    # the fallback mixing loop, not live rows.
-    partitions, validation = _workload(4)
-    config = ExperimentConfig(rounds=3, batch_size=8, seed=3, use_arena=False)
-
-    def run(adopt_out_of_order):
-        workers = make_workers(
-            lambda: MLP(12, [10], 4, rng=1), partitions, config
-        )
-        if adopt_out_of_order:
-            arena = ParameterArena(4, workers[0].model_size)
-            for row, worker in zip((3, 2, 1, 0), workers):
-                arena.adopt(row, worker.model)
-            assert shared_arena([w.model for w in workers]) is None
-        algorithm = DPSGD()
-        algorithm.setup(workers, SimulatedNetwork(4), rng=3)
-        assert algorithm.arena is None
-        for round_index in range(3):
-            algorithm.run_round(round_index)
-        return algorithm.consensus_model()
-
-    np.testing.assert_array_equal(run(False), run(True))
 
 
 def test_evaluate_consensus_restores_probe_under_arena():

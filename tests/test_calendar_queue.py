@@ -204,24 +204,34 @@ class TestEngineSchedulerEquivalence:
         from repro.algorithms import AsyncFedAvg
         from repro.data import make_blobs, partition_iid
         from repro.nn import MLP
-        from repro.sim import ConstantCompute, ExperimentConfig
-        from repro.sim.events import run_event_experiment
+        from repro.network import SimulatedNetwork
+        from repro.sim import (
+            ConstantCompute,
+            EventEngine,
+            ExperimentConfig,
+            make_workers,
+        )
 
         def run(scheduler):
+            # run_event_experiment's own steps, spelled out: the heap is
+            # injected through the engine's kwarg (the only place the
+            # choice still exists).
             full = make_blobs(num_samples=260, num_classes=4,
                               num_features=8, rng=0)
             train, validation = full.split(fraction=0.8, rng=0)
             partitions = partition_iid(train, 4, rng=0)
             config = ExperimentConfig(rounds=10, batch_size=8, seed=0)
-            return run_event_experiment(
-                AsyncFedAvg(local_steps=2),
-                partitions, validation,
-                lambda: MLP(8, [8], 4, rng=0),
-                config,
-                compute_model=ConstantCompute(0.05),
-                duration=5.0, checkpoint_every=1.0,
+            network = SimulatedNetwork(num_workers=4)
+            algorithm = AsyncFedAvg(local_steps=2)
+            workers = make_workers(
+                lambda: MLP(8, [8], 4, rng=0), partitions, config
+            )
+            algorithm.setup(workers, network, rng=config.seed)
+            engine = EventEngine(
+                network, compute_model=ConstantCompute(0.05),
                 scheduler=scheduler,
             )
+            return engine.run(algorithm, validation, 5.0, 1.0)
 
         a, b = run("calendar"), run("heap")
         assert len(a.history) == len(b.history)

@@ -4,7 +4,10 @@ The :class:`~repro.sim.cluster.ClusterTrainer` batched local step must
 match the per-worker ``TrainingWorker.local_step`` loop exactly: same
 RNG streams, same per-(worker, step) losses, parameters equal to ≤ 1 ulp
 at float64 (in practice bit-identical — each worker slice runs the same
-BLAS kernels).  The per-worker loop is the oracle throughout.
+BLAS kernels).  The per-worker loop is the oracle throughout — and the
+production compute path of the models the batched engine declines, so
+the end-to-end comparisons run it through the algorithms' own seam
+(``per_worker_compute``), arena on.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.sim import (
     run_experiment,
 )
 from repro.sim.engine import RoundRecord
+
+from reference.per_model import per_worker_compute
 
 
 NUM_FEATURES = 12
@@ -131,11 +136,16 @@ class TestBuild:
         assert trainer.num_workers == 3
 
     def test_none_without_arena(self):
+        # Hand-built workers, models bound to no arena (make_workers
+        # always adopts; DistributedAlgorithm.setup would too).
         partitions, _ = _workload(3)
-        config = ExperimentConfig(rounds=1, batch_size=8, use_arena=False)
-        workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
+        workers = [
+            TrainingWorker(
+                rank=rank, model=MODEL_FACTORIES["mlp"](), shard=shard,
+                batch_size=8, lr=0.1, rng=rank,
+            )
+            for rank, shard in enumerate(partitions)
+        ]
         assert ClusterTrainer.build(workers) is None
 
     def test_builds_for_conv_models(self):
@@ -431,31 +441,36 @@ class TestConvEquivalence:
         assert trainer.evaluate_vector(vector, validation) == expected
 
     def test_conv_end_to_end_saps_bit_identical(self):
-        """A full SAPS-PSGD run on TinyCNN: batched arena vs loop."""
+        """A full SAPS-PSGD run on TinyCNN: batched vs per-worker compute."""
         partitions, validation = _conv_workload(4)
         factory = lambda: TinyCNN(
             in_channels=CONV_CHANNELS, image_size=CONV_SIZE,
             num_classes=NUM_CLASSES, width=4, rng=11,
         )
+        config = ExperimentConfig(
+            rounds=6, batch_size=8, lr=0.1, momentum=0.9, eval_every=3,
+            seed=3,
+        )
         histories = {}
-        for use_arena in (True, False):
-            config = ExperimentConfig(
-                rounds=6, batch_size=8, lr=0.1, momentum=0.9,
-                eval_every=3, seed=3, use_arena=use_arena,
+        for compute in ("batched", "loop"):
+            algorithm = SAPSPSGD(
+                compression_ratio=8.0, base_seed=3, local_steps=2
             )
+            if compute == "loop":
+                algorithm = per_worker_compute(algorithm)
             result = run_experiment(
-                SAPSPSGD(compression_ratio=8.0, base_seed=3, local_steps=2),
-                partitions, validation, factory, config,
+                algorithm, partitions, validation, factory, config,
                 network=SimulatedNetwork(4),
             )
-            histories[use_arena] = result.history
-        assert len(histories[True]) == len(histories[False])
+            assert (algorithm.cluster_trainer is None) == (compute == "loop")
+            histories[compute] = result.history
+        assert len(histories["batched"]) == len(histories["loop"])
         for field in TRACKED_FIELDS:
             batched_series = np.array(
-                [getattr(r, field) for r in histories[True]]
+                [getattr(r, field) for r in histories["batched"]]
             )
             loop_series = np.array(
-                [getattr(r, field) for r in histories[False]]
+                [getattr(r, field) for r in histories["loop"]]
             )
             np.testing.assert_array_equal(
                 batched_series, loop_series, err_msg=f"{field} diverged"
@@ -538,7 +553,8 @@ class TestEvaluateVector:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: every algorithm family, batched arena vs loop fallback
+# end-to-end: every algorithm family, batched vs per-worker compute
+# (arena on in both — the loop side is the state ResNet-20 runs in)
 # ----------------------------------------------------------------------
 TRACKED_FIELDS = (
     "train_loss", "val_loss", "val_accuracy", "consensus_distance",
@@ -546,11 +562,11 @@ TRACKED_FIELDS = (
 )
 
 
-def _run_end_to_end(algorithm_factory, use_arena, momentum=0.9, rounds=10):
+def _run_end_to_end(algorithm, momentum=0.9, rounds=10):
     partitions, validation = _workload(4)
     config = ExperimentConfig(
         rounds=rounds, batch_size=8, lr=0.1, momentum=momentum,
-        eval_every=5, seed=3, use_arena=use_arena,
+        eval_every=5, seed=3,
     )
     network = SimulatedNetwork(
         4, bandwidth=random_uniform_bandwidth(4, rng=0),
@@ -558,8 +574,7 @@ def _run_end_to_end(algorithm_factory, use_arena, momentum=0.9, rounds=10):
     )
     factory = lambda: MODEL_FACTORIES["mlp"]()
     return run_experiment(
-        algorithm_factory(), partitions, validation, factory, config,
-        network=network,
+        algorithm, partitions, validation, factory, config, network=network,
     )
 
 
@@ -579,8 +594,12 @@ def _run_end_to_end(algorithm_factory, use_arena, momentum=0.9, rounds=10):
     ids=["saps", "psgd", "topk", "dpsgd", "dcd", "fedavg", "s-fedavg"],
 )
 def test_all_families_bit_identical_to_loop(algorithm_factory):
-    batched = _run_end_to_end(algorithm_factory, use_arena=True)
-    loop = _run_end_to_end(algorithm_factory, use_arena=False)
+    batched_algorithm = algorithm_factory()
+    loop_algorithm = per_worker_compute(algorithm_factory())
+    batched = _run_end_to_end(batched_algorithm)
+    loop = _run_end_to_end(loop_algorithm)
+    assert batched_algorithm.cluster_trainer is not None
+    assert loop_algorithm.cluster_trainer is None
     assert len(batched.history) == len(loop.history)
     for field in TRACKED_FIELDS:
         batched_series = np.array([getattr(r, field) for r in batched.history])

@@ -1,6 +1,7 @@
 """Tests for result serialization (analysis.io) and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ class TestResultIO:
         payload["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             result_from_dict(payload)
+
+    def test_loads_trajectory_saved_before_retired_config_keys(self):
+        # Written by `repro.cli run --output` at the commit before
+        # `use_arena` and `scheduler` left ExperimentConfig.
+        path = Path(__file__).parent / "fixtures" / "result_before_pr14.json"
+        saved = json.loads(path.read_text())["config"]
+        assert {"use_arena", "scheduler"} <= set(saved)
+        back = load_result(path)
+        assert back.algorithm == "SAPS-PSGD"
+        assert len(back.history) == 3
+        assert (back.config.rounds, back.config.eval_every) == (4, 2)
+        # And it round-trips through today's writer.
+        assert result_from_dict(result_to_dict(back)) == back
 
     def test_json_is_plain(self, tmp_path):
         path = save_result(make_result(), tmp_path / "run.json")

@@ -6,8 +6,8 @@ numerics** — any ``REPRO_NUM_THREADS`` produces results bit-identical to
 the serial run, because block partitions are fixed and order-sensitive
 float folds stay on the caller's thread.  These tests pin that promise
 for every algorithm, both dtypes, momentum/weight-decay and churn; plus
-the fused-pass toggles (D-PSGD mix, SAPS gather) against their unfused
-oracles.
+the fused passes (D-PSGD mix, SAPS gather) against the per-model
+reference loop of ``tests/reference``.
 """
 
 import numpy as np
@@ -29,6 +29,8 @@ from repro.nn import MLP
 from repro.sim import ExperimentConfig, make_workers
 from repro.sim.dynamics import MarkovChurn
 from repro.utils import parallel
+
+from reference.per_model import REFERENCE
 
 
 @pytest.fixture(autouse=True)
@@ -106,15 +108,16 @@ class TestPrimitives:
 # end-to-end thread determinism
 # ----------------------------------------------------------------------
 ALGORITHMS = {
-    "psgd": PSGD,
-    "topk-psgd": lambda: TopKPSGD(compression_ratio=10.0),
-    "fedavg": lambda: FedAvg(participation=0.5, local_steps=2),
-    "s-fedavg": lambda: SparseFedAvg(
-        participation=0.5, local_steps=2, compression_ratio=5.0
+    "psgd": (PSGD, {}),
+    "topk-psgd": (TopKPSGD, dict(compression_ratio=10.0)),
+    "fedavg": (FedAvg, dict(participation=0.5, local_steps=2)),
+    "s-fedavg": (
+        SparseFedAvg,
+        dict(participation=0.5, local_steps=2, compression_ratio=5.0),
     ),
-    "d-psgd": DPSGD,
-    "dcd-psgd": lambda: DCDPSGD(compression_ratio=4.0),
-    "saps-psgd": lambda: SAPSPSGD(compression_ratio=10.0, local_steps=2),
+    "d-psgd": (DPSGD, {}),
+    "dcd-psgd": (DCDPSGD, dict(compression_ratio=4.0)),
+    "saps-psgd": (SAPSPSGD, dict(compression_ratio=10.0, local_steps=2)),
 }
 
 
@@ -127,9 +130,10 @@ def run_rounds(
     momentum=0.0,
     weight_decay=0.0,
     churn=None,
-    algo_tweak=None,
+    reference=False,
 ):
-    """Final replica matrix + per-round losses for one short run."""
+    """Final replica matrix + per-round losses for one short run
+    (``reference=True``: of the family's per-model reference loop)."""
     full = make_blobs(
         num_samples=30 * n, num_classes=3, num_features=6, rng=11
     )
@@ -144,11 +148,10 @@ def run_rounds(
         dtype=dtype,
     )
     workers = make_workers(lambda: MLP(6, [10], 3, rng=2), partitions, config)
-    algo = ALGORITHMS[name]() if callable(ALGORITHMS[name]) else ALGORITHMS[name]
+    cls, kwargs = ALGORITHMS[name]
+    algo = (REFERENCE[cls] if reference else cls)(**kwargs)
     if churn is not None and isinstance(algo, SAPSPSGD):
         algo.churn = churn
-    if algo_tweak is not None:
-        algo_tweak(algo)
     network = SimulatedNetwork(n, bandwidth=random_uniform_bandwidth(n, rng=4))
     algo.setup(workers, network, rng=9)
     parallel.set_num_threads(threads)
@@ -208,15 +211,12 @@ def test_churn_subset_thread_determinism():
 
 
 # ----------------------------------------------------------------------
-# fused passes vs their unfused oracles
+# fused passes vs the per-model reference loop
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_dpsgd_fused_mix_matches_unfused(dtype):
-    def unfuse(algo):
-        algo.fused_mix = False
-
     ref_params, ref_losses = run_rounds(
-        "d-psgd", threads=1, dtype=dtype, algo_tweak=unfuse
+        "d-psgd", threads=1, dtype=dtype, reference=True
     )
     for threads in (1, 4):
         params, losses = run_rounds("d-psgd", threads=threads, dtype=dtype)
@@ -226,11 +226,8 @@ def test_dpsgd_fused_mix_matches_unfused(dtype):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_saps_fused_gather_matches_unfused(dtype):
-    def unfuse(algo):
-        algo.fused_gather = False
-
     ref_params, ref_losses = run_rounds(
-        "saps-psgd", threads=1, dtype=dtype, algo_tweak=unfuse
+        "saps-psgd", threads=1, dtype=dtype, reference=True
     )
     for threads in (1, 4):
         params, losses = run_rounds("saps-psgd", threads=threads, dtype=dtype)
