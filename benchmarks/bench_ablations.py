@@ -1,4 +1,4 @@
-"""Ablations of SAPS-PSGD's design choices (DESIGN.md §6).
+"""Ablations of SAPS-PSGD's design choices.
 
 Not in the paper's evaluation, but each probes a decision the paper makes:
 

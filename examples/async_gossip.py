@@ -7,9 +7,9 @@ no round barrier, so a straggler never gates the cluster.
 
 This example runs the same workload three ways on one simulated clock —
 
-1. synchronous SAPS-PSGD, replayed on the event timeline
-   (:func:`run_sync_timeline`: per-worker compute intervals + the
-   round's transfers + the barrier);
+1. synchronous SAPS-PSGD (:func:`run_experiment` with a compute model:
+   every round is a compute barrier, then a communication barrier, and
+   with telemetry on the round is also laid out per worker);
 2. asynchronous SAPS-style gossip (:class:`AsyncGossip`: a pair
    exchanges masked components as soon as both endpoints are free);
 3. AD-PSGD-style asynchronous decentralized SGD (:class:`AsyncDPSGD`:
@@ -23,6 +23,7 @@ barrier loses its time.
 Run:  python examples/async_gossip.py
 """
 
+from repro import obs
 from repro.algorithms import AsyncDPSGD, AsyncGossip, SAPSPSGD
 from repro.analysis import (
     render_time_to_accuracy,
@@ -36,7 +37,7 @@ from repro.sim import (
     ExperimentConfig,
     HeterogeneousCompute,
     run_event_experiment,
-    run_sync_timeline,
+    run_experiment,
 )
 from repro.nn import MLP
 
@@ -63,14 +64,19 @@ def main() -> None:
 
     results = {}
 
-    # 1. Synchronous SAPS on the event timeline: every round waits for
-    #    the slowest participant, then for the slowest exchange.
-    results["SAPS-PSGD (sync)"] = run_sync_timeline(
-        SAPSPSGD(compression_ratio=100.0, base_seed=seed),
-        partitions, validation, factory, config,
-        SimulatedNetwork(num_workers, bandwidth=bandwidth),
-        compute_model=compute_model(),
-    )
+    # 1. Synchronous SAPS: every round waits for the slowest
+    #    participant, then for the slowest exchange.  The metrics
+    #    recorder is what makes the round loop keep per-worker intervals.
+    obs.start("metrics")
+    try:
+        results["SAPS-PSGD (sync)"] = run_experiment(
+            SAPSPSGD(compression_ratio=100.0, base_seed=seed),
+            partitions, validation, factory, config,
+            SimulatedNetwork(num_workers, bandwidth=bandwidth),
+            compute_model=compute_model(),
+        )
+    finally:
+        obs.stop()
 
     # 2/3. Asynchronous variants: same simulated-time budget as the sync
     #      run consumed, no barrier.

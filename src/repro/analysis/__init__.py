@@ -49,7 +49,6 @@ from repro.analysis.timeline import (
     mean_utilization,
     render_time_to_accuracy,
     render_worker_timeline,
-    time_to_accuracy,
     time_to_accuracy_table,
     worker_timeline,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "dominance_summary",
     "TimeToAccuracy",
     "WorkerTimeline",
-    "time_to_accuracy",
     "time_to_accuracy_table",
     "render_time_to_accuracy",
     "worker_timeline",

@@ -2,6 +2,10 @@
 
 The benchmark harness and CLI write trajectories to disk so runs can be
 compared across configurations/machines without rerunning the simulator.
+What is saved is the trajectory — algorithm, config, run totals and
+every :class:`~repro.sim.engine.RoundRecord`, from either engine; a
+run's in-memory diagnostics (worker trace, per-round barrier lists,
+staleness log, resilience stats) are not.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ def result_to_dict(result: ExperimentResult) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "algorithm": result.algorithm,
-        "config": asdict(result.config),
+        "config": None if result.config is None else asdict(result.config),
+        "total_local_steps": result.total_local_steps,
+        "events_processed": result.events_processed,
         "history": [asdict(record) for record in result.history],
     }
 
@@ -38,16 +44,23 @@ def result_from_dict(payload: dict) -> ExperimentResult:
             f"unsupported result format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    config = {
-        key: value
-        for key, value in payload["config"].items()
-        if key not in RETIRED_CONFIG_KEYS
-    }
+    config = payload["config"]
+    if config is not None:
+        config = ExperimentConfig(
+            **{k: v for k, v in config.items() if k not in RETIRED_CONFIG_KEYS}
+        )
     result = ExperimentResult(
         algorithm=payload["algorithm"],
-        config=ExperimentConfig(**config),
+        config=config,
+        total_local_steps=payload.get("total_local_steps", 0),
+        events_processed=payload.get("events_processed", 0),
     )
-    result.history = [RoundRecord(**record) for record in payload["history"]]
+    for record in payload["history"]:
+        record = dict(record)
+        if "total_time_s" in record:
+            # Saved before the sync clock took the event engine's name.
+            record["time_s"] = record.pop("total_time_s")
+        result.history.append(RoundRecord(**record))
     return result
 
 

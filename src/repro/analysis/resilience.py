@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.tables import render_table
-from repro.analysis.timeline import time_to_accuracy
 
 
 @dataclass
@@ -173,8 +172,10 @@ def degradation_report(
     """
     time_to = baseline_time_to = slip = None
     if target_accuracy is not None:
-        time_to = time_to_accuracy(faulty_result, target_accuracy)
-        baseline_time_to = time_to_accuracy(baseline_result, target_accuracy)
+        time_to = faulty_result.cost_to_reach(target_accuracy, "time_s")
+        baseline_time_to = baseline_result.cost_to_reach(
+            target_accuracy, "time_s"
+        )
         if time_to is not None and baseline_time_to is not None:
             slip = time_to - baseline_time_to
     return Degradation(

@@ -6,10 +6,8 @@ simulated-wall-clock axis; this module turns those trajectories into the
 two reports the engine was built for:
 
 * :func:`time_to_accuracy_table` — per algorithm, the first simulated
-  time at which validation accuracy reached a target (works for both
-  event-engine :class:`~repro.sim.events.EventResult` histories and
-  synchronous :class:`~repro.sim.engine.ExperimentResult` histories,
-  using ``time_s`` / ``total_time_s`` respectively);
+  time (``RoundRecord.time_s``, either engine) at which validation
+  accuracy reached a target;
 * :func:`worker_timeline` — per worker, seconds spent computing,
   communicating and idle over a run's horizon, from the engine's
   :class:`~repro.sim.events.EventTrace` — the breakdown that shows *why*
@@ -48,47 +46,25 @@ class WorkerTimeline:
     utilization: float
 
 
-def record_time(record) -> float:
-    """The simulated-time coordinate of one history record.
-
-    Event-engine records carry ``time_s``; synchronous records carry
-    ``total_time_s`` (compute + communication barriers).
-    """
-    if hasattr(record, "time_s"):
-        return float(record.time_s)
-    return float(record.total_time_s)
-
-
-def time_to_accuracy(result, target_accuracy: float) -> Optional[float]:
-    """First recorded simulated time at which ``result`` reached
-    ``target_accuracy`` (None if never)."""
-    for record in result.history:
-        if record.val_accuracy >= target_accuracy:
-            return record_time(record)
-    return None
-
-
 def time_to_accuracy_table(
     results: Dict[str, object], target_accuracy: float
 ) -> List[TimeToAccuracy]:
-    """The Table IV time column on the simulated-wall-clock axis, for a
-    mixed bag of event-engine and synchronous results."""
+    """The Table IV time column on the simulated-wall-clock axis, for
+    results of either engine."""
     if not 0.0 < target_accuracy <= 1.0:
         raise ValueError(
             f"target_accuracy must be a fraction in (0, 1], got {target_accuracy}"
         )
     rows = []
     for name, result in results.items():
-        reached_at = time_to_accuracy(result, target_accuracy)
+        reached_at = result.cost_to_reach(target_accuracy, "time_s")
         rows.append(
             TimeToAccuracy(
                 algorithm=name,
                 target_accuracy=target_accuracy,
                 reached=reached_at is not None,
                 time_s=reached_at,
-                final_accuracy=result.history[-1].val_accuracy
-                if result.history
-                else float("nan"),
+                final_accuracy=result.final_accuracy,
             )
         )
     return rows
@@ -117,10 +93,11 @@ def render_time_to_accuracy(rows: List[TimeToAccuracy]) -> str:
 def worker_timeline(trace, horizon: float) -> List[WorkerTimeline]:
     """Per-worker compute/communication/idle seconds over ``horizon``.
 
-    Communication may overlap computation (AD-PSGD's design), so idle is
-    clamped at 0 and utilization at 1 rather than computed by interval
-    union — the clamp only triggers for workers whose communication is
-    fully overlapped.
+    A worker's transmit and receive ends are counted separately (the
+    trace holds one interval per link end), so a full-duplex exchange
+    counts twice in ``comm_s``; communication may also overlap
+    computation (AD-PSGD's design).  Idle is therefore clamped at 0 and
+    utilization at 1 rather than computed by interval union.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")

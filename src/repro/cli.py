@@ -8,7 +8,8 @@ Run a single algorithm or the full 7-algorithm comparison from the shell:
     python -m repro.cli rho --workers 16
 
 Every subcommand prints paper-style tables; ``--output FILE`` also writes
-the trajectories as JSON (``repro.analysis.io`` format).
+the trajectories as JSON (``repro.analysis.io`` format), on either
+``--engine``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ from repro.algorithms import (
 from repro.analysis import (
     costs_at_target,
     pick_common_target,
+    render_resilience_summary,
     render_table,
+    render_worker_resilience,
+    render_worker_timeline,
+    resilience_summary,
     table1_costs,
+    worker_resilience_table,
+    worker_timeline,
 )
 from repro.analysis.io import save_comparison, save_result
 from repro.core.gossip import AdaptivePeerSelector, RandomPeerSelector
@@ -54,7 +61,6 @@ from repro.sim import (
     run_comparison,
     run_event_experiment,
     run_experiment,
-    run_sync_timeline,
 )
 from repro.theory import consensus_factor, estimate_rho
 
@@ -72,7 +78,8 @@ ALGORITHM_FACTORIES = {
 }
 
 #: Asynchronous counterparts used by ``--engine event`` (algorithms
-#: without one run on the event timeline via the synchronous replay).
+#: without one keep their synchronous rounds; the round loop's clock
+#: then also carries the compute model).
 ASYNC_FACTORIES = {
     "saps-psgd": lambda args: AsyncGossip(
         compression_ratio=args.compression,
@@ -167,7 +174,6 @@ def _apply_sync_sampling(args, config, algorithm, population) -> None:
     """Wire sampled participation / population into a sync algorithm."""
     if config.participation != "sampled" and population is None:
         return
-    _check_support(args, config, "sync")
     if config.participation == "sampled":
         algorithm.sample_size = config.sample_size
     algorithm.population = population
@@ -186,21 +192,29 @@ def _parse_fault_plan(args, horizon: float):
     return plan
 
 
-def _history_table(result) -> str:
+def _history_table(result, simulated: bool) -> str:
+    """One trajectory table for either engine; ``simulated`` adds the
+    event-engine columns (cumulative local steps, mean staleness)."""
+    headers = ["round", "train loss", "val acc [%]", "traffic [MB]", "time [s]"]
     rows = [
         [
             record.round_index,
             round(record.train_loss, 4),
             round(100 * record.val_accuracy, 2),
             round(record.worker_traffic_mb, 5),
-            round(record.comm_time_s, 4),
+            round(record.time_s, 4),
         ]
         for record in result.history
     ]
+    if simulated:
+        headers += ["local steps", "staleness"]
+        for row, record in zip(rows, result.history):
+            row += [record.local_steps, round(record.mean_staleness, 2)]
     return render_table(
-        ["round", "train loss", "val acc [%]", "traffic [MB]", "time [s]"],
+        headers,
         rows,
-        title=f"{result.algorithm} trajectory",
+        title=f"{result.algorithm} "
+        + ("simulated-time trajectory" if simulated else "trajectory"),
     )
 
 
@@ -218,38 +232,8 @@ def _build_compute_model(args):
     return ConstantCompute(args.compute_time)
 
 
-def _timed_history_table(result) -> str:
-    rows = [
-        [
-            round(record.time_s, 3),
-            round(record.train_loss, 4),
-            round(100 * record.val_accuracy, 2),
-            round(record.worker_traffic_mb, 5),
-            record.local_steps,
-            round(record.mean_staleness, 2),
-        ]
-        for record in result.history
-    ]
-    return render_table(
-        ["time [s]", "train loss", "val acc [%]", "traffic [MB]",
-         "local steps", "staleness"],
-        rows,
-        title=f"{result.algorithm} simulated-time trajectory",
-    )
-
-
-def cmd_run_event(args, partitions, validation, factory, config) -> int:
-    from repro.analysis import render_worker_timeline, worker_timeline
-
-    bandwidth = _build_bandwidth(args)
-    network = SimulatedNetwork(
-        args.workers,
-        bandwidth=bandwidth,
-        server_bandwidth=(
-            float(bandwidth.max()) if bandwidth is not None else None
-        ),
-    )
-    compute_model = _build_compute_model(args)
+def _run_async(args, partitions, validation, factory, config, network):
+    """``--engine event`` with an asynchronous variant: the event queue."""
     plan = _parse_fault_plan(args, horizon=args.sim_time)
     exchange_policy = recovery = None
     if plan is not None:
@@ -263,60 +247,46 @@ def cmd_run_event(args, partitions, validation, factory, config) -> int:
         recovery = make_recovery_policy(
             args.recovery, checkpoint_interval=args.checkpoint_interval
         )
-    population = _build_population(args, config)
-    async_factory = ASYNC_FACTORIES.get(args.algorithm)
-    if async_factory is not None:
-        algorithm = async_factory(args)
-        _check_support(args, config, "event")
-        if config.participation == "sampled":
-            algorithm.sample_size = config.sample_size
-        result = run_event_experiment(
-            algorithm, partitions, validation, factory, config, network,
-            compute_model=compute_model, duration=args.sim_time,
-            checkpoint_every=args.checkpoint_every,
-            fault_plan=plan, exchange_policy=exchange_policy,
-            recovery=recovery, population=population,
-        )
-    else:
-        if plan is not None:
-            raise SystemExit(
-                f"--fault-plan with --engine event requires an asynchronous "
-                f"variant ({', '.join(sorted(ASYNC_FACTORIES))}); "
-                f"{args.algorithm} replays synchronously — use the sync "
-                f"engine's round-level projection instead"
-            )
-        algorithm = ALGORITHM_FACTORIES[args.algorithm](args)
-        _apply_sync_sampling(args, config, algorithm, population)
-        result = run_sync_timeline(
-            algorithm, partitions, validation, factory, config, network,
-            compute_model=compute_model,
-        )
-    print(_timed_history_table(result))
-    if result.resilience is not None:
-        from repro.analysis import (
-            render_resilience_summary,
-            render_worker_resilience,
-            resilience_summary,
-            worker_resilience_table,
-        )
+    algorithm = ASYNC_FACTORIES[args.algorithm](args)
+    _check_support(args, config, "event")
+    if config.participation == "sampled":
+        algorithm.sample_size = config.sample_size
+    return run_event_experiment(
+        algorithm, partitions, validation, factory, config, network,
+        compute_model=_build_compute_model(args), duration=args.sim_time,
+        checkpoint_every=args.checkpoint_every,
+        fault_plan=plan, exchange_policy=exchange_policy,
+        recovery=recovery, population=_build_population(args, config),
+    )
 
-        print()
-        print(render_resilience_summary(resilience_summary(result.resilience)))
-        print()
-        print(
-            render_worker_resilience(
-                worker_resilience_table(result.resilience, result.horizon)
+
+def _run_sync(args, partitions, validation, factory, config, network):
+    """A round-synchronous algorithm on the one round loop; under
+    ``--engine event`` the loop's clock also carries the compute model."""
+    _check_support(args, config, "sync")
+    algorithm = ALGORITHM_FACTORIES[args.algorithm](args)
+    _apply_sync_sampling(args, config, algorithm, _build_population(args, config))
+    plan = _parse_fault_plan(args, horizon=args.rounds * args.round_duration)
+    if plan is not None:
+        # Round-level projection: the same timed plan the event engine
+        # consumes, collapsed to per-round masks — a worker down anytime
+        # within a round's window sits that round out, a downed link
+        # drops its exchanges.
+        if not (hasattr(algorithm, "churn") and hasattr(algorithm, "loss_model")):
+            raise SystemExit(
+                f"--fault-plan needs synchronous rounds with churn/loss "
+                f"support (saps-psgd) or --engine event with an asynchronous "
+                f"variant ({', '.join(sorted(ASYNC_FACTORIES))}); --algorithm "
+                f"{args.algorithm} --engine {config.engine} is neither"
             )
-        )
-    if result.trace is not None and result.horizon > 0:
-        print()
-        print(render_worker_timeline(worker_timeline(result.trace, result.horizon)))
-    if args.output:
-        print(
-            "\n--output is a sync-engine feature; event-engine trajectories "
-            "are printed only"
-        )
-    return 0
+        algorithm.churn = plan.round_churn(args.round_duration)
+        algorithm.loss_model = plan.round_loss(args.round_duration)
+    return run_experiment(
+        algorithm, partitions, validation, factory, config, network,
+        compute_model=(
+            _build_compute_model(args) if config.engine == "event" else None
+        ),
+    )
 
 
 def cmd_run(args) -> int:
@@ -348,35 +318,28 @@ def cmd_run(args) -> int:
             config = _config(args)
     except ValueError as error:
         raise SystemExit(f"configuration error: {error}")
-    if config.engine == "event":
-        return cmd_run_event(args, partitions, validation, factory, config)
     bandwidth = _build_bandwidth(args)
     network = SimulatedNetwork(
         args.workers,
         bandwidth=bandwidth,
         server_bandwidth=float(bandwidth.max()) if bandwidth is not None else None,
     )
-    _check_support(args, config, "sync")
-    algorithm = ALGORITHM_FACTORIES[args.algorithm](args)
-    _apply_sync_sampling(args, config, algorithm, _build_population(args, config))
-    plan = _parse_fault_plan(args, horizon=args.rounds * args.round_duration)
-    if plan is not None:
-        # Round-level projection: the same timed plan the event engine
-        # consumes, collapsed to per-round masks — a worker down anytime
-        # within a round's window sits that round out, a downed link
-        # drops its exchanges.
-        if not (hasattr(algorithm, "churn") and hasattr(algorithm, "loss_model")):
-            raise SystemExit(
-                f"--fault-plan on the sync engine requires an algorithm "
-                f"with churn/loss support (saps-psgd); {args.algorithm} "
-                f"has none — use --engine event"
+    event = config.engine == "event"
+    run = _run_async if event and args.algorithm in ASYNC_FACTORIES else _run_sync
+    result = run(args, partitions, validation, factory, config, network)
+    print(_history_table(result, simulated=event))
+    if result.resilience is not None:
+        print()
+        print(render_resilience_summary(resilience_summary(result.resilience)))
+        print()
+        print(
+            render_worker_resilience(
+                worker_resilience_table(result.resilience, result.horizon)
             )
-        algorithm.churn = plan.round_churn(args.round_duration)
-        algorithm.loss_model = plan.round_loss(args.round_duration)
-    result = run_experiment(
-        algorithm, partitions, validation, factory, config, network
-    )
-    print(_history_table(result))
+        )
+    if result.trace is not None and result.horizon > 0:
+        print()
+        print(render_worker_timeline(worker_timeline(result.trace, result.horizon)))
     if args.output:
         path = save_result(result, args.output)
         print(f"\nSaved trajectory to {path}")
@@ -593,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sync",
         help="execution engine: 'sync' runs round-synchronous barriers "
         "(default, bit-identical to historical runs); 'event' runs the "
-        "discrete-event engine — asynchronous variants for saps-psgd/"
-        "d-psgd/fedavg, synchronous replay on the simulated timeline "
-        "for the rest",
+        "asynchronous variants of saps-psgd/d-psgd/fedavg on the "
+        "discrete-event engine, and gives the other algorithms' "
+        "synchronous rounds a compute model and the simulated-time table",
     )
     run_p.add_argument(
         "--sim-time", type=float, default=30.0,

@@ -99,7 +99,7 @@ class AdaptivePeerSelector:
         ``T_thres``: how many rounds an edge stays "recently connected".
     prefer_weighted:
         Extension switch: use bandwidth-greedy matching inside ``B*``
-        instead of uniform random maximum matching (DESIGN.md §6).
+        instead of uniform random maximum matching.
     """
 
     def __init__(

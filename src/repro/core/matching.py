@@ -10,7 +10,7 @@ graph".  This module provides both, from scratch:
 * :func:`randomly_max_match` — the paper's randomized variant: relabel
   vertices with a random permutation before matching, so ties between
   equally-sized matchings are broken uniformly.
-* :func:`greedy_weighted_matching` — an extension (see DESIGN.md §6):
+* :func:`greedy_weighted_matching` — an extension beyond the paper:
   prefer heavier (higher-bandwidth) edges greedily, then complete to a
   maximum matching with blossom augmentation.
 

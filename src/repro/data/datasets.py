@@ -2,7 +2,7 @@
 
 The paper trains on MNIST and CIFAR-10.  This environment has no network
 access, so we substitute synthetic datasets that exercise identical code
-paths (see DESIGN.md §2):
+paths:
 
 * :func:`make_synthetic_images` — Gaussian class-prototype images with
   per-class structured textures, at any ``(channels, size, size)`` shape.

@@ -128,9 +128,22 @@ class CommunicationTimer:
         self.round_seconds: List[float] = []
         self._current: List[float] = []
         self._current_endpoints: List[Optional[Tuple]] = []
-        #: ``(duration_s, endpoints)`` of the most recently finished
-        #: round/phase — the event engine replays these on its timeline.
-        self.last_round_transfers: List[Tuple[float, Optional[Tuple]]] = []
+        self._last: Tuple[List[float], List[Optional[Tuple]]] = ([], [])
+
+    @property
+    def last_round_transfers(self) -> List[Tuple[float, float, Optional[Tuple]]]:
+        """``(begin_s, end_s, endpoints)`` of every transfer of the most
+        recently finished round/phase, relative to the phase start: the
+        schedule :meth:`finish_round` timed, spelled out on demand (the
+        round loop asks only when it keeps per-worker timelines)."""
+        link_free: Dict = {}
+        layout = []
+        for duration, endpoints in zip(*self._last):
+            begin, end = self.reserve_endpoints(
+                0.0, duration, endpoints if self.contention else None, link_free
+            )
+            layout.append((begin, end, endpoints))
+        return layout
 
     def add_transfer(
         self,
@@ -206,9 +219,7 @@ class CommunicationTimer:
             )
         else:
             elapsed = max(self._current) if self._current else 0.0
-        self.last_round_transfers = list(
-            zip(self._current, self._current_endpoints)
-        )
+        self._last = (self._current, self._current_endpoints)
         self.round_seconds.append(elapsed)
         self.total_seconds += elapsed
         self._current = []

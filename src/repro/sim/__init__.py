@@ -37,12 +37,9 @@ from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
     EventEngine,
     EventQueue,
-    EventResult,
     EventTrace,
     NullTrace,
-    TimedRecord,
     run_event_experiment,
-    run_sync_timeline,
 )
 from repro.sim.population import (
     AlwaysUp,
@@ -85,17 +82,14 @@ __all__ = [
     "CalendarQueue",
     "EventEngine",
     "EventQueue",
-    "EventResult",
     "EventTrace",
     "NullTrace",
-    "TimedRecord",
     "ClientPopulation",
     "AlwaysUp",
     "RenewalPopulation",
     "parse_population",
     "ParticipationContext",
     "run_event_experiment",
-    "run_sync_timeline",
     "FaultPlan",
     "FaultEvent",
     "FaultChurn",

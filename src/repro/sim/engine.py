@@ -12,16 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.data.datasets import Dataset
+from repro.network.metrics import TrafficMeter
 from repro.network.transport import SimulatedNetwork
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Module
 from repro.sim.trainer import TrainingWorker, bind_arena
 from repro.utils.dtypes import resolve_dtype
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.algorithms
     from repro.algorithms.base import DistributedAlgorithm
@@ -156,11 +155,15 @@ class ExperimentConfig:
 
 @dataclass
 class RoundRecord:
-    """One evaluation point along a run.
+    """One evaluation point along a run, on either engine.
 
-    ``compute_time_s`` / ``total_time_s`` are only populated when the
-    experiment runs with a :class:`repro.sim.timing.ComputeModel`
-    (otherwise zero / equal to ``comm_time_s``).
+    ``time_s`` is the simulated clock.  Synchronous rounds are barriers,
+    so there it is ``comm_time_s + compute_time_s`` (compute is zero
+    without a :class:`repro.sim.timing.ComputeModel`) and
+    ``round_index`` counts rounds (-1 = before the first).  Asynchronous
+    runs have no barrier: the two cumulative barrier fields stay zero,
+    ``time_s`` is the checkpoint time and ``round_index`` the checkpoint
+    number.  ``local_steps`` is cumulative over all workers.
     """
 
     round_index: int
@@ -172,16 +175,44 @@ class RoundRecord:
     comm_time_s: float
     consensus_distance: float
     compute_time_s: float = 0.0
-    total_time_s: float = 0.0
+    time_s: float = 0.0
+    local_steps: int = 0
+    events_processed: int = 0
+    mean_staleness: float = 0.0
 
 
 @dataclass
 class ExperimentResult:
-    """Full trajectory of one (algorithm, workload) run."""
+    """Full trajectory of one (algorithm, workload) run, on either engine.
+
+    ``config`` is ``None`` only for a bare :meth:`EventEngine.run
+    <repro.sim.events.EventEngine.run>`, which never sees one.
+    """
 
     algorithm: str
-    config: ExperimentConfig
+    config: Optional[ExperimentConfig] = None
     history: List[RoundRecord] = field(default_factory=list)
+    #: Per-round (compute, comm) barrier times of a synchronous run.
+    round_compute_seconds: List[float] = field(default_factory=list)
+    round_comm_seconds: List[float] = field(default_factory=list)
+    #: Per-worker :class:`~repro.sim.events.EventTrace`: always on the
+    #: event engine, on the synchronous one only with telemetry enabled.
+    trace: Optional[object] = None
+    #: Run totals.  On the event engine they can exceed the last
+    #: record's: events landing exactly on the horizon run after it.
+    total_local_steps: int = 0
+    events_processed: int = 0
+    #: Staleness of every applied update (asynchronous variants).
+    staleness: List[int] = field(default_factory=list)
+    #: :class:`~repro.resilience.ResilienceStats` of a run with an
+    #: active fault plan, else None.
+    resilience: Optional[object] = None
+
+    @property
+    def horizon(self) -> float:
+        """Simulated seconds the run covered (both engines close a run
+        with a record)."""
+        return self.history[-1].time_s if self.history else 0.0
 
     @property
     def final_accuracy(self) -> float:
@@ -204,7 +235,8 @@ class ExperimentResult:
         self, target_accuracy: float, cost_attr: str = "worker_traffic_mb"
     ) -> Optional[float]:
         """Table IV's query: the first recorded cost at which validation
-        accuracy reached ``target_accuracy`` (None if never reached)."""
+        accuracy reached ``target_accuracy`` (None if never reached).
+        ``cost_attr="time_s"`` is Fig. 6's simulated-time axis."""
         for record in self.history:
             if record.val_accuracy >= target_accuracy:
                 return getattr(record, cost_attr)
@@ -284,6 +316,31 @@ def evaluate_consensus(
     return loss, accuracy
 
 
+def _trace_round(
+    trace, round_index, participants, steps, compute_model, start, barrier,
+    transfers,
+) -> None:
+    """Per-worker layout of one synchronous round (see
+    :func:`run_experiment`): compute from ``start``, transfers from the
+    compute ``barrier``."""
+    if compute_model is not None:
+        # step_time is deterministic per (round, rank): asking again
+        # for per-worker spans perturbs nothing.
+        for rank in participants:
+            dt = float(compute_model.step_time(round_index, rank, steps))
+            trace.add(rank, "compute", start, start + dt)
+    for begin, end, endpoints in transfers:
+        if endpoints:
+            nodes = [n for _, n in endpoints if n != TrafficMeter.SERVER]
+        else:
+            # Collectives (ring all-reduce, sparse allgather, the
+            # aggregated server batch) declare no link ends but occupy
+            # every participant.
+            nodes = participants
+        for node in nodes:
+            trace.add(node, "comm", barrier + begin, barrier + end)
+
+
 def run_experiment(
     algorithm: "DistributedAlgorithm",
     partitions: Sequence[Dataset],
@@ -303,11 +360,23 @@ def run_experiment(
     for live progress reporting, early stopping shims, or custom logging
     without subclassing the engine.
 
-    ``compute_model`` (a :class:`repro.sim.timing.ComputeModel`) adds
-    per-round compute time: each synchronous round costs the slowest
-    participant's local-step time.  Algorithms expose their participants
-    via ``last_participants`` (None = everyone) and their per-round local
-    step count via ``local_steps`` (default 1).
+    Every round advances one simulated clock by two barriers: the
+    slowest participant's local steps under ``compute_model`` (a
+    :class:`repro.sim.timing.ComputeModel`; zero without one), then the
+    round's communication as closed by the network's
+    :class:`~repro.network.metrics.CommunicationTimer` — which also owns
+    link contention (``SimulatedNetwork(contention=True)``).  Algorithms
+    expose their participants via ``last_participants`` (None =
+    everyone) and their per-round local step count via ``local_steps``
+    (default 1).
+
+    With telemetry on (:func:`repro.obs.enabled`) the round is also laid
+    out per worker into ``result.trace``: one compute interval per
+    participant, then each transfer the timer recorded on both its link
+    ends (a collective with no link ends lands on every participant) —
+    the event engine's convention, so ``worker.<rank>.*`` lanes read the
+    same on either engine.  Only the round's last timer phase is laid
+    out; all seven paper algorithms close exactly one.
     """
     if network is None:
         network = SimulatedNetwork(num_workers=len(partitions))
@@ -322,23 +391,13 @@ def run_experiment(
     algorithm.setup(workers, network, rng=as_generator(config.seed))
 
     result = ExperimentResult(algorithm=algorithm.name, config=config)
-
+    timer = network.timer
     compute_seconds = 0.0
-
-    # Telemetry (no-cost when off): besides the wall-time phase spans the
-    # deeper layers record, the sync engine lays each round out on a
-    # simulated clock — per-participant compute intervals (when a compute
-    # model is present) followed by the round's barrier communication
-    # time — so per-worker compute/comm/idle lanes and the
-    # ``worker.<rank>.*`` utilization mirrors exist on this engine too.
-    sim_trace = None
-    comm_base = 0.0
-    sim_now = 0.0
     if obs.enabled():
         from repro.sim.events import EventTrace
 
-        sim_trace = EventTrace(len(workers))
-        sim_trace.sink = obs.recorder().trace
+        result.trace = EventTrace(len(workers))
+        result.trace.sink = obs.recorder().trace
 
     def snapshot(round_index: int, train_loss: float) -> None:
         with obs.phase("eval"):
@@ -354,7 +413,8 @@ def run_experiment(
             comm_time_s=comm_seconds,
             consensus_distance=algorithm.consensus_distance(),
             compute_time_s=compute_seconds,
-            total_time_s=comm_seconds + compute_seconds,
+            time_s=comm_seconds + compute_seconds,
+            local_steps=result.total_local_steps,
         )
         result.history.append(record)
         if snapshot_callback is not None:
@@ -369,47 +429,33 @@ def run_experiment(
         if round_index in milestones:
             for worker in workers:
                 worker.optimizer.lr *= config.lr_gamma
+        round_start = network.total_time_seconds() + compute_seconds
+        phases_before = len(timer.round_seconds)
         with obs.phase("round"):
             running_loss = algorithm.run_round(round_index)
+        participants = getattr(algorithm, "last_participants", None)
+        if participants is None:
+            participants = range(len(workers))
+        steps = getattr(algorithm, "local_steps", 1)
+        result.total_local_steps += steps * len(participants)
         round_compute = 0.0
         if compute_model is not None:
-            participants = getattr(algorithm, "last_participants", None)
-            if participants is None:
-                participants = range(len(workers))
-            steps = getattr(algorithm, "local_steps", 1)
             round_compute = compute_model.round_time(
-                round_index, list(participants), steps
+                round_index, participants, steps
             )
             compute_seconds += round_compute
-        if sim_trace is not None:
-            comm_now = network.total_time_seconds()
-            round_comm = comm_now - comm_base
-            comm_base = comm_now
-            obs.observe("round.comm_s", round_comm)
+        round_comm = sum(timer.round_seconds[phases_before:])
+        result.round_compute_seconds.append(round_compute)
+        result.round_comm_seconds.append(round_comm)
+        if result.trace is not None:
+            _trace_round(
+                result.trace, round_index, participants, steps, compute_model,
+                round_start, round_start + round_compute,
+                timer.last_round_transfers,
+            )
             if compute_model is not None:
                 obs.observe("round.compute_s", round_compute)
-            participants = getattr(algorithm, "last_participants", None)
-            if participants is None:
-                participants = range(len(workers))
-            participants = list(participants)
-            steps = getattr(algorithm, "local_steps", 1)
-            start = sim_now
-            compute_end = start
-            if compute_model is not None:
-                # step_time queries are deterministic per (round, rank),
-                # so re-asking for per-worker spans perturbs nothing.
-                for rank in participants:
-                    dt = float(
-                        compute_model.step_time(round_index, rank, steps)
-                    )
-                    sim_trace.add(rank, "compute", start, start + dt)
-                    if start + dt > compute_end:
-                        compute_end = start + dt
-            # The sync barrier: every participant communicates (or waits)
-            # until the round's slowest transfer finishes.
-            for rank in participants:
-                sim_trace.add(rank, "comm", compute_end, compute_end + round_comm)
-            sim_now = compute_end + round_comm
+            obs.observe("round.comm_s", round_comm)
             obs.mirror_network(network)
             obs.mirror_arena(getattr(algorithm, "arena", None))
             obs.end_round(round_index)
@@ -418,7 +464,7 @@ def run_experiment(
         is_last = round_index == config.rounds - 1
         if (round_index + 1) % config.eval_every == 0 or is_last:
             snapshot(round_index, running_loss)
-    if sim_trace is not None:
+    if result.trace is not None:
         obs.gauge("run.rounds", float(config.rounds))
-        obs.record_worker_timeline(sim_trace, sim_now)
+        obs.record_worker_timeline(result.trace, result.horizon)
     return result

@@ -19,18 +19,19 @@ provides the missing execution layer:
 * :func:`run_event_experiment` — run an asynchronous algorithm variant
   (:mod:`repro.algorithms.asynchronous`) for a simulated time budget,
   sampling loss/accuracy/consensus distance at simulated-time
-  checkpoints;
-* :func:`run_sync_timeline` — replay any round-synchronous algorithm on
-  the event timeline.  With constant compute, no churn and no contention
-  this reproduces the synchronous ``CommunicationTimer``/``ComputeModel``
-  totals to float tolerance — the event engine's correctness oracle
-  (``tests/test_events.py``).
+  checkpoints.
+
+Round-synchronous algorithms need none of this: their clock is two
+barriers per round, kept by :func:`repro.sim.engine.run_experiment`,
+which returns the same :class:`~repro.sim.engine.ExperimentResult` /
+:class:`~repro.sim.engine.RoundRecord` types :meth:`EventEngine.run`
+does.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,13 @@ from repro.resilience import (
     make_recovery_policy,
 )
 from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import ExperimentConfig, evaluate_consensus, make_workers
+from repro.sim.engine import (
+    ExperimentConfig,
+    ExperimentResult,
+    RoundRecord,
+    evaluate_consensus,
+    make_workers,
+)
 from repro.sim.faults import FaultPlan
 from repro.sim.timing import ComputeModel, ConstantCompute
 from repro.utils.dtypes import resolve_dtype
@@ -212,70 +219,6 @@ class NullTrace(EventTrace):
     def add(self, worker: int, kind: str, start: float, end: float) -> None:
         if end < start:
             raise ValueError(f"interval ends before it starts: {start} > {end}")
-
-
-@dataclass
-class TimedRecord:
-    """One simulated-time checkpoint along an event-engine run.
-
-    ``comm_time_s`` / ``compute_time_s`` are cumulative barrier times and
-    only populated by the synchronous replay (:func:`run_sync_timeline`);
-    asynchronous runs have no barrier, so their time axis is ``time_s``
-    itself and those fields stay zero.
-    """
-
-    time_s: float
-    train_loss: float
-    val_loss: float
-    val_accuracy: float
-    consensus_distance: float
-    worker_traffic_mb: float
-    server_traffic_mb: float
-    events_processed: int
-    local_steps: int
-    mean_staleness: float = 0.0
-    comm_time_s: float = 0.0
-    compute_time_s: float = 0.0
-
-
-@dataclass
-class EventResult:
-    """Full simulated-time trajectory of one event-engine run."""
-
-    algorithm: str
-    history: List[TimedRecord] = field(default_factory=list)
-    trace: Optional[EventTrace] = None
-    horizon: float = 0.0
-    total_local_steps: int = 0
-    events_processed: int = 0
-    staleness: List[int] = field(default_factory=list)
-    #: Per-round (compute, comm) barrier times — populated by the
-    #: synchronous replay only; the oracle tests compare these against
-    #: the synchronous engine's per-round numbers.
-    round_compute_seconds: List[float] = field(default_factory=list)
-    round_comm_seconds: List[float] = field(default_factory=list)
-    #: Fault accounting (goodput, retries, downtime, restores) — None
-    #: unless the run had an active fault plan.
-    resilience: Optional[ResilienceStats] = None
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.history[-1].val_accuracy if self.history else float("nan")
-
-    @property
-    def best_accuracy(self) -> float:
-        if not self.history:
-            return float("nan")
-        return max(record.val_accuracy for record in self.history)
-
-    def time_to_accuracy(self, target_accuracy: float) -> Optional[float]:
-        """First checkpoint time at which validation accuracy reached
-        ``target_accuracy`` (None if never) — the Fig. 6 / Table IV query
-        on the simulated-time axis."""
-        for record in self.history:
-            if record.val_accuracy >= target_accuracy:
-                return record.time_s
-        return None
 
 
 class EventEngine:
@@ -674,7 +617,7 @@ class EventEngine:
         duration: float,
         checkpoint_every: float,
         record_initial: bool = True,
-    ) -> EventResult:
+    ) -> ExperimentResult:
         """Drive ``algorithm`` (an async variant already ``setup()``)
         until the simulated clock reaches ``duration``, snapshotting
         metrics every ``checkpoint_every`` simulated seconds."""
@@ -686,9 +629,7 @@ class EventEngine:
             )
         algorithm.bind(self)
         self._algorithm = algorithm
-        result = EventResult(
-            algorithm=algorithm.name, trace=self.trace, horizon=float(duration)
-        )
+        result = ExperimentResult(algorithm=algorithm.name, trace=self.trace)
         if self.faults_active:
             self._schedule_faults(float(duration))
 
@@ -706,7 +647,8 @@ class EventEngine:
                     )
             staleness = getattr(algorithm, "staleness_log", [])
             result.history.append(
-                TimedRecord(
+                RoundRecord(
+                    round_index=len(result.history),
                     time_s=at,
                     train_loss=algorithm.mean_train_loss,
                     val_loss=val_loss,
@@ -714,6 +656,8 @@ class EventEngine:
                     consensus_distance=algorithm.consensus_distance(),
                     worker_traffic_mb=self.network.meter.mean_worker_traffic_mb(),
                     server_traffic_mb=self.network.server_traffic_mb(),
+                    # No barrier on this engine: time_s is the whole axis.
+                    comm_time_s=0.0,
                     events_processed=self.events_processed,
                     local_steps=algorithm.total_local_steps,
                     mean_staleness=(
@@ -798,7 +742,7 @@ def run_event_experiment(
     exchange_policy: Optional[ExchangePolicy] = None,
     recovery: Optional[RecoveryPolicy] = None,
     population=None,
-) -> EventResult:
+) -> ExperimentResult:
     """Run an asynchronous algorithm variant on the event engine.
 
     The mirror of :func:`repro.sim.run_experiment` for the event-driven
@@ -841,140 +785,6 @@ def run_event_experiment(
     )
     if checkpoint_every is None:
         checkpoint_every = duration / 10.0
-    return engine.run(algorithm, validation, duration, checkpoint_every)
-
-
-def run_sync_timeline(
-    algorithm,
-    partitions: Sequence[Dataset],
-    validation: Dataset,
-    model_factory: Callable,
-    config: ExperimentConfig,
-    network: Optional[SimulatedNetwork] = None,
-    compute_model: Optional[ComputeModel] = None,
-    contention: bool = False,
-) -> EventResult:
-    """Replay a round-synchronous algorithm on the event timeline.
-
-    The algorithm's numerics are untouched (``run_round`` executes
-    exactly as under :func:`repro.sim.run_experiment`); the engine then
-    lays the round out on the simulated clock: one compute interval per
-    participant, then the round's recorded transfers, then the barrier.
-    With no contention the barrier reproduces the synchronous
-    ``CommunicationTimer``/``ComputeModel`` totals to float tolerance —
-    the degenerate-case oracle.  With ``contention=True`` transfers that
-    share link ends serialize, which is the event engine's default
-    behaviour and *not* expressible by the synchronous timer's
-    max-of-transfers.
-
-    Only single-phase rounds are replayed (all seven paper algorithms);
-    an algorithm closing multiple timer phases per round would replay
-    its last phase only.
-    """
-    if network is None:
-        network = SimulatedNetwork(num_workers=len(partitions))
-    validation = validation.astype(resolve_dtype(config.dtype))
-    if config.local_steps > 1 and hasattr(algorithm, "local_steps"):
-        algorithm.local_steps = config.local_steps
-    workers = make_workers(model_factory, partitions, config)
-    algorithm.setup(workers, network, rng=as_generator(config.seed))
-    engine = EventEngine(
-        network, compute_model=compute_model, contention=contention
-    )
-    trace = engine.trace
-    result = EventResult(algorithm=algorithm.name, trace=trace)
-
-    comm_total = 0.0
-    compute_total = 0.0
-    steps_total = 0
-    running_loss = float("nan")
-
-    def snapshot(round_index: int) -> None:
-        with obs.phase("eval"):
-            val_loss, val_accuracy = evaluate_consensus(algorithm, validation)
-        result.history.append(
-            TimedRecord(
-                time_s=engine.now,
-                train_loss=running_loss,
-                val_loss=val_loss,
-                val_accuracy=val_accuracy,
-                consensus_distance=algorithm.consensus_distance(),
-                worker_traffic_mb=network.meter.mean_worker_traffic_mb(),
-                server_traffic_mb=network.server_traffic_mb(),
-                events_processed=round_index + 1,
-                local_steps=steps_total,
-                comm_time_s=comm_total,
-                compute_time_s=compute_total,
-            )
-        )
-
-    milestones = set(config.lr_milestones or [])
-    for round_index in range(config.rounds):
-        if round_index in milestones:
-            for worker in workers:
-                worker.optimizer.lr *= config.lr_gamma
-        with obs.phase("round"):
-            running_loss = algorithm.run_round(round_index)
-
-        # Compute phase: every participant runs its local steps starting
-        # at the last barrier; the phase ends when the straggler does.
-        participants = getattr(algorithm, "last_participants", None)
-        if participants is None:
-            participants = range(engine.num_workers)
-        participants = list(participants)
-        steps = getattr(algorithm, "local_steps", 1)
-        start = engine.now
-        compute_end = start
-        for rank in participants:
-            dt = engine.compute_seconds(round_index, rank, steps)
-            trace.add(rank, "compute", start, start + dt)
-            compute_end = max(compute_end, start + dt)
-        steps_total += steps * len(participants)
-
-        # Communication phase: replay the round's recorded transfers.
-        # All start at the compute barrier; under contention, shared
-        # link ends serialize through the engine's link clocks (same
-        # greedy reservation the timer and start_transfer use).
-        barrier = compute_end
-        for duration, endpoints in network.timer.last_round_transfers:
-            if contention:
-                begin, end = CommunicationTimer.reserve_endpoints(
-                    compute_end, duration, endpoints, engine._link_free
-                )
-            else:
-                begin, end = compute_end, compute_end + duration
-            if endpoints:
-                for kind, node in endpoints:
-                    if node != TrafficMeter.SERVER:
-                        trace.add(node, "comm", begin, end)
-            else:
-                # Aggregate/collective transfers (PSGD's ring all-reduce,
-                # the sparse allgather, the non-contended server batch)
-                # declare no link ends but involve every participant —
-                # attribute the interval to all of them so the timeline
-                # breakdown does not book collective time as idle.
-                for node in participants:
-                    trace.add(node, "comm", begin, end)
-            barrier = max(barrier, end)
-
-        result.round_compute_seconds.append(compute_end - start)
-        result.round_comm_seconds.append(barrier - compute_end)
-        compute_total += compute_end - start
-        comm_total += barrier - compute_end
-        engine.now = barrier
-
-        if obs.enabled():
-            obs.observe("round.compute_s", compute_end - start)
-            obs.observe("round.comm_s", barrier - compute_end)
-            obs.mirror_network(network)
-            obs.end_round(round_index)
-
-        is_last = round_index == config.rounds - 1
-        if (round_index + 1) % config.eval_every == 0 or is_last:
-            snapshot(round_index)
-    result.horizon = engine.now
-    if obs.enabled():
-        obs.gauge("run.rounds", float(config.rounds))
-        obs.mirror_arena(getattr(algorithm, "arena", None))
-        obs.record_worker_timeline(trace, engine.now)
+    result = engine.run(algorithm, validation, duration, checkpoint_every)
+    result.config = config
     return result

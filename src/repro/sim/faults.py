@@ -188,7 +188,13 @@ class FaultPlan:
                         f"unknown fault-plan parameter {key!r} in {spec!r}; "
                         "expected mttf=, mttr=, seed=, min-up="
                     )
-                params[key] = float(value)
+                try:
+                    params[key] = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"fault-plan parameter {key}= needs a number, got "
+                        f"{value.strip()!r} in {spec!r}"
+                    ) from None
             if "mttf" not in params or "mttr" not in params:
                 raise ValueError(f"rate-based fault plan needs mttf= and mttr=: {spec!r}")
             return cls.from_rates(
@@ -216,7 +222,7 @@ class FaultPlan:
                     raise
                 raise ValueError(
                     f"cannot parse fault event {token!r} (expected "
-                    "'kind:worker@time' or 'kind:a-b@time'): {spec!r}"
+                    f"'kind:worker@time' or 'kind:a-b@time'): {spec!r}"
                 ) from error
         return cls(num_workers, events)
 

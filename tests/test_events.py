@@ -5,16 +5,18 @@ The load-bearing suite of the event subsystem:
 * the deterministic event queue;
 * opt-in link contention in ``CommunicationTimer``/``SimulatedNetwork``
   (off = bit-identical to the historical max-of-transfers model);
-* the degenerate-case oracle — with constant compute, no churn and no
-  contention the synchronous replay (:func:`run_sync_timeline`)
-  reproduces the synchronous engine's per-round communication/compute
-  times to float tolerance for SAPS, D-PSGD and FedAvg;
+* the synchronous round loop's simulated clock against closed forms —
+  per-round communication is the timer's ``round_seconds``, per-round
+  compute is ``ComputeModel.round_time``, and a contended round's
+  per-transfer ``(begin, end)`` reproduce ``contended_elapsed`` — for
+  SAPS, D-PSGD and FedAvg;
 * seed-determinism and convergence of the async variants.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.algorithms import (
     AsyncDPSGD,
     AsyncFedAvg,
@@ -44,7 +46,6 @@ from repro.sim import (
     HeterogeneousCompute,
     run_event_experiment,
     run_experiment,
-    run_sync_timeline,
 )
 
 
@@ -212,9 +213,26 @@ class TestContention:
         timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", 0), ("rx", 1)))
         timer.finish_round()
         assert len(timer.last_round_transfers) == 1
-        duration, endpoints = timer.last_round_transfers[0]
-        assert duration == pytest.approx(2.0)
+        begin, end, endpoints = timer.last_round_transfers[0]
+        assert (begin, end) == (0.0, pytest.approx(2.0))
         assert endpoints == (("tx", 0), ("rx", 1))
+
+    def test_last_round_transfers_carry_the_contended_layout(self):
+        """The greedy schedule of the test above, transfer by transfer:
+        the timer is the one place a round's contention is laid out."""
+        timer = CommunicationTimer(contention=True)
+        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "B")))
+        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "C")))
+        timer.add_transfer(4 * MB, 1.0, endpoints=(("tx", "B"), ("rx", "C")))
+        timer.add_transfer(1 * MB, 1.0)  # no link ends: contends with nothing
+        timer.finish_round()
+        spans = [(b, e) for b, e, _ in timer.last_round_transfers]
+        assert spans == [
+            (0.0, pytest.approx(3.0)),
+            (pytest.approx(3.0), pytest.approx(5.0)),
+            (pytest.approx(5.0), pytest.approx(9.0)),
+            (0.0, pytest.approx(1.0)),
+        ]
 
     def test_network_contention_flag(self):
         assert not SimulatedNetwork(4).contention
@@ -278,9 +296,17 @@ def workload():
     return partitions, validation, lambda: MLP(6, [8], 3, rng=11)
 
 
+@pytest.fixture
+def telemetry():
+    """The round loop keeps per-worker intervals only with telemetry on."""
+    obs.start("metrics")
+    yield
+    obs.stop()
+
+
 class TestSyncEquivalenceOracle:
-    """The degenerate case: constant compute, no churn, no contention —
-    the event replay must match the synchronous engine."""
+    """The synchronous round loop's simulated clock, checked against
+    closed forms: two barriers per round, no second implementation."""
 
     ALGORITHMS = {
         "saps": lambda: SAPSPSGD(compression_ratio=5.0, base_seed=11),
@@ -288,110 +314,144 @@ class TestSyncEquivalenceOracle:
         "fedavg": lambda: FedAvg(participation=0.5, local_steps=2),
     }
 
+    @staticmethod
+    def network(contention=False):
+        bandwidth = random_uniform_bandwidth(6, rng=11)
+        return SimulatedNetwork(
+            6, bandwidth=bandwidth, server_bandwidth=float(bandwidth.max()),
+            contention=contention,
+        )
+
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_times_match_sync_engine(self, workload, name):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=8, eval_every=4, lr=0.2, seed=11)
-        bandwidth = random_uniform_bandwidth(6, rng=11)
-        compute = ConstantCompute(0.05)
-
-        def network():
-            return SimulatedNetwork(
-                6, bandwidth=bandwidth,
-                server_bandwidth=float(bandwidth.max()),
-            )
-
-        sync_net = network()
-        sync = run_experiment(
+        network = self.network()
+        algorithm = self.ALGORITHMS[name]()
+        result = run_experiment(
+            algorithm, partitions, validation, factory, config, network,
+            compute_model=ConstantCompute(0.05),
+        )
+        rounds = network.timer.round_seconds
+        step = 0.05 * getattr(algorithm, "local_steps", 1)
+        # Per-round communication is the timer's; compute is the
+        # straggler barrier, here a constant.
+        assert result.round_comm_seconds == rounds
+        assert result.round_compute_seconds == [step] * 8
+        assert sum(rounds) == pytest.approx(network.total_time_seconds())
+        assert [r.round_index for r in result.history] == [-1, 3, 7]
+        for record in result.history:
+            done = record.round_index + 1
+            assert record.comm_time_s == pytest.approx(sum(rounds[:done]))
+            assert record.compute_time_s == pytest.approx(step * done)
+            assert record.time_s == record.comm_time_s + record.compute_time_s
+        assert result.horizon == result.history[-1].time_s > 0
+        # Nothing per-worker is retained with telemetry off.
+        assert result.trace is None
+        # The clock never touches numerics: without a compute model the
+        # same trajectory comes out, and time_s is communication alone.
+        plain = run_experiment(
             self.ALGORITHMS[name](), partitions, validation, factory,
-            config, sync_net, compute_model=compute,
+            config, self.network(),
         )
-        replay_net = network()
-        replay = run_sync_timeline(
-            self.ALGORITHMS[name](), partitions, validation, factory,
-            config, replay_net, compute_model=compute,
-        )
-        # Per-round communication times sum to the synchronous total.
-        assert sum(replay.round_comm_seconds) == pytest.approx(
-            sync_net.total_time_seconds()
-        )
-        np.testing.assert_allclose(
-            replay.round_comm_seconds, replay_net.timer.round_seconds
-        )
-        # Per-round compute is the straggler barrier of the sync model.
-        assert sum(replay.round_compute_seconds) == pytest.approx(
-            sync.history[-1].compute_time_s
-        )
-        # Eval points line up in time and in metrics (identical numerics).
-        assert len(replay.history) == len(sync.history) - 1  # no initial
-        for timed, record in zip(replay.history, sync.history[1:]):
-            assert timed.comm_time_s == pytest.approx(record.comm_time_s)
-            assert timed.compute_time_s == pytest.approx(record.compute_time_s)
-            assert timed.time_s == pytest.approx(record.total_time_s)
+        for timed, record in zip(result.history, plain.history):
+            assert timed.comm_time_s == record.comm_time_s == record.time_s
             assert timed.val_accuracy == record.val_accuracy
-            assert timed.consensus_distance == pytest.approx(
-                record.consensus_distance
-            )
+            assert timed.consensus_distance == record.consensus_distance
 
-    def test_collective_comm_attributed_to_participants(self, workload):
+    def test_collective_comm_attributed_to_participants(
+        self, workload, telemetry
+    ):
         """PSGD's all-reduce declares no link ends; its time must land
         in every participant's comm column, not in idle."""
         from repro.algorithms import PSGD
 
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=4, eval_every=4, lr=0.2, seed=11)
-        replay = run_sync_timeline(
-            PSGD(), partitions, validation, factory, config,
-            SimulatedNetwork(6, bandwidth=random_uniform_bandwidth(6, rng=11)),
+        network = self.network()
+        result = run_experiment(
+            PSGD(), partitions, validation, factory, config, network,
             compute_model=ConstantCompute(0.05),
         )
-        comm = replay.trace.busy_seconds("comm")
-        assert (comm > 0).all()
-        assert sum(replay.round_comm_seconds) > 0
+        assert [e for _, _, e in network.timer.last_round_transfers] == [None]
+        comm = result.trace.busy_seconds("comm")
+        assert sum(result.round_comm_seconds) > 0
+        np.testing.assert_allclose(comm, sum(result.round_comm_seconds))
+        np.testing.assert_allclose(
+            result.trace.busy_seconds("compute"), 4 * 0.05
+        )
 
     def test_replay_records_cumulative_local_steps(self, workload):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=8, eval_every=4, lr=0.2, seed=11)
-        replay = run_sync_timeline(
+        result = run_experiment(
             SAPSPSGD(compression_ratio=5.0, base_seed=11),
             partitions, validation, factory, config, SimulatedNetwork(6),
         )
-        # 6 workers x 1 local step x 4 / 8 rounds at the two eval points.
-        assert [r.local_steps for r in replay.history] == [24, 48]
+        # 6 workers x 1 local step x 0 / 4 / 8 rounds at the eval points.
+        assert [r.local_steps for r in result.history] == [0, 24, 48]
+        assert result.total_local_steps == 48
+        # FedAvg only counts the sampled half, E = 2 steps each.
+        result = run_experiment(
+            FedAvg(participation=0.5, local_steps=2),
+            partitions, validation, factory, config, SimulatedNetwork(6),
+        )
+        assert result.total_local_steps == 8 * 3 * 2
 
-    def test_replay_contention_matches_timer_contention(self, workload):
-        """One contention algorithm everywhere: a contended network's
-        timer totals equal the contended replay's comm totals."""
+    def test_replay_contention_matches_timer_contention(
+        self, workload, telemetry
+    ):
+        """One contention algorithm, one owner: the contended timer's
+        per-transfer ``(begin, end)`` reproduce ``contended_elapsed``
+        round by round, and the per-worker layout is those spans."""
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=6, eval_every=3, lr=0.2, seed=11)
-        bandwidth = random_uniform_bandwidth(6, rng=11)
-        contended_net = SimulatedNetwork(6, bandwidth=bandwidth, contention=True)
-        run_experiment(
-            DPSGD(), partitions, validation, factory, config, contended_net,
+        network = self.network(contention=True)
+        layouts = []
+        result = run_experiment(
+            DPSGD(), partitions, validation, factory, config, network,
+            round_callback=lambda *_: layouts.append(
+                network.timer.last_round_transfers
+            ),
         )
-        replay_net = SimulatedNetwork(6, bandwidth=bandwidth)
-        replay = run_sync_timeline(
-            DPSGD(), partitions, validation, factory, config, replay_net,
-            contention=True,
-        )
-        assert sum(replay.round_comm_seconds) == pytest.approx(
-            contended_net.total_time_seconds()
-        )
+        assert result.round_comm_seconds == network.timer.round_seconds
+        busy = np.zeros(6)
+        for elapsed, layout in zip(network.timer.round_seconds, layouts):
+            assert len(layout) == 12  # both ring neighbours, every worker
+            assert max(end for _, end, _ in layout) == elapsed
+            assert elapsed == CommunicationTimer.contended_elapsed(
+                [end - begin for begin, end, _ in layout],
+                [endpoints for _, _, endpoints in layout],
+            )
+            for begin, end, endpoints in layout:
+                for _, node in endpoints:
+                    busy[node] += end - begin
+        np.testing.assert_allclose(result.trace.busy_seconds("comm"), busy)
+        # Each receive end serializes its two neighbours' models: the
+        # contended rounds cost more than the max-of-transfers ones.
+        plain = self.network()
+        run_experiment(DPSGD(), partitions, validation, factory, config, plain)
+        assert network.total_time_seconds() > plain.total_time_seconds()
 
-    def test_heterogeneous_compute_also_matches(self, workload):
+    def test_heterogeneous_compute_also_matches(self, workload, telemetry):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=6, eval_every=3, lr=0.2, seed=11)
-        compute = HeterogeneousCompute(6, spread=8.0, jitter=0.0, rng=11)
-        sync = run_experiment(
+        compute = HeterogeneousCompute(6, spread=8.0, jitter=0.1, rng=11)
+        result = run_experiment(
             SAPSPSGD(compression_ratio=5.0), partitions, validation,
             factory, config, SimulatedNetwork(6), compute_model=compute,
         )
-        replay = run_sync_timeline(
-            SAPSPSGD(compression_ratio=5.0), partitions, validation,
-            factory, config, SimulatedNetwork(6), compute_model=compute,
+        times = np.array(
+            [[compute.step_time(r, rank) for rank in range(6)] for r in range(6)]
         )
-        assert sum(replay.round_compute_seconds) == pytest.approx(
-            sync.history[-1].compute_time_s
+        # The round waits for its straggler; each worker is busy only
+        # for its own step.
+        assert result.round_compute_seconds == list(times.max(axis=1))
+        assert result.history[-1].compute_time_s == pytest.approx(
+            times.max(axis=1).sum()
+        )
+        np.testing.assert_allclose(
+            result.trace.busy_seconds("compute"), times.sum(axis=0)
         )
 
 
@@ -433,7 +493,7 @@ class TestAsyncGossip:
         target = 0.9 * sync.best_accuracy
         _, result = self.run(workload, duration=4.0)
         assert result.best_accuracy >= target
-        assert result.time_to_accuracy(target) is not None
+        assert result.cost_to_reach(target, "time_s") is not None
 
     def test_exchanges_meter_traffic(self, workload):
         algorithm, result = self.run(workload)

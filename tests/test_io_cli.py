@@ -74,8 +74,20 @@ class TestResultIO:
         assert back.algorithm == "SAPS-PSGD"
         assert len(back.history) == 3
         assert (back.config.rounds, back.config.eval_every) == (4, 2)
+        # The sync clock was saved as `total_time_s`; it loads as time_s.
+        saved_history = json.loads(path.read_text())["history"]
+        assert "time_s" not in saved_history[-1]
+        assert [r.time_s for r in back.history] == [
+            r["total_time_s"] for r in saved_history
+        ]
+        assert back.horizon == back.history[-1].time_s > 0
         # And it round-trips through today's writer.
         assert result_from_dict(result_to_dict(back)) == back
+
+    def test_bare_event_run_without_config_round_trips(self):
+        result = make_result()
+        result.config = None  # what EventEngine.run returns on its own
+        assert result_from_dict(result_to_dict(result)) == result
 
     def test_json_is_plain(self, tmp_path):
         path = save_result(make_result(), tmp_path / "run.json")
@@ -99,6 +111,66 @@ class TestCLI:
         assert (tmp_path / "out.json").exists()
         back = load_result(tmp_path / "out.json")
         assert back.algorithm == "SAPS-PSGD"
+
+    def test_event_engine_sync_algorithm(self, capsys, tmp_path):
+        """`--engine event` with an algorithm that has no async variant:
+        the one round loop plus a compute model, the simulated-time
+        table, and `--output` like any other run."""
+        code = main(
+            [
+                "run", "--algorithm", "psgd", "--engine", "event",
+                "--workers", "4", "--rounds", "6", "--eval-every", "3",
+                "--compute-time", "0.05",
+                "--output", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "PSGD simulated-time trajectory" in out
+        assert "local steps" in out
+        assert "Saved trajectory" in out
+        back = load_result(tmp_path / "out.json")
+        assert back.config.engine == "event"
+        assert [r.round_index for r in back.history] == [-1, 2, 5]
+        last = back.history[-1]
+        assert last.compute_time_s == pytest.approx(6 * 0.05)
+        assert last.comm_time_s > 0
+        assert last.time_s == last.comm_time_s + last.compute_time_s
+        assert last.local_steps == 6 * 4
+        # No telemetry, no per-worker trace: no timeline table.
+        assert "Per-worker timeline" not in out
+
+    def test_event_engine_sync_algorithm_rejects_fault_plan(self):
+        with pytest.raises(SystemExit, match="asynchronous variant"):
+            main(
+                [
+                    "run", "--algorithm", "psgd", "--engine", "event",
+                    "--workers", "4", "--rounds", "2",
+                    "--fault-plan", "crash:1@0.5",
+                ]
+            )
+
+    def test_event_engine_async_variant_output_round_trips(
+        self, capsys, tmp_path
+    ):
+        code = main(
+            [
+                "run", "--algorithm", "d-psgd", "--engine", "event",
+                "--workers", "4", "--sim-time", "1.0",
+                "--checkpoint-every", "0.5",
+                "--output", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "simulated-time trajectory" in out
+        assert "Per-worker timeline" in out
+        back = load_result(tmp_path / "out.json")
+        assert [r.time_s for r in back.history] == [0.0, 0.5, 1.0]
+        assert back.horizon == 1.0
+        assert back.total_local_steps == back.history[-1].local_steps > 0
+        assert back.history[-1].mean_staleness >= 0
+        assert back.history[-1].comm_time_s == 0.0
 
     def test_run_each_algorithm(self, capsys):
         for name in ["psgd", "fedavg", "d-psgd"]:

@@ -60,7 +60,6 @@ from repro.sim import (
     ExperimentConfig,
     run_event_experiment,
     run_experiment,
-    run_sync_timeline,
 )
 from repro.utils import parallel
 
@@ -387,14 +386,14 @@ class TestBitIdentity:
 # obsreport: the profile rebuilt from metrics alone
 # ======================================================================
 class TestObsReport:
-    def timeline_run(self):
+    def timeline_run(self, algorithm=None, mode="trace"):
         partitions, validation, model_factory, config, network = build_setup(
             seed=3, rounds=4
         )
-        recorder = obs.start("trace")
+        recorder = obs.start(mode)
         try:
-            result = run_sync_timeline(
-                SAPSPSGD(compression_ratio=10.0, base_seed=3),
+            result = run_experiment(
+                algorithm or SAPSPSGD(compression_ratio=10.0, base_seed=3),
                 partitions, validation, model_factory, config, network,
                 compute_model=ConstantCompute(0.05),
             )
@@ -409,6 +408,33 @@ class TestObsReport:
         reference = worker_timeline(result.trace, result.horizon)
         rebuilt = obs_worker_timeline(snapshot)
         assert rebuilt == reference
+
+    def test_sync_worker_lanes_use_the_per_transfer_layout(self):
+        """A sync ``--obs metrics`` run books each transfer on its own
+        link ends (the event engine's convention), not the round barrier
+        on everyone: SAPS workers on slow links show more comm_s."""
+        result, snapshot = self.timeline_run(mode="metrics")
+        rows = obs_worker_timeline(snapshot)
+        assert rows == worker_timeline(result.trace, result.horizon)
+        barrier = sum(result.round_comm_seconds)
+        comm = [row.comm_s for row in rows]
+        assert len(set(comm)) > 1
+        # tx and rx ends count separately, so a matched worker books at
+        # most twice the barrier.
+        assert 0 < min(comm) and max(comm) <= 2 * barrier + 1e-12
+        assert all(row.compute_s == pytest.approx(4 * 0.05) for row in rows)
+
+    def test_sync_collective_lands_on_every_participant(self):
+        """PSGD's all-reduce declares no link ends: every worker books
+        the whole collective."""
+        result, snapshot = self.timeline_run(PSGD(), mode="metrics")
+        rows = obs_worker_timeline(snapshot)
+        assert rows == worker_timeline(result.trace, result.horizon)
+        barrier = sum(result.round_comm_seconds)
+        assert barrier > 0
+        assert [row.comm_s for row in rows] == pytest.approx(
+            [barrier] * N_WORKERS
+        )
 
     def test_obs_worker_timeline_requires_horizon(self):
         with pytest.raises(ValueError):

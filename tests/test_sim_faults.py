@@ -189,6 +189,21 @@ class TestParse:
         with pytest.raises(ValueError, match="needs mttf= and mttr="):
             FaultPlan.parse("mttf=3", 4)
 
+    def test_unparsable_event_names_the_token_and_the_spec(self):
+        with pytest.raises(ValueError) as error:
+            FaultPlan.parse("crash:1@2,crash:x@3", 4)
+        message = str(error.value)
+        assert "'crash:x@3'" in message
+        assert "'crash:1@2,crash:x@3'" in message
+        assert "{spec" not in message
+
+    def test_non_numeric_rate_names_the_parameter_and_the_spec(self):
+        with pytest.raises(ValueError) as error:
+            FaultPlan.parse("mttf=abc,mttr=5", 4)
+        message = str(error.value)
+        assert "mttf=" in message and "'abc'" in message
+        assert "'mttf=abc,mttr=5'" in message
+
 
 class TestRoundProjections:
     def _plan(self):

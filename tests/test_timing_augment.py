@@ -124,7 +124,7 @@ class TestEngineComputeIntegration:
         )
         final = result.history[-1]
         assert final.compute_time_s == pytest.approx(1.0)  # 10 rounds x 0.1
-        assert final.total_time_s == pytest.approx(
+        assert final.time_s == pytest.approx(
             final.comm_time_s + final.compute_time_s
         )
 
