@@ -35,7 +35,7 @@ def run_saps(workload, bandwidth, rounds, seed=100, **saps_kwargs):
     return algorithm, result
 
 
-def test_ablation_compression_ratio(benchmark, mlp_workload, bandwidth_32):
+def test_ablation_compression_ratio(mlp_workload, bandwidth_32):
     """c sweep: traffic falls linearly with c; accuracy degrades slowly
     until consensus stalls — the trade-off behind the paper's c=100."""
 
@@ -61,7 +61,7 @@ def test_ablation_compression_ratio(benchmark, mlp_workload, bandwidth_32):
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("ablation_compression.txt", text)
 
     # Traffic scales ~1/c.
@@ -77,7 +77,7 @@ def test_ablation_compression_ratio(benchmark, mlp_workload, bandwidth_32):
     )
 
 
-def test_ablation_connectivity_gap(benchmark):
+def test_ablation_connectivity_gap():
     """T_thres sweep on the selector alone: a larger gap leaves more
     rounds for bandwidth-preferring matchings (higher utilized bandwidth)
     but slows information spreading (larger ρ of E[WᵀW])."""
@@ -117,7 +117,7 @@ def test_ablation_connectivity_gap(benchmark):
         )
         return text, stats
 
-    text, stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, stats = sweep()
     write_output("ablation_tthres.txt", text)
 
     # More frequent reconnection (small gap) = more fallback rounds.
@@ -129,7 +129,7 @@ def test_ablation_connectivity_gap(benchmark):
         assert gap_stats["rho"] < 1.0
 
 
-def test_ablation_bandwidth_threshold(benchmark):
+def test_ablation_bandwidth_threshold():
     """B_thres sweep: a higher threshold yields better matched links until
     the filtered graph gets too sparse to match within B*."""
     bandwidth = random_uniform_bandwidth(16, rng=11)
@@ -167,13 +167,13 @@ def test_ablation_bandwidth_threshold(benchmark):
         )
         return text, stats
 
-    text, stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, stats = sweep()
     write_output("ablation_bthres.txt", text)
     # Stricter filtering needs the bandwidth-blind second pass more often.
     assert stats[90]["second_pass"] >= stats[25]["second_pass"]
 
 
-def test_ablation_selector_policy(benchmark, mlp_workload, bandwidth_32):
+def test_ablation_selector_policy(mlp_workload, bandwidth_32):
     """Adaptive vs random vs fixed-ring at identical traffic: the policies
     move the *time* axis, not the traffic axis."""
 
@@ -202,7 +202,7 @@ def test_ablation_selector_policy(benchmark, mlp_workload, bandwidth_32):
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("ablation_selector.txt", text)
 
     traffic = {
@@ -219,7 +219,7 @@ def test_ablation_selector_policy(benchmark, mlp_workload, bandwidth_32):
     assert times["adaptive"] == min(times.values())
 
 
-def test_ablation_local_steps(benchmark, mlp_workload, bandwidth_32):
+def test_ablation_local_steps(mlp_workload, bandwidth_32):
     """Local-steps extension: more SGD steps between exchanges reduce the
     exchanges needed to a target (FedAvg's trick grafted onto SAPS), at
     the price of larger consensus distance."""
@@ -250,7 +250,7 @@ def test_ablation_local_steps(benchmark, mlp_workload, bandwidth_32):
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("ablation_local_steps.txt", text)
 
     # Fewer exchanges -> proportionally less traffic at equal SGD steps.
@@ -261,7 +261,7 @@ def test_ablation_local_steps(benchmark, mlp_workload, bandwidth_32):
     assert outcomes[2].final_accuracy >= outcomes[1].final_accuracy - 0.1
 
 
-def test_ablation_shared_vs_independent_mask(benchmark, mlp_workload, bandwidth_32):
+def test_ablation_shared_vs_independent_mask(mlp_workload, bandwidth_32):
     """The paper's shared-seed mask vs independent per-worker masks.
 
     With independent masks the two sides of an exchange select different
@@ -334,7 +334,7 @@ def test_ablation_shared_vs_independent_mask(benchmark, mlp_workload, bandwidth_
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("ablation_mask_scheme.txt", text)
 
     shared = outcomes["shared (paper)"]

@@ -18,7 +18,7 @@ from repro.sim import ExperimentConfig, make_workers, paper_algorithm_suite, Sui
 from benchmarks.conftest import BENCH_SETTINGS, write_output
 
 
-def test_traffic_breakdown(benchmark, mlp_workload, bandwidth_32):
+def test_traffic_breakdown(mlp_workload, bandwidth_32):
     partitions, validation, factory = mlp_workload
     config = ExperimentConfig(
         rounds=20, batch_size=16, lr=0.1, eval_every=20, seed=50
@@ -48,7 +48,7 @@ def test_traffic_breakdown(benchmark, mlp_workload, bandwidth_32):
         )
         return text, breakdowns, meters
 
-    text, breakdowns, meters = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, breakdowns, meters = sweep()
     write_output("traffic_breakdown.txt", text)
 
     # Decentralized algorithms never touch the server during training.

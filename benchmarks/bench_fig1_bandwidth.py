@@ -43,8 +43,8 @@ def build_figure():
     return raw + "\n\n" + summary
 
 
-def test_fig1_bandwidth_matrix(benchmark):
-    text = benchmark.pedantic(build_figure, rounds=1, iterations=1)
+def test_fig1_bandwidth_matrix():
+    text = build_figure()
     write_output("fig1_bandwidth.txt", text)
 
     matrix = FIG1_BANDWIDTH_MBPS

@@ -22,10 +22,8 @@ def render_fig3(results, label):
     return "\n".join(lines)
 
 
-def test_fig3_convergence_mlp(benchmark, mlp_results):
-    text = benchmark.pedantic(
-        lambda: render_fig3(mlp_results, "MLP workload"), rounds=1, iterations=1
-    )
+def test_fig3_convergence_mlp(mlp_results):
+    text = render_fig3(mlp_results, "MLP workload")
     write_output("fig3_convergence_mlp.txt", text)
 
     final = {name: r.final_accuracy for name, r in mlp_results.items()}
@@ -38,10 +36,8 @@ def test_fig3_convergence_mlp(benchmark, mlp_results):
     assert final["PSGD"] >= max(final.values()) - 0.05
 
 
-def test_fig3_convergence_cnn(benchmark, cnn_results):
-    text = benchmark.pedantic(
-        lambda: render_fig3(cnn_results, "CNN workload"), rounds=1, iterations=1
-    )
+def test_fig3_convergence_cnn(cnn_results):
+    text = render_fig3(cnn_results, "CNN workload")
     write_output("fig3_convergence_cnn.txt", text)
 
     final = {name: r.final_accuracy for name, r in cnn_results.items()}

@@ -32,10 +32,8 @@ def render_fig4(results, label):
     return "\n".join(lines)
 
 
-def test_fig4_traffic_mlp(benchmark, mlp_results):
-    text = benchmark.pedantic(
-        lambda: render_fig4(mlp_results, "MLP workload"), rounds=1, iterations=1
-    )
+def test_fig4_traffic_mlp(mlp_results):
+    text = render_fig4(mlp_results, "MLP workload")
     write_output("fig4_traffic_mlp.txt", text)
 
     target = pick_common_target(mlp_results, fraction_of_best=0.85)
@@ -51,7 +49,7 @@ def test_fig4_traffic_mlp(benchmark, mlp_results):
     assert cost["D-PSGD"] / cost["SAPS-PSGD"] > 10.0
 
 
-def test_fig4_frontier_dominance(benchmark, mlp_results):
+def test_fig4_frontier_dominance(mlp_results):
     """Where do the Fig. 4 curves cross?  SAPS-PSGD must lead the
     accuracy-at-budget frontier for the majority of (log-spaced) traffic
     budgets — the strongest form of "SAPS spends the smallest amount of
@@ -71,7 +69,7 @@ def test_fig4_frontier_dominance(benchmark, mlp_results):
         )
         return text, summary
 
-    text, summary = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    text, summary = analyze()
     write_output("fig4_dominance.txt", text)
     assert max(summary, key=summary.get) == "SAPS-PSGD"
     # At saturating budgets every algorithm ties at top accuracy and the
@@ -81,10 +79,8 @@ def test_fig4_frontier_dominance(benchmark, mlp_results):
     assert summary["SAPS-PSGD"] >= 2 * runner_up
 
 
-def test_fig4_traffic_cnn(benchmark, cnn_results):
-    text = benchmark.pedantic(
-        lambda: render_fig4(cnn_results, "CNN workload"), rounds=1, iterations=1
-    )
+def test_fig4_traffic_cnn(cnn_results):
+    text = render_fig4(cnn_results, "CNN workload")
     write_output("fig4_traffic_cnn.txt", text)
 
     target = pick_common_target(cnn_results, fraction_of_best=0.8)

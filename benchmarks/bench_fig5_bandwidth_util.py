@@ -66,11 +66,10 @@ def run_environment(bandwidth, label, seed):
     return "\n".join(lines), means, ring
 
 
-def test_fig5_14_worker_environment(benchmark):
+def test_fig5_14_worker_environment():
     bandwidth = fig1_environment()
-    text, means, ring = benchmark.pedantic(
-        lambda: run_environment(bandwidth, "14 workers, Fig. 1", seed=1),
-        rounds=1, iterations=1,
+    text, means, ring = run_environment(
+        bandwidth, "14 workers, Fig. 1", seed=1
     )
     write_output("fig5_bandwidth_14.txt", text)
     # Paper: SAPS selects higher-bandwidth peers than both baselines.
@@ -81,11 +80,10 @@ def test_fig5_14_worker_environment(benchmark):
     assert means["RandomChoose"] > ring
 
 
-def test_fig5_32_worker_environment(benchmark):
+def test_fig5_32_worker_environment():
     bandwidth = random_uniform_bandwidth(32, rng=7)
-    text, means, ring = benchmark.pedantic(
-        lambda: run_environment(bandwidth, "32 workers, uniform (0,5]", seed=2),
-        rounds=1, iterations=1,
+    text, means, ring = run_environment(
+        bandwidth, "32 workers, uniform (0,5]", seed=2
     )
     write_output("fig5_bandwidth_32.txt", text)
     assert means["SAPS-PSGD"] > means["RandomChoose"] > ring

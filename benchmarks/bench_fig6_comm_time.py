@@ -21,10 +21,8 @@ def render_fig6(results, label):
     return "\n".join(lines)
 
 
-def test_fig6_comm_time(benchmark, mlp_results):
-    text = benchmark.pedantic(
-        lambda: render_fig6(mlp_results, "MLP workload"), rounds=1, iterations=1
-    )
+def test_fig6_comm_time(mlp_results):
+    text = render_fig6(mlp_results, "MLP workload")
     write_output("fig6_comm_time.txt", text)
 
     target = pick_common_target(mlp_results, fraction_of_best=0.85)

@@ -27,7 +27,7 @@ NUM_WORKERS = 16
 COMPRESSION = 100.0
 
 
-def test_degree_tradeoff(benchmark):
+def test_degree_tradeoff():
     def sweep():
         rows = []
         stats = {}
@@ -70,7 +70,7 @@ def test_degree_tradeoff(benchmark):
         )
         return text, stats
 
-    text, stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, stats = sweep()
     write_output("multipeer_tradeoff.txt", text)
 
     # rho decreases monotonically with degree...
@@ -86,7 +86,7 @@ def test_degree_tradeoff(benchmark):
     assert horizon[4] / horizon[8] < 2.0
 
 
-def test_degree_one_matches_random_selector(benchmark):
+def test_degree_one_matches_random_selector():
     """MultiPeerSelector(k=1) must be statistically equivalent to the
     single-peer RandomPeerSelector (same rho within noise)."""
 
@@ -101,5 +101,5 @@ def test_degree_one_matches_random_selector(benchmark):
         )
         return rho_multi, rho_single
 
-    rho_multi, rho_single = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rho_multi, rho_single = measure()
     assert abs(rho_multi - rho_single) < 0.05

@@ -28,7 +28,7 @@ from repro.network import random_uniform_bandwidth
 from benchmarks.conftest import write_output
 
 
-def test_topology_optimization_small_exact(benchmark):
+def test_topology_optimization_small_exact():
     def solve():
         rows = []
         stats = []
@@ -53,7 +53,7 @@ def test_topology_optimization_small_exact(benchmark):
         )
         return text, stats
 
-    text, stats = benchmark.pedantic(solve, rounds=1, iterations=1)
+    text, stats = solve()
     write_output("ring_opt_small.txt", text)
 
     for naive, greedy, two_opt, exact, matching in stats:
@@ -67,7 +67,7 @@ def test_topology_optimization_small_exact(benchmark):
     assert means[0] == min(means)
 
 
-def test_topology_optimization_paper_scale(benchmark):
+def test_topology_optimization_paper_scale():
     """n=32 (the paper's worker count): heuristics + polynomial matching
     only; the exact ring solver is exactly what is infeasible here."""
 
@@ -87,8 +87,6 @@ def test_topology_optimization_paper_scale(benchmark):
         )
         return text, naive, two_opt, matching
 
-    text, naive, two_opt, matching = benchmark.pedantic(
-        solve, rounds=1, iterations=1
-    )
+    text, naive, two_opt, matching = solve()
     write_output("ring_opt_32.txt", text)
     assert matching > two_opt > naive

@@ -29,7 +29,7 @@ NUM_WORKERS = 12
 ROUNDS = 120
 
 
-def test_robustness_to_churn(benchmark):
+def test_robustness_to_churn():
     full = make_blobs(num_samples=70 * NUM_WORKERS + 300, rng=41)
     train, validation = full.split(fraction=0.85, rng=41)
     partitions = partition_iid(train, NUM_WORKERS, rng=41)
@@ -72,7 +72,7 @@ def test_robustness_to_churn(benchmark):
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("robustness_churn.txt", text)
 
     # Both still converge (single-peer gossip is churn-tolerant), and
@@ -84,7 +84,7 @@ def test_robustness_to_churn(benchmark):
     )
 
 
-def test_robustness_to_bandwidth_drift(benchmark):
+def test_robustness_to_bandwidth_drift():
     def sweep():
         truth = DriftingBandwidth(
             random_uniform_bandwidth(NUM_WORKERS, rng=5), drift=0.08, rng=5
@@ -122,15 +122,13 @@ def test_robustness_to_bandwidth_drift(benchmark):
         )
         return text, float(np.mean(stale_bw)), float(np.mean(fresh_bw))
 
-    text, stale_mean, fresh_mean = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
-    )
+    text, stale_mean, fresh_mean = sweep()
     write_output("robustness_drift.txt", text)
     # Re-estimation must beat the stale snapshot once truth has drifted.
     assert fresh_mean > stale_mean
 
 
-def test_churn_availability_model(benchmark):
+def test_churn_availability_model():
     """Sanity-bench the churn substrate itself: stationary availability
     matches drop/(drop+return) theory across parameterizations."""
 
@@ -152,7 +150,7 @@ def test_churn_availability_model(benchmark):
         )
         return text, rows
 
-    text, rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, rows = sweep()
     write_output("robustness_churn_model.txt", text)
     for _, _, expected, measured in rows:
         assert abs(measured - expected) < 0.08

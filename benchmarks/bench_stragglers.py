@@ -23,7 +23,7 @@ from repro.sim import (
 from benchmarks.conftest import BENCH_SETTINGS, write_output
 
 
-def test_straggler_sensitivity(benchmark, mlp_workload, bandwidth_32):
+def test_straggler_sensitivity(mlp_workload, bandwidth_32):
     partitions, validation, factory = mlp_workload
     num_workers = len(partitions)
     config = ExperimentConfig(
@@ -66,7 +66,7 @@ def test_straggler_sensitivity(benchmark, mlp_workload, bandwidth_32):
         )
         return text, outcomes
 
-    text, outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    text, outcomes = sweep()
     write_output("straggler_sensitivity.txt", text)
 
     finals = {name: r.history[-1] for name, r in outcomes.items()}

@@ -52,8 +52,8 @@ def build_table():
     return costs, text
 
 
-def test_table1_comm_cost(benchmark):
-    costs, text = benchmark.pedantic(build_table, rounds=1, iterations=1)
+def test_table1_comm_cost():
+    costs, text = build_table()
     write_output("table1_comm_cost.txt", text)
 
     by_name = cost_models_by_name(costs)

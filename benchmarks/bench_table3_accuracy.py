@@ -33,10 +33,8 @@ def build_table(mlp_results, cnn_results):
     )
 
 
-def test_table3_accuracy(benchmark, mlp_results, cnn_results):
-    text = benchmark.pedantic(
-        lambda: build_table(mlp_results, cnn_results), rounds=1, iterations=1
-    )
+def test_table3_accuracy(mlp_results, cnn_results):
+    text = build_table(mlp_results, cnn_results)
     write_output("table3_accuracy.txt", text)
 
     for results, chance in [(mlp_results, 0.1), (cnn_results, 0.25)]:

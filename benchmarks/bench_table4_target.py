@@ -40,12 +40,9 @@ def build_table(results, label, target):
     ), rows_by_name
 
 
-def test_table4_mlp(benchmark, mlp_results):
+def test_table4_mlp(mlp_results):
     target = pick_common_target(mlp_results, fraction_of_best=0.85)
-    text, rows = benchmark.pedantic(
-        lambda: build_table(mlp_results, "MLP workload", target),
-        rounds=1, iterations=1,
-    )
+    text, rows = build_table(mlp_results, "MLP workload", target)
     write_output("table4_target_mlp.txt", text)
 
     saps = rows["SAPS-PSGD"]
@@ -58,12 +55,9 @@ def test_table4_mlp(benchmark, mlp_results):
         assert saps.time_seconds <= row.time_seconds, name
 
 
-def test_table4_cnn(benchmark, cnn_results):
+def test_table4_cnn(cnn_results):
     target = pick_common_target(cnn_results, fraction_of_best=0.8)
-    text, rows = benchmark.pedantic(
-        lambda: build_table(cnn_results, "CNN workload", target),
-        rounds=1, iterations=1,
-    )
+    text, rows = build_table(cnn_results, "CNN workload", target)
     write_output("table4_target_cnn.txt", text)
 
     saps = rows["SAPS-PSGD"]

@@ -1,18 +1,23 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures of the paper-claim tests (``bench_fig*.py``,
+``bench_table*.py``, the ablation / multipeer / ring-opt / straggler /
+robustness / breakdown studies).
+
+They are ordinary pytest functions — nothing is timed and no plugin is
+needed — that recompute a figure or table at reduced scale, assert the
+paper's ordering on it and write the rendering to ``benchmarks/output/``.
+pytest's default file pattern does not match ``bench_*.py``, so name the
+files::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q   # 28 tests, ~10 s
 
 The evaluation workloads are computed once per session (they are shared by
 Fig. 3/4/6 and Tables III/IV, exactly as in the paper) and each bench file
-extracts, renders and checks its own table/figure.  Rendered outputs are
-written to ``benchmarks/output/`` so a run leaves the regenerated
-tables/figures on disk.
+extracts, renders and checks its own table/figure.
 
 Scaling knobs (environment variables):
 
 ``REPRO_BENCH_WORKERS``  worker count (default 16; paper: 32)
 ``REPRO_BENCH_ROUNDS``   communication rounds (default 150)
-
-With the defaults the full benchmark suite runs in a few minutes on a
-laptop; set ``REPRO_BENCH_WORKERS=32`` for the paper's scale.
 """
 
 from __future__ import annotations

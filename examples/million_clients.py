@@ -70,7 +70,6 @@ def run_fedavg(args, task, dense_bytes: int) -> int:
         network,
         compute_model=ConstantCompute(args.compute_time),
         population=population,
-        record_trace=False,  # per-worker traces are O(events) memory
     )
 
     print(f"arena capacity      : {algorithm.arena.capacity} rows "

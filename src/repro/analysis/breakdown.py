@@ -50,34 +50,19 @@ class TrafficBreakdown:
 
 
 def breakdown_traffic(meter: TrafficMeter) -> TrafficBreakdown:
-    """Decompose a :class:`TrafficMeter`'s records."""
+    """Decompose a :class:`TrafficMeter`'s per-node totals."""
     n = meter.num_workers
-    up = np.zeros(n)
-    down = np.zeros(n)
-    peer_to_peer = 0
-    worker_to_server = 0
-    server_to_worker = 0
-    for record in meter.records:
-        sender, receiver, num_bytes = (
-            record.sender, record.receiver, record.num_bytes
-        )
-        if sender == TrafficMeter.SERVER:
-            server_to_worker += num_bytes
-            down[receiver] += num_bytes
-        elif receiver == TrafficMeter.SERVER:
-            worker_to_server += num_bytes
-            up[sender] += num_bytes
-        else:
-            peer_to_peer += num_bytes
-            up[sender] += num_bytes
-            down[receiver] += num_bytes
+    sent, received = meter._sent, meter._received
+    server_to_worker = float(sent[n])
+    worker_to_server = float(received[n])
+    peer_to_peer = meter.total_bytes - server_to_worker - worker_to_server
     return TrafficBreakdown(
-        worker_up=up / MB,
-        worker_down=down / MB,
+        worker_up=sent[:n] / MB,
+        worker_down=received[:n] / MB,
         peer_to_peer_mb=peer_to_peer / MB,
         worker_to_server_mb=worker_to_server / MB,
         server_to_worker_mb=server_to_worker / MB,
-        num_transfers=len(meter.records),
+        num_transfers=meter.num_transfers,
     )
 
 
@@ -85,14 +70,18 @@ def payload_size_histogram(
     meter: TrafficMeter, num_bins: int = 8
 ) -> Dict[str, List]:
     """Histogram of per-transfer sizes (bytes), log-spaced bins."""
-    sizes = np.array([r.num_bytes for r in meter.records if r.num_bytes > 0])
-    if sizes.size == 0:
+    tally = {n: count for n, count in meter.size_counts.items() if n > 0}
+    if not tally:
         return {"edges": [], "counts": []}
+    sizes = np.array(list(tally))
+    counts = np.array(list(tally.values()))
     low, high = sizes.min(), sizes.max()
     if low == high:
-        return {"edges": [float(low), float(high)], "counts": [int(sizes.size)]}
+        return {
+            "edges": [float(low), float(high)], "counts": [int(counts.sum())]
+        }
     edges = np.logspace(np.log10(low), np.log10(high), num_bins + 1)
-    counts, _ = np.histogram(sizes, bins=edges)
+    counts, _ = np.histogram(sizes, bins=edges, weights=counts)
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 

@@ -91,10 +91,12 @@ def render_time_to_accuracy(rows: List[TimeToAccuracy]) -> str:
 
 
 def worker_timeline(trace, horizon: float) -> List[WorkerTimeline]:
-    """Per-worker compute/communication/idle seconds over ``horizon``.
+    """Per-worker compute/communication/idle seconds over ``horizon`` —
+    the run's own (``result.horizon``): the trace's sums are clipped at
+    it and answer for no other.
 
     A worker's transmit and receive ends are counted separately (the
-    trace holds one interval per link end), so a full-duplex exchange
+    trace is told of one interval per link end), so a full-duplex exchange
     counts twice in ``comm_s``; communication may also overlap
     computation (AD-PSGD's design).  Idle is therefore clamped at 0 and
     utilization at 1 rather than computed by interval union.

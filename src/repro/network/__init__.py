@@ -24,7 +24,6 @@ from repro.network.metrics import (
     MB,
     CommunicationTimer,
     TrafficMeter,
-    TransferRecord,
     utilized_bandwidth_per_round,
 )
 from repro.network.transport import SimulatedNetwork
@@ -59,7 +58,6 @@ __all__ = [
     "threshold_graph",
     "MB",
     "TrafficMeter",
-    "TransferRecord",
     "CommunicationTimer",
     "utilized_bandwidth_per_round",
     "SimulatedNetwork",

@@ -9,7 +9,6 @@ transfers of bytes / link_bandwidth``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -17,18 +16,13 @@ import numpy as np
 MB = 1024.0 * 1024.0
 
 
-@dataclass
-class TransferRecord:
-    """One directed transfer within a round."""
-
-    round_index: int
-    sender: int
-    receiver: int
-    num_bytes: int
-
-
 class TrafficMeter:
-    """Accumulates transfers and answers the paper's accounting queries.
+    """Accumulates transfer totals and answers the paper's accounting
+    queries.
+
+    Nothing is kept per transfer: per-node sent/received sums, the two
+    run totals and a count per distinct payload size are all any report
+    reads, so memory does not grow with the length of a run.
 
     ``sender``/``receiver`` of ``-1`` denotes the central node (parameter
     server or coordinator), so centralized baselines share the same meter.
@@ -40,15 +34,16 @@ class TrafficMeter:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = num_workers
-        self.records: List[TransferRecord] = []
+        #: Bytes sent / received per node; the last slot is the server.
         self._sent = np.zeros(num_workers + 1, dtype=np.float64)
         self._received = np.zeros(num_workers + 1, dtype=np.float64)
-        #: Running totals, kept O(1) so the telemetry layer
-        #: (``network.bytes_wire`` / ``network.transfers`` in
-        #: :mod:`repro.obs`) can mirror them every round without
-        #: walking :attr:`records`.
+        #: Run totals (``network.bytes_wire`` / ``network.transfers`` in
+        #: :mod:`repro.obs` mirror them every round).
         self.total_bytes = 0
         self.num_transfers = 0
+        #: ``{num_bytes: transfers of that size}`` — a run has a handful
+        #: of distinct payload sizes.
+        self.size_counts: Dict[int, int] = {}
 
     def _slot(self, node: int) -> int:
         if node == self.SERVER:
@@ -63,13 +58,11 @@ class TrafficMeter:
         """Account one directed transfer of ``num_bytes``."""
         if num_bytes < 0:
             raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
-        self.records.append(
-            TransferRecord(round_index, sender, receiver, num_bytes)
-        )
         self._sent[self._slot(sender)] += num_bytes
         self._received[self._slot(receiver)] += num_bytes
         self.total_bytes += num_bytes
         self.num_transfers += 1
+        self.size_counts[num_bytes] = self.size_counts.get(num_bytes, 0) + 1
 
     # ------------------------------------------------------------------
     # queries

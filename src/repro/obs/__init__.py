@@ -223,7 +223,7 @@ def record_worker_timeline(trace, horizon: float) -> None:
     and utilization from, so ``obsreport`` reproduces those numbers
     from the registry alone."""
     registry = _current.registry
-    if registry is None or trace is None or not trace.intervals:
+    if registry is None or trace is None or not trace.totals:
         return
     registry.gauge("run.horizon_s", float(horizon))
     for kind in ("compute", "comm"):

@@ -38,7 +38,6 @@ from repro.sim.events import (
     EventEngine,
     EventQueue,
     EventTrace,
-    NullTrace,
     run_event_experiment,
 )
 from repro.sim.population import (
@@ -83,7 +82,6 @@ __all__ = [
     "EventEngine",
     "EventQueue",
     "EventTrace",
-    "NullTrace",
     "ClientPopulation",
     "AlwaysUp",
     "RenewalPopulation",

@@ -6,7 +6,8 @@ The binary-heap :class:`~repro.sim.events.EventQueue` pays ``O(log n)``
 population of a few hundred thousand (a million-client sampled run keeps
 one in-flight cycle per active participant plus the population model's
 wake-ups) that is ~17 list comparisons per operation and the queue tops
-out around 0.4M ev/s (``event_round`` in ``BENCH_hot_paths.json``).
+out around 0.4M ev/s (the heap arm of ``event_throughput`` in
+``benchmarks/bench_hot_paths.py``).
 
 A calendar queue [Brown 1988] replaces the heap with timestamp buckets:
 

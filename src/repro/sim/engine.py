@@ -447,7 +447,14 @@ def run_experiment(
         round_comm = sum(timer.round_seconds[phases_before:])
         result.round_compute_seconds.append(round_compute)
         result.round_comm_seconds.append(round_comm)
+        is_last = round_index == config.rounds - 1
         if result.trace is not None:
+            if is_last:
+                # The clock as it stands is the run's horizon; earlier
+                # rounds close before it, so only this one can be clipped.
+                result.trace.horizon = (
+                    network.total_time_seconds() + compute_seconds
+                )
             _trace_round(
                 result.trace, round_index, participants, steps, compute_model,
                 round_start, round_start + round_compute,
@@ -461,7 +468,6 @@ def run_experiment(
             obs.end_round(round_index)
         if round_callback is not None:
             round_callback(round_index, running_loss)
-        is_last = round_index == config.rounds - 1
         if (round_index + 1) % config.eval_every == 0 or is_last:
             snapshot(round_index, running_loss)
     if result.trace is not None:

@@ -11,8 +11,8 @@ provides the missing execution layer:
   pop in push order), so a run's event order — and therefore every RNG
   draw made inside handlers — is a pure function of config + seed;
 * :class:`EventEngine` — per-worker clocks, per-endpoint link clocks
-  (contention, on by default), and a :class:`EventTrace` of
-  compute/communication intervals, unifying the
+  (contention, on by default), and a :class:`EventTrace` of per-worker
+  compute/communication busy totals, unifying the
   :class:`~repro.sim.timing.ComputeModel`, the bandwidth matrix, churn
   (:mod:`repro.sim.dynamics`) and loss models
   (:mod:`repro.network.faults`) into one simulated-wall-clock timeline;
@@ -31,7 +31,6 @@ does.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,28 +154,30 @@ class EventQueue:
         return self._live > 0
 
 
-@dataclass
-class TraceInterval:
-    """One busy interval of one worker on the simulated clock."""
-
-    worker: int
-    kind: str  # "compute" | "comm"
-    start: float
-    end: float
-
-
 class EventTrace:
-    """Per-worker compute/communication intervals of one run.
+    """Per-worker compute/communication busy totals of one run.
 
     Feeds the timeline reports in :mod:`repro.analysis.timeline`
     (compute / communication / idle breakdown per worker).  Communication
     may overlap computation (AD-PSGD's point), so idle time is derived as
     ``max(horizon - compute - comm, 0)`` rather than interval arithmetic.
+
+    Nothing is kept per interval: :meth:`add` folds each one into its
+    worker's running sums, so storage grows with the workers that were
+    ever busy — not with events, and not with enrolment.
     """
 
     def __init__(self, num_workers: int) -> None:
         self.num_workers = num_workers
-        self.intervals: List[TraceInterval] = []
+        #: End of the run on the simulated clock, set by whoever drives
+        #: the run once it is known (:meth:`EventEngine.run` up front,
+        #: the round loop before its last round).  Intervals added from
+        #: then on are also summed clipped at it — a worker mid-compute
+        #: when the clock ran out.
+        self.horizon: Optional[float] = None
+        #: ``totals[kind, worker] = [whole, clipped]`` seconds, each a
+        #: running sum in :meth:`add` order.
+        self.totals: Dict[Tuple[str, int], List[float]] = {}
         #: Optional :class:`repro.obs.TraceRecorder` that every interval
         #: is forwarded to as a simulated-time lane (set by the engine
         #: when a trace-mode recorder is installed).  This makes the
@@ -189,36 +190,35 @@ class EventTrace:
         if end < start:
             raise ValueError(f"interval ends before it starts: {start} > {end}")
         if end > start:  # zero-length intervals carry no information
-            self.intervals.append(TraceInterval(worker, kind, start, end))
             if self.sink is not None:
                 self.sink.add_sim_span(worker, kind, start, end)
+            lane = self.totals.get((kind, worker))
+            if lane is None:
+                lane = self.totals[kind, worker] = [0.0, 0.0]
+            lane[0] += end - start
+            horizon = self.horizon
+            if horizon is not None and end > horizon:
+                end = horizon
+            if end > start:
+                lane[1] += end - start
 
     def busy_seconds(
         self, kind: str, horizon: Optional[float] = None
     ) -> np.ndarray:
-        """Total seconds per worker spent in intervals of ``kind``.
-
-        ``horizon`` clips intervals that were scheduled past the end of
-        the run (a worker mid-compute when the clock ran out)."""
+        """Total seconds per worker spent in intervals of ``kind``:
+        whole intervals without ``horizon``, clipped at the run's end
+        with it (the only horizon the running sums can answer for)."""
+        if horizon is not None and horizon != self.horizon:
+            raise ValueError(
+                f"this trace was clipped at its run's horizon "
+                f"{self.horizon}, not {horizon}"
+            )
+        column = 0 if horizon is None else 1
         totals = np.zeros(self.num_workers, dtype=np.float64)
-        for interval in self.intervals:
-            if interval.kind == kind and 0 <= interval.worker < self.num_workers:
-                end = interval.end if horizon is None else min(interval.end, horizon)
-                if end > interval.start:
-                    totals[interval.worker] += end - interval.start
+        for (lane_kind, worker), lane in self.totals.items():
+            if lane_kind == kind and 0 <= worker < self.num_workers:
+                totals[worker] = lane[column]
         return totals
-
-
-class NullTrace(EventTrace):
-    """Trace sink that records nothing.
-
-    Million-client runs generate interval objects faster than anything
-    will ever read them; ``EventEngine(record_trace=False)`` swaps this
-    in so tracing cost scales with *analysed* runs, not all runs."""
-
-    def add(self, worker: int, kind: str, start: float, end: float) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start} > {end}")
 
 
 class EventEngine:
@@ -249,7 +249,6 @@ class EventEngine:
         recovery: Optional[RecoveryPolicy] = None,
         scheduler: str = "calendar",
         population=None,
-        record_trace: bool = True,
     ) -> None:
         self.network = network
         self.num_workers = network.num_workers
@@ -280,13 +279,8 @@ class EventEngine:
         #: keep the authoritative per-worker state machines).
         self.worker_free = np.zeros(self.num_workers, dtype=np.float64)
         self._link_free: Dict[Tuple, float] = {}
-        self.trace = (
-            EventTrace(self.num_workers)
-            if record_trace
-            else NullTrace(self.num_workers)
-        )
-        if record_trace and obs.recorder().trace is not None:
-            self.trace.sink = obs.recorder().trace
+        self.trace = EventTrace(self.num_workers)
+        self.trace.sink = obs.recorder().trace
         self.events_processed = 0
         # --- fault state -------------------------------------------------
         # The contract: with no plan (or an empty one) the engine performs
@@ -629,6 +623,7 @@ class EventEngine:
             )
         algorithm.bind(self)
         self._algorithm = algorithm
+        self.trace.horizon = float(duration)
         result = ExperimentResult(algorithm=algorithm.name, trace=self.trace)
         if self.faults_active:
             self._schedule_faults(float(duration))

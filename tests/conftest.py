@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,19 @@ def grad_check():
             )
 
     return check
+
+
+def settled_growth(call, calls=100_000):
+    """Bytes ``call()`` still allocates once it has settled: tracemalloc
+    growth over the last 90 % of ``calls`` identical invocations.  Zero
+    for anything that keeps totals — give or take the loop's own few
+    dozen bytes of bookkeeping — and megabytes for one object per call."""
+    tracemalloc.start()
+    try:
+        for index in range(calls):
+            if index == calls // 10:
+                settled = tracemalloc.get_traced_memory()[0]
+            call(index)
+        return tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()

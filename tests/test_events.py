@@ -42,11 +42,13 @@ from repro.sim import (
     ConstantCompute,
     EventEngine,
     EventQueue,
+    EventTrace,
     ExperimentConfig,
     HeterogeneousCompute,
     run_event_experiment,
     run_experiment,
 )
+from tests.conftest import settled_growth
 
 
 class TestEventQueue:
@@ -479,7 +481,7 @@ class TestAsyncGossip:
             assert a.worker_traffic_mb == b.worker_traffic_mb
             assert a.local_steps == b.local_steps
         assert first.events_processed == second.events_processed
-        assert len(first.trace.intervals) == len(second.trace.intervals)
+        assert first.trace.totals == second.trace.totals
 
     def test_reaches_sync_target_accuracy(self, workload):
         """Acceptance criterion: the async variant reaches the sync
@@ -649,6 +651,40 @@ class TestAsyncFedAvg:
             AsyncFedAvg(mixing=0.0)
         with pytest.raises(ValueError):
             AsyncFedAvg(staleness_power=-1.0)
+
+
+class TestEventTrace:
+    def test_memory_does_not_grow_with_intervals(self):
+        """The trace keeps per-worker totals, not one object per interval
+        (which grew this by 10 MB): once all 32 workers have been busy,
+        further adds allocate nothing."""
+        trace = EventTrace(32)
+        growth = settled_growth(
+            lambda index: trace.add(index % 32, "compute", 1.0, 1.5)
+        )
+        assert abs(growth) < 512
+        np.testing.assert_array_equal(
+            trace.busy_seconds("compute"), 100_000 / 32 * 0.5
+        )
+
+    def test_storage_follows_busy_workers_not_enrolment(self):
+        trace = EventTrace(1_000_000)
+        trace.add(7, "compute", 0.0, 1.0)
+        trace.add(999_999, "comm", 0.0, 2.0)
+        assert len(trace.totals) == 2
+        assert trace.busy_seconds("comm")[999_999] == 2.0
+
+    def test_clips_at_the_run_horizon_as_intervals_arrive(self):
+        trace = EventTrace(2)
+        trace.horizon = 10.0
+        trace.add(0, "compute", 8.0, 12.0)  # mid-compute when time ran out
+        trace.add(0, "compute", 11.0, 12.0)  # wholly past the end
+        trace.add(1, "comm", 1.0, 2.0)
+        assert trace.busy_seconds("compute").tolist() == [5.0, 0.0]
+        assert trace.busy_seconds("compute", 10.0).tolist() == [2.0, 0.0]
+        assert trace.busy_seconds("comm", 10.0).tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="horizon 10.0, not 9.0"):
+            trace.busy_seconds("compute", 9.0)
 
 
 class TestTimelineAnalysis:

@@ -27,6 +27,7 @@ from repro.network import (
     threshold_graph,
     utilized_bandwidth_per_round,
 )
+from tests.conftest import settled_growth
 
 
 class TestFig1Data:
@@ -176,6 +177,15 @@ class TestTrafficMeter:
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
             TrafficMeter(2).record(0, 0, 5, 1)
+
+    def test_memory_does_not_grow_with_transfers(self):
+        """The meter keeps totals, not one object per transfer (which
+        grew this by 10 MB)."""
+        meter = TrafficMeter(4)
+        growth = settled_growth(lambda _: meter.record(0, 0, 1, 4096))
+        assert abs(growth) < 512
+        assert meter.num_transfers == 100_000
+        assert meter.size_counts == {4096: 100_000}
 
 
 class TestCommunicationTimer:
