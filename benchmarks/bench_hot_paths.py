@@ -1,4 +1,4 @@
-"""The four timing questions a whole single-thread run cannot answer.
+"""The five timing questions a whole single-thread run cannot answer.
 
 ``benchmarks/e2e`` owns whole-run timing (wall-clock, memory, traffic and
 time to target, per layer) on five untraced single-thread workloads.
@@ -17,9 +17,13 @@ and held by the :data:`GATES` table below:
   what the heap would have cost;
 * ``fault_round`` — an async-gossip run with no fault plan vs an *empty*
   :class:`repro.sim.FaultPlan`: the empty plan must schedule nothing
-  and cost nothing.
+  and cost nothing;
+* ``peer_selection`` — the spread of one ``AdaptivePeerSelector.select``
+  at n = 1024 over seeds and rounds: a whole run reports a total, and a
+  fallback round that costs 100× the median (the third one did, before
+  PR 21) hides inside it.
 
-The last three are A/Bs and share one primitive, :func:`_paired_ratio`:
+The middle three are A/Bs and share one primitive, :func:`_paired_ratio`:
 order-balanced pairs, judged by the median of per-pair ratios.
 
 Usage::
@@ -30,7 +34,7 @@ Writes the readings to ``BENCH_hot_paths.json`` (untracked: a file every
 run overwrites from a different machine is not a history), checks every
 row of :data:`GATES` against them, lists each breached row and exits
 non-zero if there is one.  ``--quick`` takes fewer repeats and A/B pairs
-(< 50 s on two cores).
+(< 55 s on two cores).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import numpy as np
 from repro import obs
 from repro.algorithms.asynchronous import AsyncGossip
 from repro.algorithms.decentralized import DPSGD
+from repro.core.gossip import AdaptivePeerSelector
 from repro.data import make_blobs, partition_iid
 from repro.network.bandwidth import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
@@ -87,6 +92,11 @@ GATES = [
     # An empty FaultPlan is contractually inert.
     ("fault_round", "extra_events", "==", lambda cpus: 0),
     ("fault_round", "overhead", "<=", lambda cpus: 0.05),
+    # A ratio, so it travels between machines: no round of Algorithm 3 —
+    # fallback and connectivity-gap-expiry rounds included — may cost 10×
+    # the median round (read ≈ 90 for the default matcher before PR 21).
+    ("peer_selection", "worst_over_median_default", "<=", lambda cpus: 10),
+    ("peer_selection", "worst_over_median_weighted", "<=", lambda cpus: 10),
 ]
 
 
@@ -391,6 +401,30 @@ def bench_fault_round(pairs: int) -> dict:
     }
 
 
+def bench_peer_selection(rounds: int) -> dict:
+    """Wall-clock of every ``select`` over uniform [1, 5] links, seeds
+    0–2 × ``rounds`` rounds pooled, per matcher: 30 rounds cover the three
+    start-up fallback rounds and the first expiry of the default
+    ``T_thres`` = 20."""
+    results = {"num_workers": CLUSTER_WORKERS, "seeds": 3, "rounds": rounds}
+    for label, prefer_weighted in (("default", False), ("weighted", True)):
+        seconds = []
+        for seed in range(3):
+            selector = AdaptivePeerSelector(
+                random_uniform_bandwidth(CLUSTER_WORKERS, low=1.0, rng=seed),
+                rng=seed, prefer_weighted=prefer_weighted,
+            )
+            for round_index in range(rounds):
+                start = time.perf_counter()
+                selector.select(round_index)
+                seconds.append(time.perf_counter() - start)
+        median, worst = float(np.median(seconds)), max(seconds)
+        results[f"median_seconds_{label}"] = median
+        results[f"max_seconds_{label}"] = worst
+        results[f"worst_over_median_{label}"] = worst / median
+    return results
+
+
 def run_suite(repeats: int) -> dict:
     # Pairs go where the gate is tightest against the box's noise:
     # fault_round's 5 % needs the most, the storm's ~2 s arms allow few.
@@ -399,6 +433,7 @@ def run_suite(repeats: int) -> dict:
         ("obs_overhead", bench_obs_overhead, 2 * repeats),
         ("event_throughput", bench_event_throughput, max(repeats - 2, 3)),
         ("fault_round", bench_fault_round, 8 * repeats),
+        ("peer_selection", bench_peer_selection, 30),
     )
     report = {"cpu_count": os.cpu_count()}
     for name, scenario, count in scenarios:

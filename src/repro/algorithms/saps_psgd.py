@@ -158,7 +158,6 @@ class SAPSPSGD(DistributedAlgorithm):
             partners=matching_to_partner_array(
                 selection.matching, self.num_workers
             ),
-            gossip=selection.gossip,
             mask_seed=derive_seed(self.base_seed, "mask", round_index),
             used_fallback=False,
         )

@@ -22,11 +22,13 @@ Peer selection is *adaptive*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Optional
 
 import numpy as np
 
+from repro import obs
 from repro.core.matching import (
     Matching,
     greedy_weighted_matching,
@@ -73,14 +75,27 @@ def ring_gossip_matrix(num_workers: int, self_weight: float = 1.0 / 3.0) -> np.n
     return gossip
 
 
+def _restrict(graph: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
+    """Drop edges touching inactive workers (federated churn)."""
+    if active is None:
+        return graph
+    active = np.asarray(active, dtype=bool)
+    return graph & (active[:, None] & active)
+
+
 @dataclass
 class PeerSelectionResult:
     """Outcome of one round of Algorithm 3."""
 
     matching: Matching
-    gossip: np.ndarray
-    used_fallback: bool  # True when the RC graph was disconnected
-    second_pass_pairs: int  # pairs matched ignoring bandwidth
+    num_workers: int
+    used_fallback: bool = False  # True when the RC graph was disconnected
+    second_pass_pairs: int = 0  # pairs matched ignoring bandwidth
+
+    @property
+    def gossip(self) -> np.ndarray:
+        """``W_t``, built when read: training only needs the matching."""
+        return gossip_matrix_from_matching(self.matching, self.num_workers)
 
 
 class AdaptivePeerSelector:
@@ -137,47 +152,41 @@ class AdaptivePeerSelector:
     # ------------------------------------------------------------------
     # Algorithm 3 sub-procedures
     # ------------------------------------------------------------------
-    @staticmethod
-    def _restrict(graph: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
-        """Drop edges touching inactive workers (federated churn)."""
-        if active is None:
-            return graph
-        active = np.asarray(active, dtype=bool)
-        return graph & np.logical_and.outer(active, active)
-
     def recently_connected(self, round_index: int) -> np.ndarray:
         """``IfConnected``'s Q matrix: edges with
         ``R_ij > t − T_thres``."""
         rc = self.timestamps > (round_index - self.connectivity_gap)
-        rc = rc | rc.T
+        rc |= rc.T
         np.fill_diagonal(rc, False)
         return rc
 
-    def overtime_matrix(self, round_index: int) -> np.ndarray:
+    def overtime_matrix(
+        self, round_index: int, rc: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """``GetOvertimeMatrix``: edges between distinct RC components."""
-        rc = self.recently_connected(round_index)
-        components = connected_components(rc)
+        if rc is None:
+            rc = self.recently_connected(round_index)
         labels = np.zeros(self.num_workers, dtype=np.int64)
-        for label, component in enumerate(components):
+        for label, component in enumerate(connected_components(rc)):
             labels[component] = label
-        cross = labels[:, None] != labels[None, :]
-        np.fill_diagonal(cross, False)
-        return cross
+        return labels[:, None] != labels
 
     @staticmethod
-    def unmatched_graph(matching: Matching, num_workers: int) -> np.ndarray:
-        """``GetUnmatch``: complete graph over workers missing from
-        ``matching``."""
-        partners = matching_to_partner_array(matching, num_workers)
-        free = partners == -1
-        graph = np.logical_and.outer(free, free)
+    def unmatched_graph(
+        matching: Matching, num_workers: int, active: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``GetUnmatch``: complete graph over the (``active``) workers
+        missing from ``matching``."""
+        free = matching_to_partner_array(matching, num_workers) == -1
+        if active is not None:
+            free &= np.asarray(active, dtype=bool)
+        graph = free[:, None] & free
         np.fill_diagonal(graph, False)
         return graph
 
     def _match(self, graph: np.ndarray) -> Matching:
         if self.prefer_weighted:
-            weights = np.where(graph, self.bandwidth, 0.0)
-            return greedy_weighted_matching(weights, rng=self._rng)
+            return greedy_weighted_matching(self.bandwidth * graph, rng=self._rng)
         return randomly_max_match(graph, rng=self._rng)
 
     # ------------------------------------------------------------------
@@ -192,46 +201,41 @@ class AdaptivePeerSelector:
         the matching — the federated-churn case the paper's "R." column
         claims robustness to.  Offline workers get ``W_ii = 1``.
 
-        Returns the matching, the gossip matrix ``W_t``, and diagnostics.
-        Updates the timestamp matrix ``R`` for matched pairs.
+        Returns the matching (``W_t`` is built from it when read) and
+        diagnostics.  Updates the timestamp matrix ``R`` for matched pairs.
         """
-        rc = self.recently_connected(round_index)
-        if active is not None:
-            active = np.asarray(active, dtype=bool)
-            # Connectivity is judged on the *active* subgraph — offline
-            # workers cannot carry information this round.
-            rc = rc[np.ix_(active, active)]
-        if is_connected(rc):
-            candidate = self.filtered
-            used_fallback = False
-        else:
-            candidate = self.overtime_matrix(round_index)
-            used_fallback = True
-        candidate = self._restrict(candidate, active)
-
-        matching = list(self._match(candidate))
-        target_pairs = (
-            self.num_workers if active is None else int(np.sum(active))
-        ) // 2
-        second_pass = 0
-        if len(matching) != target_pairs:
-            free_graph = self._restrict(
-                self.unmatched_graph(matching, self.num_workers), active
+        started = perf_counter()
+        with obs.phase("peer_selection"):
+            rc = self.recently_connected(round_index)  # the round's one RC graph
+            if active is None:
+                connected = is_connected(rc)
+            else:
+                active = np.asarray(active, dtype=bool)
+                # Connectivity is judged on the *active* subgraph — offline
+                # workers cannot carry information this round.
+                connected = is_connected(rc[np.ix_(active, active)])
+            candidate = (
+                self.filtered if connected else self.overtime_matrix(round_index, rc)
             )
-            extra = randomly_max_match(free_graph, rng=self._rng)
-            second_pass = len(extra)
-            matching.extend(extra)
-        matching.sort()
+            with obs.phase("match"):
+                matching = list(self._match(_restrict(candidate, active)))
+            participants = self.num_workers if active is None else int(active.sum())
+            second_pass = 0
+            if len(matching) != participants // 2:
+                with obs.phase("second_pass"):
+                    free = self.unmatched_graph(matching, self.num_workers, active)
+                    extra = randomly_max_match(free, rng=self._rng)
+                second_pass = len(extra)
+                matching.extend(extra)
+                matching.sort()
 
-        for a, b in matching:
-            self.timestamps[a, b] = self.timestamps[b, a] = round_index
-
-        gossip = gossip_matrix_from_matching(matching, self.num_workers)
+            for a, b in matching:
+                self.timestamps[a, b] = self.timestamps[b, a] = round_index
+        obs.observe("peer_selection.select_ms", 1e3 * (perf_counter() - started))
+        obs.inc("peer_selection.fallback_rounds", not connected)
+        obs.inc("peer_selection.second_pass_pairs", second_pass)
         return PeerSelectionResult(
-            matching=matching,
-            gossip=gossip,
-            used_fallback=used_fallback,
-            second_pass_pairs=second_pass,
+            matching, self.num_workers, not connected, second_pass
         )
 
 
@@ -249,17 +253,8 @@ class RandomPeerSelector:
     def select(
         self, round_index: int, active: Optional[np.ndarray] = None
     ) -> PeerSelectionResult:
-        graph = self._complete
-        if active is not None:
-            active = np.asarray(active, dtype=bool)
-            graph = graph & np.logical_and.outer(active, active)
-        matching = randomly_max_match(graph, rng=self._rng)
-        return PeerSelectionResult(
-            matching=matching,
-            gossip=gossip_matrix_from_matching(matching, self.num_workers),
-            used_fallback=False,
-            second_pass_pairs=0,
-        )
+        matching = randomly_max_match(_restrict(self._complete, active), rng=self._rng)
+        return PeerSelectionResult(matching, self.num_workers)
 
 
 class FixedRingSelector:
@@ -289,9 +284,4 @@ class FixedRingSelector:
                 (a, b) for a, b in matching if active[a] and active[b]
             ]
         matching = sorted((min(a, b), max(a, b)) for a, b in matching)
-        return PeerSelectionResult(
-            matching=matching,
-            gossip=gossip_matrix_from_matching(matching, self.num_workers),
-            used_fallback=False,
-            second_pass_pairs=0,
-        )
+        return PeerSelectionResult(matching, self.num_workers)

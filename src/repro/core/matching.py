@@ -16,6 +16,28 @@ graph".  This module provides both, from scratch:
 
 Graphs are symmetric boolean adjacency matrices; matchings are lists of
 ``(i, j)`` pairs with ``i < j``.
+
+Shortcuts keep a call's cost near the cost of its output.  Each is exact
+— same pairs, same RNG draws as the plain algorithms, which
+``tests/reference/matching.py`` keeps as the oracle:
+
+* *Filter before sort.*  The strict order (−weight, random tie key, edge
+  index) makes the greedy matching unique, however much of the order is
+  materialised: take the heaviest ≈ 8n edges (cut on a weight *value*, so
+  ties never straddle a tier), sort and scan those, drop every edge that
+  lost an endpoint, repeat.
+* *Rows are bit sets, packed on first visit.*  A search scans a row in
+  ascending order and skips odd vertices and its own blossom; one ``&``
+  does the skipping, the lowest set bit is the next neighbour, and a
+  contraction relabels its cycle's members, not all ``n``.
+* *Failed roots are remembered by row.*  An augmenting path has two free
+  ends, so nothing is searched with fewer than two free vertices; and if
+  the search from free ``r`` fails, a free vertex with the same row fails
+  too — its path, re-rooted at ``r``, would be one from ``r`` — now and
+  after any later augmentation, which never creates a path from a vertex
+  that had none.  The free vertices of one part of a complete
+  multipartite graph (Algorithm 3's fallback graph) share a row: a
+  surplus part costs one search, not one per vertex.
 """
 
 from __future__ import annotations
@@ -24,102 +46,125 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_square
 
 Matching = List[Tuple[int, int]]
 
 
-def _adjacency_lists(adjacency: np.ndarray) -> List[List[int]]:
-    adjacency = check_square(np.asarray(adjacency, dtype=bool), "adjacency")
-    if np.any(np.diag(adjacency)):
-        raise ValueError("adjacency must have an empty diagonal (no self-loops)")
-    if not np.array_equal(adjacency, adjacency.T):
-        raise ValueError("adjacency must be symmetric")
-    return [np.flatnonzero(row).tolist() for row in adjacency]
+class _NeighborSets(dict):
+    """``graph[v]``: ``v``'s neighbours as an integer (bit ``u`` set iff
+    ``u`` is adjacent), packed from the adjacency row on first visit."""
 
+    def __init__(self, adjacency: np.ndarray) -> None:
+        super().__init__()
+        adjacency = check_square(np.asarray(adjacency, dtype=bool), "adjacency")
+        if np.any(np.diag(adjacency)):
+            raise ValueError("adjacency must have an empty diagonal (no self-loops)")
+        if not np.array_equal(adjacency, adjacency.T):
+            raise ValueError("adjacency must be symmetric")
+        self.adjacency = adjacency
 
-class _BlossomState:
-    """Working arrays for one augmenting-path search."""
-
-    def __init__(self, n: int, match: List[int]) -> None:
-        self.n = n
-        self.match = match
-        self.parent = [-1] * n  # alternating-tree parent edge
-        self.base = list(range(n))  # blossom base of each vertex
-
-    def lowest_common_ancestor(self, a: int, b: int) -> int:
-        """LCA of ``a`` and ``b`` in the alternating tree, by base."""
-        used = [False] * self.n
-        v = a
-        while True:
-            v = self.base[v]
-            used[v] = True
-            if self.match[v] == -1:
-                break
-            v = self.parent[self.match[v]]
-        v = b
-        while True:
-            v = self.base[v]
-            if used[v]:
-                return v
-            v = self.parent[self.match[v]]
-
-    def mark_blossom_path(
-        self, v: int, blossom_base: int, child: int, in_blossom: List[bool]
-    ) -> None:
-        """Mark vertices on the path from ``v`` to the blossom base."""
-        while self.base[v] != blossom_base:
-            in_blossom[self.base[v]] = True
-            in_blossom[self.base[self.match[v]]] = True
-            self.parent[v] = child
-            child = self.match[v]
-            v = self.parent[self.match[v]]
+    def __missing__(self, vertex: int) -> int:
+        packed = np.packbits(self.adjacency[vertex], bitorder="little")
+        self[vertex] = row = int.from_bytes(packed.tobytes(), "little")
+        return row
 
 
 def _find_augmenting_path(
-    graph: List[List[int]], match: List[int], root: int
+    graph: _NeighborSets, match: List[int], root: int
 ) -> int:
     """BFS for an augmenting path from unmatched ``root``.
 
     Returns the free vertex ending the path, or ``-1`` if none exists.
     Blossoms are contracted on the fly via the ``base`` array.
     """
-    n = len(graph)
-    state = _BlossomState(n, match)
+    n = len(match)
+    parent = [-1] * n  # alternating-tree parent edge
+    base = list(range(n))  # blossom base of each vertex
+    members = {}  # base -> the vertices contracted into it, as a list
+    inside = {}  # ... and as a bit set (a lone vertex has no entry)
     used = [False] * n
     used[root] = True
     queue = [root]
+    # Every vertex except the odd ones no blossom has absorbed yet: an
+    # even vertex acts on those neighbours only, minus its own blossom.
+    plain = (1 << n) - 1
+
+    def lowest_common_ancestor(a, b) -> int:
+        """LCA of ``a`` and ``b`` in the alternating tree, by base."""
+        seen = set()
+        v = a
+        while True:
+            v = base[v]
+            seen.add(v)
+            if match[v] == -1:
+                break
+            v = parent[match[v]]
+        v = b
+        while True:
+            v = base[v]
+            if v in seen:
+                return v
+            v = parent[match[v]]
+
+    def mark_blossom_path(v, blossom_base, child, in_blossom) -> None:
+        """Mark the bases on the path from ``v`` to the blossom base."""
+        while base[v] != blossom_base:
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
 
     while queue:
         v = queue.pop(0)
-        for to in graph[v]:
-            if state.base[v] == state.base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and state.parent[match[to]] != -1):
-                # Odd cycle found: contract the blossom.
-                current_base = state.lowest_common_ancestor(v, to)
-                in_blossom = [False] * n
-                state.mark_blossom_path(v, current_base, to, in_blossom)
-                state.mark_blossom_path(to, current_base, v, in_blossom)
-                for u in range(n):
-                    if in_blossom[state.base[u]]:
-                        state.base[u] = current_base
-                        if not used[u]:
-                            used[u] = True
-                            queue.append(u)
-            elif state.parent[to] == -1:
-                state.parent[to] = v
+        # Nothing joins `todo` while v is scanned: an odd neighbour that
+        # turns even meanwhile has been contracted into v's own blossom.
+        todo = graph[v] & plain & ~inside.get(base[v], 0)
+        while todo:
+            lowest = todo & -todo
+            todo ^= lowest
+            to = lowest.bit_length() - 1
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                # Odd cycle found: contract the blossom.  Costs the cycle,
+                # not n: a vertex whose base is on the cycle is that base
+                # or one of its `members`, and only bases (odd until now)
+                # can be new to the queue.
+                current_base = lowest_common_ancestor(v, to)
+                in_blossom = set()
+                mark_blossom_path(v, current_base, to, in_blossom)
+                mark_blossom_path(to, current_base, v, in_blossom)
+                in_blossom.discard(current_base)
+                moved = members.setdefault(current_base, [current_base])
+                absorbed = inside.get(current_base, 1 << current_base)
+                for old_base in in_blossom:
+                    group = members.pop(old_base, (old_base,))
+                    for u in group:
+                        base[u] = current_base
+                    moved.extend(group)
+                    absorbed |= inside.pop(old_base, 1 << old_base)
+                inside[current_base] = absorbed
+                todo &= ~absorbed
+                for u in sorted(in_blossom):
+                    if not used[u]:
+                        used[u] = True
+                        plain |= 1 << u
+                        queue.append(u)
+            elif parent[to] == -1:
+                parent[to] = v
                 if match[to] == -1:
                     # Augment along the path ending at `to`.
                     u = to
                     while u != -1:
-                        previous = state.parent[u]
+                        previous = parent[u]
                         next_vertex = match[previous]
                         match[u] = previous
                         match[previous] = u
                         u = next_vertex
                     return to
+                plain &= ~lowest
                 used[match[to]] = True
                 queue.append(match[to])
     return -1
@@ -142,8 +187,8 @@ def max_cardinality_matching(
     -------
     List of matched pairs ``(i, j)`` with ``i < j``, sorted.
     """
-    graph = _adjacency_lists(adjacency)
-    n = len(graph)
+    graph = _NeighborSets(adjacency)
+    n = graph.adjacency.shape[0]
     if initial_match is not None:
         match = list(initial_match)
         if len(match) != n:
@@ -154,17 +199,34 @@ def max_cardinality_matching(
     else:
         match = [-1] * n
         # Greedy warm start cuts the number of augmentation phases.
+        unmatched = (1 << n) - 1
         for v in range(n):
-            if match[v] == -1:
-                for to in graph[v]:
-                    if match[to] == -1:
-                        match[v] = to
-                        match[to] = v
-                        break
+            candidates = graph[v] & unmatched if match[v] == -1 else 0
+            if candidates:
+                to = (candidates & -candidates).bit_length() - 1  # the lowest
+                match[v] = to
+                match[to] = v
+                unmatched &= ~(1 << v | 1 << to)
 
-    for v in range(n):
-        if match[v] == -1:
-            _find_augmenting_path(graph, match, v)
+    free = match.count(-1)
+    failed = set()  # neighbourhoods of the roots whose search found nothing
+    searches = skipped = 0
+    with obs.phase("complete"):
+        for v in range(n):
+            if free < 2:
+                break
+            if match[v] != -1:
+                continue
+            if graph[v] in failed:
+                skipped += 1
+                continue
+            searches += 1
+            if _find_augmenting_path(graph, match, v) == -1:
+                failed.add(graph[v])
+            else:
+                free -= 2
+    obs.inc("matching.augment_searches", searches)
+    obs.inc("matching.searches_skipped", skipped)
 
     return sorted(
         (v, match[v]) for v in range(n) if match[v] != -1 and v < match[v]
@@ -187,6 +249,23 @@ def randomly_max_match(adjacency: np.ndarray, rng: SeedLike = None) -> Matching:
     return sorted((min(a, b), max(a, b)) for a, b in restored)
 
 
+def _checked_support(weights: np.ndarray) -> np.ndarray:
+    """``weights > 0``, refusing what would otherwise read as a non-edge
+    (NaN, negative), sort first forever (infinite) or surface only if the
+    completion happens to run (a support that is not symmetric)."""
+    support = weights > 0
+    bad = support != support.T
+    if weights.size and not (weights.min() >= 0 and weights.max() < np.inf):
+        bad = ~np.isfinite(weights) | (weights < 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            "weights must be finite, non-negative and positive at [j, i] "
+            f"wherever they are at [i, j]: weights[{i}, {j}] = {float(weights[i, j])!r}"
+        )
+    return support
+
+
 def greedy_weighted_matching(
     weights: np.ndarray,
     rng: SeedLike = None,
@@ -196,32 +275,41 @@ def greedy_weighted_matching(
 
     Edges with positive weight are taken heaviest-first (random tie
     breaks); optionally the result is extended to maximum cardinality via
-    blossom augmentation restricted to positive-weight edges.
+    blossom augmentation restricted to positive-weight edges.  Weights
+    must be finite, non-negative and symmetric in support
+    (``ValueError`` otherwise); the upper triangle's values are used.
     """
     weights = check_square(np.asarray(weights, dtype=np.float64), "weights")
+    support = _checked_support(weights)
     rng = as_generator(rng)
     n = weights.shape[0]
-    rows, cols = np.nonzero(np.triu(weights, k=1) > 0)
+    # Row-major upper-triangle edge list: the tie keys are aligned to it.
+    rows, cols = np.divmod(np.flatnonzero(np.triu(support, k=1)), n)
     if rows.size == 0:
         return []
-    order = np.lexsort(
-        (rng.random(rows.size), -weights[rows, cols])
-    )  # heaviest first, random among equals
-    matched = np.zeros(n, dtype=bool)
+    keys = rng.random(rows.size)
+    heavy = weights[rows, cols]
     match = [-1] * n
-    for index in order:
-        a, b = int(rows[index]), int(cols[index])
-        if not matched[a] and not matched[b]:
-            matched[a] = matched[b] = True
-            match[a] = b
-            match[b] = a
-    if complete_with_blossom:
-        adjacency = weights > 0
-        np.fill_diagonal(adjacency, False)
-        pairs = max_cardinality_matching(adjacency, initial_match=match)
-    else:
-        pairs = [(v, match[v]) for v in range(n) if match[v] > v]
-    return sorted(pairs)
+    free = n
+    tier = 8 * n
+    while rows.size and free >= 2:
+        # Masks keep edge order, so lexsort's stability is still the
+        # edge-index tie break of the full sort.
+        cut = np.partition(heavy, -tier)[-tier] if rows.size > tier else 0.0
+        head = np.flatnonzero(heavy >= cut)
+        order = head[np.lexsort((keys[head], -heavy[head]))]
+        for a, b in zip(rows[order].tolist(), cols[order].tolist()):
+            if match[a] == -1 and match[b] == -1:
+                match[a] = b
+                match[b] = a
+                free -= 2
+        unmatched = np.array(match) == -1
+        keep = (heavy < cut) & unmatched[rows] & unmatched[cols]
+        rows, cols, heavy, keys = rows[keep], cols[keep], heavy[keep], keys[keep]
+    if complete_with_blossom and free >= 2:
+        np.fill_diagonal(support, False)
+        return max_cardinality_matching(support, initial_match=match)
+    return [(v, match[v]) for v in range(n) if match[v] > v]
 
 
 def is_valid_matching(matching: Matching, num_vertices: int) -> bool:

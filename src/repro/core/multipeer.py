@@ -102,6 +102,16 @@ def gossip_from_neighbor_sets(
     return gossip
 
 
+class MultiPeerSelectionResult(PeerSelectionResult):
+    """A degree-``k`` round: ``matching`` lists the union's edges, so
+    ``W_t`` comes from neighbour sets rather than from one matching."""
+
+    @property
+    def gossip(self) -> np.ndarray:
+        neighbors = neighbor_sets_from_matchings([self.matching], self.num_workers)
+        return gossip_from_neighbor_sets(neighbors, self.num_workers)
+
+
 class MultiPeerSelector:
     """Degree-``k`` generalization of the random single-peer selector.
 
@@ -131,14 +141,7 @@ class MultiPeerSelector:
         matchings = union_of_matchings(
             self.num_workers, self.degree, rng=self._rng
         )
-        neighbors = neighbor_sets_from_matchings(matchings, self.num_workers)
-        gossip = gossip_from_neighbor_sets(neighbors, self.num_workers)
         edges: List[Tuple[int, int]] = sorted(
             edge for matching in matchings for edge in matching
         )
-        return PeerSelectionResult(
-            matching=edges,
-            gossip=gossip,
-            used_fallback=False,
-            second_pass_pairs=0,
-        )
+        return MultiPeerSelectionResult(edges, self.num_workers)

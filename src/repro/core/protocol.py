@@ -44,9 +44,13 @@ class RoundPlan:
     round_index: int
     matching: Matching
     partners: np.ndarray
-    gossip: np.ndarray
     mask_seed: int
     used_fallback: bool = False
+
+    @property
+    def gossip(self) -> np.ndarray:
+        """``W_t``, built when read: workers only look up ``partners``."""
+        return gossip_matrix_from_matching(self.matching, len(self.partners))
 
 
 class Coordinator:
@@ -105,7 +109,6 @@ class Coordinator:
             partners=matching_to_partner_array(
                 selection.matching, self.num_workers
             ),
-            gossip=selection.gossip,
             mask_seed=derive_seed(self.base_seed, "mask", round_index),
             used_fallback=selection.used_fallback,
         )

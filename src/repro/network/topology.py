@@ -64,6 +64,19 @@ def random_regular_adjacency(
     )
 
 
+def _component_of(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the vertices reachable from ``start`` — breadth-first, a
+    whole frontier per step rather than a vertex."""
+    member = np.zeros(adjacency.shape[0], dtype=bool)
+    member[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        reached = adjacency[frontier].any(axis=0) & ~member
+        member |= reached
+        frontier = np.flatnonzero(reached)
+    return member
+
+
 def is_connected(adjacency: np.ndarray) -> bool:
     """BFS connectivity test on a symmetric adjacency matrix.
 
@@ -71,39 +84,19 @@ def is_connected(adjacency: np.ndarray) -> bool:
     one vertex is.
     """
     adjacency = check_square(np.asarray(adjacency, dtype=bool))
-    n = adjacency.shape[0]
-    if n == 0:
-        return True
-    visited = np.zeros(n, dtype=bool)
-    frontier = [0]
-    visited[0] = True
-    while frontier:
-        node = frontier.pop()
-        neighbors = np.flatnonzero(adjacency[node] & ~visited)
-        visited[neighbors] = True
-        frontier.extend(neighbors.tolist())
-    return bool(visited.all())
+    return adjacency.shape[0] == 0 or bool(_component_of(adjacency, 0).all())
 
 
 def connected_components(adjacency: np.ndarray) -> List[List[int]]:
     """Connected components as sorted vertex lists (sorted by min vertex)."""
     adjacency = check_square(np.asarray(adjacency, dtype=bool))
-    n = adjacency.shape[0]
-    visited = np.zeros(n, dtype=bool)
+    visited = np.zeros(adjacency.shape[0], dtype=bool)
     components: List[List[int]] = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        component = []
-        frontier = [start]
-        visited[start] = True
-        while frontier:
-            node = frontier.pop()
-            component.append(node)
-            neighbors = np.flatnonzero(adjacency[node] & ~visited)
-            visited[neighbors] = True
-            frontier.extend(neighbors.tolist())
-        components.append(sorted(component))
+    for start in range(adjacency.shape[0]):
+        if not visited[start]:
+            member = _component_of(adjacency, start)
+            visited |= member
+            components.append(np.flatnonzero(member).tolist())
     return components
 
 

@@ -24,6 +24,10 @@ Name schema (documented in the README's Observability section):
   :meth:`~repro.nn.ShardedArena.stats` (absolute, via
   :meth:`set_counter`); ``arena.resident`` / ``.stored`` /
   ``.peak_pins`` are gauges (levels, not flows).
+* ``peer_selection.select_ms`` (histogram) / ``.fallback_rounds`` /
+  ``.second_pass_pairs`` — one ``AdaptivePeerSelector.select`` each;
+  ``matching.augment_searches`` / ``.searches_skipped`` — blossom
+  searches run, and skipped as twins of a failed root.
 * ``round.compute_s`` / ``round.comm_s`` — per-round barrier times
   (histograms); ``run.horizon_s`` / ``run.rounds`` — run gauges.
 

@@ -14,6 +14,9 @@ PASSING = {
     "obs_overhead": {"overhead_disabled": 0.001, "overhead_enabled": 0.04},
     "event_throughput": {"speedup": 2.5},
     "fault_round": {"extra_events": 0, "overhead": 0.01},
+    "peer_selection": {
+        "worst_over_median_default": 2.3, "worst_over_median_weighted": 5.5,
+    },
 }
 
 #: One breaching reading per gate row, with the floor its message names.
@@ -24,6 +27,8 @@ BREACHES = [
     ("event_throughput", "speedup", 1.7, ">= 1.8"),
     ("fault_round", "extra_events", 3, "== 0"),
     ("fault_round", "overhead", 0.07, "<= 0.05"),
+    ("peer_selection", "worst_over_median_default", 93.0, "<= 10"),
+    ("peer_selection", "worst_over_median_weighted", 10.4, "<= 10"),
 ]
 
 

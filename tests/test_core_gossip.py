@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from reference import matching as reference_matching
+from repro import obs
+from repro.core import gossip as gossip_module
 from repro.core.gossip import (
     AdaptivePeerSelector,
     FixedRingSelector,
@@ -193,3 +196,61 @@ class TestFixedRingSelector:
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
             FixedRingSelector(5)
+
+
+class TestSelectorEqualsReferenceMatchers:
+    """Algorithm 3 over the shipped matchers makes the decisions it
+    makes over the plain ones in ``tests/reference/matching.py``."""
+
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    @pytest.mark.parametrize("churn", [False, True])
+    def test_25_rounds_at_128_workers(self, monkeypatch, prefer_weighted, churn):
+        bandwidth = random_uniform_bandwidth(128, rng=1)
+        shipped, plain = (
+            AdaptivePeerSelector(
+                bandwidth, connectivity_gap=6, rng=1, prefer_weighted=prefer_weighted
+            )
+            for _ in range(2)
+        )
+        masks = np.random.default_rng(1).random((25, 128)) < 0.8
+        outcomes = []
+        for t in range(25):
+            active = masks[t] if churn else None
+            ours = shipped.select(t, active=active)
+            with monkeypatch.context() as patch:
+                for name in ("greedy_weighted_matching", "randomly_max_match"):
+                    patch.setattr(gossip_module, name, getattr(reference_matching, name))
+                theirs = plain.select(t, active=active)
+            assert ours.matching == theirs.matching
+            assert ours.used_fallback == theirs.used_fallback
+            assert ours.second_pass_pairs == theirs.second_pass_pairs
+            gossip = ours.gossip  # built on demand
+            np.testing.assert_array_equal(gossip, gossip.T)
+            assert is_doubly_stochastic(gossip)
+            if churn:
+                offline = np.flatnonzero(~active)
+                assert np.all(gossip[offline, offline] == 1.0)
+            outcomes.append((ours.used_fallback, ours.second_pass_pairs > 0))
+        np.testing.assert_array_equal(shipped.timestamps, plain.timestamps)
+        assert shipped._rng.random() == plain._rng.random()
+        # The run must have exercised what it claims to compare.
+        assert {True, False} == {fallback for fallback, _ in outcomes}
+        assert any(second for _, second in outcomes)
+
+    def test_selection_is_recorded_only_when_asked(self):
+        selector = AdaptivePeerSelector(random_uniform_bandwidth(8, rng=0), rng=0)
+        selector.select(0)  # null recorder: nothing to record into
+        with obs.scoped(obs.MetricsRecorder()) as recorder:
+            results = [selector.select(t) for t in range(1, 6)]
+        snapshot = recorder.registry.snapshot()
+        counters = snapshot["counters"]
+        assert counters["phase.peer_selection.count"] == 5
+        assert counters["phase.match.count"] == 5
+        assert snapshot["histograms"]["peer_selection.select_ms"]["count"] == 5
+        assert counters["peer_selection.fallback_rounds"] == sum(
+            r.used_fallback for r in results
+        )
+        assert counters["peer_selection.second_pass_pairs"] == sum(
+            r.second_pass_pairs for r in results
+        )
+        assert "matching.augment_searches" in counters

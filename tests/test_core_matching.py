@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.matching import (
     greedy_weighted_matching,
     is_valid_matching,
@@ -19,6 +20,7 @@ from repro.core.matching import (
     randomly_max_match,
 )
 from repro.network.topology import adjacency_from_edges, complete_adjacency, ring_adjacency
+from reference import matching as reference
 
 
 def nx_max_matching_size(adjacency):
@@ -197,3 +199,150 @@ class TestMatchingHelpers:
     def test_partner_array_rejects_invalid(self):
         with pytest.raises(ValueError):
             matching_to_partner_array([(0, 1), (1, 2)], 3)
+
+
+# ----------------------------------------------------------------------
+# the parent's matchers are the oracle (tests/reference/matching.py)
+# ----------------------------------------------------------------------
+def _symmetric(upper):
+    upper = np.triu(upper, 1)
+    return upper + upper.T
+
+
+def _weights(rng, n, kind):
+    if kind == "dense":
+        return _symmetric(rng.random((n, n)))
+    if kind == "sparse":
+        density = rng.uniform(0.02, 0.3)
+        return _symmetric(rng.random((n, n)) * (rng.random((n, n)) < density))
+    if kind == "integer_tied":
+        return _symmetric(rng.integers(0, 4, (n, n)).astype(np.float64))
+    if kind == "min_cap":  # SampledSAPS: an edge is as fast as its slower end
+        caps = rng.uniform(1.0, 100.0, n)
+        weights = np.minimum(caps[:, None], caps[None, :])
+        np.fill_diagonal(weights, 0.0)
+        return weights
+    assert kind == "zero_rows"
+    weights = _symmetric(rng.random((n, n)))
+    dead = rng.random(n) < 0.3
+    weights[dead] = 0.0
+    weights[:, dead] = 0.0
+    return weights
+
+
+def _graph(rng, n, kind):
+    if kind == "random":
+        return _symmetric(rng.random((n, n)) < rng.uniform(0.02, 0.6))
+    parts = rng.integers(0, rng.integers(2, 6), n)
+    graph = parts[:, None] != parts[None, :]  # complete multipartite
+    if kind == "thinned_multipartite":
+        graph = graph & _symmetric(rng.random((n, n)) < 0.7)
+    return graph
+
+
+def _partial_matching(graph, seed):
+    """Every other pair of a greedy matching, as an ``initial_match``."""
+    pairs = reference.greedy_weighted_matching(
+        graph.astype(np.float64), rng=seed, complete_with_blossom=False
+    )[::2]
+    initial = [-1] * graph.shape[0]
+    for a, b in pairs:
+        initial[a], initial[b] = b, a
+    return initial
+
+
+class TestEqualsReference:
+    """Same pairs and same RNG stream as the plain algorithms; ``n`` is
+    drawn across the greedy tier boundary (8n edges: n ≈ 17) and past
+    the blossom search's long-row threshold (64 neighbours)."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 200),
+        st.sampled_from(["dense", "sparse", "integer_tied", "min_cap", "zero_rows"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_weighted_matching(self, seed, n, kind, complete):
+        weights = _weights(np.random.default_rng(seed), n, kind)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert greedy_weighted_matching(
+            weights, rng=ours, complete_with_blossom=complete
+        ) == reference.greedy_weighted_matching(
+            weights, rng=theirs, complete_with_blossom=complete
+        )
+        assert ours.random() == theirs.random()
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 160),
+        st.sampled_from(["random", "multipartite", "thinned_multipartite"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blossom_matchers(self, seed, n, kind, warm):
+        graph = _graph(np.random.default_rng(seed), n, kind)
+        initial = _partial_matching(graph, seed) if warm else None
+        assert max_cardinality_matching(
+            graph, initial_match=initial
+        ) == reference.max_cardinality_matching(graph, initial_match=initial)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert randomly_max_match(graph, rng=ours) == reference.randomly_max_match(
+            graph, rng=theirs
+        )
+        assert ours.random() == theirs.random()
+
+    def test_surplus_part_costs_one_search_not_one_per_vertex(self):
+        """Complete bipartite 40 / 200 from an empty matching: every free
+        vertex of the large part has the same row, so once one search
+        from it fails the other surplus vertices are skipped."""
+        rng = np.random.default_rng(0)
+        small = np.zeros(240, dtype=bool)
+        small[rng.permutation(240)[:40]] = True
+        graph = small[:, None] != small[None, :]
+        with obs.scoped(obs.MetricsRecorder()) as recorder:
+            match = max_cardinality_matching(graph, initial_match=[-1] * 240)
+        counters = recorder.registry.snapshot()["counters"]
+        assert match == reference.max_cardinality_matching(
+            graph, initial_match=[-1] * 240
+        )
+        augmentations, parts = len(match), 2
+        assert augmentations == 40
+        assert counters["matching.augment_searches"] <= parts + augmentations
+        assert counters["matching.searches_skipped"] >= 150
+
+    def test_nothing_is_searched_with_fewer_than_two_free_vertices(self):
+        with obs.scoped(obs.MetricsRecorder()) as recorder:
+            assert len(max_cardinality_matching(complete_adjacency(7))) == 3
+        counters = recorder.registry.snapshot()["counters"]
+        assert counters["matching.augment_searches"] == 0
+        assert counters["matching.searches_skipped"] == 0
+
+
+class TestGreedyWeightedMatchingValidation:
+    """Bad weights fail before the first draw, naming the entry."""
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [(np.nan, "nan"), (-1.0, "-1.0"), (np.inf, "inf")],
+    )
+    def test_not_finite_or_negative(self, value, named):
+        weights = _symmetric(np.random.default_rng(0).random((5, 5)))
+        weights[1, 3] = weights[3, 1] = value
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"weights\[1, 3\] = " + named):
+            greedy_weighted_matching(weights, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_asymmetric_support(self, complete):
+        """Used to surface only if the blossom completion happened to run."""
+        weights = _symmetric(np.ones((4, 4)))
+        weights[2, 0] = 0.0
+        with pytest.raises(ValueError, match=r"weights\[0, 2\]"):
+            greedy_weighted_matching(weights, rng=0, complete_with_blossom=complete)
+
+    def test_all_zero_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert greedy_weighted_matching(np.zeros((6, 6)), rng=rng) == []
+        assert rng.random() == np.random.default_rng(0).random()

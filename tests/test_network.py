@@ -129,6 +129,21 @@ class TestTopology:
         components = connected_components(adjacency)
         assert components == [[0, 1], [2, 3], [4]]
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_components_match_networkx(self, seed):
+        """Frontier-at-a-time BFS: sparse graphs (many components, long
+        paths) through dense ones, isolated vertices included."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 2.5 / n), 1)
+        adjacency = upper | upper.T
+        expected = sorted(
+            sorted(part) for part in nx.connected_components(nx.from_numpy_array(adjacency))
+        )
+        assert connected_components(adjacency) == expected
+        assert is_connected(adjacency) == (len(expected) == 1)
+
     def test_edges_round_trip(self):
         edges = [(0, 2), (1, 3)]
         adjacency = adjacency_from_edges(4, edges)
