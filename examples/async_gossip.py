@@ -104,6 +104,12 @@ def main() -> None:
 
     target = 0.9 * min(result.best_accuracy for result in results.values())
     print(render_time_to_accuracy(time_to_accuracy_table(results, target)))
+    # All three learned within the budget: history[0] is the untrained
+    # snapshot both engines take before the first step.
+    assert all(
+        result.final_accuracy > result.history[0].val_accuracy
+        for result in results.values()
+    )
 
     for name in ("SAPS-PSGD (sync)", "Async-SAPS"):
         result = results[name]

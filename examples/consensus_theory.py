@@ -85,6 +85,14 @@ def main() -> None:
             title="Lemma 2: per-round consensus contraction under sparsified gossip",
         )
     )
+    # Sparsified gossip (c > 1) contracts at least as fast as Lemma 2's
+    # factor, within 0.15.  The dense c = 1 row is printed, not checked:
+    # matching gossip has WᵀW = W, so it contracts by ρ rather than ρ², and
+    # its 200-round trace ends at float64 rounding (distance ~1e-31), which
+    # drags the geometric mean up.
+    assert all(
+        measured <= predicted + 0.15 for c, predicted, measured, _ in rows if c > 1
+    )
 
     # --- 3. Theorem 2's bound -----------------------------------------
     constants = ProblemConstants(lipschitz=1.0, sigma=1.0, f0_minus_fstar=1.0)

@@ -108,7 +108,16 @@ def main() -> None:
     # 3. What the faults cost: accuracy deltas and the time-to-target
     #    slip against the fault-free twin.
     target = 0.9 * baseline.best_accuracy
-    print(render_degradation(degradation_report(faulty, baseline, target)))
+    degradation = degradation_report(faulty, baseline, target)
+    print(render_degradation(degradation))
+    # Training never stalled: the faulted run ran out its clock with the
+    # crashed worker back, and still reached the twin's target (the slip
+    # is None when either run never does).
+    assert (
+        faulty.horizon == duration
+        and len(stats.recoveries) == 1
+        and degradation.time_to_target_slip_s is not None
+    )
 
 
 if __name__ == "__main__":

@@ -77,6 +77,9 @@ def main() -> None:
             title="SAPS-PSGD on the Fig. 1 geo-distributed environment (c=50)",
         )
     )
+    # Equal bytes, less time: adaptive selection against RandomChoose.
+    (_, _, traffic, comm_time, *_), (_, _, random_traffic, random_time, *_) = rows[:2]
+    assert traffic == random_traffic and comm_time < random_time
     print(
         "\nSame sparsification -> same traffic; adaptive peer selection"
         " raises the bottleneck bandwidth each round, cutting wall-clock"

@@ -98,6 +98,8 @@ def main() -> None:
         f"{result.history[-1].worker_traffic_mb:.4f} MB per worker and "
         f"{result.history[-1].comm_time_s:.3f}s of communication."
     )
+    # The run learned: history[0] is the untrained round -1 snapshot.
+    assert result.final_accuracy > result.history[0].val_accuracy
 
     if obs_mode != "off":
         recorder = obs.recorder()

@@ -13,8 +13,7 @@ Public API tour
 * ``repro.nn`` / ``repro.data`` — the pure-numpy training substrate.
 * ``repro.network`` — bandwidth matrices (incl. the paper's Fig. 1 data),
   topologies, traffic/time accounting.
-* ``repro.compression`` — random-mask/top-k sparsifiers, quantization,
-  error feedback.
+* ``repro.compression`` — random-mask/top-k sparsifiers, error feedback.
 * ``repro.theory`` — spectral gap, consensus contraction, Theorem 2.
 * ``repro.analysis`` — Table I cost model, Table IV extraction, rendering.
 * ``repro.obs`` — telemetry: metrics registry, phase spans, Chrome traces.

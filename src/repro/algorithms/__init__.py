@@ -10,7 +10,6 @@ Class                     Paper algorithm
 :class:`DPSGD`            D-PSGD (ring)
 :class:`DCDPSGD`          DCD-PSGD (ring, c = 4)
 :class:`SAPSPSGD`         SAPS-PSGD (c = 100) — the contribution
-:class:`RandomChoosePSGD` "RandomChoose" baseline from Fig. 5
 ========================  =============================================
 """
 
@@ -18,7 +17,7 @@ from repro.algorithms.base import DistributedAlgorithm
 from repro.algorithms.psgd import PSGD, TopKPSGD
 from repro.algorithms.fedavg import FedAvg, SparseFedAvg
 from repro.algorithms.decentralized import DCDPSGD, DPSGD
-from repro.algorithms.saps_psgd import RandomChoosePSGD, SAPSPSGD
+from repro.algorithms.saps_psgd import SAPSPSGD
 from repro.algorithms.asynchronous import (
     AsyncAlgorithm,
     AsyncDPSGD,
@@ -40,7 +39,6 @@ __all__ = [
     "DPSGD",
     "DCDPSGD",
     "SAPSPSGD",
-    "RandomChoosePSGD",
     "AsyncAlgorithm",
     "AsyncDPSGD",
     "AsyncFedAvg",

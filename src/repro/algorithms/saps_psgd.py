@@ -277,16 +277,3 @@ class SAPSPSGD(DistributedAlgorithm):
             assert self.coordinator.round_complete()
         self.network.finish_round()
         return float(np.mean(losses))
-
-
-class RandomChoosePSGD(SAPSPSGD):
-    """Fig. 5's "RandomChoose": SAPS-PSGD with uniform random matching."""
-
-    name = "RandomChoose"
-
-    def __init__(self, compression_ratio: float = 100.0, base_seed: int = 0) -> None:
-        super().__init__(
-            compression_ratio=compression_ratio,
-            selector="random",
-            base_seed=base_seed,
-        )

@@ -26,12 +26,7 @@ from repro.analysis.breakdown import (
     payload_size_histogram,
 )
 from repro.analysis.report import comparison_report
-from repro.analysis.crossover import (
-    Crossover,
-    accuracy_at_cost,
-    dominance_summary,
-    find_crossovers,
-)
+from repro.analysis.crossover import accuracy_at_cost, dominance_summary
 from repro.analysis.resilience import (
     Degradation,
     ResilienceSummary,
@@ -83,9 +78,7 @@ __all__ = [
     "payload_size_histogram",
     "compare_breakdowns",
     "comparison_report",
-    "Crossover",
     "accuracy_at_cost",
-    "find_crossovers",
     "dominance_summary",
     "TimeToAccuracy",
     "WorkerTimeline",

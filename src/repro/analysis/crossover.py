@@ -1,16 +1,14 @@
-"""Crossover analysis of accuracy-vs-cost curves.
+"""Accuracy-vs-cost frontiers.
 
-The reproduction question for Figs. 4/6 is not only "who wins" but
-"*where* the curves cross".  Given two trajectories this module finds the
-cost at which one algorithm's accuracy overtakes the other's, using
-monotone step interpolation of accuracy-at-cost (accuracy at a budget =
-best accuracy recorded at or under that cost).
+The reproduction question for Figs. 4/6 is "who leads, over how much of
+the budget range".  Curves are compared by monotone step interpolation of
+accuracy-at-cost (accuracy at a budget = best accuracy recorded at or
+under that cost).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -28,61 +26,6 @@ def accuracy_at_cost(
             value = record.val_accuracy
             best = value if best is None else max(best, value)
     return best
-
-
-@dataclass
-class Crossover:
-    """The budget at which ``winner_after`` overtakes ``winner_before``."""
-
-    cost: float
-    winner_before: str
-    winner_after: str
-
-
-def find_crossovers(
-    result_a: ExperimentResult,
-    result_b: ExperimentResult,
-    cost_attr: str = "worker_traffic_mb",
-    resolution: int = 200,
-) -> List[Crossover]:
-    """Crossover budgets between two trajectories.
-
-    Scans a log-spaced cost grid covering both trajectories and reports
-    each budget where the leader (by accuracy-at-cost) changes.  An
-    algorithm with no snapshot under the budget counts as accuracy 0.
-    """
-    costs = [
-        getattr(record, cost_attr)
-        for result in (result_a, result_b)
-        for record in result.history
-        if getattr(record, cost_attr) > 0
-    ]
-    if not costs:
-        return []
-    low, high = min(costs), max(costs)
-    if low == high:
-        grid = np.array([low])
-    else:
-        grid = np.logspace(np.log10(low), np.log10(high), resolution)
-
-    crossovers: List[Crossover] = []
-    previous_leader: Optional[str] = None
-    for budget in grid:
-        acc_a = accuracy_at_cost(result_a, budget, cost_attr) or 0.0
-        acc_b = accuracy_at_cost(result_b, budget, cost_attr) or 0.0
-        if acc_a == acc_b:
-            continue
-        leader = result_a.algorithm if acc_a > acc_b else result_b.algorithm
-        if previous_leader is not None and leader != previous_leader:
-            crossovers.append(
-                Crossover(
-                    cost=float(budget),
-                    winner_before=previous_leader,
-                    winner_after=leader,
-                )
-            )
-        previous_leader = leader
-    return crossovers
 
 
 def dominance_summary(

@@ -1,4 +1,4 @@
-"""Compression substrate: sparsifiers, quantizers, error feedback, payloads.
+"""Compression substrate: sparsifiers, error feedback, payloads.
 
 Per-vector ``compress`` remains the worker-level API; the arena-aware
 fast paths use :meth:`Compressor.compress_matrix`, which compresses the
@@ -11,11 +11,8 @@ from repro.compression.base import (
     BYTES_PER_VALUE,
     BatchPayload,
     Compressor,
-    DensePayload,
     IndexedPayload,
-    NoCompression,
     Payload,
-    QuantizedPayload,
     SharedMaskPayload,
 )
 from repro.compression.random_mask import (
@@ -24,41 +21,27 @@ from repro.compression.random_mask import (
     mask_density,
 )
 from repro.compression.topk import (
-    RandomKCompressor,
     TopKCompressor,
     k_for,
     top_k_indices,
     top_k_indices_matrix,
 )
-from repro.compression.quantize import (
-    QuantizeCompressor,
-    quantize_stochastic,
-    quantize_stochastic_matrix,
-)
-from repro.compression.error_feedback import BatchedErrorFeedback, ErrorFeedback
+from repro.compression.error_feedback import BatchedErrorFeedback
 
 __all__ = [
     "BYTES_PER_VALUE",
     "BYTES_PER_INDEX",
     "Payload",
-    "DensePayload",
     "SharedMaskPayload",
     "IndexedPayload",
-    "QuantizedPayload",
     "BatchPayload",
     "Compressor",
-    "NoCompression",
     "RandomMaskCompressor",
     "generate_mask",
     "mask_density",
     "TopKCompressor",
-    "RandomKCompressor",
     "k_for",
     "top_k_indices",
     "top_k_indices_matrix",
-    "QuantizeCompressor",
-    "quantize_stochastic",
-    "quantize_stochastic_matrix",
-    "ErrorFeedback",
     "BatchedErrorFeedback",
 ]

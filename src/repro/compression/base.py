@@ -5,13 +5,11 @@ actually crosses the (simulated) wire.  Payload subtypes know their own
 wire size, which is how the library reproduces the paper's traffic
 numbers:
 
-* :class:`DensePayload` — ``N`` values.
 * :class:`SharedMaskPayload` — the paper's scheme: the mask is derived
   from a coordinator seed on *both* sides, so only the ``≈N/c`` surviving
   values travel; **no index overhead** (Section II-B).
 * :class:`IndexedPayload` — Top-k-style: values *and* their indices
   travel (used by TopK-PSGD and DCD-PSGD).
-* :class:`QuantizedPayload` — reduced bits per value.
 
 Payloads preserve the numeric dtype of the values they carry:
 ``to_dense`` materializes in the source dtype (a float32 payload must not
@@ -65,21 +63,6 @@ class Payload:
 
 
 @dataclass
-class DensePayload(Payload):
-    """A full dense vector (PSGD, D-PSGD, FedAvg)."""
-
-    values: np.ndarray
-
-    def num_bytes(self) -> int:
-        return self.values.size * BYTES_PER_VALUE
-
-    def to_dense(self, size: int) -> np.ndarray:
-        if self.values.size != size:
-            raise ValueError(f"payload has {self.values.size} values, need {size}")
-        return np.asarray(self.values)
-
-
-@dataclass
 class SharedMaskPayload(Payload):
     """Masked values only — receiver regenerates the mask from the seed.
 
@@ -118,23 +101,6 @@ class IndexedPayload(Payload):
 
 
 @dataclass
-class QuantizedPayload(Payload):
-    """Values quantized to ``bits`` bits plus a float32 scale per payload."""
-
-    values: np.ndarray  # already dequantized for simulation fidelity
-    bits: int
-    scale_bytes: int = BYTES_PER_VALUE
-
-    def num_bytes(self) -> int:
-        return int(np.ceil(self.values.size * self.bits / 8)) + self.scale_bytes
-
-    def to_dense(self, size: int) -> np.ndarray:
-        if self.values.size != size:
-            raise ValueError(f"payload has {self.values.size} values, need {size}")
-        return np.asarray(self.values)
-
-
-@dataclass
 class BatchPayload(Payload):
     """One communication round's payloads for every row of a matrix.
 
@@ -151,7 +117,7 @@ class BatchPayload(Payload):
     ``indices``
         ``None`` for dense batches, a shared ``(k,)`` index vector for
         shared-mask batches, or an ``(n, k)`` per-row index matrix for
-        top-k / random-k batches.
+        top-k batches.
 
     When both are present :meth:`to_dense` scatters the whole batch in
     one vectorized operation; otherwise it stacks the per-row payloads.
@@ -259,29 +225,6 @@ class Compressor:
         matrix = check_matrix(matrix)
         batch = BatchPayload(
             payloads=[self.compress(row, round_index) for row in matrix]
-        )
-        record_batch_metrics(matrix, batch)
-        return batch
-
-
-class NoCompression(Compressor):
-    """Identity compressor: ship the dense vector."""
-
-    @property
-    def ratio(self) -> float:
-        return 1.0
-
-    def compress(self, vector: np.ndarray, round_index: int = 0) -> DensePayload:
-        return DensePayload(values=np.asarray(vector).copy())
-
-    def compress_matrix(
-        self, matrix: np.ndarray, round_index: int = 0
-    ) -> BatchPayload:
-        matrix = check_matrix(matrix)
-        copied = matrix.copy()
-        batch = BatchPayload(
-            payloads=[DensePayload(values=row) for row in copied],
-            values=copied,
         )
         record_batch_metrics(matrix, batch)
         return batch

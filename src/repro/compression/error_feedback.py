@@ -5,71 +5,26 @@ TopK-PSGD zero-outs 99-99.9% of gradients "with error compensation"
 round are added back before the next compression, so nothing is lost —
 only delayed.
 
-Two granularities:
+:class:`BatchedErrorFeedback` keeps the residual state of all ``n``
+workers as a single ``(n, N)`` matrix: compensation is one matrix add and
+compression goes through
+:meth:`~repro.compression.base.Compressor.compress_matrix`.  With a
+deterministic compressor (top-k) it is element-for-element identical to
+``n`` independent per-worker residual vectors — the reference
+``tests/reference/error_feedback.py`` keeps for that comparison.
 
-* :class:`ErrorFeedback` — one worker's residual vector (the historical
-  per-worker object).
-* :class:`BatchedErrorFeedback` — the arena-aware version: residual state
-  for all ``n`` workers is a single ``(n, N)`` matrix, compensation is
-  one matrix add, and compression goes through
-  :meth:`~repro.compression.base.Compressor.compress_matrix`.  With a
-  deterministic compressor (top-k) it is element-for-element identical
-  to ``n`` independent :class:`ErrorFeedback` objects.
-
-Both accept a ``dtype`` so float32 pipelines keep float32 residuals
-(default float64, matching the historical behaviour bit-for-bit).
+``dtype`` lets float32 pipelines keep float32 residuals (default
+float64, matching the historical behaviour bit-for-bit).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.compression.base import BatchPayload, Compressor, Payload
+from repro.compression.base import BatchPayload, Compressor
 from repro.utils.dtypes import DTypeLike, resolve_dtype
-
-
-class ErrorFeedback:
-    """Residual buffer wrapping a compressor.
-
-    Usage per round::
-
-        payload, dense_sent = ef.compress(gradient)
-
-    where ``dense_sent`` is the dense equivalent of what was transmitted;
-    the difference ``(gradient + residual) - dense_sent`` is retained for
-    the next round.
-    """
-
-    def __init__(
-        self, compressor: Compressor, size: int, dtype: DTypeLike = None
-    ) -> None:
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        self.compressor = compressor
-        self.residual = np.zeros(size, dtype=resolve_dtype(dtype))
-
-    def compress(self, vector: np.ndarray, round_index: int = 0):
-        """Compensate, compress, and retain the new residual.
-
-        Returns ``(payload, dense_sent)``.
-        """
-        vector = np.asarray(vector, dtype=self.residual.dtype)
-        if vector.size != self.residual.size:
-            raise ValueError(
-                f"vector size {vector.size} != buffer size {self.residual.size}"
-            )
-        compensated = vector + self.residual
-        payload = self.compressor.compress(compensated, round_index)
-        dense_sent = payload.to_dense(vector.size)
-        # In place: the residual buffer is long-lived, no fresh array per
-        # round (bit-identical to `compensated - dense_sent`).
-        np.subtract(compensated, dense_sent, out=self.residual)
-        return payload, dense_sent
-
-    def reset(self) -> None:
-        self.residual[:] = 0.0
 
 
 class BatchedErrorFeedback:

@@ -1,9 +1,9 @@
-"""Top-k and random-k sparsifiers (used by the TopK-PSGD baseline).
+"""The top-k sparsifier (used by the TopK-PSGD baseline).
 
 Top-k keeps the ``k = ceil(N/c)`` largest-magnitude components and must
 ship explicit indices (unlike the paper's shared-mask scheme).
 
-Both compressors implement the matrix-level
+The compressor implements the matrix-level
 :meth:`~repro.compression.base.Compressor.compress_matrix` API: top-k
 selection runs one row-wise ``argpartition`` over the full ``(n, N)``
 matrix (one numpy dispatch per round instead of one per worker), which is
@@ -23,15 +23,13 @@ from repro.compression.base import (
     record_batch_metrics,
 )
 from repro.utils import parallel
-from repro.utils.rng import SeedLike, as_generator
 
 
 def k_for(size: int, compression_ratio: float) -> int:
     """Surviving-component count ``k = max(1, ceil(size/c))`` (0 if empty).
 
-    The single definition shared by every k-selecting compressor (top-k,
-    random-k) and by S-FedAvg's upload masking — keep it in sync with the
-    paper's ``N/c`` convention.
+    The single definition shared by top-k compression and S-FedAvg's
+    upload masking — keep it in sync with the paper's ``N/c`` convention.
     """
     return max(1, int(np.ceil(size / compression_ratio))) if size else 0
 
@@ -142,56 +140,3 @@ class TopKCompressor(Compressor):
         )
         record_batch_metrics(matrix, batch)
         return batch
-
-
-class RandomKCompressor(Compressor):
-    """Keep ``ceil(N/c)`` uniformly random entries (indices shipped).
-
-    Unlike :class:`~repro.compression.random_mask.RandomMaskCompressor`
-    the selection is *not* shared between workers — this is the ablation
-    contrast for the paper's shared-seed design.
-    """
-
-    def __init__(self, compression_ratio: float, rng: SeedLike = None) -> None:
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        self._ratio = float(compression_ratio)
-        self._rng = as_generator(rng)
-
-    @property
-    def ratio(self) -> float:
-        return self._ratio
-
-    def compress(self, vector: np.ndarray, round_index: int = 0) -> IndexedPayload:
-        vector = np.asarray(vector)
-        indices = self._draw_indices(vector.size)
-        # Fancy indexing already allocates a fresh array — no extra copy.
-        return IndexedPayload(values=vector[indices], indices=indices)
-
-    def compress_matrix(
-        self, matrix: np.ndarray, round_index: int = 0
-    ) -> BatchPayload:
-        matrix = check_matrix(matrix)
-        num_rows, size = matrix.shape
-        # Index draws stay per-row so the RNG stream matches per-row
-        # ``compress`` exactly; the value gather is one batched op.
-        indices = (
-            np.stack([self._draw_indices(size) for _ in range(num_rows)])
-            if num_rows
-            else np.zeros((0, k_for(size, self._ratio)), dtype=np.int64)
-        )
-        values = np.take_along_axis(matrix, indices, axis=1)
-        batch = BatchPayload(
-            payloads=[
-                IndexedPayload(values=values[row], indices=indices[row])
-                for row in range(num_rows)
-            ],
-            values=values,
-            indices=indices,
-        )
-        record_batch_metrics(matrix, batch)
-        return batch
-
-    def _draw_indices(self, size: int) -> np.ndarray:
-        k = k_for(size, self._ratio)
-        return np.sort(self._rng.choice(size, size=k, replace=False))

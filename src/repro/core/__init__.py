@@ -4,8 +4,8 @@
   ``RandomlyMaxMatch``.
 * :mod:`repro.core.gossip` — Algorithm 3 (adaptive peer selection) and
   gossip-matrix construction.
-* :mod:`repro.core.protocol` — Algorithm 1 (Coordinator) and Algorithm 2's
-  sparsified model exchange.
+* :mod:`repro.core.protocol` — Algorithm 1 (Coordinator) and the round
+  plan it broadcasts.
 
 The end-to-end training algorithm built on these lives in
 :class:`repro.algorithms.SAPSPSGD`.
@@ -27,12 +27,7 @@ from repro.core.gossip import (
     gossip_matrix_from_matching,
     ring_gossip_matrix,
 )
-from repro.core.protocol import (
-    Coordinator,
-    ModelExchangeWorker,
-    RoundPlan,
-    exchange_pair,
-)
+from repro.core.protocol import Coordinator, RoundPlan
 from repro.core.multipeer import (
     MultiPeerSelector,
     gossip_from_neighbor_sets,
@@ -45,16 +40,6 @@ from repro.core.ring_opt import (
     greedy_ring,
     ring_bottleneck,
     two_opt_ring,
-)
-from repro.core.messages import (
-    COORDINATOR,
-    Message,
-    MessageBus,
-    MessagingCoordinator,
-    ModelUpload,
-    RoundEnd,
-    RoundStart,
-    TrainTask,
 )
 
 __all__ = [
@@ -71,21 +56,11 @@ __all__ = [
     "gossip_matrix_from_matching",
     "ring_gossip_matrix",
     "Coordinator",
-    "ModelExchangeWorker",
     "RoundPlan",
-    "exchange_pair",
     "MultiPeerSelector",
     "union_of_matchings",
     "neighbor_sets_from_matchings",
     "gossip_from_neighbor_sets",
-    "COORDINATOR",
-    "Message",
-    "MessageBus",
-    "MessagingCoordinator",
-    "TrainTask",
-    "RoundStart",
-    "RoundEnd",
-    "ModelUpload",
     "ring_bottleneck",
     "best_bottleneck_ring",
     "best_bottleneck_matching",

@@ -1,9 +1,8 @@
-"""The SAPS-PSGD wire protocol: Coordinator (Alg. 1) and worker exchange (Alg. 2).
+"""The SAPS-PSGD protocol's coordinator half (Algorithm 1).
 
-These classes implement the paper's protocol at the level of flat model
-vectors and payload objects — independent of the neural-network substrate,
-so the protocol is testable on toy vectors.  The full training algorithm
-(:class:`repro.algorithms.SAPSPSGD`) composes them with real models.
+The coordinator plans a round and tracks its end; it never sees model
+data.  The worker half (Algorithm 2: local SGD and the Eq. 7 masked
+exchange) is :meth:`repro.algorithms.SAPSPSGD.run_round`, on the arena.
 
 Message flow per round ``t``:
 
@@ -18,12 +17,10 @@ Message flow per round ``t``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.compression.base import SharedMaskPayload
-from repro.compression.random_mask import generate_mask
 from repro.core.gossip import (
     AdaptivePeerSelector,
     PeerSelectionResult,
@@ -57,7 +54,7 @@ class Coordinator:
     """Algorithm 1: lightweight tracker-style coordinator.
 
     Holds only *small* global state — bandwidth matrix, timestamps, seeds
-    — never model parameters (except the single final model it collects).
+    — never model parameters.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class Coordinator:
         self._round_ends: List[int] = []
         self._expected_ends = self.num_workers
         self.current_round = -1
-        self.final_model: Optional[np.ndarray] = None
 
     def plan_round(
         self, round_index: int, active: Optional[np.ndarray] = None
@@ -125,69 +121,3 @@ class Coordinator:
         """True once every *participating* worker has notified
         (Algorithm 1, line 7)."""
         return len(self._round_ends) == self._expected_ends
-
-    def collect_model(self, model_vector: np.ndarray) -> None:
-        """Receive the final full model from any single worker."""
-        self.final_model = np.asarray(model_vector, dtype=np.float64).copy()
-
-
-class ModelExchangeWorker:
-    """Algorithm 2's communication half, over a flat model vector.
-
-    The caller owns local training; this class owns mask generation,
-    payload construction and the Eq. (7) merge.
-    """
-
-    def __init__(self, rank: int, model_vector: np.ndarray, compression_ratio: float) -> None:
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        self.rank = rank
-        self.x = np.asarray(model_vector, dtype=np.float64).copy()
-        self.compression_ratio = float(compression_ratio)
-
-    @property
-    def model_size(self) -> int:
-        return self.x.size
-
-    def build_payload(self, mask_seed: int) -> SharedMaskPayload:
-        """``x̃ = x ∘ m_t`` packed for the wire (lines 6-7, 9)."""
-        mask = generate_mask(self.model_size, self.compression_ratio, mask_seed)
-        indices = np.flatnonzero(mask)
-        return SharedMaskPayload(
-            values=self.x[indices].copy(), indices=indices, mask_seed=int(mask_seed)
-        )
-
-    def merge_peer(self, payload: SharedMaskPayload, mask_seed: int) -> None:
-        """Eq. (7) merge: masked coordinates become the pairwise average
-        ``(x_own + x_peer)/2`` (gossip weights 1/2, 1/2); unmasked
-        coordinates are untouched (``x ∘ ¬m_t`` term)."""
-        if payload.mask_seed != mask_seed:
-            raise ValueError(
-                f"peer payload carries seed {payload.mask_seed}, "
-                f"expected {mask_seed} — shared-mask invariant violated"
-            )
-        mask = generate_mask(self.model_size, self.compression_ratio, mask_seed)
-        indices = np.flatnonzero(mask)
-        if indices.size != payload.indices.size or not np.array_equal(
-            indices, payload.indices
-        ):
-            raise ValueError("peer mask does not match locally generated mask")
-        self.x[indices] = 0.5 * self.x[indices] + 0.5 * payload.values
-
-
-def exchange_pair(
-    worker_a: ModelExchangeWorker,
-    worker_b: ModelExchangeWorker,
-    mask_seed: int,
-) -> Tuple[SharedMaskPayload, SharedMaskPayload]:
-    """Full bidirectional exchange between two matched workers.
-
-    Returns the two payloads that crossed the wire (for traffic
-    accounting).  After the call both workers agree exactly on the masked
-    coordinates.
-    """
-    payload_a = worker_a.build_payload(mask_seed)
-    payload_b = worker_b.build_payload(mask_seed)
-    worker_a.merge_peer(payload_b, mask_seed)
-    worker_b.merge_peer(payload_a, mask_seed)
-    return payload_a, payload_b

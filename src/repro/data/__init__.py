@@ -3,46 +3,24 @@
 from repro.data.datasets import (
     Dataset,
     make_blobs,
-    make_regression,
-    make_spirals,
     make_synthetic_images,
     synthetic_cifar10,
     synthetic_mnist,
 )
 from repro.data.partition import (
-    label_distribution,
-    partition_by_shards,
     partition_dirichlet,
     partition_iid,
 )
 from repro.data.loader import Batch, DataLoader
-from repro.data.augment import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    RandomCrop,
-    RandomHorizontalFlip,
-    cifar_augmentation,
-)
 
 __all__ = [
     "Dataset",
     "make_blobs",
-    "make_spirals",
     "make_synthetic_images",
-    "make_regression",
     "synthetic_mnist",
     "synthetic_cifar10",
     "partition_iid",
     "partition_dirichlet",
-    "partition_by_shards",
-    "label_distribution",
     "DataLoader",
     "Batch",
-    "Compose",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "GaussianNoise",
-    "Cutout",
-    "cifar_augmentation",
 ]

@@ -8,9 +8,8 @@ paths:
   per-class structured textures, at any ``(channels, size, size)`` shape.
   ``synthetic_mnist()`` and ``synthetic_cifar10()`` produce the paper's
   shapes.
-* :func:`make_blobs` / :func:`make_spirals` — low-dimensional datasets for
-  fast experiments and tests; spirals are non-linearly-separable so they
-  meaningfully differentiate optimizers.
+* :func:`make_blobs` — a low-dimensional dataset for fast experiments
+  and tests.
 
 Every generator is deterministic given a seed, and returns a
 :class:`Dataset` of float64 features and int64 labels.
@@ -112,27 +111,6 @@ def make_blobs(
     return Dataset(features, labels, num_classes, name="blobs")
 
 
-def make_spirals(
-    num_samples: int = 1000,
-    num_classes: int = 3,
-    noise: float = 0.15,
-    turns: float = 1.0,
-    rng: SeedLike = None,
-) -> Dataset:
-    """Interleaved 2-D spirals — a classic non-linear benchmark."""
-    rng = as_generator(rng)
-    labels = rng.integers(num_classes, size=num_samples)
-    radii = rng.random(num_samples)
-    angles = (
-        radii * turns * 2 * np.pi + labels * (2 * np.pi / num_classes)
-    )
-    features = np.stack(
-        [radii * np.cos(angles), radii * np.sin(angles)], axis=1
-    )
-    features += rng.normal(0.0, noise, size=features.shape)
-    return Dataset(features, labels, num_classes, name="spirals")
-
-
 def make_synthetic_images(
     num_samples: int,
     num_classes: int,
@@ -184,17 +162,3 @@ def synthetic_cifar10(
     return make_synthetic_images(
         num_samples, 10, 3, 32, noise=noise, rng=rng, name="synthetic-cifar10"
     )
-
-
-def make_regression(
-    num_samples: int = 500,
-    num_features: int = 16,
-    noise: float = 0.1,
-    rng: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear regression data ``(X, y, true_weights)`` for theory tests."""
-    rng = as_generator(rng)
-    weights = rng.normal(size=num_features)
-    features = rng.normal(size=(num_samples, num_features))
-    targets = features @ weights + rng.normal(0.0, noise, size=num_samples)
-    return features, targets, weights

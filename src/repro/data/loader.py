@@ -38,7 +38,6 @@ class DataLoader:
         batch_size: int,
         drop_last: bool = False,
         rng: SeedLike = None,
-        transform=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -48,14 +47,6 @@ class DataLoader:
         self.batch_size = min(batch_size, len(dataset))
         self.drop_last = drop_last
         self._rng = as_generator(rng)
-        #: Optional batch transform (see :mod:`repro.data.augment`),
-        #: applied to the features of every emitted batch.
-        self.transform = transform
-
-    def _apply(self, features: np.ndarray) -> np.ndarray:
-        if self.transform is None:
-            return features
-        return self.transform(features)
 
     def __len__(self) -> int:
         """Number of batches per epoch."""
@@ -71,10 +62,7 @@ class DataLoader:
             indices = order[start : start + self.batch_size]
             if self.drop_last and len(indices) < self.batch_size:
                 return
-            yield (
-                self._apply(self.dataset.features[indices]),
-                self.dataset.labels[indices],
-            )
+            yield self.dataset.features[indices], self.dataset.labels[indices]
 
     def sample(self) -> Batch:
         """One random batch with replacement across calls (within a batch
@@ -82,7 +70,4 @@ class DataLoader:
         indices = self._rng.choice(
             len(self.dataset), size=self.batch_size, replace=False
         )
-        return (
-            self._apply(self.dataset.features[indices]),
-            self.dataset.labels[indices],
-        )
+        return self.dataset.features[indices], self.dataset.labels[indices]

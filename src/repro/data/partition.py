@@ -1,13 +1,11 @@
 """Partitioning a dataset across workers (the paper's ``D_p`` shards).
 
 The paper's experiments shard the training set across 32 workers.  We
-provide the standard federated-learning partitioners:
+provide two standard federated-learning partitioners:
 
 * :func:`partition_iid` — uniform random equal shards.
 * :func:`partition_dirichlet` — label-skewed non-IID shards controlled by
   a Dirichlet concentration ``alpha`` (smaller = more skew).
-* :func:`partition_by_shards` — McMahan-style "sort by label and deal out
-  shards" pathological non-IID split.
 """
 
 from __future__ import annotations
@@ -83,41 +81,3 @@ def partition_dirichlet(
         "could not satisfy min_samples after 100 Dirichlet draws; "
         "increase alpha or dataset size"
     )
-
-
-def partition_by_shards(
-    dataset: Dataset,
-    num_workers: int,
-    shards_per_worker: int = 2,
-    rng: SeedLike = None,
-) -> List[Dataset]:
-    """McMahan-style non-IID: sort by label, cut into
-    ``num_workers * shards_per_worker`` shards, deal each worker
-    ``shards_per_worker`` shards (most workers see ~``shards_per_worker``
-    classes)."""
-    _check_workers(num_workers, len(dataset))
-    if shards_per_worker <= 0:
-        raise ValueError("shards_per_worker must be positive")
-    rng = as_generator(rng)
-    sorted_indices = np.argsort(dataset.labels, kind="stable")
-    num_shards = num_workers * shards_per_worker
-    shards = np.array_split(sorted_indices, num_shards)
-    shard_order = rng.permutation(num_shards)
-    partitions: List[Dataset] = []
-    for worker in range(num_workers):
-        mine = shard_order[
-            worker * shards_per_worker : (worker + 1) * shards_per_worker
-        ]
-        indices = np.concatenate([shards[s] for s in mine])
-        partitions.append(dataset.subset(np.sort(indices)))
-    return partitions
-
-
-def label_distribution(partitions: List[Dataset], num_classes: int) -> np.ndarray:
-    """``(num_workers, num_classes)`` matrix of per-shard label counts —
-    handy for verifying/visualizing skew."""
-    table = np.zeros((len(partitions), num_classes), dtype=np.int64)
-    for row, shard in enumerate(partitions):
-        for cls, count in zip(*np.unique(shard.labels, return_counts=True)):
-            table[row, cls] = count
-    return table

@@ -4,20 +4,14 @@ from repro.network.bandwidth import (
     FIG1_BANDWIDTH_MBPS,
     FIG1_CITIES,
     bandwidth_stats,
-    clustered_bandwidth,
     fig1_environment,
     mbits_to_mbytes,
     random_uniform_bandwidth,
     symmetrize_min,
 )
 from repro.network.topology import (
-    adjacency_from_edges,
-    complete_adjacency,
     connected_components,
-    edges_of,
     is_connected,
-    random_regular_adjacency,
-    ring_adjacency,
     threshold_graph,
 )
 from repro.network.metrics import (
@@ -46,15 +40,9 @@ __all__ = [
     "mbits_to_mbytes",
     "symmetrize_min",
     "random_uniform_bandwidth",
-    "clustered_bandwidth",
     "bandwidth_stats",
-    "ring_adjacency",
-    "complete_adjacency",
-    "random_regular_adjacency",
     "is_connected",
     "connected_components",
-    "edges_of",
-    "adjacency_from_edges",
     "threshold_graph",
     "MB",
     "TrafficMeter",

@@ -107,33 +107,6 @@ def random_uniform_bandwidth(
     return matrix
 
 
-def clustered_bandwidth(
-    num_workers: int,
-    num_clusters: int = 4,
-    intra_cluster: float = 10.0,
-    inter_cluster: float = 1.0,
-    jitter: float = 0.2,
-    rng: SeedLike = None,
-) -> np.ndarray:
-    """Geo-distributed-style matrix: fast links within a cluster
-    (data center), slow links across clusters (WAN).
-
-    Mirrors the structure visible in Fig. 1 where same-provider regions
-    talk faster than cross-continent pairs.
-    """
-    if num_clusters <= 0 or num_workers < num_clusters:
-        raise ValueError("need 1 <= num_clusters <= num_workers")
-    rng = as_generator(rng)
-    assignment = np.sort(np.arange(num_workers) % num_clusters)
-    matrix = np.zeros((num_workers, num_workers))
-    for i in range(num_workers):
-        for j in range(i + 1, num_workers):
-            base = intra_cluster if assignment[i] == assignment[j] else inter_cluster
-            speed = max(base * (1.0 + rng.normal(0.0, jitter)), 1e-3)
-            matrix[i, j] = matrix[j, i] = speed
-    return matrix
-
-
 def bandwidth_stats(matrix: np.ndarray) -> dict:
     """Summary statistics over off-diagonal links of a symmetric matrix."""
     matrix = check_square(matrix)

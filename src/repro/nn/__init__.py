@@ -28,15 +28,8 @@ from repro.nn.layers import (
     MaxPool2d,
 )
 from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss, accuracy
-from repro.nn.optim import (
-    SGD,
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    Optimizer,
-    StepLR,
-)
+from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.models import (
     MLP,
     BasicBlock,
@@ -76,15 +69,9 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "CrossEntropyLoss",
-    "MSELoss",
-    "NLLLoss",
     "accuracy",
     "Optimizer",
     "SGD",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
     "MLP",
     "LogisticRegression",
     "TinyCNN",

@@ -1,4 +1,4 @@
-"""Weight-initialization schemes (Kaiming / Xavier, fan computation).
+"""Weight-initialization schemes (Kaiming uniform, fan computation).
 
 Every initializer takes a ``dtype`` (float32/float64, default float64 via
 :func:`repro.utils.dtypes.resolve_dtype`).  Random draws always happen in
@@ -49,29 +49,6 @@ def kaiming_uniform(
     rng = as_generator(rng)
     fan_in, _ = compute_fans(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return _cast(rng.uniform(-bound, bound, size=shape), dtype)
-
-
-def kaiming_normal(
-    shape: Tuple[int, ...],
-    rng: SeedLike = None,
-    gain: float = np.sqrt(2.0),
-    dtype: DTypeLike = None,
-) -> np.ndarray:
-    """He-style normal init."""
-    rng = as_generator(rng)
-    fan_in, _ = compute_fans(shape)
-    std = gain / np.sqrt(fan_in)
-    return _cast(rng.normal(0.0, std, size=shape), dtype)
-
-
-def xavier_uniform(
-    shape: Tuple[int, ...], rng: SeedLike = None, dtype: DTypeLike = None
-) -> np.ndarray:
-    """Glorot uniform init, appropriate for tanh/sigmoid networks."""
-    rng = as_generator(rng)
-    fan_in, fan_out = compute_fans(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return _cast(rng.uniform(-bound, bound, size=shape), dtype)
 
 

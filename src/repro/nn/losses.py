@@ -40,45 +40,6 @@ class CrossEntropyLoss:
         return float(loss), grad / batch
 
 
-class MSELoss:
-    """Mean squared error over all elements."""
-
-    def __call__(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        # Preserve float32/float64 inputs (the gradient must flow back in
-        # the model's dtype); promote anything else to float64.
-        predictions = np.asarray(predictions)
-        targets = np.asarray(targets)
-        if predictions.dtype.kind != "f":
-            predictions = predictions.astype(np.float64)
-        if targets.dtype.kind != "f":
-            targets = targets.astype(np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        diff = predictions - targets
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad
-
-
-class NLLLoss:
-    """Negative log-likelihood over log-probabilities (paired with
-    an explicit log-softmax layer when callers want separated stages)."""
-
-    def __call__(
-        self, log_probs: np.ndarray, labels: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        labels = np.asarray(labels, dtype=np.int64)
-        batch = log_probs.shape[0]
-        loss = -log_probs[np.arange(batch), labels].mean()
-        grad = np.zeros_like(log_probs)
-        grad[np.arange(batch), labels] = -1.0 / batch
-        return float(loss), grad
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy in [0, 1]."""
     predictions = np.argmax(logits, axis=1)

@@ -1,13 +1,12 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers.
 
 Mini-batch SGD with optional momentum and weight decay is all the paper's
-experiments use (Table II); schedulers are provided for the longer CIFAR
-runs where step decay is conventional.
+experiments use (Table II).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -126,70 +125,3 @@ class SGD(Optimizer):
                 param.data -= self.lr * grad
             else:
                 param.data = param.data - self.lr * grad
-
-
-class LRScheduler:
-    """Base class: mutates ``optimizer.lr`` when :meth:`step` is called."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr(self.epoch)
-        return self.optimizer.lr
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(
-        self, optimizer: Optimizer, step_size: int, gamma: float = 0.1
-    ) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply LR by ``gamma`` at each milestone epoch."""
-
-    def __init__(
-        self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1
-    ) -> None:
-        super().__init__(optimizer)
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        passed = sum(1 for milestone in self.milestones if epoch >= milestone)
-        return self.base_lr * (self.gamma**passed)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(
-        self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0
-    ) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1.0 + np.cos(np.pi * progress)
-        )

@@ -21,13 +21,6 @@ from repro.sim.dynamics import (
     ChurnModel,
     MarkovChurn,
 )
-from repro.sim.sweep import (
-    SweepCell,
-    grid,
-    run_sweep,
-    sweep_headers,
-    sweep_table,
-)
 from repro.sim.timing import (
     ComputeModel,
     ConstantCompute,
@@ -70,11 +63,6 @@ __all__ = [
     "AlwaysOn",
     "MarkovChurn",
     "AvailabilitySchedule",
-    "grid",
-    "run_sweep",
-    "SweepCell",
-    "sweep_table",
-    "sweep_headers",
     "ComputeModel",
     "ConstantCompute",
     "HeterogeneousCompute",

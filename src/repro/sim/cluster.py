@@ -227,11 +227,6 @@ class ClusterTrainer:
         loaders = [worker.loader for worker in workers]
         if any(type(loader) is not DataLoader for loader in loaders):
             return None
-        # Stacked sampling replays loader.sample's exact draw per worker
-        # but gathers into one buffer, so transforms (which see per-batch
-        # arrays) are out of scope.
-        if any(loader.transform is not None for loader in loaders):
-            return None
         batch_size = loaders[0].batch_size
         if any(loader.batch_size != batch_size for loader in loaders):
             return None

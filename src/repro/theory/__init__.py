@@ -23,11 +23,6 @@ from repro.theory.bounds import (
     theorem2_bound,
     theorem2_step_size,
 )
-from repro.theory.diagnostics import (
-    TrajectoryDiagnostics,
-    diagnose,
-    efficiency_ranking,
-)
 from repro.theory.streaming import StreamingMoments, arena_consensus
 
 __all__ = [
@@ -48,9 +43,6 @@ __all__ = [
     "theorem2_bound",
     "theorem2_step_size",
     "dominant_regime",
-    "TrajectoryDiagnostics",
-    "diagnose",
-    "efficiency_ranking",
     "StreamingMoments",
     "arena_consensus",
 ]

@@ -1,10 +1,7 @@
-"""Numerical gradient checking, as a public utility.
+"""Numerical gradient checking: finite-difference verification of a
+module's backward pass, for the layer and model tests.
 
-Finite-difference verification of a module's backward pass — the same
-machinery the test suite uses, exposed so downstream users extending the
-NN substrate (new layers, new models) can verify their gradients:
-
-    from repro.nn.gradcheck import check_gradients
+    from tests.gradcheck import check_gradients
     report = check_gradients(MyLayer(...), example_input)
     assert report.passed, report.summary()
 """

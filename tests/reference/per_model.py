@@ -30,11 +30,11 @@ from repro.algorithms.decentralized import DPSGD
 from repro.algorithms.psgd import PSGD, TopKPSGD
 from repro.algorithms.saps_psgd import SAPSPSGD
 from repro.compression.base import BYTES_PER_VALUE, SharedMaskPayload
-from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.random_mask import generate_mask
 from repro.core.gossip import ring_gossip_matrix
 from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import as_generator, derive_seed
+from tests.reference.error_feedback import ErrorFeedback
 
 
 def per_worker_compute(algorithm):

@@ -6,25 +6,32 @@ specific invariants (synchronized replicas, consensus preservation,
 replica consistency, ...).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.algorithms import (
     DCDPSGD,
     DPSGD,
+    AsyncGossip,
     FedAvg,
+    LogisticBlobsTask,
     PSGD,
-    RandomChoosePSGD,
     SAPSPSGD,
+    SampledSAPS,
     SparseFedAvg,
     TopKPSGD,
+    sampled,
 )
+from repro.compression import generate_mask
 from repro.compression.base import BYTES_PER_VALUE
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.network.metrics import MB
 from repro.nn import MLP
-from repro.sim import ExperimentConfig, make_workers, run_experiment
+from repro.sim import EventEngine, ExperimentConfig, make_workers, run_experiment
+from repro.utils.rng import derive_seed
 
 
 N_WORKERS = 4
@@ -308,10 +315,9 @@ class TestSAPSPSGD:
     def test_random_selector_variant(self):
         partitions, validation, model_factory, config, network = build_setup()
         result = run_experiment(
-            RandomChoosePSGD(compression_ratio=10.0),
+            SAPSPSGD(compression_ratio=10.0, selector="random"),
             partitions, validation, model_factory, config, network,
         )
-        assert result.algorithm == "RandomChoose"
         assert result.final_accuracy > 0.7
 
     def test_ring_selector_variant(self):
@@ -359,3 +365,147 @@ class TestSetupValidation:
         reference = workers[0].get_params()
         for worker in workers[1:]:
             np.testing.assert_array_equal(worker.get_params(), reference)
+
+
+# ---------------------------------------------------------------------------
+# Eq. 7, where it runs
+# ---------------------------------------------------------------------------
+class _DropFirstExchange:
+    """Loss model that loses exactly the first exchange it is asked about."""
+
+    def __init__(self):
+        self.dropped = []
+
+    def exchange_fails(self, index, a, b):
+        if not self.dropped:
+            self.dropped.append((a, b))
+            return True
+        return False
+
+
+def _bound_workers(n, dtype):
+    """``n`` arena-bound MLP workers on blobs, in ``dtype``."""
+    full = make_blobs(num_samples=30 * n, num_classes=4, num_features=8, rng=0)
+    config = ExperimentConfig(rounds=1, batch_size=16, lr=0.2, seed=0, dtype=dtype)
+    return make_workers(
+        lambda: MLP(8, [16], 4, rng=0), partition_iid(full, n, rng=0), config
+    )
+
+
+def _random_state(arena, rng):
+    """Overwrite the arena with a random pre-state ``X``; returns a copy."""
+    arena.data[:] = rng.normal(size=arena.data.shape)
+    return arena.data.copy()
+
+
+def _recording(function, log):
+    """``function``, appending each result to ``log``."""
+
+    def wrapper(*args, **kwargs):
+        log.append(function(*args, **kwargs))
+        return log[-1]
+
+    return wrapper
+
+
+def _saps_round(dtype, rng, monkeypatch, offline=()):
+    """One ``SAPSPSGD.run_round`` at lr = 0 from a random pre-state: seven
+    workers (someone is always unmatched), the first pair lost.  With
+    nobody ``offline`` it is the fused gather path, otherwise the
+    churn-subset regather path."""
+    n = 7
+    workers = _bound_workers(n, dtype)
+    active = np.ones(n, dtype=bool)
+    active[list(offline)] = False
+    loss_model = _DropFirstExchange()
+    algorithm = SAPSPSGD(
+        compression_ratio=5.0,
+        loss_model=loss_model,
+        churn=SimpleNamespace(active_at=lambda t: active) if offline else None,
+    )
+    algorithm.setup(workers, SimulatedNetwork(n), rng=0)
+    assert algorithm.cluster_trainer is not None
+    for worker in workers:
+        worker.optimizer.lr = 0.0  # the local step is the identity
+    plans = []
+    monkeypatch.setattr(algorithm, "_plan", _recording(algorithm._plan, plans))
+    before = _random_state(algorithm.arena, rng)
+    algorithm.run_round(0)
+    (plan,) = plans
+    assert len(loss_model.dropped) == 1 and not set(plan.partners[list(offline)]) - {-1}
+    pairs = [pair for pair in plan.matching if pair not in loss_model.dropped]
+    mask = generate_mask(algorithm.model_size, 5.0, plan.mask_seed)
+    return before, algorithm.arena.data, np.flatnonzero(mask), pairs
+
+
+def _async_gossip_merge(dtype, rng, monkeypatch):
+    """``AsyncGossip._merge`` of one pair among six bound workers."""
+    n = 6
+    network = SimulatedNetwork(n)
+    algorithm = AsyncGossip(compression_ratio=5.0)
+    algorithm.setup(_bound_workers(n, dtype), network, rng=0)
+    algorithm.bind(EventEngine(network))
+    algorithm.start()
+    before = _random_state(algorithm.arena, rng)
+    indices = np.flatnonzero(generate_mask(algorithm.model_size, 5.0, 3))
+    algorithm._merge(4, 1, indices, 0.0)
+    return before, algorithm.arena.data, indices, [(4, 1)]
+
+
+def _sampled_saps_round(dtype, rng, monkeypatch):
+    """One ``SampledSAPS.run_round`` at lr = 0: seven of twelve clients
+    drawn, so five stay out and one of the drawn goes unmatched."""
+    task = LogisticBlobsTask(num_features=6, num_classes=3, seed=0)
+    algorithm = SampledSAPS(
+        task, 12, sample_size=7, capacity=12, compression_ratio=5.0,
+        lr=0.0, dtype=dtype, seed=0,
+    )
+    matchings = []
+    monkeypatch.setattr(
+        sampled, "greedy_weighted_matching",
+        _recording(sampled.greedy_weighted_matching, matchings),
+    )
+    assert algorithm.arena.dense
+    before = _random_state(algorithm.arena, rng)
+    algorithm.run_round(0)
+    drawn = algorithm.last_participants
+    (local_pairs,) = matchings
+    pairs = [(drawn[i], drawn[j]) for i, j in local_pairs]
+    mask = generate_mask(task.model_size, 5.0, derive_seed(0, "mask", 0))
+    return before, algorithm.arena.data, np.flatnonzero(mask), pairs
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize(
+    "exchange",
+    [
+        _saps_round,
+        lambda *args: _saps_round(*args, offline=(2, 5)),
+        _async_gossip_merge,
+        _sampled_saps_round,
+    ],
+    ids=["saps-fused", "saps-churn-regather", "async-gossip-merge", "sampled-saps"],
+)
+def test_masked_exchange_averages_pairs_and_touches_nothing_else(
+    exchange, dtype, rng, monkeypatch
+):
+    """Eq. 7 on the three production exchanges: a matched pair leaves
+    agreeing exactly, on the round's mask indices, on ``½(x_a⁰ + x_b⁰)``;
+    every other coordinate — unmasked, or of an unmatched, offline, undrawn
+    or loss-dropped worker — is bit-equal to the pre-state; and the column
+    sums (the population mean Lemma 2 and D-PSGD's analysis rest on) move
+    by no more than rounding."""
+    before, after, indices, pairs = exchange(dtype, rng, monkeypatch)
+    assert after.dtype == np.dtype(dtype)
+    assert pairs and 0 < indices.size < before.shape[1]
+    assert len({rank for pair in pairs for rank in pair}) < before.shape[0]
+    expected = before.copy()
+    for a, b in pairs:
+        expected[a, indices] = expected[b, indices] = 0.5 * (
+            before[a, indices] + before[b, indices]
+        )
+        np.testing.assert_array_equal(after[a, indices], after[b, indices])
+    np.testing.assert_array_equal(after, expected)
+    sums = [state.sum(axis=0, dtype=np.float64) for state in (before, after)]
+    tolerance = np.finfo(dtype).eps * np.abs(before).sum(axis=0)
+    assert np.all(np.abs(sums[1] - sums[0]) <= tolerance)

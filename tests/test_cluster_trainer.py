@@ -610,7 +610,7 @@ def test_all_families_bit_identical_to_loop(algorithm_factory):
 
 
 # ----------------------------------------------------------------------
-# satellite plumbing: sweep/comparison knobs, evaluate dtype fix
+# satellite plumbing: comparison knobs, evaluate dtype fix
 # ----------------------------------------------------------------------
 class TestPlumbing:
     def test_config_validates_local_steps(self):
@@ -642,26 +642,6 @@ class TestPlumbing:
         )
         assert algorithm.local_steps == 3
 
-    def test_run_sweep_local_steps_changes_schedule(self):
-        from repro.sim import run_sweep
-
-        partitions, validation = _workload(3)
-        config = ExperimentConfig(rounds=2, batch_size=8, eval_every=2, seed=3)
-        cells = {}
-        for steps in (None, 2):
-            cells[steps] = run_sweep(
-                lambda: SAPSPSGD(compression_ratio=8.0, base_seed=3),
-                [{}], partitions, validation,
-                lambda: MODEL_FACTORIES["mlp"](), config,
-                local_steps=steps,
-            )[0]
-        assert cells[2].result.config.local_steps == 2
-        # different schedules produce different trajectories
-        assert (
-            cells[None].result.history[-1].train_loss
-            != cells[2].result.history[-1].train_loss
-        )
-
     def test_suite_threads_saps_local_steps(self):
         from repro.sim import SuiteSettings, paper_algorithm_suite
 
@@ -683,19 +663,6 @@ class TestPlumbing:
         assert result.config.dtype == "float32"
         assert result.config.local_steps == 2
         assert config.dtype == "float64" and config.local_steps == 1
-
-    def test_run_sweep_threads_dtype_and_local_steps(self):
-        from repro.sim import run_sweep
-
-        partitions, validation = _workload(3)
-        config = ExperimentConfig(rounds=3, batch_size=8, eval_every=3, seed=3)
-        cells = run_sweep(
-            lambda: PSGD(), [{}], partitions, validation,
-            lambda: MODEL_FACTORIES["mlp"]("float32"), config,
-            dtype="float32", local_steps=2,
-        )
-        assert cells[0].result.config.dtype == "float32"
-        assert cells[0].result.config.local_steps == 2
 
     def test_evaluate_casts_dataset_once_against_model_dtype(self):
         partitions, validation = _workload(3)

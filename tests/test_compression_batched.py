@@ -2,8 +2,8 @@
 
 The acceptance contract: ``compress_matrix`` must produce payloads
 equivalent to per-row ``compress`` — same values, indices and wire bytes
-— for shared-mask, top-k, random-k and quantize, in both float64 and
-float32, and batched error feedback must match per-worker buffers.
+— for shared-mask and top-k, in both float64 and float32, and batched
+error feedback must match per-worker buffers.
 """
 
 import numpy as np
@@ -12,19 +12,14 @@ import pytest
 from repro.compression import (
     BatchedErrorFeedback,
     BatchPayload,
-    DensePayload,
-    ErrorFeedback,
-    NoCompression,
-    QuantizeCompressor,
-    RandomKCompressor,
+    IndexedPayload,
     RandomMaskCompressor,
     TopKCompressor,
     k_for,
-    quantize_stochastic,
-    quantize_stochastic_matrix,
     top_k_indices,
     top_k_indices_matrix,
 )
+from tests.reference.error_feedback import ErrorFeedback
 
 DTYPES = [np.float64, np.float32]
 
@@ -50,12 +45,6 @@ class TestKFor:
         assert k_for(10_000, 1000.0) == 10
         assert k_for(5, 1000.0) == 1  # at least one survives
         assert k_for(0, 10.0) == 0
-
-    def test_shared_by_both_k_compressors(self, rng):
-        vector = rng.normal(size=97)
-        top = TopKCompressor(10.0).compress(vector)
-        rand = RandomKCompressor(10.0, rng=0).compress(vector)
-        assert top.values.size == rand.values.size == k_for(97, 10.0)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -88,40 +77,11 @@ class TestMatrixEquivalence:
             batch, [compressor.compress(row) for row in matrix]
         )
 
-    def test_random_k(self, rng, dtype):
-        matrix = _matrix(rng, dtype=dtype)
-        batched = RandomKCompressor(10.0, rng=3)
-        per_row = RandomKCompressor(10.0, rng=3)
-        batch = batched.compress_matrix(matrix)
-        assert_rows_equivalent(
-            batch, [per_row.compress(row) for row in matrix]
-        )
-
-    def test_quantize(self, rng, dtype):
-        matrix = _matrix(rng, dtype=dtype)
-        batched = QuantizeCompressor(bits=4, rng=9)
-        per_row = QuantizeCompressor(bits=4, rng=9)
-        batch = batched.compress_matrix(matrix)
-        assert_rows_equivalent(
-            batch, [per_row.compress(row) for row in matrix]
-        )
-
-    def test_no_compression(self, rng, dtype):
-        matrix = _matrix(rng, dtype=dtype)
-        batch = NoCompression().compress_matrix(matrix)
-        dense = batch.to_dense(matrix.shape[1])
-        np.testing.assert_array_equal(dense, matrix)
-        assert dense.dtype == dtype
-        # The batch owns a copy — mutating the source must not leak in.
-        matrix[0, 0] += 1.0
-        assert batch[0].values[0] != matrix[0, 0]
-
     def test_to_dense_matches_per_row(self, rng, dtype):
         matrix = _matrix(rng, dtype=dtype)
         for compressor in (
             RandomMaskCompressor(8.0),
             TopKCompressor(8.0),
-            RandomKCompressor(8.0, rng=1),
         ):
             batch = compressor.compress_matrix(matrix)
             stacked = np.stack(
@@ -145,7 +105,9 @@ class TestBaseLoopFallback:
                 return 1.0
 
             def compress(self, vector, round_index=0):
-                return DensePayload(values=np.asarray(vector) * 0.5)
+                return IndexedPayload(
+                    values=np.asarray(vector) * 0.5, indices=np.arange(len(vector))
+                )
 
         batch = Halver().compress_matrix(matrix)
         np.testing.assert_array_equal(batch.to_dense(50), matrix * 0.5)
@@ -174,44 +136,6 @@ class TestTopKIndicesMatrix:
     def test_negative_k(self, rng):
         with pytest.raises(ValueError):
             top_k_indices_matrix(rng.normal(size=(2, 4)), -1)
-
-
-class TestQuantizeFloat32:
-    def test_round_trip_error_bound(self, rng):
-        """Dequantized values stay within half a grid step of the input
-        (plus float32 rounding), for both dtypes."""
-        for dtype in DTYPES:
-            vector = rng.normal(size=2000).astype(dtype)
-            for bits in (2, 4, 8):
-                dequantized = quantize_stochastic(vector, bits, rng=0)
-                assert dequantized.dtype == dtype
-                scale = np.max(np.abs(vector))
-                step = 2.0 * scale / (2**bits - 1)
-                tolerance = step * (1 + 1e-3) + 1e-5 * scale
-                assert np.max(np.abs(dequantized - vector)) <= tolerance
-
-    def test_matrix_per_row_scales(self, rng):
-        matrix = rng.normal(size=(4, 500)).astype(np.float32)
-        matrix[2] *= 100.0  # one big row must not coarsen the others
-        dequantized = quantize_stochastic_matrix(matrix, 8, rng=0)
-        for row in range(4):
-            scale = np.max(np.abs(matrix[row]))
-            step = 2.0 * scale / 255
-            assert np.max(np.abs(dequantized[row] - matrix[row])) <= step * 1.01
-
-    def test_zero_row_fallback_keeps_stream_parity(self, rng):
-        """A zero row makes compress_matrix take the per-row loop, so the
-        generator stream still matches per-row compression exactly."""
-        matrix = rng.normal(size=(4, 100))
-        matrix[1] = 0.0
-        batched = QuantizeCompressor(bits=4, rng=5)
-        per_row = QuantizeCompressor(bits=4, rng=5)
-        batch = batched.compress_matrix(matrix)
-        for row in range(4):
-            np.testing.assert_array_equal(
-                batch[row].values, per_row.compress(matrix[row]).values
-            )
-        np.testing.assert_array_equal(batch[1].values, np.zeros(100))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -15,8 +15,9 @@ from repro.core.gossip import (
 )
 from repro.core.matching import is_valid_matching
 from repro.network.bandwidth import random_uniform_bandwidth
-from repro.network.topology import adjacency_from_edges, is_connected
+from repro.network.topology import is_connected
 from repro.theory.spectral import is_doubly_stochastic, second_largest_eigenvalue
+from tests.graphs import adjacency_from_edges
 
 
 class TestGossipMatrixFromMatching:

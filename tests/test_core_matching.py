@@ -19,8 +19,8 @@ from repro.core.matching import (
     max_cardinality_matching,
     randomly_max_match,
 )
-from repro.network.topology import adjacency_from_edges, complete_adjacency, ring_adjacency
 from reference import matching as reference
+from tests.graphs import adjacency_from_edges, complete_adjacency, ring_adjacency
 
 
 def nx_max_matching_size(adjacency):

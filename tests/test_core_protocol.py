@@ -1,14 +1,10 @@
-"""Tests for the Coordinator / worker-exchange protocol (Algorithms 1-2)."""
+"""Tests for the Coordinator (Algorithm 1).  The worker half of the
+protocol, Eq. 7's masked exchange, is checked on the production rounds in
+``tests/test_algorithms.py``."""
 
-import numpy as np
 import pytest
 
-from repro.compression.random_mask import generate_mask
-from repro.core.protocol import (
-    Coordinator,
-    ModelExchangeWorker,
-    exchange_pair,
-)
+from repro.core.protocol import Coordinator
 from repro.network.bandwidth import random_uniform_bandwidth
 
 
@@ -57,81 +53,8 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             coordinator.notify_round_end(6)
 
-    def test_collect_model(self, coordinator):
-        vector = np.arange(4.0)
-        coordinator.collect_model(vector)
-        np.testing.assert_array_equal(coordinator.final_model, vector)
-
     def test_partners_mirror_matching(self, coordinator):
         plan = coordinator.plan_round(0)
         for a, b in plan.matching:
             assert plan.partners[a] == b
             assert plan.partners[b] == a
-
-
-class TestModelExchangeWorker:
-    def test_payload_matches_mask(self, rng):
-        vector = rng.normal(size=500)
-        worker = ModelExchangeWorker(0, vector, compression_ratio=10.0)
-        payload = worker.build_payload(mask_seed=5)
-        mask = generate_mask(500, 10.0, 5)
-        np.testing.assert_array_equal(payload.indices, np.flatnonzero(mask))
-        np.testing.assert_array_equal(payload.values, vector[mask])
-
-    def test_merge_averages_masked_coordinates(self, rng):
-        x_a = rng.normal(size=300)
-        x_b = rng.normal(size=300)
-        worker_a = ModelExchangeWorker(0, x_a, 5.0)
-        worker_b = ModelExchangeWorker(1, x_b, 5.0)
-        exchange_pair(worker_a, worker_b, mask_seed=9)
-
-        mask = generate_mask(300, 5.0, 9)
-        expected = 0.5 * (x_a[mask] + x_b[mask])
-        np.testing.assert_allclose(worker_a.x[mask], expected)
-        np.testing.assert_allclose(worker_b.x[mask], expected)
-
-    def test_merge_leaves_unmasked_untouched(self, rng):
-        x_a = rng.normal(size=300)
-        x_b = rng.normal(size=300)
-        worker_a = ModelExchangeWorker(0, x_a, 5.0)
-        worker_b = ModelExchangeWorker(1, x_b, 5.0)
-        exchange_pair(worker_a, worker_b, mask_seed=9)
-        mask = generate_mask(300, 5.0, 9)
-        np.testing.assert_array_equal(worker_a.x[~mask], x_a[~mask])
-        np.testing.assert_array_equal(worker_b.x[~mask], x_b[~mask])
-
-    def test_exchange_is_symmetric_in_masked_coords(self, rng):
-        worker_a = ModelExchangeWorker(0, rng.normal(size=200), 4.0)
-        worker_b = ModelExchangeWorker(1, rng.normal(size=200), 4.0)
-        exchange_pair(worker_a, worker_b, mask_seed=3)
-        mask = generate_mask(200, 4.0, 3)
-        np.testing.assert_allclose(worker_a.x[mask], worker_b.x[mask])
-
-    def test_mean_preserved_by_exchange(self, rng):
-        """Doubly stochastic mixing preserves the global average."""
-        x_a = rng.normal(size=100)
-        x_b = rng.normal(size=100)
-        worker_a = ModelExchangeWorker(0, x_a, 2.0)
-        worker_b = ModelExchangeWorker(1, x_b, 2.0)
-        exchange_pair(worker_a, worker_b, mask_seed=1)
-        np.testing.assert_allclose(
-            worker_a.x + worker_b.x, x_a + x_b, atol=1e-12
-        )
-
-    def test_seed_mismatch_rejected(self, rng):
-        worker_a = ModelExchangeWorker(0, rng.normal(size=100), 4.0)
-        worker_b = ModelExchangeWorker(1, rng.normal(size=100), 4.0)
-        payload = worker_b.build_payload(mask_seed=1)
-        with pytest.raises(ValueError, match="shared-mask"):
-            worker_a.merge_peer(payload, mask_seed=2)
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            ModelExchangeWorker(0, np.zeros(4), 0.5)
-
-    def test_payload_wire_size_values_only(self, rng):
-        worker = ModelExchangeWorker(0, rng.normal(size=10_000), 100.0)
-        payload = worker.build_payload(mask_seed=0)
-        # ~N/c values at 4 bytes, zero index overhead.
-        assert payload.num_bytes() == payload.values.size * 4
-        assert payload.values.size < 10_000 * 0.02

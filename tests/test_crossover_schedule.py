@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SAPSPSGD
-from repro.analysis.crossover import (
-    accuracy_at_cost,
-    dominance_summary,
-    find_crossovers,
-)
+from repro.analysis.crossover import accuracy_at_cost, dominance_summary
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
 from repro.nn import MLP
@@ -41,29 +37,6 @@ class TestAccuracyAtCost:
         result = trajectory("x", [(1, 0.5), (2, 0.4), (3, 0.8)])
         values = [accuracy_at_cost(result, b) for b in [1, 2, 3]]
         assert values == sorted(values)
-
-
-class TestFindCrossovers:
-    def test_clean_crossover(self):
-        # 'fast' leads early; 'slow' overtakes at high budget.
-        fast = trajectory("fast", [(0.1, 0.6), (1.0, 0.7), (10.0, 0.7)])
-        slow = trajectory("slow", [(1.0, 0.3), (5.0, 0.9), (10.0, 0.9)])
-        crossovers = find_crossovers(fast, slow)
-        assert len(crossovers) == 1
-        crossover = crossovers[0]
-        assert crossover.winner_before == "fast"
-        assert crossover.winner_after == "slow"
-        assert 1.0 <= crossover.cost <= 5.5
-
-    def test_no_crossover_when_dominated(self):
-        winner = trajectory("w", [(0.1, 0.5), (1.0, 0.9)])
-        loser = trajectory("l", [(0.1, 0.2), (1.0, 0.4)])
-        assert find_crossovers(winner, loser) == []
-
-    def test_empty_histories(self):
-        a = ExperimentResult("a", ExperimentConfig(rounds=1))
-        b = ExperimentResult("b", ExperimentConfig(rounds=1))
-        assert find_crossovers(a, b) == []
 
 
 class TestDominanceSummary:

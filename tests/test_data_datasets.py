@@ -6,8 +6,6 @@ import pytest
 from repro.data import (
     Dataset,
     make_blobs,
-    make_regression,
-    make_spirals,
     make_synthetic_images,
     synthetic_cifar10,
     synthetic_mnist,
@@ -78,11 +76,6 @@ class TestGenerators:
         )
         assert np.array_equal(np.argmin(distances, axis=1), dataset.labels)
 
-    def test_spirals_shape_and_classes(self):
-        dataset = make_spirals(num_samples=200, num_classes=3, rng=0)
-        assert dataset.features.shape == (200, 2)
-        assert set(np.unique(dataset.labels)) <= {0, 1, 2}
-
     def test_synthetic_images_shapes(self):
         dataset = make_synthetic_images(10, 4, 3, 16, rng=0)
         assert dataset.features.shape == (10, 3, 16, 16)
@@ -107,10 +100,3 @@ class TestGenerators:
                 )
                 (same if dataset.labels[i] == dataset.labels[j] else cross).append(corr)
         assert np.mean(same) > np.mean(cross)
-
-    def test_regression_recoverable_weights(self):
-        features, targets, weights = make_regression(
-            num_samples=500, num_features=8, noise=0.01, rng=0
-        )
-        estimate, *_ = np.linalg.lstsq(features, targets, rcond=None)
-        np.testing.assert_allclose(estimate, weights, atol=0.05)

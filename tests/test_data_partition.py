@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    label_distribution,
-    make_blobs,
-    partition_by_shards,
-    partition_dirichlet,
-    partition_iid,
-)
+from repro.data import make_blobs, partition_dirichlet, partition_iid
 
 
 @pytest.fixture
 def dataset():
     return make_blobs(num_samples=400, num_classes=10, rng=1)
+
+
+def label_distribution(partitions, num_classes):
+    """``(num_workers, num_classes)`` per-shard label counts."""
+    return np.stack(
+        [np.bincount(shard.labels, minlength=num_classes) for shard in partitions]
+    )
 
 
 def all_indices_used_once(partitions, dataset):
@@ -72,30 +73,3 @@ class TestDirichlet:
     def test_invalid_alpha(self, dataset):
         with pytest.raises(ValueError):
             partition_dirichlet(dataset, 4, alpha=0.0)
-
-
-class TestShards:
-    def test_every_sample_used_once(self, dataset):
-        partitions = partition_by_shards(dataset, 8, shards_per_worker=2, rng=0)
-        assert all_indices_used_once(partitions, dataset)
-
-    def test_pathological_skew(self, dataset):
-        partitions = partition_by_shards(dataset, 10, shards_per_worker=2, rng=0)
-        table = label_distribution(partitions, dataset.num_classes)
-        # Most workers see only a few classes (≈2 shards of sorted labels).
-        classes_seen = (table > 0).sum(axis=1)
-        assert np.median(classes_seen) <= 4
-
-    def test_invalid_shards(self, dataset):
-        with pytest.raises(ValueError):
-            partition_by_shards(dataset, 4, shards_per_worker=0)
-
-
-class TestLabelDistribution:
-    def test_counts_sum(self, dataset):
-        partitions = partition_iid(dataset, 4, rng=0)
-        table = label_distribution(partitions, dataset.num_classes)
-        assert table.sum() == len(dataset)
-        np.testing.assert_array_equal(
-            table.sum(axis=0), np.bincount(dataset.labels, minlength=10)
-        )

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from repro.compression import (
-    DensePayload,
     IndexedPayload,
-    QuantizedPayload,
     RandomMaskCompressor,
     SharedMaskPayload,
     TopKCompressor,
@@ -291,13 +289,11 @@ class TestPayloadDtype:
     def test_all_payload_types(self, dtype):
         values = np.array([1.0, -2.0], dtype=dtype)
         indices = np.array([1, 3])
-        assert DensePayload(values).to_dense(2).dtype == dtype
         assert (
             SharedMaskPayload(values, indices, mask_seed=0).to_dense(5).dtype
             == dtype
         )
         assert IndexedPayload(values, indices).to_dense(5).dtype == dtype
-        assert QuantizedPayload(values, bits=8).to_dense(2).dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_compressors_preserve_input_dtype(self, rng, dtype):

@@ -1,4 +1,4 @@
-"""Tests for the public gradcheck utility, engine callbacks, and the
+"""Tests for the gradcheck test utility, engine callbacks, and the
 markdown report generator."""
 
 import numpy as np
@@ -9,9 +9,9 @@ from repro.analysis.report import comparison_report
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
 from repro.nn import Linear, MLP, ReLU, Sequential, Tanh
-from repro.nn.gradcheck import GradCheckReport, check_gradients, numerical_gradient
 from repro.nn.module import Module
 from repro.sim import ExperimentConfig, run_experiment
+from tests.gradcheck import GradCheckReport, check_gradients, numerical_gradient
 
 
 class TestGradcheckUtility:

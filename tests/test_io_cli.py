@@ -246,3 +246,44 @@ class TestCLI:
             ]
         )
         assert code == 0
+
+
+class TestCLIReport:
+    def test_report_from_saved_comparison(self, capsys, tmp_path):
+        comparison_path = tmp_path / "cmp.json"
+        code = main(
+            [
+                "compare", "--workers", "4", "--rounds", "15",
+                "--eval-every", "5", "--compression", "10",
+                "--output", str(comparison_path),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+        report_path = tmp_path / "report.md"
+        code = main(
+            [
+                "report", str(comparison_path),
+                "--output", str(report_path), "--title", "CLI test",
+            ]
+        )
+        assert code == 0
+        text = report_path.read_text()
+        assert text.startswith("# CLI test")
+        assert "SAPS-PSGD" in text
+
+    def test_report_to_stdout(self, capsys, tmp_path):
+        comparison_path = tmp_path / "cmp.json"
+        main(
+            [
+                "compare", "--workers", "4", "--rounds", "10",
+                "--eval-every", "5", "--compression", "10",
+                "--output", str(comparison_path),
+            ]
+        )
+        capsys.readouterr()
+        code = main(["report", str(comparison_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "## Final accuracy" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression import DensePayload
+from repro.compression import SharedMaskPayload
 from repro.network import (
     FIG1_BANDWIDTH_MBPS,
     FIG1_CITIES,
@@ -11,23 +11,23 @@ from repro.network import (
     MB,
     SimulatedNetwork,
     TrafficMeter,
-    adjacency_from_edges,
     bandwidth_stats,
-    clustered_bandwidth,
-    complete_adjacency,
     connected_components,
-    edges_of,
     fig1_environment,
     is_connected,
     mbits_to_mbytes,
-    random_regular_adjacency,
     random_uniform_bandwidth,
-    ring_adjacency,
     symmetrize_min,
     threshold_graph,
     utilized_bandwidth_per_round,
 )
 from tests.conftest import settled_growth
+from tests.graphs import adjacency_from_edges
+
+
+def payload_of(num_values):
+    """A payload weighing ``num_values`` wire values."""
+    return SharedMaskPayload(np.zeros(num_values), np.arange(num_values), mask_seed=0)
 
 
 class TestFig1Data:
@@ -76,14 +76,6 @@ class TestBandwidthGenerators:
         with pytest.raises(ValueError):
             random_uniform_bandwidth(4, low=5.0, high=5.0)
 
-    def test_clustered_structure(self):
-        matrix = clustered_bandwidth(
-            12, num_clusters=3, intra_cluster=10.0, inter_cluster=1.0,
-            jitter=0.0, rng=0,
-        )
-        assert matrix[0, 1] == pytest.approx(10.0)  # same cluster
-        assert matrix[0, 11] == pytest.approx(1.0)  # different cluster
-
     def test_mbits_conversion(self):
         assert mbits_to_mbytes(np.array([8.0]))[0] == 1.0
 
@@ -93,29 +85,6 @@ class TestBandwidthGenerators:
 
 
 class TestTopology:
-    def test_ring_degree_two(self):
-        ring = ring_adjacency(8)
-        np.testing.assert_array_equal(ring.sum(axis=0), 2 * np.ones(8))
-        assert is_connected(ring)
-
-    def test_ring_of_two(self):
-        ring = ring_adjacency(2)
-        assert ring[0, 1] and ring[1, 0]
-
-    def test_complete(self):
-        adj = complete_adjacency(5)
-        assert adj.sum() == 5 * 4
-        assert not np.any(np.diag(adj))
-
-    def test_random_regular(self):
-        adj = random_regular_adjacency(10, 3, rng=0)
-        np.testing.assert_array_equal(adj.sum(axis=0), 3 * np.ones(10))
-        np.testing.assert_array_equal(adj, adj.T)
-
-    def test_random_regular_parity_check(self):
-        with pytest.raises(ValueError):
-            random_regular_adjacency(5, 3)
-
     def test_connectivity(self):
         disconnected = adjacency_from_edges(4, [(0, 1), (2, 3)])
         assert not is_connected(disconnected)
@@ -143,15 +112,6 @@ class TestTopology:
         )
         assert connected_components(adjacency) == expected
         assert is_connected(adjacency) == (len(expected) == 1)
-
-    def test_edges_round_trip(self):
-        edges = [(0, 2), (1, 3)]
-        adjacency = adjacency_from_edges(4, edges)
-        assert edges_of(adjacency) == edges
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            adjacency_from_edges(3, [(1, 1)])
 
     def test_threshold_graph(self):
         bandwidth = np.array(
@@ -276,20 +236,20 @@ class TestSimulatedNetwork:
     def test_send_accounts_bytes_and_time(self):
         bandwidth = np.array([[0.0, 2.0], [2.0, 0.0]])
         network = SimulatedNetwork(2, bandwidth=bandwidth)
-        payload = DensePayload(np.zeros(int(MB / 4)))  # 1 MB
+        payload = payload_of(int(MB / 4))  # 1 MB
         network.send(0, 0, 1, payload)
         assert network.worker_traffic_mb(0) == pytest.approx(1.0)
         assert network.finish_round() == pytest.approx(0.5)
 
     def test_exchange_symmetric(self):
         network = SimulatedNetwork(2)
-        payload = DensePayload(np.zeros(100))
+        payload = payload_of(100)
         network.exchange(0, 0, 1, payload, payload)
         assert network.worker_traffic_mb(0) == network.worker_traffic_mb(1)
 
     def test_no_bandwidth_no_time(self):
         network = SimulatedNetwork(2)
-        network.send(0, 0, 1, DensePayload(np.zeros(100)))
+        network.send(0, 0, 1, payload_of(100))
         assert network.finish_round() == 0.0
 
     def test_server_link(self):

@@ -6,14 +6,11 @@ import pytest
 from repro.nn import (
     CrossEntropyLoss,
     LeakyReLU,
-    MSELoss,
-    NLLLoss,
     ReLU,
     Sigmoid,
     Tanh,
     accuracy,
 )
-from repro.nn.functional import log_softmax
 from tests.conftest import numerical_gradient
 
 
@@ -81,40 +78,6 @@ class TestCrossEntropy:
     def test_logits_must_be_2d(self, rng):
         with pytest.raises(ValueError):
             CrossEntropyLoss()(rng.normal(size=(3,)), np.zeros(3, dtype=int))
-
-
-class TestMSE:
-    def test_zero_for_equal(self, rng):
-        targets = rng.normal(size=(3, 2))
-        loss, grad = MSELoss()(targets, targets)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros_like(targets))
-
-    def test_gradient_matches_numerical(self, rng):
-        predictions = rng.normal(size=(4, 3))
-        targets = rng.normal(size=(4, 3))
-        loss_fn = MSELoss()
-
-        def objective():
-            value, _ = loss_fn(predictions, targets)
-            return value
-
-        _, grad = loss_fn(predictions, targets)
-        expected = numerical_gradient(objective, predictions)
-        np.testing.assert_allclose(grad, expected, atol=1e-7)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestNLL:
-    def test_matches_cross_entropy(self, rng):
-        logits = rng.normal(size=(5, 4))
-        labels = np.array([0, 1, 2, 3, 0])
-        ce_loss, _ = CrossEntropyLoss()(logits, labels)
-        nll_loss, _ = NLLLoss()(log_softmax(logits), labels)
-        assert ce_loss == pytest.approx(nll_loss)
 
 
 class TestAccuracy:

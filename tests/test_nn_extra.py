@@ -1,9 +1,7 @@
 """Deeper NN substrate tests: odd shapes, eval-mode grads, integration."""
 
 import numpy as np
-import pytest
 
-from repro.data import make_regression
 from repro.nn import (
     SGD,
     BatchNorm2d,
@@ -12,14 +10,12 @@ from repro.nn import (
     CrossEntropyLoss,
     Flatten,
     Linear,
-    MSELoss,
     MaxPool2d,
     MnistCNN,
-    MultiStepLR,
     ReLU,
     Sequential,
 )
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 
 
 class TestOddShapes:
@@ -105,38 +101,41 @@ class TestPaperModelsSmoke:
         assert np.abs(grads).max() > 0
 
 
+def linear_regression_problem():
+    """``y = X w + noise``: (features, targets, generating weights)."""
+    rng = np.random.default_rng(0)
+    weights = rng.normal(size=6)
+    features = rng.normal(size=(200, 6))
+    return features, features @ weights + 0.01 * rng.normal(size=200), weights
+
+
+def mse_grad(predictions, targets):
+    return 2.0 * (predictions - targets) / predictions.size
+
+
 class TestOptimizerIntegration:
     def test_linear_regression_convergence(self):
         """SGD on MSE must recover the generating weights."""
-        features, targets, weights = make_regression(
-            num_samples=200, num_features=6, noise=0.01, rng=0
-        )
+        features, targets, weights = linear_regression_problem()
         model = Linear(6, 1, rng=0)
-        loss_fn = MSELoss()
         optimizer = SGD(model.parameters(), lr=0.1)
         for _ in range(400):
             model.zero_grad()
-            predictions = model.forward(features)
-            _, grad = loss_fn(predictions, targets[:, None])
-            model.backward(grad)
+            model.backward(mse_grad(model.forward(features), targets[:, None]))
             optimizer.step()
         np.testing.assert_allclose(
             model.weight.data.ravel(), weights, atol=0.05
         )
 
     def test_weight_decay_shrinks_solution(self):
-        features, targets, _ = make_regression(
-            num_samples=200, num_features=6, noise=0.01, rng=0
-        )
+        features, targets, _ = linear_regression_problem()
 
         def train(weight_decay):
             model = Linear(6, 1, rng=0)
             optimizer = SGD(model.parameters(), lr=0.1, weight_decay=weight_decay)
-            loss_fn = MSELoss()
             for _ in range(300):
                 model.zero_grad()
-                _, grad = loss_fn(model.forward(features), targets[:, None])
-                model.backward(grad)
+                model.backward(mse_grad(model.forward(features), targets[:, None]))
                 optimizer.step()
             return float(np.linalg.norm(model.weight.data))
 
@@ -154,19 +153,6 @@ class TestOptimizerIntegration:
             return abs(float(param.data[0]))
 
         assert solve(0.9) < solve(0.0)
-
-    def test_scheduler_integration_loop(self):
-        from repro.nn.module import Parameter
-
-        param = Parameter(np.array([1.0]))
-        optimizer = SGD([param], lr=1.0)
-        scheduler = MultiStepLR(optimizer, milestones=[3], gamma=0.1)
-        lrs = []
-        for _ in range(5):
-            param.grad = np.array([0.0])
-            optimizer.step()
-            lrs.append(scheduler.step())
-        assert lrs[-1] == pytest.approx(0.1)
 
 
 class TestCompositeGradients:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, CosineAnnealingLR, MultiStepLR, StepLR
+from repro.nn.optim import SGD
 
 
 def make_param(value=1.0, grad=0.5):
@@ -71,30 +71,3 @@ class TestSGD:
     def test_invalid_args(self, kwargs):
         with pytest.raises(ValueError):
             SGD([make_param()], **kwargs)
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_multistep_lr(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.5)
-        lrs = [scheduler.step() for _ in range(5)]
-        assert lrs == pytest.approx([1.0, 0.5, 0.5, 0.25, 0.25])
-
-    def test_cosine_endpoints(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        scheduler = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.0)
-        values = [scheduler.step() for _ in range(10)]
-        assert values[-1] == pytest.approx(0.0, abs=1e-12)
-        assert values[0] < 1.0
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_scheduler_mutates_optimizer(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        StepLR(optimizer, step_size=1, gamma=0.5).step()
-        assert optimizer.lr == pytest.approx(0.5)

@@ -1,4 +1,4 @@
-"""Tests for presets, the sweep runner and traffic breakdowns."""
+"""Tests for presets and traffic breakdowns."""
 
 import numpy as np
 import pytest
@@ -18,15 +18,7 @@ from repro.presets import (
     available_presets,
     instantiate_preset,
 )
-from repro.sim import (
-    ExperimentConfig,
-    grid,
-    make_workers,
-    run_experiment,
-    run_sweep,
-    sweep_headers,
-    sweep_table,
-)
+from repro.sim import ExperimentConfig, make_workers, run_experiment
 
 
 class TestTable2Settings:
@@ -96,52 +88,6 @@ class TestInstantiatePreset:
 
     def test_available(self):
         assert available_presets() == ["cifar10-cnn", "mnist-cnn", "resnet-20"]
-
-
-class TestSweep:
-    def test_grid(self):
-        cells = grid(a=[1, 2], b=["x"])
-        assert cells == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-        assert grid() == [{}]
-
-    def test_run_sweep_and_tables(self, blob_splits):
-        partitions, validation = blob_splits
-        from repro.nn import MLP
-
-        config = ExperimentConfig(rounds=15, batch_size=16, lr=0.2, eval_every=5, seed=7)
-        cells = run_sweep(
-            lambda compression_ratio: SAPSPSGD(compression_ratio=compression_ratio),
-            grid(compression_ratio=[1.0, 10.0]),
-            partitions, validation,
-            lambda: MLP(8, [16], 4, rng=7), config,
-        )
-        assert len(cells) == 2
-        # Traffic falls with compression.
-        assert cells[0].scalar("traffic_mb") > cells[1].scalar("traffic_mb")
-        headers = sweep_headers(cells)
-        rows = sweep_table(cells)
-        assert headers[0] == "compression_ratio"
-        assert len(rows) == 2
-        assert len(rows[0]) == len(headers)
-
-    def test_scalar_unknown_raises(self, blob_splits):
-        partitions, validation = blob_splits
-        from repro.nn import MLP
-
-        config = ExperimentConfig(rounds=5, batch_size=16, lr=0.2, eval_every=5, seed=7)
-        cells = run_sweep(
-            lambda: SAPSPSGD(compression_ratio=5.0),
-            [{}], partitions, validation,
-            lambda: MLP(8, [16], 4, rng=7), config,
-        )
-        with pytest.raises(KeyError):
-            cells[0].scalar("nope")
-
-    def test_empty_tables(self):
-        assert sweep_table([]) == []
-        assert sweep_headers([]) == [
-            "final_accuracy", "traffic_mb", "comm_time_s",
-        ]
 
 
 class TestBreakdown:

