@@ -9,7 +9,8 @@ Families:
 * ``sync-saps``   — synchronous SAPS-PSGD consuming the plan's
   round-level churn/loss projection;
 * ``async-gossip`` — AsyncGossip on the event engine, checkpoint restore;
-* ``async-fedavg`` — AsyncFedAvg on the event engine, peer restore.
+* ``async-fedavg`` — AsyncFedAvg on the event engine, peer restore;
+* ``async-dpsgd``  — AsyncDPSGD on the event engine, cold restore.
 
 Run:  PYTHONPATH=src python benchmarks/fault_smoke.py [--family NAME]
 """
@@ -20,7 +21,7 @@ import argparse
 import math
 import sys
 
-from repro.algorithms import AsyncFedAvg, AsyncGossip, SAPSPSGD
+from repro.algorithms import AsyncDPSGD, AsyncFedAvg, AsyncGossip, SAPSPSGD
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
@@ -99,6 +100,7 @@ FAMILIES = {
         "checkpoint",
     ),
     "async-fedavg": lambda: _async("async-fedavg", AsyncFedAvg(), "peer"),
+    "async-dpsgd": lambda: _async("async-dpsgd", AsyncDPSGD(), "cold"),
 }
 
 

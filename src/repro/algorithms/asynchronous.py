@@ -21,10 +21,11 @@ all reusing the arena / batched-kernel numeric substrate:
 The variants subclass :class:`DistributedAlgorithm` so ``setup`` gives
 them the shared arena, the batched :class:`ClusterTrainer` and the
 initial broadcast for free; instead of ``run_round`` they expose
-``start()`` plus event handlers the engine fires.  Churn and loss models
-are read off the engine (one scenario timeline for everything): an
-offline worker sleeps a cycle and retries, a lost exchange leaves both
-peers unmixed.
+``start()`` plus event handlers the engine fires.  Availability is read
+off the engine (one scenario timeline for everything): a worker that its
+population model has down sleeps until its next up-time, and under an
+active fault plan every exchange is crash-abortable with deadline /
+backoff retries.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class AsyncAlgorithm(DistributedAlgorithm):
 
     A worker's life is a loop of *cycles*; what a cycle does is
     subclass-specific (:meth:`_start_cycle`).  The base class handles
-    binding to the engine, churn gating (an offline worker idles one
-    compute interval and retries), local-step execution through the
-    batched trainer when available, and running train-loss accounting.
+    binding to the engine, availability gating (a dead worker restarts
+    through recovery, a down one sleeps until its next up-time),
+    local-step execution through the batched trainer when available, and
+    running train-loss accounting.
     """
 
     is_asynchronous = True
@@ -139,7 +141,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
         now: Optional[float] = None,
         takeover: bool = True,
         bidirectional: bool = True,
-        loss_key: Optional[tuple] = None,
         driver_inc: Optional[int] = None,
         partner_inc: Optional[int] = None,
     ) -> None:
@@ -149,8 +150,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
 
         * expires at ``policy.timeout`` when the partner is dead,
           restarted, or the link is down ("waiting on a dead peer");
-        * is dropped by the loss model (the transfer time is paid, the
-          payload is not delivered);
         * starts a tracked transfer that a mid-flight crash aborts; or
         * completes, firing ``on_success(t)``.
 
@@ -187,8 +186,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
         def retry(t: float) -> None:
             self._drive_exchange(
                 driver, partner, num_bytes, index, on_success, on_give_up,
-                attempt + 1, t, takeover=takeover,
-                bidirectional=bidirectional, loss_key=loss_key,
+                attempt + 1, t, takeover=takeover, bidirectional=bidirectional,
                 driver_inc=driver_inc, partner_inc=partner_inc,
             )
 
@@ -200,7 +198,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
                     self._drive_exchange(
                         partner, driver, num_bytes, index, on_success,
                         on_give_up, attempt + 1, t, takeover=takeover,
-                        bidirectional=bidirectional, loss_key=loss_key,
+                        bidirectional=bidirectional,
                         driver_inc=partner_inc, partner_inc=driver_inc,
                     )
                 return
@@ -219,21 +217,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
             stats.timeout_exchanges += 1
             engine.schedule(now + policy.timeout, fail)
             return
-        loss = engine.loss_model
-        if loss is not None:
-            key = loss_key if loss_key is not None else (driver, partner)
-            if loss.exchange_fails(index, *key):
-                # Lost in transit: the transfer time is paid, the payload
-                # never arrives, and the deadline machinery retries.
-                stats.lost_exchanges += 1
-                duration = engine.transfer_seconds(driver, partner, num_bytes)
-                if bidirectional:
-                    duration = max(
-                        duration,
-                        engine.transfer_seconds(partner, driver, num_bytes),
-                    )
-                engine.schedule(now + duration, fail)
-                return
         if bidirectional:
             engine.start_tracked_exchange(
                 now, driver, partner, num_bytes, index, on_success, fail
@@ -265,8 +248,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
         ctx = self.participation_ctx
         if ctx is not None and ctx.population is not None:
             # Arrival-process availability: a down worker sleeps until
-            # its own next up-*time* (one wake-up event), instead of the
-            # churn model's per-cycle poll-and-retry.
+            # its own next up-*time* (one wake-up event).
             up_at = ctx.wake_at(rank, start)
             if up_at > start:
                 self._schedule_worker(
@@ -275,18 +257,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
                 return
         cycle = int(self._cycle_counts[rank])
         self._cycle_counts[rank] += 1
-        if engine.churn is not None:
-            active = engine.churn.active_at(cycle)
-            if not active[rank]:
-                # Offline this cycle: sleep roughly one compute interval
-                # and try the next cycle (a device rejoining later).
-                pause = engine.compute_seconds(cycle, rank, self.local_steps)
-                if pause <= 0.0:
-                    pause = 1.0
-                self._schedule_worker(
-                    rank, start + pause, lambda t, r=rank: self._begin_cycle(r, t)
-                )
-                return
         self._start_cycle(rank, cycle, start)
 
     def _start_cycle(self, rank: int, cycle: int, start: float) -> None:
@@ -324,8 +294,8 @@ class AsyncGossip(AsyncAlgorithm):
     math of the synchronous SAPS exchange) over their link.  ``peer_choice``
     selects among multiple waiting peers: ``"bandwidth"`` picks the
     fastest link to the arriving worker (the adaptive flavour),
-    ``"random"`` draws uniformly.  A lost exchange (engine loss model)
-    leaves both peers unmixed — they just start their next cycle.
+    ``"random"`` draws uniformly.  An exchange abandoned under a fault
+    plan leaves both peers unmixed — they just start their next cycle.
     """
 
     name = "Async-SAPS"
@@ -395,22 +365,14 @@ class AsyncGossip(AsyncAlgorithm):
         self._waiting.remove(partner)
         index = self.exchange_count
         self.exchange_count += 1
-        engine = self.engine
-        if engine.faults_active:
-            self._faulty_exchange(rank, partner, index, now)
-            return
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, partner
-        ):
-            # Lost exchange: both keep their local models and recompute.
-            self.dropped_exchanges += 1
-            self._begin_cycle(rank, now)
-            self._begin_cycle(partner, now)
-            return
         seed = derive_seed(self.base_seed, "mask", index)
         mask = generate_mask(self.model_size, self.compression_ratio, seed)
         indices = np.flatnonzero(mask)
         payload_bytes = int(indices.size) * BYTES_PER_VALUE
+        engine = self.engine
+        if engine.faults_active:
+            self._faulty_exchange(rank, partner, index, indices, payload_bytes)
+            return
         _, end_a = engine.start_transfer(now, rank, partner, payload_bytes, index)
         _, end_b = engine.start_transfer(now, partner, rank, payload_bytes, index)
         done = max(end_a, end_b, now)
@@ -420,16 +382,13 @@ class AsyncGossip(AsyncAlgorithm):
         )
 
     def _faulty_exchange(
-        self, rank: int, partner: int, index: int, now: float
+        self, rank: int, partner: int, index: int, indices: np.ndarray,
+        payload_bytes: int,
     ) -> None:
         """The matched pair's exchange under an active fault plan: same
         masked-average math, but crash-abortable with deadline/backoff
-        retries (loss drops are retried instead of silently skipped)."""
+        retries."""
         engine = self.engine
-        seed = derive_seed(self.base_seed, "mask", index)
-        mask = generate_mask(self.model_size, self.compression_ratio, seed)
-        indices = np.flatnonzero(mask)
-        payload_bytes = int(indices.size) * BYTES_PER_VALUE
         incarnations = {
             rank: engine.node_incarnation(rank),
             partner: engine.node_incarnation(partner),
@@ -516,12 +475,6 @@ class AsyncDPSGD(AsyncAlgorithm):
             return
         index = self.exchange_count
         self.exchange_count += 1
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, peer
-        ):
-            # Lost exchange: skip the averaging, apply the gradient now.
-            self._apply(rank, gradient, base_mixes, now)
-            return
         model_bytes = self.model_size * BYTES_PER_VALUE
         _, end_a = engine.start_transfer(now, rank, peer, model_bytes, index)
         _, end_b = engine.start_transfer(now, peer, rank, model_bytes, index)
@@ -614,11 +567,9 @@ class AsyncFedAvg(AsyncAlgorithm):
     downloads/uploads serialize on the shared server link ends — exactly
     the satellite contention model.
 
-    The engine's loss model applies to the upload leg: a failed upload
-    is simply never mixed in (the worker pays the transfer time and
-    starts a fresh cycle).  Loss models are queried with the pair
-    ``(rank, rank)`` so per-link loss matrices stay in range — their
-    diagonal doubles as the worker↔server channel rate.
+    Under an active fault plan the upload leg is retried with deadline /
+    backoff; an upload that exhausts its budget is never mixed in (the
+    worker starts a fresh cycle).
     """
 
     name = "Async-FedAvg"
@@ -650,7 +601,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         self.global_model: Optional[np.ndarray] = None
         self.server_version = 0
         self.upload_count = 0
-        #: Uploads discarded by the engine's loss model.
+        #: Uploads abandoned after exhausting their retries (fault plans).
         self.dropped_uploads = 0
 
     def _after_setup(self) -> None:
@@ -751,7 +702,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         index = self.upload_count
         self.upload_count += 1
         if engine.faults_active:
-            # Upload under faults: deadline + backoff retries on loss or
+            # Upload under faults: deadline + backoff retries on a
             # mid-flight crash; exhausting the budget abandons the upload
             # (the server never sees it) and starts a fresh cycle.
             def on_success(t: float, r=rank, v=base_version):
@@ -764,20 +715,7 @@ class AsyncFedAvg(AsyncAlgorithm):
             self._drive_exchange(
                 rank, TrafficMeter.SERVER, model_bytes, index,
                 on_success, on_give_up, takeover=False,
-                bidirectional=False, loss_key=(rank, rank),
-            )
-            return
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, rank
-        ):
-            # The upload is lost in transit: the worker still pays the
-            # transfer time, but the server never sees the model.
-            self.dropped_uploads += 1
-            _, ul_end = engine.start_transfer(
-                now, rank, TrafficMeter.SERVER, model_bytes, index
-            )
-            engine.schedule(
-                max(ul_end, now), lambda t, r=rank: self._cycle_finished(r, t)
+                bidirectional=False,
             )
             return
         _, ul_end = engine.start_transfer(

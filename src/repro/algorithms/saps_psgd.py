@@ -75,9 +75,13 @@ class SAPSPSGD(DistributedAlgorithm):
         #: workers skip the round entirely (no SGD, no matching) — the
         #: network-dynamics robustness of Table I's "R." column.
         self.churn = churn
-        #: Optional :class:`repro.network.faults.LossModel`: a failed
-        #: exchange leaves the pair unmixed that round (both keep their
-        #: local models) — graceful degradation, not a crash.
+        #: Optional per-exchange loss hook: any object whose
+        #: ``exchange_fails(round_index, a, b) -> bool`` says whether the
+        #: round's exchange between workers ``a`` and ``b`` is lost
+        #: (:class:`repro.sim.faults.FaultLinkLoss` projects a fault
+        #: plan's link outages to it).  A failed exchange leaves the pair
+        #: unmixed that round (both keep their local models) — graceful
+        #: degradation, not a crash.
         self.loss_model = loss_model
         #: Count of exchanges dropped by the loss model.
         self.dropped_exchanges = 0

@@ -36,7 +36,6 @@ class ResilienceSummary:
     completed_exchanges: int
     aborted_exchanges: int
     timeout_exchanges: int
-    lost_exchanges: int
     retries: int
     give_ups: int
     goodput: float
@@ -81,7 +80,6 @@ def resilience_summary(stats) -> ResilienceSummary:
         completed_exchanges=stats.completed_exchanges,
         aborted_exchanges=stats.aborted_exchanges,
         timeout_exchanges=stats.timeout_exchanges,
-        lost_exchanges=stats.lost_exchanges,
         retries=stats.retries,
         give_ups=stats.give_ups,
         goodput=stats.goodput,
@@ -99,7 +97,6 @@ def render_resilience_summary(summary: ResilienceSummary) -> str:
         ["completed exchanges", summary.completed_exchanges],
         ["aborted (crash/link)", summary.aborted_exchanges],
         ["deadline timeouts", summary.timeout_exchanges],
-        ["lost in transit", summary.lost_exchanges],
         ["backoff retries", summary.retries],
         ["give-ups (re-match)", summary.give_ups],
         ["crashes", summary.crashes],

@@ -164,7 +164,6 @@ def _check_support(args, config, engine: str) -> None:
             engine=engine,
             participation=config.participation,
             population=config.population,
-            arena=config.arena,
         )
     except ValueError as error:
         raise SystemExit(str(error))

@@ -17,7 +17,7 @@ Message flow per round ``t``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Set
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Coordinator:
         )
         self.num_workers = self.selector.num_workers
         self.base_seed = int(base_seed)
-        self._round_ends: List[int] = []
+        self._round_ends: Set[int] = set()
         self._expected_ends = self.num_workers
         self.current_round = -1
 
@@ -95,7 +95,7 @@ class Coordinator:
             round_index, active=active
         )
         self.current_round = round_index
-        self._round_ends = []
+        self._round_ends = set()
         self._expected_ends = (
             self.num_workers if active is None else int(np.sum(active))
         )
@@ -115,7 +115,7 @@ class Coordinator:
             raise ValueError(f"rank {rank} out of range")
         if rank in self._round_ends:
             raise ValueError(f"worker {rank} already ended round")
-        self._round_ends.append(rank)
+        self._round_ends.add(rank)
 
     def round_complete(self) -> bool:
         """True once every *participating* worker has notified

@@ -26,12 +26,6 @@ from repro.network.estimation import (
     DriftingBandwidth,
     measure_bandwidth,
 )
-from repro.network.faults import (
-    BurstLossModel,
-    LossModel,
-    NoLoss,
-    PacketLossModel,
-)
 
 __all__ = [
     "FIG1_BANDWIDTH_MBPS",
@@ -52,8 +46,4 @@ __all__ = [
     "DriftingBandwidth",
     "measure_bandwidth",
     "BandwidthEstimator",
-    "LossModel",
-    "NoLoss",
-    "PacketLossModel",
-    "BurstLossModel",
 ]

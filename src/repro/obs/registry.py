@@ -15,7 +15,7 @@ Name schema (documented in the README's Observability section):
 * ``network.bytes_wire`` / ``network.transfers`` — every metered
   transfer (mirrors :class:`~repro.network.metrics.TrafficMeter`).
 * ``exchange.attempted`` / ``.completed`` / ``.aborted`` / ``.timeout``
-  / ``.lost`` / ``.retries`` / ``.give_ups`` — mirrors
+  / ``.retries`` / ``.give_ups`` — mirrors
   :class:`~repro.resilience.ResilienceStats`.
 * ``compression.bytes_dense`` / ``.bytes_wire`` / ``.bytes_saved`` —
   per ``compress_matrix`` call, dense-equivalent vs shipped payload.

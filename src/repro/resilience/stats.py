@@ -27,8 +27,6 @@ class ResilienceStats:
     aborted_exchanges: int = 0
     #: Attempts that expired at their deadline (dead/unreachable peer).
     timeout_exchanges: int = 0
-    #: Attempts dropped by the stochastic loss model.
-    lost_exchanges: int = 0
     #: Backoff retries scheduled.
     retries: int = 0
     #: Exchanges abandoned after max retries (the re-match path).
@@ -123,7 +121,6 @@ class ResilienceStats:
             "exchange.completed": float(self.completed_exchanges),
             "exchange.aborted": float(self.aborted_exchanges),
             "exchange.timeout": float(self.timeout_exchanges),
-            "exchange.lost": float(self.lost_exchanges),
             "exchange.retries": float(self.retries),
             "exchange.give_ups": float(self.give_ups),
             "fault.crashes": float(len(self.crashes)),

@@ -15,12 +15,7 @@ from repro.sim.comparison import (
     paper_algorithm_suite,
     run_comparison,
 )
-from repro.sim.dynamics import (
-    AlwaysOn,
-    AvailabilitySchedule,
-    ChurnModel,
-    MarkovChurn,
-)
+from repro.sim.dynamics import ChurnModel, MarkovChurn
 from repro.sim.timing import (
     ComputeModel,
     ConstantCompute,
@@ -60,9 +55,7 @@ __all__ = [
     "paper_algorithm_suite",
     "run_comparison",
     "ChurnModel",
-    "AlwaysOn",
     "MarkovChurn",
-    "AvailabilitySchedule",
     "ComputeModel",
     "ConstantCompute",
     "HeterogeneousCompute",

@@ -111,31 +111,10 @@ class ClusterTrainer:
         workers: Sequence[TrainingWorker],
         arena: ParameterArena,
         net,
-        sampler: str = "per-worker",
-        sampler_seed: int = 0,
     ) -> None:
-        if sampler not in ("per-worker", "vectorized"):
-            raise ValueError(f"unknown sampler {sampler!r}")
         self.workers: List[TrainingWorker] = list(workers)
         self.arena = arena
         self.net = net
-        #: ``"per-worker"`` (default) replays each worker's own loader
-        #: RNG — stream-identical to the per-worker loop, the batched
-        #: engine's equivalence guarantee.  ``"vectorized"`` draws ALL
-        #: workers' batch indices from one dedicated generator in a
-        #: single call — **stream-breaking by design** (sampling with
-        #: replacement, different trajectories than the loop) to remove
-        #: the per-worker ``Generator.choice`` floor that dominates the
-        #: batched step at n >= 1024.
-        self.sampler = sampler
-        self._sampler_rng = (
-            np.random.default_rng(sampler_seed)
-            if sampler == "vectorized"
-            else None
-        )
-        self._shard_lengths = np.array(
-            [len(worker.loader.dataset) for worker in workers], dtype=np.float64
-        )
         self._batch_size = workers[0].loader.batch_size
         self.loss_fn = BatchedCrossEntropyLoss()
         optimizer = self.workers[0].optimizer
@@ -188,15 +167,9 @@ class ClusterTrainer:
         cls,
         workers: Sequence[TrainingWorker],
         arena: Optional[ParameterArena] = None,
-        sampler: str = "per-worker",
-        sampler_seed: int = 0,
     ) -> Optional["ClusterTrainer"]:
         """A trainer for ``workers``, or ``None`` when the batched path
-        cannot reproduce the per-worker loop exactly.
-
-        ``sampler="vectorized"`` opts into the one-generator cluster
-        sampler (stream-breaking, see :class:`ClusterTrainer`); all
-        other build requirements are unchanged."""
+        cannot reproduce the per-worker loop exactly."""
         workers = list(workers)
         if not workers:
             return None
@@ -247,7 +220,7 @@ class ClusterTrainer:
         net = build_batched_model(arena)
         if net is None:
             return None
-        return cls(workers, arena, net, sampler=sampler, sampler_seed=sampler_seed)
+        return cls(workers, arena, net)
 
     # ------------------------------------------------------------------
     # batched local computation
@@ -287,31 +260,12 @@ class ClusterTrainer:
                 self._contexts[ident] = ctx
         return ctx
 
-    def _draw_vectorized_indices(self, rank_list: Sequence[int]) -> np.ndarray:
-        """Vectorized-sampler batch indices for ``rank_list``: one draw
-        from the single cluster generator — (count, B) uniform variates
-        scaled by each worker's shard length (sampling WITH replacement;
-        stream-breaking by design, see the class docstring).  The shared
-        generator is order-sensitive, so :meth:`_run_pass` calls this on
-        the dispatching thread, block by block in block order, *before*
-        any parallel execution — the stream is identical at every thread
-        count."""
-        draws = self._sampler_rng.random((len(rank_list), self._batch_size))
-        lengths = self._shard_lengths[np.asarray(rank_list)]
-        return (draws * lengths[:, None]).astype(np.intp)
-
-    def _stacked_batch(
-        self,
-        rank_list: Sequence[int],
-        ctx: _ExecContext,
-        batch_indices: Optional[np.ndarray] = None,
-    ):
+    def _stacked_batch(self, rank_list: Sequence[int], ctx: _ExecContext):
         """One mini-batch per worker, stacked along a new worker axis.
 
         Each worker's indices come from its *own* loader RNG via the
         same ``choice`` call :meth:`DataLoader.sample` makes (stream
-        identity, churn included) — or from pre-drawn ``batch_indices``
-        on the vectorized-sampler path; the features/labels are gathered
+        identity, churn included); the features/labels are gathered
         straight into the context's persistent ``(n, B, d)`` buffers
         instead of stacking n freshly allocated batch arrays.  A worker
         belongs to exactly one block per pass, so its generator is never
@@ -327,18 +281,6 @@ class ClusterTrainer:
             dataset.labels.dtype,
         )
         samplers = self._samplers
-        if batch_indices is None and self._sampler_rng is not None:
-            batch_indices = self._draw_vectorized_indices(rank_list)
-        if batch_indices is not None:
-            for position, rank in enumerate(rank_list):
-                _, shard_features, shard_labels, _, _ = samplers[rank]
-                shard_features.take(
-                    batch_indices[position], axis=0, out=features[position]
-                )
-                shard_labels.take(
-                    batch_indices[position], axis=0, out=labels[position]
-                )
-            return features, labels
         for position, rank in enumerate(rank_list):
             choice, shard_features, shard_labels, length, batch = samplers[rank]
             indices = choice(length, size=batch, replace=False)
@@ -404,16 +346,12 @@ class ClusterTrainer:
         return max(1, self.BLOCK_BYTES // per_worker)
 
     def _forward_backward(
-        self,
-        row_sel,
-        rank_list: Sequence[int],
-        ctx: _ExecContext,
-        batch_indices: Optional[np.ndarray] = None,
+        self, row_sel, rank_list: Sequence[int], ctx: _ExecContext
     ) -> np.ndarray:
         """Sample + forward + backward for one row selection; gradients
         land in ``arena.grads`` (overwritten — no zero fill needed, each
         parameter is written exactly once per pass)."""
-        features, labels = self._stacked_batch(rank_list, ctx, batch_indices)
+        features, labels = self._stacked_batch(rank_list, ctx)
         logits = ctx.net.forward(features, row_sel)
         losses, grad = ctx.loss_fn(logits, labels)
         ctx.net.backward(grad, row_sel)
@@ -443,9 +381,8 @@ class ClusterTrainer:
         ``steps_taken`` when updating), mirroring the per-worker loop.
         """
         rows = self._normalize_ranks(ranks)
-        # Hoisted allocations and shared-generator draws: block threads
-        # must never race the (n, N) velocity alloc or consume the
-        # vectorized sampler's single stream out of block order.
+        # Hoisted allocation: block threads must never race the (n, N)
+        # velocity alloc.
         if apply_update and self.momentum and self._velocity is None:
             self._velocity = np.zeros_like(self.arena.data)
         block = self._block_rows()
@@ -460,17 +397,6 @@ class ClusterTrainer:
                 "fused gather requires a full-cluster update pass"
             )
         bounds = parallel.block_ranges(total, block)
-        presampled = None
-        if self._sampler_rng is not None:
-            presampled = np.empty((total, self._batch_size), dtype=np.intp)
-            for start, stop in bounds:
-                block_ranks = (
-                    range(start, stop) if rank_of is None
-                    else rank_of[start:stop]
-                )
-                presampled[start:stop] = self._draw_vectorized_indices(
-                    block_ranks
-                )
         losses = np.empty(total, dtype=np.float64)
 
         def run_block(bound) -> None:
@@ -482,11 +408,8 @@ class ClusterTrainer:
             else:
                 selection = rows[start:stop]
                 block_ranks = rank_of[start:stop]
-            indices = (
-                presampled[start:stop] if presampled is not None else None
-            )
             losses[start:stop] = self._forward_backward(
-                selection, block_ranks, ctx, indices
+                selection, block_ranks, ctx
             )
             if apply_update:
                 self._apply_update(selection, ctx)

@@ -4,12 +4,11 @@ The paper motivates adaptive peer selection with federated workers that
 "may join/leave the training randomly due to the battery power, network
 connection, network latency, resource availability" and criticizes
 DCD-PSGD for requiring an *unchanged* topology.  This module provides the
-availability substrate:
-
-* :class:`MarkovChurn` — per-round worker availability as independent
-  two-state Markov chains (up/down), deterministic given a seed;
-* :class:`AvailabilitySchedule` — an explicit round→active-set table for
-  scripted failure scenarios (e.g. "worker 3 dies at round 50").
+availability substrate: :class:`MarkovChurn`, per-round worker
+availability as independent two-state Markov chains (up/down),
+deterministic given a seed.  Scripted outages ("worker 3 dies at t = 50")
+are a :class:`repro.sim.faults.FaultPlan`, projected to the same hook by
+``FaultPlan.round_churn``.
 
 :class:`repro.algorithms.SAPSPSGD` accepts a churn model: offline workers
 skip local SGD and are excluded from the round's matching (Algorithm 3
@@ -19,7 +18,7 @@ random matching tolerates churn while a fixed ring stalls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -32,16 +31,6 @@ class ChurnModel:
     def active_at(self, round_index: int) -> np.ndarray:
         """Boolean mask of shape ``(num_workers,)``."""
         raise NotImplementedError
-
-
-class AlwaysOn(ChurnModel):
-    """No churn (the default)."""
-
-    def __init__(self, num_workers: int) -> None:
-        self.num_workers = num_workers
-
-    def active_at(self, round_index: int) -> np.ndarray:
-        return np.ones(self.num_workers, dtype=bool)
 
 
 class MarkovChurn(ChurnModel):
@@ -120,113 +109,3 @@ class MarkovChurn(ChurnModel):
         return float(
             np.mean([mask.mean() for mask in self._trajectory[:rounds]])
         )
-
-
-#: Valid fill policies of a sparse :class:`AvailabilitySchedule` table.
-FILL_POLICIES = ("up", "down", "hold")
-
-
-class AvailabilitySchedule(ChurnModel):
-    """Scripted availability: explicit down-times per worker.
-
-    Two equivalent authoring styles:
-
-    * ``outages`` maps worker rank → list of ``(start_round, end_round)``
-      half-open intervals during which the worker is offline;
-    * ``rounds`` is a **sparse round table** mapping round index → the
-      workers down in that round, with ``fill`` deciding rounds the
-      table does not mention: ``"up"`` (everyone active — the default),
-      ``"down"`` (everyone offline; for schedules that enumerate the
-      active rounds exhaustively) or ``"hold"`` (carry the most recent
-      specified round's down-set forward; before the first entry,
-      everyone is up).
-
-    The two styles are mutually exclusive.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        outages: Optional[Dict[int, Sequence]] = None,
-        rounds: Optional[Dict[int, Sequence[int]]] = None,
-        fill: str = "up",
-    ) -> None:
-        if num_workers < 2:
-            raise ValueError("need at least 2 workers")
-        if (outages is None) == (rounds is None):
-            raise ValueError(
-                "provide exactly one of 'outages' (per-worker intervals) "
-                "or 'rounds' (sparse round table)"
-            )
-        if fill not in FILL_POLICIES:
-            raise ValueError(
-                f"fill must be one of {FILL_POLICIES}, got {fill!r}"
-            )
-        self.num_workers = num_workers
-        self.fill = fill
-        self.outages: Dict[int, List] = {}
-        self.rounds: Optional[Dict[int, frozenset]] = None
-        if outages is not None:
-            for rank, intervals in outages.items():
-                self._check_rank(rank, context="outages table")
-                cleaned = []
-                for start, end in intervals:
-                    if end <= start:
-                        raise ValueError(f"empty outage interval ({start}, {end})")
-                    cleaned.append((int(start), int(end)))
-                self.outages[rank] = cleaned
-        else:
-            table: Dict[int, frozenset] = {}
-            for round_index, down in rounds.items():
-                if round_index < 0:
-                    raise ValueError(
-                        f"round index must be non-negative, got {round_index}"
-                    )
-                down_set = frozenset(int(rank) for rank in down)
-                for rank in sorted(down_set):
-                    self._check_rank(
-                        rank, context=f"round {round_index} of the round table"
-                    )
-                table[int(round_index)] = down_set
-            self.rounds = table
-            self._sorted_rounds = sorted(table)
-
-    def _check_rank(self, rank: int, context: str) -> None:
-        if not 0 <= rank < self.num_workers:
-            raise ValueError(
-                f"worker index {rank} in the {context} is out of range for "
-                f"a {self.num_workers}-worker schedule (valid: "
-                f"0..{self.num_workers - 1})"
-            )
-
-    def _down_set(self, round_index: int) -> frozenset:
-        """The down-set of ``round_index`` under the fill policy."""
-        exact = self.rounds.get(round_index)
-        if exact is not None:
-            return exact
-        if self.fill == "up":
-            return frozenset()
-        if self.fill == "down":
-            return frozenset(range(self.num_workers))
-        # "hold": carry the latest specified round forward.
-        position = np.searchsorted(self._sorted_rounds, round_index)
-        if position == 0:
-            return frozenset()  # before the first entry: everyone up
-        return self.rounds[self._sorted_rounds[position - 1]]
-
-    def active_at(self, round_index: int) -> np.ndarray:
-        if round_index < 0:
-            raise ValueError(
-                f"round_index must be non-negative, got {round_index}"
-            )
-        mask = np.ones(self.num_workers, dtype=bool)
-        if self.rounds is not None:
-            for rank in self._down_set(round_index):
-                mask[rank] = False
-            return mask
-        for rank, intervals in self.outages.items():
-            for start, end in intervals:
-                if start <= round_index < end:
-                    mask[rank] = False
-                    break
-        return mask

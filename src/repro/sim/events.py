@@ -13,9 +13,9 @@ provides the missing execution layer:
 * :class:`EventEngine` — per-worker clocks, per-endpoint link clocks
   (contention, on by default), and a :class:`EventTrace` of per-worker
   compute/communication busy totals, unifying the
-  :class:`~repro.sim.timing.ComputeModel`, the bandwidth matrix, churn
-  (:mod:`repro.sim.dynamics`) and loss models
-  (:mod:`repro.network.faults`) into one simulated-wall-clock timeline;
+  :class:`~repro.sim.timing.ComputeModel`, the bandwidth matrix, fault
+  plans (:mod:`repro.sim.faults`) and client arrival processes
+  (:mod:`repro.sim.population`) into one simulated-wall-clock timeline;
 * :func:`run_event_experiment` — run an asynchronous algorithm variant
   (:mod:`repro.algorithms.asynchronous`) for a simulated time budget,
   sampling loss/accuracy/consensus distance at simulated-time
@@ -227,9 +227,9 @@ class EventEngine:
     Holds the queue, the wall clock, per-worker clocks, per-endpoint link
     clocks (for contention, on by default here — the synchronous timer
     keeps it off by default) and the shared scenario models: compute
-    times, churn and exchange loss.  Asynchronous algorithms
-    (:mod:`repro.algorithms.asynchronous`) bind to the engine and drive
-    it through :meth:`schedule` / :meth:`start_transfer`.
+    times, the fault plan and the client population.  Asynchronous
+    algorithms (:mod:`repro.algorithms.asynchronous`) bind to the engine
+    and drive it through :meth:`schedule` / :meth:`start_transfer`.
     """
 
     #: Safety valve: an algorithm whose events never advance time (no
@@ -241,8 +241,6 @@ class EventEngine:
         self,
         network: SimulatedNetwork,
         compute_model: Optional[ComputeModel] = None,
-        churn=None,
-        loss_model=None,
         contention: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         exchange_policy: Optional[ExchangePolicy] = None,
@@ -253,8 +251,6 @@ class EventEngine:
         self.network = network
         self.num_workers = network.num_workers
         self.compute_model = compute_model
-        self.churn = churn
-        self.loss_model = loss_model
         self.contention = bool(contention)
         if scheduler not in ("calendar", "heap"):
             raise ValueError(
@@ -728,8 +724,6 @@ def run_event_experiment(
     config: ExperimentConfig,
     network: Optional[SimulatedNetwork] = None,
     compute_model: Optional[ComputeModel] = None,
-    churn=None,
-    loss_model=None,
     duration: float = 30.0,
     checkpoint_every: Optional[float] = None,
     contention: bool = True,
@@ -756,7 +750,7 @@ def run_event_experiment(
 
     ``population`` is a client up/down arrival process
     (:mod:`repro.sim.population`); async algorithms defer cycle starts
-    to each worker's next up-time instead of skipping per-cycle masks.
+    to each worker's next up-time.
     """
     if network is None:
         network = SimulatedNetwork(num_workers=len(partitions))
@@ -770,8 +764,6 @@ def run_event_experiment(
     engine = EventEngine(
         network,
         compute_model=compute_model,
-        churn=churn,
-        loss_model=loss_model,
         contention=contention,
         fault_plan=fault_plan,
         exchange_policy=exchange_policy,

@@ -1,10 +1,9 @@
 """Timed fault injection: crash/recover/link schedules on the simulated clock.
 
 The churn models in :mod:`repro.sim.dynamics` are per-*round* boolean
-masks and the loss models in :mod:`repro.network.faults` are per-exchange
-coin flips; neither can express a worker dying *mid-transfer*, a partner
+masks; they cannot express a worker dying *mid-transfer*, a partner
 waiting on a dead peer, or a restarted worker resuming from stale state.
-This module provides the missing timed substrate:
+This module provides the timed substrate:
 
 * :class:`FaultEvent` — one timed fault: a worker crash/recovery or a
   link going down/up at a simulated time;
@@ -13,10 +12,11 @@ This module provides the missing timed substrate:
   "kill worker 3 at t=30 s" case) or drawn from seeded MTTF/MTTR
   exponential arrival processes (:meth:`FaultPlan.from_rates`);
 * round-level projections (:meth:`FaultPlan.round_churn`,
-  :meth:`FaultPlan.round_loss`) so the synchronous engine's
-  :class:`~repro.sim.dynamics.ChurnModel` /
-  :class:`~repro.network.faults.LossModel` hooks consume the *same*
-  plan the event engine executes — one scenario, two engines;
+  :meth:`FaultPlan.round_loss`) so synchronous SAPS's
+  :class:`~repro.sim.dynamics.ChurnModel` hook and its per-exchange
+  ``loss_model`` hook (contract on :class:`repro.algorithms.SAPSPSGD`)
+  consume the *same* plan the event engine executes — one scenario,
+  two engines;
 * :meth:`FaultPlan.parse` — the ``--fault-plan`` CLI grammar
   (``"crash:3@10,recover:3@25"`` or ``"mttf=20,mttr=5"``).
 
@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.faults import LossModel
 from repro.sim.dynamics import ChurnModel
 from repro.utils.rng import SeedLike, as_generator
 
@@ -345,9 +344,9 @@ class FaultPlan:
         return FaultChurn(self, round_duration)
 
     def round_loss(self, round_duration: float) -> "FaultLinkLoss":
-        """Project to a per-exchange :class:`LossModel`: an exchange in
-        round ``t`` fails iff its link is down at any point during the
-        round's window (deterministic, unlike the sampled loss models)."""
+        """Project to synchronous SAPS's per-exchange loss hook: an
+        exchange in round ``t`` fails iff its link is down at any point
+        during the round's window."""
         return FaultLinkLoss(self, round_duration)
 
 
@@ -390,7 +389,7 @@ class FaultChurn(ChurnModel):
         return cached.copy()
 
 
-class FaultLinkLoss(LossModel):
+class FaultLinkLoss:
     """Round-level projection of a :class:`FaultPlan` (link failures)."""
 
     def __init__(self, plan: FaultPlan, round_duration: float) -> None:

@@ -16,7 +16,7 @@ they do".  This module is the one home for that logic:
   :class:`~repro.nn.sharded.ShardedArena` so an exchange's endpoint rows
   cannot be torn by LRU eviction mid-use (no-ops on a dense arena);
 * **the support table** — the single record of which algorithm supports
-  which participation/arena feature, driving the CLI's fail-fast
+  which participation feature, driving the CLI's fail-fast
   validation instead of ad-hoc per-dispatcher checks.
 
 Every method consumes the caller's RNG exactly as the code it replaced
@@ -56,7 +56,7 @@ class ParticipationContext:
     """
 
     #: The one support table: which CLI algorithm keys accept which
-    #: participation/arena feature on which engine.  Dispatchers call
+    #: participation feature on which engine.  Dispatchers call
     #: :meth:`check_support` instead of hand-rolling the lists.
     SUPPORT = {
         "sampled": {
@@ -67,20 +67,12 @@ class ParticipationContext:
             "sync": ("fedavg", "s-fedavg", "saps-psgd"),
             "event": ("fedavg", "saps-psgd", "d-psgd"),
         },
-        "sharded-arena": {
-            "sync": (
-                "psgd", "topk-psgd", "fedavg", "s-fedavg", "d-psgd",
-                "dcd-psgd", "saps-psgd",
-            ),
-            "event": ("fedavg", "saps-psgd", "d-psgd"),
-        },
     }
 
     #: CLI flag spelling per feature, for the fail-fast error text.
     _FLAGS = {
         "sampled": "--participation sampled",
         "population": "--population-model",
-        "sharded-arena": "--arena sharded",
     }
 
     def __init__(
@@ -123,7 +115,6 @@ class ParticipationContext:
         engine: str = "sync",
         participation: str = "full",
         population: Optional[str] = None,
-        arena: str = "dense",
     ) -> None:
         """Fail fast on unsupported feature/algorithm combinations.
 
@@ -136,8 +127,6 @@ class ParticipationContext:
             wanted.append("sampled")
         if population not in (None, "", "none"):
             wanted.append("population")
-        if arena == "sharded":
-            wanted.append("sharded-arena")
         for feature in wanted:
             supported = cls.SUPPORT[feature].get(engine, ())
             if algorithm not in supported:

@@ -1,10 +1,10 @@
 """Client-population availability as an arrival process on the clock.
 
 The churn models in :mod:`repro.sim.dynamics` answer "is worker ``w``
-active in cycle ``c``?" — a per-cycle mask.  That abstraction breaks at
-population scale twice over: it is indexed by *cycle*, which only exists
-for workers already running, and evaluating it eagerly for millions of
-enrolled clients per round is O(enrolment).  This module models
+active in round ``t``?" — a per-round mask.  That abstraction breaks at
+population scale twice over: it is indexed by *round*, which an
+asynchronous worker does not have, and evaluating it eagerly for
+millions of enrolled clients per round is O(enrolment).  This module models
 availability the way the event engine thinks — as per-client alternating
 up/down *intervals* on the simulated wall clock:
 
@@ -21,7 +21,7 @@ up/down *intervals* on the simulated wall clock:
 Queries the algorithms use:
 
 * :meth:`is_up` / :meth:`next_up` — gate an async worker's next cycle on
-  its own availability timeline (replacing the per-cycle mask skip);
+  its own availability timeline;
 * :meth:`sample_up` — draw round participants from the *currently up*
   clients by rejection sampling against the caller's RNG stream, which
   is O(sample) for any enrolment, not O(enrolment).

@@ -675,96 +675,3 @@ class TestPlumbing:
         mixed = worker.evaluate(validation)
         cast = worker.evaluate(validation.astype(np.float32))
         assert mixed == cast
-
-
-class TestVectorizedSampler:
-    """The opt-in one-generator cluster sampler (stream-breaking by
-    design): valid indices, determinism, and actual training progress —
-    NOT loop equivalence, which it intentionally gives up."""
-
-    def _build(self, num_workers=4, sampler_seed=0):
-        partitions, validation = _workload(num_workers)
-        config = ExperimentConfig(rounds=1, batch_size=8, lr=0.1, seed=3)
-        workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
-        trainer = ClusterTrainer.build(
-            workers, sampler="vectorized", sampler_seed=sampler_seed
-        )
-        assert trainer is not None
-        return trainer, validation
-
-    def test_build_rejects_unknown_sampler(self):
-        partitions, _ = _workload(3)
-        config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
-        workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
-        with pytest.raises(ValueError):
-            ClusterTrainer.build(workers, sampler="antithetic")
-
-    def test_default_sampler_unchanged(self):
-        partitions, _ = _workload(3)
-        config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
-        workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
-        trainer = ClusterTrainer.build(workers)
-        assert trainer.sampler == "per-worker"
-        assert trainer._sampler_rng is None
-
-    def test_steps_run_and_losses_finite(self):
-        trainer, _ = self._build()
-        losses = trainer.batched_steps(3)
-        assert losses.shape == (4, 3)
-        assert np.isfinite(losses).all()
-
-    def test_deterministic_given_sampler_seed(self):
-        first, _ = self._build(sampler_seed=7)
-        second, _ = self._build(sampler_seed=7)
-        np.testing.assert_array_equal(
-            first.batched_steps(3), second.batched_steps(3)
-        )
-        np.testing.assert_array_equal(first.arena.data, second.arena.data)
-
-    def test_different_seed_differs(self):
-        first, _ = self._build(sampler_seed=7)
-        second, _ = self._build(sampler_seed=8)
-        assert not np.array_equal(first.batched_steps(3), second.batched_steps(3))
-
-    def test_stream_breaking_vs_per_worker(self):
-        """The vectorized sampler is NOT stream-identical to the loop —
-        by design (that is where the speedup comes from)."""
-        partitions, _ = _workload(4)
-        config = ExperimentConfig(rounds=1, batch_size=8, lr=0.1, seed=3)
-        loop_workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
-        vec_workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
-        loop_trainer = ClusterTrainer.build(loop_workers)
-        vec_trainer = ClusterTrainer.build(vec_workers, sampler="vectorized")
-        assert not np.array_equal(
-            loop_trainer.batched_steps(2), vec_trainer.batched_steps(2)
-        )
-
-    def test_subset_ranks(self):
-        trainer, _ = self._build()
-        before = trainer.arena.data[[0, 2]].copy()
-        losses = trainer.batched_steps(2, ranks=[1, 3])
-        assert losses.shape == (2, 2)
-        np.testing.assert_array_equal(before, trainer.arena.data[[0, 2]])
-
-    def test_training_converges(self):
-        trainer, validation = self._build()
-        start_loss, _ = trainer.evaluate_vector(
-            trainer.arena.mean_model(), validation
-        )
-        for _ in range(30):
-            trainer.step()
-        end_loss, end_acc = trainer.evaluate_vector(
-            trainer.arena.mean_model(), validation
-        )
-        assert end_loss < start_loss
-        assert end_acc > 0.5

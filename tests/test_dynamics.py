@@ -14,18 +14,8 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.sim import ExperimentConfig, run_experiment
-from repro.sim.dynamics import (
-    AlwaysOn,
-    AvailabilitySchedule,
-    MarkovChurn,
-)
-
-
-class TestAlwaysOn:
-    def test_all_active(self):
-        model = AlwaysOn(5)
-        assert model.active_at(0).all()
-        assert model.active_at(100).all()
+from repro.sim.dynamics import MarkovChurn
+from repro.sim.faults import FaultPlan
 
 
 class TestMarkovChurn:
@@ -69,88 +59,6 @@ class TestMarkovChurn:
             MarkovChurn(4, min_active=9)
         with pytest.raises(ValueError):
             MarkovChurn(4, rng=0).active_at(-1)
-
-
-class TestAvailabilitySchedule:
-    def test_outage_window(self):
-        schedule = AvailabilitySchedule(4, {2: [(5, 10)]})
-        assert schedule.active_at(4)[2]
-        assert not schedule.active_at(5)[2]
-        assert not schedule.active_at(9)[2]
-        assert schedule.active_at(10)[2]
-
-    def test_multiple_intervals(self):
-        schedule = AvailabilitySchedule(3, {0: [(0, 2), (4, 6)]})
-        actives = [schedule.active_at(t)[0] for t in range(7)]
-        assert actives == [False, False, True, True, False, False, True]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AvailabilitySchedule(3, {5: [(0, 1)]})
-        with pytest.raises(ValueError):
-            AvailabilitySchedule(3, {0: [(3, 3)]})
-
-
-class TestSparseRoundTable:
-    def test_fill_up_default(self):
-        schedule = AvailabilitySchedule(4, rounds={3: [1, 2]})
-        assert schedule.active_at(0).all()
-        np.testing.assert_array_equal(
-            schedule.active_at(3), [True, False, False, True]
-        )
-        assert schedule.active_at(4).all()  # unmentioned round: everyone up
-
-    def test_fill_down(self):
-        schedule = AvailabilitySchedule(3, rounds={2: [0]}, fill="down")
-        assert not schedule.active_at(0).any()
-        np.testing.assert_array_equal(
-            schedule.active_at(2), [False, True, True]
-        )
-        assert not schedule.active_at(3).any()
-
-    def test_fill_hold_carries_last_entry_forward(self):
-        schedule = AvailabilitySchedule(
-            4, rounds={2: [1], 5: []}, fill="hold"
-        )
-        assert schedule.active_at(0).all()  # before first entry
-        assert schedule.active_at(1).all()
-        for t in (2, 3, 4):  # round 2's down-set held through the gap
-            np.testing.assert_array_equal(
-                schedule.active_at(t), [True, False, True, True]
-            )
-        assert schedule.active_at(5).all()  # cleared at round 5
-        assert schedule.active_at(100).all()
-
-    def test_empty_down_set_round_is_respected(self):
-        schedule = AvailabilitySchedule(3, rounds={1: []}, fill="down")
-        assert not schedule.active_at(0).any()
-        assert schedule.active_at(1).all()
-
-    def test_out_of_range_worker_error_is_friendly(self):
-        with pytest.raises(ValueError, match=r"worker index 7.*round 4.*0\.\.3"):
-            AvailabilitySchedule(4, rounds={4: [0, 7]})
-        with pytest.raises(ValueError, match=r"worker index -1"):
-            AvailabilitySchedule(4, rounds={0: [-1]})
-
-    def test_bad_fill_and_exclusive_styles_rejected(self):
-        with pytest.raises(ValueError, match="fill must be one of"):
-            AvailabilitySchedule(3, rounds={0: [0]}, fill="sideways")
-        with pytest.raises(ValueError, match="exactly one of"):
-            AvailabilitySchedule(3)
-        with pytest.raises(ValueError, match="exactly one of"):
-            AvailabilitySchedule(3, outages={0: [(0, 1)]}, rounds={0: [0]})
-        with pytest.raises(ValueError, match="round index"):
-            AvailabilitySchedule(3, rounds={-2: [0]})
-
-    def test_negative_round_query_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            AvailabilitySchedule(3, rounds={0: [0]}).active_at(-1)
-
-    def test_drives_saps_matching(self):
-        """A sparse table plugs straight into SAPS-PSGD as a churn model."""
-        schedule = AvailabilitySchedule(6, rounds={0: [2, 3]}, fill="hold")
-        mask = schedule.active_at(7)
-        assert mask.sum() == 4 and not mask[2] and not mask[3]
 
 
 class TestSelectorsUnderChurn:
@@ -218,7 +126,7 @@ class TestSAPSUnderChurn:
     def test_offline_workers_skip_sgd_and_traffic(self):
         partitions, validation, factory, config = self._workload()
         # Worker 0 offline for the whole run.
-        churn = AvailabilitySchedule(6, {0: [(0, 10_000)]})
+        churn = FaultPlan.parse("crash:0@0", 6).round_churn(1.0)
         network = SimulatedNetwork(6)
         from repro.sim import make_workers
 
@@ -233,7 +141,9 @@ class TestSAPSUnderChurn:
 
     def test_scheduled_outage_then_recovery(self):
         partitions, validation, factory, config = self._workload()
-        churn = AvailabilitySchedule(6, {1: [(10, 20)], 2: [(15, 25)]})
+        churn = FaultPlan.parse(
+            "crash:1@10,recover:1@20,crash:2@15,recover:2@25", 6
+        ).round_churn(1.0)
         result = run_experiment(
             SAPSPSGD(compression_ratio=5.0, churn=churn),
             partitions, validation, factory, config, SimulatedNetwork(6),

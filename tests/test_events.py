@@ -34,11 +34,9 @@ from repro.analysis import (
 )
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
-from repro.network.faults import PacketLossModel
 from repro.network.metrics import MB, CommunicationTimer
 from repro.nn import MLP
 from repro.sim import (
-    AvailabilitySchedule,
     ConstantCompute,
     EventEngine,
     EventQueue,
@@ -511,34 +509,6 @@ class TestAsyncGossip:
         # No duplicate final checkpoint.
         assert len(set(times)) == len(times)
 
-    def test_loss_model_drops_exchanges(self, workload):
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
-        algorithm = AsyncGossip(compression_ratio=5.0, base_seed=11)
-        run_event_experiment(
-            algorithm, partitions, validation, factory, config,
-            SimulatedNetwork(6, bandwidth=random_uniform_bandwidth(6, rng=11)),
-            compute_model=ConstantCompute(0.05),
-            loss_model=PacketLossModel(1.0, num_workers=6, rng=0),
-            duration=1.0,
-        )
-        assert algorithm.dropped_exchanges > 0
-        assert algorithm.dropped_exchanges == algorithm.exchange_count
-
-    def test_churn_suppresses_offline_cycles(self, workload):
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
-        # Worker 0 offline for its first 50 cycles: it computes far less.
-        churn = AvailabilitySchedule(6, {0: [(0, 50)]})
-        algorithm = AsyncGossip(compression_ratio=5.0, base_seed=11)
-        result = run_event_experiment(
-            algorithm, partitions, validation, factory, config,
-            SimulatedNetwork(6, bandwidth=random_uniform_bandwidth(6, rng=11)),
-            compute_model=ConstantCompute(0.05), churn=churn, duration=2.0,
-        )
-        compute = result.trace.busy_seconds("compute")
-        assert compute[0] < 0.5 * compute[1:].mean()
-
     def test_random_peer_choice_runs(self, workload):
         _, result = self.run(workload, peer_choice="random", duration=1.0)
         assert result.total_local_steps > 0
@@ -625,26 +595,6 @@ class TestAsyncFedAvg:
         assert [r.val_accuracy for r in first.history] == [
             r.val_accuracy for r in second.history
         ]
-
-    def test_loss_model_drops_uploads(self, workload):
-        partitions, validation, factory = workload
-        bandwidth = random_uniform_bandwidth(6, rng=11)
-        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
-        network = SimulatedNetwork(
-            6, bandwidth=bandwidth, server_bandwidth=float(bandwidth.max())
-        )
-        algorithm = AsyncFedAvg()
-        result = run_event_experiment(
-            algorithm, partitions, validation, factory, config, network,
-            compute_model=ConstantCompute(0.05),
-            loss_model=PacketLossModel(1.0, num_workers=6, rng=0),
-            duration=3.0,
-        )
-        # Every upload lost: the server never updates, accuracy stays
-        # at the initial model's level.
-        assert algorithm.dropped_uploads > 0
-        assert algorithm.server_version == 0
-        assert result.final_accuracy == result.history[0].val_accuracy
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,128 +1,24 @@
-"""Tests for fault injection and SAPS-PSGD under lossy links."""
+"""Tests for SAPS-PSGD under lossy links (a fault plan's link outages)."""
 
-import numpy as np
-import pytest
+from itertools import combinations
 
 from repro.algorithms import SAPSPSGD
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
-from repro.network.faults import BurstLossModel, NoLoss, PacketLossModel
 from repro.nn import MLP
-from repro.sim import ExperimentConfig, make_workers, run_experiment
+from repro.sim import ExperimentConfig, FaultPlan, run_experiment
 
 
-class TestPacketLossModel:
-    def test_zero_loss_never_fails(self):
-        model = PacketLossModel(0.0, rng=0)
-        assert not any(model.exchange_fails(t, 0, 1) for t in range(100))
-
-    def test_full_loss_always_fails(self):
-        model = PacketLossModel(1.0, rng=0)
-        assert all(model.exchange_fails(t, 0, 1) for t in range(100))
-
-    def test_observed_rate_matches(self):
-        model = PacketLossModel(0.3, rng=0)
-        for t in range(5000):
-            model.exchange_fails(t, 0, 1)
-        assert model.observed_loss_rate == pytest.approx(0.3, abs=0.03)
-
-    def test_per_link_matrix(self):
-        matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-        model = PacketLossModel(matrix, rng=0)
-        assert model.exchange_fails(0, 0, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PacketLossModel(1.5)
-        with pytest.raises(ValueError):
-            PacketLossModel(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError):
-            PacketLossModel(np.zeros((2, 3)))
-
-    def test_no_loss_model(self):
-        assert not NoLoss().exchange_fails(0, 0, 1)
+LINKS = list(combinations(range(6), 2))
 
 
-class TestBurstLossModel:
-    def test_loss_rate_between_good_and_bad(self):
-        model = BurstLossModel(
-            8, good_loss=0.0, bad_loss=1.0, p_good_to_bad=0.1,
-            p_bad_to_good=0.3, rng=0,
-        )
-        failures = sum(
-            model.exchange_fails(t, 0, 1) for t in range(2000)
-        )
-        rate = failures / 2000
-        # Stationary bad fraction = 0.1/(0.1+0.3) = 0.25.
-        assert 0.1 < rate < 0.4
-
-    def test_states_are_symmetric(self):
-        model = BurstLossModel(6, rng=0)
-        model.exchange_fails(50, 0, 1)
-        np.testing.assert_array_equal(model._bad, model._bad.T)
-
-    def test_monotone_rounds_required(self):
-        model = BurstLossModel(4, rng=0)
-        model.exchange_fails(10, 0, 1)
-        with pytest.raises(ValueError):
-            model.exchange_fails(5, 0, 1)
-
-    def test_bad_fraction_reported(self):
-        model = BurstLossModel(
-            10, p_good_to_bad=0.5, p_bad_to_good=0.1, rng=0
-        )
-        model.exchange_fails(100, 0, 1)
-        assert 0.0 <= model.bad_fraction() <= 1.0
-        assert model.bad_fraction() > 0.3  # mostly bad at stationarity
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BurstLossModel(4, good_loss=2.0)
-
-    def test_stream_stability_across_links(self):
-        """Per-link substreams: querying other links never shifts a
-        link's outcome sequence."""
-        solo = BurstLossModel(6, good_loss=0.3, bad_loss=0.9, rng=42)
-        noisy = BurstLossModel(6, good_loss=0.3, bad_loss=0.9, rng=42)
-        outcomes_solo, outcomes_noisy = [], []
-        for t in range(200):
-            outcomes_solo.append(solo.exchange_fails(t, 1, 4))
-            # Interleave traffic on unrelated links in the second model.
-            noisy.exchange_fails(t, 0, 2)
-            outcomes_noisy.append(noisy.exchange_fails(t, 1, 4))
-            noisy.exchange_fails(t, 3, 5)
-        assert outcomes_solo == outcomes_noisy
-
-    def test_stream_stability_under_link_order(self):
-        """Symmetric queries (a, b) vs (b, a) hit the same substream."""
-        forward = BurstLossModel(4, good_loss=0.4, rng=7)
-        backward = BurstLossModel(4, good_loss=0.4, rng=7)
-        a_first = [forward.exchange_fails(t, 0, 3) for t in range(100)]
-        b_first = [backward.exchange_fails(t, 3, 0) for t in range(100)]
-        assert a_first == b_first
-
-    def test_repeated_round_queries_allowed(self):
-        """The retry path re-asks the same exchange index; each re-ask
-        draws a fresh loss Bernoulli but never raises."""
-        model = BurstLossModel(4, good_loss=0.5, rng=3)
-        outcomes = [model.exchange_fails(10, 0, 1) for _ in range(50)]
-        assert any(outcomes) and not all(outcomes)
-        # Strictly earlier rounds on the same link still raise.
-        with pytest.raises(ValueError, match="non-decreasing"):
-            model.exchange_fails(9, 0, 1)
-        # ...but an untouched link may start wherever it likes.
-        model.exchange_fails(0, 2, 3)
-
-    def test_self_loops_stay_good(self):
-        model = BurstLossModel(
-            4, good_loss=0.0, bad_loss=1.0, p_good_to_bad=1.0, rng=0
-        )
-        assert not any(model.exchange_fails(t, 2, 2) for t in range(50))
-
-    def test_out_of_range_link_error_is_friendly(self):
-        model = BurstLossModel(4, rng=0)
-        with pytest.raises(ValueError, match=r"worker index 9.*0\.\.3"):
-            model.exchange_fails(0, 0, 9)
+def _link_outages(links, down, up):
+    """``FaultPlan.round_loss`` of ``links`` scripted down over rounds
+    ``[down, up)``, at one round per second."""
+    events = ",".join(
+        f"link_down:{a}-{b}@{down},link_up:{a}-{b}@{up}" for a, b in links
+    )
+    return FaultPlan.parse(events, 6).round_loss(1.0)
 
 
 class TestSAPSUnderLoss:
@@ -141,31 +37,29 @@ class TestSAPSUnderLoss:
         return algorithm, result
 
     def test_converges_under_moderate_loss(self):
-        algorithm, result = self._setup(PacketLossModel(0.2, rng=1))
+        # A third of the links down for half of the run.
+        loss = _link_outages(LINKS[::3], 10, 40)
+        algorithm, result = self._setup(loss)
         assert result.final_accuracy > 0.8
         assert algorithm.dropped_exchanges > 0
 
-    def test_converges_under_bursty_loss(self):
-        algorithm, result = self._setup(
-            BurstLossModel(6, good_loss=0.02, bad_loss=0.6, rng=1)
-        )
-        assert result.final_accuracy > 0.8
-
     def test_total_loss_stalls_consensus_but_does_not_crash(self):
-        algorithm, result = self._setup(PacketLossModel(1.0, rng=1), rounds=20)
+        loss = _link_outages(LINKS, 0, 20)
+        algorithm, result = self._setup(loss, rounds=20)
         # Every exchange dropped -> workers never mix.
         assert algorithm.dropped_exchanges == algorithm.num_workers // 2 * 20
         assert result.history[-1].consensus_distance > 0
 
     def test_loss_reduces_consensus_quality(self):
         _, clean = self._setup(None)
-        _, lossy = self._setup(PacketLossModel(0.5, rng=1))
+        _, lossy = self._setup(_link_outages(LINKS[::2], 0, 60))
         assert (
             lossy.history[-1].consensus_distance
             >= clean.history[-1].consensus_distance * 0.5
         )
 
     def test_dropped_exchange_counter_matches_model(self):
-        loss = PacketLossModel(0.3, rng=2)
+        loss = _link_outages(LINKS[1::3], 5, 50)
         algorithm, _ = self._setup(loss)
+        assert 0 < loss.failures < loss.attempts
         assert algorithm.dropped_exchanges == loss.failures

@@ -63,9 +63,6 @@ class TestCheckSupport:
         ParticipationContext.check_support(
             "d-psgd", engine="event", population="renewal:up=3,down=2"
         )
-        ParticipationContext.check_support(
-            "dcd-psgd", engine="sync", arena="sharded"
-        )
 
     def test_unsupported_combinations_fail_with_flag_and_pointer(self):
         with pytest.raises(ValueError, match="--participation sampled"):
@@ -75,10 +72,6 @@ class TestCheckSupport:
         with pytest.raises(ValueError, match="Scaling to millions"):
             ParticipationContext.check_support(
                 "saps-psgd", engine="event", participation="sampled"
-            )
-        with pytest.raises(ValueError, match="--arena sharded"):
-            ParticipationContext.check_support(
-                "psgd", engine="event", arena="sharded"
             )
         with pytest.raises(ValueError, match="--population-model"):
             ParticipationContext.check_support(

@@ -1,8 +1,8 @@
 """Additional hypothesis property tests over the newer subsystems:
-churn, faults, timing, crossover analysis, multipeer."""
+churn, timing, crossover analysis, multipeer."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.crossover import accuracy_at_cost
@@ -11,7 +11,6 @@ from repro.core.multipeer import (
     neighbor_sets_from_matchings,
     union_of_matchings,
 )
-from repro.network.faults import PacketLossModel
 from repro.sim.dynamics import MarkovChurn
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 from repro.sim.timing import HeterogeneousCompute
@@ -41,29 +40,6 @@ class TestChurnProperties:
         second = [churn.active_at(t) for t in range(20)]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
-
-
-class TestFaultProperties:
-    @given(rate=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
-    # One loss in 800 trials at n·p = 0.008: 0.00125 observed, which a
-    # 5σ normal-approximation bound (0.00056) wrongly rejects.
-    @example(rate=1e-05, seed=130)
-    @settings(max_examples=30, deadline=None)
-    def test_observed_rate_within_binomial_bounds(self, rate, seed):
-        model = PacketLossModel(rate, rng=seed)
-        trials = 800
-        for t in range(trials):
-            model.exchange_fails(t, 0, 1)
-        # Bernstein's inequality, two-sided at failure probability 1e-9.
-        # Unlike kσ of the normal approximation it holds at every n·p,
-        # the Poisson regime n·p ≪ 1 included: its second term is the
-        # count slack (a few losses out of `trials`) that regime needs.
-        log_term = np.log(2 / 1e-9)
-        tolerance = (
-            np.sqrt(2 * rate * (1 - rate) * log_term / trials)
-            + 2 * log_term / (3 * trials)
-        )
-        assert abs(model.observed_loss_rate - rate) <= tolerance
 
 
 class TestTimingProperties:
