@@ -77,8 +77,8 @@ class FedAvg(DistributedAlgorithm):
 
     def participation_context(self):
         """The shared selection/gating layer, built from this server's
-        sampling knobs (re-created per call so post-construction
-        ``sample_size``/``population`` wiring by the CLI is honoured)."""
+        sampling knobs (re-created per call, so ``sample_size`` /
+        ``population`` set after construction are honoured)."""
         # Imported here: repro.algorithms must not import the repro.sim
         # package at module load (sim.comparison imports the algorithms).
         from repro.sim.participation import ParticipationContext

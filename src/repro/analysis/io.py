@@ -19,9 +19,13 @@ from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 
 FORMAT_VERSION = 1
 
-#: ``ExperimentConfig`` fields saved files may still carry.  Both chose
-#: between bit-identical twins, so they are dropped on load.
-RETIRED_CONFIG_KEYS = ("use_arena", "scheduler")
+#: ``ExperimentConfig`` fields saved files may still carry, dropped on
+#: load: ``use_arena`` and ``scheduler`` chose between bit-identical
+#: twins; the other seven were recorded but never read by a loop.
+RETIRED_CONFIG_KEYS = (
+    "use_arena", "scheduler", "engine", "fault_plan", "exchange_timeout",
+    "recovery", "participation", "sample_size", "population",
+)
 
 
 def result_to_dict(result: ExperimentResult) -> dict:

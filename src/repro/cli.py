@@ -10,13 +10,20 @@ Run a single algorithm or the full 7-algorithm comparison from the shell:
 Every subcommand prints paper-style tables; ``--output FILE`` also writes
 the trajectories as JSON (``repro.analysis.io`` format), on either
 ``--engine``.
+
+``run`` builds everything its flags describe before the first round; a
+bad value exits as ``configuration error: <message>``.  A flag that sets
+an algorithm attribute needs an algorithm whose constructor takes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from functools import partial
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -56,23 +63,28 @@ from repro.nn import MLP
 from repro.sim import (
     ConstantCompute,
     ExperimentConfig,
+    ExperimentResult,
     HeterogeneousCompute,
     SuiteSettings,
+    parse_population,
     run_comparison,
     run_event_experiment,
     run_experiment,
 )
 from repro.theory import consensus_factor, estimate_rho
+from repro.utils.validation import check_positive
 
+#: Each ``--algorithm``'s constructor with the common flags bound; the
+#: availability flags add their own arguments when it is called.
 ALGORITHM_FACTORIES = {
-    "psgd": lambda args: PSGD(),
-    "topk-psgd": lambda args: TopKPSGD(args.compression),
-    "fedavg": lambda args: FedAvg(),
-    "s-fedavg": lambda args: SparseFedAvg(compression_ratio=args.compression),
-    "d-psgd": lambda args: DPSGD(),
-    "dcd-psgd": lambda args: DCDPSGD(min(args.compression, 4.0)),
-    "saps-psgd": lambda args: SAPSPSGD(
-        compression_ratio=args.compression, base_seed=args.seed,
+    "psgd": lambda args: PSGD,
+    "topk-psgd": lambda args: partial(TopKPSGD, args.compression),
+    "fedavg": lambda args: FedAvg,
+    "s-fedavg": lambda args: partial(SparseFedAvg, compression_ratio=args.compression),
+    "d-psgd": lambda args: DPSGD,
+    "dcd-psgd": lambda args: partial(DCDPSGD, min(args.compression, 4.0)),
+    "saps-psgd": lambda args: partial(
+        SAPSPSGD, compression_ratio=args.compression, base_seed=args.seed,
         local_steps=args.local_steps,
     ),
 }
@@ -81,13 +93,23 @@ ALGORITHM_FACTORIES = {
 #: without one keep their synchronous rounds; the round loop's clock
 #: then also carries the compute model).
 ASYNC_FACTORIES = {
-    "saps-psgd": lambda args: AsyncGossip(
+    "saps-psgd": lambda args: partial(
+        AsyncGossip,
         compression_ratio=args.compression,
         base_seed=args.seed,
         local_steps=max(args.local_steps, 1),
     ),
-    "d-psgd": lambda args: AsyncDPSGD(),
-    "fedavg": lambda args: AsyncFedAvg(),
+    "d-psgd": lambda args: AsyncDPSGD,
+    "fedavg": lambda args: AsyncFedAvg,
+}
+
+#: The algorithm attributes each availability flag sets, which the
+#: constructor must take.  An asynchronous variant reads the population
+#: and the fault plan off the event engine, so only sampling reaches it.
+FLAG_ATTRIBUTES = {
+    "--participation sampled": ("sample_size",),
+    "--population-model": ("population",),
+    "--fault-plan": ("churn", "loss_model"),
 }
 
 
@@ -114,14 +136,14 @@ def _build_bandwidth(args) -> Optional[np.ndarray]:
     if args.bandwidth == "fig1":
         matrix = fig1_environment()
         if args.workers != matrix.shape[0]:
-            raise SystemExit(
+            raise ValueError(
                 f"--bandwidth fig1 requires --workers {matrix.shape[0]}"
             )
         return matrix
     return random_uniform_bandwidth(args.workers, rng=args.seed)
 
 
-def _config(args) -> ExperimentConfig:
+def _config(args, arena: str = "dense") -> ExperimentConfig:
     return ExperimentConfig(
         rounds=args.rounds,
         batch_size=args.batch_size,
@@ -130,53 +152,18 @@ def _config(args) -> ExperimentConfig:
         seed=args.seed,
         dtype=args.dtype,
         local_steps=args.local_steps,
-        engine=getattr(args, "engine", "sync"),
-        fault_plan=getattr(args, "fault_plan", None),
-        exchange_timeout=getattr(args, "exchange_timeout", 5.0),
-        recovery=getattr(args, "recovery", "checkpoint"),
-        participation=getattr(args, "participation", "full"),
-        sample_size=getattr(args, "sample_size", None),
-        population=getattr(args, "population_model", None),
-        arena=getattr(args, "arena", "dense"),
+        arena=arena,
     )
 
 
-def _build_population(args, config):
-    """Parse ``--population-model`` into a ClientPopulation (or None)."""
-    if not config.population:
-        return None
-    from repro.sim import parse_population
-
+def _configured(build: Callable, *args):
+    """Run one build step.  A ``ValueError`` there is a bad flag value
+    and exits as ``configuration error: <message>``; one raised later,
+    inside a training round, keeps its traceback."""
     try:
-        return parse_population(config.population, args.workers, seed=args.seed)
+        return build(*args)
     except ValueError as error:
-        raise SystemExit(f"--population-model: {error}")
-
-
-def _check_support(args, config, engine: str) -> None:
-    """Table-driven fail-fast: the one support matrix lives on
-    :class:`~repro.sim.participation.ParticipationContext`."""
-    from repro.sim.participation import ParticipationContext
-
-    try:
-        ParticipationContext.check_support(
-            args.algorithm,
-            engine=engine,
-            participation=config.participation,
-            population=config.population,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _apply_sync_sampling(args, config, algorithm, population) -> None:
-    """Wire sampled participation / population into a sync algorithm."""
-    if config.participation != "sampled" and population is None:
-        return
-    if config.participation == "sampled":
-        algorithm.sample_size = config.sample_size
-    algorithm.population = population
-    algorithm.round_duration = getattr(args, "round_duration", 1.0)
+        raise SystemExit(f"configuration error: {error}")
 
 
 def _parse_fault_plan(args, horizon: float):
@@ -184,11 +171,40 @@ def _parse_fault_plan(args, horizon: float):
     or empty — the bit-identical fault-free path)."""
     from repro.sim.faults import FaultPlan
 
-    spec = getattr(args, "fault_plan", None)
-    plan = FaultPlan.parse(spec, args.workers, horizon=horizon, seed=args.seed)
+    plan = FaultPlan.parse(
+        args.fault_plan, args.workers, horizon=horizon, seed=args.seed
+    )
     if plan is not None and plan.is_empty:
         return None
     return plan
+
+
+def _takes(args, key: str, flag: str) -> bool:
+    """Whether ``--algorithm key`` on ``--engine`` has what ``flag`` sets."""
+    if args.engine == "event" and key in ASYNC_FACTORIES:
+        if flag != "--participation sampled":
+            return True
+        constructor = ASYNC_FACTORIES[key](args)
+    else:
+        constructor = ALGORITHM_FACTORIES[key](args)
+    parameters = inspect.signature(constructor).parameters
+    return all(name in parameters for name in FLAG_ATTRIBUTES[flag])
+
+
+def _check_flags(args, given: dict) -> None:
+    """Reject an availability flag ``--algorithm`` cannot take, naming
+    the algorithm keys that take it on this engine."""
+    for flag, attributes in FLAG_ATTRIBUTES.items():
+        if not given[flag] or _takes(args, args.algorithm, flag):
+            continue
+        takers = [k for k in sorted(ALGORITHM_FACTORIES) if _takes(args, k, flag)]
+        needs = "an algorithm with " + " and ".join(attributes)
+        if flag != "--participation sampled":
+            needs += ", or an asynchronous variant on --engine event"
+        raise ValueError(
+            f"{flag} needs {needs}: on the {args.engine} engine that is "
+            f"{', '.join(takers)}, not --algorithm {args.algorithm}"
+        )
 
 
 def _history_table(result, simulated: bool) -> str:
@@ -231,102 +247,105 @@ def _build_compute_model(args):
     return ConstantCompute(args.compute_time)
 
 
-def _run_async(args, partitions, validation, factory, config, network):
-    """``--engine event`` with an asynchronous variant: the event queue."""
-    plan = _parse_fault_plan(args, horizon=args.sim_time)
-    exchange_policy = recovery = None
-    if plan is not None:
-        from repro.resilience import ExchangePolicy, make_recovery_policy
+def _build_run(args) -> Callable[[], ExperimentResult]:
+    """Everything the ``run`` flags describe, built before the first
+    round; returns the run itself.  A synchronous algorithm takes its
+    sampling, population and round-projected fault plan through its
+    constructor; an asynchronous variant takes only its sample size, and
+    the event engine the rest."""
+    if args.workers < 2:
+        raise ValueError(f"--workers must be at least 2, got {args.workers}")
+    check_positive(args.exchange_timeout, "--exchange-timeout")
+    if args.preset:
+        from repro.presets import instantiate_preset
 
-        exchange_policy = ExchangePolicy(
-            timeout=args.exchange_timeout,
-            max_retries=args.max_retries,
+        partitions, validation, factory, config = instantiate_preset(
+            args.preset,
+            num_workers=args.workers,
+            fast=not args.full_model,
+            samples_per_worker=args.samples_per_worker,
+            validation_samples=args.validation_samples,
             seed=args.seed,
+            dtype=args.dtype,
         )
-        recovery = make_recovery_policy(
-            args.recovery, checkpoint_interval=args.checkpoint_interval
-        )
-    algorithm = ASYNC_FACTORIES[args.algorithm](args)
-    _check_support(args, config, "event")
-    if config.participation == "sampled":
-        algorithm.sample_size = config.sample_size
-    return run_event_experiment(
-        algorithm, partitions, validation, factory, config, network,
-        compute_model=_build_compute_model(args), duration=args.sim_time,
-        checkpoint_every=args.checkpoint_every,
-        fault_plan=plan, exchange_policy=exchange_policy,
-        recovery=recovery, population=_build_population(args, config),
-    )
-
-
-def _run_sync(args, partitions, validation, factory, config, network):
-    """A round-synchronous algorithm on the one round loop; under
-    ``--engine event`` the loop's clock also carries the compute model."""
-    _check_support(args, config, "sync")
-    algorithm = ALGORITHM_FACTORIES[args.algorithm](args)
-    _apply_sync_sampling(args, config, algorithm, _build_population(args, config))
-    plan = _parse_fault_plan(args, horizon=args.rounds * args.round_duration)
-    if plan is not None:
-        # Round-level projection: the same timed plan the event engine
-        # consumes, collapsed to per-round masks — a worker down anytime
-        # within a round's window sits that round out, a downed link
-        # drops its exchanges.
-        if not (hasattr(algorithm, "churn") and hasattr(algorithm, "loss_model")):
-            raise SystemExit(
-                f"--fault-plan needs synchronous rounds with churn/loss "
-                f"support (saps-psgd) or --engine event with an asynchronous "
-                f"variant ({', '.join(sorted(ASYNC_FACTORIES))}); --algorithm "
-                f"{args.algorithm} --engine {config.engine} is neither"
-            )
-        algorithm.churn = plan.round_churn(args.round_duration)
-        algorithm.loss_model = plan.round_loss(args.round_duration)
-    return run_experiment(
-        algorithm, partitions, validation, factory, config, network,
-        compute_model=(
-            _build_compute_model(args) if config.engine == "event" else None
-        ),
-    )
-
-
-def cmd_run(args) -> int:
-    try:
-        if args.preset:
-            from repro.presets import instantiate_preset
-
-            partitions, validation, factory, config = instantiate_preset(
-                args.preset,
-                num_workers=args.workers,
-                fast=not args.full_model,
-                samples_per_worker=args.samples_per_worker,
-                validation_samples=args.validation_samples,
-                seed=args.seed,
-                dtype=args.dtype,
-                local_steps=args.local_steps,
-                engine=args.engine,
-                fault_plan=args.fault_plan,
-                exchange_timeout=args.exchange_timeout,
-                recovery=args.recovery,
-                participation=args.participation,
-                sample_size=args.sample_size,
-                population=args.population_model,
-                arena=args.arena,
-            )
-            print(f"Preset: {args.preset} (fast={not args.full_model})")
-        else:
-            partitions, validation, factory = _build_workload(args)
-            config = _config(args)
-    except ValueError as error:
-        raise SystemExit(f"configuration error: {error}")
+        config = replace(config, local_steps=args.local_steps, arena=args.arena)
+    else:
+        partitions, validation, factory = _build_workload(args)
+        config = _config(args, arena=args.arena)
     bandwidth = _build_bandwidth(args)
     network = SimulatedNetwork(
         args.workers,
         bandwidth=bandwidth,
         server_bandwidth=float(bandwidth.max()) if bandwidth is not None else None,
     )
-    event = config.engine == "event"
-    run = _run_async if event and args.algorithm in ASYNC_FACTORIES else _run_sync
-    result = run(args, partitions, validation, factory, config, network)
-    print(_history_table(result, simulated=event))
+    population = parse_population(args.population_model, args.workers, seed=args.seed)
+    sampled = args.participation == "sampled"
+    if sampled != (args.sample_size is not None):
+        raise ValueError("--participation sampled and --sample-size K go together")
+    event = args.engine == "event"
+    compute_model = _build_compute_model(args) if event else None
+    asynchronous = event and args.algorithm in ASYNC_FACTORIES
+    if asynchronous:
+        check_positive(args.sim_time, "--sim-time")
+        if args.checkpoint_every is not None:
+            check_positive(args.checkpoint_every, "--checkpoint-every")
+    plan = _parse_fault_plan(
+        args,
+        horizon=args.sim_time if asynchronous else args.rounds * args.round_duration,
+    )
+    _check_flags(args, {
+        "--participation sampled": sampled,
+        "--population-model": population is not None,
+        "--fault-plan": plan is not None,
+    })
+    factories = ASYNC_FACTORIES if asynchronous else ALGORITHM_FACTORIES
+    constructor = factories[args.algorithm](args)
+    wiring = {"sample_size": args.sample_size} if sampled else {}
+    data = (partitions, validation, factory, config, network)
+
+    if asynchronous:
+        exchange_policy = recovery = None
+        if plan is not None:
+            from repro.resilience import ExchangePolicy, make_recovery_policy
+
+            exchange_policy = ExchangePolicy(
+                timeout=args.exchange_timeout,
+                max_retries=args.max_retries,
+                seed=args.seed,
+            )
+            recovery = make_recovery_policy(
+                args.recovery, checkpoint_interval=args.checkpoint_interval
+            )
+        return partial(
+            run_event_experiment, constructor(**wiring), *data,
+            compute_model=compute_model, duration=args.sim_time,
+            checkpoint_every=args.checkpoint_every, fault_plan=plan,
+            exchange_policy=exchange_policy, recovery=recovery,
+            population=population,
+        )
+
+    if sampled or population is not None:
+        wiring.update(population=population, round_duration=args.round_duration)
+    if plan is not None:
+        # Round-level projection: the same timed plan the event engine
+        # consumes, collapsed to per-round masks — a worker down anytime
+        # within a round's window sits that round out, a downed link
+        # drops its exchanges.
+        wiring.update(
+            churn=plan.round_churn(args.round_duration),
+            loss_model=plan.round_loss(args.round_duration),
+        )
+    return partial(
+        run_experiment, constructor(**wiring), *data, compute_model=compute_model
+    )
+
+
+def cmd_run(args) -> int:
+    run = _configured(_build_run, args)
+    if args.preset:
+        print(f"Preset: {args.preset} (fast={not args.full_model})")
+    result = run()
+    print(_history_table(result, simulated=args.engine == "event"))
     if result.resilience is not None:
         print()
         print(render_resilience_summary(resilience_summary(result.resilience)))
@@ -347,7 +366,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     partitions, validation, factory = _build_workload(args)
-    bandwidth = _build_bandwidth(args)
+    bandwidth = _configured(_build_bandwidth, args)
     settings = SuiteSettings(
         saps_compression=args.compression,
         sfedavg_compression=args.compression,
@@ -418,7 +437,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    bandwidth = _build_bandwidth(args)
+    bandwidth = _configured(_build_bandwidth, args)
     if bandwidth is None:
         bandwidth = random_uniform_bandwidth(args.workers, rng=args.seed)
     rows = []
@@ -711,7 +730,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Global: every block-parallel hot path reads the same knob.
         from repro.utils import parallel
 
-        parallel.set_num_threads(args.num_threads)
+        _configured(parallel.set_num_threads, args.num_threads)
     obs_mode = _resolve_obs_mode(args)
     if obs_mode == "off":
         return args.func(args)

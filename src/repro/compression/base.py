@@ -112,12 +112,11 @@ class BatchPayload(Payload):
     The vectorized compressors additionally attach the batched arrays:
 
     ``values``
-        ``(n, k)`` value matrix (or ``(n, N)`` dense matrix) whose rows
-        back the per-row payloads (views — no per-row copies).
+        ``(n, k)`` value matrix whose rows back the per-row payloads
+        (views — no per-row copies).
     ``indices``
-        ``None`` for dense batches, a shared ``(k,)`` index vector for
-        shared-mask batches, or an ``(n, k)`` per-row index matrix for
-        top-k batches.
+        A shared ``(k,)`` index vector for shared-mask batches, or an
+        ``(n, k)`` per-row index matrix for top-k batches.
 
     When both are present :meth:`to_dense` scatters the whole batch in
     one vectorized operation; otherwise it stacks the per-row payloads.
@@ -151,12 +150,6 @@ class BatchPayload(Payload):
         arrays (when present) make this one scatter instead of ``n``.
         """
         if self.values is not None:
-            if self.indices is None:
-                if self.values.ndim != 2 or self.values.shape[1] != size:
-                    raise ValueError(
-                        f"batch is {self.values.shape}, need (n, {size})"
-                    )
-                return np.asarray(self.values)
             dense = np.zeros((len(self.payloads), size), dtype=self.values.dtype)
             if self.indices.ndim == 1:
                 dense[:, self.indices] = self.values

@@ -10,7 +10,7 @@ partitions/validation/model-factory/config from either flavour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.data import (
     Dataset,
@@ -142,16 +142,6 @@ def instantiate_preset(
     validation_samples: int = 200,
     seed: int = 0,
     dtype: str = "float64",
-    local_steps: int = 1,
-    engine: str = "sync",
-    fault_plan: Optional[str] = None,
-    exchange_timeout: float = 5.0,
-    recovery: str = "checkpoint",
-    participation: str = "full",
-    sample_size: Optional[int] = None,
-    population: Optional[str] = None,
-    arena: str = "dense",
-    num_threads: Optional[int] = None,
 ) -> Tuple[List[Dataset], Dataset, Callable[[], Module], ExperimentConfig]:
     """Build (partitions, validation, model_factory, config) for a preset.
 
@@ -168,20 +158,14 @@ def instantiate_preset(
 
     ``dtype`` selects the training precision (``"float64"`` default,
     ``"float32"`` for the reduced-precision path); it flows into both the
-    model factory and ``ExperimentConfig.dtype``.  ``local_steps`` lands
-    in ``ExperimentConfig.local_steps`` for factories with a local phase.
-    ``engine`` selects the execution engine recorded in
-    ``ExperimentConfig.engine`` (``"sync"`` round barriers, ``"event"``
-    the discrete-event timeline — see :mod:`repro.sim.events`).
-    ``num_threads`` (optional) installs the block-parallel thread count
-    (:func:`repro.utils.parallel.set_num_threads`) before the workload
-    builds — a convenience so preset callers configure the whole run in
-    one call; threads never change numerics.
-    """
-    if num_threads is not None:
-        from repro.utils import parallel
+    model factory and ``ExperimentConfig.dtype``.
 
-        parallel.set_num_threads(num_threads)
+    The preset is the Table II workload and nothing else: the config
+    carries its rounds, batch size, learning rate and evaluation cadence.
+    Anything a run adds on top (``local_steps``, ``arena``) goes in with
+    :func:`dataclasses.replace`; engine, algorithm, faults and
+    participation are the caller's to build.
+    """
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {available_presets()}")
     preset = PRESETS[name]
@@ -228,14 +212,5 @@ def instantiate_preset(
         eval_every=max(rounds // 10, 1),
         seed=seed,
         dtype=dtype,
-        local_steps=local_steps,
-        engine=engine,
-        fault_plan=fault_plan,
-        exchange_timeout=exchange_timeout,
-        recovery=recovery,
-        participation=participation,
-        sample_size=sample_size,
-        population=population,
-        arena=arena,
     )
     return partitions, validation, model_factory, config

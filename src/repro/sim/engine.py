@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.algorithms
 class ExperimentConfig:
     """Hyperparameters of one run (defaults sized for fast simulation).
 
+    Every field is read by the loops themselves (:func:`run_experiment`,
+    :func:`repro.sim.run_event_experiment` and :func:`make_workers`).
+    The engine, a fault plan, sampled participation and a population
+    model are not fields: the caller picks the loop and hands each of
+    the others, built, to the loop or the algorithm that reads it.
+
     ``lr_milestones``/``lr_gamma`` implement the step decay conventional
     for the paper's longer CIFAR runs: at each milestone *round*, every
     worker's learning rate is multiplied by ``lr_gamma``.
@@ -58,37 +64,6 @@ class ExperimentConfig:
     #: defaults.  At the default of 1 constructed algorithms keep their
     #: own values (e.g. FedAvg's McMahan-style E=5).
     local_steps: int = 1
-    #: Execution engine: ``"sync"`` (default — round-synchronous
-    #: :func:`run_experiment`, bit-identical to the historical
-    #: trajectories) or ``"event"`` (the discrete-event engine of
-    #: :mod:`repro.sim.events`: simulated wall-clock, asynchronous
-    #: variants, contention).  The field is advisory — dispatchers
-    #: (cli, presets) read it; :func:`run_experiment` itself *is* the
-    #: sync engine.
-    engine: str = "sync"
-    #: Fault-injection spec (advisory, like ``engine``): ``None`` for a
-    #: fault-free run, else a :meth:`repro.sim.faults.FaultPlan.parse`
-    #: string — scripted events ("crash:1@3.0,recover:1@8.0") or seeded
-    #: MTTF/MTTR exponentials ("mttf=20,mttr=5").  Dispatchers (cli,
-    #: presets) parse it; an empty plan leaves runs bit-identical.
-    fault_plan: Optional[str] = None
-    #: Per-exchange deadline in simulated seconds before a survivor's
-    #: retry/backoff machinery kicks in (event engine, faults active).
-    exchange_timeout: float = 5.0
-    #: Recovery policy for crashed workers: "checkpoint", "peer" or
-    #: "cold" (:mod:`repro.resilience`).
-    recovery: str = "checkpoint"
-    #: Participation mode: ``"full"`` (every worker / the classic
-    #: fraction-C draw) or ``"sampled"`` (exactly ``sample_size`` clients
-    #: per round — or in flight, on the event engine).  Only the
-    #: FedAvg-family algorithms support sampling; dispatchers validate.
-    participation: str = "full"
-    #: Participants per round (requires ``participation="sampled"``).
-    sample_size: Optional[int] = None
-    #: Client-availability spec for
-    #: :func:`repro.sim.population.parse_population` — ``None``/"none"
-    #: (always on), ``"always"``, or ``"renewal:up=60,down=30"``.
-    population: Optional[str] = None
     #: Arena implementation: ``"dense"`` (:class:`repro.nn.ParameterArena`)
     #: or ``"sharded"`` (:class:`repro.nn.ShardedArena`; bit-identical in
     #: its full-capacity dense mode, LRU-sharded at million scale).
@@ -97,6 +72,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds <= 0:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
+        if self.batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {self.eval_every}")
         if self.lr_gamma <= 0:
@@ -108,45 +87,6 @@ class ExperimentConfig:
         if self.lr_milestones is not None:
             self.lr_milestones = sorted(int(m) for m in self.lr_milestones)
         self.dtype = resolve_dtype(self.dtype).name
-        if self.engine not in ("sync", "event"):
-            raise ValueError(
-                f"engine must be 'sync' or 'event', got {self.engine!r}"
-            )
-        if self.exchange_timeout <= 0:
-            raise ValueError(
-                f"exchange_timeout must be positive, got {self.exchange_timeout}"
-            )
-        if self.recovery not in ("checkpoint", "peer", "cold"):
-            raise ValueError(
-                f"recovery must be 'checkpoint', 'peer' or 'cold', "
-                f"got {self.recovery!r}"
-            )
-        if self.participation not in ("full", "sampled"):
-            raise ValueError(
-                f"participation must be 'full' or 'sampled', "
-                f"got {self.participation!r}"
-            )
-        if self.sample_size is not None:
-            if int(self.sample_size) < 1:
-                raise ValueError(
-                    f"sample_size must be >= 1, got {self.sample_size}"
-                )
-            if self.participation != "sampled":
-                raise ValueError(
-                    "sample_size is set but participation is 'full' — pass "
-                    "participation='sampled' (CLI: --participation sampled)"
-                )
-        elif self.participation == "sampled":
-            raise ValueError(
-                "participation='sampled' needs sample_size (CLI: "
-                "--sample-size K)"
-            )
-        if self.population is not None:
-            # Fail at config time with the parser's friendly message,
-            # not deep inside a dispatcher.
-            from repro.sim.population import parse_population
-
-            parse_population(self.population, 1, seed=self.seed)
         if self.arena not in ("dense", "sharded"):
             raise ValueError(
                 f"arena must be 'dense' or 'sharded', got {self.arena!r}"

@@ -14,10 +14,7 @@ they do".  This module is the one home for that logic:
   and up-restricted uniform peer picks (AD-PSGD's communication thread);
 * **residency** — pin/acquire scopes over a
   :class:`~repro.nn.sharded.ShardedArena` so an exchange's endpoint rows
-  cannot be torn by LRU eviction mid-use (no-ops on a dense arena);
-* **the support table** — the single record of which algorithm supports
-  which participation feature, driving the CLI's fail-fast
-  validation instead of ad-hoc per-dispatcher checks.
+  cannot be torn by LRU eviction mid-use (no-ops on a dense arena).
 
 Every method consumes the caller's RNG exactly as the code it replaced
 did, so the legacy paths (full participation, no population, dense
@@ -55,26 +52,6 @@ class ParticipationContext:
         into the population-clock time of its participant draw.
     """
 
-    #: The one support table: which CLI algorithm keys accept which
-    #: participation feature on which engine.  Dispatchers call
-    #: :meth:`check_support` instead of hand-rolling the lists.
-    SUPPORT = {
-        "sampled": {
-            "sync": ("fedavg", "s-fedavg", "saps-psgd"),
-            "event": ("fedavg",),
-        },
-        "population": {
-            "sync": ("fedavg", "s-fedavg", "saps-psgd"),
-            "event": ("fedavg", "saps-psgd", "d-psgd"),
-        },
-    }
-
-    #: CLI flag spelling per feature, for the fail-fast error text.
-    _FLAGS = {
-        "sampled": "--participation sampled",
-        "population": "--population-model",
-    }
-
     def __init__(
         self,
         num_clients: int,
@@ -104,38 +81,6 @@ class ParticipationContext:
         self.sample_size = None if sample_size is None else int(sample_size)
         self.fraction = None if fraction is None else float(fraction)
         self.round_duration = float(round_duration)
-
-    # ------------------------------------------------------------------
-    # support table
-    # ------------------------------------------------------------------
-    @classmethod
-    def check_support(
-        cls,
-        algorithm: str,
-        engine: str = "sync",
-        participation: str = "full",
-        population: Optional[str] = None,
-    ) -> None:
-        """Fail fast on unsupported feature/algorithm combinations.
-
-        Raises :class:`ValueError` with a friendly message naming the
-        flag, the algorithm and the supported set (the CLI converts it
-        to ``SystemExit``); silently returns for supported combos.
-        """
-        wanted = []
-        if participation == "sampled":
-            wanted.append("sampled")
-        if population not in (None, "", "none"):
-            wanted.append("population")
-        for feature in wanted:
-            supported = cls.SUPPORT[feature].get(engine, ())
-            if algorithm not in supported:
-                raise ValueError(
-                    f"{cls._FLAGS[feature]} supports "
-                    f"{', '.join(supported)} on the {engine} engine — "
-                    f"{algorithm} does not; see the support matrix in the "
-                    f"README's \"Scaling to millions of clients\" section"
-                )
 
     # ------------------------------------------------------------------
     # round-synchronous selection

@@ -24,7 +24,6 @@ from repro.utils.flat import (
 from repro.utils.validation import (
     check_square,
     check_symmetric,
-    check_probability,
     check_positive,
     check_non_negative,
     check_in_range,
@@ -47,7 +46,6 @@ __all__ = [
     "param_specs",
     "check_square",
     "check_symmetric",
-    "check_probability",
     "check_positive",
     "check_non_negative",
     "check_in_range",

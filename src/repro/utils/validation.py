@@ -27,14 +27,6 @@ def check_symmetric(
     return matrix
 
 
-def check_probability(value: float, name: str = "probability") -> float:
-    """Require ``0 <= value <= 1``."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
 def check_positive(value: float, name: str = "value") -> float:
     """Require a strictly positive number."""
     if not value > 0:

@@ -682,12 +682,6 @@ class TestTimelineAnalysis:
 
 
 class TestEngineConfig:
-    def test_experiment_config_engine_field(self):
-        assert ExperimentConfig().engine == "sync"
-        assert ExperimentConfig(engine="event").engine == "event"
-        with pytest.raises(ValueError):
-            ExperimentConfig(engine="warp")
-
     def test_run_validation(self, workload):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=5, eval_every=5, lr=0.2, seed=11)
@@ -697,11 +691,3 @@ class TestEngineConfig:
                 algorithm, partitions, validation, factory, config,
                 duration=0.0,
             )
-
-    def test_preset_engine_threading(self):
-        from repro.presets import instantiate_preset
-
-        _, _, _, config = instantiate_preset(
-            "mnist-cnn", num_workers=4, engine="event"
-        )
-        assert config.engine == "event"

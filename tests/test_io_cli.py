@@ -1,12 +1,16 @@
 """Tests for result serialization (analysis.io) and the CLI."""
 
 import json
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.analysis.io import (
+    RETIRED_CONFIG_KEYS,
     load_comparison,
     load_result,
     result_from_dict,
@@ -16,6 +20,66 @@ from repro.analysis.io import (
 )
 from repro.cli import main
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
+
+#: A small workload for CLI runs that must not train.
+SMALL = ["--workers", "4", "--samples-per-worker", "20", "--validation-samples", "20"]
+
+#: The ``--algorithm`` keys that take each availability flag on each
+#: engine — what the CLI accepted when a hand-kept table decided it
+#: (every one of the 42 cells probed), and what README.md's table says.
+SUPPORT = {
+    "--participation sampled": {
+        "sync": {"fedavg", "s-fedavg", "saps-psgd"},
+        "event": {"fedavg", "s-fedavg"},
+    },
+    "--population-model": {
+        "sync": {"fedavg", "s-fedavg", "saps-psgd"},
+        "event": {"d-psgd", "fedavg", "s-fedavg", "saps-psgd"},
+    },
+    "--fault-plan": {
+        "sync": {"saps-psgd"},
+        "event": {"d-psgd", "fedavg", "saps-psgd"},
+    },
+}
+
+FLAG_ARGV = {
+    "--participation sampled": ["--participation", "sampled", "--sample-size", "2"],
+    "--population-model": ["--population-model", "renewal:up=60,down=30"],
+    "--fault-plan": ["--fault-plan", "crash:1@0.5"],
+}
+
+#: argv -> what the ``configuration error`` message must name.
+BAD_FLAGS = [
+    ("--population-model tidal", "population model 'tidal'"),
+    ("--participation sampled", "--sample-size"),
+    ("--sample-size 3", "--participation sampled"),
+    ("--participation sampled --sample-size 0", "sample_size"),
+    ("--exchange-timeout 0", "--exchange-timeout"),
+    ("--local-steps 0", "local_steps"),
+    ("--rounds 0", "rounds"),
+    ("--bandwidth fig1 --workers 8", "--bandwidth fig1"),
+    ("--fault-plan crash:99@1", "fault event names worker 99"),
+    ("--fault-plan bogus", "fault event 'bogus'"),
+    ("--engine event --fault-plan mttf=x,mttr=1", "fault-plan parameter mttf"),
+    ("--engine event --fault-plan crash:1@0.5 --max-retries -1", "max_retries"),
+    (
+        "--engine event --fault-plan crash:1@0.5 --checkpoint-interval 0",
+        "checkpoint interval",
+    ),
+    ("--fault-plan crash:1@0.5 --round-duration 0", "round_duration"),
+    ("--engine event --sim-time 0", "--sim-time"),
+    ("--engine event --checkpoint-every 0", "--checkpoint-every"),
+    ("--engine event --compute-time -1", "seconds_per_step"),
+    (
+        "--population-model renewal:up=60,down=30 --round-duration 0",
+        "round_duration",
+    ),
+    ("--workers 1", "--workers"),
+    ("--batch-size 0", "batch_size"),
+    ("--compression 0.5", "compression_ratio"),
+    ("--num-threads 0", "num_threads"),
+    ("--lr -1", "lr must"),
+]
 
 
 def make_result(name="SAPS-PSGD"):
@@ -66,11 +130,17 @@ class TestResultIO:
 
     def test_loads_trajectory_saved_before_retired_config_keys(self):
         # Written by `repro.cli run --output` at the commit before
-        # `use_arena` and `scheduler` left ExperimentConfig.
+        # `use_arena` and `scheduler` left ExperimentConfig; it also
+        # carries the seven fields no loop read.
         path = Path(__file__).parent / "fixtures" / "result_before_pr14.json"
         saved = json.loads(path.read_text())["config"]
-        assert {"use_arena", "scheduler"} <= set(saved)
+        never_read = {
+            "engine", "fault_plan", "exchange_timeout", "recovery",
+            "participation", "sample_size", "population",
+        }
+        assert {"use_arena", "scheduler"} | never_read <= set(saved)
         back = load_result(path)
+        assert set(saved) - set(asdict(back.config)) == set(RETIRED_CONFIG_KEYS)
         assert back.algorithm == "SAPS-PSGD"
         assert len(back.history) == 3
         assert (back.config.rounds, back.config.eval_every) == (4, 2)
@@ -130,7 +200,6 @@ class TestCLI:
         assert "local steps" in out
         assert "Saved trajectory" in out
         back = load_result(tmp_path / "out.json")
-        assert back.config.engine == "event"
         assert [r.round_index for r in back.history] == [-1, 2, 5]
         last = back.history[-1]
         assert last.compute_time_s == pytest.approx(6 * 0.05)
@@ -246,6 +315,63 @@ class TestCLI:
             ]
         )
         assert code == 0
+
+
+def _trains(*args, **kwargs):
+    raise AssertionError("a rejected configuration reached the training loop")
+
+
+class TestRunConfiguration:
+    """Every bad ``run`` flag value exits before the first round, and the
+    sampled / population / fault-plan support of each algorithm is read
+    off the algorithms themselves."""
+
+    @pytest.mark.parametrize("argv, names", BAD_FLAGS, ids=[r[0] for r in BAD_FLAGS])
+    def test_bad_flag_exits_naming_it(self, monkeypatch, argv, names):
+        monkeypatch.setattr(cli, "run_experiment", _trains)
+        monkeypatch.setattr(cli, "run_event_experiment", _trains)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *SMALL, *argv.split()])
+        message = str(exit_info.value)
+        assert message.startswith("configuration error: ")
+        assert names in message
+
+    def test_error_inside_a_round_keeps_its_traceback(self, monkeypatch):
+        def fails_in_round(*args, **kwargs):
+            raise ValueError("raised by a training round")
+
+        monkeypatch.setattr(cli, "run_experiment", fails_in_round)
+        with pytest.raises(ValueError, match="training round"):
+            main(["run", *SMALL])
+
+    @pytest.mark.parametrize("engine", ["sync", "event"])
+    @pytest.mark.parametrize("flag", sorted(SUPPORT))
+    def test_support_rule_equals_the_table(self, flag, engine):
+        for key in sorted(cli.ALGORITHM_FACTORIES):
+            args = cli.build_parser().parse_args(
+                ["run", "--algorithm", key, "--engine", engine, *SMALL,
+                 *FLAG_ARGV[flag]]
+            )
+            if key in SUPPORT[flag][engine]:
+                assert callable(cli._build_run(args)), key
+                continue
+            with pytest.raises(ValueError) as error:
+                cli._build_run(args)
+            message = str(error.value)
+            takers = ", ".join(sorted(SUPPORT[flag][engine]))
+            assert message.startswith(f"{flag} needs"), message
+            assert f"on the {engine} engine that is {takers}," in message
+            assert message.endswith(f"not --algorithm {key}")
+
+    def test_readme_support_table_is_the_rule(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].strip("`") in SUPPORT:
+                sync, event = (set(re.findall(r"`([\w-]+)`", c)) for c in cells[1:])
+                rows[cells[0].strip("`")] = {"sync": sync, "event": event}
+        assert rows == SUPPORT
 
 
 class TestCLIReport:

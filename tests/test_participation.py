@@ -1,7 +1,7 @@
 """Tests for the shared participation/residency layer.
 
 Covers the :class:`~repro.sim.participation.ParticipationContext`
-support table, the sampled-neighborhood SAPS equivalence properties
+argument checks, the sampled-neighborhood SAPS equivalence properties
 (full-coverage sampling bit-identical to legacy full participation;
 trajectories independent of arena capacity thanks to eviction
 writeback), the AsyncGossip mid-round re-match when a waiting partner
@@ -53,31 +53,6 @@ def _trajectories(result):
 
 
 class TestCheckSupport:
-    def test_supported_combinations_pass(self):
-        ParticipationContext.check_support(
-            "saps-psgd", engine="sync", participation="sampled"
-        )
-        ParticipationContext.check_support(
-            "fedavg", engine="event", participation="sampled"
-        )
-        ParticipationContext.check_support(
-            "d-psgd", engine="event", population="renewal:up=3,down=2"
-        )
-
-    def test_unsupported_combinations_fail_with_flag_and_pointer(self):
-        with pytest.raises(ValueError, match="--participation sampled"):
-            ParticipationContext.check_support(
-                "d-psgd", engine="sync", participation="sampled"
-            )
-        with pytest.raises(ValueError, match="Scaling to millions"):
-            ParticipationContext.check_support(
-                "saps-psgd", engine="event", participation="sampled"
-            )
-        with pytest.raises(ValueError, match="--population-model"):
-            ParticipationContext.check_support(
-                "topk-psgd", engine="sync", population="always"
-            )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ParticipationContext(0)

@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_probability,
     check_square,
     check_symmetric,
 )
@@ -46,14 +45,6 @@ class TestCheckSymmetric:
 
 
 class TestScalarChecks:
-    def test_probability_bounds(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_probability(1.5)
-        with pytest.raises(ValueError):
-            check_probability(-0.1)
-
     def test_positive(self):
         assert check_positive(0.5) == 0.5
         with pytest.raises(ValueError):
