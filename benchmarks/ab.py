@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Interleaved A/B of one e2e workload between two source trees.
+
+    python3 benchmarks/ab.py BASE_TREE NEW_TREE [--workload saps32_cnn]
+        [--pairs 4] [--seed 1] [--smoke]
+
+Each pair runs ``benchmarks/e2e/child.py`` once from each tree, in fresh
+processes with ``run.py``'s pinned thread environment (one thread
+everywhere, ``PYTHONHASHSEED=0``) and ``PYTHONDONTWRITEBYTECODE=1``; the
+order alternates between pairs, so neither tree always runs on the
+warmer box.  Bytecode caches are redirected to an empty directory, so
+both trees compile from source as a fresh checkout does.  Every pair is
+printed — ``run_s``, ``worker_steps_per_s``, ``peak_rss_mb`` and the
+trajectory digest of each side — followed by the medians, the base
+tree's ``run_s`` quartiles and the median per-pair change.  Exit status
+is 1 when any digest differs between the trees (or a run dies).
+
+Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
+trees may be the same directory (``--smoke`` against itself is how the
+tier-1 suite checks this script).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Dict, List, Optional
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE / "e2e"))
+
+from child import THREAD_VARS  # noqa: E402
+
+CHILD_TIMEOUT_S = 120.0
+
+
+def child_env(tree: Path, pycache: str) -> Dict[str, str]:
+    env = dict(os.environ)
+    env.update({name: "1" for name in THREAD_VARS})
+    env["PYTHONPATH"] = str(tree / "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+def run_child(tree: Path, workload: str, seed: int, smoke: bool,
+              pycache: str) -> dict:
+    command = [
+        sys.executable, str(tree / "benchmarks" / "e2e" / "child.py"),
+        "--workload", workload, "--seed", str(seed), "--trace", "0",
+        "--smoke", str(int(smoke)), "--spawned-at", repr(time.perf_counter()),
+    ]
+    done = subprocess.run(
+        command, env=child_env(tree, pycache), cwd=tree, capture_output=True,
+        text=True, timeout=CHILD_TIMEOUT_S,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{tree}: {workload} exited {done.returncode}: "
+            f"{done.stderr.strip()[-2000:]}"
+        )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: List[float]) -> str:
+    if len(values) < 2:
+        return "n/a"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{q1:.3f}–{q3:.3f}"
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="tree measured as the baseline")
+    parser.add_argument("new", type=Path, help="tree measured against it")
+    parser.add_argument("--workload", default="saps32_cnn")
+    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--smoke", action="store_true",
+                        help="shrunk workloads (checks the plumbing, not speed)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    trees = {"base": args.base.resolve(), "new": args.new.resolve()}
+    for tree in trees.values():
+        if not (tree / "benchmarks" / "e2e" / "child.py").is_file():
+            parser.error(f"{tree} has no benchmarks/e2e/child.py")
+
+    runs: Dict[str, List[dict]] = {"base": [], "new": []}
+    mismatches = 0
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pair(s)"
+          f"{', smoke' if args.smoke else ''}")
+    print(f"  base: {trees['base']}\n  new:  {trees['new']}")
+    print(f"{'pair':>4} {'first':>5} {'base run_s':>10} {'new run_s':>10} "
+          f"{'change':>8} {'base rss':>9} {'new rss':>9} "
+          f"{'base digest':>12} {'new digest':>12}")
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
+        for pair in range(args.pairs):
+            order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+            record = {}
+            for side in order:
+                record[side] = run_child(
+                    trees[side], args.workload, args.seed, args.smoke, pycache
+                )
+                runs[side].append(record[side])
+            base, new = record["base"], record["new"]
+            same = base["digest"] == new["digest"]
+            mismatches += not same
+            change = new["run_s"] / base["run_s"] - 1.0
+            print(f"{pair + 1:>4} {order[0]:>5} {base['run_s']:>10.3f} "
+                  f"{new['run_s']:>10.3f} {change:>+8.1%} "
+                  f"{base['peak_rss_mb']:>9.1f} {new['peak_rss_mb']:>9.1f} "
+                  f"{base['digest'][:12]:>12} {new['digest'][:12]:>12}"
+                  f"{'' if same else '  DIGEST DIFFERS'}")
+
+    for side in ("base", "new"):
+        run_s = [r["run_s"] for r in runs[side]]
+        steps = [r["steps"] / r["run_s"] for r in runs[side]]
+        rss = [r["peak_rss_mb"] for r in runs[side]]
+        print(f"{side:>4}: run_s median {statistics.median(run_s):.3f} "
+              f"(q1–q3 {quartiles(run_s)}), worker_steps_per_s median "
+              f"{statistics.median(steps):.1f}, peak_rss_mb median "
+              f"{statistics.median(rss):.1f}")
+    changes = [
+        n["run_s"] / b["run_s"] - 1.0 for b, n in zip(runs["base"], runs["new"])
+    ]
+    faster = sum(change < 0 for change in changes)
+    print(f"run_s change per pair: median {statistics.median(changes):+.1%}, "
+          f"new faster in {faster}/{len(changes)} pairs")
+    if mismatches:
+        print(f"FAILED: digest differs in {mismatches} pair(s)")
+        return 1
+    print("digests equal in every pair")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,9 @@ This module stacks the worker axis into the kernels:
 * :class:`BatchedMaxPool2d` / :class:`BatchedAvgPool2d` /
   :class:`BatchedGlobalAvgPool2d` / :class:`BatchedFlatten` replay the
   pooling/reshape layers over the stacked worker axis (pure
-  gather/reduce ops — shape-blind, parity exact).
+  gather/reduce ops — shape-blind, parity exact), reading NCHW or
+  channels-last memory in place and handing gradients back in the
+  forward input's layout.
 * :class:`BatchedDropout` replays each worker's *own* mask RNG stream
   (one small draw per worker, stacked) so inverted dropout stays
   bit-identical to the loop; its ``forward_vector`` is the eval-mode
@@ -62,6 +64,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.nn import functional as F
 from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.arena import ParameterArena
@@ -105,6 +108,16 @@ class BatchedKernel:
         raise NotImplementedError
 
 
+def _arena_views(arena: ParameterArena, spec: Optional[ParamSpec], shape=None):
+    """Zero-copy ``(params, grads)`` views of ``spec``'s arena columns,
+    ``(n,) + shape`` (default ``spec.shape``); ``(None, None)`` without."""
+    if spec is None:
+        return None, None
+    columns = slice(spec.offset, spec.end)
+    shape = (arena.num_workers,) + tuple(spec.shape if shape is None else shape)
+    return arena.data[:, columns].reshape(shape), arena.grads[:, columns].reshape(shape)
+
+
 class BatchedLinear(BatchedKernel):
     """All workers' ``y = x Wᵀ + b`` as one stacked contraction.
 
@@ -120,19 +133,10 @@ class BatchedLinear(BatchedKernel):
         weight_spec: ParamSpec,
         bias_spec: Optional[ParamSpec] = None,
     ) -> None:
-        n = arena.num_workers
         self.weight_spec = weight_spec
         self.bias_spec = bias_spec
-        shape = (n,) + weight_spec.shape
-        self.weights = arena.data[:, weight_spec.offset : weight_spec.end].reshape(shape)
-        self.weight_grads = arena.grads[:, weight_spec.offset : weight_spec.end].reshape(
-            shape
-        )
-        self.biases: Optional[np.ndarray] = None
-        self.bias_grads: Optional[np.ndarray] = None
-        if bias_spec is not None:
-            self.biases = arena.data[:, bias_spec.offset : bias_spec.end]
-            self.bias_grads = arena.grads[:, bias_spec.offset : bias_spec.end]
+        self.weights, self.weight_grads = _arena_views(arena, weight_spec)
+        self.biases, self.bias_grads = _arena_views(arena, bias_spec)
         self._inputs: Optional[np.ndarray] = None
         self._used_weights: Optional[np.ndarray] = None
 
@@ -305,30 +309,23 @@ class BatchedIdentity(BatchedKernel):
 
 class _WindowKernel(BatchedKernel):
     """Shared geometry of the sliding-window kernels (conv and pooling):
-    the output-size computation and the channel-into-image fold both
-    live here once, so the train and eval paths of every window kernel
-    stay in sync."""
+    the output size and the worker-into-image fold live here once, so
+    the train and eval paths of every window kernel stay in sync."""
 
     kernel_size: Tuple[int, int]
     stride: Tuple[int, int]
     padding: Tuple[int, int] = (0, 0)
 
     def _output_hw(self, height: int, width: int) -> Tuple[int, int]:
-        return (
-            F.conv_output_size(
-                height, self.kernel_size[0], self.stride[0], self.padding[0]
-            ),
-            F.conv_output_size(
-                width, self.kernel_size[1], self.stride[1], self.padding[1]
-            ),
+        return F.output_hw(
+            (height, width), self.kernel_size, self.stride, self.padding
         )
 
     @staticmethod
-    def _fold_channels(inputs: np.ndarray) -> np.ndarray:
-        """Fold all leading (worker/batch/channel) axes into the im2col
-        image axis: ``(..., h, w) → (prod(...), 1, h, w)``."""
-        height, width = inputs.shape[-2:]
-        return inputs.reshape(-1, 1, height, width)
+    def _images(inputs: np.ndarray) -> np.ndarray:
+        """``(n, B, c, h, w) → (n·B, c, h, w)``: a view for NCHW and for
+        NHWC memory alike (the merged axes are the two outermost)."""
+        return inputs.reshape((-1,) + inputs.shape[2:])
 
 
 class BatchedConv2d(_WindowKernel):
@@ -343,13 +340,19 @@ class BatchedConv2d(_WindowKernel):
     batched convolution is therefore bit-identical to the loop, and
     backward writes weight/bias gradients straight into ``arena.grads``.
 
-    The stacked column tensor (``(n·B, C·kh·kw, L)``, cached through
+    The output is an NCHW view of channels-last memory, and so is the
+    input gradient (``col2im`` with ``channels_last``): a ``grad_output``
+    that comes back through a ReLU or a max-pool in that layout reshapes
+    into the GEMM's ``(n, B·oh·ow, out_c)`` matrix as a view.
+
+    The stacked patch matrix (``(n, B·oh·ow, C·kh·kw)``, cached through
     backward) is the dominant transient of the conv path; the
     :class:`~repro.sim.cluster.ClusterTrainer` folds its footprint into
     the cluster-block byte budget
     (``_workspace_bytes_per_worker``/``_block_rows``), so blocks shrink
     until one block's weights *and* its im2col workspace fit the budget
     together — the full-cluster tensor is never materialized at once.
+    Child spans: ``compute.conv.gather`` / ``.gemm`` / ``.scatter``.
     """
 
     def __init__(
@@ -361,7 +364,6 @@ class BatchedConv2d(_WindowKernel):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> None:
-        n = arena.num_workers
         self.weight_spec = weight_spec
         self.bias_spec = bias_spec
         self.kernel_size = kernel_size
@@ -370,20 +372,11 @@ class BatchedConv2d(_WindowKernel):
         out_channels = weight_spec.shape[0]
         self.out_channels = out_channels
         # Each worker's (out_c, in_c, kh, kw) weight flattened to the
-        # (out_c, in_c·kh·kw) GEMM matrix the per-worker layer builds —
-        # zero-copy: a row slice of a contiguous row reshapes freely.
-        matrix_shape = (n, out_channels, weight_spec.size // out_channels)
-        self.weights = arena.data[
-            :, weight_spec.offset : weight_spec.end
-        ].reshape(matrix_shape)
-        self.weight_grads = arena.grads[
-            :, weight_spec.offset : weight_spec.end
-        ].reshape(matrix_shape)
-        self.biases: Optional[np.ndarray] = None
-        self.bias_grads: Optional[np.ndarray] = None
-        if bias_spec is not None:
-            self.biases = arena.data[:, bias_spec.offset : bias_spec.end]
-            self.bias_grads = arena.grads[:, bias_spec.offset : bias_spec.end]
+        # (out_c, in_c·kh·kw) GEMM matrix the per-worker layer builds.
+        self.weights, self.weight_grads = _arena_views(
+            arena, weight_spec, (out_channels, weight_spec.size // out_channels)
+        )
+        self.biases, self.bias_grads = _arena_views(arena, bias_spec)
         self._cols: Optional[np.ndarray] = None
         self._used_weights: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
@@ -394,22 +387,24 @@ class BatchedConv2d(_WindowKernel):
         weights = self.weights if rows is None else self.weights[rows]
         count, batch, channels, height, width = inputs.shape
         out_h, out_w = self._output_hw(height, width)
-        # One im2col for the whole block, reshaped so each worker's slice
+        # One gather for the whole block, reshaped so each worker's slice
         # is exactly the (B·oh·ow, c·kh·kw) patch matrix its per-worker
         # layer would have built.
-        cols = F.im2col(
-            inputs.reshape(count * batch, channels, height, width),
-            self.kernel_size, self.stride, self.padding,
-        ).reshape(count, batch * out_h * out_w, -1)
+        with obs.phase("compute.conv.gather"):
+            cols = F.im2col(
+                self._images(inputs), self.kernel_size, self.stride,
+                self.padding,
+            ).reshape(count, batch * out_h * out_w, -1)
         self._cols = cols
         self._used_weights = weights
         self._input_shape = inputs.shape
         # einsum('nmk,nok->nmo') via stacked BLAS — per-worker
         # cols @ weight_matrix.T, bit for bit.
-        output = np.matmul(cols, weights.swapaxes(1, 2))
-        if self.biases is not None:
-            biases = self.biases if rows is None else self.biases[rows]
-            output += biases[:, None, :]
+        with obs.phase("compute.conv.gemm"):
+            output = np.matmul(cols, weights.swapaxes(1, 2))
+            if self.biases is not None:
+                biases = self.biases if rows is None else self.biases[rows]
+                output += biases[:, None, :]
         return output.reshape(
             count, batch, out_h, out_w, self.out_channels
         ).transpose(0, 1, 4, 2, 3)
@@ -423,31 +418,36 @@ class BatchedConv2d(_WindowKernel):
         grad_matrix = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             count, -1, self.out_channels
         )
-        # einsum('nmo,nmk->nok'): the per-worker grad_matrixᵀ @ cols
-        # GEMMs, overwritten into the arena views (slices write in place;
-        # index arrays need the gather/scatter copy) — same overwrite
-        # semantics as BatchedLinear.
-        if rows is None or isinstance(rows, slice):
-            target = self.weight_grads if rows is None else self.weight_grads[rows]
-            np.matmul(grad_matrix.swapaxes(1, 2), self._cols, out=target)
-        else:
-            self.weight_grads[rows] = np.matmul(
-                grad_matrix.swapaxes(1, 2), self._cols
-            )
-        if self.bias_grads is not None:
+        with obs.phase("compute.conv.gemm"):
+            # einsum('nmo,nmk->nok'): the per-worker grad_matrixᵀ @ cols,
+            # overwritten into the arena views as in BatchedLinear.
             if rows is None or isinstance(rows, slice):
-                target = self.bias_grads if rows is None else self.bias_grads[rows]
-                np.sum(grad_matrix, axis=1, out=target)
+                target = (
+                    self.weight_grads if rows is None else self.weight_grads[rows]
+                )
+                np.matmul(grad_matrix.swapaxes(1, 2), self._cols, out=target)
             else:
-                self.bias_grads[rows] = grad_matrix.sum(axis=1)
-        if not need_input_grad:
-            return None
-        grad_cols = np.matmul(grad_matrix, self._used_weights)
-        folded = F.col2im(
-            grad_cols.reshape(-1, grad_cols.shape[2]),
-            (count * batch, channels, height, width),
-            self.kernel_size, self.stride, self.padding,
-        )
+                self.weight_grads[rows] = np.matmul(
+                    grad_matrix.swapaxes(1, 2), self._cols
+                )
+            if self.bias_grads is not None:
+                if rows is None or isinstance(rows, slice):
+                    target = (
+                        self.bias_grads if rows is None else self.bias_grads[rows]
+                    )
+                    np.sum(grad_matrix, axis=1, out=target)
+                else:
+                    self.bias_grads[rows] = grad_matrix.sum(axis=1)
+            if not need_input_grad:
+                return None
+            grad_cols = np.matmul(grad_matrix, self._used_weights)
+        with obs.phase("compute.conv.scatter"):
+            folded = F.col2im(
+                grad_cols.reshape(-1, grad_cols.shape[2]),
+                (count * batch, channels, height, width),
+                self.kernel_size, self.stride, self.padding,
+                channels_last=True,
+            )
         return folded.reshape(self._input_shape)
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -457,24 +457,22 @@ class BatchedConv2d(_WindowKernel):
         )
         batch, _, height, width = inputs.shape
         out_h, out_w = self._output_hw(height, width)
-        cols = F.im2col(inputs, self.kernel_size, self.stride, self.padding)
-        output = cols @ weight_matrix.T
-        if self.bias_spec is not None:
-            output += vector[self.bias_spec.offset : self.bias_spec.end]
+        with obs.phase("compute.conv.gather"):
+            cols = F.im2col(inputs, self.kernel_size, self.stride, self.padding)
+        with obs.phase("compute.conv.gemm"):
+            output = cols @ weight_matrix.T
+            if self.bias_spec is not None:
+                output += vector[self.bias_spec.offset : self.bias_spec.end]
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(
             0, 3, 1, 2
         )
 
 
 class BatchedMaxPool2d(_WindowKernel):
-    """Max pooling over ``(n, B, c, h, w)`` stacks with argmax routing.
-
-    Workers and channels fold into the im2col image axis (pure gathers,
-    so parity with the per-worker layer is exact).  The padded-path mask
-    is one cached boolean row block per input size, built from a probe in
-    the input dtype, with a dtype-typed ``-inf`` fill — the same
-    construction as :meth:`repro.nn.layers.MaxPool2d.padding_mask`.
-    """
+    """Max pooling over ``(n, B, c, h, w)`` stacks with argmax routing:
+    workers and channels fold into the rows of
+    :func:`~repro.nn.functional.max_pool`, the function the per-worker
+    :class:`~repro.nn.layers.MaxPool2d` runs too (parity by sharing)."""
 
     def __init__(
         self,
@@ -485,47 +483,19 @@ class BatchedMaxPool2d(_WindowKernel):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        #: Separate one-slot mask caches for the training forward and the
-        #: consensus-eval path: evaluation images may differ in spatial
-        #: size from training batches, and a shared slot would thrash
-        #: (rebuilding the training-size mask every step).  The caches
-        #: are value-static memoization — they never affect results.
-        self._pad_cache: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
-        self._eval_pad_cache: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
         self._argmax: Optional[np.ndarray] = None
-        self._cols_shape: Optional[Tuple[int, ...]] = None
+        self._layout: Optional[str] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def _pool_cols(self, folded: np.ndarray, cache):
-        """``(cols, cache)``: im2col of channel-folded images with padded
-        cells masked out — the same shared construction the per-worker
-        layer uses (:func:`~repro.nn.functional.pool_window_mask` /
-        :func:`~repro.nn.functional.mask_padded_cols`), memoized per
-        input size through the caller-owned ``cache`` slot."""
-        cols = F.im2col(folded, self.kernel_size, self.stride, self.padding)
-        if self.padding == (0, 0):
-            return cols, cache
-        height, width = folded.shape[2:]
-        cache, mask = F.cached_pool_window_mask(
-            cache, height, width, self.kernel_size, self.stride,
-            self.padding, folded.dtype,
-        )
-        kh, kw = self.kernel_size
-        return F.mask_padded_cols(cols, mask, kh * kw), cache
 
     def forward(
         self, inputs: np.ndarray, rows=None
     ) -> np.ndarray:
-        count, batch, channels, height, width = inputs.shape
-        out_h, out_w = self._output_hw(height, width)
-        cols, self._pad_cache = self._pool_cols(
-            self._fold_channels(inputs), self._pad_cache
+        images = self._images(inputs)
+        output, self._argmax, self._layout = F.max_pool(
+            images, self.kernel_size, self.stride, self.padding
         )
-        self._argmax = np.argmax(cols, axis=1)
-        self._cols_shape = cols.shape
         self._input_shape = inputs.shape
-        output = cols[np.arange(cols.shape[0]), self._argmax]
-        return output.reshape(count, batch, channels, out_h, out_w)
+        return output.reshape(inputs.shape[:2] + output.shape[1:])
 
     def backward(
         self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
@@ -534,25 +504,16 @@ class BatchedMaxPool2d(_WindowKernel):
             raise RuntimeError("backward called before forward")
         if not need_input_grad:
             return None
-        count, batch, channels, height, width = self._input_shape
-        grad_cols = np.zeros(self._cols_shape, dtype=grad_output.dtype)
-        grad_cols[np.arange(grad_cols.shape[0]), self._argmax] = (
-            grad_output.ravel()
-        )
-        folded = F.col2im(
-            grad_cols, (count * batch * channels, 1, height, width),
+        count, batch = self._input_shape[:2]
+        grad = F.max_pool_backward(
+            grad_output, self._argmax,
+            (count * batch,) + self._input_shape[2:], self._layout,
             self.kernel_size, self.stride, self.padding,
         )
-        return folded.reshape(self._input_shape)
+        return grad.reshape(self._input_shape)
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = inputs.shape
-        out_h, out_w = self._output_hw(height, width)
-        cols, self._eval_pad_cache = self._pool_cols(
-            self._fold_channels(inputs), self._eval_pad_cache
-        )
-        output = cols[np.arange(cols.shape[0]), np.argmax(cols, axis=1)]
-        return output.reshape(batch, channels, out_h, out_w)
+        return F.max_pool(inputs, self.kernel_size, self.stride, self.padding)[0]
 
 
 class BatchedAvgPool2d(_WindowKernel):
@@ -568,13 +529,9 @@ class BatchedAvgPool2d(_WindowKernel):
     def forward(
         self, inputs: np.ndarray, rows=None
     ) -> np.ndarray:
-        count, batch, channels, height, width = inputs.shape
-        out_h, out_w = self._output_hw(height, width)
-        cols = F.im2col(
-            self._fold_channels(inputs), self.kernel_size, self.stride, (0, 0)
-        )
         self._input_shape = inputs.shape
-        return cols.mean(axis=1).reshape(count, batch, channels, out_h, out_w)
+        output = F.avg_pool(self._images(inputs), self.kernel_size, self.stride)
+        return output.reshape(inputs.shape[:2] + output.shape[1:])
 
     def backward(
         self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
@@ -583,24 +540,15 @@ class BatchedAvgPool2d(_WindowKernel):
             raise RuntimeError("backward called before forward")
         if not need_input_grad:
             return None
-        count, batch, channels, height, width = self._input_shape
-        window = self.kernel_size[0] * self.kernel_size[1]
-        grad_cols = np.repeat(
-            grad_output.reshape(-1, 1) / window, window, axis=1
+        count, batch = self._input_shape[:2]
+        grad = F.avg_pool_backward(
+            grad_output, (count * batch,) + self._input_shape[2:],
+            self.kernel_size, self.stride,
         )
-        folded = F.col2im(
-            grad_cols, (count * batch * channels, 1, height, width),
-            self.kernel_size, self.stride, (0, 0),
-        )
-        return folded.reshape(self._input_shape)
+        return grad.reshape(self._input_shape)
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = inputs.shape
-        out_h, out_w = self._output_hw(height, width)
-        cols = F.im2col(
-            self._fold_channels(inputs), self.kernel_size, self.stride, (0, 0)
-        )
-        return cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+        return F.avg_pool(inputs, self.kernel_size, self.stride)
 
 
 class BatchedGlobalAvgPool2d(BatchedKernel):
@@ -757,18 +705,33 @@ class BatchedCrossEntropyLoss:
 
 
 class BatchedSequential:
-    """The whole cluster's forward/backward as one kernel chain."""
+    """The whole cluster's forward/backward as one kernel chain.
 
-    def __init__(self, kernels: Sequence[BatchedKernel], num_workers: int) -> None:
+    With telemetry on, each kernel call is an :func:`repro.obs.phase`
+    span named after its plan kind (``compute.conv``, ``compute.relu``,
+    …).  With it off the training passes skip spans outright: a one-row
+    step (the event engine's unit) is ~100 µs, where no-op spans show.
+    """
+
+    def __init__(
+        self, kernels: Sequence[BatchedKernel], num_workers: int,
+        kinds: Sequence[str],
+    ) -> None:
         self.kernels: List[BatchedKernel] = list(kernels)
         self.num_workers = num_workers
+        self.phases = [f"compute.{kind}" for kind in kinds]
 
     def forward(
         self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         out = inputs
-        for kernel in self.kernels:
-            out = kernel.forward(out, rows)
+        if not obs.enabled():
+            for kernel in self.kernels:
+                out = kernel.forward(out, rows)
+            return out
+        for kernel, phase in zip(self.kernels, self.phases):
+            with obs.phase(phase):
+                out = kernel.forward(out, rows)
         return out
 
     def backward(
@@ -781,22 +744,25 @@ class BatchedSequential:
         consumer and is skipped; this method therefore returns ``None``.
         """
         grad = grad_output
-        for index in range(len(self.kernels) - 1, -1, -1):
-            grad = self.kernels[index].backward(
-                grad, rows, need_input_grad=index > 0
-            )
+        last = len(self.kernels) - 1
+        if not obs.enabled():
+            for index in range(last, -1, -1):
+                grad = self.kernels[index].backward(grad, rows, index > 0)
+            return grad
+        for index in range(last, -1, -1):
+            with obs.phase(self.phases[index]):
+                grad = self.kernels[index].backward(grad, rows, index > 0)
         return grad
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Eval-mode forward of one flat model vector.
 
         No *training* state is mutated: parameters, gradients, backward
-        caches and RNG streams are untouched (kernels may memoize
-        value-static lookup tables, e.g. the pooling pad mask, in
-        eval-only slots)."""
+        caches and RNG streams are untouched."""
         out = inputs
-        for kernel in self.kernels:
-            out = kernel.forward_vector(vector, out)
+        for kernel, phase in zip(self.kernels, self.phases):
+            with obs.phase(phase):
+                out = kernel.forward_vector(vector, out)
         return out
 
 
@@ -911,4 +877,6 @@ def build_batched_model(arena: ParameterArena) -> Optional[BatchedSequential]:
                     "identity": BatchedIdentity,
                 }[kind]()
             )
-    return BatchedSequential(kernels, arena.num_workers)
+    return BatchedSequential(
+        kernels, arena.num_workers, [entry[0] for entry in reference]
+    )

@@ -109,11 +109,10 @@ class Conv2d(Module):
                 f"Conv2d expected (batch, {self.in_channels}, h, w), "
                 f"got {inputs.shape}"
             )
-        batch, _, height, width = inputs.shape
-        kh, kw = self.kernel_size
-        out_h = F.conv_output_size(height, kh, self.stride[0], self.padding[0])
-        out_w = F.conv_output_size(width, kw, self.stride[1], self.padding[1])
-
+        batch = inputs.shape[0]
+        out_h, out_w = F.output_hw(
+            inputs.shape, self.kernel_size, self.stride, self.padding
+        )
         cols = F.im2col(inputs, self.kernel_size, self.stride, self.padding)
         self._cols = cols
         self._input_shape = inputs.shape
@@ -137,13 +136,16 @@ class Conv2d(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_matrix.sum(axis=0))
         grad_cols = grad_matrix @ self.weight.data.reshape(self.out_channels, -1)
+        # NCHW, not channels-last like the batched kernel: BatchNorm2d's
+        # reductions downstream sum in memory order, so layout is floats.
         return F.col2im(
             grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
         )
 
 
 class MaxPool2d(Module):
-    """Max pooling with argmax routing in backward."""
+    """Max pooling with argmax routing in backward (padded cells are
+    ``-inf``: :func:`repro.nn.functional.max_pool`)."""
 
     def __init__(self, kernel_size, stride=None, padding=0) -> None:
         super().__init__()
@@ -151,54 +153,23 @@ class MaxPool2d(Module):
         self.stride = F.pair(stride if stride is not None else kernel_size)
         self.padding = F.pair(padding)
         self._argmax: Optional[np.ndarray] = None
-        self._cols_shape: Optional[Tuple[int, ...]] = None
+        self._layout: Optional[str] = None
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
-        self._pad_cache: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
-
-    def padding_mask(self, height: int, width: int, dtype) -> np.ndarray:
-        """Boolean ``(out_h·out_w, kh·kw)`` mask of real (non-padded)
-        window positions for one ``(height, width)`` image
-        (:func:`repro.nn.functional.pool_window_mask`), cached per input
-        size instead of being rebuilt from an image-sized ``ones`` every
-        forward."""
-        self._pad_cache, mask = F.cached_pool_window_mask(
-            self._pad_cache, height, width, self.kernel_size, self.stride,
-            self.padding, dtype,
-        )
-        return mask
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = inputs.shape
-        kh, kw = self.kernel_size
-        out_h = F.conv_output_size(height, kh, self.stride[0], self.padding[0])
-        out_w = F.conv_output_size(width, kw, self.stride[1], self.padding[1])
-
-        # Pool each channel independently: run im2col on a reshaped view
-        # where channels are folded into the batch dimension.
-        folded = inputs.reshape(batch * channels, 1, height, width)
-        cols = F.im2col(folded, self.kernel_size, self.stride, self.padding)
-        if self.padding != (0, 0):
-            # Padded positions must never win the max.
-            cols = F.mask_padded_cols(
-                cols, self.padding_mask(height, width, inputs.dtype), kh * kw
-            )
-        self._argmax = np.argmax(cols, axis=1)
-        self._cols_shape = cols.shape
+        output, self._argmax, self._layout = F.max_pool(
+            inputs, self.kernel_size, self.stride, self.padding
+        )
         self._input_shape = inputs.shape
-        output = cols[np.arange(cols.shape[0]), self._argmax]
-        return output.reshape(batch, channels, out_h, out_w)
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._argmax is None:
             raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._input_shape
-        grad_cols = np.zeros(self._cols_shape, dtype=grad_output.dtype)
-        grad_cols[np.arange(grad_cols.shape[0]), self._argmax] = grad_output.ravel()
-        folded_shape = (batch * channels, 1, height, width)
-        grad_folded = F.col2im(
-            grad_cols, folded_shape, self.kernel_size, self.stride, self.padding
+        return F.max_pool_backward(
+            grad_output, self._argmax, self._input_shape, self._layout,
+            self.kernel_size, self.stride, self.padding,
         )
-        return grad_folded.reshape(batch, channels, height, width)
 
 
 class AvgPool2d(Module):
@@ -211,29 +182,15 @@ class AvgPool2d(Module):
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = inputs.shape
-        kh, kw = self.kernel_size
-        out_h = F.conv_output_size(height, kh, self.stride[0], 0)
-        out_w = F.conv_output_size(width, kw, self.stride[1], 0)
-        folded = inputs.reshape(batch * channels, 1, height, width)
-        cols = F.im2col(folded, self.kernel_size, self.stride, (0, 0))
         self._input_shape = inputs.shape
-        return cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+        return F.avg_pool(inputs, self.kernel_size, self.stride)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._input_shape
-        kh, kw = self.kernel_size
-        window = kh * kw
-        grad_cols = np.repeat(
-            grad_output.reshape(-1, 1) / window, window, axis=1
+        return F.avg_pool_backward(
+            grad_output, self._input_shape, self.kernel_size, self.stride
         )
-        folded_shape = (batch * channels, 1, height, width)
-        grad_folded = F.col2im(
-            grad_cols, folded_shape, self.kernel_size, self.stride, (0, 0)
-        )
-        return grad_folded.reshape(batch, channels, height, width)
 
 
 class GlobalAvgPool2d(Module):

@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
 from repro.nn.arena import ParameterArena, shared_arena
@@ -58,7 +59,6 @@ from repro.nn.batched import (
 )
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD
-from repro.obs import phase as obs_phase
 from repro.sim.trainer import TrainingWorker, evaluate_forward
 from repro.utils import parallel
 
@@ -154,8 +154,8 @@ class ClusterTrainer:
         for worker in self.workers:
             worker.model.zero_grad()
         #: Per-worker transient-workspace bytes (the conv/pool kernels'
-        #: stacked im2col patch matrices) — folded into the block-size
-        #: computation so one block's weights *and* its im2col workspace
+        #: stacked patch matrices) — folded into the block-size
+        #: computation so one block's weights *and* its patch workspace
         #: fit the cache budget together (:meth:`_block_rows`).
         self._workspace_bytes = self._workspace_bytes_per_worker()
 
@@ -299,13 +299,13 @@ class ClusterTrainer:
 
     def _workspace_bytes_per_worker(self) -> int:
         """Per-worker bytes of the batched kernels' dominant transient
-        buffers: the stacked im2col patch matrices the conv and pooling
-        kernels materialize (and, for conv, cache through backward).
+        buffers: the stacked patch matrices the conv and pooling kernels
+        gather (and, for conv, cache through backward).
 
         Folding this into :meth:`_block_rows` is what keeps the conv
-        path from materializing the full ``(n·B, C·kh·kw, L)`` column
-        tensor at large n: the block size shrinks until one block's
-        weights *and* its im2col workspace fit the byte budget together.
+        path from materializing the full ``(n·B·L, C·kh·kw)`` patch
+        matrix at large n: the block size shrinks until one block's
+        weights *and* its patch workspace fit the byte budget together.
         Zero for the MLP family (no window kernels), so flat workloads
         keep their historical partition.
         """
@@ -353,7 +353,11 @@ class ClusterTrainer:
         parameter is written exactly once per pass)."""
         features, labels = self._stacked_batch(rank_list, ctx)
         logits = ctx.net.forward(features, row_sel)
-        losses, grad = ctx.loss_fn(logits, labels)
+        if obs.enabled():  # untimed when off, like the kernels' spans
+            with obs.phase("compute.loss"):
+                losses, grad = ctx.loss_fn(logits, labels)
+        else:
+            losses, grad = ctx.loss_fn(logits, labels)
         ctx.net.backward(grad, row_sel)
         return losses
 
@@ -428,7 +432,7 @@ class ClusterTrainer:
         # calling thread; each block additionally timed as
         # "compute.block" on whichever pool thread ran it (per-thread
         # wall-time lanes in the trace).
-        with obs_phase("compute"):
+        with obs.phase("compute"):
             parallel.parallel_map(run_block, bounds, phase="compute.block")
         step_workers = (
             self.workers if rank_of is None

@@ -131,18 +131,24 @@ class TestConvStackDtypePreservation:
         assert out_dtype == np.dtype(dtype)
         assert grad_dtype == np.dtype(dtype)
 
-    def test_maxpool2d_pad_mask_is_cached(self):
+    def test_maxpool2d_gather_index_is_cached(self):
+        from repro.nn import functional as F
         from repro.nn.layers import MaxPool2d
 
         layer = MaxPool2d(3, stride=2, padding=1)
         images = np.ones((2, 2, 7, 7), dtype=np.float32)
+        F.window_index.cache_clear()
         layer.forward(images)
-        cached = layer._pad_cache
-        assert cached is not None and cached[1].dtype == np.bool_
+        built = F.window_index.cache_info().misses
+        # The 7×7 input inside its one-cell halo is a 9×9 source.
+        index = F.window_index("nchw", 2, 9, 9, (3, 3), (2, 2), True)
+        assert index.dtype == np.intp and not index.flags.writeable
         layer.forward(images)
-        assert layer._pad_cache[1] is cached[1]  # not rebuilt per forward
+        layer.forward(np.ones((5, 2, 7, 7), dtype=np.float32))
+        # Not rebuilt per forward, nor per batch size.
+        assert F.window_index.cache_info().misses == built
         layer.forward(np.ones((2, 2, 9, 9), dtype=np.float32))
-        assert layer._pad_cache[0] == (9, 9)  # keyed by input size
+        assert F.window_index.cache_info().misses == built + 1  # keyed by input size
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_avgpool2d(self, dtype):

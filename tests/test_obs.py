@@ -12,6 +12,7 @@ The two CI-gated invariants of the observability work:
 """
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -378,6 +379,47 @@ class TestBitIdentity:
             )
 
         assert run("trace") == run("off")
+
+    def test_conv_kernels_identical_with_trace_and_spanned(self):
+        """The batched kernels take an untimed path when telemetry is off;
+        both paths give the same floats, and the timed one names every
+        kernel kind and the conv sub-ops."""
+        from repro.presets import instantiate_preset
+
+        def run(obs_mode):
+            partitions, validation, factory, config = instantiate_preset(
+                "mnist-cnn", N_WORKERS, fast=True, samples_per_worker=16,
+                validation_samples=16,
+            )
+            config = dataclasses.replace(
+                config, rounds=2, eval_every=1, batch_size=4
+            )
+            if obs_mode != "off":
+                obs.start(obs_mode)
+            try:
+                result = run_experiment(
+                    SAPSPSGD(compression_ratio=10.0), partitions, validation,
+                    factory, config, SimulatedNetwork(N_WORKERS),
+                )
+                registry = obs.metrics()
+                counters = registry.snapshot()["counters"] if registry else {}
+            finally:
+                obs.install(None)
+            return [repr(record) for record in result.history], counters
+
+        baseline, _ = run("off")
+        traced, counters = run("trace")
+        assert traced == baseline
+
+        def count(name):
+            return counters.get(f"phase.compute.{name}.count", 0)
+
+        for name in ("conv", "relu", "maxpool", "gap", "linear", "loss",
+                     "conv.gather", "conv.gemm"):
+            assert count(name) > 0, name
+        # One scatter per training pass: TinyCNN's second conv's; the
+        # first conv's input gradient has no consumer and is skipped.
+        assert count("conv.scatter") == count("loss")
 
 
 # ======================================================================
