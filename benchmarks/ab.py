@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Interleaved A/B of one e2e workload between two source trees.
+"""Interleaved A/B of e2e workloads between two source trees.
 
-    python3 benchmarks/ab.py BASE_TREE NEW_TREE [--workload saps32_cnn]
+    python3 benchmarks/ab.py BASE_TREE NEW_TREE [--workload saps32_cnn ...]
         [--pairs 4] [--seed 1] [--smoke]
 
 Each pair runs ``benchmarks/e2e/child.py`` once from each tree, in fresh
@@ -9,11 +9,14 @@ processes with ``run.py``'s pinned thread environment (one thread
 everywhere, ``PYTHONHASHSEED=0``) and ``PYTHONDONTWRITEBYTECODE=1``; the
 order alternates between pairs, so neither tree always runs on the
 warmer box.  Bytecode caches are redirected to an empty directory, so
-both trees compile from source as a fresh checkout does.  Every pair is
-printed — ``run_s``, ``worker_steps_per_s``, ``peak_rss_mb`` and the
-trajectory digest of each side — followed by the medians, the base
-tree's ``run_s`` quartiles and the median per-pair change.  Exit status
-is 1 when any digest differs between the trees (or a run dies).
+both trees compile from source as a fresh checkout does.  ``--workload``
+takes one or more names, run one after the other.  Each gets a block:
+every pair — ``run_s``, ``peak_rss_mb`` and the trajectory digest of
+each side — then the medians, the base tree's ``run_s`` quartiles and
+the median per-pair change.  One summary line per workload follows all
+the blocks, so "the claimed workload moved, the others did not" is one
+command.  Exit status is 1 when any digest differs between the trees on
+any workload (or a run dies).
 
 Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
 trees may be the same directory (``--smoke`` against itself is how the
@@ -31,7 +34,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -77,11 +80,69 @@ def quartiles(values: List[float]) -> str:
     return f"{q1:.3f}–{q3:.3f}"
 
 
+def run_workload(trees: Dict[str, Path], workload: str, args,
+                 pycache: str) -> Tuple[str, int]:
+    """Run and print one workload's block; returns its summary line and
+    the number of pairs whose digests differ."""
+    runs: Dict[str, List[dict]] = {"base": [], "new": []}
+    mismatches = 0
+    print(f"{workload}, seed {args.seed}, {args.pairs} pair(s)"
+          f"{', smoke' if args.smoke else ''}")
+    print(f"  base: {trees['base']}\n  new:  {trees['new']}")
+    print(f"{'pair':>4} {'first':>5} {'base run_s':>10} {'new run_s':>10} "
+          f"{'change':>8} {'base rss':>9} {'new rss':>9} "
+          f"{'base digest':>12} {'new digest':>12}")
+    for pair in range(args.pairs):
+        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+        record = {}
+        for side in order:
+            record[side] = run_child(
+                trees[side], workload, args.seed, args.smoke, pycache
+            )
+            runs[side].append(record[side])
+        base, new = record["base"], record["new"]
+        same = base["digest"] == new["digest"]
+        mismatches += not same
+        change = new["run_s"] / base["run_s"] - 1.0
+        print(f"{pair + 1:>4} {order[0]:>5} {base['run_s']:>10.3f} "
+              f"{new['run_s']:>10.3f} {change:>+8.1%} "
+              f"{base['peak_rss_mb']:>9.1f} {new['peak_rss_mb']:>9.1f} "
+              f"{base['digest'][:12]:>12} {new['digest'][:12]:>12}"
+              f"{'' if same else '  DIGEST DIFFERS'}")
+
+    medians = {}
+    for side in ("base", "new"):
+        run_s = [r["run_s"] for r in runs[side]]
+        steps = [r["steps"] / r["run_s"] for r in runs[side]]
+        rss = [r["peak_rss_mb"] for r in runs[side]]
+        medians[side] = statistics.median(run_s), statistics.median(rss)
+        print(f"{side:>4}: run_s median {medians[side][0]:.3f} "
+              f"(q1–q3 {quartiles(run_s)}), worker_steps_per_s median "
+              f"{statistics.median(steps):.1f}, peak_rss_mb median "
+              f"{medians[side][1]:.1f}")
+    changes = [
+        n["run_s"] / b["run_s"] - 1.0 for b, n in zip(runs["base"], runs["new"])
+    ]
+    faster = sum(change < 0 for change in changes)
+    change = statistics.median(changes)
+    verdict = (f"DIGEST DIFFERS in {mismatches} pair(s)" if mismatches
+               else "digests equal")
+    print(f"run_s change per pair: median {change:+.1%}, "
+          f"new faster in {faster}/{len(changes)} pairs; {verdict}\n")
+    summary = (
+        f"{workload}: run_s {medians['base'][0]:.3f} -> "
+        f"{medians['new'][0]:.3f} s (per pair {change:+.1%}, new faster in "
+        f"{faster}/{len(changes)}), peak_rss_mb {medians['base'][1]:.1f} -> "
+        f"{medians['new'][1]:.1f}, {verdict}"
+    )
+    return summary, mismatches
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="tree measured as the baseline")
     parser.add_argument("new", type=Path, help="tree measured against it")
-    parser.add_argument("--workload", default="saps32_cnn")
+    parser.add_argument("--workload", nargs="+", default=["saps32_cnn"])
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true",
@@ -94,49 +155,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not (tree / "benchmarks" / "e2e" / "child.py").is_file():
             parser.error(f"{tree} has no benchmarks/e2e/child.py")
 
-    runs: Dict[str, List[dict]] = {"base": [], "new": []}
-    mismatches = 0
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pair(s)"
-          f"{', smoke' if args.smoke else ''}")
-    print(f"  base: {trees['base']}\n  new:  {trees['new']}")
-    print(f"{'pair':>4} {'first':>5} {'base run_s':>10} {'new run_s':>10} "
-          f"{'change':>8} {'base rss':>9} {'new rss':>9} "
-          f"{'base digest':>12} {'new digest':>12}")
     with tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
-        for pair in range(args.pairs):
-            order = ("base", "new") if pair % 2 == 0 else ("new", "base")
-            record = {}
-            for side in order:
-                record[side] = run_child(
-                    trees[side], args.workload, args.seed, args.smoke, pycache
-                )
-                runs[side].append(record[side])
-            base, new = record["base"], record["new"]
-            same = base["digest"] == new["digest"]
-            mismatches += not same
-            change = new["run_s"] / base["run_s"] - 1.0
-            print(f"{pair + 1:>4} {order[0]:>5} {base['run_s']:>10.3f} "
-                  f"{new['run_s']:>10.3f} {change:>+8.1%} "
-                  f"{base['peak_rss_mb']:>9.1f} {new['peak_rss_mb']:>9.1f} "
-                  f"{base['digest'][:12]:>12} {new['digest'][:12]:>12}"
-                  f"{'' if same else '  DIGEST DIFFERS'}")
-
-    for side in ("base", "new"):
-        run_s = [r["run_s"] for r in runs[side]]
-        steps = [r["steps"] / r["run_s"] for r in runs[side]]
-        rss = [r["peak_rss_mb"] for r in runs[side]]
-        print(f"{side:>4}: run_s median {statistics.median(run_s):.3f} "
-              f"(q1–q3 {quartiles(run_s)}), worker_steps_per_s median "
-              f"{statistics.median(steps):.1f}, peak_rss_mb median "
-              f"{statistics.median(rss):.1f}")
-    changes = [
-        n["run_s"] / b["run_s"] - 1.0 for b, n in zip(runs["base"], runs["new"])
-    ]
-    faster = sum(change < 0 for change in changes)
-    print(f"run_s change per pair: median {statistics.median(changes):+.1%}, "
-          f"new faster in {faster}/{len(changes)} pairs")
-    if mismatches:
-        print(f"FAILED: digest differs in {mismatches} pair(s)")
+        results = [
+            run_workload(trees, workload, args, pycache)
+            for workload in args.workload
+        ]
+    print("summary:")
+    for summary, _ in results:
+        print(f"  {summary}")
+    failed = sum(mismatches > 0 for _, mismatches in results)
+    if failed:
+        print(f"FAILED: digest differs on {failed} workload(s)")
         return 1
     print("digests equal in every pair")
     return 0

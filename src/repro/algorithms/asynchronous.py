@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.base import DistributedAlgorithm
-from repro.compression.base import BYTES_PER_VALUE
+from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
 from repro.network.metrics import TrafficMeter
 from repro.utils.rng import derive_seed
@@ -308,11 +308,9 @@ class AsyncGossip(AsyncAlgorithm):
         base_seed: int = 0,
     ) -> None:
         super().__init__(local_steps=local_steps)
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
+        self.compression_ratio = check_compression_ratio(compression_ratio)
         if peer_choice not in ("bandwidth", "random"):
             raise ValueError(f"unknown peer_choice {peer_choice!r}")
-        self.compression_ratio = float(compression_ratio)
         self.peer_choice = peer_choice
         self.base_seed = int(base_seed)
         self.exchange_count = 0

@@ -52,6 +52,8 @@ class DistributedAlgorithm:
         #: ``None`` keeps the per-worker compute loop.  Set by
         #: :meth:`setup`.
         self.cluster_trainer = None
+        #: ``lr·ḡ`` scratch of :meth:`_apply_average_gradient`.
+        self._scaled_average: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -174,14 +176,14 @@ class DistributedAlgorithm:
     def _apply_average_gradient(self, average: np.ndarray) -> None:
         """``xᵢ ← xᵢ − lrᵢ·ḡ`` on every worker (the all-reduce update).
 
-        A fused row-blocked pass — each block scales the average
-        gradient into a persistent scratch and subtracts it in place, so
-        no ``(n, N)`` temporary is materialized and each block of
-        replicas streams through cache exactly once.  Blocks are
-        independent (disjoint rows) and run on the configured thread
-        pool.  Per element the operation sequence (multiply, then
-        subtract) is that of the whole-matrix expression
-        ``X − rates[:, None]·ḡ``, so the result is bit-identical to it.
+        ``lr·ḡ`` is computed once per distinct learning rate (a CLI run
+        has one) into a persistent ``(N,)`` scratch, and each replica
+        row subtracts it in place: no ``(n, N)`` or ``(block, N)``
+        temporary, and the replicas stream through cache once.  Per
+        element this is the multiply-then-subtract of the whole-matrix
+        expression ``X − rates[:, None]·ḡ`` on the same operands, so the
+        result is bit-identical to it.  Row blocks are independent and
+        run on the configured thread pool.
         """
         from repro.utils import parallel
 
@@ -191,21 +193,23 @@ class DistributedAlgorithm:
             [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
         )
         data = self.arena.data
+        dtype = np.result_type(rates, average)
+        scaled = self._scaled_average
+        if scaled is None or (scaled.shape, scaled.dtype) != (average.shape, dtype):
+            scaled = self._scaled_average = np.empty(average.shape, dtype)
+
+        blocks = parallel.block_ranges(self.num_workers, self._mix_block_rows())
 
         def update_block(bound) -> None:
-            start, stop = bound
-            # The (block, N) product is the only temporary — bounded
-            # by the block budget instead of the full (n, N) matrix.
-            data[start:stop] -= rates[start:stop, None] * average
+            # ``rate`` is the loop variable below, read while it holds.
+            for row in range(*bound):
+                if rates[row] == rate:
+                    data[row] -= scaled
 
         with obs.phase("mix"):
-            parallel.parallel_map(
-                update_block,
-                parallel.block_ranges(
-                    self.num_workers, self._mix_block_rows()
-                ),
-                phase="mix.block",
-            )
+            for rate in np.unique(rates):
+                np.multiply(rate, average, out=scaled)
+                parallel.parallel_map(update_block, blocks, phase="mix.block")
         for worker in self.workers:
             worker.steps_taken += 1
 

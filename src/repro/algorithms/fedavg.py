@@ -19,7 +19,11 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
-from repro.compression.base import BYTES_PER_INDEX, BYTES_PER_VALUE
+from repro.compression.base import (
+    BYTES_PER_INDEX,
+    BYTES_PER_VALUE,
+    check_compression_ratio,
+)
 from repro.compression.topk import k_for
 from repro.network.metrics import TrafficMeter
 
@@ -181,9 +185,7 @@ class SparseFedAvg(FedAvg):
             population=population,
             round_duration=round_duration,
         )
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        self.compression_ratio = float(compression_ratio)
+        self.compression_ratio = check_compression_ratio(compression_ratio)
 
     def run_round(self, round_index: int) -> float:
         selected = self._select(round_index)

@@ -77,16 +77,12 @@ class TopKPSGD(DistributedAlgorithm):
 
     def run_round(self, round_index: int) -> float:
         # Gradients accumulate into the arena's grad matrix (batched
-        # when the ClusterTrainer is attached); compensation + top-k +
-        # residual update are then three matrix operations via
-        # compress_matrix.
+        # when the ClusterTrainer is attached); error feedback makes one
+        # pass over its (n, N) residual and the mean folds sparse rows.
         losses = self._local_gradients_into_arena()
-        batch, dense_sent = self._batch_feedback.compress(
-            self.arena.grads, round_index
-        )
+        batch = self._batch_feedback.compress(self.arena.grads, round_index)
         payload_bytes = batch.row_bytes()
-        average = dense_sent.mean(axis=0)
-        self._apply_average_gradient(average)
+        self._apply_average_gradient(batch.dense_mean(self.model_size))
 
         # Allgather: every worker ships its sparse gradient to the other
         # n-1 workers (and receives n-1 sparse gradients).

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.base import BYTES_PER_VALUE
+from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
 from repro.core.matching import greedy_weighted_matching
 from repro.network.metrics import TrafficMeter
@@ -438,10 +438,7 @@ class SampledSAPS:
             raise ValueError(
                 f"sample_size must be in [1, {num_clients}], got {sample_size}"
             )
-        if compression_ratio < 1.0:
-            raise ValueError(
-                f"compression_ratio must be >= 1, got {compression_ratio}"
-            )
+        compression_ratio = check_compression_ratio(compression_ratio)
         if local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
         if capacity is None:
@@ -457,7 +454,7 @@ class SampledSAPS:
         self.num_clients = num_clients
         self.num_workers = num_clients
         self.sample_size = sample_size
-        self.compression_ratio = float(compression_ratio)
+        self.compression_ratio = compression_ratio
         self.local_steps = int(local_steps)
         self.lr = float(lr)
         self.round_duration = float(round_duration)

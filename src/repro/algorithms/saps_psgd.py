@@ -24,6 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
+from repro.compression.base import check_compression_ratio
 from repro.compression.random_mask import RandomMaskCompressor, generate_mask
 from repro.core.gossip import FixedRingSelector, RandomPeerSelector
 from repro.core.protocol import Coordinator, RoundPlan
@@ -52,8 +53,7 @@ class SAPSPSGD(DistributedAlgorithm):
         round_duration: float = 1.0,
     ) -> None:
         super().__init__()
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
+        self.compression_ratio = check_compression_ratio(compression_ratio)
         if selector not in ("adaptive", "random", "ring"):
             raise ValueError(f"unknown selector {selector!r}")
         if local_steps < 1:
@@ -62,7 +62,6 @@ class SAPSPSGD(DistributedAlgorithm):
         #: values trade consensus quality for fewer exchanges (a
         #: FedAvg-style extension, ablated in bench_ablations).
         self.local_steps = int(local_steps)
-        self.compression_ratio = float(compression_ratio)
         #: Round-level compressor: the whole replica matrix goes through
         #: ``compress_matrix_with_seed`` (one shared mask, one gather).
         self.compressor = RandomMaskCompressor(self.compression_ratio)

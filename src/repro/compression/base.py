@@ -160,6 +160,38 @@ class BatchPayload(Payload):
             [payload.to_dense(size) for payload in self.payloads]
         ) if self.payloads else np.zeros((0, size))
 
+    def dense_mean(self, size: int) -> np.ndarray:
+        """``to_dense(size).mean(axis=0)`` bit for bit, without the ``(n,
+        size)`` matrix: the all-reduce of a sparse round.
+
+        NumPy sums axis 0 of an ``(n, size > 1)`` matrix as a row-order
+        fold, where an unsent cell adds ``+0.0``.  So folding each row's
+        values at its indices into ``+0.0`` in row order, then dividing
+        as ``np.mean`` does, is exact when every sent value is finite and
+        non-zero: no ``-0.0`` accumulator, no two NaNs whose sum's sign
+        NumPy leaves to the code path.  Other batches, and ``size == 1``
+        (summed pairwise), take the dense fold.
+        """
+        sent = self.values
+        if (sent is None or size < 2
+                or not (sent.all() and np.isfinite(sent).all())):
+            return self.to_dense(size).mean(axis=0)
+        total = np.zeros(size, dtype=sent.dtype)
+        shared = self.indices.ndim == 1
+        for row, values in enumerate(sent):
+            total[self.indices if shared else self.indices[row]] += values
+        return np.true_divide(
+            total, np.intp(len(self.payloads)), out=total, casting="unsafe"
+        )
+
+
+def check_compression_ratio(ratio: float) -> float:
+    """The paper's ``c`` as a float; anything not ``>= 1`` (NaN
+    included) raises, naming the value."""
+    if not ratio >= 1:
+        raise ValueError(f"compression_ratio must be >= 1, got {ratio}")
+    return float(ratio)
+
 
 def check_matrix(matrix: np.ndarray) -> np.ndarray:
     """Validate a ``(n, N)`` batch input (no copy for conforming arrays)."""

@@ -6,11 +6,11 @@ round are added back before the next compression, so nothing is lost —
 only delayed.
 
 :class:`BatchedErrorFeedback` keeps the residual state of all ``n``
-workers as a single ``(n, N)`` matrix: compensation is one matrix add and
-compression goes through
-:meth:`~repro.compression.base.Compressor.compress_matrix`.  With a
-deterministic compressor (top-k) it is element-for-element identical to
-``n`` independent per-worker residual vectors — the reference
+workers as one ``(n, N)`` matrix and touches it once per round: the
+gradients are added into it in place, compression reads it, and only
+the sent cells are written back.  With a deterministic compressor
+(top-k) it is element-for-element identical to ``n`` independent
+per-worker residual vectors — the reference
 ``tests/reference/error_feedback.py`` keeps for that comparison.
 
 ``dtype`` lets float32 pipelines keep float32 residuals (default
@@ -19,10 +19,9 @@ float64, matching the historical behaviour bit-for-bit).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
+from repro import obs
 from repro.compression.base import BatchPayload, Compressor
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 
@@ -32,12 +31,13 @@ class BatchedErrorFeedback:
 
     Usage per round (``matrix`` is typically ``arena.grads``)::
 
-        batch, dense_sent = ef.compress(matrix)
+        batch = ef.compress(matrix)
+        average = batch.dense_mean(N)   # the all-reduce of what was sent
 
     ``batch`` is a :class:`~repro.compression.base.BatchPayload` (row
-    ``i`` is worker ``i``'s wire payload); ``dense_sent`` is the
-    ``(n, N)`` dense equivalent of everything transmitted.  The residual
-    update is one matrix expression instead of ``n`` vector ones.
+    ``i`` is worker ``i``'s wire payload).  The compressor must attach
+    ``(n, k)`` ``values`` / ``indices`` arrays, values copied from its
+    input (top-k does).
     """
 
     def __init__(
@@ -54,12 +54,13 @@ class BatchedErrorFeedback:
         self.compressor = compressor
         self.residual = np.zeros((num_rows, size), dtype=resolve_dtype(dtype))
 
-    def compress(
-        self, matrix: np.ndarray, round_index: int = 0
-    ) -> Tuple[BatchPayload, np.ndarray]:
+    def compress(self, matrix: np.ndarray, round_index: int = 0) -> BatchPayload:
         """Compensate, compress and retain residuals for every row.
 
-        Returns ``(batch_payload, dense_sent_matrix)``.
+        The floats of ``residual = (matrix + residual) - to_dense(batch)``:
+        the add runs in place on the same operands in the same order, a
+        sent cell becomes ``v - v`` (``x - x``, inf and NaN included) and
+        an unsent one keeps ``x``, as ``x - 0.0`` did.
         """
         matrix = np.asarray(matrix, dtype=self.residual.dtype)
         if matrix.shape != self.residual.shape:
@@ -67,13 +68,16 @@ class BatchedErrorFeedback:
                 f"matrix shape {matrix.shape} != buffer shape "
                 f"{self.residual.shape}"
             )
-        compensated = matrix + self.residual
-        batch = self.compressor.compress_matrix(compensated, round_index)
-        dense_sent = batch.to_dense(self.residual.shape[1])
-        # In place: one (n, N) allocation per round saved in the
-        # TopK-PSGD hot path (bit-identical to `compensated - dense_sent`).
-        np.subtract(compensated, dense_sent, out=self.residual)
-        return batch, dense_sent
+        with obs.phase("compress"):
+            np.add(matrix, self.residual, out=self.residual)
+            with obs.phase("compress.select"):
+                batch = self.compressor.compress_matrix(
+                    self.residual, round_index
+                )
+            with obs.phase("compress.residual"):
+                sent = batch.values - batch.values
+                np.put_along_axis(self.residual, batch.indices, sent, axis=1)
+        return batch
 
     def reset(self) -> None:
         self.residual[:] = 0.0

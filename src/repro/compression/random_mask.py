@@ -14,10 +14,10 @@ from repro.compression.base import (
     BatchPayload,
     Compressor,
     SharedMaskPayload,
+    check_compression_ratio,
     check_matrix,
     record_batch_metrics,
 )
-from repro.utils.validation import check_positive
 
 
 def generate_mask(size: int, compression_ratio: float, seed: int) -> np.ndarray:
@@ -28,11 +28,7 @@ def generate_mask(size: int, compression_ratio: float, seed: int) -> np.ndarray:
 
     Returns a boolean array of shape ``(size,)``.
     """
-    check_positive(compression_ratio, "compression_ratio")
-    if compression_ratio < 1.0:
-        raise ValueError(
-            f"compression_ratio must be >= 1, got {compression_ratio}"
-        )
+    check_compression_ratio(compression_ratio)
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     probability = 1.0 / compression_ratio
@@ -57,10 +53,7 @@ class RandomMaskCompressor(Compressor):
     """
 
     def __init__(self, compression_ratio: float) -> None:
-        check_positive(compression_ratio, "compression_ratio")
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        self._ratio = float(compression_ratio)
+        self._ratio = check_compression_ratio(compression_ratio)
         self._seed = 0
 
     @property

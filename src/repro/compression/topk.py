@@ -3,22 +3,26 @@
 Top-k keeps the ``k = ceil(N/c)`` largest-magnitude components and must
 ship explicit indices (unlike the paper's shared-mask scheme).
 
-The compressor implements the matrix-level
-:meth:`~repro.compression.base.Compressor.compress_matrix` API: top-k
-selection runs one row-wise ``argpartition`` over the full ``(n, N)``
-matrix (one numpy dispatch per round instead of one per worker), which is
-index-for-index identical to per-row selection because ``argpartition``
-partitions each row independently with the same introselect kernel.
+Selection is by threshold: per row, the exact k-th largest magnitude
+``t``, then ``|r| >= t`` in ascending index order.  When exactly ``k``
+entries reach ``t > 0`` that is the set any partition selects, so it is
+what ``argpartition`` of the negated magnitudes gives; any other row (a
+tie at ``t``, NaN, fewer than ``k`` non-zeros) is selected by that
+``argpartition``, so ties break as they always have.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from repro import obs
 from repro.compression.base import (
     BatchPayload,
     Compressor,
     IndexedPayload,
+    check_compression_ratio,
     check_matrix,
     record_batch_metrics,
 )
@@ -35,50 +39,51 @@ def k_for(size: int, compression_ratio: float) -> int:
 
 
 def top_k_indices(vector: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest-|v| entries, in ascending index order.
-
-    Ties are broken deterministically by index (via argpartition on the
-    negated magnitudes then sorting), so results are reproducible.
-    """
-    vector = np.asarray(vector)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-    if k >= vector.size:
-        return np.arange(vector.size, dtype=np.int64)
-    partition = np.argpartition(-np.abs(vector), k - 1)[:k]
-    return np.sort(partition)
+    """Indices of the ``k`` largest-|v| entries, in ascending index order:
+    the one-row case of :func:`top_k_indices_matrix`."""
+    return top_k_indices_matrix(np.reshape(vector, (1, -1)), k)[0]
 
 
-#: Rows per selection block of :func:`top_k_indices_matrix`.  Small
-#: enough that a block's two ``(B, N)`` temporaries (negated magnitudes
-#: and the introselect permutation) stay cache-resident, large enough to
-#: amortize the numpy dispatch the old one-row-at-a-time loop paid n
-#: times per round.  Fixed — never derived from the thread count — so
-#: serial and thread-parallel runs partition (and select) identically.
-#: 4 rows was the flattest point of the block-size sweep at N = 7210
-#: (larger blocks spill the permutation out of cache and lose 2×).
+#: Rows per work item of :func:`top_k_indices_matrix`.  Rows are
+#: selected one at a time, so this sets only the pool's granularity:
+#: at (16, 85 002) float32, 1 to 16 rows read 1.71–1.82 ms at 1 thread
+#: (2-vCPU box).  Fixed, never derived from the thread count.
 TOPK_BLOCK_ROWS = 4
+
+#: Size of the strided sample that bounds a row's k-th magnitude.
+SAMPLE_SIZE = 1024
+
+
+def _threshold_top_k(magnitude: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Ascending indices of the ``k`` largest entries of 1-D
+    ``magnitude`` (``0 < k < size``), or ``None`` unless exactly ``k``
+    reach the k-th largest value ``t`` and ``t > 0``.  ``t`` is found
+    among the entries above a strided sample's rank-``2·E[hits] + 8``
+    value, or the whole row if fewer than ``k`` are; the count check
+    makes the result exact wherever that bound fell (NaN never
+    compares ``>=``)."""
+    size = magnitude.size
+    sample = magnitude[:: max(1, size // SAMPLE_SIZE)]
+    rank = min(sample.size, 2 * (k * sample.size // size) + 8)
+    bound = np.partition(sample, sample.size - rank)[sample.size - rank]
+    candidates = np.flatnonzero(magnitude >= bound)
+    if candidates.size < k:
+        candidates = np.arange(size)
+    values = magnitude[candidates]
+    threshold = np.partition(values, values.size - k)[values.size - k]
+    chosen = candidates[values >= threshold]
+    return chosen if chosen.size == k and threshold > 0 else None
 
 
 def top_k_indices_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`top_k_indices` over ``(n, N)``.
+    """Row-wise top-``k`` by magnitude over ``(n, N)``.
 
-    Returns ``(n, k)`` indices, each row ascending.  Row ``i`` equals
-    ``top_k_indices(matrix[i], k)`` exactly: ``np.argpartition(...,
-    axis=1)`` runs the same introselect kernel on each row's negated
-    magnitudes independently, so selection — ties included — is
-    index-for-index identical to the per-row call.
-
-    Implementation note: selection runs over row blocks of
-    :data:`TOPK_BLOCK_ROWS` — one axis-1 ``argpartition`` per block —
-    which bounds the transients (the ``(B, N)`` magnitude buffer and the
-    ``(B, N)`` permutation) to one block instead of materializing them
-    for the full matrix, while replacing the old per-row Python loop's n
-    kernel dispatches with n/B.  Blocks are independent, so they run on
-    the configured thread pool (:mod:`repro.utils.parallel`); the block
-    partition is fixed, so the thread count never changes the result.
+    Returns ``(n, k)`` int64 indices, each row ascending.  A row
+    :func:`_threshold_top_k` declines is selected by ``argpartition`` of
+    its negated magnitudes, then sorted, and counted in
+    ``compression.topk_tie_rows``.  Blocks of :data:`TOPK_BLOCK_ROWS`
+    run on the thread pool; each row is selected on its own, so neither
+    the partition nor the thread count changes the result.
     """
     matrix = check_matrix(matrix)
     num_rows, size = matrix.shape
@@ -90,16 +95,24 @@ def top_k_indices_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
         return np.tile(np.arange(size, dtype=np.int64), (num_rows, 1))
     indices = np.empty((num_rows, k), dtype=np.int64)
 
-    def select_block(bound) -> None:
+    def select_block(bound) -> int:
         start, stop = bound
-        scratch = np.abs(matrix[start:stop])
-        np.negative(scratch, out=scratch)
-        indices[start:stop] = np.argpartition(scratch, k - 1, axis=1)[:, :k]
+        magnitude = np.empty(size, dtype=matrix.dtype)
+        ties = 0
+        for row in range(start, stop):
+            np.abs(matrix[row], out=magnitude)
+            chosen = _threshold_top_k(magnitude, k)
+            if chosen is None:
+                ties += 1
+                np.negative(magnitude, out=magnitude)
+                chosen = np.sort(np.argpartition(magnitude, k - 1)[:k])
+            indices[row] = chosen
+        return ties
 
-    parallel.parallel_map(
+    ties = parallel.parallel_map(
         select_block, parallel.block_ranges(num_rows, TOPK_BLOCK_ROWS)
     )
-    indices.sort(axis=1)
+    obs.inc("compression.topk_tie_rows", sum(ties))
     return indices
 
 
@@ -107,9 +120,7 @@ class TopKCompressor(Compressor):
     """Keep the ``ceil(N/c)`` largest-magnitude entries."""
 
     def __init__(self, compression_ratio: float) -> None:
-        if compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        self._ratio = float(compression_ratio)
+        self._ratio = check_compression_ratio(compression_ratio)
 
     @property
     def ratio(self) -> float:

@@ -18,7 +18,11 @@ Name schema (documented in the README's Observability section):
   / ``.retries`` / ``.give_ups`` — mirrors
   :class:`~repro.resilience.ResilienceStats`.
 * ``compression.bytes_dense`` / ``.bytes_wire`` / ``.bytes_saved`` —
-  per ``compress_matrix`` call, dense-equivalent vs shipped payload.
+  per ``compress_matrix`` call, dense-equivalent vs shipped payload;
+  ``compression.topk_tie_rows`` — top-k rows selected by
+  ``argpartition`` because their k-th magnitude was ambiguous, inside
+  the ``phase.compress`` / ``.compress.select`` / ``.compress.residual``
+  spans of error feedback.
 * ``arena.hits`` / ``.misses`` / ``.evictions`` / ``.writebacks`` /
   ``.writeback_bytes`` / ``.pin_contentions`` — cumulative mirrors of
   :meth:`~repro.nn.ShardedArena.stats` (absolute, via

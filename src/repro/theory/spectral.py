@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.compression.base import check_compression_ratio
 from repro.utils.validation import check_square
 
 
@@ -80,11 +81,9 @@ def consensus_factor(compression_ratio: float, rho: float) -> float:
     factor per gossip round under mask sparsification.  It approaches 1
     as ``c`` grows — the sparser the exchange, the slower consensus.
     """
-    if compression_ratio < 1.0:
-        raise ValueError("compression_ratio must be >= 1")
+    p = 1.0 / check_compression_ratio(compression_ratio)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    p = 1.0 / compression_ratio
     q = 1.0 - p
     return q + p * rho**2
 

@@ -77,6 +77,10 @@ BAD_FLAGS = [
     ("--workers 1", "--workers"),
     ("--batch-size 0", "batch_size"),
     ("--compression 0.5", "compression_ratio"),
+    # NaN < 1 is False: these once reached round 0 and died there.
+    ("--algorithm topk-psgd --compression nan", "compression_ratio must be >= 1, got nan"),
+    ("--algorithm dcd-psgd --compression nan", "compression_ratio must be >= 1, got nan"),
+    ("--algorithm s-fedavg --compression nan", "compression_ratio must be >= 1, got nan"),
     ("--num-threads 0", "num_threads"),
     ("--lr -1", "lr must"),
 ]

@@ -421,6 +421,35 @@ class TestBitIdentity:
         # first conv's input gradient has no consumer and is skipped.
         assert count("conv.scatter") == count("loss")
 
+    def test_topk_identical_with_trace_and_spanned(self):
+        """A TopK-PSGD run gives the same floats traced and untraced; the
+        traced one spans error feedback once per round, with its select
+        and residual children, and reports the tie-row counter."""
+        def run(obs_mode):
+            partitions, validation, model_factory, config, network = (
+                build_setup(dtype="float32")
+            )
+            if obs_mode != "off":
+                obs.start(obs_mode)
+            try:
+                result = run_experiment(
+                    TopKPSGD(compression_ratio=50.0), partitions, validation,
+                    model_factory, config, network,
+                )
+                registry = obs.metrics()
+                counters = registry.snapshot()["counters"] if registry else {}
+            finally:
+                obs.install(None)
+            return [repr(record) for record in result.history], counters
+
+        baseline, _ = run("off")
+        traced, counters = run("trace")
+        assert traced == baseline
+        rounds = build_setup()[3].rounds
+        for name in ("compress", "compress.select", "compress.residual"):
+            assert counters[f"phase.{name}.count"] == rounds, name
+        assert "compression.topk_tie_rows" in counters
+
 
 # ======================================================================
 # obsreport: the profile rebuilt from metrics alone
@@ -645,6 +674,20 @@ class TestCompressionMetrics:
             )
 
         assert self.counters_for(fused) == full
+
+    def test_topk_tie_rows_counts_the_argpartition_rows(self):
+        matrix = np.array([
+            [5.0, 1.0, 4.0, 0.5],    # top 2 unambiguous: threshold
+            [3.0, 1.0, -1.0, 0.0],   # tie at the 2nd magnitude
+            [0.0, 0.0, 2.0, -0.0],   # one non-zero for k = 2
+            [np.nan, 2.0, 7.0, 1.0], # NaN, yet the top 2 is unambiguous
+        ])
+        obs.start("metrics")
+        try:
+            TopKCompressor(compression_ratio=2.0).compress_matrix(matrix)
+            assert obs.metrics().counter("compression.topk_tie_rows") == 2
+        finally:
+            obs.install(None)
 
     def test_hooks_are_noops_when_disabled(self):
         batch = TopKCompressor(compression_ratio=10.0).compress_matrix(
