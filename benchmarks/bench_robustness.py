@@ -6,8 +6,8 @@ DCD-PSGD requires that the network topology should keep unchanged").
 Two benches:
 
 * churn: SAPS-PSGD with adaptive matching vs fixed-ring pairing, same
-  sparsification, workers dropping in/out — accuracy and matched
-  fraction compared;
+  sparsification, workers crashing and recovering under a seeded
+  MTTF/MTTR fault plan — accuracy compared;
 * drift: adaptive selection fed periodically re-estimated bandwidths vs
   a selector stuck with the round-0 snapshot, on drifting ground truth.
 """
@@ -21,8 +21,7 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.network.estimation import BandwidthEstimator, DriftingBandwidth
 from repro.network.metrics import utilized_bandwidth_per_round
-from repro.sim import ExperimentConfig, run_experiment
-from repro.sim.dynamics import MarkovChurn
+from repro.sim import ExperimentConfig, FaultPlan, run_experiment
 from benchmarks.conftest import write_output
 
 NUM_WORKERS = 12
@@ -38,15 +37,17 @@ def test_robustness_to_churn():
     )
     factory = lambda: __import__("repro").nn.MLP(32, [32], 10, rng=41)
 
+    # One round per simulated second: up ~1/0.15 rounds, down ~1/0.4.
+    plan = FaultPlan.from_rates(
+        NUM_WORKERS, mttf=1 / 0.15, mttr=1 / 0.4, horizon=ROUNDS, seed=9,
+        min_up=4,
+    )
+
     def sweep():
         outcomes = {}
         for name, selector in [("adaptive", "adaptive"), ("fixed ring", "ring")]:
-            churn = MarkovChurn(
-                NUM_WORKERS, drop_probability=0.15, return_probability=0.4,
-                min_active=4, rng=9,
-            )
             algorithm = SAPSPSGD(
-                compression_ratio=20.0, selector=selector, churn=churn,
+                compression_ratio=20.0, selector=selector, fault_plan=plan,
                 base_seed=41,
             )
             result = run_experiment(
@@ -66,8 +67,8 @@ def test_robustness_to_churn():
             ["pairing", "final acc [%]", "traffic [MB]"],
             rows,
             title=(
-                "Robustness — SAPS under Markov churn "
-                "(15% drop, 40% return per round)"
+                "Robustness — SAPS under a rate fault plan "
+                "(MTTF 6.7 rounds, MTTR 2.5 rounds)"
             ),
         )
         return text, outcomes
@@ -129,24 +130,35 @@ def test_robustness_to_bandwidth_drift():
 
 
 def test_churn_availability_model():
-    """Sanity-bench the churn substrate itself: stationary availability
-    matches drop/(drop+return) theory across parameterizations."""
+    """Sanity-bench the churn substrate itself: the up-fraction of a
+    rate-drawn fault plan matches mttf / (mttf + mttr) across
+    parameterizations."""
+    workers, horizon = 16, 400.0
+
+    def up_fraction(plan):
+        down = sum(
+            min(end, horizon) - start
+            for rank in range(workers)
+            for start, end in plan.down_intervals(rank)
+        )
+        return 1.0 - down / (workers * horizon)
 
     def sweep():
         rows = []
-        for drop, ret in [(0.05, 0.5), (0.2, 0.4), (0.3, 0.3)]:
-            churn = MarkovChurn(
-                32, drop_probability=drop, return_probability=ret,
-                min_active=0, rng=11,
+        for mttf, mttr in [(20.0, 2.0), (5.0, 2.5), (10 / 3, 10 / 3)]:
+            plan = FaultPlan.from_rates(
+                workers, mttf=mttf, mttr=mttr, horizon=horizon, seed=11,
+                min_up=1,
             )
-            measured = churn.availability_fraction(1500)
-            expected = ret / (drop + ret)
+            measured = up_fraction(plan)
+            expected = mttf / (mttf + mttr)
             rows.append(
-                [drop, ret, round(expected, 3), round(measured, 3)]
+                [round(mttf, 2), round(mttr, 2), round(expected, 3),
+                 round(measured, 3)]
             )
         text = render_table(
-            ["P(drop)", "P(return)", "stationary (theory)", "measured"],
-            rows, title="Churn model calibration",
+            ["MTTF", "MTTR", "stationary (theory)", "measured"],
+            rows, title="Fault-plan availability calibration",
         )
         return text, rows
 

@@ -6,8 +6,8 @@ the event-engine families — actually record the crash and the restore.
 
 Families:
 
-* ``sync-saps``   — synchronous SAPS-PSGD consuming the plan's
-  round-level churn/loss projection;
+* ``sync-saps``   — synchronous SAPS-PSGD reading the plan over each
+  round's window;
 * ``async-gossip`` — AsyncGossip on the event engine, checkpoint restore;
 * ``async-fedavg`` — AsyncFedAvg on the event engine, peer restore;
 * ``async-dpsgd``  — AsyncDPSGD on the event engine, cold restore.
@@ -59,9 +59,7 @@ def sync_saps() -> None:
     partitions, validation, factory = _workload()
     plan = FaultPlan.parse("crash:1@3,recover:1@8,link_down:0-2@2,link_up:0-2@6",
                            WORKERS)
-    algorithm = SAPSPSGD(compression_ratio=5.0, base_seed=SEED)
-    algorithm.churn = plan.round_churn(1.0)
-    algorithm.loss_model = plan.round_loss(1.0)
+    algorithm = SAPSPSGD(compression_ratio=5.0, base_seed=SEED, fault_plan=plan)
     result = run_experiment(
         algorithm, partitions, validation, factory,
         ExperimentConfig(rounds=12, eval_every=4, lr=0.2, seed=SEED),

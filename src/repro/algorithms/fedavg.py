@@ -26,6 +26,7 @@ from repro.compression.base import (
 )
 from repro.compression.topk import k_for
 from repro.network.metrics import TrafficMeter
+from repro.utils.validation import check_positive
 
 
 class FedAvg(DistributedAlgorithm):
@@ -49,8 +50,7 @@ class FedAvg(DistributedAlgorithm):
             raise ValueError(f"local_steps must be positive, got {local_steps}")
         if sample_size is not None and int(sample_size) < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        if round_duration <= 0:
-            raise ValueError(f"round_duration must be > 0, got {round_duration}")
+        check_positive(round_duration, "round_duration")
         self.participation = participation
         self.local_steps = local_steps
         self._server_bandwidth = server_bandwidth

@@ -38,6 +38,7 @@ from repro.network.metrics import TrafficMeter
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_positive
 
 
 class LogisticBlobsTask:
@@ -441,6 +442,7 @@ class SampledSAPS:
         compression_ratio = check_compression_ratio(compression_ratio)
         if local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
+        check_positive(round_duration, "round_duration")
         if capacity is None:
             # Room for the pinned participant set plus reuse headroom.
             capacity = min(num_clients, 2 * sample_size + 16)

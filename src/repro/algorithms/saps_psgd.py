@@ -14,6 +14,13 @@ Per round (Algorithms 1+2):
 paper's Algorithm 3; ``"random"`` is the Fig. 5 "RandomChoose" baseline;
 ``"ring"`` alternates the two perfect matchings of a fixed even cycle
 (single-peer communication without adaptivity).
+
+``fault_plan`` takes the :class:`~repro.sim.faults.FaultPlan` the event
+engine executes and reads it over each round's window ``[rΔ, rΔ + Δ)``,
+``Δ = round_duration``: a worker down at any point in the window sits
+the round out (no SGD, no matching — Table I's "R." column), and an
+exchange whose link is down at any point in it is lost, leaving the
+pair unmixed.  The queries draw no RNG; an empty plan is inert.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.core.gossip import FixedRingSelector, RandomPeerSelector
 from repro.core.protocol import Coordinator, RoundPlan
 from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_positive
 
 
 class SAPSPSGD(DistributedAlgorithm):
@@ -45,8 +53,7 @@ class SAPSPSGD(DistributedAlgorithm):
         selector: str = "adaptive",
         base_seed: int = 0,
         prefer_weighted: bool = False,
-        churn=None,
-        loss_model=None,
+        fault_plan=None,
         local_steps: int = 1,
         sample_size: Optional[int] = None,
         population=None,
@@ -70,24 +77,12 @@ class SAPSPSGD(DistributedAlgorithm):
         self.selector_kind = selector
         self.base_seed = int(base_seed)
         self.prefer_weighted = prefer_weighted
-        #: Optional :class:`repro.sim.dynamics.ChurnModel`: offline
-        #: workers skip the round entirely (no SGD, no matching) — the
-        #: network-dynamics robustness of Table I's "R." column.
-        self.churn = churn
-        #: Optional per-exchange loss hook: any object whose
-        #: ``exchange_fails(round_index, a, b) -> bool`` says whether the
-        #: round's exchange between workers ``a`` and ``b`` is lost
-        #: (:class:`repro.sim.faults.FaultLinkLoss` projects a fault
-        #: plan's link outages to it).  A failed exchange leaves the pair
-        #: unmixed that round (both keep their local models) — graceful
-        #: degradation, not a crash.
-        self.loss_model = loss_model
-        #: Count of exchanges dropped by the loss model.
+        self.fault_plan = fault_plan
+        #: Count of exchanges lost to a downed link.
         self.dropped_exchanges = 0
         if sample_size is not None and int(sample_size) < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        if round_duration <= 0:
-            raise ValueError(f"round_duration must be > 0, got {round_duration}")
+        check_positive(round_duration, "round_duration")
         #: Sampled-neighborhood participation: draw ``sample_size``
         #: clients per round (from the ``population``'s up set when one
         #: is attached), restrict matching and local steps to the draw.
@@ -96,6 +91,8 @@ class SAPSPSGD(DistributedAlgorithm):
         #: coverage runs are bit-identical to full participation.
         self.sample_size = None if sample_size is None else int(sample_size)
         self.population = population
+        #: Simulated seconds per round: the clock of the population draw
+        #: and of the fault plan's round windows.
         self.round_duration = float(round_duration)
         self._participation_rng = None
         self.coordinator: Optional[Coordinator] = None
@@ -107,6 +104,12 @@ class SAPSPSGD(DistributedAlgorithm):
 
     def _after_setup(self) -> None:
         n = self.num_workers
+        plan = self.fault_plan
+        if plan is not None and plan.num_workers != n:
+            raise ValueError(
+                f"fault plan is for {plan.num_workers} workers but the "
+                f"network has {n}"
+            )
         if self.selector_kind == "adaptive":
             bandwidth = self.network.bandwidth
             if bandwidth is None:
@@ -145,6 +148,28 @@ class SAPSPSGD(DistributedAlgorithm):
         )
 
     # ------------------------------------------------------------------
+    # the fault plan over one round's window [rΔ, rΔ + Δ)
+    # ------------------------------------------------------------------
+    def _window(self, round_index: int) -> Tuple[float, float]:
+        start = round_index * self.round_duration
+        return start, start + self.round_duration
+
+    def round_active(self, round_index: int) -> np.ndarray:
+        """Workers up for the whole round: dying mid-round, or coming
+        back mid-round, means missing it."""
+        start, end = self._window(round_index)
+        plan = self.fault_plan
+        return np.array(
+            [plan.up_during(rank, start, end) for rank in range(plan.num_workers)],
+            dtype=bool,
+        )
+
+    def exchange_lost(self, round_index: int, a: int, b: int) -> bool:
+        """Whether the round's exchange between ``a`` and ``b`` is lost:
+        their link is down at some point in the round."""
+        return not self.fault_plan.link_up_during(a, b, *self._window(round_index))
+
+    # ------------------------------------------------------------------
     # the round
     # ------------------------------------------------------------------
     def _plan(
@@ -166,15 +191,11 @@ class SAPSPSGD(DistributedAlgorithm):
         )
 
     def run_round(self, round_index: int) -> float:
-        if self.churn is not None:
-            active = np.asarray(self.churn.active_at(round_index), dtype=bool)
-            if active.shape != (self.num_workers,):
-                raise ValueError(
-                    f"churn mask has shape {active.shape}, expected "
-                    f"({self.num_workers},)"
-                )
-        else:
-            active = np.ones(self.num_workers, dtype=bool)
+        faults = self.fault_plan is not None and not self.fault_plan.is_empty
+        active = (
+            self.round_active(round_index) if faults
+            else np.ones(self.num_workers, dtype=bool)
+        )
 
         if self.sample_size is not None or self.population is not None:
             # Sampled-neighborhood round: matching, local SGD and the
@@ -209,8 +230,8 @@ class SAPSPSGD(DistributedAlgorithm):
         # (each block's masked columns are read while that block is
         # cache-hot).  Mask generation uses its own seeded generator, so
         # hoisting it before the local phase perturbs no RNG stream.
-        # A churn subset, or a model the batched trainer declines, takes
-        # its local steps first and regathers below.
+        # An offline or undrawn subset, or a model the batched trainer
+        # declines, takes its local steps first and regathers below.
         gathered = mask_indices = None
         if self.cluster_trainer is not None and active.all():
             mask = generate_mask(
@@ -226,13 +247,10 @@ class SAPSPSGD(DistributedAlgorithm):
                 None if active.all() else active_ranks,
             )
 
-        # Loss-model filtering first (same RNG consumption order as the
-        # historical per-pair loop): surviving pairs actually exchange.
+        # Downed links first: surviving pairs actually exchange.
         pairs = []
         for a, b in plan.matching:
-            if self.loss_model is not None and self.loss_model.exchange_fails(
-                round_index, a, b
-            ):
+            if faults and self.exchange_lost(round_index, a, b):
                 # The exchange was lost: both peers keep their local
                 # models (equivalent to being unmatched this round).
                 self.dropped_exchanges += 1

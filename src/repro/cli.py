@@ -109,7 +109,7 @@ ASYNC_FACTORIES = {
 FLAG_ATTRIBUTES = {
     "--participation sampled": ("sample_size",),
     "--population-model": ("population",),
-    "--fault-plan": ("churn", "loss_model"),
+    "--fault-plan": ("fault_plan",),
 }
 
 
@@ -250,7 +250,7 @@ def _build_compute_model(args):
 def _build_run(args) -> Callable[[], ExperimentResult]:
     """Everything the ``run`` flags describe, built before the first
     round; returns the run itself.  A synchronous algorithm takes its
-    sampling, population and round-projected fault plan through its
+    sampling, population and fault plan through its
     constructor; an asynchronous variant takes only its sample size, and
     the event engine the rest."""
     if args.workers < 2:
@@ -327,14 +327,9 @@ def _build_run(args) -> Callable[[], ExperimentResult]:
     if sampled or population is not None:
         wiring.update(population=population, round_duration=args.round_duration)
     if plan is not None:
-        # Round-level projection: the same timed plan the event engine
-        # consumes, collapsed to per-round masks — a worker down anytime
-        # within a round's window sits that round out, a downed link
-        # drops its exchanges.
-        wiring.update(
-            churn=plan.round_churn(args.round_duration),
-            loss_model=plan.round_loss(args.round_duration),
-        )
+        # The plan the event engine executes, read over each round's
+        # window [rΔ, rΔ + Δ).
+        wiring.update(fault_plan=plan, round_duration=args.round_duration)
     return partial(
         run_experiment, constructor(**wiring), *data, compute_model=compute_model
     )
@@ -602,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "('crash:1@3.0,recover:1@8.0,link_down:0-2@1.0,link_up:0-2@4.0') "
         "or seeded exponentials ('mttf=20,mttr=5'); 'none' or empty "
         "disables (bit-identical to a fault-free run).  Timed semantics "
-        "on --engine event; projected to per-round masks on sync",
+        "on --engine event; read over each round's window on sync",
     )
     run_p.add_argument(
         "--exchange-timeout", type=float, default=5.0,
@@ -628,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--round-duration", type=float, default=1.0,
-        help="sync engine + --fault-plan: simulated seconds one round "
-        "spans when projecting timed faults to per-round masks",
+        help="sync engine: simulated seconds one round spans, the window "
+        "--fault-plan is read over and the clock of --population-model",
     )
     run_p.add_argument(
         "--participation", choices=["full", "sampled"], default="full",

@@ -15,7 +15,6 @@ from repro.sim.comparison import (
     paper_algorithm_suite,
     run_comparison,
 )
-from repro.sim.dynamics import ChurnModel, MarkovChurn
 from repro.sim.timing import (
     ComputeModel,
     ConstantCompute,
@@ -35,12 +34,7 @@ from repro.sim.population import (
     parse_population,
 )
 from repro.sim.participation import ParticipationContext
-from repro.sim.faults import (
-    FaultChurn,
-    FaultEvent,
-    FaultLinkLoss,
-    FaultPlan,
-)
+from repro.sim.faults import FaultEvent, FaultPlan
 
 __all__ = [
     "TrainingWorker",
@@ -54,8 +48,6 @@ __all__ = [
     "SuiteSettings",
     "paper_algorithm_suite",
     "run_comparison",
-    "ChurnModel",
-    "MarkovChurn",
     "ComputeModel",
     "ConstantCompute",
     "HeterogeneousCompute",
@@ -71,6 +63,4 @@ __all__ = [
     "run_event_experiment",
     "FaultPlan",
     "FaultEvent",
-    "FaultChurn",
-    "FaultLinkLoss",
 ]

@@ -1,31 +1,30 @@
 """Timed fault injection: crash/recover/link schedules on the simulated clock.
 
-The churn models in :mod:`repro.sim.dynamics` are per-*round* boolean
-masks; they cannot express a worker dying *mid-transfer*, a partner
-waiting on a dead peer, or a restarted worker resuming from stale state.
-This module provides the timed substrate:
+A plan can express a worker dying *mid-transfer*, a partner waiting on
+a dead peer, or a restarted worker resuming from stale state:
 
 * :class:`FaultEvent` — one timed fault: a worker crash/recovery or a
   link going down/up at a simulated time;
 * :class:`FaultPlan` — a validated, time-sorted schedule of fault
   events, either scripted (``FaultPlan(n, events=[...])``, the
   "kill worker 3 at t=30 s" case) or drawn from seeded MTTF/MTTR
-  exponential arrival processes (:meth:`FaultPlan.from_rates`);
-* round-level projections (:meth:`FaultPlan.round_churn`,
-  :meth:`FaultPlan.round_loss`) so synchronous SAPS's
-  :class:`~repro.sim.dynamics.ChurnModel` hook and its per-exchange
-  ``loss_model`` hook (contract on :class:`repro.algorithms.SAPSPSGD`)
-  consume the *same* plan the event engine executes — one scenario,
-  two engines;
+  exponential arrival processes (:meth:`FaultPlan.from_rates`), with
+  point (:meth:`FaultPlan.up_at`) and window
+  (:meth:`FaultPlan.up_during`) availability queries;
 * :meth:`FaultPlan.parse` — the ``--fault-plan`` CLI grammar
   (``"crash:3@10,recover:3@25"`` or ``"mttf=20,mttr=5"``).
 
-The event engine (:mod:`repro.sim.events`) schedules the plan's events
-on its queue: a crash aborts in-flight transfers on both link ends and
-frees the reserved link clocks; a recovery restores the worker through
-a :mod:`repro.resilience` policy.  An **empty** plan is inert by
-contract: engines treat it exactly like ``None`` (zero scheduled
-events, zero per-exchange overhead — gated in ``benchmarks``).
+Both engines take the same plan.  The event engine
+(:mod:`repro.sim.events`) schedules its events on the queue: a crash
+aborts in-flight transfers on both link ends and frees the reserved
+link clocks; a recovery restores the worker through a
+:mod:`repro.resilience` policy.  Synchronous
+:class:`repro.algorithms.SAPSPSGD` reads it over each round's window
+``[rΔ, rΔ + Δ)``: a worker down anywhere in the window sits the round
+out, a link down anywhere in it loses the round's exchange.  An
+**empty** plan is inert by contract: engines treat it exactly like
+``None`` (zero scheduled events, zero per-exchange overhead — gated in
+``benchmarks``).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.dynamics import ChurnModel
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_positive
 
 #: Recognized fault kinds, in documentation order.
 FAULT_KINDS = ("crash", "recover", "link_down", "link_up")
@@ -121,10 +120,9 @@ class FaultPlan:
         workers alive are dropped together with their recovery, so the
         cluster always keeps a quorum to recover from.
         """
-        if mttf <= 0 or mttr <= 0:
-            raise ValueError(f"mttf and mttr must be positive, got {mttf}, {mttr}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        check_positive(mttf, "mttf")
+        check_positive(mttr, "mttr")
+        check_positive(horizon, "horizon")
         if not 1 <= min_up <= num_workers:
             raise ValueError(f"min_up must be in [1, {num_workers}], got {min_up}")
         entropy = (
@@ -330,82 +328,20 @@ class FaultPlan:
             for start, end in self.link_down_intervals(a, b)
         )
 
+    def up_during(self, worker: int, start: float, end: float) -> bool:
+        """Whether ``worker`` is up for all of ``[start, end)``."""
+        return not _overlaps(self.down_intervals(worker), start, end)
+
+    def link_up_during(self, a: int, b: int, start: float, end: float) -> bool:
+        """Whether link ``a``-``b`` is up for all of ``[start, end)``."""
+        return not _overlaps(self.link_down_intervals(a, b), start, end)
+
     @property
     def crash_count(self) -> int:
         return sum(1 for event in self.events if event.kind == "crash")
-
-    # ------------------------------------------------------------------
-    # round-level projections (the sync engine's view of the same plan)
-    # ------------------------------------------------------------------
-    def round_churn(self, round_duration: float) -> "FaultChurn":
-        """Project to a per-round :class:`ChurnModel`: a worker is
-        inactive in round ``t`` if it is down at any point during
-        ``[t*d, (t+1)*d)`` — dying mid-round means missing the round."""
-        return FaultChurn(self, round_duration)
-
-    def round_loss(self, round_duration: float) -> "FaultLinkLoss":
-        """Project to synchronous SAPS's per-exchange loss hook: an
-        exchange in round ``t`` fails iff its link is down at any point
-        during the round's window."""
-        return FaultLinkLoss(self, round_duration)
 
 
 def _overlaps(
     intervals: Sequence[Tuple[float, float]], start: float, end: float
 ) -> bool:
     return any(t0 < end and start < t1 for t0, t1 in intervals)
-
-
-class FaultChurn(ChurnModel):
-    """Round-level projection of a :class:`FaultPlan` (availability)."""
-
-    def __init__(self, plan: FaultPlan, round_duration: float) -> None:
-        if round_duration <= 0:
-            raise ValueError(
-                f"round_duration must be positive, got {round_duration}"
-            )
-        self.plan = plan
-        self.round_duration = float(round_duration)
-        self.num_workers = plan.num_workers
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def active_at(self, round_index: int) -> np.ndarray:
-        if round_index < 0:
-            raise ValueError(
-                f"round_index must be non-negative, got {round_index}"
-            )
-        cached = self._cache.get(round_index)
-        if cached is None:
-            start = round_index * self.round_duration
-            end = start + self.round_duration
-            cached = np.array(
-                [
-                    not _overlaps(self.plan.down_intervals(rank), start, end)
-                    for rank in range(self.num_workers)
-                ],
-                dtype=bool,
-            )
-            self._cache[round_index] = cached
-        return cached.copy()
-
-
-class FaultLinkLoss:
-    """Round-level projection of a :class:`FaultPlan` (link failures)."""
-
-    def __init__(self, plan: FaultPlan, round_duration: float) -> None:
-        if round_duration <= 0:
-            raise ValueError(
-                f"round_duration must be positive, got {round_duration}"
-            )
-        self.plan = plan
-        self.round_duration = float(round_duration)
-        self.failures = 0
-        self.attempts = 0
-
-    def exchange_fails(self, round_index: int, a: int, b: int) -> bool:
-        start = round_index * self.round_duration
-        end = start + self.round_duration
-        failed = _overlaps(self.plan.link_down_intervals(a, b), start, end)
-        self.attempts += 1
-        self.failures += int(failed)
-        return failed

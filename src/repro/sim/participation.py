@@ -29,6 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.sim.population import ClientPopulation
+from repro.utils.validation import check_positive
 
 
 class ParticipationContext:
@@ -72,10 +73,7 @@ class ParticipationContext:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if round_duration <= 0:
-            raise ValueError(
-                f"round_duration must be > 0, got {round_duration}"
-            )
+        check_positive(round_duration, "round_duration")
         self.num_clients = num_clients
         self.population = population
         self.sample_size = None if sample_size is None else int(sample_size)

@@ -1,10 +1,10 @@
 """Client-population availability as an arrival process on the clock.
 
-The churn models in :mod:`repro.sim.dynamics` answer "is worker ``w``
-active in round ``t``?" — a per-round mask.  That abstraction breaks at
-population scale twice over: it is indexed by *round*, which an
-asynchronous worker does not have, and evaluating it eagerly for
-millions of enrolled clients per round is O(enrolment).  This module models
+A per-round availability mask ("is worker ``w`` active in round
+``t``?") breaks at population scale twice over: it is indexed by
+*round*, which an asynchronous worker does not have, and evaluating it
+eagerly for millions of enrolled clients per round is O(enrolment).
+This module models
 availability the way the event engine thinks — as per-client alternating
 up/down *intervals* on the simulated wall clock:
 

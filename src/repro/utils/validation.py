@@ -28,9 +28,9 @@ def check_symmetric(
 
 
 def check_positive(value: float, name: str = "value") -> float:
-    """Require a strictly positive number."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    """Require a strictly positive, finite number (NaN and inf fail)."""
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 

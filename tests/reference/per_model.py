@@ -179,8 +179,9 @@ class ReferenceDPSGD(PerModelLoop, DPSGD):
 
 class ReferenceSAPSPSGD(PerModelLoop, SAPSPSGD):
     def run_round(self, round_index):
-        if self.churn is not None:
-            active = np.asarray(self.churn.active_at(round_index), dtype=bool)
+        faults = self.fault_plan is not None and not self.fault_plan.is_empty
+        if faults:
+            active = self.round_active(round_index)
         else:
             active = np.ones(self.num_workers, dtype=bool)
         if self.sample_size is not None or self.population is not None:
@@ -217,9 +218,7 @@ class ReferenceSAPSPSGD(PerModelLoop, SAPSPSGD):
         )
         indices = np.flatnonzero(mask)
         for a, b in plan.matching:
-            if self.loss_model is not None and self.loss_model.exchange_fails(
-                round_index, a, b
-            ):
+            if faults and self.exchange_lost(round_index, a, b):
                 self.dropped_exchanges += 1
                 continue
             params_a = self.workers[a].get_params().copy()

@@ -6,8 +6,6 @@ specific invariants (synchronized replicas, consensus preservation,
 replica consistency, ...).
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,13 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.network.metrics import MB
 from repro.nn import MLP
-from repro.sim import EventEngine, ExperimentConfig, make_workers, run_experiment
+from repro.sim import (
+    EventEngine,
+    ExperimentConfig,
+    FaultPlan,
+    make_workers,
+    run_experiment,
+)
 from repro.utils.rng import derive_seed
 
 
@@ -370,19 +374,6 @@ class TestSetupValidation:
 # ---------------------------------------------------------------------------
 # Eq. 7, where it runs
 # ---------------------------------------------------------------------------
-class _DropFirstExchange:
-    """Loss model that loses exactly the first exchange it is asked about."""
-
-    def __init__(self):
-        self.dropped = []
-
-    def exchange_fails(self, index, a, b):
-        if not self.dropped:
-            self.dropped.append((a, b))
-            return True
-        return False
-
-
 def _bound_workers(n, dtype):
     """``n`` arena-bound MLP workers on blobs, in ``dtype``."""
     full = make_blobs(num_samples=30 * n, num_classes=4, num_features=8, rng=0)
@@ -410,18 +401,15 @@ def _recording(function, log):
 
 def _saps_round(dtype, rng, monkeypatch, offline=()):
     """One ``SAPSPSGD.run_round`` at lr = 0 from a random pre-state: seven
-    workers (someone is always unmatched), the first pair lost.  With
-    nobody ``offline`` it is the fused gather path, otherwise the
-    churn-subset regather path."""
+    workers (someone is always unmatched), every link of worker 0 down so
+    its pair's exchange is lost.  With nobody ``offline`` it is the fused
+    gather path, otherwise the offline-subset regather path."""
     n = 7
     workers = _bound_workers(n, dtype)
-    active = np.ones(n, dtype=bool)
-    active[list(offline)] = False
-    loss_model = _DropFirstExchange()
+    events = [f"crash:{rank}@0" for rank in offline]
+    events += [f"link_down:0-{peer}@0" for peer in range(1, n)]
     algorithm = SAPSPSGD(
-        compression_ratio=5.0,
-        loss_model=loss_model,
-        churn=SimpleNamespace(active_at=lambda t: active) if offline else None,
+        compression_ratio=5.0, fault_plan=FaultPlan.parse(",".join(events), n)
     )
     algorithm.setup(workers, SimulatedNetwork(n), rng=0)
     assert algorithm.cluster_trainer is not None
@@ -432,8 +420,8 @@ def _saps_round(dtype, rng, monkeypatch, offline=()):
     before = _random_state(algorithm.arena, rng)
     algorithm.run_round(0)
     (plan,) = plans
-    assert len(loss_model.dropped) == 1 and not set(plan.partners[list(offline)]) - {-1}
-    pairs = [pair for pair in plan.matching if pair not in loss_model.dropped]
+    assert algorithm.dropped_exchanges == 1 and not set(plan.partners[list(offline)]) - {-1}
+    pairs = [pair for pair in plan.matching if 0 not in pair]
     mask = generate_mask(algorithm.model_size, 5.0, plan.mask_seed)
     return before, algorithm.arena.data, np.flatnonzero(mask), pairs
 

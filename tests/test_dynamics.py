@@ -1,4 +1,8 @@
-"""Tests for worker churn and SAPS-PSGD's robustness to it (the "R." claim)."""
+"""Tests for worker churn and SAPS-PSGD's robustness to it (the "R." claim).
+
+Churn is a :class:`~repro.sim.faults.FaultPlan` — scripted, or drawn
+from seeded MTTF/MTTR processes — that synchronous SAPS reads over each
+round's window."""
 
 import numpy as np
 import pytest
@@ -14,51 +18,7 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.sim import ExperimentConfig, run_experiment
-from repro.sim.dynamics import MarkovChurn
 from repro.sim.faults import FaultPlan
-
-
-class TestMarkovChurn:
-    def test_round_zero_everyone_up(self):
-        churn = MarkovChurn(8, rng=0)
-        assert churn.active_at(0).all()
-
-    def test_deterministic_and_order_independent(self):
-        a = MarkovChurn(8, drop_probability=0.2, rng=3)
-        b = MarkovChurn(8, drop_probability=0.2, rng=3)
-        # Query in different orders; trajectories must agree.
-        masks_a = [a.active_at(t) for t in [5, 2, 9, 0]]
-        masks_b = [b.active_at(t) for t in [0, 9, 2, 5]]
-        for t, mask in zip([5, 2, 9, 0], masks_a):
-            np.testing.assert_array_equal(mask, b.active_at(t))
-        del masks_b
-
-    def test_min_active_enforced(self):
-        churn = MarkovChurn(
-            4, drop_probability=0.95, return_probability=0.01, min_active=2, rng=0
-        )
-        for t in range(50):
-            assert churn.active_at(t).sum() >= 2
-
-    def test_stationary_availability_approximate(self):
-        churn = MarkovChurn(
-            20, drop_probability=0.1, return_probability=0.3, min_active=0, rng=1
-        )
-        measured = churn.availability_fraction(2000)
-        expected = 0.3 / (0.1 + 0.3)
-        assert measured == pytest.approx(expected, abs=0.07)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarkovChurn(1)
-        with pytest.raises(ValueError):
-            MarkovChurn(4, drop_probability=1.5)
-        with pytest.raises(ValueError):
-            MarkovChurn(4, return_probability=0.0)
-        with pytest.raises(ValueError):
-            MarkovChurn(4, min_active=9)
-        with pytest.raises(ValueError):
-            MarkovChurn(4, rng=0).active_at(-1)
 
 
 class TestSelectorsUnderChurn:
@@ -114,11 +74,10 @@ class TestSAPSUnderChurn:
 
     def test_converges_despite_churn(self):
         partitions, validation, factory, config = self._workload()
-        churn = MarkovChurn(
-            6, drop_probability=0.2, return_probability=0.5, min_active=2, rng=7
-        )
+        # Up ~5 rounds, down ~2, one round per second.
+        plan = FaultPlan.from_rates(6, mttf=5.0, mttr=2.0, horizon=60.0, seed=7)
         result = run_experiment(
-            SAPSPSGD(compression_ratio=5.0, churn=churn),
+            SAPSPSGD(compression_ratio=5.0, fault_plan=plan),
             partitions, validation, factory, config, SimulatedNetwork(6),
         )
         assert result.final_accuracy > 0.8
@@ -126,11 +85,11 @@ class TestSAPSUnderChurn:
     def test_offline_workers_skip_sgd_and_traffic(self):
         partitions, validation, factory, config = self._workload()
         # Worker 0 offline for the whole run.
-        churn = FaultPlan.parse("crash:0@0", 6).round_churn(1.0)
+        plan = FaultPlan.parse("crash:0@0", 6)
         network = SimulatedNetwork(6)
         from repro.sim import make_workers
 
-        algorithm = SAPSPSGD(compression_ratio=5.0, churn=churn)
+        algorithm = SAPSPSGD(compression_ratio=5.0, fault_plan=plan)
         workers = make_workers(factory, partitions, config)
         algorithm.setup(workers, network, rng=0)
         for t in range(10):
@@ -141,27 +100,26 @@ class TestSAPSUnderChurn:
 
     def test_scheduled_outage_then_recovery(self):
         partitions, validation, factory, config = self._workload()
-        churn = FaultPlan.parse(
+        plan = FaultPlan.parse(
             "crash:1@10,recover:1@20,crash:2@15,recover:2@25", 6
-        ).round_churn(1.0)
+        )
         result = run_experiment(
-            SAPSPSGD(compression_ratio=5.0, churn=churn),
+            SAPSPSGD(compression_ratio=5.0, fault_plan=plan),
             partitions, validation, factory, config, SimulatedNetwork(6),
         )
         assert result.final_accuracy > 0.8
 
     def test_bad_churn_shape_rejected(self):
+        """A plan for another worker count fails at setup, as on the
+        event engine."""
         partitions, validation, factory, config = self._workload()
-
-        class BadChurn:
-            def active_at(self, round_index):
-                return np.ones(3, dtype=bool)
-
         from repro.sim import make_workers
 
-        algorithm = SAPSPSGD(compression_ratio=5.0, churn=BadChurn())
-        algorithm.setup(
-            make_workers(factory, partitions, config), SimulatedNetwork(6), rng=0
+        algorithm = SAPSPSGD(
+            compression_ratio=5.0, fault_plan=FaultPlan.parse("crash:0@1", 3)
         )
-        with pytest.raises(ValueError):
-            algorithm.run_round(0)
+        with pytest.raises(ValueError, match="fault plan is for 3 workers"):
+            algorithm.setup(
+                make_workers(factory, partitions, config), SimulatedNetwork(6),
+                rng=0,
+            )

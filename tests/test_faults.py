@@ -13,23 +13,26 @@ LINKS = list(combinations(range(6), 2))
 
 
 def _link_outages(links, down, up):
-    """``FaultPlan.round_loss`` of ``links`` scripted down over rounds
-    ``[down, up)``, at one round per second."""
+    """A plan with ``links`` scripted down over rounds ``[down, up)``, at
+    one round per second."""
     events = ",".join(
         f"link_down:{a}-{b}@{down},link_up:{a}-{b}@{up}" for a, b in links
     )
-    return FaultPlan.parse(events, 6).round_loss(1.0)
+    return FaultPlan.parse(events, 6)
 
 
 class TestSAPSUnderLoss:
-    def _setup(self, loss_model, seed=61, rounds=60):
+    def _setup(self, fault_plan, seed=61, rounds=60, spy=None):
         full = make_blobs(num_samples=440, num_classes=4, num_features=8, rng=seed)
         train, validation = full.split(fraction=0.8, rng=seed)
         partitions = partition_iid(train, 6, rng=seed)
         config = ExperimentConfig(
             rounds=rounds, batch_size=16, lr=0.2, eval_every=20, seed=seed
         )
-        algorithm = SAPSPSGD(compression_ratio=5.0, loss_model=loss_model)
+        algorithm = SAPSPSGD(compression_ratio=5.0, fault_plan=fault_plan)
+        if spy is not None:
+            exchange_lost = algorithm.exchange_lost
+            algorithm.exchange_lost = lambda *args: spy(exchange_lost(*args))
         result = run_experiment(
             algorithm, partitions, validation,
             lambda: MLP(8, [16], 4, rng=seed), config, SimulatedNetwork(6),
@@ -38,14 +41,12 @@ class TestSAPSUnderLoss:
 
     def test_converges_under_moderate_loss(self):
         # A third of the links down for half of the run.
-        loss = _link_outages(LINKS[::3], 10, 40)
-        algorithm, result = self._setup(loss)
+        algorithm, result = self._setup(_link_outages(LINKS[::3], 10, 40))
         assert result.final_accuracy > 0.8
         assert algorithm.dropped_exchanges > 0
 
     def test_total_loss_stalls_consensus_but_does_not_crash(self):
-        loss = _link_outages(LINKS, 0, 20)
-        algorithm, result = self._setup(loss, rounds=20)
+        algorithm, result = self._setup(_link_outages(LINKS, 0, 20), rounds=20)
         # Every exchange dropped -> workers never mix.
         assert algorithm.dropped_exchanges == algorithm.num_workers // 2 * 20
         assert result.history[-1].consensus_distance > 0
@@ -59,7 +60,12 @@ class TestSAPSUnderLoss:
         )
 
     def test_dropped_exchange_counter_matches_model(self):
-        loss = _link_outages(LINKS[1::3], 5, 50)
-        algorithm, _ = self._setup(loss)
-        assert 0 < loss.failures < loss.attempts
-        assert algorithm.dropped_exchanges == loss.failures
+        outcomes = []
+
+        def record(lost):
+            outcomes.append(lost)
+            return lost
+
+        algorithm, _ = self._setup(_link_outages(LINKS[1::3], 5, 50), spy=record)
+        assert 0 < sum(outcomes) < len(outcomes)
+        assert algorithm.dropped_exchanges == sum(outcomes)

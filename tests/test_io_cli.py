@@ -81,6 +81,19 @@ BAD_FLAGS = [
     ("--algorithm topk-psgd --compression nan", "compression_ratio must be >= 1, got nan"),
     ("--algorithm dcd-psgd --compression nan", "compression_ratio must be >= 1, got nan"),
     ("--algorithm s-fedavg --compression nan", "compression_ratio must be >= 1, got nan"),
+    # A non-finite duration once ignored the plan (NaN windows overlap
+    # nothing) or never finished (0 * inf is a NaN draw time; an
+    # infinite horizon draws faults forever).
+    ("--fault-plan crash:1@0 --round-duration nan", "round_duration must be positive and finite, got nan"),
+    (
+        "--population-model renewal:up=2,down=1 --round-duration inf",
+        "round_duration must be positive and finite, got inf",
+    ),
+    ("--engine event --sim-time inf", "--sim-time must be positive and finite, got inf"),
+    (
+        "--engine event --fault-plan mttf=2,mttr=1 --sim-time inf",
+        "--sim-time must be positive and finite, got inf",
+    ),
     ("--num-threads 0", "num_threads"),
     ("--lr -1", "lr must"),
 ]

@@ -26,8 +26,7 @@ from repro.compression.topk import top_k_indices, top_k_indices_matrix
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
-from repro.sim import ExperimentConfig, make_workers
-from repro.sim.dynamics import MarkovChurn
+from repro.sim import ExperimentConfig, FaultPlan, make_workers
 from repro.utils import parallel
 
 from reference.per_model import REFERENCE
@@ -129,7 +128,7 @@ def run_rounds(
     rounds=3,
     momentum=0.0,
     weight_decay=0.0,
-    churn=None,
+    fault_plan=None,
     reference=False,
 ):
     """Final replica matrix + per-round losses for one short run
@@ -149,9 +148,9 @@ def run_rounds(
     )
     workers = make_workers(lambda: MLP(6, [10], 3, rng=2), partitions, config)
     cls, kwargs = ALGORITHMS[name]
+    if fault_plan is not None:
+        kwargs = dict(kwargs, fault_plan=fault_plan)
     algo = (REFERENCE[cls] if reference else cls)(**kwargs)
-    if churn is not None and isinstance(algo, SAPSPSGD):
-        algo.churn = churn
     network = SimulatedNetwork(n, bandwidth=random_uniform_bandwidth(n, rng=4))
     algo.setup(workers, network, rng=9)
     parallel.set_num_threads(threads)
@@ -191,16 +190,12 @@ def test_momentum_weight_decay_thread_determinism(dtype):
 
 
 def test_churn_subset_thread_determinism():
-    def churn():
-        return MarkovChurn(
-            8, drop_probability=0.4, return_probability=0.5, rng=3
-        )
-
+    plan = FaultPlan.from_rates(8, mttf=2.5, mttr=2.0, horizon=5.0, seed=3, min_up=1)
     ref_params, ref_losses = run_rounds(
-        "saps-psgd", threads=1, churn=churn(), rounds=5
+        "saps-psgd", threads=1, fault_plan=plan, rounds=5
     )
     params, losses = run_rounds(
-        "saps-psgd", threads=4, churn=churn(), rounds=5
+        "saps-psgd", threads=4, fault_plan=plan, rounds=5
     )
     np.testing.assert_array_equal(ref_params, params)
     # Rounds where every worker was offline report nan.

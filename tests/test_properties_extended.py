@@ -1,43 +1,44 @@
 """Additional hypothesis property tests over the newer subsystems:
-churn, timing, crossover analysis, multipeer."""
+churn (rate-drawn fault plans), timing, crossover analysis, multipeer."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import SAPSPSGD
 from repro.analysis.crossover import accuracy_at_cost
 from repro.core.multipeer import (
     gossip_from_neighbor_sets,
     neighbor_sets_from_matchings,
     union_of_matchings,
 )
-from repro.sim.dynamics import MarkovChurn
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
+from repro.sim.faults import FaultPlan
 from repro.sim.timing import HeterogeneousCompute
 from repro.theory.spectral import is_doubly_stochastic
 
 
 class TestChurnProperties:
     @given(
-        drop=st.floats(0.0, 0.9),
-        ret=st.floats(0.1, 1.0),
+        mttf=st.floats(0.5, 20.0),
+        mttr=st.floats(0.5, 10.0),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=30, deadline=None)
-    def test_min_active_always_respected(self, drop, ret, seed):
-        churn = MarkovChurn(
-            6, drop_probability=drop, return_probability=ret,
-            min_active=3, rng=seed,
+    def test_min_active_always_respected(self, mttf, mttr, seed):
+        plan = FaultPlan.from_rates(
+            6, mttf=mttf, mttr=mttr, horizon=40.0, seed=seed, min_up=3
         )
-        for t in range(0, 40, 7):
-            assert churn.active_at(t).sum() >= 3
+        for time in [0.0] + [event.time for event in plan.events]:
+            assert sum(plan.up_at(rank, time) for rank in range(6)) >= 3
 
-    @given(seed=st.integers(0, 1000))
+    @given(seed=st.integers(0, 1000), delta=st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
-    def test_trajectory_is_stable_under_requery(self, seed):
-        churn = MarkovChurn(5, drop_probability=0.3, rng=seed)
-        first = [churn.active_at(t).copy() for t in range(20)]
-        second = [churn.active_at(t) for t in range(20)]
+    def test_trajectory_is_stable_under_requery(self, seed, delta):
+        plan = FaultPlan.from_rates(5, mttf=3.0, mttr=1.0, horizon=20 * delta, seed=seed)
+        saps = SAPSPSGD(fault_plan=plan, round_duration=delta)
+        first = [saps.round_active(t) for t in range(20)]
+        second = [saps.round_active(t) for t in reversed(range(20))][::-1]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 

@@ -1,9 +1,10 @@
-"""Tests for timed fault plans: grammar, validation, projections."""
+"""Tests for timed fault plans: grammar, validation, round windows."""
 
 import numpy as np
 import pytest
 
-from repro.sim.faults import FaultChurn, FaultEvent, FaultLinkLoss, FaultPlan
+from repro.algorithms import SAPSPSGD
+from repro.sim.faults import FaultEvent, FaultPlan
 
 
 class TestFaultEvent:
@@ -155,6 +156,14 @@ class TestFromRates:
             FaultPlan.from_rates(4, mttf=0.0, mttr=1.0, horizon=10.0)
         with pytest.raises(ValueError, match="positive"):
             FaultPlan.from_rates(4, mttf=1.0, mttr=1.0, horizon=-1.0)
+        # A non-finite rate or horizon would draw nothing or never stop.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mttf must be positive and finite"):
+                FaultPlan.from_rates(4, mttf=bad, mttr=1.0, horizon=10.0)
+            with pytest.raises(ValueError, match="mttr must be positive and finite"):
+                FaultPlan.from_rates(4, mttf=1.0, mttr=bad, horizon=10.0)
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                FaultPlan.from_rates(4, mttf=1.0, mttr=1.0, horizon=bad)
         with pytest.raises(ValueError, match="min_up"):
             FaultPlan.from_rates(4, mttf=1.0, mttr=1.0, horizon=10.0, min_up=9)
 
@@ -206,8 +215,11 @@ class TestParse:
 
 
 class TestRoundProjections:
-    def _plan(self):
-        return FaultPlan(
+    """Synchronous SAPS reads the plan over each round's window
+    ``[rΔ, rΔ + Δ)``."""
+
+    def _saps(self, round_duration=1.0):
+        plan = FaultPlan(
             4,
             [
                 FaultEvent(2.5, "crash", worker=2),
@@ -216,37 +228,42 @@ class TestRoundProjections:
                 FaultEvent(3.0, "link_up", link=(0, 1)),
             ],
         )
+        return SAPSPSGD(fault_plan=plan, round_duration=round_duration)
 
     def test_churn_marks_partial_round_overlap_down(self):
-        churn = self._plan().round_churn(1.0)
-        assert isinstance(churn, FaultChurn)
+        saps = self._saps()
         np.testing.assert_array_equal(
-            churn.active_at(2), [True, True, False, True]  # dies at 2.5
+            saps.round_active(2), [True, True, False, True]  # dies at 2.5
         )
         np.testing.assert_array_equal(
-            churn.active_at(4), [True, True, False, True]  # back mid-round
+            saps.round_active(4), [True, True, False, True]  # back mid-round
         )
-        assert churn.active_at(5).all()
+        assert saps.round_active(5).all()
+        # At Δ = 0.5, round 5 is [2.5, 3.0): the crash instant is down.
+        assert not self._saps(0.5).round_active(5)[2]
+        assert self._saps(0.5).round_active(4)[2]
 
     def test_loss_is_deterministic_window_overlap(self):
-        loss = self._plan().round_loss(1.0)
-        assert isinstance(loss, FaultLinkLoss)
-        assert loss.exchange_fails(1, 0, 1)
-        assert loss.exchange_fails(2, 1, 0)
-        assert not loss.exchange_fails(3, 0, 1)  # up at exactly t=3
-        assert not loss.exchange_fails(1, 2, 3)
-        assert loss.attempts == 4 and loss.failures == 2
+        saps = self._saps()
+        assert saps.exchange_lost(1, 0, 1)
+        assert saps.exchange_lost(2, 1, 0)
+        assert not saps.exchange_lost(3, 0, 1)  # up at exactly t=3
+        assert not saps.exchange_lost(1, 2, 3)
+        assert not saps.exchange_lost(0, 0, 1)  # down at exactly t=1
 
     def test_self_loop_exchange_never_fails(self):
-        loss = self._plan().round_loss(1.0)
-        assert not loss.exchange_fails(1, 0, 0)
+        assert not self._saps().exchange_lost(1, 0, 0)
 
     def test_round_duration_validated(self):
-        with pytest.raises(ValueError, match="positive"):
-            self._plan().round_churn(0.0)
-        with pytest.raises(ValueError, match="positive"):
-            self._plan().round_loss(-1.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="round_duration must be positive"):
+                self._saps(bad)
 
-    def test_churn_negative_round_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            self._plan().round_churn(1.0).active_at(-1)
+    def test_window_queries_match_the_point_queries(self):
+        plan = self._saps().fault_plan
+        for time in np.arange(0.0, 6.0, 0.25):
+            for rank in range(4):
+                assert plan.up_during(rank, time, time + 1e-9) == plan.up_at(rank, time)
+            assert plan.link_up_during(0, 1, time, time + 1e-9) == plan.link_up_at(
+                0, 1, time
+            )
