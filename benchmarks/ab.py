@@ -11,12 +11,16 @@ order alternates between pairs, so neither tree always runs on the
 warmer box.  Bytecode caches are redirected to an empty directory, so
 both trees compile from source as a fresh checkout does.  ``--workload``
 takes one or more names, run one after the other.  Each gets a block:
-every pair — ``run_s``, ``peak_rss_mb`` and the trajectory digest of
-each side — then the medians, the base tree's ``run_s`` quartiles and
-the median per-pair change.  One summary line per workload follows all
-the blocks, so "the claimed workload moved, the others did not" is one
-command.  Exit status is 1 when any digest differs between the trees on
-any workload (or a run dies).
+every pair — ``run_s``, ``worker_steps_per_s``, ``setup_s``,
+``peak_rss_mb`` and the trajectory digest of each side — then the
+medians, the base tree's ``run_s`` quartiles and the median per-pair
+change.  One summary line per workload follows all the blocks, so "the
+claimed workload moved, the others did not" is one command.  For
+``run_s`` and ``worker_steps_per_s`` the line states the verdict of
+the gain rule: the new tree's wins out of the pairs, the median gap
+against the base runs' interquartile range, and ``GAIN`` only with at
+least nine tenths of the pairs won and the gap wider than that range.  Exit status is 1 when any digest differs between the trees
+on any workload (or a run dies).
 
 Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
 trees may be the same directory (``--smoke`` against itself is how the
@@ -80,6 +84,26 @@ def quartiles(values: List[float]) -> str:
     return f"{q1:.3f}–{q3:.3f}"
 
 
+def steps_per_s(record: dict) -> float:
+    return record["steps"] / record["run_s"]
+
+
+def verdict(base: List[float], new: List[float], lower_is_better: bool) -> str:
+    """The gain rule: the new tree must win at least nine tenths of the
+    pairs (ties count for neither) and the medians must differ, in its
+    favour, by more than the base runs' interquartile range."""
+    sign = -1.0 if lower_is_better else 1.0
+    wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
+    gap = sign * (statistics.median(new) - statistics.median(base))
+    iqr = float("nan")
+    if len(base) >= 2:
+        q1, _, q3 = statistics.quantiles(base, n=4)
+        iqr = q3 - q1
+    gain = wins >= 0.9 * len(base) and gap > iqr
+    return (f"new better in {wins}/{len(base)}, median gap {gap:+.4g}, "
+            f"base IQR {iqr:.4g}: {'GAIN' if gain else 'no gain'}")
+
+
 def run_workload(trees: Dict[str, Path], workload: str, args,
                  pycache: str) -> Tuple[str, int]:
     """Run and print one workload's block; returns its summary line and
@@ -90,8 +114,9 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
           f"{', smoke' if args.smoke else ''}")
     print(f"  base: {trees['base']}\n  new:  {trees['new']}")
     print(f"{'pair':>4} {'first':>5} {'base run_s':>10} {'new run_s':>10} "
-          f"{'change':>8} {'base rss':>9} {'new rss':>9} "
-          f"{'base digest':>12} {'new digest':>12}")
+          f"{'change':>8} {'base steps/s':>12} {'new steps/s':>12} "
+          f"{'base setup':>10} {'new setup':>10} {'base rss':>9} "
+          f"{'new rss':>9} {'base digest':>12} {'new digest':>12}")
     for pair in range(args.pairs):
         order = ("base", "new") if pair % 2 == 0 else ("new", "base")
         record = {}
@@ -106,34 +131,54 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
         change = new["run_s"] / base["run_s"] - 1.0
         print(f"{pair + 1:>4} {order[0]:>5} {base['run_s']:>10.3f} "
               f"{new['run_s']:>10.3f} {change:>+8.1%} "
+              f"{steps_per_s(base):>12.1f} {steps_per_s(new):>12.1f} "
+              f"{base['setup_s']:>10.3f} {new['setup_s']:>10.3f} "
               f"{base['peak_rss_mb']:>9.1f} {new['peak_rss_mb']:>9.1f} "
               f"{base['digest'][:12]:>12} {new['digest'][:12]:>12}"
               f"{'' if same else '  DIGEST DIFFERS'}")
 
-    medians = {}
+    def series(side: str, metric) -> List[float]:
+        return [metric(r) for r in runs[side]]
+
+    metrics = {
+        "run_s": lambda r: r["run_s"],
+        "worker_steps_per_s": steps_per_s,
+        "setup_s": lambda r: r["setup_s"],
+        "peak_rss_mb": lambda r: r["peak_rss_mb"],
+    }
+    medians = {
+        (side, name): statistics.median(series(side, metric))
+        for side in ("base", "new") for name, metric in metrics.items()
+    }
     for side in ("base", "new"):
-        run_s = [r["run_s"] for r in runs[side]]
-        steps = [r["steps"] / r["run_s"] for r in runs[side]]
-        rss = [r["peak_rss_mb"] for r in runs[side]]
-        medians[side] = statistics.median(run_s), statistics.median(rss)
-        print(f"{side:>4}: run_s median {medians[side][0]:.3f} "
-              f"(q1–q3 {quartiles(run_s)}), worker_steps_per_s median "
-              f"{statistics.median(steps):.1f}, peak_rss_mb median "
-              f"{medians[side][1]:.1f}")
+        print(f"{side:>4}: run_s median {medians[side, 'run_s']:.3f} "
+              f"(q1–q3 {quartiles(series(side, metrics['run_s']))}), "
+              f"worker_steps_per_s median "
+              f"{medians[side, 'worker_steps_per_s']:.1f}, setup_s median "
+              f"{medians[side, 'setup_s']:.3f}, peak_rss_mb median "
+              f"{medians[side, 'peak_rss_mb']:.1f}")
     changes = [
         n["run_s"] / b["run_s"] - 1.0 for b, n in zip(runs["base"], runs["new"])
     ]
     faster = sum(change < 0 for change in changes)
     change = statistics.median(changes)
-    verdict = (f"DIGEST DIFFERS in {mismatches} pair(s)" if mismatches
+    digests = (f"DIGEST DIFFERS in {mismatches} pair(s)" if mismatches
                else "digests equal")
     print(f"run_s change per pair: median {change:+.1%}, "
-          f"new faster in {faster}/{len(changes)} pairs; {verdict}\n")
+          f"new faster in {faster}/{len(changes)} pairs; {digests}\n")
+    run_s = verdict(series("base", metrics["run_s"]),
+                    series("new", metrics["run_s"]), lower_is_better=True)
+    steps = verdict(series("base", steps_per_s), series("new", steps_per_s),
+                    lower_is_better=False)
     summary = (
-        f"{workload}: run_s {medians['base'][0]:.3f} -> "
-        f"{medians['new'][0]:.3f} s (per pair {change:+.1%}, new faster in "
-        f"{faster}/{len(changes)}), peak_rss_mb {medians['base'][1]:.1f} -> "
-        f"{medians['new'][1]:.1f}, {verdict}"
+        f"{workload}: run_s {medians['base', 'run_s']:.3f} -> "
+        f"{medians['new', 'run_s']:.3f} s (per pair {change:+.1%}; {run_s}), "
+        f"worker_steps_per_s {medians['base', 'worker_steps_per_s']:.1f} -> "
+        f"{medians['new', 'worker_steps_per_s']:.1f} ({steps}), "
+        f"setup_s {medians['base', 'setup_s']:.3f} -> "
+        f"{medians['new', 'setup_s']:.3f}, peak_rss_mb "
+        f"{medians['base', 'peak_rss_mb']:.1f} -> "
+        f"{medians['new', 'peak_rss_mb']:.1f}, {digests}"
     )
     return summary, mismatches
 

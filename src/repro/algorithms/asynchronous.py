@@ -34,6 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
@@ -226,6 +227,15 @@ class AsyncAlgorithm(DistributedAlgorithm):
                 now, driver, partner, num_bytes, index, on_success, fail
             )
 
+    def _swap(self, a: int, b: int, num_bytes: int, index: int, now: float,
+              then) -> None:
+        """A fault-free pairwise exchange: both directions start at
+        ``now``; ``then(t)`` fires when the later one lands."""
+        engine = self.engine
+        _, end_a = engine.start_transfer(now, a, b, num_bytes, index)
+        _, end_b = engine.start_transfer(now, b, a, num_bytes, index)
+        engine.schedule(max(end_a, end_b, now), then)
+
     def run_round(self, round_index: int) -> float:
         raise NotImplementedError(
             "asynchronous variants run on the EventEngine, not in rounds"
@@ -278,7 +288,8 @@ class AsyncAlgorithm(DistributedAlgorithm):
         compute seam); returns the mean loss."""
         k = self.local_steps if steps is None else steps
         losses = self._local_steps(k, np.array([rank], dtype=np.intp))
-        loss = float(np.mean(losses))
+        # np.mean's sum and count, without its wrapper.
+        loss = float(losses.sum()) / losses.size
         self.total_local_steps += k
         self._loss_sum += loss * k
         self._loss_events += k
@@ -361,21 +372,21 @@ class AsyncGossip(AsyncAlgorithm):
             return
         partner = self._pick_partner(rank)
         self._waiting.remove(partner)
+        obs.timed("comm", self._exchange, rank, partner, now)
+
+    def _exchange(self, rank: int, partner: int, now: float) -> None:
+        """The matched pair's mask draw and transfers (span ``comm``)."""
         index = self.exchange_count
         self.exchange_count += 1
         seed = derive_seed(self.base_seed, "mask", index)
         mask = generate_mask(self.model_size, self.compression_ratio, seed)
         indices = np.flatnonzero(mask)
         payload_bytes = int(indices.size) * BYTES_PER_VALUE
-        engine = self.engine
-        if engine.faults_active:
+        if self.engine.faults_active:
             self._faulty_exchange(rank, partner, index, indices, payload_bytes)
             return
-        _, end_a = engine.start_transfer(now, rank, partner, payload_bytes, index)
-        _, end_b = engine.start_transfer(now, partner, rank, payload_bytes, index)
-        done = max(end_a, end_b, now)
-        engine.schedule(
-            done,
+        self._swap(
+            rank, partner, payload_bytes, index, now,
             lambda t, a=rank, b=partner, idx=indices: self._merge(a, b, idx, t),
         )
 
@@ -409,6 +420,11 @@ class AsyncGossip(AsyncAlgorithm):
         )
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
+        obs.timed("mix", self._average_masked, a, b, indices)
+        self._begin_cycle(a, now)
+        self._begin_cycle(b, now)
+
+    def _average_masked(self, a: int, b: int, indices: np.ndarray) -> None:
         """Eq. 7 on the masked components of the pair — same math as the
         synchronous SAPS exchange."""
         # Pin both endpoints for the exchange (a no-op on a dense
@@ -421,8 +437,6 @@ class AsyncGossip(AsyncAlgorithm):
             averaged = 0.5 * (row_a[indices] + row_b[indices])
             row_a[indices] = averaged
             row_b[indices] = averaged
-        self._begin_cycle(a, now)
-        self._begin_cycle(b, now)
 
 
 class AsyncDPSGD(AsyncAlgorithm):
@@ -458,9 +472,8 @@ class AsyncDPSGD(AsyncAlgorithm):
         self._loss_sum += loss
         self._loss_events += 1
         base_mixes = int(self._mix_counts[rank])
-        engine = self.engine
 
-        if engine.faults_active:
+        if self.engine.faults_active:
             self._faulty_average(rank, gradient, base_mixes, now)
             return
         # Uniform peer restricted to the up population (the classic
@@ -473,12 +486,9 @@ class AsyncDPSGD(AsyncAlgorithm):
             return
         index = self.exchange_count
         self.exchange_count += 1
-        model_bytes = self.model_size * BYTES_PER_VALUE
-        _, end_a = engine.start_transfer(now, rank, peer, model_bytes, index)
-        _, end_b = engine.start_transfer(now, peer, rank, model_bytes, index)
-        done = max(end_a, end_b, now)
-        engine.schedule(
-            done,
+        obs.timed(
+            "comm", self._swap,
+            rank, peer, self.model_size * BYTES_PER_VALUE, index, now,
             lambda t, r=rank, p=peer, g=gradient, b=base_mixes: (
                 self._average_then_apply(r, p, g, b, t)
             ),
@@ -512,7 +522,8 @@ class AsyncDPSGD(AsyncAlgorithm):
         def on_give_up(t: float, survivor: int, r=rank, g=gradient, b=base_mixes):
             self._apply(r, g, b, t)
 
-        self._drive_exchange(
+        obs.timed(
+            "comm", self._drive_exchange,
             rank, peer, self.model_size * BYTES_PER_VALUE, index,
             on_success, on_give_up, takeover=False,
         )
@@ -521,6 +532,12 @@ class AsyncDPSGD(AsyncAlgorithm):
         self, rank: int, peer: int, gradient: np.ndarray, base_mixes: int,
         now: float,
     ) -> None:
+        obs.timed("mix", self._average_pair, rank, peer)
+        self._mix_counts[rank] += 1
+        self._mix_counts[peer] += 1
+        self._apply(rank, gradient, base_mixes, now, own_mix=1)
+
+    def _average_pair(self, rank: int, peer: int) -> None:
         # Atomic pairwise averaging: x_i, x_j <- (x_i + x_j) / 2.  The
         # peer keeps computing through it (that is AD-PSGD's overlap).
         # Both endpoint rows pinned for the exchange (no-op dense).
@@ -531,9 +548,6 @@ class AsyncDPSGD(AsyncAlgorithm):
             mean = 0.5 * (row_r + row_p)
             row_r[...] = mean
             row_p[...] = mean
-        self._mix_counts[rank] += 1
-        self._mix_counts[peer] += 1
-        self._apply(rank, gradient, base_mixes, now, own_mix=1)
 
     def _apply(
         self, rank: int, gradient: np.ndarray, base_mixes: int, now: float,
@@ -670,7 +684,8 @@ class AsyncFedAvg(AsyncAlgorithm):
         # Tracked: a crash mid-download aborts the transfer and frees the
         # server's transmit end (identical to the classic transfer +
         # scheduled completion when no fault plan is active).
-        engine.start_tracked_transfer(
+        obs.timed(
+            "comm", engine.start_tracked_transfer,
             start, TrafficMeter.SERVER, rank, model_bytes, self.upload_count,
             lambda t, r=rank, c=cycle, s=snapshot, v=base_version: (
                 self._on_download(r, c, s, v, t)
@@ -710,14 +725,16 @@ class AsyncFedAvg(AsyncAlgorithm):
                 self.dropped_uploads += 1
                 self._cycle_finished(r, t)
 
-            self._drive_exchange(
+            obs.timed(
+                "comm", self._drive_exchange,
                 rank, TrafficMeter.SERVER, model_bytes, index,
                 on_success, on_give_up, takeover=False,
                 bidirectional=False,
             )
             return
-        _, ul_end = engine.start_transfer(
-            now, rank, TrafficMeter.SERVER, model_bytes, index
+        _, ul_end = obs.timed(
+            "comm", engine.start_transfer,
+            now, rank, TrafficMeter.SERVER, model_bytes, index,
         )
         engine.schedule(
             max(ul_end, now),
@@ -728,11 +745,14 @@ class AsyncFedAvg(AsyncAlgorithm):
         staleness = self.server_version - base_version
         self.staleness_log.append(staleness)
         alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
+        obs.timed("mix", self._mix_upload, rank, alpha)
+        self.server_version += 1
+        self._cycle_finished(rank, now)
+
+    def _mix_upload(self, rank: int, alpha: float) -> None:
         upload = self.arena.data[rank]
         mixed = (1.0 - alpha) * self.global_model + alpha * upload
         self.global_model = mixed.astype(self.global_model.dtype, copy=False)
-        self.server_version += 1
-        self._cycle_finished(rank, now)
 
     def consensus_model(self) -> np.ndarray:
         """The evaluated model is the server's global model."""

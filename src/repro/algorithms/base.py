@@ -121,6 +121,9 @@ class DistributedAlgorithm:
 
     @property
     def model_size(self) -> int:
+        # Once bound, the arena's width: no module walk per exchange.
+        if self.arena is not None:
+            return self.arena.model_size
         return self.workers[0].model_size
 
     def _local_gradients_into_arena(self, ranks=None) -> np.ndarray:

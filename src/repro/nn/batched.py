@@ -180,7 +180,7 @@ class BatchedLinear(BatchedKernel):
         if self.bias_grads is not None:
             if rows is None or isinstance(rows, slice):
                 target = self.bias_grads if rows is None else self.bias_grads[rows]
-                np.sum(grad_output, axis=1, out=target)
+                np.add.reduce(grad_output, axis=1, out=target)
             else:
                 self.bias_grads[rows] = grad_output.sum(axis=1)
         if not need_input_grad:
@@ -435,7 +435,7 @@ class BatchedConv2d(_WindowKernel):
                     target = (
                         self.bias_grads if rows is None else self.bias_grads[rows]
                     )
-                    np.sum(grad_matrix, axis=1, out=target)
+                    np.add.reduce(grad_matrix, axis=1, out=target)
                 else:
                     self.bias_grads[rows] = grad_matrix.sum(axis=1)
             if not need_input_grad:
@@ -684,9 +684,10 @@ class BatchedCrossEntropyLoss:
                 f"{logits.shape[:2]}"
             )
         num_workers, batch, _ = logits.shape
-        shifted = logits - np.max(logits, axis=2, keepdims=True)
+        # np.max / np.sum / np.mean's own ufunc reductions, called direct.
+        shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
         exp = np.exp(shifted)
-        sum_exp = np.sum(exp, axis=2, keepdims=True)
+        sum_exp = np.add.reduce(exp, axis=2, keepdims=True)
         cache = self._idx_cache
         if cache is None or cache[0] != num_workers or cache[1] != batch:
             cache = (
@@ -698,7 +699,11 @@ class BatchedCrossEntropyLoss:
             self._idx_cache = cache
         worker_idx, batch_idx = cache[2], cache[3]
         log_lik = shifted[worker_idx, batch_idx, labels] - np.log(sum_exp[..., 0])
-        losses = -log_lik.mean(axis=1)
+        # np.mean's division too (float32: a float64 loop, then a cast).
+        total = np.add.reduce(log_lik, axis=1)
+        losses = -np.true_divide(
+            total, np.intp(batch), out=total, casting="unsafe"
+        )
         grad = exp / sum_exp
         grad[worker_idx, batch_idx, labels] -= 1.0
         return losses.astype(np.float64), grad / batch

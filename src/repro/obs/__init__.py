@@ -53,6 +53,7 @@ __all__ = [
     "enabled",
     "metrics",
     "phase",
+    "timed",
     "install",
     "start",
     "stop",
@@ -88,6 +89,15 @@ def metrics() -> Optional[MetricsRegistry]:
 def phase(name: str):
     """Context manager timing one named span on the calling thread."""
     return _current.phase(name)
+
+
+def timed(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, a span ``name`` only with telemetry on
+    (off, not even the null span is entered: per-event hot paths)."""
+    if not _current.enabled:
+        return fn(*args, **kwargs)
+    with _current.phase(name):
+        return fn(*args, **kwargs)
 
 
 def install(new_recorder=None):

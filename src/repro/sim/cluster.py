@@ -229,20 +229,34 @@ class ClusterTrainer:
     def num_workers(self) -> int:
         return len(self.workers)
 
-    def _normalize_ranks(self, ranks) -> Optional[np.ndarray]:
-        """Row-index array for a worker subset; ``None`` means all."""
-        if ranks is None:
-            return None
-        rows = np.asarray(ranks, dtype=np.intp).ravel()
-        if rows.size == 0:
-            raise ValueError("ranks must name at least one worker")
-        if np.unique(rows).size != rows.size:
-            raise ValueError("ranks must be unique")
-        if rows.size == self.num_workers and np.array_equal(
-            rows, np.arange(self.num_workers)
-        ):
-            return None
-        return rows
+    def _normalize_ranks(self, ranks):
+        """A worker subset's rows, checked once: ``None`` for all, a
+        ``slice`` for an ascending contiguous run (the zero-copy view
+        path of full-cluster blocks), else an index array.  A rank that
+        is not an integer in ``[0, n)`` or repeats raises ``ValueError``
+        naming it; ``None`` and slices pass through as normalized."""
+        if ranks is None or isinstance(ranks, slice):
+            return ranks
+        rows, n = np.asarray(ranks).ravel(), self.num_workers
+        if rows.size == 0 or rows.dtype.kind not in "iu":
+            raise ValueError(
+                f"ranks must be one or more integers, got {ranks!r} (n = {n})"
+            )
+        start, stop = int(rows[0]), int(rows[-1]) + 1
+        run = stop - start == rows.size and (
+            rows.size == 1 or bool((np.diff(rows) == 1).all())
+        )
+        low, high = (start, stop - 1) if run else (rows.min(), rows.max())
+        if low < 0 or high >= n:
+            raise ValueError(
+                f"rank {low if low < 0 else high} out of range for n = {n}"
+            )
+        if run:
+            return None if rows.size == n else slice(start, stop)
+        values, counts = np.unique(rows, return_counts=True)
+        if values.size != rows.size:
+            raise ValueError(f"rank {values[counts > 1][0]} repeated (n = {n})")
+        return rows.astype(np.intp, copy=False)
 
     def _context(self) -> _ExecContext:
         """The calling thread's execution context (created on demand).
@@ -353,11 +367,7 @@ class ClusterTrainer:
         parameter is written exactly once per pass)."""
         features, labels = self._stacked_batch(rank_list, ctx)
         logits = ctx.net.forward(features, row_sel)
-        if obs.enabled():  # untimed when off, like the kernels' spans
-            with obs.phase("compute.loss"):
-                losses, grad = ctx.loss_fn(logits, labels)
-        else:
-            losses, grad = ctx.loss_fn(logits, labels)
+        losses, grad = obs.timed("compute.loss", ctx.loss_fn, logits, labels)
         ctx.net.backward(grad, row_sel)
         return losses
 
@@ -390,9 +400,12 @@ class ClusterTrainer:
         if apply_update and self.momentum and self._velocity is None:
             self._velocity = np.zeros_like(self.arena.data)
         block = self._block_rows()
+        # A contiguous run is the full-cluster path shifted by its start.
+        offset, rank_of = 0, None
         if rows is None:
             total = self.num_workers
-            rank_of = None
+        elif isinstance(rows, slice):
+            offset, total = rows.start, rows.stop - rows.start
         else:
             total = rows.size
             rank_of = rows.tolist()
@@ -407,8 +420,8 @@ class ClusterTrainer:
             start, stop = bound
             ctx = self._context()
             if rank_of is None:
-                selection = slice(start, stop)
-                block_ranks = range(start, stop)
+                selection = slice(offset + start, offset + stop)
+                block_ranks = range(offset + start, offset + stop)
             else:
                 selection = rows[start:stop]
                 block_ranks = rank_of[start:stop]
@@ -435,7 +448,7 @@ class ClusterTrainer:
         with obs.phase("compute"):
             parallel.parallel_map(run_block, bounds, phase="compute.block")
         step_workers = (
-            self.workers if rank_of is None
+            self.workers[offset:offset + total] if rank_of is None
             else [self.workers[rank] for rank in rank_of]
         )
         # tolist() hands back exact python floats in one C pass (same
@@ -465,9 +478,10 @@ class ClusterTrainer:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         rows = self._normalize_ranks(ranks)
-        count = self.num_workers if rows is None else rows.size
-        losses = np.empty((count, k), dtype=np.float64)
-        for step_index in range(k):
+        first = self.step(rows)
+        losses = np.empty((first.size, k), dtype=np.float64)
+        losses[:, 0] = first
+        for step_index in range(1, k):
             losses[:, step_index] = self.step(rows)
         return losses
 

@@ -91,6 +91,8 @@ class HeterogeneousCompute(ComputeModel):
     def step_time(self, round_index: int, rank: int, steps: int = 1) -> float:
         if not 0 <= rank < self.num_workers:
             raise ValueError(f"rank {rank} out of range")
+        if not self.jitter:  # normal(0, 0) is 0.0 and exp(0.0) is 1.0
+            return float(self.worker_means[rank] * steps)
         # Deterministic per (round, rank) jitter so queries are stable.
         jitter_rng = np.random.default_rng(
             (round_index * 1_000_003 + rank) & 0x7FFFFFFF

@@ -110,8 +110,9 @@ def parallel_map(
 
     Results come back in ``items`` order.  Runs inline (no pool) when
     the configured thread count is 1, when there is at most one item,
-    or when called from inside a pool worker (nested sections).  Any
-    exception from ``fn`` propagates to the caller.
+    or when called from inside a pool worker (nested sections); one item
+    without a telemetry span is just ``[fn(item)]``.  Any exception
+    from ``fn`` propagates to the caller.
 
     ``phase`` names an optional telemetry span: with a recorder
     installed (:mod:`repro.obs`) each item's execution is timed on the
@@ -119,6 +120,8 @@ def parallel_map(
     to the correct wall-time lane.  ``None`` (or telemetry off) adds
     nothing to the call.
     """
+    if len(items) == 1 and (phase is None or not obs.enabled()):
+        return [fn(items[0])]
     items = list(items)
     if phase is not None and obs.enabled():
         block_fn = fn

@@ -37,7 +37,8 @@ def test_a_differing_digest_fails(monkeypatch, capsys):
     def fake_run(tree, workload, seed, smoke, pycache):
         differs = tree.name == "new" and workload == "second"
         digest = ("b" if differs else "a") * 64
-        return {"run_s": 1.0, "steps": 10, "peak_rss_mb": 50.0, "digest": digest}
+        return {"run_s": 1.0, "steps": 10, "setup_s": 0.5,
+                "peak_rss_mb": 50.0, "digest": digest}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
     monkeypatch.setattr(Path, "is_file", lambda self: True)
@@ -48,3 +49,40 @@ def test_a_differing_digest_fails(monkeypatch, capsys):
     assert "  first: run_s 1.000 -> 1.000 s" in out
     assert "  second: run_s" in out and "DIGEST DIFFERS in 2 pair(s)" in out
     assert "FAILED: digest differs on 1 workload(s)" in out
+
+
+def test_summary_states_the_gain_verdict(monkeypatch, capsys):
+    """Per pair: run_s, worker_steps_per_s and setup_s of both trees.
+    Summary: wins out of the pairs and the median gap against the base
+    IQR, for run_s and worker_steps_per_s; GAIN needs both 9/10 wins
+    and a gap wider than the IQR."""
+    from benchmarks import ab
+
+    base_run_s = iter([2.0, 2.2, 2.1, 2.3, 1.9, 2.0, 2.2, 2.1, 2.0, 2.1])
+    new_run_s = iter([1.0, 1.1, 1.2, 1.0, 2.5, 1.1, 1.0, 1.2, 1.1, 1.0])
+
+    def fake_run(tree, workload, seed, smoke, pycache):
+        run_s = next(base_run_s if tree.name == "base" else new_run_s)
+        return {"run_s": run_s, "steps": 100, "setup_s": 0.25,
+                "peak_rss_mb": 50.0, "digest": "a" * 64}
+
+    monkeypatch.setattr(ab, "run_child", fake_run)
+    monkeypatch.setattr(Path, "is_file", lambda self: True)
+    assert ab.main(["/trees/base", "/trees/new", "--pairs", "10",
+                    "--workload", "w"]) == 0
+    out = capsys.readouterr().out
+    first_pair = next(line for line in out.splitlines()
+                      if line.startswith("   1  base"))
+    assert first_pair.split()[2:9] == [
+        "2.000", "1.000", "-50.0%", "50.0", "100.0", "0.250", "0.250",
+    ]
+    summary = out.split("summary:\n", 1)[1].splitlines()[0]
+    assert summary.startswith("  w: run_s 2.100 -> 1.100 s")
+    # Pair 5 is lost: 9 of 10 is still enough.
+    assert "new better in 9/10, median gap +1, base IQR 0.2: GAIN" in summary
+    assert "worker_steps_per_s 47.6 -> 90.9 (new better in 9/10" in summary
+    assert "setup_s 0.250 -> 0.250" in summary
+    assert summary.endswith("digests equal")
+    assert ab.verdict([1.0, 1.0], [1.0, 1.0], lower_is_better=True).endswith(
+        "no gain"
+    )

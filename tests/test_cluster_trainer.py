@@ -198,6 +198,41 @@ class TestBuild:
         with pytest.raises(ValueError):
             trainer.step(ranks=[])
 
+    @pytest.mark.parametrize(
+        "ranks,message",
+        [
+            ([3, -1], "rank -1 out of range for n = 4"),
+            ([4], "rank 4 out of range for n = 4"),
+            ([1, 2, 1], r"rank 1 repeated \(n = 4\)"),
+            ([0.0, 1.0], r"integers, got \[0.0, 1.0\] \(n = 4\)"),
+            (np.array([True, False]), r"integers, got .*True.* \(n = 4\)"),
+        ],
+        ids=["negative-alias", "too-large", "duplicate", "float", "bool"],
+    )
+    def test_rejects_bad_ranks_before_touching_anything(self, ranks, message):
+        """A rank set that is not distinct integers in [0, n) fails with
+        the rank and n named: no loss, no step count, no loader draw and
+        no row write happen first (``[3, -1]`` used to step worker 3
+        twice and write it once; ``[4]`` died in an IndexError)."""
+        _, workers, trainer, _ = _make_pair("mlp", num_workers=4)
+        states = [w.loader._rng.bit_generator.state for w in workers]
+        data = trainer.arena.data.copy()
+        for call in (trainer.step, trainer.compute_gradients,
+                     lambda r: trainer.batched_steps(2, r)):
+            with pytest.raises(ValueError, match=message):
+                call(ranks)
+        assert [w.steps_taken for w in workers] == [0, 0, 0, 0]
+        assert [w.loader._rng.bit_generator.state for w in workers] == states
+        np.testing.assert_array_equal(trainer.arena.data, data)
+
+    def test_contiguous_ranks_take_the_slice_path(self):
+        _, _, trainer, _ = _make_pair("mlp", num_workers=5)
+        assert trainer._normalize_ranks([3]) == slice(3, 4)
+        assert trainer._normalize_ranks(np.arange(1, 4)) == slice(1, 4)
+        assert trainer._normalize_ranks(range(5)) is None
+        np.testing.assert_array_equal(trainer._normalize_ranks([2, 1]), [2, 1])
+        np.testing.assert_array_equal(trainer._normalize_ranks([0, 2]), [0, 2])
+
     def test_batched_model_reads_live_arena_views(self):
         _, batched_workers, trainer, _ = _make_pair("mlp", num_workers=3)
         arena = trainer.arena

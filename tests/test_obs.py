@@ -23,6 +23,8 @@ from repro.algorithms import (
     DCDPSGD,
     DPSGD,
     PSGD,
+    AsyncDPSGD,
+    AsyncFedAvg,
     AsyncGossip,
     FedAvg,
     SAPSPSGD,
@@ -99,6 +101,13 @@ ALL_ALGORITHMS = [
     ("dpsgd", DPSGD),
     ("dcd-psgd", lambda: DCDPSGD(compression_ratio=4.0)),
     ("saps-psgd", lambda: SAPSPSGD(compression_ratio=10.0)),
+]
+
+ASYNC_ALGORITHMS = [
+    ("async-gossip", lambda: AsyncGossip(compression_ratio=5.0, base_seed=11)),
+    ("async-dpsgd", AsyncDPSGD),
+    ("async-fedavg", lambda: AsyncFedAvg(local_steps=2)),
+    ("async-fedavg-sampled", lambda: AsyncFedAvg(local_steps=2, sample_size=2)),
 ]
 
 
@@ -357,28 +366,39 @@ class TestBitIdentity:
         traced = self.run_history(factory, dtype, "trace")
         assert traced == baseline
 
-    def test_async_gossip_identical_with_trace(self):
+    @pytest.mark.parametrize(
+        "name,factory", ASYNC_ALGORITHMS, ids=[n for n, _ in ASYNC_ALGORITHMS]
+    )
+    def test_async_families_identical_with_trace_and_spanned(
+        self, name, factory
+    ):
+        """Each event-engine family gives the same floats and events
+        traced and untraced; the traced run's phase table attributes
+        compute, comm, mix and eval, as the sync families' does."""
         def run(obs_mode):
             partitions, validation, model_factory, config, network = (
                 build_setup(seed=11)
             )
-            algorithm = AsyncGossip(compression_ratio=5.0, base_seed=11)
             if obs_mode != "off":
                 obs.start(obs_mode)
             try:
                 result = run_event_experiment(
-                    algorithm, partitions, validation, model_factory,
+                    factory(), partitions, validation, model_factory,
                     config, network,
                     compute_model=ConstantCompute(0.05), duration=2.0,
                 )
+                registry = obs.metrics()
+                snapshot = registry.snapshot() if registry else {}
             finally:
                 obs.install(None)
-            return (
-                [repr(record) for record in result.history],
-                result.events_processed,
-            )
+            history = [repr(record) for record in result.history]
+            return (history, result.events_processed), snapshot
 
-        assert run("trace") == run("off")
+        baseline, _ = run("off")
+        traced, snapshot = run("trace")
+        assert traced == baseline
+        phases = {row.name for row in phase_table(snapshot)}
+        assert {"compute", "comm", "mix", "eval"} <= phases
 
     def test_conv_kernels_identical_with_trace_and_spanned(self):
         """The batched kernels take an untimed path when telemetry is off;
