@@ -720,24 +720,29 @@ def _finish_obs(args, mode: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.utils import parallel
+
     args = build_parser().parse_args(argv)
-    if getattr(args, "num_threads", None) is not None:
-        # Global: every block-parallel hot path reads the same knob.
-        from repro.utils import parallel
-
-        _configured(parallel.set_num_threads, args.num_threads)
-    obs_mode = _resolve_obs_mode(args)
-    if obs_mode == "off":
-        return args.func(args)
-    from repro import obs
-
-    obs.start(obs_mode)
+    # Global: every block-parallel hot path reads the same knob, so the
+    # caller's override is put back however the command ends.
+    caller_threads = parallel._override
     try:
-        status = args.func(args)
-        _finish_obs(args, obs_mode)
-        return status
+        if getattr(args, "num_threads", None) is not None:
+            _configured(parallel.set_num_threads, args.num_threads)
+        obs_mode = _resolve_obs_mode(args)
+        if obs_mode == "off":
+            return args.func(args)
+        from repro import obs
+
+        obs.start(obs_mode)
+        try:
+            status = args.func(args)
+            _finish_obs(args, obs_mode)
+            return status
+        finally:
+            obs.stop()
     finally:
-        obs.stop()
+        parallel.set_num_threads(caller_threads)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""``benchmarks/ab.py``: one smoke pair of this tree against itself on two
-workloads, and the exit status when the two trees' trajectories differ
-on any of them."""
+"""``benchmarks/ab.py``: one smoke pair of this tree against itself on the
+cheapest workload, and, with the children faked, the two-workload
+summary and the exit status when the two trees' trajectories differ on
+any workload."""
 
 from __future__ import annotations
 
@@ -15,19 +16,16 @@ def test_smoke_pair_against_itself():
     done = subprocess.run(
         [
             sys.executable, str(ROOT / "benchmarks" / "ab.py"), str(ROOT),
-            str(ROOT), "--smoke", "--pairs", "1",
-            "--workload", "saps1024_mlp", "topk16_mlp85k_f32",
+            str(ROOT), "--smoke", "--pairs", "1", "--workload", "saps1024_mlp",
         ],
         capture_output=True, text=True, timeout=240,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     out = done.stdout
     assert "saps1024_mlp, seed 1, 1 pair(s), smoke" in out
-    assert "topk16_mlp85k_f32, seed 1, 1 pair(s), smoke" in out
     summary = out.split("summary:\n", 1)[1].splitlines()
     assert summary[0].startswith("  saps1024_mlp: run_s ")
-    assert summary[1].startswith("  topk16_mlp85k_f32: run_s ")
-    assert all(line.endswith("digests equal") for line in summary[:2])
+    assert summary[0].endswith("digests equal")
     assert out.rstrip().endswith("digests equal in every pair")
 
 

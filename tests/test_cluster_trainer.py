@@ -12,6 +12,8 @@ the end-to-end comparisons run it through the algorithms' own seam
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
 from repro.nn import Linear, MLP, LogisticRegression, TinyCNN
 from repro.nn.batched import build_batched_model
+from repro.presets import instantiate_preset
 from repro.sim import (
     ClusterTrainer,
     ExperimentConfig,
@@ -33,6 +36,7 @@ from repro.sim import (
     run_experiment,
 )
 from repro.sim.engine import RoundRecord
+from repro.utils import parallel
 
 from reference.per_model import per_worker_compute
 
@@ -515,14 +519,52 @@ class TestConvEquivalence:
     def test_tiny_cnn_presets_build_cluster_trainer(self, preset):
         """The fast (TinyCNN) flavour of every conv preset rides the
         batched engine — ClusterTrainer.build must return a trainer."""
-        from repro.presets import instantiate_preset
-
         partitions, _, factory, config = instantiate_preset(
             preset, num_workers=3, fast=True, samples_per_worker=8,
             validation_samples=24,
         )
         workers = make_workers(factory, partitions, config)
         assert ClusterTrainer.build(workers) is not None
+
+
+# ----------------------------------------------------------------------
+# the block partition never shows in a result
+# ----------------------------------------------------------------------
+def _tiny_cnn_run(monkeypatch, block_rows: int, threads: int):
+    partitions, validation, factory, config = instantiate_preset(
+        "mnist-cnn", 9, fast=True, samples_per_worker=16,
+        validation_samples=40, seed=4,
+    )
+    config = dataclasses.replace(config, batch_size=4, lr=0.1, momentum=0.9)
+    trainer = ClusterTrainer.build(make_workers(factory, partitions, config))
+    assert trainer is not None
+    per_worker = (
+        trainer.arena.model_size * trainer.arena.dtype.itemsize
+        + trainer._workspace_bytes
+    )
+    monkeypatch.setattr(ClusterTrainer, "BLOCK_BYTES", block_rows * per_worker)
+    assert trainer._block_rows() == block_rows
+    parallel.set_num_threads(threads)
+    try:
+        losses = trainer.batched_steps(3)
+        subset = trainer.step(ranks=[0, 3, 4, 8])
+        evaluation = trainer.evaluate_vector(
+            trainer.arena.mean_model(), validation, batch_size=16
+        )
+    finally:
+        parallel.set_num_threads(None)
+    return trainer.arena.data.copy(), losses, subset, evaluation
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_conv_results_do_not_depend_on_block_rows(monkeypatch, threads):
+    data, losses, subset, evaluation = _tiny_cnn_run(monkeypatch, 9, 1)
+    for block_rows in (1, 2, 4):  # 9 blocks; 2+2+2+2+1; 4+4+1
+        got = _tiny_cnn_run(monkeypatch, block_rows, threads)
+        np.testing.assert_array_equal(got[0], data)
+        np.testing.assert_array_equal(got[1], losses)
+        np.testing.assert_array_equal(got[2], subset)
+        assert got[3] == evaluation
 
 
 class TestComputeGradients:

@@ -20,6 +20,7 @@ from repro.analysis.io import (
 )
 from repro.cli import main
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
+from repro.utils import parallel
 
 #: A small workload for CLI runs that must not train.
 SMALL = ["--workers", "4", "--samples-per-worker", "20", "--validation-samples", "20"]
@@ -257,6 +258,20 @@ class TestCLI:
         assert back.total_local_steps == back.history[-1].local_steps > 0
         assert back.history[-1].mean_staleness >= 0
         assert back.history[-1].comm_time_s == 0.0
+
+    def test_num_threads_is_the_commands_not_the_callers(self, capsys):
+        """``--num-threads`` holds for one command: the override in force
+        before ``main`` is back after it, also when the command fails."""
+        before = parallel.num_threads()
+        assert main(["run", *SMALL, "--rounds", "1", "--num-threads", "3"]) == 0
+        assert parallel.num_threads() == before
+        parallel.set_num_threads(2)
+        try:
+            with pytest.raises(SystemExit):
+                main(["run", *SMALL, "--rounds", "0", "--num-threads", "3"])
+            assert parallel.num_threads() == 2
+        finally:
+            parallel.set_num_threads(None)
 
     def test_run_each_algorithm(self, capsys):
         for name in ["psgd", "fedavg", "d-psgd"]:
