@@ -61,8 +61,8 @@ class AsyncAlgorithm(DistributedAlgorithm):
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
         self.local_steps = int(local_steps)
         self.engine = None
-        #: Shared participation/residency layer, built at :meth:`bind`
-        #: from the engine's population model.
+        #: Shared participation layer, built at :meth:`bind` from the
+        #: engine's population model.
         self.participation_ctx = None
         self.total_local_steps = 0
         #: Per-application staleness samples (variant-specific meaning;
@@ -427,16 +427,10 @@ class AsyncGossip(AsyncAlgorithm):
     def _average_masked(self, a: int, b: int, indices: np.ndarray) -> None:
         """Eq. 7 on the masked components of the pair — same math as the
         synchronous SAPS exchange."""
-        # Pin both endpoints for the exchange (a no-op on a dense
-        # arena): a sharded arena must not evict either row between
-        # the masked read and the scatter-back.
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (a, b)):
-            row_a = ctx.client_row(self.arena, a)
-            row_b = ctx.client_row(self.arena, b)
-            averaged = 0.5 * (row_a[indices] + row_b[indices])
-            row_a[indices] = averaged
-            row_b[indices] = averaged
+        data = self.arena.data
+        averaged = 0.5 * (data[a, indices] + data[b, indices])
+        data[a, indices] = averaged
+        data[b, indices] = averaged
 
 
 class AsyncDPSGD(AsyncAlgorithm):
@@ -540,14 +534,10 @@ class AsyncDPSGD(AsyncAlgorithm):
     def _average_pair(self, rank: int, peer: int) -> None:
         # Atomic pairwise averaging: x_i, x_j <- (x_i + x_j) / 2.  The
         # peer keeps computing through it (that is AD-PSGD's overlap).
-        # Both endpoint rows pinned for the exchange (no-op dense).
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (rank, peer)):
-            row_r = ctx.client_row(self.arena, rank)
-            row_p = ctx.client_row(self.arena, peer)
-            mean = 0.5 * (row_r + row_p)
-            row_r[...] = mean
-            row_p[...] = mean
+        data = self.arena.data
+        mean = 0.5 * (data[rank] + data[peer])
+        data[rank] = mean
+        data[peer] = mean
 
     def _apply(
         self, rank: int, gradient: np.ndarray, base_mixes: int, now: float,
@@ -558,11 +548,7 @@ class AsyncDPSGD(AsyncAlgorithm):
         staleness = int(self._mix_counts[rank]) - base_mixes - own_mix
         self.staleness_log.append(max(staleness, 0))
         lr = self.workers[rank].optimizer.lr
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (rank,)):
-            ctx.client_row(self.arena, rank)[...] -= np.asarray(
-                lr * gradient, dtype=self.arena.dtype
-            )
+        self.arena.data[rank] -= np.asarray(lr * gradient, dtype=self.arena.dtype)
         self.workers[rank].steps_taken += 1
         self._begin_cycle(rank, now)
 

@@ -1,4 +1,4 @@
-"""Million-client sampled-participation AsyncFedAvg.
+"""Million-client sampled participation: the worker-less families.
 
 The worker-backed algorithm stack materializes a :class:`TrainingWorker`
 (model, optimizer, dataset partition) per enrolled client — O(n) memory
@@ -6,19 +6,22 @@ and O(n) setup, which caps runs at a few thousand clients.  Production
 federated populations are 10⁵–10⁷ enrolled clients of which a few
 hundred participate per round; everything per-client must be lazy.
 
-This module is that execution mode, composed from the PR's pieces:
+This module is that execution mode:
 
-* state lives in a :class:`~repro.nn.sharded.ShardedArena` — resident
-  rows ∝ concurrently active clients, dormant clients cost nothing;
-* per-client *data* is virtual too: :class:`LogisticBlobsTask` draws
-  each client's batches from a :func:`~repro.utils.rng.derive_seed`
-  substream on demand, so no partition list is ever materialized;
-* availability comes from a lazy
-  :class:`~repro.sim.population.ClientPopulation` arrival process;
-* the event schedule runs on the calendar-queue engine; per-upload the
-  server applies the same FedAsync staleness-weighted mixing rule as
+* :class:`LogisticBlobsTask` — the lazy workload.  Each client's batches
+  come from a :func:`~repro.utils.rng.derive_seed` substream on demand,
+  so no partition list is ever materialized;
+* :class:`SampledSAPS` — synchronous SAPS-PSGD over a sampled
+  neighborhood per round (in-sample matching, Eq. 7 on pinned rows);
+* :class:`SampledAsyncFedAvg` — FedAsync with K in-flight participants
+  on the calendar-queue event engine, applying the same
+  staleness-weighted mixing rule as
   :class:`~repro.algorithms.asynchronous.AsyncFedAvg`.
 
+Both families keep client state in a
+:class:`~repro.nn.sharded.ShardedArena` (resident rows ∝ concurrently
+active clients, dormant clients cost nothing) and take availability from
+a lazy :class:`~repro.sim.population.ClientPopulation`.
 :class:`SampledAsyncFedAvg` speaks the engine protocol (``bind`` /
 ``start`` / ``mean_train_loss`` / ``consensus_distance``) plus the
 ``evaluate_consensus_model`` hook, so :meth:`EventEngine.run` drives and
@@ -582,8 +585,8 @@ class SampledSAPS:
                 )
             self.total_local_steps += len(participants) * self.local_steps
             for a, b in matching:
-                row_a = ctx.client_row(self.arena, a)
-                row_b = ctx.client_row(self.arena, b)
+                row_a = self.arena.row(a)
+                row_b = self.arena.row(b)
                 averaged = 0.5 * (row_a[indices] + row_b[indices])
                 row_a[indices] = averaged
                 row_b[indices] = averaged

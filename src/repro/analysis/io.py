@@ -20,11 +20,13 @@ from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 FORMAT_VERSION = 1
 
 #: ``ExperimentConfig`` fields saved files may still carry, dropped on
-#: load: ``use_arena`` and ``scheduler`` chose between bit-identical
-#: twins; the other seven were recorded but never read by a loop.
+#: load: ``use_arena``, ``scheduler`` and ``arena`` chose between
+#: bit-identical twins; the other seven were recorded but never read by a
+#: loop.
 RETIRED_CONFIG_KEYS = (
-    "use_arena", "scheduler", "engine", "fault_plan", "exchange_timeout",
-    "recovery", "participation", "sample_size", "population",
+    "use_arena", "scheduler", "arena", "engine", "fault_plan",
+    "exchange_timeout", "recovery", "participation", "sample_size",
+    "population",
 )
 
 

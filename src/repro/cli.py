@@ -143,7 +143,7 @@ def _build_bandwidth(args) -> Optional[np.ndarray]:
     return random_uniform_bandwidth(args.workers, rng=args.seed)
 
 
-def _config(args, arena: str = "dense") -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
     return ExperimentConfig(
         rounds=args.rounds,
         batch_size=args.batch_size,
@@ -152,7 +152,6 @@ def _config(args, arena: str = "dense") -> ExperimentConfig:
         seed=args.seed,
         dtype=args.dtype,
         local_steps=args.local_steps,
-        arena=arena,
     )
 
 
@@ -268,10 +267,10 @@ def _build_run(args) -> Callable[[], ExperimentResult]:
             seed=args.seed,
             dtype=args.dtype,
         )
-        config = replace(config, local_steps=args.local_steps, arena=args.arena)
+        config = replace(config, local_steps=args.local_steps)
     else:
         partitions, validation, factory = _build_workload(args)
-        config = _config(args, arena=args.arena)
+        config = _config(args)
     bandwidth = _build_bandwidth(args)
     network = SimulatedNetwork(
         args.workers,
@@ -643,12 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'renewal:up=60,down=30' (exponential up/down times, seconds) or "
         "'none'.  Sampling draws from the currently-up clients; on "
         "--engine event, every async variant gates its cycles on it",
-    )
-    run_p.add_argument(
-        "--arena", choices=["dense", "sharded"], default="dense",
-        help="parameter-arena implementation: contiguous dense matrix or "
-        "the sharded lazy arena (bit-identical at full capacity; "
-        "memory ∝ active clients at million scale)",
     )
     common(run_p)
     run_p.set_defaults(func=cmd_run)

@@ -1,47 +1,42 @@
 """Sharded lazy parameter arena: resident memory ∝ active clients.
 
 The dense :class:`~repro.nn.arena.ParameterArena` materializes every
-enrolled worker's row — ``(n, N)`` floats — which caps realistic ``n``
-at a few thousand.  Production federated systems enrol millions of
-clients but *sample* a few hundred participants per round; memory and
-per-round work should scale with the active set, not the enrolment.
+worker's row — ``(n, N)`` floats — and is what every worker-backed
+family runs on.  The worker-less sampled families
+(:mod:`repro.algorithms.sampled`) enrol millions of clients but *sample*
+a few hundred participants per round; their memory and per-round work
+should scale with the active set, not the enrolment.
 
-:class:`ShardedArena` keeps the arena contract while materializing only
-the rows that are actually touched:
-
-* **Dense mode** (``capacity >= num_clients``, the default): storage and
-  behaviour are *exactly* the parent class — same contiguous ``(n, N)``
-  matrices, same adoption, same matrix reductions — so full-participation
-  runs through a ``ShardedArena`` are bit-identical to the dense arena
-  by construction (the equivalence discipline of PRs 1–7, CLI-diff
-  tested in ``tests/test_sharded.py``).
-* **Sampled mode** (``capacity < num_clients``): rows live in a
-  fixed-size ``(capacity, N)`` slot store.  :meth:`row` maps a client id
-  to its slot, faulting dormant clients in lazily — from the evicted-row
-  writeback store if the client ran before (``retain_evicted=True``),
-  else from the cold-state vector (the init-replay / checkpoint-fetch
-  stand-in) — and evicting the least-recently-used unpinned resident
-  when the shard is full.  :meth:`acquire` / :meth:`release` pin a
-  participant set for the duration of a round so mid-round evictions
-  cannot tear the rows a batched kernel is writing.
+:class:`ShardedArena` is their store.  Rows live in a fixed-size
+``(capacity, N)`` slot matrix.  :meth:`row` maps a client id to its slot,
+faulting dormant clients in lazily — from the evicted-row writeback
+store if the client ran before (``retain_evicted=True``), else from the
+cold-state vector (the init-replay / checkpoint-fetch stand-in) — and
+evicting the least-recently-used unpinned resident when the shard is
+full.  :meth:`acquire` / :meth:`release` pin a participant set for the
+duration of a round so mid-round evictions cannot tear the rows a
+kernel is writing.  Slots are handed out in first-touch order, so slot
+``s`` holds whichever client faulted in ``s``-th, never client ``s`` by
+construction; read and write client state through :meth:`row` /
+:meth:`peek`.
 
 ``resident_bytes()`` is the honest accounting the million-client demo
-and the ``sharded_memory`` benchmark report: slot storage plus writeback
-store, i.e. memory proportional to clients *touched*, never enrolment.
+and the ``sampled_saps100k`` benchmark workload report: slot storage plus
+writeback store, i.e. memory proportional to clients *touched*, never
+enrolment.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import Counter, OrderedDict
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.nn.arena import ParameterArena
-from repro.utils.dtypes import DTypeLike
+from repro.utils.dtypes import DTypeLike, resolve_dtype
 
 
-class ShardedArena(ParameterArena):
+class ShardedArena:
     """LRU-evicted sharded parameter + gradient store for huge ``n``.
 
     Parameters
@@ -51,9 +46,7 @@ class ShardedArena(ParameterArena):
     model_size:
         Flat parameter count per client.
     capacity:
-        Resident row budget.  ``None`` (default) means fully dense —
-        bit-identical drop-in for :class:`ParameterArena`.  Smaller
-        values enable sampled mode.
+        Resident row budget (clamped to ``num_clients``).
     cold:
         Flat vector dormant clients start from (e.g. the global model at
         enrolment); ``None`` means zeros.  Updatable via
@@ -70,38 +63,36 @@ class ShardedArena(ParameterArena):
         self,
         num_clients: int,
         model_size: int,
+        capacity: int,
         dtype: DTypeLike = None,
-        capacity: Optional[int] = None,
         cold: Optional[np.ndarray] = None,
         retain_evicted: bool = True,
     ) -> None:
         num_clients = int(num_clients)
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-        if capacity is None:
-            capacity = num_clients
+        if model_size < 0:
+            raise ValueError(f"model_size must be >= 0, got {model_size}")
         capacity = int(capacity)
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         rows = min(capacity, num_clients)
-        super().__init__(rows, model_size, dtype=dtype)
         self.num_clients = num_clients
+        self.model_size = int(model_size)
         self.capacity = rows
-        #: Dense mode: slot ``c`` *is* client ``c`` and every inherited
-        #: operation applies unchanged.
-        self.dense = rows == num_clients
+        self.dtype = resolve_dtype(dtype)
+        self.data = np.zeros((rows, self.model_size), dtype=self.dtype)
+        self.grads = np.zeros((rows, self.model_size), dtype=self.dtype)
         self.retain_evicted = bool(retain_evicted)
-        self._cold = (
-            None
-            if cold is None
-            else np.array(cold, dtype=self.dtype, copy=True).reshape(model_size)
-        )
-        # --- sampled-mode bookkeeping (unused but cheap in dense mode) ---
+        self._cold = None
+        if cold is not None:
+            self.set_cold(cold)
         self._slot_of: Dict[int, int] = {}
         self._lru: "OrderedDict[int, int]" = OrderedDict()  # client -> slot
         self._free: List[int] = list(range(rows - 1, -1, -1))
         self._pinned: Dict[int, int] = {}  # client -> pin count
         self._store: Dict[int, np.ndarray] = {}  # evicted client -> row copy
+        self._stats_base: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -118,7 +109,7 @@ class ShardedArena(ParameterArena):
         self.peak_pins = 0
 
     # ------------------------------------------------------------------
-    # slot management (sampled mode)
+    # slot management
     # ------------------------------------------------------------------
     def _check_client(self, client: int) -> int:
         client = int(client)
@@ -131,8 +122,6 @@ class ShardedArena(ParameterArena):
     def slot_of(self, client: int) -> int:
         """Resident slot of ``client``, faulting the row in if needed."""
         client = self._check_client(client)
-        if self.dense:
-            return client
         slot = self._slot_of.get(client)
         if slot is not None:
             self.hits += 1
@@ -174,80 +163,72 @@ class ShardedArena(ParameterArena):
             )
         slot = self._lru.pop(victim)
         del self._slot_of[victim]
+        self._write_back(victim, slot)
+        return slot
+
+    def _write_back(self, client: int, slot: int) -> None:
         if self.retain_evicted:
-            self._store[victim] = self.data[slot].copy()
+            self._store[client] = self.data[slot].copy()
             self.writebacks += 1
             self.writeback_bytes += self.data[slot].nbytes
         self.evictions += 1
-        return slot
 
     def acquire(self, clients: Iterable[int]) -> np.ndarray:
         """Pin ``clients`` resident; returns their slots in input order.
 
-        Pins nest (acquire twice, release twice).  In dense mode this is
-        the identity mapping."""
+        Pins nest (acquire twice, release twice); only clients not
+        already pinned count against ``capacity``."""
         clients = [self._check_client(c) for c in clients]
-        if not self.dense and len(self._pinned) + len(set(clients)) > self.capacity:
+        fresh = {c for c in clients if c not in self._pinned}
+        if len(self._pinned) + len(fresh) > self.capacity:
             raise RuntimeError(
-                f"cannot pin {len(set(clients))} clients with "
+                f"cannot pin {len(fresh)} clients with "
                 f"{len(self._pinned)} already pinned: capacity is {self.capacity}"
             )
         slots = np.empty(len(clients), dtype=np.int64)
         for i, client in enumerate(clients):
             slots[i] = self.slot_of(client)
-            if not self.dense:
-                self._pinned[client] = self._pinned.get(client, 0) + 1
-        if not self.dense:
-            self.peak_pins = max(self.peak_pins, len(self._pinned))
+            self._pinned[client] = self._pinned.get(client, 0) + 1
+        self.peak_pins = max(self.peak_pins, len(self._pinned))
         return slots
 
     def release(self, clients: Iterable[int]) -> None:
-        """Drop one pin per client (rows stay resident until evicted)."""
-        if self.dense:
-            return
-        for client in clients:
-            client = int(client)
-            count = self._pinned.get(client)
-            if count is None:
+        """Drop one pin per listed client (rows stay resident until
+        evicted).  Nothing changes unless every pin being dropped exists."""
+        drops = Counter(int(client) for client in clients)
+        for client, count in drops.items():
+            if self._pinned.get(client, 0) < count:
                 raise ValueError(f"client {client} is not pinned")
-            if count == 1:
-                del self._pinned[client]
+        for client, count in drops.items():
+            left = self._pinned[client] - count
+            if left:
+                self._pinned[client] = left
             else:
-                self._pinned[client] = count - 1
+                del self._pinned[client]
 
     def evict(self, client: int) -> None:
-        """Force ``client`` out of residency (no-op if absent/dense)."""
+        """Force ``client`` out of residency (no-op if absent)."""
         client = self._check_client(client)
-        if self.dense:
-            return
         if client in self._pinned:
             raise ValueError(f"client {client} is pinned")
         slot = self._slot_of.pop(client, None)
         if slot is None:
             return
         del self._lru[client]
-        if self.retain_evicted:
-            self._store[client] = self.data[slot].copy()
-            self.writebacks += 1
-            self.writeback_bytes += self.data[slot].nbytes
-        self.evictions += 1
+        self._write_back(client, slot)
         self._free.append(slot)
 
     # ------------------------------------------------------------------
-    # row access (works in both modes)
+    # row access
     # ------------------------------------------------------------------
     def row(self, client: int) -> np.ndarray:
         """Client ``client``'s flat model (live view into its slot).
 
         The view is only stable until the client's next eviction — pin
         via :meth:`acquire` across any deferred use."""
-        if self.dense:
-            return self.data[client]
         return self.data[self.slot_of(client)]
 
     def grad_row(self, client: int) -> np.ndarray:
-        if self.dense:
-            return self.grads[client]
         return self.grads[self.slot_of(client)]
 
     def peek(self, client: int) -> np.ndarray:
@@ -256,17 +237,13 @@ class ShardedArena(ParameterArena):
         Resident rows return the live view; evicted rows return the
         writeback copy; never-touched clients return the cold state."""
         client = self._check_client(client)
-        if self.dense:
-            return self.data[client]
         slot = self._slot_of.get(client)
         if slot is not None:
             return self.data[slot]
         stored = self._store.get(client)
         if stored is not None:
             return stored
-        if self._cold is not None:
-            return self._cold.copy()
-        return np.zeros(self.model_size, dtype=self.dtype)
+        return self.cold_vector.copy()
 
     def set_cold(self, vector: np.ndarray) -> None:
         """Install the state dormant (never-touched) clients start from."""
@@ -279,11 +256,11 @@ class ShardedArena(ParameterArena):
     # ------------------------------------------------------------------
     @property
     def resident_clients(self) -> int:
-        return self.num_clients if self.dense else len(self._slot_of)
+        return len(self._slot_of)
 
     @property
     def stored_clients(self) -> int:
-        return 0 if self.dense else len(self._store)
+        return len(self._store)
 
     def resident_bytes(self) -> int:
         """Bytes held for client state: slots + writeback store."""
@@ -325,58 +302,22 @@ class ShardedArena(ParameterArena):
         call baselines against zero, i.e. returns the cumulative stats.
         """
         stats = self.stats()
-        base = getattr(self, "_stats_base", None) or {}
         delta = dict(stats)
         for key in self._FLOW_KEYS:
-            delta[key] = stats[key] - base.get(key, 0)
+            delta[key] = stats[key] - self._stats_base.get(key, 0)
         self._stats_base = {key: stats[key] for key in self._FLOW_KEYS}
         return delta
 
     # ------------------------------------------------------------------
-    # dense-only operations: loud errors in sampled mode
-    # ------------------------------------------------------------------
-    def _require_dense(self, op: str) -> None:
-        if not self.dense:
-            raise RuntimeError(
-                f"{op} needs every client row materialized; this ShardedArena "
-                f"holds {self.capacity} of {self.num_clients} rows — use "
-                f"capacity=None (dense) or operate on resident rows only"
-            )
-
-    def adopt(self, rank: int, model) -> None:
-        self._require_dense("adopt()")
-        super().adopt(rank, model)
-
-    def broadcast_row(self, source: int) -> None:
-        self._require_dense("broadcast_row()")
-        super().broadcast_row(source)
-
-    def mean_model(self) -> np.ndarray:
-        self._require_dense("mean_model()")
-        return super().mean_model()
-
-    def consensus_distance(self) -> float:
-        self._require_dense("consensus_distance()")
-        return super().consensus_distance()
-
-    def mix(self, gossip: np.ndarray) -> None:
-        self._require_dense("mix()")
-        super().mix(gossip)
-
-    # ------------------------------------------------------------------
-    # sampled-mode reductions over the *resident* set
+    # the three kinds of client state, for streamed reductions
     # ------------------------------------------------------------------
     def resident_slots(self) -> np.ndarray:
         """Slots currently holding a client row (ascending)."""
-        if self.dense:
-            return np.arange(self.num_clients, dtype=np.int64)
         return np.array(sorted(self._slot_of.values()), dtype=np.int64)
 
     def stored_rows(self) -> List[np.ndarray]:
-        """The writeback store's row copies (empty in dense mode) — fed
-        block-wise to the streaming consensus fold."""
-        if self.dense:
-            return []
+        """The writeback store's row copies — fed block-wise to the
+        streaming consensus fold."""
         return list(self._store.values())
 
     @property

@@ -16,7 +16,6 @@ from repro import obs
 from repro.data.datasets import Dataset
 from repro.network.metrics import TrafficMeter
 from repro.network.transport import SimulatedNetwork
-from repro.nn.arena import ParameterArena
 from repro.nn.module import Module
 from repro.sim.trainer import TrainingWorker, bind_arena
 from repro.utils.dtypes import resolve_dtype
@@ -64,10 +63,6 @@ class ExperimentConfig:
     #: defaults.  At the default of 1 constructed algorithms keep their
     #: own values (e.g. FedAvg's McMahan-style E=5).
     local_steps: int = 1
-    #: Arena implementation: ``"dense"`` (:class:`repro.nn.ParameterArena`)
-    #: or ``"sharded"`` (:class:`repro.nn.ShardedArena`; bit-identical in
-    #: its full-capacity dense mode, LRU-sharded at million scale).
-    arena: str = "dense"
 
     def __post_init__(self) -> None:
         if self.rounds <= 0:
@@ -87,10 +82,6 @@ class ExperimentConfig:
         if self.lr_milestones is not None:
             self.lr_milestones = sorted(int(m) for m in self.lr_milestones)
         self.dtype = resolve_dtype(self.dtype).name
-        if self.arena not in ("dense", "sharded"):
-            raise ValueError(
-                f"arena must be 'dense' or 'sharded', got {self.arena!r}"
-            )
 
 
 @dataclass
@@ -219,17 +210,7 @@ def make_workers(
                 rng=stream,
             )
         )
-    if config.arena == "sharded":
-        # Full-capacity ShardedArena: dense-mode storage and behaviour
-        # are the parent class verbatim, so trajectories stay
-        # bit-identical (the sharding machinery only engages below
-        # capacity — million-scale sampled runs).
-        from repro.nn.sharded import ShardedArena
-
-        arena_cls = ShardedArena
-    else:
-        arena_cls = ParameterArena
-    bind_arena(workers, dtype=dtype, arena_cls=arena_cls)
+    bind_arena(workers, dtype=dtype)
     return workers
 
 

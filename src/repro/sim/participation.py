@@ -12,13 +12,14 @@ they do".  This module is the one home for that logic:
   seat-pool draws of the asynchronous variants;
 * **gating** — next-up wake times, up-filtering of gossip peer pools,
   and up-restricted uniform peer picks (AD-PSGD's communication thread);
-* **residency** — pin/acquire scopes over a
+* **residency** — pin/acquire scopes over the sampled families'
   :class:`~repro.nn.sharded.ShardedArena` so an exchange's endpoint rows
-  cannot be torn by LRU eviction mid-use (no-ops on a dense arena).
+  cannot be torn by LRU eviction mid-use.  Worker-backed families run on
+  the dense :class:`~repro.nn.arena.ParameterArena` and need no pins.
 
 Every method consumes the caller's RNG exactly as the code it replaced
-did, so the legacy paths (full participation, no population, dense
-arena) stay bit-identical to the historical trajectories.
+did, so the legacy paths (full participation, no population) stay
+bit-identical to the historical trajectories.
 """
 
 from __future__ import annotations
@@ -250,28 +251,15 @@ class ParticipationContext:
     # ------------------------------------------------------------------
     @contextmanager
     def resident(self, arena, clients: Iterable[int]):
-        """Pin ``clients``' rows resident for the scope's duration.
-
-        On a :class:`~repro.nn.sharded.ShardedArena` this acquires (and
-        on exit releases) a pin per client, so LRU eviction cannot tear
-        an exchange's endpoint rows mid-use; eviction-time writeback
-        after release is the arena's business.  On a dense arena (or
-        ``None``) the scope is a no-op — the legacy path, bit-identical.
+        """Pin ``clients``' rows of a
+        :class:`~repro.nn.sharded.ShardedArena` resident for the scope's
+        duration: a pin per client is acquired, and released on exit, so
+        LRU eviction cannot tear an exchange's endpoint rows mid-use.
+        Eviction-time writeback after release is the arena's business.
         """
         clients = list(clients)
-        pinned = arena is not None and hasattr(arena, "acquire")
-        if pinned:
-            arena.acquire(clients)
+        arena.acquire(clients)
         try:
             yield arena
         finally:
-            if pinned:
-                arena.release(clients)
-
-    @staticmethod
-    def client_row(arena, client: int) -> np.ndarray:
-        """Client ``client``'s flat parameter row on any arena flavour."""
-        row = getattr(arena, "row", None)
-        if row is not None:
-            return row(client)
-        return arena.data[client]
+            arena.release(clients)

@@ -19,7 +19,7 @@ reproduce ``local_step`` bit for bit — enforced by
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence, Tuple, Type
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,15 +35,13 @@ from repro.utils.rng import SeedLike, as_generator
 
 
 def bind_arena(
-    workers: Sequence["TrainingWorker"],
-    dtype: DTypeLike = None,
-    arena_cls: Type[ParameterArena] = ParameterArena,
+    workers: Sequence["TrainingWorker"], dtype: DTypeLike = None
 ) -> ParameterArena:
     """The arena whose rows ``0..n-1`` are ``workers``, in list order.
 
     Workers that already are such rows keep their arena.  Workers whose
-    models are bound to no arena are adopted into a fresh ``arena_cls``
-    one (``dtype`` defaults to the models' own): every parameter becomes
+    models are bound to no arena are adopted into a fresh one (``dtype``
+    defaults to the models' own): every parameter becomes
     a view of its worker's row and each optimizer updates that row as
     one vector.  Anything in between — another arena, rows out of rank
     order, a partial binding — raises ``ValueError``, because every
@@ -62,7 +60,7 @@ def bind_arena(
                 f"one arena in rank order; pass them bound to no arena "
                 f"(they are adopted) or adopted in rank order"
             )
-    arena = arena_cls.adopt_models(models, dtype=dtype)
+    arena = ParameterArena.adopt_models(models, dtype=dtype)
     for worker in workers:
         worker.optimizer.attach_flat_storage(
             worker.model._flat_view, worker.model._flat_grad_view

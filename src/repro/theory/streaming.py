@@ -17,7 +17,7 @@ statistics
 come out of one pass over *resident* state: blocks of live slots, blocks
 of stored rows, and the cold mass folded as ``count`` copies of one
 vector in O(N) — the full ``(n, N)`` matrix is never materialized.
-:func:`arena_consensus` wires the fold to any arena flavour.
+:func:`arena_consensus` wires the fold to a sharded arena.
 """
 
 from __future__ import annotations
@@ -124,31 +124,22 @@ class StreamingMoments:
 
 
 def arena_consensus(arena, block: int = 256) -> Tuple[np.ndarray, float]:
-    """``(mean model, consensus distance)`` for any arena flavour.
+    """``(mean model, consensus distance)`` over a
+    :class:`~repro.nn.sharded.ShardedArena`'s whole enrolment.
 
-    Folds resident slot rows block-wise, then (sharded mode) the
-    evicted-row writeback store and the lazy cold mass — one O(N) merge
-    for the ``num_clients − touched`` clients that were never
-    materialized.  On a dense arena this reproduces
-    ``mean_model()`` / ``consensus_distance()`` to float64 accuracy
-    without assuming the matrix fits a single reduction.
+    Folds resident slot rows block-wise, then the evicted-row writeback
+    store, then the lazy cold mass — one O(N) merge for the
+    ``num_clients − touched`` clients that were never materialized.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     stats = StreamingMoments(arena.model_size)
-    slots = (
-        arena.resident_slots()
-        if hasattr(arena, "resident_slots")
-        else np.arange(arena.data.shape[0])
-    )
+    slots = arena.resident_slots()
     for start in range(0, len(slots), block):
         stats.add_rows(arena.data[slots[start : start + block]])
-    if getattr(arena, "dense", True):
-        return stats.mean, stats.consensus_distance()
     stored = arena.stored_rows()
-    if stored:
-        for start in range(0, len(stored), block):
-            stats.add_rows(np.stack(stored[start : start + block]))
+    for start in range(0, len(stored), block):
+        stats.add_rows(np.stack(stored[start : start + block]))
     cold_count = arena.num_clients - arena.resident_clients - arena.stored_clients
     stats.add_mass(arena.cold_vector, cold_count)
     return stats.mean, stats.consensus_distance()

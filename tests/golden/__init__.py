@@ -354,17 +354,17 @@ CLI_CASES = {
     **{f"event-{algorithm}": f"--algorithm {algorithm} {_EVENT7}"
        for algorithm in ("saps-psgd", "d-psgd", "fedavg", "psgd")},
     "saps-plan-0.37": f"{_SYNC7} {_PLAN} --round-duration 0.37",
-    "saps-rates-sampled-f32-sharded": (
+    "saps-rates-sampled-f32": (
         f"{_SYNC7} --fault-plan mttf=6,mttr=2 --participation sampled "
-        "--sample-size 5 --dtype float32 --arena sharded"),
+        "--sample-size 5 --dtype float32"),
     "s-fedavg-sampled-renewal": f"--algorithm s-fedavg {_SYNC7} {_SAMPLED4} {_RENEWAL}",
     "saps-local3-f32": f"{_SYNC7} --local-steps 3 --dtype float32",
     "dcd-psgd-c2-f32": f"--algorithm dcd-psgd {_SYNC7} --compression 2 --dtype float32",
     "event-saps-spread4-plan-peer": f"{_EVENT7} --compute-spread 4 {_PLAN} --recovery peer",
     "event-fedavg-sampled-renewal-f32": (
         f"--algorithm fedavg {_EVENT7} {_SAMPLED4} {_RENEWAL} --dtype float32"),
-    "event-d-psgd-plan-sharded": f"--algorithm d-psgd {_EVENT7} {_PLAN} --arena sharded",
-    "cnn-saps-local2-sharded": f"{_CNN4} --local-steps 2 --arena sharded",
+    "event-d-psgd-plan": f"--algorithm d-psgd {_EVENT7} {_PLAN}",
+    "cnn-saps-local2": f"{_CNN4} --local-steps 2",
     "cnn-topk-psgd": f"--algorithm topk-psgd {_CNN4}",
 }
 

@@ -442,10 +442,13 @@ def _async_gossip_merge(dtype, rng, monkeypatch):
 
 def _sampled_saps_round(dtype, rng, monkeypatch):
     """One ``SampledSAPS.run_round`` at lr = 0: seven of twelve clients
-    drawn, so five stay out and one of the drawn goes unmatched."""
+    drawn, so five stay out and one of the drawn goes unmatched.  Every
+    client is resident, faulted in out of id order, so client state is
+    read and written through the arena, never by slot."""
+    n = 12
     task = LogisticBlobsTask(num_features=6, num_classes=3, seed=0)
     algorithm = SampledSAPS(
-        task, 12, sample_size=7, capacity=12, compression_ratio=5.0,
+        task, n, sample_size=7, capacity=n, compression_ratio=5.0,
         lr=0.0, dtype=dtype, seed=0,
     )
     matchings = []
@@ -453,14 +456,18 @@ def _sampled_saps_round(dtype, rng, monkeypatch):
         sampled, "greedy_weighted_matching",
         _recording(sampled.greedy_weighted_matching, matchings),
     )
-    assert algorithm.arena.dense
-    before = _random_state(algorithm.arena, rng)
+    arena = algorithm.arena
+    before = rng.normal(size=(n, task.model_size)).astype(dtype)
+    for client in rng.permutation(n):
+        arena.row(client)[...] = before[client]
     algorithm.run_round(0)
+    assert arena.evictions == 0
+    after = np.stack([arena.peek(client) for client in range(n)])
     drawn = algorithm.last_participants
     (local_pairs,) = matchings
     pairs = [(drawn[i], drawn[j]) for i, j in local_pairs]
     mask = generate_mask(task.model_size, 5.0, derive_seed(0, "mask", 0))
-    return before, algorithm.arena.data, np.flatnonzero(mask), pairs
+    return before, after, np.flatnonzero(mask), pairs
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -2,7 +2,7 @@
 
 Covers the :class:`~repro.sim.participation.ParticipationContext`
 argument checks, the sampled-neighborhood SAPS equivalence properties
-(full-coverage sampling bit-identical to legacy full participation;
+(full-coverage sampling bit-identical to full participation;
 trajectories independent of arena capacity thanks to eviction
 writeback), the AsyncGossip mid-round re-match when a waiting partner
 goes down, the ShardedArena pin telemetry, and the streamed consensus
@@ -67,11 +67,10 @@ class TestCheckSupport:
 class TestSampledSAPSEquivalence:
     """The ISSUE's property: full-coverage sampling changes nothing."""
 
-    def run(self, workload, dtype, arena, sampled, threads, seed):
+    def run(self, workload, dtype, sampled, threads, seed):
         partitions, validation, factory = workload
         config = ExperimentConfig(
-            rounds=5, eval_every=2, lr=0.2, seed=seed, dtype=dtype,
-            arena=arena,
+            rounds=5, eval_every=2, lr=0.2, seed=seed, dtype=dtype
         )
         kwargs = {}
         if sampled:
@@ -96,17 +95,14 @@ class TestSampledSAPSEquivalence:
     def test_full_coverage_sampling_is_bit_identical(
         self, workload, dtype, threads, seed
     ):
-        """sample_size == n over AlwaysUp on the (dense-mode) sharded
-        arena reproduces legacy dense full participation exactly: the
-        participation draw rides its own seed substream."""
-        dense = self.run(
-            workload, dtype, "dense", sampled=False, threads=1, seed=seed
-        )
+        """sample_size == n over AlwaysUp reproduces full participation
+        exactly, at any thread count: the participation draw rides its
+        own seed substream."""
+        full = self.run(workload, dtype, sampled=False, threads=1, seed=seed)
         sampled = self.run(
-            workload, dtype, "sharded", sampled=True, threads=threads,
-            seed=seed,
+            workload, dtype, sampled=True, threads=threads, seed=seed
         )
-        assert _trajectories(dense) == _trajectories(sampled)
+        assert _trajectories(full) == _trajectories(sampled)
 
     def test_subsampling_changes_only_participants(self, workload):
         partitions, validation, factory = workload
@@ -144,12 +140,13 @@ class TestSampledSAPSStandalone:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_capacity_invariance(self, dtype):
         """Writeback-on-eviction makes trajectories independent of
-        capacity: the heavily evicting run matches the dense-mode run
-        bit-for-bit (losses and evaluation; the streamed consensus fold
-        order differs, so distance only to float64 accuracy)."""
+        capacity: the heavily evicting run matches the run that holds the
+        whole enrolment resident bit-for-bit (losses and evaluation; the
+        streamed consensus fold order differs, so distance only to
+        float64 accuracy)."""
         big_algo, big_losses, big_eval = self.run(1500, dtype=dtype)
         small_algo, small_losses, small_eval = self.run(140, dtype=dtype)
-        assert big_algo.arena.dense and not small_algo.arena.dense
+        assert big_algo.arena.evictions == 0
         assert small_algo.arena.evictions > 0
         assert big_losses == small_losses
         assert big_eval == small_eval
@@ -277,12 +274,6 @@ class TestPinTelemetry:
         arena.release([2])
         assert arena.stats()["peak_pins"] == 2  # high-water mark sticks
 
-    def test_dense_mode_records_no_pins(self):
-        arena = ShardedArena(4, 4)
-        arena.acquire([0, 1, 2, 3])
-        assert arena.stats()["peak_pins"] == 0
-        assert arena.stats()["pin_contentions"] == 0
-
 
 class TestStreamingConsensus:
     def test_moments_match_numpy(self, rng):
@@ -312,11 +303,17 @@ class TestStreamingConsensus:
         )
 
     def test_arena_consensus_matches_dense_formulas(self, rng):
-        arena = ParameterArena(9, 6)
-        arena.data[...] = rng.normal(size=(9, 6))
+        """The whole enrolment resident, faulted in out of client order:
+        the fold equals the dense arena's reductions over the client
+        matrix."""
+        arena = ShardedArena(9, 6, capacity=9)
+        replicas = ParameterArena(9, 6)
+        replicas.data[...] = rng.normal(size=(9, 6))
+        for client in rng.permutation(9):
+            arena.row(client)[...] = replicas.data[client]
         mean, distance = arena_consensus(arena, block=4)
-        np.testing.assert_allclose(mean, arena.mean_model())
-        assert distance == pytest.approx(arena.consensus_distance())
+        np.testing.assert_allclose(mean, replicas.mean_model())
+        assert distance == pytest.approx(replicas.consensus_distance())
 
     def test_arena_consensus_streams_sharded_state(self, rng):
         arena = ShardedArena(60, 6, capacity=8, cold=np.full(6, 0.25))

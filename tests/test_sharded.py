@@ -1,90 +1,9 @@
-"""ShardedArena: dense-mode bit-identity and sampled-mode semantics."""
+"""ShardedArena: LRU residency, writeback, cold state and pins."""
 
 import numpy as np
 import pytest
 
 from repro.nn import ParameterArena, ShardedArena
-
-
-def assert_records_identical(left, right, context=""):
-    """Bit-identical dataclass records (nan == nan for pre-loss points)."""
-    for name in left.__dataclass_fields__:
-        vl, vr = getattr(left, name), getattr(right, name)
-        assert vl == vr or (vl != vl and vr != vr), (context, name, vl, vr)
-
-
-class TestDenseModeBitIdentity:
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_sync_trajectories_identical(self, dtype):
-        from repro.algorithms import FedAvg, SparseFedAvg
-        from repro.data import make_blobs, partition_iid
-        from repro.nn import MLP
-        from repro.sim import ExperimentConfig, run_experiment
-
-        def run(algorithm_cls, arena):
-            full = make_blobs(num_samples=260, num_classes=4,
-                              num_features=8, rng=0)
-            train, validation = full.split(fraction=0.8, rng=0)
-            partitions = partition_iid(train, 4, rng=0)
-            config = ExperimentConfig(
-                rounds=8, batch_size=8, eval_every=2, seed=0,
-                dtype=dtype, arena=arena,
-            )
-            return run_experiment(
-                algorithm_cls(), partitions, validation,
-                lambda: MLP(8, [8], 4, rng=0, dtype=dtype), config,
-            )
-
-        for cls in (FedAvg, SparseFedAvg):
-            dense = run(cls, "dense")
-            sharded = run(cls, "sharded")
-            assert len(dense.history) == len(sharded.history)
-            for rd, rs in zip(dense.history, sharded.history):
-                assert_records_identical(rd, rs, cls.__name__)
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_async_fedavg_trajectories_identical(self, dtype):
-        from repro.algorithms import AsyncFedAvg
-        from repro.data import make_blobs, partition_iid
-        from repro.nn import MLP
-        from repro.sim import ConstantCompute, ExperimentConfig
-        from repro.sim.events import run_event_experiment
-
-        def run(arena):
-            full = make_blobs(num_samples=260, num_classes=4,
-                              num_features=8, rng=0)
-            train, validation = full.split(fraction=0.8, rng=0)
-            partitions = partition_iid(train, 4, rng=0)
-            config = ExperimentConfig(
-                rounds=8, batch_size=8, seed=0, dtype=dtype, arena=arena
-            )
-            return run_event_experiment(
-                AsyncFedAvg(local_steps=2), partitions, validation,
-                lambda: MLP(8, [8], 4, rng=0, dtype=dtype), config,
-                compute_model=ConstantCompute(0.05),
-                duration=4.0, checkpoint_every=1.0,
-            )
-
-        dense, sharded = run("dense"), run("sharded")
-        assert dense.staleness == sharded.staleness
-        assert dense.events_processed == sharded.events_processed
-        for rd, rs in zip(dense.history, sharded.history):
-            assert_records_identical(rd, rs, "AsyncFedAvg")
-
-    def test_dense_matches_parameter_arena_ops(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(6, 12))
-        dense = ParameterArena(6, 12)
-        sharded = ShardedArena(6, 12)
-        dense.data[...] = matrix
-        sharded.data[...] = matrix
-        assert sharded.dense
-        assert np.array_equal(dense.mean_model(), sharded.mean_model())
-        assert dense.consensus_distance() == sharded.consensus_distance()
-        gossip = np.full((6, 6), 1.0 / 6)
-        dense.mix(gossip)
-        sharded.mix(gossip)
-        assert np.array_equal(dense.data, sharded.data)
 
 
 class TestSampledMode:
@@ -169,12 +88,56 @@ class TestSampledMode:
         assert small.resident_clients <= 64
 
     def test_dense_only_ops_raise_in_sampled_mode(self):
-        arena = ShardedArena(10, 4, capacity=2)
-        for op in (arena.mean_model, arena.consensus_distance):
-            with pytest.raises(RuntimeError, match="materialized"):
-                op()
-        with pytest.raises(RuntimeError, match="materialized"):
-            arena.mix(np.eye(2))
+        """Whole-matrix operations belong to the dense arena; the sharded
+        one is not a ParameterArena and has none of them."""
+        arena = ShardedArena(10, 4, capacity=10)
+        assert not isinstance(arena, ParameterArena)
+        for op in ("adopt", "broadcast_row", "mean_model",
+                   "consensus_distance", "mix"):
+            with pytest.raises(AttributeError):
+                getattr(arena, op)
+
+    def test_nested_pin_at_full_pin_load(self):
+        """Re-pinning an already-pinned client takes no extra capacity."""
+        arena = ShardedArena(10, 4, capacity=1)
+        arena.acquire([0])
+        assert list(arena.acquire([0])) == [0]
+        with pytest.raises(RuntimeError, match="pinned"):
+            arena.acquire([1])
+        arena.release([0])
+        arena.release([0])
+        arena.acquire([1])
+
+    def test_release_is_atomic(self):
+        """A release naming an unpinned client changes no pin count."""
+        arena = ShardedArena(10, 4, capacity=3)
+        arena.acquire([0, 1])
+        with pytest.raises(ValueError, match="client 5 is not pinned"):
+            arena.release([0, 5])
+        with pytest.raises(ValueError, match="client 1 is not pinned"):
+            arena.release([1, 1])
+        assert arena._pinned == {0: 1, 1: 1}
+        arena.release([0, 1])
+        assert arena._pinned == {}
+
+    def test_capacity_is_required(self):
+        with pytest.raises(TypeError):
+            ShardedArena(10, 4)
+        with pytest.raises(ValueError):
+            ShardedArena(10, 4, capacity=0)
+        assert ShardedArena(10, 4, capacity=50).capacity == 10
+
+    def test_full_capacity_never_evicts(self):
+        """At capacity == enrolment slots go in first-touch order, not by
+        client id, and every client stays resident."""
+        arena = ShardedArena(6, 3, capacity=6)
+        order = [4, 1, 5, 0, 3, 2]
+        for value, client in enumerate(order):
+            arena.row(client)[...] = value
+        assert arena.evictions == 0 and arena.resident_clients == 6
+        assert [arena.slot_of(c) for c in order] == list(range(6))
+        for value, client in enumerate(order):
+            assert np.all(arena.peek(client) == value)
 
     def test_client_range_checked(self):
         arena = ShardedArena(10, 4, capacity=2)
