@@ -2,7 +2,7 @@
 """Interleaved A/B of e2e workloads between two source trees.
 
     python3 benchmarks/ab.py BASE_TREE NEW_TREE [--workload saps32_cnn ...]
-        [--pairs 4] [--seed 1] [--smoke]
+        [--pairs 4] [--seed 1] [--smoke] [--calls]
 
 Each pair runs ``benchmarks/e2e/child.py`` once from each tree, in fresh
 processes with ``run.py``'s pinned thread environment (one thread
@@ -19,8 +19,12 @@ claimed workload moved, the others did not" is one command.  For
 ``run_s`` and ``worker_steps_per_s`` the line states the verdict of
 the gain rule: the new tree's wins out of the pairs, the median gap
 against the base runs' interquartile range, and ``GAIN`` only with at
-least nine tenths of the pairs won and the gap wider than that range.  Exit status is 1 when any digest differs between the trees
-on any workload (or a run dies).
+least nine tenths of the pairs won and the gap wider than that range.
+``--calls`` adds one untimed run per tree under ``cProfile`` and prints
+each side's function-call count between the end of set-up and the end
+of the run: a noise-free measure of per-event overhead where ``run_s``
+spreads by several percent.  Exit status is 1 when any digest differs
+between the trees on any workload (or a run dies).
 
 Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
 trees may be the same directory (``--smoke`` against itself is how the
@@ -47,6 +51,25 @@ from child import THREAD_VARS  # noqa: E402
 
 CHILD_TIMEOUT_S = 120.0
 
+#: ``python -c`` body of a ``--calls`` run: ``child.py``'s ``main`` with a
+#: profiler switched on when the workload marks the end of set-up; the
+#: call count is the last line of stdout.  ``argv``: the ``e2e`` directory,
+#: then ``child.py``'s own arguments.
+PROFILED_CHILD = """
+import cProfile, pstats, sys
+sys.path.insert(0, sys.argv.pop(1))
+import child
+profiler = cProfile.Profile()
+run_begins = child.Marks.run_begins
+def profiled(marks):
+    run_begins(marks)
+    profiler.enable()
+child.Marks.run_begins = profiled
+child.main()
+profiler.disable()
+print(pstats.Stats(profiler).total_calls)
+"""
+
 
 def child_env(tree: Path, pycache: str) -> Dict[str, str]:
     env = dict(os.environ)
@@ -58,23 +81,39 @@ def child_env(tree: Path, pycache: str) -> Dict[str, str]:
     return env
 
 
-def run_child(tree: Path, workload: str, seed: int, smoke: bool,
-              pycache: str) -> dict:
-    command = [
-        sys.executable, str(tree / "benchmarks" / "e2e" / "child.py"),
+def _last_line(tree: Path, workload: str, seed: int, smoke: bool,
+               pycache: str, prefix: List[str], timeout: float) -> str:
+    """Run ``child.py``'s arguments after ``prefix``; its last stdout line."""
+    command = prefix + [
         "--workload", workload, "--seed", str(seed), "--trace", "0",
         "--smoke", str(int(smoke)), "--spawned-at", repr(time.perf_counter()),
     ]
     done = subprocess.run(
         command, env=child_env(tree, pycache), cwd=tree, capture_output=True,
-        text=True, timeout=CHILD_TIMEOUT_S,
+        text=True, timeout=timeout,
     )
     if done.returncode != 0:
         raise RuntimeError(
             f"{tree}: {workload} exited {done.returncode}: "
             f"{done.stderr.strip()[-2000:]}"
         )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout.strip().splitlines()[-1]
+
+
+def run_child(tree: Path, workload: str, seed: int, smoke: bool,
+              pycache: str) -> dict:
+    child = str(tree / "benchmarks" / "e2e" / "child.py")
+    return json.loads(_last_line(tree, workload, seed, smoke, pycache,
+                                 [sys.executable, child], CHILD_TIMEOUT_S))
+
+
+def count_calls(tree: Path, workload: str, seed: int, smoke: bool,
+                pycache: str) -> int:
+    """Function calls of one untimed run under ``cProfile``."""
+    prefix = [sys.executable, "-c", PROFILED_CHILD,
+              str(tree / "benchmarks" / "e2e")]
+    return int(_last_line(tree, workload, seed, smoke, pycache, prefix,
+                          3 * CHILD_TIMEOUT_S))
 
 
 def quartiles(values: List[float]) -> str:
@@ -165,7 +204,17 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
     digests = (f"DIGEST DIFFERS in {mismatches} pair(s)" if mismatches
                else "digests equal")
     print(f"run_s change per pair: median {change:+.1%}, "
-          f"new faster in {faster}/{len(changes)} pairs; {digests}\n")
+          f"new faster in {faster}/{len(changes)} pairs; {digests}")
+    calls = ""
+    if args.calls:
+        base_calls, new_calls = (
+            count_calls(trees[side], workload, args.seed, args.smoke, pycache)
+            for side in ("base", "new")
+        )
+        calls = (f", calls {base_calls} -> {new_calls} "
+                 f"({new_calls / base_calls - 1.0:+.2%})")
+        print(f"calls under cProfile: base {base_calls}, new {new_calls}")
+    print()
     run_s = verdict(series("base", metrics["run_s"]),
                     series("new", metrics["run_s"]), lower_is_better=True)
     steps = verdict(series("base", steps_per_s), series("new", steps_per_s),
@@ -178,7 +227,7 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
         f"setup_s {medians['base', 'setup_s']:.3f} -> "
         f"{medians['new', 'setup_s']:.3f}, peak_rss_mb "
         f"{medians['base', 'peak_rss_mb']:.1f} -> "
-        f"{medians['new', 'peak_rss_mb']:.1f}, {digests}"
+        f"{medians['new', 'peak_rss_mb']:.1f}{calls}, {digests}"
     )
     return summary, mismatches
 
@@ -192,6 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true",
                         help="shrunk workloads (checks the plumbing, not speed)")
+    parser.add_argument("--calls", action="store_true",
+                        help="also count each tree's function calls under "
+                             "cProfile in one untimed run per workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")

@@ -145,9 +145,13 @@ class AsyncAlgorithm(DistributedAlgorithm):
         driver_inc: Optional[int] = None,
         partner_inc: Optional[int] = None,
     ) -> None:
-        """One fault-aware exchange attempt, driven from ``driver``'s side.
+        """Start an exchange (both directions) or, with
+        ``bidirectional=False``, an upload from ``driver`` to ``partner``;
+        ``on_success(t)`` fires when it lands.
 
-        Only called with faults active.  The attempt either:
+        The one way an asynchronous family starts either.  Without an
+        active fault plan it is one :meth:`EventEngine.start_tracked`
+        call.  With one, each attempt either:
 
         * expires at ``policy.timeout`` when the partner is dead,
           restarted, or the link is down ("waiting on a dead peer");
@@ -157,16 +161,25 @@ class AsyncAlgorithm(DistributedAlgorithm):
         Every failure path funnels into the same retry logic: exponential
         backoff with seed-deterministic jitter, then a fresh attempt;
         after ``max_retries`` the driver abandons the exchange and
-        ``on_give_up(t, survivor)`` fires (the re-match path).  If the
-        *driver* crashes mid-flight and ``takeover`` is set, the
-        surviving partner inherits the retry loop — a crash always
-        leaves the survivor in charge of its own deadline.
+        ``on_give_up(t, survivors)`` fires with the parties still alive
+        in the incarnation they started it in, driver first (the
+        re-match path).  If the *driver* crashes mid-flight and
+        ``takeover`` is set, the surviving partner inherits the retry
+        loop — a crash always leaves the survivor in charge of its own
+        deadline.
         """
         engine = self.engine
-        policy = engine.exchange_policy
-        stats = engine.resilience
         if now is None:
             now = engine.now
+        if bidirectional:
+            legs = ((driver, partner), (partner, driver))
+        else:
+            legs = ((driver, partner),)
+        if not engine.faults_active:
+            engine.start_tracked(now, legs, num_bytes, index, on_success)
+            return
+        policy = engine.exchange_policy
+        stats = engine.resilience
         if driver_inc is None:
             driver_inc = engine.node_incarnation(driver)
         if partner_inc is None:
@@ -205,7 +218,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
                 return
             if attempt >= policy.max_retries:
                 stats.give_ups += 1
-                on_give_up(t, driver)
+                on_give_up(t, (driver, partner) if partner_ok() else (driver,))
                 return
             stats.retries += 1
             delay = policy.backoff_delay(driver, attempt, index)
@@ -218,23 +231,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
             stats.timeout_exchanges += 1
             engine.schedule(now + policy.timeout, fail)
             return
-        if bidirectional:
-            engine.start_tracked_exchange(
-                now, driver, partner, num_bytes, index, on_success, fail
-            )
-        else:
-            engine.start_tracked_transfer(
-                now, driver, partner, num_bytes, index, on_success, fail
-            )
-
-    def _swap(self, a: int, b: int, num_bytes: int, index: int, now: float,
-              then) -> None:
-        """A fault-free pairwise exchange: both directions start at
-        ``now``; ``then(t)`` fires when the later one lands."""
-        engine = self.engine
-        _, end_a = engine.start_transfer(now, a, b, num_bytes, index)
-        _, end_b = engine.start_transfer(now, b, a, num_bytes, index)
-        engine.schedule(max(end_a, end_b, now), then)
+        engine.start_tracked(now, legs, num_bytes, index, on_success, fail)
 
     def run_round(self, round_index: int) -> float:
         raise NotImplementedError(
@@ -381,43 +378,18 @@ class AsyncGossip(AsyncAlgorithm):
         seed = derive_seed(self.base_seed, "mask", index)
         mask = generate_mask(self.model_size, self.compression_ratio, seed)
         indices = np.flatnonzero(mask)
-        payload_bytes = int(indices.size) * BYTES_PER_VALUE
-        if self.engine.faults_active:
-            self._faulty_exchange(rank, partner, index, indices, payload_bytes)
-            return
-        self._swap(
-            rank, partner, payload_bytes, index, now,
-            lambda t, a=rank, b=partner, idx=indices: self._merge(a, b, idx, t),
-        )
-
-    def _faulty_exchange(
-        self, rank: int, partner: int, index: int, indices: np.ndarray,
-        payload_bytes: int,
-    ) -> None:
-        """The matched pair's exchange under an active fault plan: same
-        masked-average math, but crash-abortable with deadline/backoff
-        retries."""
-        engine = self.engine
-        incarnations = {
-            rank: engine.node_incarnation(rank),
-            partner: engine.node_incarnation(partner),
-        }
-
-        def on_success(t: float, a=rank, b=partner, idx=indices) -> None:
-            self._merge(a, b, idx, t)
-
-        def on_give_up(t: float, survivor: int) -> None:
-            # Abandoned exchange: every party still alive in its matched
-            # incarnation re-enters the cycle loop (the re-match path);
-            # dead ones restart through recovery.
-            self.dropped_exchanges += 1
-            for node, inc in incarnations.items():
-                if engine.node_up(node) and engine.node_incarnation(node) == inc:
-                    self._begin_cycle(node, t)
-
         self._drive_exchange(
-            rank, partner, payload_bytes, index, on_success, on_give_up
+            rank, partner, int(indices.size) * BYTES_PER_VALUE, index,
+            lambda t, a=rank, b=partner, idx=indices: self._merge(a, b, idx, t),
+            self._give_up, now=now,
         )
+
+    def _give_up(self, now: float, survivors) -> None:
+        """An abandoned exchange: the survivors re-enter the cycle loop
+        (the re-match path); dead parties restart through recovery."""
+        self.dropped_exchanges += 1
+        for node in survivors:
+            self._begin_cycle(node, now)
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
         obs.timed("mix", self._average_masked, a, b, indices)
@@ -466,60 +438,28 @@ class AsyncDPSGD(AsyncAlgorithm):
         self._loss_sum += loss
         self._loss_events += 1
         base_mixes = int(self._mix_counts[rank])
-
-        if self.engine.faults_active:
-            self._faulty_average(rank, gradient, base_mixes, now)
-            return
-        # Uniform peer restricted to the up population (the classic
-        # shifted-uniform draw, bit-identical, when no population model
-        # is attached).  No up peer at all: apply the gradient unmixed —
-        # AD-PSGD's averaging needs no peer cooperation.
-        peer = self.participation_ctx.pick_peer(rank, self._rng, now)
+        # A uniform peer among the live workers that the population has
+        # up.  None at all, or retries exhausted: apply the gradient
+        # unmixed — AD-PSGD's averaging needs no peer cooperation, so
+        # nobody else is parked.
+        peer = self.participation_ctx.pick_peer(
+            rank, self._rng, now, self.engine.worker_up
+        )
         if peer is None:
             self._apply(rank, gradient, base_mixes, now)
             return
         index = self.exchange_count
         self.exchange_count += 1
         obs.timed(
-            "comm", self._swap,
-            rank, peer, self.model_size * BYTES_PER_VALUE, index, now,
+            "comm", self._drive_exchange,
+            rank, peer, self.model_size * BYTES_PER_VALUE, index,
             lambda t, r=rank, p=peer, g=gradient, b=base_mixes: (
                 self._average_then_apply(r, p, g, b, t)
             ),
-        )
-
-    def _faulty_average(
-        self, rank: int, gradient: np.ndarray, base_mixes: int, now: float
-    ) -> None:
-        """Peer averaging under an active fault plan: the peer is drawn
-        uniformly among *live* workers, the exchange is crash-abortable
-        with deadline/backoff retries, and a worker that exhausts its
-        retries applies the held gradient unmixed (AD-PSGD's averaging
-        needs no peer cooperation, so nobody else is parked)."""
-        engine = self.engine
-        live = [
-            peer
-            for peer in range(self.num_workers)
-            if peer != rank and engine.worker_up[peer]
-        ]
-        if not live:
-            # Last worker standing: no averaging possible this cycle.
-            self._apply(rank, gradient, base_mixes, now)
-            return
-        peer = live[int(self._rng.integers(len(live)))]
-        index = self.exchange_count
-        self.exchange_count += 1
-
-        def on_success(t: float, r=rank, p=peer, g=gradient, b=base_mixes):
-            self._average_then_apply(r, p, g, b, t)
-
-        def on_give_up(t: float, survivor: int, r=rank, g=gradient, b=base_mixes):
-            self._apply(r, g, b, t)
-
-        obs.timed(
-            "comm", self._drive_exchange,
-            rank, peer, self.model_size * BYTES_PER_VALUE, index,
-            on_success, on_give_up, takeover=False,
+            lambda t, survivors, r=rank, g=gradient, b=base_mixes: (
+                self._apply(r, g, b, t)
+            ),
+            now=now, takeover=False,
         )
 
     def _average_then_apply(
@@ -668,11 +608,10 @@ class AsyncFedAvg(AsyncAlgorithm):
         snapshot = self.global_model.copy()
         base_version = self.server_version
         # Tracked: a crash mid-download aborts the transfer and frees the
-        # server's transmit end (identical to the classic transfer +
-        # scheduled completion when no fault plan is active).
+        # server's transmit end.
         obs.timed(
-            "comm", engine.start_tracked_transfer,
-            start, TrafficMeter.SERVER, rank, model_bytes, self.upload_count,
+            "comm", engine.start_tracked,
+            start, ((TrafficMeter.SERVER, rank),), model_bytes, self.upload_count,
             lambda t, r=rank, c=cycle, s=snapshot, v=base_version: (
                 self._on_download(r, c, s, v, t)
             ),
@@ -696,36 +635,21 @@ class AsyncFedAvg(AsyncAlgorithm):
 
     def _on_local_done(self, rank: int, base_version: int, now: float) -> None:
         self._run_local(rank)
-        engine = self.engine
-        model_bytes = self.model_size * BYTES_PER_VALUE
         index = self.upload_count
         self.upload_count += 1
-        if engine.faults_active:
-            # Upload under faults: deadline + backoff retries on a
-            # mid-flight crash; exhausting the budget abandons the upload
-            # (the server never sees it) and starts a fresh cycle.
-            def on_success(t: float, r=rank, v=base_version):
-                self._on_upload(r, v, t)
-
-            def on_give_up(t: float, survivor: int, r=rank):
-                self.dropped_uploads += 1
-                self._cycle_finished(r, t)
-
-            obs.timed(
-                "comm", self._drive_exchange,
-                rank, TrafficMeter.SERVER, model_bytes, index,
-                on_success, on_give_up, takeover=False,
-                bidirectional=False,
-            )
-            return
-        _, ul_end = obs.timed(
-            "comm", engine.start_transfer,
-            now, rank, TrafficMeter.SERVER, model_bytes, index,
-        )
-        engine.schedule(
-            max(ul_end, now),
+        obs.timed(
+            "comm", self._drive_exchange,
+            rank, TrafficMeter.SERVER, self.model_size * BYTES_PER_VALUE, index,
             lambda t, r=rank, v=base_version: self._on_upload(r, v, t),
+            lambda t, survivors, r=rank: self._drop_upload(r, t),
+            now=now, takeover=False, bidirectional=False,
         )
+
+    def _drop_upload(self, rank: int, now: float) -> None:
+        """An upload out of retries: the server never sees it and the
+        worker's cycle ends."""
+        self.dropped_uploads += 1
+        self._cycle_finished(rank, now)
 
     def _on_upload(self, rank: int, base_version: int, now: float) -> None:
         staleness = self.server_version - base_version

@@ -333,12 +333,9 @@ class SampledAsyncFedAvg:
         # The download carries the global model as of its start.
         snapshot = self.global_model.copy()
         version = self.server_version
-        _, dl_end = engine.start_transfer(
-            now, TrafficMeter.SERVER, client, self.model_bytes,
+        engine.start_tracked(
+            now, ((TrafficMeter.SERVER, client),), self.model_bytes,
             self.upload_count,
-        )
-        engine.schedule(
-            max(dl_end, now),
             lambda t, c=client, s=snapshot, v=version: (
                 self._on_download(c, s, v, t)
             ),
@@ -372,12 +369,9 @@ class SampledAsyncFedAvg:
         self.total_local_steps += self.local_steps
         self._loss_sum += loss
         self._loss_events += 1
-        _, ul_end = self.engine.start_transfer(
-            now, client, TrafficMeter.SERVER, self.model_bytes,
+        self.engine.start_tracked(
+            now, ((client, TrafficMeter.SERVER),), self.model_bytes,
             self.upload_count,
-        )
-        self.engine.schedule(
-            max(ul_end, now),
             lambda t, c=client, v=version: self._on_upload(c, v, t),
         )
 

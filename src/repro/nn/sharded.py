@@ -37,7 +37,7 @@ from repro.utils.dtypes import DTypeLike, resolve_dtype
 
 
 class ShardedArena:
-    """LRU-evicted sharded parameter + gradient store for huge ``n``.
+    """LRU-evicted sharded parameter store for huge ``n``.
 
     Parameters
     ----------
@@ -82,7 +82,6 @@ class ShardedArena:
         self.capacity = rows
         self.dtype = resolve_dtype(dtype)
         self.data = np.zeros((rows, self.model_size), dtype=self.dtype)
-        self.grads = np.zeros((rows, self.model_size), dtype=self.dtype)
         self.retain_evicted = bool(retain_evicted)
         self._cold = None
         if cold is not None:
@@ -142,9 +141,6 @@ class ShardedArena:
             row[...] = self._cold
         else:
             row[...] = 0
-        # Gradients are per-participation scratch, not client state: a
-        # faulted-in row always starts with a clean gradient.
-        self.grads[slot][...] = 0
         return slot
 
     def _evict_one(self) -> int:
@@ -228,9 +224,6 @@ class ShardedArena:
         via :meth:`acquire` across any deferred use."""
         return self.data[self.slot_of(client)]
 
-    def grad_row(self, client: int) -> np.ndarray:
-        return self.grads[self.slot_of(client)]
-
     def peek(self, client: int) -> np.ndarray:
         """Client state *without* faulting it in (copy for dormant rows).
 
@@ -264,7 +257,7 @@ class ShardedArena:
 
     def resident_bytes(self) -> int:
         """Bytes held for client state: slots + writeback store."""
-        total = self.data.nbytes + self.grads.nbytes
+        total = self.data.nbytes
         total += len(self._store) * self.model_size * self.dtype.itemsize
         return total
 

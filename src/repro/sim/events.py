@@ -229,7 +229,10 @@ class EventEngine:
     keeps it off by default) and the shared scenario models: compute
     times, the fault plan and the client population.  Asynchronous
     algorithms (:mod:`repro.algorithms.asynchronous`) bind to the engine
-    and drive it through :meth:`schedule` / :meth:`start_transfer`.
+    and drive it through :meth:`schedule` and :meth:`start_tracked`, the
+    one way to start a transfer that has a completion event.  Whether a
+    fault plan is active is the engine's business: without one,
+    :meth:`start_tracked` is plain transfers plus a scheduled completion.
     """
 
     #: Safety valve: an algorithm whose events never advance time (no
@@ -405,107 +408,67 @@ class EventEngine:
     # ------------------------------------------------------------------
     # tracked transfers (crash-abortable)
     # ------------------------------------------------------------------
-    def _track(
+    def start_tracked(
         self,
-        a: int,
-        b: int,
-        done: float,
-        reservations: Dict[Tuple, Optional[float]],
+        now: float,
+        legs: Sequence[Tuple[int, int]],
+        num_bytes: int,
+        index: int,
         on_success: Callable,
-        on_abort: Optional[Callable],
-        counted: bool,
+        on_abort: Optional[Callable] = None,
+        counted: bool = True,
     ) -> None:
+        """Start directed transfers with one crash-abortable completion.
+
+        ``legs`` is one or two ``(sender, receiver)`` pairs, each started
+        at ``now`` through :meth:`start_transfer` in the order given;
+        ``on_success`` fires when the last one lands.  Without an active
+        fault plan that is all.  With one, the completion is registered
+        in flight: a crash of either end of the first leg, or that link
+        going down, cancels it, rolls back the link reservations nothing
+        has stacked on since, and fires ``on_abort`` at that time.  A
+        ``counted`` transfer that would outlive ``policy.timeout`` is not
+        started: it counts as a timeout and ``on_abort`` fires at the
+        deadline.  ``counted=False`` keeps a transfer out of the goodput
+        accounting and the deadline (downloads are plumbing, not
+        exchange attempts).
+        """
+        active = self.faults_active
+        if active:
+            before = {
+                key: self._link_free.get(key)
+                for sender, receiver in legs
+                for key in SimulatedNetwork.link_endpoints(sender, receiver)
+            }
+        done = now
+        for sender, receiver in legs:
+            _, end = self.start_transfer(now, sender, receiver, num_bytes, index)
+            if end > done:
+                done = end
+        if not active:
+            self.schedule(done, on_success)
+            return
+        policy = self.exchange_policy
+        if counted and policy is not None and done - now > policy.timeout:
+            # Contention pushed the exchange past its deadline: it gives
+            # up when the deadline expires.
+            self.resilience.timeout_exchanges += 1
+            if on_abort is not None:
+                self.schedule(now + policy.timeout, on_abort)
+            return
         tid = self._next_transfer_id
         self._next_transfer_id += 1
 
         def complete(t: float) -> None:
             self._inflight.pop(tid, None)
-            if counted and self.resilience is not None:
+            if counted:
                 self.resilience.completed_exchanges += 1
             on_success(t)
 
         handle = self.queue.push(done, complete)
-        after = {key: self._link_free.get(key) for key in reservations}
-        self._inflight[tid] = (a, b, handle, reservations, after, on_abort, counted)
-
-    def _snapshot_reservations(self, pairs) -> Dict[Tuple, Optional[float]]:
-        keys = set()
-        for sender, receiver in pairs:
-            keys.update(SimulatedNetwork.link_endpoints(sender, receiver))
-        return {key: self._link_free.get(key) for key in keys}
-
-    def start_tracked_exchange(
-        self,
-        now: float,
-        a: int,
-        b: int,
-        num_bytes: int,
-        index: int,
-        on_success: Callable,
-        on_abort: Optional[Callable] = None,
-        counted: bool = True,
-    ) -> None:
-        """Bidirectional exchange whose completion a crash can abort.
-
-        Without an active fault plan this degenerates to exactly the
-        classic pattern — two :meth:`start_transfer` calls plus one
-        scheduled completion event — so fault-free runs are untouched.
-        With faults active the completion event is registered in the
-        in-flight table: a crash of either end cancels it, rolls the
-        link reservations back and fires ``on_abort`` at crash time.
-        If the exchange would outlive the policy deadline it is not
-        started at all; ``on_abort`` fires at the deadline instead.
-        """
-        if not self.faults_active:
-            _, end_a = self.start_transfer(now, a, b, num_bytes, index)
-            _, end_b = self.start_transfer(now, b, a, num_bytes, index)
-            self.schedule(max(end_a, end_b, now), on_success)
-            return
-        reservations = self._snapshot_reservations(((a, b), (b, a)))
-        _, end_a = self.start_transfer(now, a, b, num_bytes, index)
-        _, end_b = self.start_transfer(now, b, a, num_bytes, index)
-        done = max(end_a, end_b, now)
-        policy = self.exchange_policy
-        if policy is not None and done - now > policy.timeout:
-            # Contention pushed the exchange past its deadline: both
-            # sides give up when the deadline expires.
-            if counted:
-                self.resilience.timeout_exchanges += 1
-            if on_abort is not None:
-                self.schedule(now + policy.timeout, on_abort)
-            return
-        self._track(a, b, done, reservations, on_success, on_abort, counted)
-
-    def start_tracked_transfer(
-        self,
-        now: float,
-        sender: int,
-        receiver: int,
-        num_bytes: int,
-        index: int,
-        on_success: Callable,
-        on_abort: Optional[Callable] = None,
-        counted: bool = True,
-    ) -> None:
-        """One directed crash-abortable transfer (the server-path leg).
-
-        ``counted=False`` keeps the transfer out of the goodput
-        accounting (download legs and recovery fetches are plumbing, not
-        exchange attempts)."""
-        if not self.faults_active:
-            _, end = self.start_transfer(now, sender, receiver, num_bytes, index)
-            self.schedule(max(end, now), on_success)
-            return
-        reservations = self._snapshot_reservations(((sender, receiver),))
-        _, end = self.start_transfer(now, sender, receiver, num_bytes, index)
-        done = max(end, now)
-        policy = self.exchange_policy
-        if policy is not None and counted and done - now > policy.timeout:
-            self.resilience.timeout_exchanges += 1
-            if on_abort is not None:
-                self.schedule(now + policy.timeout, on_abort)
-            return
-        self._track(sender, receiver, done, reservations, on_success, on_abort, counted)
+        after = {key: self._link_free.get(key) for key in before}
+        a, b = legs[0]
+        self._inflight[tid] = (a, b, handle, before, after, on_abort, counted)
 
     def _abort_inflight(self, tid: int, now: float) -> None:
         a, b, handle, before, after, on_abort, counted = self._inflight.pop(tid)
@@ -519,7 +482,7 @@ class EventEngine:
                     self._link_free.pop(key, None)
                 else:
                     self._link_free[key] = original
-        if counted and self.resilience is not None:
+        if counted:
             self.resilience.aborted_exchanges += 1
         if on_abort is not None:
             on_abort(now)

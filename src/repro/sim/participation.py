@@ -11,7 +11,8 @@ they do".  This module is the one home for that logic:
   :meth:`~repro.sim.population.ClientPopulation.sample_up`) and the
   seat-pool draws of the asynchronous variants;
 * **gating** — next-up wake times, up-filtering of gossip peer pools,
-  and up-restricted uniform peer picks (AD-PSGD's communication thread);
+  and live- and up-restricted uniform peer picks (AD-PSGD's
+  communication thread);
 * **residency** — pin/acquire scopes over the sampled families'
   :class:`~repro.nn.sharded.ShardedArena` so an exchange's endpoint rows
   cannot be torn by LRU eviction mid-use.  Worker-backed families run on
@@ -222,27 +223,36 @@ class ParticipationContext:
         return up, down
 
     def pick_peer(
-        self, rank: int, rng: np.random.Generator, now: float
+        self,
+        rank: int,
+        rng: np.random.Generator,
+        now: float,
+        live: Optional[np.ndarray] = None,
     ) -> Optional[int]:
-        """A uniform peer != ``rank``, restricted to the up population.
+        """A uniform peer != ``rank`` among those ``live`` marks (default:
+        everyone), restricted to the up population.
 
-        Without a population this is AD-PSGD's classic shifted-uniform
-        draw (one RNG consumption, bit-identical).  With one, down peers
-        are rejected for up to 64 attempts; ``None`` means no up peer
-        was found and the caller should skip the averaging this cycle.
+        With every peer live this is AD-PSGD's classic shifted-uniform
+        draw; otherwise it indexes the ascending list of live peers.
+        Without a population that is one RNG draw; with one, down peers
+        are rejected for up to 64 attempts.  ``None`` means no peer was
+        found and the caller should skip the averaging this cycle.
         """
-        if self.num_clients < 2:
+        peers = None
+        if live is None or live.all():
+            span = self.num_clients - 1
+        else:
+            peers = [peer for peer in np.flatnonzero(live).tolist() if peer != rank]
+            span = len(peers)
+        if span < 1:
             return None
-        if self.population is None:
-            peer = int(rng.integers(self.num_clients - 1))
-            if peer >= rank:
-                peer += 1
-            return peer
         for _ in range(64):
-            peer = int(rng.integers(self.num_clients - 1))
-            if peer >= rank:
+            peer = int(rng.integers(span))
+            if peers is not None:
+                peer = peers[peer]
+            elif peer >= rank:
                 peer += 1
-            if self.population.is_up(peer, now):
+            if self.population is None or self.population.is_up(peer, now):
                 return peer
         return None
 

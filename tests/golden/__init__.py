@@ -176,7 +176,8 @@ def sync(family, data, dtype, rounds, plan=None, delta=1.0, extra="",
 def event(family, dtype, compute, optim="sgd", scenario=""):
     """:data:`DURATION` simulated seconds of an asynchronous ``family`` on
     the ``event`` blobs under ``compute``; ``scenario`` is "plan"
-    (``PLANS["event"]``), "renewal" (a renewal population) or neither."""
+    (``PLANS["event"]``), "renewal" (a renewal population), both
+    ("plan-renewal") or neither."""
     from repro.algorithms import AsyncDPSGD, AsyncFedAvg, AsyncGossip
     from repro.sim import (
         ConstantCompute, EventEngine, FaultPlan, HeterogeneousCompute,
@@ -193,6 +194,7 @@ def event(family, dtype, compute, optim="sgd", scenario=""):
     }[family]()
     workers, network, validation = blob_workers("event", dtype, optim)
     n = len(workers)
+    scenario = scenario.split("-")
     algorithm.setup(workers, network, rng=5)
     if compute == "constant":
         compute_model = ConstantCompute(0.04)
@@ -205,9 +207,9 @@ def event(family, dtype, compute, optim="sgd", scenario=""):
         network,
         compute_model=compute_model,
         fault_plan=(FaultPlan.parse(PLANS["event"], n, horizon=DURATION, seed=4)
-                    if scenario == "plan" else None),
+                    if "plan" in scenario else None),
         population=(RenewalPopulation(n, mean_up=1.0, mean_down=0.5, seed=3)
-                    if scenario == "renewal" else None),
+                    if "renewal" in scenario else None),
     )
     result = engine.run(algorithm, validation, DURATION, checkpoint_every=0.5)
     history = [
@@ -335,6 +337,9 @@ EVENT_CASES = [
     ("fedavg-sampled", F64, "hetero0", "momentum", ""),
     ("fedavg-sampled", F32, "hetero0.1", "nesterov", ""),
     ("fedavg-sampled", F64, "hetero0", "sgd", "renewal"),
+    # A fault plan and a population at once.
+    *[(family, F64, "hetero0", "sgd", "plan-renewal")
+      for family in ("gossip-bandwidth", "dpsgd", "fedavg-sampled")],
 ]
 
 _SYNC7 = "--workers 7 --rounds 12 --eval-every 4"

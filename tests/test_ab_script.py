@@ -1,5 +1,6 @@
 """``benchmarks/ab.py``: one smoke pair of this tree against itself on the
-cheapest workload, and, with the children faked, the two-workload
+cheapest workload, with equal ``--calls`` counts, and, with the children
+faked, the two-workload
 summary and the exit status when the two trees' trajectories differ on
 any workload."""
 
@@ -17,15 +18,20 @@ def test_smoke_pair_against_itself():
         [
             sys.executable, str(ROOT / "benchmarks" / "ab.py"), str(ROOT),
             str(ROOT), "--smoke", "--pairs", "1", "--workload", "saps1024_mlp",
+            "--calls",
         ],
         capture_output=True, text=True, timeout=240,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     out = done.stdout
     assert "saps1024_mlp, seed 1, 1 pair(s), smoke" in out
+    calls = next(line for line in out.splitlines()
+                 if line.startswith("calls under cProfile: "))
+    base, new = calls.split("base ")[1].split(", new ")
+    assert int(base) == int(new) > 0
     summary = out.split("summary:\n", 1)[1].splitlines()
     assert summary[0].startswith("  saps1024_mlp: run_s ")
-    assert summary[0].endswith("digests equal")
+    assert summary[0].endswith(f"calls {base} -> {new} (+0.00%), digests equal")
     assert out.rstrip().endswith("digests equal in every pair")
 
 

@@ -256,6 +256,37 @@ class TestAsyncGossipRematch:
         assert up == [3, 1, 2] and down == []
 
 
+class TestPickPeer:
+    def test_every_peer_live_is_the_shifted_uniform_draw(self):
+        ctx = ParticipationContext(5)
+        for live in (None, np.ones(5, dtype=bool)):
+            rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+            for rank in (0, 2, 4) * 20:
+                expected = int(oracle.integers(4))
+                expected += expected >= rank
+                assert ctx.pick_peer(rank, rng, 0.0, live) == expected
+
+    def test_a_live_mask_is_one_draw_over_the_live_list(self):
+        ctx = ParticipationContext(6)
+        live = np.array([True, False, True, True, False, True])
+        rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            assert ctx.pick_peer(2, rng, 0.0, live) == [0, 3, 5][
+                int(oracle.integers(3))
+            ]
+        assert ctx.pick_peer(0, rng, 0.0, np.eye(6, dtype=bool)[0]) is None
+        assert ctx.pick_peer(0, rng, 0.0) is not None
+
+    def test_population_down_peers_are_rejected_among_the_live(self):
+        ctx = ParticipationContext(6, population=_PartnerOutage(6, 3, down_at=1.0))
+        live = np.array([True, False, True, True, True, False])
+        rng = np.random.default_rng(0)
+        drawn = {ctx.pick_peer(0, rng, 2.0, live) for _ in range(200)}
+        assert drawn == {2, 4}
+        before = {ctx.pick_peer(0, rng, 0.5, live) for _ in range(200)}
+        assert before == {2, 3, 4}
+
+
 class TestPinTelemetry:
     def test_pin_contention_and_peak_pins(self):
         arena = ShardedArena(10, 4, capacity=2)

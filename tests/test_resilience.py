@@ -16,6 +16,7 @@ from repro.analysis import (
 )
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
+from repro.network.metrics import MB
 from repro.nn import MLP
 from repro.resilience import (
     CheckpointStore,
@@ -23,7 +24,13 @@ from repro.resilience import (
     ResilienceStats,
     make_recovery_policy,
 )
-from repro.sim import ConstantCompute, ExperimentConfig, run_event_experiment
+from repro.sim import (
+    ConstantCompute,
+    EventEngine,
+    ExperimentConfig,
+    RenewalPopulation,
+    run_event_experiment,
+)
 from repro.sim.faults import FaultEvent, FaultPlan
 
 
@@ -252,6 +259,128 @@ class TestFaultyRunsEndToEnd:
         for a, b in zip(bare.history, empty.history):
             assert a.val_accuracy == b.val_accuracy
             assert a.worker_traffic_mb == b.worker_traffic_mb
+
+    def test_dpsgd_draws_only_population_up_peers_under_a_plan(self, workload):
+        """The plan is active but idle until 5.9 s; every peer AD-PSGD
+        draws must be up in its population model at the draw."""
+        partitions, validation, factory = workload
+        population = RenewalPopulation(6, mean_up=1.0, mean_down=1.0, seed=3)
+        algorithm = AsyncDPSGD()
+        draws = {}
+        drive = algorithm._drive_exchange
+
+        def spy(driver, partner, num_bytes, index, *args, **kwargs):
+            draws.setdefault(index, (partner, algorithm.engine.now))
+            drive(driver, partner, num_bytes, index, *args, **kwargs)
+
+        algorithm._drive_exchange = spy
+        run_event_experiment(
+            algorithm, partitions, validation, factory,
+            ExperimentConfig(lr=0.2, seed=11),
+            SimulatedNetwork(6, bandwidth=random_uniform_bandwidth(6, rng=11)),
+            compute_model=ConstantCompute(0.05), duration=6.0,
+            fault_plan=FaultPlan.parse("crash:5@5.9,recover:5@5.95", 6),
+            population=population,
+        )
+        assert len(draws) > 100
+        down = [(peer, t) for peer, t in draws.values()
+                if not population.is_up(peer, t)]
+        assert down == []
+
+
+class TestStartTracked:
+    """``EventEngine.start_tracked`` on its own: plain transfers plus one
+    completion without a plan; deadline, in-flight registration and
+    crash aborts with one."""
+
+    HALF = MB // 2  # 0.5 s on a 1 MB/s link
+
+    def engine(self, plan=None, timeout=0.8):
+        network = SimulatedNetwork(4, bandwidth=np.ones((4, 4)))
+        return EventEngine(
+            network, fault_plan=plan,
+            exchange_policy=ExchangePolicy(timeout=timeout),
+        )
+
+    @staticmethod
+    def metered(engine):
+        meter = engine.network.meter
+        return (meter.total_bytes, meter.num_transfers,
+                [meter.worker_bytes(w) for w in range(4)])
+
+    @staticmethod
+    def idle_plan():
+        return FaultPlan.parse("crash:3@100", 4)
+
+    def test_without_a_plan_it_is_plain_transfers_plus_one_completion(self):
+        tracked, manual = self.engine(), self.engine()
+        for engine in (tracked, manual):
+            engine.start_transfer(0.0, 2, 1, self.HALF, 0)
+        fired = []
+        tracked.start_tracked(
+            0.1, ((0, 1), (1, 0)), self.HALF, 3, fired.append
+        )
+        ends = [
+            manual.start_transfer(0.1, 0, 1, self.HALF, 3),
+            manual.start_transfer(0.1, 1, 0, self.HALF, 3),
+        ]
+        assert tracked._link_free == manual._link_free
+        assert tracked.trace.totals == manual.trace.totals
+        assert self.metered(tracked) == self.metered(manual)
+        assert len(tracked.queue) == 1 and tracked._inflight == {}
+        time, action = tracked.queue.pop()
+        assert time == max(end for _, end in ends) == 1.0
+        action(time)
+        assert fired == [time]
+
+    def test_a_counted_exchange_past_the_deadline_never_starts(self):
+        engine = self.engine(self.idle_plan())
+        engine.start_transfer(0.0, 0, 2, self.HALF, 0)  # 0 sends until 0.5
+        done, aborted = [], []
+        engine.start_tracked(
+            0.0, ((0, 1), (1, 0)), self.HALF, 1, done.append, aborted.append
+        )
+        assert engine.resilience.timeout_exchanges == 1
+        assert engine._inflight == {}
+        assert len(engine.queue) == 1
+        time, action = engine.queue.pop()
+        action(time)
+        assert time == 0.8 and aborted == [0.8] and done == []
+
+    def test_an_uncounted_download_past_the_deadline_still_runs(self):
+        engine = self.engine(self.idle_plan())
+        engine.start_transfer(0.0, 0, 2, self.HALF, 0)
+        done = []
+        engine.start_tracked(
+            0.0, ((0, 3),), 2 * self.HALF, 1, done.append, counted=False
+        )
+        assert engine.resilience.timeout_exchanges == 0
+        assert len(engine._inflight) == 1
+        time, action = engine.queue.pop()
+        action(time)
+        assert done == [1.5] and engine._inflight == {}
+        assert engine.resilience.completed_exchanges == 0
+
+    @pytest.mark.parametrize("crashed", [0, 1])
+    def test_a_crash_of_either_end_aborts_and_rolls_back(self, crashed):
+        engine = self.engine(self.idle_plan(), timeout=5.0)
+        engine.start_transfer(0.0, 2, 1, self.HALF, 0)  # 1 receives until 0.5
+        before = dict(engine._link_free)
+        done, aborted = [], []
+        engine.start_tracked(
+            0.0, ((0, 1), (1, 0)), self.HALF, 1, done.append, aborted.append
+        )
+        assert len(engine._inflight) == 1
+        # A later transfer stacks on 0's transmit end: that reservation
+        # cannot be unwound.
+        engine.start_transfer(0.0, 0, 3, self.HALF, 2)
+        stacked = {key: engine._link_free[key] for key in (("tx", 0), ("rx", 3))}
+        engine.now = 0.3
+        engine._on_crash(crashed, 0.3)
+        assert aborted == [0.3] and done == []
+        assert engine._inflight == {} and len(engine.queue) == 0
+        assert engine.resilience.aborted_exchanges == 1
+        assert engine._link_free == {**before, **stacked}
 
 
 class TestResilienceReports:

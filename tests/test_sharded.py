@@ -28,7 +28,7 @@ class TestSampledMode:
         arena.row(2)[...] = 3.0  # evicts 0, dropped
         assert arena.stored_clients == 0
         assert np.all(arena.row(0) == 7.0)  # back to cold state
-        assert arena.resident_bytes() == arena.data.nbytes + arena.grads.nbytes
+        assert arena.resident_bytes() == arena.data.nbytes
 
     def test_lazy_cold_state_for_dormant_clients(self):
         cold = np.arange(5, dtype=np.float64)
@@ -37,15 +37,6 @@ class TestSampledMode:
         assert arena.resident_clients == 0
         assert np.all(arena.row(999) == cold)
         assert arena.resident_clients == 1
-
-    def test_faulted_row_gets_clean_gradient(self):
-        arena = ShardedArena(10, 4, capacity=2)
-        arena.row(0)
-        arena.grad_row(0)[...] = 5.0
-        arena.row(1)
-        arena.row(2)  # evicts 0, slot reused
-        arena.evict(1)
-        assert np.all(arena.grad_row(0) == 0.0)
 
     def test_pinning_protects_rows(self):
         arena = ShardedArena(20, 4, capacity=3)
