@@ -15,7 +15,7 @@ execution families on the same lazy substrate:
   through the shared participation layer, max-weight-matches *within*
   the sample on lazily seeded bottleneck-link bandwidths, and runs the
   paper's shared-mask Eq. (7) exchange on pinned
-  :class:`~repro.nn.ShardedArena` rows (writeback on eviction — gossip
+  :class:`~repro.nn.sharded.ShardedArena` rows (writeback on eviction — gossip
   state is peer-to-peer, it must survive between participations).
 
 Both report resident bytes per enrolled client plus the arena's pin

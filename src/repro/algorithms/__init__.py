@@ -18,12 +18,7 @@ from repro.algorithms.psgd import PSGD, TopKPSGD
 from repro.algorithms.fedavg import FedAvg, SparseFedAvg
 from repro.algorithms.decentralized import DCDPSGD, DPSGD
 from repro.algorithms.saps_psgd import SAPSPSGD
-from repro.algorithms.asynchronous import (
-    AsyncAlgorithm,
-    AsyncDPSGD,
-    AsyncFedAvg,
-    AsyncGossip,
-)
+from repro.algorithms.asynchronous import AsyncDPSGD, AsyncFedAvg, AsyncGossip
 from repro.algorithms.sampled import (
     LogisticBlobsTask,
     SampledAsyncFedAvg,
@@ -39,7 +34,6 @@ __all__ = [
     "DPSGD",
     "DCDPSGD",
     "SAPSPSGD",
-    "AsyncAlgorithm",
     "AsyncDPSGD",
     "AsyncFedAvg",
     "AsyncGossip",

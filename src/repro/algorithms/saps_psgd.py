@@ -65,6 +65,8 @@ class SAPSPSGD(DistributedAlgorithm):
             raise ValueError(f"unknown selector {selector!r}")
         if local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
+        if not connectivity_gap >= 1:
+            raise ValueError(f"connectivity_gap must be >= 1, got {connectivity_gap}")
         #: SGD steps per communication round.  The paper uses 1; larger
         #: values trade consensus quality for fewer exchanges (a
         #: FedAvg-style extension, ablated in bench_ablations).

@@ -32,14 +32,6 @@ class TrafficBreakdown:
     server_to_worker_mb: float
     num_transfers: int
 
-    @property
-    def total_mb(self) -> float:
-        return (
-            self.peer_to_peer_mb
-            + self.worker_to_server_mb
-            + self.server_to_worker_mb
-        )
-
     def imbalance(self) -> float:
         """Max/mean per-worker total — 1.0 is perfectly balanced."""
         totals = self.worker_up + self.worker_down

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.tables import render_table
 
 
@@ -139,10 +137,3 @@ def render_worker_timeline(rows: List[WorkerTimeline]) -> str:
         table,
         title="Per-worker timeline breakdown",
     )
-
-
-def mean_utilization(rows: List[WorkerTimeline]) -> float:
-    """Cluster-mean busy fraction — one number for regression tracking."""
-    if not rows:
-        raise ValueError("rows must not be empty")
-    return float(np.mean([row.utilization for row in rows]))

@@ -85,7 +85,7 @@ ALGORITHM_FACTORIES = {
     "dcd-psgd": lambda args: partial(DCDPSGD, min(args.compression, 4.0)),
     "saps-psgd": lambda args: partial(
         SAPSPSGD, compression_ratio=args.compression, base_seed=args.seed,
-        local_steps=args.local_steps,
+        local_steps=args.local_steps, connectivity_gap=args.connectivity_gap,
     ),
 }
 
@@ -365,6 +365,8 @@ def cmd_compare(args) -> int:
         saps_compression=args.compression,
         sfedavg_compression=args.compression,
         topk_compression=max(args.compression * 5, 10.0),
+        connectivity_gap=args.connectivity_gap,
+        base_seed=args.seed,
     )
     results = run_comparison(
         partitions, validation, factory, _config(args),

@@ -78,6 +78,3 @@ class BatchedErrorFeedback:
                 sent = batch.values - batch.values
                 np.put_along_axis(self.residual, batch.indices, sent, axis=1)
         return batch
-
-    def reset(self) -> None:
-        self.residual[:] = 0.0

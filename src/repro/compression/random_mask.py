@@ -36,36 +36,22 @@ def generate_mask(size: int, compression_ratio: float, seed: int) -> np.ndarray:
     return rng.random(size) < probability
 
 
-def mask_density(mask: np.ndarray) -> float:
-    """Fraction of kept (non-zero) components."""
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        return 0.0
-    return float(np.count_nonzero(mask)) / mask.size
-
-
 class RandomMaskCompressor(Compressor):
     """Compressor wrapping :func:`generate_mask` for a fixed ratio ``c``.
 
-    ``compress`` needs the round's mask seed; use :meth:`set_seed` before
-    each round (the worker receives it from the coordinator) or pass the
-    per-round seed directly to :meth:`compress_with_seed`.
+    A round's mask comes from the seed the coordinator broadcasts: pass
+    it to :meth:`compress_with_seed`.  ``compress`` uses seed 0.
     """
 
     def __init__(self, compression_ratio: float) -> None:
         self._ratio = check_compression_ratio(compression_ratio)
-        self._seed = 0
 
     @property
     def ratio(self) -> float:
         return self._ratio
 
-    def set_seed(self, seed: int) -> None:
-        """Install the coordinator-broadcast seed for the next round."""
-        self._seed = int(seed)
-
     def compress(self, vector: np.ndarray, round_index: int = 0) -> SharedMaskPayload:
-        return self.compress_with_seed(vector, self._seed)
+        return self.compress_with_seed(vector, 0)
 
     def compress_with_seed(self, vector: np.ndarray, seed: int) -> SharedMaskPayload:
         vector = np.asarray(vector)
@@ -78,7 +64,7 @@ class RandomMaskCompressor(Compressor):
     def compress_matrix(
         self, matrix: np.ndarray, round_index: int = 0
     ) -> BatchPayload:
-        return self.compress_matrix_with_seed(matrix, self._seed)
+        return self.compress_matrix_with_seed(matrix, 0)
 
     def batch_from_values(
         self,

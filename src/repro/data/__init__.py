@@ -7,11 +7,7 @@ from repro.data.datasets import (
     synthetic_cifar10,
     synthetic_mnist,
 )
-from repro.data.partition import (
-    partition_dirichlet,
-    partition_iid,
-)
-from repro.data.loader import Batch, DataLoader
+from repro.data.partition import partition_dirichlet, partition_iid
 
 __all__ = [
     "Dataset",
@@ -21,6 +17,4 @@ __all__ = [
     "synthetic_cifar10",
     "partition_iid",
     "partition_dirichlet",
-    "DataLoader",
-    "Batch",
 ]

@@ -95,7 +95,7 @@ class BandwidthEstimator:
     """Per-link EWMA of noisy speed tests — the coordinator's ``B``.
 
     ``estimate()`` returns the symmetric matrix to feed into
-    :class:`repro.core.AdaptivePeerSelector`; links never measured fall
+    :class:`repro.core.gossip.AdaptivePeerSelector`; links never measured fall
     back to ``prior``.
     """
 
@@ -164,15 +164,3 @@ class BandwidthEstimator:
         matrix = np.where(np.isnan(self._estimates), self.prior, self._estimates)
         np.fill_diagonal(matrix, 0.0)
         return matrix
-
-    def relative_error(self, true_matrix: np.ndarray) -> float:
-        """Mean |estimate − truth| / truth over measured links (for
-        tests/diagnostics)."""
-        true_matrix = check_square(np.asarray(true_matrix, dtype=np.float64))
-        measured = ~np.isnan(self._estimates) & (true_matrix > 0)
-        if not measured.any():
-            return float("nan")
-        errors = np.abs(
-            self._estimates[measured] - true_matrix[measured]
-        ) / true_matrix[measured]
-        return float(errors.mean())

@@ -76,11 +76,6 @@ class TrafficMeter:
         """Per-worker accumulated traffic in MB (Fig. 4's x-axis)."""
         return self.worker_bytes(worker) / MB
 
-    def max_worker_traffic_mb(self) -> float:
-        """Worst worker's accumulated traffic in MB."""
-        totals = self._sent[: self.num_workers] + self._received[: self.num_workers]
-        return float(totals.max()) / MB
-
     def mean_worker_traffic_mb(self) -> float:
         totals = self._sent[: self.num_workers] + self._received[: self.num_workers]
         return float(totals.mean()) / MB
@@ -89,10 +84,6 @@ class TrafficMeter:
         """Central-node accumulated traffic in MB (Table I server column)."""
         slot = self.num_workers
         return float(self._sent[slot] + self._received[slot]) / MB
-
-    def total_traffic_mb(self) -> float:
-        """All bytes that crossed the network, in MB."""
-        return float(self.total_bytes) / MB
 
 
 class CommunicationTimer:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.compression.base import Payload
 from repro.network.metrics import MB, CommunicationTimer, TrafficMeter
-from repro.utils.validation import check_square
+from repro.utils.validation import check_positive, check_square
 
 
 class SimulatedNetwork:
@@ -26,7 +26,8 @@ class SimulatedNetwork:
         Worker count ``n``.
     bandwidth:
         Symmetric ``(n, n)`` MB/s matrix, or ``None`` to skip time
-        accounting (traffic-only experiments, like Fig. 3/4).
+        accounting (traffic-only experiments, like Fig. 3/4).  Entries
+        are non-negative; 0 means "no link".
     server_bandwidth:
         Link speed between the central node and any worker, used by the
         centralized baselines.  The paper's Fig. 6 setup gives the server
@@ -55,6 +56,15 @@ class SimulatedNetwork:
                     f"bandwidth matrix is {bandwidth.shape[0]}x"
                     f"{bandwidth.shape[0]} but num_workers={num_workers}"
                 )
+            bad = np.argwhere(~(bandwidth >= 0))  # NaN or negative
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(
+                    f"bandwidth[{i}, {j}] must be a non-negative number of "
+                    f"MB/s (0 = no link), got {bandwidth[i, j]}"
+                )
+        if server_bandwidth is not None:
+            check_positive(server_bandwidth, "server_bandwidth")
         self.bandwidth = bandwidth
         self.server_bandwidth = server_bandwidth
         self.meter = TrafficMeter(num_workers)
@@ -129,9 +139,6 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------
     def worker_traffic_mb(self, worker: int = 0) -> float:
         return self.meter.worker_traffic_mb(worker)
-
-    def max_worker_traffic_mb(self) -> float:
-        return self.meter.max_worker_traffic_mb()
 
     def server_traffic_mb(self) -> float:
         return self.meter.server_traffic_mb()

@@ -19,7 +19,7 @@ default, float32 via the ``dtype`` argument), and each layer's
   single vectorized matrix operations over ``arena.data`` /
   ``arena.grads`` (see the arena fast paths in ``repro.algorithms``);
 * the replica matrix is also the natural input to the **matrix-level
-  compression API** (:meth:`repro.compression.Compressor.compress_matrix`):
+  compression API** (:meth:`repro.compression.base.Compressor.compress_matrix`):
   per-round mask/top-k selection runs once over ``arena.data`` or
   ``arena.grads`` instead of once per worker vector;
 * layer-wise forward/backward is untouched — layers keep operating on

@@ -1,5 +1,4 @@
-"""Stateless tensor ops: the conv and pooling window kernels, softmax,
-one-hot.
+"""Stateless tensor ops: the conv and pooling window kernels.
 
 Convolution is implemented with the standard im2col trick so the heavy
 lifting is a single matrix multiply per layer — the only way to get usable
@@ -236,32 +235,3 @@ def avg_pool_backward(
         grad_cols, (batch * channels, 1, height, width), kernel, stride, (0, 0)
     )
     return grad.reshape(image_shape)
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """Integer labels ``(batch,)`` to one-hot ``(batch, num_classes)``
-    in ``dtype`` (default float64)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    encoded = np.zeros((labels.size, num_classes), dtype=dtype)
-    encoded[np.arange(labels.size), labels] = 1.0
-    return encoded

@@ -26,10 +26,8 @@ class CrossEntropyLoss:
                 f"{logits.shape[0]}"
             )
         batch = logits.shape[0]
-        # Fused log-softmax + softmax: identical operations to
-        # functional.log_softmax / functional.softmax, with the shift and
-        # exponentials computed once (bit-identical results, half the
-        # passes).
+        # Fused log-softmax + softmax: the shift and the exponentials
+        # are computed once and serve both.
         shifted = logits - np.max(logits, axis=1, keepdims=True)
         exp = np.exp(shifted)
         sum_exp = np.sum(exp, axis=1, keepdims=True)

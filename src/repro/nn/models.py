@@ -5,14 +5,11 @@ ResNet-20 (option-A shortcuts, as in He et al. for CIFAR) matches the
 paper's parameter count *exactly* (269,722).  The two FedAvg-style CNNs
 follow the same two-conv/two-FC family as McMahan et al.; see
 EXPERIMENTS.md for the parameter-count comparison.
-
-``build_model(name)`` is the registry used by experiment configs — the
-analogue of the coordinator broadcasting ``netName`` (Algorithm 1).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,21 +49,6 @@ class MLP(Sequential):
             previous = width
         layers.append(Linear(previous, num_classes, rng=rng, dtype=dtype))
         super().__init__(*layers)
-        self.in_features = in_features
-        self.num_classes = num_classes
-
-
-class LogisticRegression(Sequential):
-    """Single linear layer — the smallest convex-ish workload for tests."""
-
-    def __init__(
-        self,
-        in_features: int,
-        num_classes: int,
-        rng: SeedLike = None,
-        dtype: DTypeLike = None,
-    ) -> None:
-        super().__init__(Linear(in_features, num_classes, rng=rng, dtype=dtype))
         self.in_features = in_features
         self.num_classes = num_classes
 
@@ -312,32 +294,3 @@ def ResNet20(
     return ResNetCIFAR(
         blocks_per_stage=3, num_classes=num_classes, rng=rng, dtype=dtype
     )
-
-
-# ---------------------------------------------------------------------------
-# registry (the coordinator's ``netName``)
-# ---------------------------------------------------------------------------
-
-_MODEL_REGISTRY: Dict[str, Callable[..., Module]] = {
-    "mnist-cnn": MnistCNN,
-    "cifar10-cnn": Cifar10CNN,
-    "resnet-20": ResNet20,
-    "tiny-cnn": TinyCNN,
-    "logistic": LogisticRegression,
-    "mlp": MLP,
-}
-
-
-def available_models() -> List[str]:
-    """Names accepted by :func:`build_model`."""
-    return sorted(_MODEL_REGISTRY)
-
-
-def build_model(name: str, rng: SeedLike = None, **kwargs) -> Module:
-    """Instantiate a registered model by name (case-insensitive)."""
-    key = name.lower()
-    if key not in _MODEL_REGISTRY:
-        raise KeyError(
-            f"unknown model {name!r}; available: {available_models()}"
-        )
-    return _MODEL_REGISTRY[key](rng=rng, **kwargs)

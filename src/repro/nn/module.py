@@ -145,12 +145,6 @@ class Module:
             params.extend(child.parameters())
         return params
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple]:
-        for name, param in self._parameters.items():
-            yield (f"{prefix}{name}", param)
-        for child_name, child in self._modules.items():
-            yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
-
     def modules(self) -> Iterator["Module"]:
         yield self
         for child in self._modules.values():
@@ -268,54 +262,6 @@ class Module:
             for p in self.parameters()
         ]
         return flatten_arrays(grads, dtype=self.dtype)
-
-    def set_flat_grads(self, vector: np.ndarray) -> None:
-        if self._flat_grad_view is not None:
-            vector = np.asarray(vector, dtype=self._flat_grad_view.dtype)
-            if vector.size != self._flat_grad_view.size:
-                raise ValueError(
-                    f"vector has {vector.size} elements but model "
-                    f"has {self._flat_grad_view.size}"
-                )
-            self._flat_grad_view[...] = vector.reshape(-1)
-            for param in self.parameters():
-                param.grad = param._grad_view
-            return
-        arrays = unflatten_vector(vector, self.flat_specs())
-        for param, array in zip(self.parameters(), arrays):
-            if param.arena_backed:
-                param._grad_view[...] = array
-                param.grad = param._grad_view
-            else:
-                param.grad = array.astype(param.data.dtype, copy=False)
-
-    # ------------------------------------------------------------------
-    # state dict (for checkpoint round-trips in tests/examples)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise ValueError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            if param.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: "
-                    f"{param.data.shape} vs {state[name].shape}"
-                )
-            if param.arena_backed:
-                param.data[...] = np.asarray(state[name], dtype=param.data.dtype)
-            else:
-                param.data = np.asarray(
-                    state[name], dtype=param.data.dtype
-                ).copy()
 
 
 class Sequential(Module):

@@ -32,21 +32,15 @@ equivalence suite runs bit-identical with tracing on).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MetricsRecorder,
-    NullRecorder,
-)
+from repro.obs.recorder import NULL_RECORDER, MetricsRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder, validate_trace
 
 __all__ = [
     "MetricsRecorder",
     "MetricsRegistry",
-    "NullRecorder",
     "TraceRecorder",
     "validate_trace",
     "recorder",
@@ -57,7 +51,6 @@ __all__ = [
     "install",
     "start",
     "stop",
-    "scoped",
     "inc",
     "set_counter",
     "gauge",
@@ -132,16 +125,6 @@ def stop():
     return install(None)
 
 
-@contextmanager
-def scoped(new_recorder):
-    """Install ``new_recorder`` for the duration of a ``with`` block."""
-    previous = install(new_recorder)
-    try:
-        yield new_recorder
-    finally:
-        install(previous)
-
-
 # ----------------------------------------------------------------------
 # registry conveniences (no-ops when telemetry is off)
 # ----------------------------------------------------------------------
@@ -201,7 +184,7 @@ def mirror_resilience(stats) -> None:
 
 
 def mirror_arena(arena) -> None:
-    """Mirror a :class:`~repro.nn.ShardedArena`'s residency telemetry
+    """Mirror a :class:`~repro.nn.sharded.ShardedArena`'s residency telemetry
     (any object with a compatible ``stats()`` dict works)."""
     registry = _current.registry
     if registry is None or arena is None:

@@ -25,7 +25,7 @@ Name schema (documented in the README's Observability section):
   spans of error feedback.
 * ``arena.hits`` / ``.misses`` / ``.evictions`` / ``.writebacks`` /
   ``.writeback_bytes`` / ``.pin_contentions`` — cumulative mirrors of
-  :meth:`~repro.nn.ShardedArena.stats` (absolute, via
+  :meth:`~repro.nn.sharded.ShardedArena.stats` (absolute, via
   :meth:`set_counter`); ``arena.resident`` / ``.stored`` /
   ``.peak_pins`` are gauges (levels, not flows).
 * ``peer_selection.select_ms`` (histogram) / ``.fallback_rounds`` /

@@ -6,35 +6,28 @@ the system survives them):
 
 * :class:`ExchangePolicy` — per-exchange deadline + exponential-backoff
   retry with seed-deterministic jitter;
-* :class:`CheckpointRecovery` / :class:`PeerRecovery` /
-  :class:`ColdRecovery` — what a recovering worker restarts from;
-* :class:`CheckpointStore` — latest periodic per-worker snapshots
-  (params + optimizer velocity + error-feedback residual);
+* :class:`CheckpointRecovery` / :class:`~repro.resilience.policy.PeerRecovery` /
+  :class:`~repro.resilience.policy.ColdRecovery` — what a recovering worker
+  restarts from;
+* :class:`~repro.resilience.checkpoint.CheckpointStore` — latest periodic
+  per-worker snapshots (params + optimizer velocity + error-feedback
+  residual);
 * :class:`ResilienceStats` — goodput, retry/abort counts, downtime and
   MTTR accounting, consumed by :mod:`repro.analysis.resilience`.
 """
 
-from repro.resilience.checkpoint import CheckpointStore, WorkerSnapshot
 from repro.resilience.policy import (
-    RECOVERY_POLICIES,
     CheckpointRecovery,
-    ColdRecovery,
     ExchangePolicy,
-    PeerRecovery,
     RecoveryPolicy,
     make_recovery_policy,
 )
 from repro.resilience.stats import ResilienceStats
 
 __all__ = [
-    "CheckpointStore",
-    "WorkerSnapshot",
     "ExchangePolicy",
     "RecoveryPolicy",
     "CheckpointRecovery",
-    "PeerRecovery",
-    "ColdRecovery",
-    "RECOVERY_POLICIES",
     "make_recovery_policy",
     "ResilienceStats",
 ]

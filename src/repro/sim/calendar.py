@@ -326,7 +326,3 @@ class CalendarQueue:
     @property
     def width(self) -> float:
         return self._width
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self._buckets) + (1 if self._cur_key is not None else 0)

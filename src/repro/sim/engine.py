@@ -185,7 +185,7 @@ def make_workers(
     experiment seed; model initializations are later overwritten by the
     algorithm's setup (all workers start from worker 0's weights).
 
-    All replicas are adopted into one :class:`repro.nn.ParameterArena`
+    All replicas are adopted into one :class:`repro.nn.arena.ParameterArena`
     (rows in rank order) — the storage every algorithm's round runs on.
 
     ``config.dtype`` flows through here: shards are cast once so batches

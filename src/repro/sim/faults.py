@@ -322,12 +322,6 @@ class FaultPlan:
             start <= time < end for start, end in self.down_intervals(worker)
         )
 
-    def link_up_at(self, a: int, b: int, time: float) -> bool:
-        return not any(
-            start <= time < end
-            for start, end in self.link_down_intervals(a, b)
-        )
-
     def up_during(self, worker: int, start: float, end: float) -> bool:
         """Whether ``worker`` is up for all of ``[start, end)``."""
         return not _overlaps(self.down_intervals(worker), start, end)
@@ -335,10 +329,6 @@ class FaultPlan:
     def link_up_during(self, a: int, b: int, start: float, end: float) -> bool:
         """Whether link ``a``-``b`` is up for all of ``[start, end)``."""
         return not _overlaps(self.link_down_intervals(a, b), start, end)
-
-    @property
-    def crash_count(self) -> int:
-        return sum(1 for event in self.events if event.kind == "crash")
 
 
 def _overlaps(

@@ -100,11 +100,6 @@ class HeterogeneousCompute(ComputeModel):
         factor = np.exp(jitter_rng.normal(0.0, self.jitter))
         return float(self.worker_means[rank] * factor * steps)
 
-    @property
-    def straggler_rank(self) -> int:
-        """The slowest worker on average."""
-        return int(np.argmax(self.worker_means))
-
     def imbalance(self) -> float:
         """Slowest/fastest mean step-time ratio."""
         return float(self.worker_means.max() / self.worker_means.min())

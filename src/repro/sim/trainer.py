@@ -198,17 +198,6 @@ class TrainingWorker:
         self.last_loss = loss
         return loss, self.model.get_flat_grads()
 
-    def apply_gradient(self, flat_gradient: np.ndarray, lr: Optional[float] = None) -> None:
-        """Apply ``x ← x − lr·g`` for an externally supplied gradient."""
-        step = self.optimizer.lr if lr is None else lr
-        flat = self.model._flat_view
-        if flat is not None:
-            # Arena-backed: update the row in place (no concat/split).
-            flat -= step * np.asarray(flat_gradient)
-        else:
-            self.set_params(self.get_params() - step * np.asarray(flat_gradient))
-        self.steps_taken += 1
-
     # ------------------------------------------------------------------
     # flat-vector access
     # ------------------------------------------------------------------

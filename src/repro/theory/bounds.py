@@ -63,23 +63,6 @@ def d2_constant(compression_ratio: float, rho: float) -> float:
     return 2.0 / (1.0 - factor)
 
 
-def theorem2_step_size(
-    constants: ProblemConstants,
-    compression_ratio: float,
-    rho: float,
-    num_workers: int,
-    rounds: int,
-) -> float:
-    """The γ Theorem 2 fixes: ``1/(2√(3D₁)L + σ√(T/n))``."""
-    if num_workers <= 0 or rounds <= 0:
-        raise ValueError("num_workers and rounds must be positive")
-    d1 = d1_constant(compression_ratio, rho)
-    return 1.0 / (
-        2.0 * np.sqrt(3.0 * d1) * constants.lipschitz
-        + constants.sigma * np.sqrt(rounds) / np.sqrt(num_workers)
-    )
-
-
 def theorem2_bound(
     constants: ProblemConstants,
     compression_ratio: float,
@@ -112,26 +95,3 @@ def theorem2_bound(
         2.0 * lipschitz**2 * d2 * constants.initial_spread
     ) / (num_workers * rounds)
     return float(term_sqrt + term_linear + term_zeta + term_init)
-
-
-def dominant_regime(
-    constants: ProblemConstants,
-    compression_ratio: float,
-    rho: float,
-    num_workers: int,
-    rounds: int,
-) -> str:
-    """Which term dominates the bound: ``"1/sqrt(nT)"`` (the PSGD-rate
-    regime the Remark highlights) or ``"1/T"`` (sparsification-dominated
-    transient)."""
-    sigma = constants.sigma
-    gap = constants.f0_minus_fstar
-    d1 = d1_constant(compression_ratio, rho)
-    term_sqrt = (6.0 * sigma * gap + 3.0 * sigma**2) / np.sqrt(
-        float(num_workers) * float(rounds)
-    )
-    term_linear = (
-        6.0 * np.sqrt(3.0) * constants.lipschitz * gap
-        + 2.0 * constants.lipschitz**2 * d1 * num_workers
-    ) / rounds
-    return "1/sqrt(nT)" if term_sqrt >= term_linear else "1/T"

@@ -15,18 +15,6 @@ from repro.compression.base import check_compression_ratio
 from repro.utils.validation import check_square
 
 
-def is_doubly_stochastic(matrix: np.ndarray, atol: float = 1e-9) -> bool:
-    """Rows and columns sum to 1, entries non-negative."""
-    matrix = check_square(np.asarray(matrix, dtype=np.float64))
-    if np.any(matrix < -atol):
-        return False
-    ones = np.ones(matrix.shape[0])
-    return bool(
-        np.allclose(matrix @ ones, ones, atol=atol)
-        and np.allclose(matrix.T @ ones, ones, atol=atol)
-    )
-
-
 def second_largest_eigenvalue(matrix: np.ndarray) -> float:
     """Second-largest eigenvalue (by value) of a symmetric PSD matrix.
 
@@ -39,11 +27,6 @@ def second_largest_eigenvalue(matrix: np.ndarray) -> float:
     if eigenvalues.size < 2:
         return 0.0
     return float(np.sort(eigenvalues)[-2])
-
-
-def spectral_gap(matrix: np.ndarray) -> float:
-    """``1 − ρ`` where ``ρ`` is the second-largest eigenvalue."""
-    return 1.0 - second_largest_eigenvalue(matrix)
 
 
 def expected_wtw(

@@ -109,13 +109,6 @@ class StreamingMoments:
         """The consensus model ``x̄`` over all folded clients."""
         return self._mean.copy()
 
-    @property
-    def variance(self) -> np.ndarray:
-        """Per-coordinate population variance over folded clients."""
-        if self.count == 0:
-            return np.zeros(self.model_size, dtype=np.float64)
-        return self._m2 / self.count
-
     def consensus_distance(self) -> float:
         """``(1/n) Σᵢ ‖xᵢ − x̄‖²`` — the dense arena formula, streamed."""
         if self.count == 0:

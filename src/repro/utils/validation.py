@@ -17,34 +17,8 @@ def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
-def check_symmetric(
-    matrix: np.ndarray, name: str = "matrix", atol: float = 1e-9
-) -> np.ndarray:
-    """Require a symmetric square array."""
-    matrix = check_square(matrix, name)
-    if not np.allclose(matrix, matrix.T, atol=atol, equal_nan=True):
-        raise ValueError(f"{name} must be symmetric")
-    return matrix
-
-
 def check_positive(value: float, name: str = "value") -> float:
     """Require a strictly positive, finite number (NaN and inf fail)."""
     if not 0 < value < float("inf"):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def check_non_negative(value: float, name: str = "value") -> float:
-    """Require a non-negative number."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def check_in_range(
-    value: float, low: float, high: float, name: str = "value"
-) -> float:
-    """Require ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     return value

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data import Dataset, make_blobs, partition_iid
+from tests.gradcheck import named_parameters
 
 
 @pytest.fixture
@@ -23,6 +26,16 @@ def blob_splits():
     train, validation = full.split(fraction=280 / 360, rng=7)
     partitions = partition_iid(train, 4, rng=7)
     return partitions, validation
+
+
+@contextmanager
+def scoped(recorder):
+    """Install telemetry ``recorder`` for the duration of a ``with`` block."""
+    previous = obs.install(recorder)
+    try:
+        yield recorder
+    finally:
+        obs.install(previous)
 
 
 def numerical_gradient(func, array, epsilon=1e-6):
@@ -66,7 +79,7 @@ def grad_check():
         )
 
         # Parameter gradients.
-        for name, param in layer.named_parameters():
+        for name, param in named_parameters(layer):
             layer.zero_grad()
             layer.forward(inputs)
             layer.backward(upstream)

@@ -231,7 +231,8 @@ def pool_chain(dtype):
     tie-heavy NCHW and channels-last input; then three batched steps and a
     consensus evaluation of a conv model built around it."""
     from repro.data import make_synthetic_images, partition_iid
-    from repro.nn import ReLU, Sequential
+    from repro.nn.activations import ReLU
+    from repro.nn.module import Sequential
     from repro.nn.layers import AvgPool2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d
     from repro.sim import ClusterTrainer, ExperimentConfig, make_workers
 

@@ -17,6 +17,15 @@ from repro.nn.module import Module
 from repro.utils.rng import SeedLike, as_generator
 
 
+def named_parameters(module: Module, prefix: str = ""):
+    """``(dotted name, parameter)`` pairs of ``module`` and its children,
+    in :meth:`~repro.nn.module.Module.parameters` order."""
+    for name, param in module._parameters.items():
+        yield f"{prefix}{name}", param
+    for child_name, child in module._modules.items():
+        yield from named_parameters(child, prefix=f"{prefix}{child_name}.")
+
+
 def numerical_gradient(
     objective: Callable[[], float], array: np.ndarray, epsilon: float = 1e-6
 ) -> np.ndarray:
@@ -120,7 +129,7 @@ def check_gradients(
         _compare("input", analytic_input, numeric_input, atol, rtol)
     )
 
-    for name, param in module.named_parameters():
+    for name, param in named_parameters(module):
         module.zero_grad()
         module.forward(inputs)
         module.backward(upstream)

@@ -1,5 +1,5 @@
 """One worker's error-feedback residual vector: the per-row object that
-``repro.compression.BatchedErrorFeedback`` is pinned against
+``repro.compression.error_feedback.BatchedErrorFeedback`` is pinned against
 (``tests/test_compression_batched.py``) and that the per-model TopK-PSGD
 round in ``per_model.py`` runs on."""
 

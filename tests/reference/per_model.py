@@ -55,6 +55,14 @@ def per_worker_compute(algorithm):
     return algorithm
 
 
+def apply_gradient(worker, flat_gradient, lr=None):
+    """``x ← x − lr·g`` on one worker for an externally supplied gradient
+    (``lr`` defaults to the worker's optimizer rate)."""
+    step = worker.optimizer.lr if lr is None else lr
+    worker.set_params(worker.get_params() - step * np.asarray(flat_gradient))
+    worker.steps_taken += 1
+
+
 class PerModelLoop:
     """Mixin: bind workers and read the cluster state one model at a time."""
 
@@ -84,7 +92,7 @@ class PerModelLoop:
 
     def _apply_average_gradient(self, average):
         for worker in self.workers:
-            worker.apply_gradient(average)
+            apply_gradient(worker, average)
 
 
 class ReferencePSGD(PerModelLoop, PSGD):

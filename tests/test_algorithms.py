@@ -22,7 +22,7 @@ from repro.algorithms import (
     TopKPSGD,
     sampled,
 )
-from repro.compression import generate_mask
+from repro.compression.random_mask import generate_mask
 from repro.compression.base import BYTES_PER_VALUE
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth

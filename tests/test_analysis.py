@@ -4,12 +4,11 @@ rendering."""
 import numpy as np
 import pytest
 
+from repro.analysis.traffic import CostModel
+from repro.analysis.targets import TargetCost
 from repro.analysis import (
-    CostModel,
-    TargetCost,
     cost_models_by_name,
     costs_at_target,
-    format_value,
     pick_common_target,
     render_ascii_plot,
     render_series,
@@ -17,6 +16,7 @@ from repro.analysis import (
     table1_costs,
     worker_cost_ranking,
 )
+from repro.analysis.tables import format_value
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 
 

@@ -24,18 +24,19 @@ from repro.algorithms.saps_psgd import SAPSPSGD
 from repro.data import Dataset, make_blobs, make_synthetic_images, partition_iid
 from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
-from repro.nn import Linear, MLP, LogisticRegression, TinyCNN
+from repro.nn.layers import Linear
+from repro.nn import MLP, TinyCNN
+from repro.nn.module import Sequential
 from repro.nn.batched import build_batched_model
 from repro.presets import instantiate_preset
 from repro.sim import (
     ClusterTrainer,
     ExperimentConfig,
-    TrainingWorker,
-    evaluate_consensus,
     make_workers,
     run_experiment,
 )
-from repro.sim.engine import RoundRecord
+from repro.sim.trainer import TrainingWorker
+from repro.sim.engine import RoundRecord, evaluate_consensus
 from repro.utils import parallel
 
 from reference.per_model import per_worker_compute
@@ -48,8 +49,8 @@ MODEL_FACTORIES = {
     "mlp": lambda dtype="float64": MLP(
         NUM_FEATURES, [10, 7], NUM_CLASSES, rng=11, dtype=dtype
     ),
-    "logistic": lambda dtype="float64": LogisticRegression(
-        NUM_FEATURES, NUM_CLASSES, rng=11, dtype=dtype
+    "logistic": lambda dtype="float64": Sequential(
+        Linear(NUM_FEATURES, NUM_CLASSES, rng=11, dtype=dtype)
     ),
 }
 
@@ -157,7 +158,8 @@ class TestBuild:
         assert trainer.num_workers == 3
 
     def test_none_for_batchnorm_models(self):
-        from repro.nn import Linear, Sequential
+        from repro.nn.layers import Linear
+        from repro.nn.module import Sequential
         from repro.nn.layers import BatchNorm2d, Conv2d, Flatten
 
         full = make_synthetic_images(
@@ -330,7 +332,8 @@ class TestStepEquivalence:
             assert batched_worker.last_loss == loop_worker.last_loss
 
     def test_identity_layer_chain(self):
-        from repro.nn import Identity, Linear, Sequential
+        from repro.nn.module import Identity, Sequential
+        from repro.nn.layers import Linear
 
         partitions, _ = _workload(3)
         config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
@@ -388,7 +391,8 @@ class TestConvEquivalence:
     def test_pool_flatten_dropout_chain_trajectory(self, dtype):
         """Padded MaxPool2d, AvgPool2d, Flatten and Dropout all replay
         exactly — including each worker's private dropout RNG stream."""
-        from repro.nn import ReLU, Sequential
+        from repro.nn.activations import ReLU
+        from repro.nn.module import Sequential
         from repro.nn.layers import AvgPool2d, Conv2d, Dropout, Flatten, MaxPool2d
 
         factory = lambda: Sequential(
@@ -414,7 +418,8 @@ class TestConvEquivalence:
         """Subset steps must advance only the *stepped* workers' dropout
         generators — mixed subset and full-cluster steps stay
         stream-identical to the loop oracle."""
-        from repro.nn import ReLU, Sequential
+        from repro.nn.activations import ReLU
+        from repro.nn.module import Sequential
         from repro.nn.layers import Conv2d, Dropout, Flatten
 
         factory = lambda: Sequential(

@@ -15,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import (
-    BatchedErrorFeedback,
-    BatchPayload,
-    IndexedPayload,
-    RandomMaskCompressor,
+from repro.compression.error_feedback import BatchedErrorFeedback
+from repro.compression.base import BatchPayload, IndexedPayload
+from repro.compression.random_mask import RandomMaskCompressor
+from repro.compression.topk import (
     TopKCompressor,
     k_for,
     top_k_indices,
@@ -78,15 +77,6 @@ class TestMatrixEquivalence:
         # Shared-mask batches carry ONE index vector for all rows.
         assert batch.indices.ndim == 1
 
-    def test_shared_mask_set_seed_path(self, rng, dtype):
-        matrix = _matrix(rng, dtype=dtype)
-        compressor = RandomMaskCompressor(5.0)
-        compressor.set_seed(11)
-        batch = compressor.compress_matrix(matrix)
-        np.testing.assert_array_equal(
-            batch[2].values, compressor.compress(matrix[2]).values
-        )
-
     def test_top_k(self, rng, dtype):
         matrix = _matrix(rng, dtype=dtype)
         compressor = TopKCompressor(20.0)
@@ -116,7 +106,7 @@ class TestBaseLoopFallback:
     def test_generic_compressor_loops_rows(self, rng):
         """A compressor that only implements ``compress`` still gets the
         batched API via the base-class row loop."""
-        from repro.compression import Compressor
+        from repro.compression.base import Compressor
 
         matrix = rng.normal(size=(4, 50))
 
@@ -204,13 +194,11 @@ class TestBatchedErrorFeedback:
             total_sent + feedback.residual, total_in, atol=atol
         )
 
-    def test_residual_dtype_and_reset(self, rng, dtype):
+    def test_residual_dtype(self, rng, dtype):
         feedback = BatchedErrorFeedback(TopKCompressor(5.0), 3, 50, dtype=dtype)
         assert feedback.residual.dtype == dtype
         feedback.compress(rng.normal(size=(3, 50)).astype(dtype))
         assert feedback.residual.dtype == dtype
-        feedback.reset()
-        np.testing.assert_array_equal(feedback.residual, np.zeros((3, 50)))
 
     def test_shape_mismatch_raises(self, rng, dtype):
         feedback = BatchedErrorFeedback(TopKCompressor(5.0), 3, 50, dtype=dtype)

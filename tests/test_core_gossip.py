@@ -16,8 +16,9 @@ from repro.core.gossip import (
 from repro.core.matching import is_valid_matching
 from repro.network.bandwidth import random_uniform_bandwidth
 from repro.network.topology import is_connected
-from repro.theory.spectral import is_doubly_stochastic, second_largest_eigenvalue
-from tests.graphs import adjacency_from_edges
+from repro.theory.spectral import second_largest_eigenvalue
+from tests.conftest import scoped
+from tests.graphs import adjacency_from_edges, is_doubly_stochastic
 
 
 class TestGossipMatrixFromMatching:
@@ -241,7 +242,7 @@ class TestSelectorEqualsReferenceMatchers:
     def test_selection_is_recorded_only_when_asked(self):
         selector = AdaptivePeerSelector(random_uniform_bandwidth(8, rng=0), rng=0)
         selector.select(0)  # null recorder: nothing to record into
-        with obs.scoped(obs.MetricsRecorder()) as recorder:
+        with scoped(obs.MetricsRecorder()) as recorder:
             results = [selector.select(t) for t in range(1, 6)]
         snapshot = recorder.registry.snapshot()
         counters = snapshot["counters"]

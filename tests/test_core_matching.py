@@ -20,6 +20,7 @@ from repro.core.matching import (
     randomly_max_match,
 )
 from reference import matching as reference
+from tests.conftest import scoped
 from tests.graphs import adjacency_from_edges, complete_adjacency, ring_adjacency
 
 
@@ -300,7 +301,7 @@ class TestEqualsReference:
         small = np.zeros(240, dtype=bool)
         small[rng.permutation(240)[:40]] = True
         graph = small[:, None] != small[None, :]
-        with obs.scoped(obs.MetricsRecorder()) as recorder:
+        with scoped(obs.MetricsRecorder()) as recorder:
             match = max_cardinality_matching(graph, initial_match=[-1] * 240)
         counters = recorder.registry.snapshot()["counters"]
         assert match == reference.max_cardinality_matching(
@@ -312,7 +313,7 @@ class TestEqualsReference:
         assert counters["matching.searches_skipped"] >= 150
 
     def test_nothing_is_searched_with_fewer_than_two_free_vertices(self):
-        with obs.scoped(obs.MetricsRecorder()) as recorder:
+        with scoped(obs.MetricsRecorder()) as recorder:
             assert len(max_cardinality_matching(complete_adjacency(7))) == 3
         counters = recorder.registry.snapshot()["counters"]
         assert counters["matching.augment_searches"] == 0

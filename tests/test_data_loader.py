@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, make_blobs
+from repro.data.loader import DataLoader
+from repro.data import make_blobs
 
 
 @pytest.fixture

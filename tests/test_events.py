@@ -26,7 +26,6 @@ from repro.algorithms import (
     SAPSPSGD,
 )
 from repro.analysis import (
-    mean_utilization,
     render_time_to_accuracy,
     render_worker_timeline,
     time_to_accuracy_table,
@@ -40,12 +39,12 @@ from repro.sim import (
     ConstantCompute,
     EventEngine,
     EventQueue,
-    EventTrace,
     ExperimentConfig,
     HeterogeneousCompute,
     run_event_experiment,
     run_experiment,
 )
+from repro.sim.events import EventTrace
 from tests.conftest import settled_growth
 
 
@@ -671,7 +670,7 @@ class TestTimelineAnalysis:
             total = row.compute_s + row.comm_s + row.idle_s
             assert total >= result.horizon - 1e-9 or row.utilization == 1.0
             assert 0.0 <= row.utilization <= 1.0
-        assert 0.0 < mean_utilization(rows) <= 1.0
+        assert 0.0 < np.mean([row.utilization for row in rows]) <= 1.0
         assert "utilization" in render_worker_timeline(rows)
 
     def test_validation(self):

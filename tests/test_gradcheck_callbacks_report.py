@@ -8,8 +8,10 @@ from repro.algorithms import SAPSPSGD
 from repro.analysis.report import comparison_report
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
-from repro.nn import Linear, MLP, ReLU, Sequential, Tanh
-from repro.nn.module import Module
+from repro.nn.layers import Linear
+from repro.nn import MLP
+from repro.nn.activations import ReLU, Tanh
+from repro.nn.module import Module, Sequential
 from repro.sim import ExperimentConfig, run_experiment
 from tests.gradcheck import GradCheckReport, check_gradients, numerical_gradient
 

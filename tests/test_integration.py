@@ -8,7 +8,6 @@ selects better bandwidth than random/ring matching.
 import numpy as np
 import pytest
 
-from repro import quick_saps_run
 from repro.algorithms import DPSGD, SAPSPSGD
 from repro.data import (
     make_blobs,
@@ -23,13 +22,6 @@ from repro.network import (
 )
 from repro.nn import TinyCNN, MLP
 from repro.sim import ExperimentConfig, SuiteSettings, run_comparison, run_experiment
-
-
-class TestQuickstart:
-    def test_quick_saps_run(self):
-        result = quick_saps_run(num_workers=6, rounds=30, seed=0)
-        assert result.final_accuracy > 0.8
-        assert result.history[-1].worker_traffic_mb > 0
 
 
 class TestConvergenceShape:

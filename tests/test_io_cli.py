@@ -96,6 +96,7 @@ BAD_FLAGS = [
         "--sim-time must be positive and finite, got inf",
     ),
     ("--num-threads 0", "num_threads"),
+    ("--connectivity-gap 0", "connectivity_gap must be >= 1, got 0"),
     ("--lr -1", "lr must"),
 ]
 
@@ -297,6 +298,24 @@ class TestCLI:
         assert "Cost to reach" in out
         back = load_comparison(tmp_path / "cmp.json")
         assert "SAPS-PSGD" in back
+
+    def test_run_and_compare_pass_connectivity_gap_and_seed(self, monkeypatch):
+        argv = [*SMALL, "--connectivity-gap", "3", "--seed", "7"]
+        run = cli._build_run(cli.build_parser().parse_args(["run", *argv]))
+        algorithm = run.args[0]
+        assert (algorithm.connectivity_gap, algorithm.base_seed) == (3, 7)
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args, settings, **kwargs):
+            raise Captured(settings)
+
+        monkeypatch.setattr(cli, "run_comparison", capture)
+        with pytest.raises(Captured) as captured:
+            main(["compare", *argv])
+        settings = captured.value.args[0]
+        assert (settings.connectivity_gap, settings.base_seed) == (3, 7)
 
     def test_compare_non_iid(self, capsys):
         code = main(

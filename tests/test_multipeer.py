@@ -9,7 +9,8 @@ from repro.core.multipeer import (
     neighbor_sets_from_matchings,
     union_of_matchings,
 )
-from repro.theory import estimate_rho, is_doubly_stochastic
+from repro.theory import estimate_rho
+from tests.graphs import is_doubly_stochastic
 
 
 class TestUnionOfMatchings:

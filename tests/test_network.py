@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.compression import SharedMaskPayload
+from repro.compression.base import SharedMaskPayload
 from repro.network import (
     FIG1_BANDWIDTH_MBPS,
     FIG1_CITIES,
+    SimulatedNetwork,
+    bandwidth_stats,
+    fig1_environment,
+    random_uniform_bandwidth,
+)
+from repro.network.metrics import (
     CommunicationTimer,
     MB,
-    SimulatedNetwork,
     TrafficMeter,
-    bandwidth_stats,
-    connected_components,
-    fig1_environment,
-    is_connected,
-    mbits_to_mbytes,
-    random_uniform_bandwidth,
-    symmetrize_min,
-    threshold_graph,
     utilized_bandwidth_per_round,
 )
+from repro.network.topology import (
+    connected_components,
+    is_connected,
+    threshold_graph,
+)
+from repro.network.bandwidth import mbits_to_mbytes, symmetrize_min
 from tests.conftest import settled_growth
 from tests.graphs import adjacency_from_edges
 
@@ -142,8 +145,7 @@ class TestTrafficMeter:
         meter = TrafficMeter(2)
         meter.record(0, 0, 1, int(2 * MB))
         assert meter.worker_traffic_mb(0) == pytest.approx(2.0)
-        assert meter.max_worker_traffic_mb() == pytest.approx(2.0)
-        assert meter.total_traffic_mb() == pytest.approx(2.0)
+        assert meter.worker_traffic_mb(1) == pytest.approx(2.0)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
@@ -260,3 +262,17 @@ class TestSimulatedNetwork:
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
             SimulatedNetwork(3, bandwidth=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_nan_or_negative_link_rejected_by_name(self, value):
+        bandwidth = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        bandwidth[1, 2] = bandwidth[2, 1] = value
+        with pytest.raises(ValueError, match=rf"bandwidth\[1, 2\] .* got {value}"):
+            SimulatedNetwork(3, bandwidth=bandwidth)
+        bandwidth[1, 2] = bandwidth[2, 1] = 0.0  # no link is legal
+        assert SimulatedNetwork(3, bandwidth=bandwidth).bandwidth[1, 2] == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -4.0])
+    def test_bad_server_bandwidth_rejected(self, value):
+        with pytest.raises(ValueError, match="server_bandwidth"):
+            SimulatedNetwork(2, server_bandwidth=value)

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    CrossEntropyLoss,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    accuracy,
-)
+from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from tests.conftest import numerical_gradient
 
 

@@ -2,19 +2,12 @@
 
 import numpy as np
 
-from repro.nn import (
-    SGD,
-    BatchNorm2d,
-    Cifar10CNN,
-    Conv2d,
-    CrossEntropyLoss,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    MnistCNN,
-    ReLU,
-    Sequential,
-)
+from repro.nn.optim import SGD
+from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d
+from repro.nn import Cifar10CNN, MnistCNN
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.activations import ReLU
+from repro.nn.module import Sequential
 from tests.gradcheck import check_gradients
 
 

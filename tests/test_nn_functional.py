@@ -1,4 +1,4 @@
-"""Tests for repro.nn.functional: im2col/col2im, conv equivalence, softmax."""
+"""Tests for repro.nn.functional: im2col/col2im, conv equivalence."""
 
 import numpy as np
 import pytest
@@ -73,44 +73,3 @@ class TestConvEquivalence:
             2, out_h, out_w, 4
         ).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        probs = F.softmax(rng.normal(size=(5, 7)))
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
-
-    def test_shift_invariance(self, rng):
-        logits = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(
-            F.softmax(logits), F.softmax(logits + 100.0), atol=1e-12
-        )
-
-    def test_overflow_safe(self):
-        probs = F.softmax(np.array([[1000.0, 0.0]]))
-        assert np.isfinite(probs).all()
-        assert probs[0, 0] == pytest.approx(1.0)
-
-    def test_log_softmax_consistent(self, rng):
-        logits = rng.normal(size=(4, 6))
-        np.testing.assert_allclose(
-            F.log_softmax(logits), np.log(F.softmax(logits)), atol=1e-10
-        )
-
-
-class TestOneHot:
-    def test_encoding(self):
-        encoded = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(
-            encoded, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        )
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([-1]), 3)
-
-    def test_requires_1d(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
+from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,

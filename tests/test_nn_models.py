@@ -1,19 +1,9 @@
 """Tests for the model zoo, including the paper's parameter counts."""
 
 import numpy as np
-import pytest
 
-from repro.nn import (
-    Cifar10CNN,
-    LogisticRegression,
-    MLP,
-    MnistCNN,
-    ResNet20,
-    ResNetCIFAR,
-    TinyCNN,
-    available_models,
-    build_model,
-)
+from repro.nn import Cifar10CNN, MLP, MnistCNN, ResNet20, TinyCNN
+from repro.nn.models import ResNetCIFAR
 from repro.nn.losses import CrossEntropyLoss
 
 
@@ -95,10 +85,6 @@ class TestSmallModels:
         predictions = np.argmax(model.forward(features), axis=1)
         assert np.array_equal(predictions, labels)
 
-    def test_logistic_regression_shape(self, rng):
-        model = LogisticRegression(8, 3, rng=0)
-        assert model.forward(rng.normal(size=(5, 8))).shape == (5, 3)
-
     def test_tiny_cnn_shapes(self, rng):
         model = TinyCNN(in_channels=2, image_size=8, num_classes=4, rng=0)
         assert model.forward(rng.normal(size=(3, 2, 8, 8))).shape == (3, 4)
@@ -107,25 +93,3 @@ class TestSmallModels:
         model = TinyCNN(in_channels=1, image_size=6, num_classes=3, width=2, rng=0)
         inputs = rng.normal(size=(2, 1, 6, 6))
         grad_check(model, inputs, atol=1e-5, rtol=1e-3)
-
-
-class TestRegistry:
-    def test_available(self):
-        names = available_models()
-        assert "resnet-20" in names
-        assert "mnist-cnn" in names
-
-    def test_build_by_name(self):
-        model = build_model("resnet-20", rng=0)
-        assert model.num_parameters() == 269_722
-
-    def test_build_case_insensitive(self):
-        assert build_model("MNIST-CNN", rng=0).num_parameters() > 0
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            build_model("alexnet")
-
-    def test_kwargs_forwarded(self):
-        model = build_model("mlp", rng=0, in_features=4, hidden=[8], num_classes=3)
-        assert model.num_parameters() == (4 * 8 + 8) + (8 * 3 + 3)

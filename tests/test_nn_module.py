@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, MLP, ReLU, Sequential
-from repro.nn.module import Identity, Module, Parameter
+from repro.nn.layers import Linear
+from repro.nn import MLP
+from repro.nn.activations import ReLU
+from repro.nn.module import Identity, Module, Parameter, Sequential
+from tests.gradcheck import named_parameters
 
 
 class TestParameter:
@@ -39,7 +42,7 @@ class TestModuleRegistration:
 
     def test_named_parameters_prefixes(self):
         model = MLP(4, [3], 2, rng=0)
-        names = [name for name, _ in model.named_parameters()]
+        names = [name for name, _ in named_parameters(model)]
         assert "layer0.weight" in names
         assert "layer2.bias" in names
 
@@ -92,38 +95,6 @@ class TestFlatParams:
         np.testing.assert_array_equal(
             model.get_flat_grads(), np.zeros(model.num_parameters())
         )
-
-
-class TestStateDict:
-    def test_round_trip(self, rng):
-        model = MLP(4, [3], 2, rng=0)
-        state = model.state_dict()
-        other = MLP(4, [3], 2, rng=1)
-        other.load_state_dict(state)
-        inputs = rng.normal(size=(2, 4))
-        np.testing.assert_allclose(model.forward(inputs), other.forward(inputs))
-
-    def test_missing_key_raises(self):
-        model = MLP(4, [3], 2, rng=0)
-        state = model.state_dict()
-        state.pop(next(iter(state)))
-        with pytest.raises(ValueError, match="missing"):
-            model.load_state_dict(state)
-
-    def test_shape_mismatch_raises(self):
-        model = MLP(4, [3], 2, rng=0)
-        state = model.state_dict()
-        key = next(iter(state))
-        state[key] = np.zeros(99)
-        with pytest.raises(ValueError, match="shape"):
-            model.load_state_dict(state)
-
-    def test_state_dict_is_a_copy(self):
-        model = MLP(4, [3], 2, rng=0)
-        state = model.state_dict()
-        key = next(iter(state))
-        state[key] += 100.0
-        assert not np.allclose(dict(model.named_parameters())[key].data, state[key])
 
 
 class TestSequential:

@@ -31,30 +31,23 @@ from repro.algorithms import (
     SparseFedAvg,
     TopKPSGD,
 )
-from repro.analysis import (
+from repro.analysis.obsreport import (
     obs_worker_timeline,
     phase_table,
-    render_obs_report,
     top_counters,
-    worker_timeline,
 )
+from repro.analysis import render_obs_report, worker_timeline
 from repro.cli import _resolve_obs_mode
-from repro.compression import (
-    RandomMaskCompressor,
-    TopKCompressor,
-)
+from repro.compression.random_mask import RandomMaskCompressor
+from repro.compression.topk import TopKCompressor
 from repro.compression.base import BYTES_PER_VALUE
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.network.metrics import TrafficMeter
-from repro.nn import MLP, ShardedArena
-from repro.obs import (
-    MetricsRegistry,
-    NullRecorder,
-    TraceRecorder,
-    validate_trace,
-)
-from repro.obs.recorder import NULL_RECORDER
+from repro.nn import MLP
+from repro.nn.sharded import ShardedArena
+from repro.obs import MetricsRegistry, TraceRecorder, validate_trace
+from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.resilience import ResilienceStats
 from repro.sim import (
     ConstantCompute,
@@ -63,6 +56,7 @@ from repro.sim import (
     run_experiment,
 )
 from repro.utils import parallel
+from tests.conftest import scoped
 
 N_WORKERS = 4
 
@@ -206,7 +200,7 @@ class TestLifecycle:
     def test_scoped_restores_previous(self):
         outer = obs.start("metrics")
         inner = obs.MetricsRecorder(MetricsRegistry(), None)
-        with obs.scoped(inner):
+        with scoped(inner):
             assert obs.recorder() is inner
         assert obs.recorder() is outer
 

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim import (
-    AlwaysUp,
-    EventEngine,
-    RenewalPopulation,
-    parse_population,
-)
+from repro.sim.population import AlwaysUp
+from repro.sim import EventEngine, RenewalPopulation, parse_population
 
 
 class TestRenewalPopulation:

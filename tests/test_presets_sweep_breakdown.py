@@ -10,7 +10,7 @@ from repro.analysis.breakdown import (
     payload_size_histogram,
 )
 from repro.network import SimulatedNetwork
-from repro.network.metrics import TrafficMeter
+from repro.network.metrics import MB, TrafficMeter
 from repro.presets import (
     PRESETS,
     TABLE2_SETTINGS,
@@ -133,7 +133,10 @@ class TestBreakdown:
         meter.record(0, 1, TrafficMeter.SERVER, 500)
         meter.record(0, TrafficMeter.SERVER, 2, 250)
         breakdown = breakdown_traffic(meter)
-        assert breakdown.total_mb == pytest.approx(meter.total_traffic_mb())
+        total_mb = (
+            breakdown.peer_to_peer_mb + breakdown.worker_to_server_mb + breakdown.server_to_worker_mb
+        )
+        assert total_mb == pytest.approx(1750 / MB)
         assert breakdown.num_transfers == 3
 
     def test_histogram(self):

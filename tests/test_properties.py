@@ -10,12 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import (
-    TopKCompressor,
-    generate_mask,
-    mask_density,
-    top_k_indices,
-)
+from repro.compression.topk import TopKCompressor, top_k_indices
+from repro.compression.random_mask import generate_mask
 from repro.core.gossip import gossip_matrix_from_matching
 from repro.core.matching import (
     is_valid_matching,
@@ -23,7 +19,7 @@ from repro.core.matching import (
     max_cardinality_matching,
     randomly_max_match,
 )
-from repro.theory.spectral import is_doubly_stochastic
+from tests.graphs import is_doubly_stochastic
 from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
 from repro.utils.rng import derive_seed
 from tests.reference.error_feedback import ErrorFeedback
@@ -54,7 +50,7 @@ class TestMaskProperties:
         mask = generate_mask(100_000, ratio, seed)
         expected = 1.0 / ratio
         tolerance = 5 * np.sqrt(expected * (1 - expected) / 100_000) + 1e-9
-        assert abs(mask_density(mask) - expected) < tolerance
+        assert abs(mask.mean() - expected) < tolerance
 
 
 class TestMatchingProperties:

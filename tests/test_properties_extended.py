@@ -15,7 +15,7 @@ from repro.core.multipeer import (
 from repro.sim.engine import ExperimentConfig, ExperimentResult, RoundRecord
 from repro.sim.faults import FaultPlan
 from repro.sim.timing import HeterogeneousCompute
-from repro.theory.spectral import is_doubly_stochastic
+from tests.graphs import is_doubly_stochastic
 
 
 class TestChurnProperties:

@@ -18,8 +18,8 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.network.metrics import MB
 from repro.nn import MLP
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience import (
-    CheckpointStore,
     ExchangePolicy,
     ResilienceStats,
     make_recovery_policy,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import ParameterArena, ShardedArena
+from repro.nn.arena import ParameterArena
+from repro.nn.sharded import ShardedArena
 
 
 class TestSampledMode:

@@ -10,15 +10,15 @@ from repro.nn import MLP
 from repro.sim import (
     ExperimentConfig,
     ExperimentResult,
-    RoundRecord,
     SuiteSettings,
-    TrainingWorker,
-    evaluate_consensus,
     make_workers,
     paper_algorithm_suite,
     run_comparison,
     run_experiment,
 )
+from repro.sim.engine import RoundRecord, evaluate_consensus
+from repro.sim.trainer import TrainingWorker
+from tests.reference.per_model import apply_gradient
 
 
 @pytest.fixture
@@ -52,14 +52,14 @@ class TestTrainingWorker:
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.5, rng=0)
         before = worker.get_params()
         gradient = np.ones(worker.model_size)
-        worker.apply_gradient(gradient)
+        apply_gradient(worker, gradient)
         np.testing.assert_allclose(worker.get_params(), before - 0.5, atol=1e-12)
 
     def test_apply_gradient_custom_lr(self, workload):
         partitions, _, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.5, rng=0)
         before = worker.get_params()
-        worker.apply_gradient(np.ones(worker.model_size), lr=0.1)
+        apply_gradient(worker, np.ones(worker.model_size), lr=0.1)
         np.testing.assert_allclose(worker.get_params(), before - 0.1, atol=1e-12)
 
     def test_evaluate_returns_loss_and_accuracy(self, workload):
@@ -73,7 +73,7 @@ class TestTrainingWorker:
         partitions, _, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.2, rng=0)
         worker.local_step()
-        worker.apply_gradient(np.zeros(worker.model_size))
+        apply_gradient(worker, np.zeros(worker.model_size))
         assert worker.steps_taken == 2
 
 

@@ -107,12 +107,12 @@ class TestFaultPlanQueries:
     def test_link_intervals_and_link_up_at(self):
         plan = self._plan()
         assert plan.link_down_intervals(2, 0) == [(3.0, 6.0)]
-        assert not plan.link_up_at(0, 2, 4.0)
-        assert plan.link_up_at(0, 2, 6.0)
-        assert plan.link_up_at(1, 3, 4.0)  # untouched link
+        assert not plan.link_up_during(0, 2, 4.0, 4.0 + 1e-9)
+        assert plan.link_up_during(0, 2, 6.0, 6.0 + 1e-9)
+        assert plan.link_up_during(1, 3, 4.0, 4.0 + 1e-9)  # untouched link
 
     def test_crash_count_and_is_empty(self):
-        assert self._plan().crash_count == 2
+        assert sum(event.kind == "crash" for event in self._plan().events) == 2
         assert not self._plan().is_empty
         assert FaultPlan(3).is_empty
 
@@ -264,6 +264,6 @@ class TestRoundProjections:
         for time in np.arange(0.0, 6.0, 0.25):
             for rank in range(4):
                 assert plan.up_during(rank, time, time + 1e-9) == plan.up_at(rank, time)
-            assert plan.link_up_during(0, 1, time, time + 1e-9) == plan.link_up_at(
-                0, 1, time
+            assert plan.link_up_during(0, 1, time, time + 1e-9) == (
+                not any(start <= time < end for start, end in plan.link_down_intervals(0, 1))
             )

@@ -8,25 +8,19 @@ from repro.core.gossip import (
     gossip_matrix_from_matching,
     ring_gossip_matrix,
 )
+from repro.theory.consensus import ConsensusTrace, consensus_distance
 from repro.theory import (
-    ConsensusTrace,
     ProblemConstants,
-    consensus_distance,
     consensus_factor,
-    d1_constant,
-    d2_constant,
-    dominant_regime,
     estimate_rho,
-    expected_wtw,
-    is_doubly_stochastic,
     random_initial_states,
     rounds_to_epsilon,
-    second_largest_eigenvalue,
     simulate_consensus,
-    spectral_gap,
     theorem2_bound,
-    theorem2_step_size,
 )
+from repro.theory.bounds import d1_constant, d2_constant
+from repro.theory.spectral import expected_wtw, second_largest_eigenvalue
+from tests.graphs import is_doubly_stochastic
 
 
 class TestSpectral:
@@ -42,9 +36,6 @@ class TestSpectral:
     def test_second_eigenvalue_complete_averaging(self):
         averaging = np.full((4, 4), 0.25)
         assert second_largest_eigenvalue(averaging) == pytest.approx(0.0, abs=1e-12)
-
-    def test_spectral_gap(self):
-        assert spectral_gap(np.full((4, 4), 0.25)) == pytest.approx(1.0)
 
     def test_single_matching_wtw_has_rho_one(self):
         """One fixed matching is not connected → ρ = 1 (no consensus)."""
@@ -173,17 +164,6 @@ class TestBounds:
         t1 = theorem2_bound(constants, 100.0, 0.5, 32, 10**18)
         t4 = theorem2_bound(constants, 100.0, 0.5, 32, 4 * 10**18)
         assert t1 / t4 == pytest.approx(2.0, rel=0.05)
-
-    def test_dominant_regime_switches(self):
-        constants = ProblemConstants(sigma=1.0)
-        assert dominant_regime(constants, 100.0, 0.5, 32, 10**16) == "1/sqrt(nT)"
-        assert dominant_regime(constants, 100.0, 0.5, 32, 10) == "1/T"
-
-    def test_step_size_positive_and_decreasing_in_T(self):
-        constants = ProblemConstants()
-        g1 = theorem2_step_size(constants, 100.0, 0.5, 32, 100)
-        g2 = theorem2_step_size(constants, 100.0, 0.5, 32, 10000)
-        assert 0 < g2 < g1
 
     def test_zero_spread_kills_init_term(self):
         constants_zero = ProblemConstants(initial_spread=0.0)
