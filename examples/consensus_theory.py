@@ -85,8 +85,11 @@ def main() -> None:
             title="Lemma 2: per-round consensus contraction under sparsified gossip",
         )
     )
-    # Sparsified gossip (c > 1) contracts at least as fast as Lemma 2's
-    # factor, within 0.15.  The dense c = 1 row is printed, not checked:
+    # Checked: sparsified gossip (c > 1) contracts no slower than Lemma 2's
+    # factor plus 0.15.  Every measured rate here is slower than predicted;
+    # the slack absorbs the gap, which ROADMAP item 2 traces to q + p*rho^2
+    # standing where the bound is q + p*rho.  The dense c = 1 row is
+    # printed, not checked:
     # matching gossip has WᵀW = W, so it contracts by ρ rather than ρ², and
     # its 200-round trace ends at float64 rounding (distance ~1e-31), which
     # drags the geometric mean up.

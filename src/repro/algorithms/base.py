@@ -140,7 +140,7 @@ class DistributedAlgorithm:
             ranks = range(self.num_workers)
         with obs.phase("compute"):
             return np.array(
-                [self.workers[rank].compute_gradient()[0] for rank in ranks]
+                [self.workers[rank].compute_gradient() for rank in ranks]
             )
 
     def _local_steps(self, k: int, ranks=None) -> np.ndarray:

@@ -119,25 +119,8 @@ class FedAvg(DistributedAlgorithm):
                 round_index, rank, TrafficMeter.SERVER, upload_bytes
             )
         if self._server_bandwidth is not None:
-            if self.network.contention:
-                # Per-participant transfers through the shared server
-                # link ends: k downloads serialize on the server's
-                # transmit end, k uploads on its receive end.
-                server = TrafficMeter.SERVER
-                for rank in selected:
-                    self.network.timer.add_transfer(
-                        model_bytes,
-                        self._server_bandwidth,
-                        endpoints=self.network.link_endpoints(server, rank),
-                    )
-                    self.network.timer.add_transfer(
-                        upload_bytes,
-                        self._server_bandwidth,
-                        endpoints=self.network.link_endpoints(rank, server),
-                    )
-            else:
-                total = len(selected) * (model_bytes + upload_bytes)
-                self.network.timer.add_transfer(total, self._server_bandwidth)
+            total = len(selected) * (model_bytes + upload_bytes)
+            self.network.timer.add_transfer(total, self._server_bandwidth)
         self.network.finish_round()
 
     def run_round(self, round_index: int) -> float:

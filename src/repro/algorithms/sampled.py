@@ -283,9 +283,6 @@ class SampledAsyncFedAvg:
             return float("nan")
         return self._loss_sum / self._loss_events
 
-    def consensus_model(self) -> np.ndarray:
-        return self.global_model.copy()
-
     def consensus_distance(self) -> float:
         """Mean squared distance of *resident* rows to the global model.
 
@@ -600,12 +597,6 @@ class SampledSAPS:
         from repro.theory.streaming import arena_consensus
 
         return arena_consensus(self.arena)
-
-    def consensus_model(self) -> np.ndarray:
-        return self._streamed()[0]
-
-    def consensus_distance(self) -> float:
-        return self._streamed()[1]
 
     def evaluate(self) -> Tuple[float, float]:
         """(validation loss, accuracy) of the streamed consensus model."""

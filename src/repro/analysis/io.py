@@ -100,6 +100,8 @@ def save_comparison(
 def load_comparison(path: Union[str, Path]) -> Dict[str, ExperimentResult]:
     """Inverse of :func:`save_comparison`."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict) or "results" not in payload:
+        raise ValueError("not a comparison: it has no 'results'")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported comparison format version")
     return {

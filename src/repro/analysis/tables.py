@@ -7,7 +7,7 @@ eyeballing shape and for diffing across runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 def format_value(value, precision: int = 3) -> str:

@@ -458,11 +458,26 @@ def cmd_rho(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def _load_comparison_input(path: str):
+    """The comparison saved at ``path``; a missing file, or one of another
+    kind, exits as ``input error: <path>: <message>``."""
     from repro.analysis.io import load_comparison
+
+    try:
+        return load_comparison(path)
+    except FileNotFoundError:
+        problem = "no such file"
+    except (OSError, ValueError) as error:
+        problem = str(error)
+    raise SystemExit(
+        f"input error: {path}: {problem}; expected a comparison saved by `compare --output`"
+    )
+
+
+def cmd_report(args) -> int:
     from repro.analysis.report import comparison_report
 
-    results = load_comparison(args.input)
+    results = _load_comparison_input(args.input)
     report = comparison_report(
         results,
         title=args.title,
@@ -640,10 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--population-model", type=str, default=None,
-        help="client availability as an arrival process: 'always', "
-        "'renewal:up=60,down=30' (exponential up/down times, seconds) or "
-        "'none'.  Sampling draws from the currently-up clients; on "
-        "--engine event, every async variant gates its cycles on it",
+        help="client availability as an arrival process: "
+        "'renewal:up=60,down=30' (exponential up/down times, seconds), or "
+        "'always' / 'none' (every client up: the default, any algorithm).  "
+        "Sampling draws from the currently-up clients; on --engine event, "
+        "every async variant gates its cycles on it",
     )
     common(run_p)
     run_p.set_defaults(func=cmd_run)

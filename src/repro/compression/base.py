@@ -1,9 +1,9 @@
-"""Compressor interface and payload byte-accounting.
+"""Payloads and their byte-accounting.
 
-A compressor turns a dense vector into a :class:`Payload` — the thing that
-actually crosses the (simulated) wire.  Payload subtypes know their own
-wire size, which is how the library reproduces the paper's traffic
-numbers:
+A compressor turns each row of a replica matrix into a :class:`Payload` —
+the thing that actually crosses the (simulated) wire.  Payload subtypes
+know their own wire size, which is how the library reproduces the
+paper's traffic numbers:
 
 * :class:`SharedMaskPayload` — the paper's scheme: the mask is derived
   from a coordinator seed on *both* sides, so only the ``≈N/c`` surviving
@@ -11,29 +11,20 @@ numbers:
 * :class:`IndexedPayload` — Top-k-style: values *and* their indices
   travel (used by TopK-PSGD and DCD-PSGD).
 
-Payloads preserve the numeric dtype of the values they carry:
-``to_dense`` materializes in the source dtype (a float32 payload must not
-silently re-inflate into float64 and double the memory traffic the
-simulation is modelling).
-
-Matrix-level API
-----------------
 Since the parameter arena stores the whole cluster as one ``(n, N)``
-replica matrix, compression can run **per round instead of per worker**:
-:meth:`Compressor.compress_matrix` takes the matrix and returns a
-:class:`BatchPayload` — one payload per row, plus (for the vectorized
-implementations) the batched value/index arrays so decompression and
-error feedback stay matrix-shaped.  The base implementation loops over
-rows calling :meth:`Compressor.compress`, so every compressor supports
-the batched API; the concrete compressors override it with single-pass
-vectorized selection that is element-for-element identical to the
-per-row path (see ``tests/test_compression_batched.py``).
+replica matrix, compression runs **per round instead of per worker**:
+the compressors take the matrix and return a :class:`BatchPayload` — one
+payload per row plus the batched value/index arrays, so decompression and
+error feedback stay matrix-shaped and keep the source dtype (a float32
+round must not re-inflate into float64 and double the memory traffic the
+simulation is modelling).  Each row equals, element for element, what
+the per-row compressors of ``tests/reference/compressors.py`` build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -50,15 +41,6 @@ class Payload:
     """Base class for anything sent between peers."""
 
     def num_bytes(self) -> int:
-        raise NotImplementedError
-
-    def to_dense(self, size: int) -> np.ndarray:
-        """Materialize as a dense vector of length ``size``.
-
-        The result is in the payload's own dtype — decompression must not
-        up-cast (a float32 round re-inflated to float64 would double the
-        modelled memory traffic).
-        """
         raise NotImplementedError
 
 
@@ -78,11 +60,6 @@ class SharedMaskPayload(Payload):
     def num_bytes(self) -> int:
         return self.values.size * BYTES_PER_VALUE
 
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size, dtype=self.values.dtype)
-        dense[self.indices] = self.values
-        return dense
-
 
 @dataclass
 class IndexedPayload(Payload):
@@ -94,22 +71,14 @@ class IndexedPayload(Payload):
     def num_bytes(self) -> int:
         return self.values.size * BYTES_PER_VALUE + self.indices.size * BYTES_PER_INDEX
 
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size, dtype=self.values.dtype)
-        dense[self.indices] = self.values
-        return dense
-
 
 @dataclass
 class BatchPayload(Payload):
     """One communication round's payloads for every row of a matrix.
 
-    Produced by :meth:`Compressor.compress_matrix`.  Row ``i``'s payload
-    (``batch[i]``) is exactly what per-row ``compress`` would have built
-    for ``matrix[i]`` — same values, indices and wire bytes — so callers
-    that meter or ship individual payloads keep working unchanged.
-
-    The vectorized compressors additionally attach the batched arrays:
+    Row ``i``'s payload (``batch[i]``) is exactly what a per-row
+    compressor would have built for ``matrix[i]`` — same values, indices
+    and wire bytes — and is backed by the batched arrays:
 
     ``values``
         ``(n, k)`` value matrix whose rows back the per-row payloads
@@ -117,20 +86,11 @@ class BatchPayload(Payload):
     ``indices``
         A shared ``(k,)`` index vector for shared-mask batches, or an
         ``(n, k)`` per-row index matrix for top-k batches.
-
-    When both are present :meth:`to_dense` scatters the whole batch in
-    one vectorized operation; otherwise it stacks the per-row payloads.
     """
 
     payloads: List[Payload]
-    values: Optional[np.ndarray] = None
-    indices: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def __iter__(self) -> Iterator[Payload]:
-        return iter(self.payloads)
+    values: np.ndarray
+    indices: np.ndarray
 
     def __getitem__(self, index: int) -> Payload:
         return self.payloads[index]
@@ -144,21 +104,14 @@ class BatchPayload(Payload):
         return [payload.num_bytes() for payload in self.payloads]
 
     def to_dense(self, size: int) -> np.ndarray:
-        """Materialize the whole batch as an ``(n, size)`` matrix.
-
-        Row ``i`` equals ``self[i].to_dense(size)`` exactly; the batched
-        arrays (when present) make this one scatter instead of ``n``.
-        """
-        if self.values is not None:
-            dense = np.zeros((len(self.payloads), size), dtype=self.values.dtype)
-            if self.indices.ndim == 1:
-                dense[:, self.indices] = self.values
-            else:
-                np.put_along_axis(dense, self.indices, self.values, axis=1)
-            return dense
-        return np.stack(
-            [payload.to_dense(size) for payload in self.payloads]
-        ) if self.payloads else np.zeros((0, size))
+        """Materialize the whole batch as an ``(n, size)`` matrix, in the
+        values' dtype: one scatter of the batched arrays."""
+        dense = np.zeros((len(self.payloads), size), dtype=self.values.dtype)
+        if self.indices.ndim == 1:
+            dense[:, self.indices] = self.values
+        else:
+            np.put_along_axis(dense, self.indices, self.values, axis=1)
+        return dense
 
     def dense_mean(self, size: int) -> np.ndarray:
         """``to_dense(size).mean(axis=0)`` bit for bit, without the ``(n,
@@ -173,7 +126,7 @@ class BatchPayload(Payload):
         (summed pairwise), take the dense fold.
         """
         sent = self.values
-        if (sent is None or size < 2
+        if (size < 2
                 or not (sent.all() and np.isfinite(sent).all())):
             return self.to_dense(size).mean(axis=0)
         total = np.zeros(size, dtype=sent.dtype)
@@ -221,35 +174,3 @@ def record_batch_metrics(matrix: np.ndarray, batch: BatchPayload) -> None:
     registry.inc("compression.bytes_wire", float(wire))
     registry.inc("compression.bytes_saved", float(dense - wire))
 
-
-class Compressor:
-    """Interface: ``compress`` a vector into a payload.
-
-    ``ratio`` is the paper's ``c``: the expected dense/compressed size
-    factor (1 = no compression).
-    """
-
-    @property
-    def ratio(self) -> float:
-        raise NotImplementedError
-
-    def compress(self, vector: np.ndarray, round_index: int = 0) -> Payload:
-        raise NotImplementedError
-
-    def compress_matrix(
-        self, matrix: np.ndarray, round_index: int = 0
-    ) -> BatchPayload:
-        """Compress every row of ``matrix`` for one round.
-
-        Base implementation: loop over rows via :meth:`compress`
-        (backward compatible for any third-party compressor).  Stateful
-        compressors (RNG-driven selection) consume their streams in row
-        order, so the loop and the vectorized overrides are
-        interchangeable.
-        """
-        matrix = check_matrix(matrix)
-        batch = BatchPayload(
-            payloads=[self.compress(row, round_index) for row in matrix]
-        )
-        record_batch_metrics(matrix, batch)
-        return batch

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.compression.base import BatchPayload, Compressor
+from repro.compression.base import BatchPayload
+from repro.compression.topk import TopKCompressor
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 
 
@@ -42,7 +43,7 @@ class BatchedErrorFeedback:
 
     def __init__(
         self,
-        compressor: Compressor,
+        compressor: TopKCompressor,
         num_rows: int,
         size: int,
         dtype: DTypeLike = None,

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.compression.base import (
     BatchPayload,
-    Compressor,
     SharedMaskPayload,
     check_compression_ratio,
     check_matrix,
@@ -36,35 +35,14 @@ def generate_mask(size: int, compression_ratio: float, seed: int) -> np.ndarray:
     return rng.random(size) < probability
 
 
-class RandomMaskCompressor(Compressor):
-    """Compressor wrapping :func:`generate_mask` for a fixed ratio ``c``.
-
-    A round's mask comes from the seed the coordinator broadcasts: pass
-    it to :meth:`compress_with_seed`.  ``compress`` uses seed 0.
-    """
+class RandomMaskCompressor:
+    """:func:`generate_mask` applied to a whole replica matrix for a fixed
+    ratio ``c``; a round's mask comes from the seed the coordinator
+    broadcasts."""
 
     def __init__(self, compression_ratio: float) -> None:
-        self._ratio = check_compression_ratio(compression_ratio)
-
-    @property
-    def ratio(self) -> float:
-        return self._ratio
-
-    def compress(self, vector: np.ndarray, round_index: int = 0) -> SharedMaskPayload:
-        return self.compress_with_seed(vector, 0)
-
-    def compress_with_seed(self, vector: np.ndarray, seed: int) -> SharedMaskPayload:
-        vector = np.asarray(vector)
-        mask = generate_mask(vector.size, self._ratio, seed)
-        indices = np.flatnonzero(mask)
-        return SharedMaskPayload(
-            values=vector[indices].copy(), indices=indices, mask_seed=int(seed)
-        )
-
-    def compress_matrix(
-        self, matrix: np.ndarray, round_index: int = 0
-    ) -> BatchPayload:
-        return self.compress_matrix_with_seed(matrix, 0)
+        #: The paper's ``c``: the expected dense/compressed size factor.
+        self.ratio = check_compression_ratio(compression_ratio)
 
     def batch_from_values(
         self,
@@ -120,11 +98,10 @@ class RandomMaskCompressor(Compressor):
         This is the arena-aware fast path: the mask is generated once per
         *round* (not per worker) and ``matrix[:, indices]`` gathers all
         surviving components of all replicas in a single fancy-indexed
-        read.  Row ``i``'s payload is value-identical to
-        ``compress_with_seed(matrix[i], seed)``.
+        read.
         """
         matrix = check_matrix(matrix)
-        mask = generate_mask(matrix.shape[1], self._ratio, seed)
+        mask = generate_mask(matrix.shape[1], self.ratio, seed)
         indices = np.flatnonzero(mask)
         values = matrix[:, indices]
         batch = BatchPayload(

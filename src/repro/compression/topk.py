@@ -20,7 +20,6 @@ import numpy as np
 from repro import obs
 from repro.compression.base import (
     BatchPayload,
-    Compressor,
     IndexedPayload,
     check_compression_ratio,
     check_matrix,
@@ -36,12 +35,6 @@ def k_for(size: int, compression_ratio: float) -> int:
     upload masking — keep it in sync with the paper's ``N/c`` convention.
     """
     return max(1, int(np.ceil(size / compression_ratio))) if size else 0
-
-
-def top_k_indices(vector: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest-|v| entries, in ascending index order:
-    the one-row case of :func:`top_k_indices_matrix`."""
-    return top_k_indices_matrix(np.reshape(vector, (1, -1)), k)[0]
 
 
 #: Rows per work item of :func:`top_k_indices_matrix`.  Rows are
@@ -116,24 +109,15 @@ def top_k_indices_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
     return indices
 
 
-class TopKCompressor(Compressor):
-    """Keep the ``ceil(N/c)`` largest-magnitude entries."""
+class TopKCompressor:
+    """Keep each row's ``ceil(N/c)`` largest-magnitude entries."""
 
     def __init__(self, compression_ratio: float) -> None:
-        self._ratio = check_compression_ratio(compression_ratio)
-
-    @property
-    def ratio(self) -> float:
-        return self._ratio
+        #: The paper's ``c``: the expected dense/compressed size factor.
+        self.ratio = check_compression_ratio(compression_ratio)
 
     def k_for(self, size: int) -> int:
-        return k_for(size, self._ratio)
-
-    def compress(self, vector: np.ndarray, round_index: int = 0) -> IndexedPayload:
-        vector = np.asarray(vector)
-        indices = top_k_indices(vector, self.k_for(vector.size))
-        # Fancy indexing already allocates a fresh array — no extra copy.
-        return IndexedPayload(values=vector[indices], indices=indices)
+        return k_for(size, self.ratio)
 
     def compress_matrix(
         self, matrix: np.ndarray, round_index: int = 0

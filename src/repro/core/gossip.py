@@ -33,7 +33,6 @@ from repro.core.matching import (
     Matching,
     greedy_weighted_matching,
     matching_to_partner_array,
-    max_cardinality_matching,
     randomly_max_match,
 )
 from repro.network.topology import (

@@ -21,11 +21,7 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.core.gossip import (
-    AdaptivePeerSelector,
-    PeerSelectionResult,
-    gossip_matrix_from_matching,
-)
+from repro.core.gossip import AdaptivePeerSelector, PeerSelectionResult
 from repro.core.matching import Matching, matching_to_partner_array
 from repro.utils.rng import SeedLike, as_generator, derive_seed
 
@@ -43,11 +39,6 @@ class RoundPlan:
     partners: np.ndarray
     mask_seed: int
     used_fallback: bool = False
-
-    @property
-    def gossip(self) -> np.ndarray:
-        """``W_t``, built when read: workers only look up ``partners``."""
-        return gossip_matrix_from_matching(self.matching, len(self.partners))
 
 
 class Coordinator:

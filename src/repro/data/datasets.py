@@ -58,10 +58,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def sample_shape(self) -> Tuple[int, ...]:
-        return tuple(self.features.shape[1:])
-
     def astype(self, dtype) -> "Dataset":
         """This dataset with features cast to ``dtype`` (no copy when the
         dtype already matches); labels stay int64."""

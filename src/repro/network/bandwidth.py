@@ -14,7 +14,7 @@ The paper symmetrizes speeds with ``B_ij = B_ji = min(B_ij, B_ji)``
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

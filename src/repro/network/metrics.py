@@ -72,10 +72,6 @@ class TrafficMeter:
         slot = self._slot(worker)
         return float(self._sent[slot] + self._received[slot])
 
-    def worker_traffic_mb(self, worker: int = 0) -> float:
-        """Per-worker accumulated traffic in MB (Fig. 4's x-axis)."""
-        return self.worker_bytes(worker) / MB
-
     def mean_worker_traffic_mb(self) -> float:
         totals = self._sent[: self.num_workers] + self._received[: self.num_workers]
         return float(totals.mean()) / MB
@@ -95,19 +91,11 @@ class CommunicationTimer:
     and the round barrier waits for the slowest — exactly the model behind
     the paper's Fig. 6).  Serial phases within a round (e.g. FedAvg's
     download-then-upload) can be accounted by calling
-    :meth:`finish_round` per phase.
-
-    With ``contention=True`` transfers that declare *endpoints*
-    (directional link ends, e.g. ``("tx", sender)`` / ``("rx", receiver)``)
-    additionally serialize per endpoint: the round's elapsed time becomes
-    the maximum of the slowest single transfer and the busiest endpoint's
-    summed load — n concurrent uploads through one server link take n
-    transfer times instead of one.  Off by default so Fig. 6-style
-    outputs are unchanged; the event engine turns it on.
+    :meth:`finish_round` per phase.  Per-endpoint link contention is the
+    event engine's (:class:`repro.sim.events.EventEngine`).
     """
 
-    def __init__(self, contention: bool = False) -> None:
-        self.contention = bool(contention)
+    def __init__(self) -> None:
         self.total_seconds = 0.0
         self.round_seconds: List[float] = []
         self._current: List[float] = []
@@ -120,14 +108,7 @@ class CommunicationTimer:
         recently finished round/phase, relative to the phase start: the
         schedule :meth:`finish_round` timed, spelled out on demand (the
         round loop asks only when it keeps per-worker timelines)."""
-        link_free: Dict = {}
-        layout = []
-        for duration, endpoints in zip(*self._last):
-            begin, end = self.reserve_endpoints(
-                0.0, duration, endpoints if self.contention else None, link_free
-            )
-            layout.append((begin, end, endpoints))
-        return layout
+        return [(0.0, duration, endpoints) for duration, endpoints in zip(*self._last)]
 
     def add_transfer(
         self,
@@ -137,8 +118,8 @@ class CommunicationTimer:
     ) -> float:
         """Register one transfer in the current round; returns its duration.
 
-        ``endpoints`` names the shared directional link ends this transfer
-        occupies (any hashable keys); they only matter under contention.
+        ``endpoints`` names the directional link ends this transfer
+        occupies (any hashable keys), for the per-worker timeline.
         """
         if num_bytes < 0:
             raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
@@ -165,10 +146,8 @@ class CommunicationTimer:
         """Greedy in-order link reservation: the transfer begins once
         ``start`` is reached and every declared endpoint is free, then
         occupies all of them for ``duration``.  Returns ``(begin, end)``
-        and advances ``link_free`` in place.  The single contention
-        algorithm shared by this timer and the event engine
-        (:class:`repro.sim.events.EventEngine`), so both surfaces report
-        identical times for identical transfer sequences."""
+        and advances ``link_free`` in place: the event engine's
+        (:class:`repro.sim.events.EventEngine`) contention algorithm."""
         begin = start
         for endpoint in endpoints or ():
             begin = max(begin, link_free.get(endpoint, 0.0))
@@ -177,32 +156,9 @@ class CommunicationTimer:
             link_free[endpoint] = end
         return begin, end
 
-    @classmethod
-    def contended_elapsed(
-        cls, durations: List[float], endpoints_list: List[Optional[Tuple]]
-    ) -> float:
-        """Round time under per-endpoint serialization: transfers are
-        laid out in report order through per-endpoint link clocks
-        (:meth:`reserve_endpoints`); the round ends when the last one
-        does.  Transfers without declared endpoints only contribute
-        their own duration (they contend with nothing)."""
-        elapsed = 0.0
-        link_free: Dict = {}
-        for duration, endpoints in zip(durations, endpoints_list):
-            _, end = cls.reserve_endpoints(0.0, duration, endpoints, link_free)
-            if end > elapsed:
-                elapsed = end
-        return elapsed
-
     def finish_round(self) -> float:
-        """Close the round: elapsed = slowest concurrent transfer (plus
-        per-endpoint serialization when contention is on)."""
-        if self.contention:
-            elapsed = self.contended_elapsed(
-                self._current, self._current_endpoints
-            )
-        else:
-            elapsed = max(self._current) if self._current else 0.0
+        """Close the round: elapsed = slowest concurrent transfer."""
+        elapsed = max(self._current) if self._current else 0.0
         self._last = (self._current, self._current_endpoints)
         self.round_seconds.append(elapsed)
         self.total_seconds += elapsed

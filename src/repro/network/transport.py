@@ -8,7 +8,7 @@ so every experiment gets Figs. 4-6 numbers for free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class SimulatedNetwork:
         Link speed between the central node and any worker, used by the
         centralized baselines.  The paper's Fig. 6 setup gives the server
         "the maximum bandwidth"; pass that value here.
-    contention:
-        Opt-in per-endpoint link contention: concurrent transfers that
-        share a directional link end (a worker's uplink, the server's
-        downlink) serialize instead of all proceeding at full speed.
-        Off by default — existing Fig. 6-style outputs are unchanged —
-        and on by default inside the event engine
-        (:mod:`repro.sim.events`).
     """
 
     def __init__(
@@ -46,7 +39,6 @@ class SimulatedNetwork:
         num_workers: int,
         bandwidth: Optional[np.ndarray] = None,
         server_bandwidth: Optional[float] = None,
-        contention: bool = False,
     ) -> None:
         self.num_workers = num_workers
         if bandwidth is not None:
@@ -68,12 +60,7 @@ class SimulatedNetwork:
         self.bandwidth = bandwidth
         self.server_bandwidth = server_bandwidth
         self.meter = TrafficMeter(num_workers)
-        self.timer = CommunicationTimer(contention=contention)
-
-    @property
-    def contention(self) -> bool:
-        """Whether per-endpoint link contention is modelled."""
-        return self.timer.contention
+        self.timer = CommunicationTimer()
 
     @staticmethod
     def link_endpoints(sender: int, receiver: int) -> Tuple:
@@ -137,8 +124,6 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------
     # convenience queries (proxied from the meters)
     # ------------------------------------------------------------------
-    def worker_traffic_mb(self, worker: int = 0) -> float:
-        return self.meter.worker_traffic_mb(worker)
 
     def server_traffic_mb(self) -> float:
         return self.meter.server_traffic_mb()

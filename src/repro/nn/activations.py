@@ -1,4 +1,4 @@
-"""Element-wise activation layers."""
+"""The element-wise activation layer every model here uses."""
 
 from __future__ import annotations
 
@@ -25,54 +25,3 @@ class ReLU(Module):
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
 
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)

@@ -19,7 +19,7 @@ default, float32 via the ``dtype`` argument), and each layer's
   single vectorized matrix operations over ``arena.data`` /
   ``arena.grads`` (see the arena fast paths in ``repro.algorithms``);
 * the replica matrix is also the natural input to the **matrix-level
-  compression API** (:meth:`repro.compression.base.Compressor.compress_matrix`):
+  compression API** (:mod:`repro.compression`):
   per-round mask/top-k selection runs once over ``arena.data`` or
   ``arena.grads`` instead of once per worker vector;
 * layer-wise forward/backward is untouched — layers keep operating on
@@ -132,13 +132,6 @@ class ParameterArena:
     # ------------------------------------------------------------------
     # row access
     # ------------------------------------------------------------------
-    def row(self, rank: int) -> np.ndarray:
-        """Worker ``rank``'s flat model (live view)."""
-        return self.data[rank]
-
-    def grad_row(self, rank: int) -> np.ndarray:
-        """Worker ``rank``'s flat gradient (live view)."""
-        return self.grads[rank]
 
     def broadcast_row(self, source: int) -> None:
         """Overwrite every replica with row ``source`` (initial sync)."""

@@ -21,29 +21,24 @@ This module stacks the worker axis into the kernels:
   weight **views** into the arena, exactly the operands
   :class:`~repro.nn.layers.Conv2d`'s im2col path feeds its per-worker
   GEMM — so the batched convolution is bit-identical to the loop.
-* :class:`BatchedMaxPool2d` / :class:`BatchedAvgPool2d` /
-  :class:`BatchedGlobalAvgPool2d` / :class:`BatchedFlatten` replay the
-  pooling/reshape layers over the stacked worker axis (pure
-  gather/reduce ops — shape-blind, parity exact), reading NCHW or
-  channels-last memory in place and handing gradients back in the
-  forward input's layout.
-* :class:`BatchedDropout` replays each worker's *own* mask RNG stream
-  (one small draw per worker, stacked) so inverted dropout stays
-  bit-identical to the loop; its ``forward_vector`` is the eval-mode
-  identity, consistent with :meth:`TrainingWorker.evaluate`.
-* :class:`BatchedReLU` / :class:`BatchedTanh` / :class:`BatchedSigmoid` /
-  :class:`BatchedLeakyReLU` are the element-wise activations over
-  ``(n, B, d)`` stacks (element-wise ops are shape-blind, so parity with
-  the per-worker layers is exact).
+* :class:`BatchedMaxPool2d` / :class:`BatchedGlobalAvgPool2d` /
+  :class:`BatchedFlatten` run the pooling/reshape layers over the
+  stacked worker axis (pure gather/reduce ops — shape-blind), reading
+  NCHW or channels-last memory in place and handing gradients back in
+  the forward input's layout.  They are the only implementation of
+  ``MaxPool2d`` and ``Flatten``; the per-worker passes the parity tests
+  run are ``tests/reference/per_worker.py``.
+* :class:`BatchedReLU` is the element-wise activation over
+  ``(n, B, d)`` stacks (shape-blind, so parity with the per-worker layer
+  is exact).
 * :class:`BatchedCrossEntropyLoss` fuses softmax + NLL over
   ``(n, B, C)`` logits and returns the ``(n,)`` vector of per-worker
   mean losses plus the stacked gradient.
 * :func:`build_batched_model` walks an arena's adopted models and
   compiles them into a :class:`BatchedSequential` when every layer has a
-  batched kernel — Linear / Conv2d / pooling / Flatten / Dropout chains
-  with parameter-free activations, which covers the MLP and
-  logistic-regression family *and* the TinyCNN / MnistCNN / Cifar10CNN
-  conv presets.  Architectures without batched kernels (batch norm,
+  batched kernel — Linear / Conv2d / pooling / Flatten chains with ReLU
+  activations, which covers the MLP family *and* the TinyCNN / MnistCNN
+  / Cifar10CNN conv presets.  Architectures without batched kernels (batch norm,
   residual wiring) return ``None`` and the caller keeps the per-worker
   loop.
 
@@ -66,18 +61,10 @@ import numpy as np
 
 from repro import obs
 from repro.nn import functional as F
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.arena import ParameterArena
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-)
-from repro.nn.module import Identity, Module, Sequential
+from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, MaxPool2d
+from repro.nn.module import Module, Sequential
 from repro.utils.flat import ParamSpec
 
 
@@ -218,93 +205,6 @@ class BatchedReLU(BatchedKernel):
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         return inputs * (inputs > 0)
-
-
-class BatchedLeakyReLU(BatchedKernel):
-    def __init__(self, negative_slope: float) -> None:
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(
-        self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        if not need_input_grad:
-            return None
-        return np.where(
-            self._mask, grad_output, self.negative_slope * grad_output
-        )
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return np.where(inputs > 0, inputs, self.negative_slope * inputs)
-
-
-class BatchedTanh(BatchedKernel):
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(
-        self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        if not need_input_grad:
-            return None
-        return grad_output * (1.0 - self._output**2)
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return np.tanh(inputs)
-
-
-class BatchedSigmoid(BatchedKernel):
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(
-        self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        if not need_input_grad:
-            return None
-        return grad_output * self._output * (1.0 - self._output)
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-inputs))
-
-
-class BatchedIdentity(BatchedKernel):
-    def forward(
-        self, inputs: np.ndarray, rows=None
-    ) -> np.ndarray:
-        return inputs
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        return grad_output if need_input_grad else None
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return inputs
 
 
 class _WindowKernel(BatchedKernel):
@@ -516,41 +416,6 @@ class BatchedMaxPool2d(_WindowKernel):
         return F.max_pool(inputs, self.kernel_size, self.stride, self.padding)[0]
 
 
-class BatchedAvgPool2d(_WindowKernel):
-    """Average pooling over stacks (no padding, like the per-worker layer)."""
-
-    def __init__(
-        self, kernel_size: Tuple[int, int], stride: Tuple[int, int]
-    ) -> None:
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(
-        self, inputs: np.ndarray, rows=None
-    ) -> np.ndarray:
-        self._input_shape = inputs.shape
-        output = F.avg_pool(self._images(inputs), self.kernel_size, self.stride)
-        return output.reshape(inputs.shape[:2] + output.shape[1:])
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
-        if not need_input_grad:
-            return None
-        count, batch = self._input_shape[:2]
-        grad = F.avg_pool_backward(
-            grad_output, (count * batch,) + self._input_shape[2:],
-            self.kernel_size, self.stride,
-        )
-        return grad.reshape(self._input_shape)
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return F.avg_pool(inputs, self.kernel_size, self.stride)
-
-
 class BatchedGlobalAvgPool2d(BatchedKernel):
     """Spatial mean over stacks: ``(n, B, c, h, w) → (n, B, c)``."""
 
@@ -601,60 +466,6 @@ class BatchedFlatten(BatchedKernel):
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         return inputs.reshape(inputs.shape[0], -1)
-
-
-class BatchedDropout(BatchedKernel):
-    """Inverted dropout replaying each worker's own RNG mask stream.
-
-    The per-worker layer draws one ``rng.random(batch_shape)`` per step
-    from its private generator; the batched kernel drives the *same*
-    generators — one small draw per stepped worker, stacked into an
-    ``(n, B, ...)`` mask built in the input dtype — so the batched
-    trajectory is stream- and bit-identical to the loop.
-    ``forward_vector`` is the eval-mode identity, consistent with
-    :meth:`TrainingWorker.evaluate` (dropout is off during consensus
-    evaluation).
-    """
-
-    def __init__(self, layers: Sequence[Dropout]) -> None:
-        self.layers: List[Dropout] = list(layers)
-        self.rate = self.layers[0].rate
-        self._mask: Optional[np.ndarray] = None
-
-    def _selected(self, rows) -> List[Dropout]:
-        if rows is None:
-            return self.layers
-        if isinstance(rows, slice):
-            return self.layers[rows]
-        return [self.layers[rank] for rank in np.asarray(rows)]
-
-    def forward(
-        self, inputs: np.ndarray, rows=None
-    ) -> np.ndarray:
-        if self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        layers = self._selected(rows)
-        mask = np.empty(inputs.shape, dtype=inputs.dtype)
-        sample_shape = inputs.shape[1:]
-        for position, layer in enumerate(layers):
-            mask[position] = layer._rng.random(sample_shape) < keep
-        mask /= keep
-        self._mask = mask
-        return inputs * mask
-
-    def backward(
-        self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if not need_input_grad:
-            return None
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-    def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return inputs
 
 
 class BatchedCrossEntropyLoss:
@@ -771,16 +582,6 @@ class BatchedSequential:
         return out
 
 
-#: Activation layers with exact batched counterparts.  Anything with
-#: running statistics (batch norm) is deliberately absent.
-_ACTIVATION_KERNELS = {
-    ReLU: BatchedReLU,
-    Tanh: BatchedTanh,
-    Sigmoid: BatchedSigmoid,
-    Identity: BatchedIdentity,
-}
-
-
 def _layer_plan(model: Module) -> Optional[List[tuple]]:
     """The batched-kernel recipe for ``model``, or ``None`` if any layer
     (or the container itself) has no exact batched counterpart."""
@@ -799,7 +600,7 @@ def _layer_plan(model: Module) -> Optional[List[tuple]]:
     specs = iter(model.flat_specs())
     plan: List[tuple] = []
     try:
-        for index, layer in enumerate(model.layers):
+        for layer in model.layers:
             if type(layer) is Linear:
                 weight_spec = next(specs)
                 bias_spec = next(specs) if layer.bias is not None else None
@@ -815,22 +616,15 @@ def _layer_plan(model: Module) -> Optional[List[tuple]]:
                 plan.append((
                     "maxpool", layer.kernel_size, layer.stride, layer.padding
                 ))
-            elif type(layer) is AvgPool2d:
-                plan.append(("avgpool", layer.kernel_size, layer.stride))
             elif type(layer) is GlobalAvgPool2d:
                 plan.append(("gap",))
             elif type(layer) is Flatten:
                 plan.append(("flatten",))
-            elif type(layer) is Dropout:
-                # The layer *index* rides along so the kernel builder can
-                # collect every worker's own layer (and with it the
-                # private RNG whose stream the batched pass replays).
-                plan.append(("dropout", layer.rate, index))
-            elif type(layer) is LeakyReLU and not layer._parameters:
-                plan.append(("leaky_relu", layer.negative_slope))
-            elif type(layer) in _ACTIVATION_KERNELS and not layer._parameters:
-                plan.append((type(layer).__name__.lower(),))
+            elif type(layer) is ReLU:
+                plan.append(("relu",))
             else:
+                # Batch norm's running statistics, among others, have no
+                # exact batched counterpart.
                 return None
     except StopIteration:  # pragma: no cover - layout bug guard
         return None
@@ -860,28 +654,12 @@ def build_batched_model(arena: ParameterArena) -> Optional[BatchedSequential]:
             kernels.append(BatchedConv2d(arena, *entry[1:]))
         elif kind == "maxpool":
             kernels.append(BatchedMaxPool2d(*entry[1:]))
-        elif kind == "avgpool":
-            kernels.append(BatchedAvgPool2d(*entry[1:]))
         elif kind == "gap":
             kernels.append(BatchedGlobalAvgPool2d())
         elif kind == "flatten":
             kernels.append(BatchedFlatten())
-        elif kind == "dropout":
-            layer_index = entry[2]
-            kernels.append(
-                BatchedDropout([model.layers[layer_index] for model in models])
-            )
-        elif kind == "leaky_relu":
-            kernels.append(BatchedLeakyReLU(entry[1]))
         else:
-            kernels.append(
-                {
-                    "relu": BatchedReLU,
-                    "tanh": BatchedTanh,
-                    "sigmoid": BatchedSigmoid,
-                    "identity": BatchedIdentity,
-                }[kind]()
-            )
+            kernels.append(BatchedReLU())
     return BatchedSequential(
         kernels, arena.num_workers, [entry[0] for entry in reference]
     )

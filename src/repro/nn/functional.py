@@ -215,23 +215,3 @@ def max_pool_backward(
         np.add.at(flat, cells[::-1], grads[::-1])
     return halo[:, :, ph : ph + height, pw : pw + width]
 
-
-def avg_pool(images: np.ndarray, kernel, stride) -> np.ndarray:
-    """Unpadded average pooling: ``(batch, channels, out_h, out_w)``."""
-    cols = im2col(images, kernel, stride, (0, 0), per_channel=True)
-    shape = images.shape[:2] + output_hw(images.shape, kernel, stride, (0, 0))
-    return cols.mean(axis=1).reshape(shape)
-
-
-def avg_pool_backward(
-    grad_output: np.ndarray, image_shape, kernel, stride
-) -> np.ndarray:
-    """Adjoint of :func:`avg_pool`: ``1/window`` of each window's
-    gradient to each of its cells, as a C-contiguous NCHW array."""
-    batch, channels, height, width = image_shape
-    window = kernel[0] * kernel[1]
-    grad_cols = np.repeat(grad_output.reshape(-1, 1) / window, window, axis=1)
-    grad = col2im(
-        grad_cols, (batch * channels, 1, height, width), kernel, stride, (0, 0)
-    )
-    return grad.reshape(image_shape)

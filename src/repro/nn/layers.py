@@ -1,4 +1,4 @@
-"""Trainable and structural layers: Linear, Conv2d, pooling, norm, dropout."""
+"""Trainable and structural layers: Linear, Conv2d, pooling, flatten, norm."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.nn import functional as F
 from repro.nn import init as initializers
 from repro.nn.module import Module, Parameter
 from repro.utils.dtypes import DTypeLike, resolve_dtype
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 
 class Linear(Module):
@@ -144,53 +144,16 @@ class Conv2d(Module):
 
 
 class MaxPool2d(Module):
-    """Max pooling with argmax routing in backward (padded cells are
-    ``-inf``: :func:`repro.nn.functional.max_pool`)."""
+    """Max pooling (padded cells are ``-inf``:
+    :func:`repro.nn.functional.max_pool`).  Every model holding one
+    compiles to :class:`repro.nn.batched.BatchedMaxPool2d`, which runs it;
+    the layer carries the window geometry."""
 
     def __init__(self, kernel_size, stride=None, padding=0) -> None:
         super().__init__()
         self.kernel_size = F.pair(kernel_size)
         self.stride = F.pair(stride if stride is not None else kernel_size)
         self.padding = F.pair(padding)
-        self._argmax: Optional[np.ndarray] = None
-        self._layout: Optional[str] = None
-        self._input_shape: Optional[Tuple[int, int, int, int]] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._argmax, self._layout = F.max_pool(
-            inputs, self.kernel_size, self.stride, self.padding
-        )
-        self._input_shape = inputs.shape
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._argmax is None:
-            raise RuntimeError("backward called before forward")
-        return F.max_pool_backward(
-            grad_output, self._argmax, self._input_shape, self._layout,
-            self.kernel_size, self.stride, self.padding,
-        )
-
-
-class AvgPool2d(Module):
-    """Average pooling (no padding support needed by our models)."""
-
-    def __init__(self, kernel_size, stride=None) -> None:
-        super().__init__()
-        self.kernel_size = F.pair(kernel_size)
-        self.stride = F.pair(stride if stride is not None else kernel_size)
-        self._input_shape: Optional[Tuple[int, int, int, int]] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
-        return F.avg_pool(inputs, self.kernel_size, self.stride)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
-        return F.avg_pool_backward(
-            grad_output, self._input_shape, self.kernel_size, self.stride
-        )
 
 
 class GlobalAvgPool2d(Module):
@@ -216,48 +179,8 @@ class GlobalAvgPool2d(Module):
 
 
 class Flatten(Module):
-    """Flatten all non-batch dimensions."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
-        return inputs.reshape(inputs.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, rate: float = 0.5, rng: SeedLike = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_generator(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        # Build the mask in the input dtype: the boolean keep-draw divided
-        # by a python float would allocate float64 and silently upcast
-        # float32 activations (and their gradients in backward).
-        mask = (self._rng.random(inputs.shape) < keep).astype(inputs.dtype)
-        mask /= keep
-        self._mask = mask
-        return inputs * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
+    """Flatten all non-batch dimensions.  Every model holding one compiles
+    to :class:`repro.nn.batched.BatchedFlatten`, which runs it."""
 
 
 class BatchNorm2d(Module):

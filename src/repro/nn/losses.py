@@ -36,9 +36,3 @@ class CrossEntropyLoss:
         grad = exp / sum_exp
         grad[rows, labels] -= 1.0
         return float(loss), grad / batch
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy in [0, 1]."""
-    predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == np.asarray(labels)))

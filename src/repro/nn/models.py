@@ -9,13 +9,12 @@ EXPERIMENTS.md for the parameter-count comparison.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.nn.activations import ReLU, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Flatten,
@@ -23,9 +22,9 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
 )
-from repro.nn.module import Identity, Module, Parameter, Sequential
+from repro.nn.module import Identity, Module, Sequential
 from repro.utils.dtypes import DTypeLike, resolve_dtype
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_generator
 
 
 class MLP(Sequential):

@@ -13,12 +13,12 @@ the paper's notation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.utils.dtypes import DEFAULT_DTYPE, DTypeLike, resolve_dtype
-from repro.utils.flat import ParamSpec, flatten_arrays, param_specs, unflatten_vector
+from repro.utils.flat import ParamSpec, param_specs
 
 
 class Parameter:
@@ -52,10 +52,6 @@ class Parameter:
         self._grad_view: Optional[np.ndarray] = None
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -63,7 +59,7 @@ class Parameter:
         """Move storage into arena views, preserving current values.
 
         ``grad`` keeps its ``None``-until-backward semantics: the grad
-        view is installed lazily by :meth:`zero_grad` /
+        view is installed lazily by :meth:`Module.zero_grad` /
         :meth:`accumulate_grad` so optimizers can still skip untouched
         parameters.
         """
@@ -80,15 +76,6 @@ class Parameter:
             self.grad = grad_view
         self.arena_backed = True
 
-    def zero_grad(self) -> None:
-        """Reset the gradient accumulator to zeros (in place when
-        arena-backed, so views into the grad row stay alive)."""
-        if self._grad_view is not None:
-            self._grad_view.fill(0.0)
-            self.grad = self._grad_view
-        else:
-            self.grad = np.zeros_like(self.data)
-
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into the accumulator (lazily allocating it)."""
         if self.grad is None:
@@ -98,9 +85,6 @@ class Parameter:
             else:
                 self.grad = np.zeros_like(self.data)
         self.grad += grad
-
-    def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
 class Module:
@@ -186,7 +170,7 @@ class Module:
                 param.grad = param._grad_view
             return
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = np.zeros_like(param.data)
 
     # ------------------------------------------------------------------
     # forward / backward interface
@@ -196,9 +180,6 @@ class Module:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
 
     # ------------------------------------------------------------------
     # flat-vector interface used by the distributed algorithms
@@ -216,7 +197,7 @@ class Module:
         """
         if self._flat_view is not None:
             return self._flat_view
-        return flatten_arrays([p.data for p in self.parameters()], dtype=self.dtype)
+        return np.concatenate([p.data.reshape(-1) for p in self.parameters()])
 
     def set_flat_params(self, vector: np.ndarray) -> None:
         """Load the model from a flat vector produced by a peer.
@@ -233,35 +214,23 @@ class Module:
                 )
             self._flat_view[...] = vector.reshape(-1)
             return
-        arrays = unflatten_vector(vector, self.flat_specs())
-        for param, array in zip(self.parameters(), arrays):
+        vector = np.asarray(vector)
+        if vector.size != self.num_parameters():
+            raise ValueError(
+                f"vector has {vector.size} elements but model "
+                f"has {self.num_parameters()}"
+            )
+        for param, spec in zip(self.parameters(), self.flat_specs()):
+            array = vector[spec.offset : spec.end].reshape(spec.shape)
             if param.arena_backed:
                 # E.g. a submodule of an adopted model: the root holds the
                 # flat view, but rebinding here would detach the layer
                 # from its arena row — write through instead.
                 param.data[...] = array
             else:
-                # Rebinding must not silently change the parameter dtype
-                # (a float64 peer vector loaded into a float32 model).
-                param.data = array.astype(param.data.dtype, copy=False)
-
-    def get_flat_grads(self) -> np.ndarray:
-        """Accumulated gradients as one vector (zeros where grad unset).
-
-        Arena-backed models return the live grad-row view (zero-copy);
-        segments of parameters that never saw a backward pass are zeroed
-        first so the contract matches the copying path.
-        """
-        if self._flat_grad_view is not None:
-            for param in self.parameters():
-                if param.grad is None and param._grad_view is not None:
-                    param._grad_view.fill(0.0)
-            return self._flat_grad_view
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data)
-            for p in self.parameters()
-        ]
-        return flatten_arrays(grads, dtype=self.dtype)
+                # A fresh copy that keeps the parameter dtype (a float64
+                # peer vector loaded into a float32 model stays float32).
+                param.data = array.astype(param.data.dtype)
 
 
 class Sequential(Module):
@@ -274,11 +243,6 @@ class Sequential(Module):
             self.layers.append(layer)
             self.register_module(f"layer{index}", layer)
 
-    def append(self, layer: Module) -> "Sequential":
-        self.layers.append(layer)
-        self.register_module(f"layer{len(self.layers) - 1}", layer)
-        return self
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         out = inputs
         for layer in self.layers:
@@ -290,12 +254,6 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
 
 
 class Identity(Module):

@@ -22,10 +22,6 @@ class Optimizer:
         self.parameters = list(parameters)
         self.lr = lr
 
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
     def step(self) -> None:
         raise NotImplementedError
 

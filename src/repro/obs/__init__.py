@@ -134,12 +134,6 @@ def inc(name: str, value: float = 1.0) -> None:
         registry.inc(name, value)
 
 
-def set_counter(name: str, value: float) -> None:
-    registry = _current.registry
-    if registry is not None:
-        registry.set_counter(name, value)
-
-
 def gauge(name: str, value: float) -> None:
     registry = _current.registry
     if registry is not None:

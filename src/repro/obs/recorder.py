@@ -56,9 +56,6 @@ class NullRecorder:
     def phase(self, name: str) -> _NullSpan:
         return _NULL_SPAN
 
-    def depth(self) -> int:
-        return 0
-
 
 #: The process-default recorder instance (``repro.obs`` installs it).
 NULL_RECORDER = NullRecorder()
@@ -139,7 +136,3 @@ class MetricsRecorder:
         frame = free.pop() if free else _PhaseFrame(self, local)
         frame.name = name
         return frame
-
-    def depth(self) -> int:
-        """Open spans on the calling thread (0 when balanced)."""
-        return len(self._thread_state().stack)

@@ -114,8 +114,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
 
     def histogram(self, name: str) -> Optional[Dict[str, float]]:
         slot = self._histograms.get(name)

@@ -9,18 +9,17 @@ partitions/validation/model-factory/config from either flavour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.data import (
     Dataset,
-    make_blobs,
     make_synthetic_images,
     partition_iid,
     synthetic_cifar10,
     synthetic_mnist,
 )
-from repro.nn import Cifar10CNN, MLP, MnistCNN, ResNet20, TinyCNN
+from repro.nn import Cifar10CNN, MnistCNN, ResNet20, TinyCNN
 from repro.nn.module import Module
 from repro.sim.engine import ExperimentConfig
 
@@ -73,25 +72,6 @@ class Preset:
     scaled_batch_size: int
     scaled_lr: float
 
-    def describe(self) -> str:
-        p = self.paper
-        return (
-            f"{self.name}: paper trains {p.model_name} ({p.num_params:,} params) "
-            f"on {p.dataset} for {p.epochs} epochs (bs={p.batch_size}, "
-            f"lr={p.lr}); scaled stand-in runs {self.scaled_rounds} rounds "
-            f"(bs={self.scaled_batch_size}, lr={self.scaled_lr})."
-        )
-
-
-def _scaled_image_workload(channels: int, size: int):
-    def factory(num_samples: int, rng=None) -> Dataset:
-        return make_synthetic_images(
-            num_samples, num_classes=10, channels=channels, size=size,
-            noise=0.3, rng=rng,
-        )
-
-    return factory
-
 
 PRESETS: Dict[str, Preset] = {
     "mnist-cnn": Preset(
@@ -130,10 +110,6 @@ PRESETS: Dict[str, Preset] = {
 }
 
 
-def available_presets() -> List[str]:
-    return sorted(PRESETS)
-
-
 def instantiate_preset(
     name: str,
     num_workers: int,
@@ -167,7 +143,7 @@ def instantiate_preset(
     participation are the caller's to build.
     """
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {available_presets()}")
+        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     preset = PRESETS[name]
     total = samples_per_worker * num_workers + validation_samples
 

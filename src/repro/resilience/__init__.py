@@ -6,7 +6,8 @@ the system survives them):
 
 * :class:`ExchangePolicy` — per-exchange deadline + exponential-backoff
   retry with seed-deterministic jitter;
-* :class:`CheckpointRecovery` / :class:`~repro.resilience.policy.PeerRecovery` /
+* :class:`~repro.resilience.policy.CheckpointRecovery` /
+  :class:`~repro.resilience.policy.PeerRecovery` /
   :class:`~repro.resilience.policy.ColdRecovery` — what a recovering worker
   restarts from;
 * :class:`~repro.resilience.checkpoint.CheckpointStore` — latest periodic
@@ -17,7 +18,6 @@ the system survives them):
 """
 
 from repro.resilience.policy import (
-    CheckpointRecovery,
     ExchangePolicy,
     RecoveryPolicy,
     make_recovery_policy,
@@ -27,7 +27,6 @@ from repro.resilience.stats import ResilienceStats
 __all__ = [
     "ExchangePolicy",
     "RecoveryPolicy",
-    "CheckpointRecovery",
     "make_recovery_policy",
     "ResilienceStats",
 ]

@@ -79,6 +79,3 @@ class CheckpointStore:
 
     def latest(self, rank: int) -> Optional[WorkerSnapshot]:
         return self._snapshots.get(rank)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)

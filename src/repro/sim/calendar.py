@@ -112,12 +112,9 @@ class CalendarQueue:
         self._live += 1
         key = int(time // self._width)
         cur_key = self._cur_key
-        if cur_key is not None and key >= cur_key:
-            if key == cur_key:
-                insort(self._cur, entry, lo=self._cur_pos, key=_TIME)
-                return entry
-        elif cur_key is not None:
-            self._spill_current()
+        if cur_key is not None and key <= cur_key:
+            insort(self._cur, entry, lo=self._cur_pos, key=_TIME)
+            return entry
         buckets = self._buckets
         bucket = buckets.get(key)
         if bucket is None:
@@ -140,6 +137,7 @@ class CalendarQueue:
         width = self._width
         buckets = self._buckets
         keyheap = self._keyheap
+        cur_key = self._cur_key
         for time, action in events:
             time = float(time)
             if not (isfinite(time) and time >= 0.0):
@@ -150,13 +148,9 @@ class CalendarQueue:
             count += 1
             append_handle(entry)
             key = int(time // width)
-            cur_key = self._cur_key
-            if cur_key is not None:
-                if key == cur_key:
-                    insort(self._cur, entry, lo=self._cur_pos, key=_TIME)
-                    continue
-                if key < cur_key:
-                    self._spill_current()
+            if cur_key is not None and key <= cur_key:
+                insort(self._cur, entry, lo=self._cur_pos, key=_TIME)
+                continue
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [entry]
@@ -219,39 +213,21 @@ class CalendarQueue:
             if not self._advance_bucket():
                 return None
 
-    def __len__(self) -> int:
-        return self._live
-
     def __bool__(self) -> bool:
         return self._live > 0
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    # A push lands in one of three places (inlined in push/push_many):
-    # * the bucket being drained (key == _cur_key): insort into the
-    #   undrained tail — a stable by-time insertion point *after* equal
-    #   times, which is exactly (time, seq) order since the new entry
-    #   holds the highest seq;
-    # * a bucket before the current one (key < _cur_key; raw-queue use,
-    #   the engine's schedule() never goes backwards): spill the
-    #   undrained tail back to its bucket and restart bucket selection,
-    #   so the earlier entry pops first;
-    # * any other bucket: plain append (no comparisons at all).
-
-    def _spill_current(self) -> None:
-        tail = self._cur[self._cur_pos :]
-        if tail:
-            key = self._cur_key
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = tail
-                heapq.heappush(self._keyheap, key)
-            else:
-                bucket.extend(tail)
-        self._cur = []
-        self._cur_pos = 0
-        self._cur_key = None
+    # A push lands in one of two places (inlined in push/push_many):
+    # * the bucket being drained or an earlier one (key <= _cur_key):
+    #   insort into the undrained tail — a stable by-time insertion point
+    #   *after* equal times, which is exactly (time, seq) order since the
+    #   new entry holds the highest seq.  Buckets before the current one
+    #   are empty (it was the earliest when drawn, and every later push
+    #   below it lands here), so the tail holds every entry keyed at or
+    #   before _cur_key, in pop order;
+    # * a later bucket: plain append (no comparisons at all).
 
     def _advance_bucket(self) -> bool:
         self._cur = []
@@ -319,10 +295,3 @@ class CalendarQueue:
         if span <= 0.0:
             return self._width
         return max(span * 4.0 / len(entries), span * 1e-12, 1e-12)
-
-    # ------------------------------------------------------------------
-    # introspection (tests / benchmarks)
-    # ------------------------------------------------------------------
-    @property
-    def width(self) -> float:
-        return self._width

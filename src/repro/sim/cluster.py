@@ -32,9 +32,10 @@ equivalence cannot be guaranteed — no shared arena, a layer without a
 batched kernel (batch norm, residual wiring), heterogeneous batch sizes
 or optimizer hyperparameters, pre-existing per-worker momentum state —
 and the algorithms' compute seam (:mod:`repro.algorithms.base`) keeps the
-per-worker loop, which the equivalence tests also diff against.  As of the batched conv kernels, Linear/Conv2d/pooling/Flatten/
-Dropout chains all compile, so the TinyCNN and MnistCNN/Cifar10CNN
-presets ride the batched path alongside the MLP family.
+per-worker loop, which the equivalence tests also diff against.
+Linear/Conv2d/pooling/Flatten chains all compile, so the TinyCNN and
+MnistCNN/Cifar10CNN presets ride the batched path alongside the MLP
+family.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
 from repro.nn.arena import ParameterArena, shared_arena
 from repro.nn.batched import (
-    BatchedAvgPool2d,
     BatchedConv2d,
     BatchedCrossEntropyLoss,
     BatchedFlatten,
@@ -149,7 +149,7 @@ class ClusterTrainer:
         ]
         # Bind every parameter's grad to its arena view once: batched
         # backward writes into arena.grads, and the per-parameter API
-        # (get_flat_grads, optimizer loops) must see those writes instead
+        # (Parameter.grad, optimizer loops) must see those writes instead
         # of treating the segments as never-touched.
         for worker in self.workers:
             worker.model.zero_grad()
@@ -340,7 +340,7 @@ class ClusterTrainer:
                 # once during the backward pass.
                 total += 2 * patch
                 channels, height, width = kernel.out_channels, out_h, out_w
-            elif isinstance(kernel, (BatchedMaxPool2d, BatchedAvgPool2d)):
+            elif isinstance(kernel, BatchedMaxPool2d):
                 out_h, out_w = kernel._output_hw(height, width)
                 kh, kw = kernel.kernel_size
                 total += batch * channels * out_h * out_w * kh * kw * itemsize

@@ -9,8 +9,8 @@ per-algorithm trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 

@@ -285,8 +285,7 @@ def run_experiment(
     slowest participant's local steps under ``compute_model`` (a
     :class:`repro.sim.timing.ComputeModel`; zero without one), then the
     round's communication as closed by the network's
-    :class:`~repro.network.metrics.CommunicationTimer` — which also owns
-    link contention (``SimulatedNetwork(contention=True)``).  Algorithms
+    :class:`~repro.network.metrics.CommunicationTimer`.  Algorithms
     expose their participants via ``last_participants`` (None =
     everyone) and their per-round local step count via ``local_steps``
     (default 1).

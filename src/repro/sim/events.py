@@ -40,7 +40,6 @@ from repro.data.datasets import Dataset
 from repro.network.metrics import MB, CommunicationTimer, TrafficMeter
 from repro.network.transport import SimulatedNetwork
 from repro.resilience import (
-    CheckpointRecovery,
     ExchangePolicy,
     RecoveryPolicy,
     ResilienceStats,
@@ -147,9 +146,6 @@ class EventQueue:
             heapq.heappop(heap)  # drop cancelled entries lazily
         return heap[0][0] if heap else None
 
-    def __len__(self) -> int:
-        return self._live
-
     def __bool__(self) -> bool:
         return self._live > 0
 
@@ -225,8 +221,8 @@ class EventEngine:
     """Deterministic discrete-event executor over one simulated network.
 
     Holds the queue, the wall clock, per-worker clocks, per-endpoint link
-    clocks (for contention, on by default here — the synchronous timer
-    keeps it off by default) and the shared scenario models: compute
+    clocks (for contention, on by default; the synchronous timer has
+    none) and the shared scenario models: compute
     times, the fault plan and the client population.  Asynchronous
     algorithms (:mod:`repro.algorithms.asynchronous`) bind to the engine
     and drive it through :meth:`schedule` and :meth:`start_tracked`, the

@@ -9,8 +9,7 @@ a dead peer, or a restarted worker resuming from stale state:
   events, either scripted (``FaultPlan(n, events=[...])``, the
   "kill worker 3 at t=30 s" case) or drawn from seeded MTTF/MTTR
   exponential arrival processes (:meth:`FaultPlan.from_rates`), with
-  point (:meth:`FaultPlan.up_at`) and window
-  (:meth:`FaultPlan.up_during`) availability queries;
+  window availability queries (:meth:`FaultPlan.up_during`);
 * :meth:`FaultPlan.parse` — the ``--fault-plan`` CLI grammar
   (``"crash:3@10,recover:3@25"`` or ``"mttf=20,mttr=5"``).
 
@@ -316,11 +315,6 @@ class FaultPlan:
         if start is not None:
             intervals.append((start, float("inf")))
         return intervals
-
-    def up_at(self, worker: int, time: float) -> bool:
-        return not any(
-            start <= time < end for start, end in self.down_intervals(worker)
-        )
 
     def up_during(self, worker: int, start: float, end: float) -> bool:
         """Whether ``worker`` is up for all of ``[start, end)``."""

@@ -195,10 +195,6 @@ class ParticipationContext:
     # ------------------------------------------------------------------
     # availability gating (gossip families)
     # ------------------------------------------------------------------
-    def is_up(self, client: int, now: float) -> bool:
-        if self.population is None:
-            return True
-        return self.population.is_up(client, now)
 
     def wake_at(self, client: int, now: float) -> float:
         """Earliest time >= ``now`` the client can start a cycle."""

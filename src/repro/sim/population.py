@@ -14,9 +14,9 @@ up/down *intervals* on the simulated wall clock:
   client's entire availability timeline is deterministic, independent of
   query order, and generated *lazily*: memory scales with clients
   actually queried, never with enrolment.
-* :class:`AlwaysUp` — the degenerate always-available population.
 * :func:`parse_population` — CLI spec parser
-  (``"always"`` | ``"renewal:up=60,down=30"``).
+  (``"renewal:up=60,down=30"``; ``"always"`` and ``"none"`` are no
+  population, every client up at every time).
 
 Queries the algorithms use:
 
@@ -68,37 +68,6 @@ class ClientPopulation:
                 f"client {client} out of range [0, {self.num_clients})"
             )
         return client
-
-
-class AlwaysUp(ClientPopulation):
-    """Every client available at every time."""
-
-    def is_up(self, client: int, time: float) -> bool:
-        self._check_client(client)
-        return True
-
-    def next_up(self, client: int, time: float) -> float:
-        self._check_client(client)
-        return float(time)
-
-    def sample_up(
-        self, time: float, count: int, rng: np.random.Generator
-    ) -> List[int]:
-        count = min(int(count), self.num_clients)
-        if count <= 0:
-            return []
-        # Rejection-sample distinct ids: O(count) for any enrolment
-        # (permutation-based choice-without-replacement is O(n)).
-        chosen: set = set()
-        while len(chosen) < count:
-            need = count - len(chosen)
-            draws = rng.integers(0, self.num_clients, size=2 * need)
-            for c in draws:
-                if c not in chosen:
-                    chosen.add(int(c))
-                    if len(chosen) == count:
-                        break
-        return sorted(chosen)
 
 
 class RenewalPopulation(ClientPopulation):
@@ -201,18 +170,16 @@ def parse_population(
 ) -> Optional[ClientPopulation]:
     """Build a population model from a CLI spec string.
 
-    ``None`` / ``"none"`` -> ``None`` (no population gating);
-    ``"always"`` -> :class:`AlwaysUp`;
+    ``None`` / ``"none"`` / ``"always"`` -> ``None`` (no population
+    gating: every client is up at every time);
     ``"renewal:up=60,down=30"`` -> :class:`RenewalPopulation` (either
     key may be omitted; defaults up=60, down=30).
     """
     if spec is None:
         return None
     text = spec.strip().lower()
-    if text in ("", "none"):
+    if text in ("", "none", "always"):
         return None
-    if text == "always":
-        return AlwaysUp(num_clients)
     if text.startswith("renewal"):
         mean_up, mean_down = 60.0, 30.0
         _, _, params = text.partition(":")

@@ -14,7 +14,7 @@ participation only waits for the sampled workers — measurable here.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,7 +99,3 @@ class HeterogeneousCompute(ComputeModel):
         )
         factor = np.exp(jitter_rng.normal(0.0, self.jitter))
         return float(self.worker_means[rank] * factor * steps)
-
-    def imbalance(self) -> float:
-        """Slowest/fastest mean step-time ratio."""
-        return float(self.worker_means.max() / self.worker_means.min())

@@ -11,7 +11,7 @@ The per-worker loop here is the production compute path for every model
 BatchNorm + residual wiring — reached through the one seam in
 :mod:`repro.algorithms.base`.  For every architecture the batched
 kernels do cover (the MLP/logistic family and the TinyCNN / MnistCNN /
-Cifar10CNN Conv/pool/Flatten/Dropout chains) the batched step must
+Cifar10CNN Conv/pool/Flatten chains) the batched step must
 reproduce ``local_step`` bit for bit — enforced by
 ``tests/test_cluster_trainer.py``.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
 from repro.nn.arena import ParameterArena, shared_arena
-from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.utils import parallel
@@ -186,9 +186,11 @@ class TrainingWorker:
         self.last_loss = loss
         return loss
 
-    def compute_gradient(self) -> Tuple[float, np.ndarray]:
+    def compute_gradient(self) -> float:
         """Gradient of one sampled mini-batch at the current parameters,
-        *without* applying it.  Returns ``(loss, flat_gradient)``."""
+        left in the model's gradients *without* applying it (for
+        algorithms that average gradients before stepping, like PSGD);
+        returns the loss."""
         features, labels = self.loader.sample()
         self.model.train()
         self.model.zero_grad()
@@ -196,7 +198,7 @@ class TrainingWorker:
         loss, grad = self.loss_fn(logits, labels)
         self.model.backward(grad)
         self.last_loss = loss
-        return loss, self.model.get_flat_grads()
+        return loss
 
     # ------------------------------------------------------------------
     # flat-vector access
@@ -220,11 +222,6 @@ class TrainingWorker:
     @property
     def model_size(self) -> int:
         return self.model.num_parameters()
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Numeric dtype of the local replica (float32/float64)."""
-        return self.model.dtype
 
     # ------------------------------------------------------------------
     # evaluation

@@ -9,7 +9,7 @@ the consensus distance per round, so Lemma 2's predicted contraction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class ConsensusTrace:
     """Per-round consensus distances of one simulation."""
 
     distances: List[float]
-
-    @property
-    def initial(self) -> float:
-        return self.distances[0]
 
     @property
     def final(self) -> float:

@@ -7,7 +7,7 @@ expectation is estimated by sampling; for fixed matrices it is exact.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +36,10 @@ def expected_wtw(
     """Monte-Carlo estimate of ``E[WᵀW]`` over sampled gossip matrices.
 
     ``gossip_sampler(k)`` must return the ``k``-th sample of ``W``.  For
-    matching-based gossip matrices ``WᵀW = W² = W`` does *not* hold in
-    general, so the product is formed explicitly.
+    matching gossip ``W = ½(I + P)``, with ``P`` a symmetric involution,
+    ``WᵀW = W`` holds exactly; the product is formed explicitly because a
+    sampler may return a ``W`` that is not idempotent, such as the
+    Metropolis weights of a ``MultiPeerSelectionResult``.
     """
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")

@@ -19,7 +19,7 @@ integer dtype cannot silently corrupt training.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -2,14 +2,14 @@
 
 The distributed algorithms in this library all operate on the model as a
 single vector ``x ∈ R^N`` (the paper's notation).  The neural-network
-substrate stores parameters as a list of arrays.  These helpers convert
-between the two representations without copying more than necessary.
+substrate stores parameters as a list of arrays; :func:`param_specs` lays
+them out in that vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,75 +37,3 @@ def param_specs(arrays: Sequence[np.ndarray]) -> List[ParamSpec]:
         offset += size
     return specs
 
-
-def flatten_arrays(
-    arrays: Sequence[np.ndarray],
-    dtype=None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Pack arrays into one flat vector.
-
-    Copy semantics: the result is always freshly written (callers may
-    mutate it freely), but each input is copied exactly **once** — an
-    input already matching the output dtype and contiguous is written
-    straight into the output with no intermediate cast/copy; other dtypes
-    and non-contiguous layouts are cast during that single write where
-    possible.
-
-    ``dtype`` selects the output dtype.  ``None`` (default) keeps the
-    common floating dtype of the inputs (so float32 parameter lists pack
-    into a float32 vector) and falls back to float64 for empty or
-    non-float inputs — which for the historical all-float64 case is
-    exactly the old hardcoded behaviour.
-
-    ``out`` optionally supplies a preallocated destination of the right
-    total size and dtype (hot loops reuse one buffer instead of
-    allocating per call).
-    """
-    arrays = [np.asarray(a) for a in arrays]
-    total = sum(a.size for a in arrays)
-    if dtype is None:
-        common = np.result_type(*arrays) if arrays else np.dtype(np.float64)
-        dtype = common if common.kind == "f" else np.float64
-    if out is None:
-        out = np.empty(total, dtype=dtype)
-    elif out.size != total:
-        raise ValueError(f"out has {out.size} elements but arrays hold {total}")
-    offset = 0
-    for array in arrays:
-        size = array.size
-        # reshape(-1) is a view for contiguous inputs, so this assignment
-        # is the only copy; any dtype cast happens inside it.
-        out[offset : offset + size] = array.reshape(-1)
-        offset += size
-    return out
-
-
-def unflatten_vector(
-    vector: np.ndarray, specs: Sequence[ParamSpec], copy: bool = True
-) -> List[np.ndarray]:
-    """Split a flat vector back into arrays matching ``specs``.
-
-    Copy semantics: with ``copy=True`` (default) each returned array owns
-    fresh storage, safe to mutate independently of ``vector``.  With
-    ``copy=False`` the returned arrays are reshaped **views** into
-    ``vector`` — zero-copy, but writes go through to the vector (and a
-    non-contiguous ``vector`` may still force per-slice copies via
-    ``reshape``).
-
-    Raises ``ValueError`` if the vector length does not match the layout.
-    """
-    vector = np.asarray(vector)
-    expected = specs[-1].end if specs else 0
-    if vector.size != expected:
-        raise ValueError(
-            f"vector has {vector.size} elements but specs describe {expected}"
-        )
-    if copy:
-        return [
-            vector[spec.offset : spec.end].reshape(spec.shape).copy()
-            for spec in specs
-        ]
-    return [
-        vector[spec.offset : spec.end].reshape(spec.shape) for spec in specs
-    ]

@@ -9,7 +9,7 @@ reproducible across the whole library we standardize on
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 

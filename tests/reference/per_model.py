@@ -5,7 +5,7 @@ The shipped classes run every round on the replica matrix
 classes here execute the same algorithms the way the paper states them
 per worker: a Python loop over :class:`~repro.sim.trainer.TrainingWorker`
 objects, touching a model only through ``get_params`` / ``set_params`` /
-``compute_gradient`` / ``local_step`` and never through an arena or a
+:func:`compute_gradient` / ``local_step`` and never through an arena or a
 :class:`~repro.sim.cluster.ClusterTrainer`.  They run on the same machine
 as the code under test, so trajectories must agree bit for bit at any
 dtype and BLAS build — no golden files.
@@ -34,7 +34,9 @@ from repro.compression.random_mask import generate_mask
 from repro.core.gossip import ring_gossip_matrix
 from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import as_generator, derive_seed
+from tests.reference.compressors import TopKCompressor
 from tests.reference.error_feedback import ErrorFeedback
+from tests.reference.per_worker import flat_grads, per_worker
 
 
 def per_worker_compute(algorithm):
@@ -48,11 +50,19 @@ def per_worker_compute(algorithm):
     shipped_setup = algorithm.setup
 
     def setup(workers, network, rng=None):
+        for worker in workers:
+            per_worker(worker.model)
         shipped_setup(workers, network, rng=rng)
         algorithm.cluster_trainer = None
 
     algorithm.setup = setup
     return algorithm
+
+
+def compute_gradient(worker):
+    """``(loss, flat gradient)`` of one sampled mini-batch at the
+    worker's current parameters, without applying it."""
+    return worker.compute_gradient(), flat_grads(worker.model)
 
 
 def apply_gradient(worker, flat_gradient, lr=None):
@@ -68,6 +78,8 @@ class PerModelLoop:
 
     def setup(self, workers, network, rng=None):
         self.workers = list(workers)
+        for worker in self.workers:
+            per_worker(worker.model)
         self.network = network
         self._rng = as_generator(rng)
         # No matrix, no batched trainer: evaluate_consensus then borrows
@@ -100,7 +112,7 @@ class ReferencePSGD(PerModelLoop, PSGD):
         losses = []
         gradients = []
         for worker in self.workers:
-            loss, gradient = worker.compute_gradient()
+            loss, gradient = compute_gradient(worker)
             losses.append(loss)
             gradients.append(gradient)
         self._apply_average_gradient(np.mean(gradients, axis=0))
@@ -121,7 +133,8 @@ class ReferenceTopKPSGD(PerModelLoop, TopKPSGD):
         # One residual buffer per worker, each compressing on its own.
         self._feedback = [
             ErrorFeedback(
-                self.compressor, self.model_size, dtype=worker.model.dtype
+                TopKCompressor(self.compressor.ratio), self.model_size,
+                dtype=worker.model.dtype,
             )
             for worker in self.workers
         ]
@@ -131,7 +144,7 @@ class ReferenceTopKPSGD(PerModelLoop, TopKPSGD):
         dense_contributions = []
         payload_bytes = []
         for worker, feedback in zip(self.workers, self._feedback):
-            loss, gradient = worker.compute_gradient()
+            loss, gradient = compute_gradient(worker)
             losses.append(loss)
             payload, dense_sent = feedback.compress(gradient, round_index)
             dense_contributions.append(dense_sent)
@@ -167,7 +180,7 @@ class ReferenceDPSGD(PerModelLoop, DPSGD):
         # set_params in the mixing loop would change under a neighbour.
         params = [worker.get_params().copy() for worker in self.workers]
         for worker in self.workers:
-            loss, gradient = worker.compute_gradient()
+            loss, gradient = compute_gradient(worker)
             losses.append(loss)
             gradients.append(gradient)
         self._account_ring_traffic(round_index)

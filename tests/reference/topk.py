@@ -50,16 +50,12 @@ def top_k_indices_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def to_dense(batch: BatchPayload, size: int) -> np.ndarray:
-    if batch.values is not None:
-        dense = np.zeros((len(batch.payloads), size), dtype=batch.values.dtype)
-        if batch.indices.ndim == 1:
-            dense[:, batch.indices] = batch.values
-        else:
-            np.put_along_axis(dense, batch.indices, batch.values, axis=1)
-        return dense
-    return np.stack(
-        [payload.to_dense(size) for payload in batch.payloads]
-    ) if batch.payloads else np.zeros((0, size))
+    dense = np.zeros((len(batch.payloads), size), dtype=batch.values.dtype)
+    if batch.indices.ndim == 1:
+        dense[:, batch.indices] = batch.values
+    else:
+        np.put_along_axis(dense, batch.indices, batch.values, axis=1)
+    return dense
 
 
 def dense_mean(batch: BatchPayload, size: int) -> np.ndarray:

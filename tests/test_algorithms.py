@@ -113,7 +113,7 @@ class TestPSGD:
         for t in range(rounds):
             algorithm.run_round(t)
         expected = 2 * algorithm.model_size * BYTES_PER_VALUE * rounds / MB
-        assert network.worker_traffic_mb(0) == pytest.approx(expected)
+        assert network.meter.worker_bytes(0) / MB == pytest.approx(expected)
 
 
 class TestTopKPSGD:
@@ -133,7 +133,7 @@ class TestTopKPSGD:
         algorithm.run_round(0)
         per_payload = algorithm.compressor.k_for(algorithm.model_size) * (4 + 4)
         expected = 2 * (N_WORKERS - 1) * per_payload / MB
-        assert network.worker_traffic_mb(0) == pytest.approx(expected)
+        assert network.meter.worker_bytes(0) / MB == pytest.approx(expected)
 
     def test_error_feedback_buffers_nonzero(self):
         partitions, _, model_factory, config, network = build_setup()
@@ -242,7 +242,7 @@ class TestDPSGD:
         model_mb = algorithm.model_size * BYTES_PER_VALUE / MB
         # Each worker receives 2 full models and sends 2 (to its 2 ring
         # neighbours): 4N per round.
-        assert network.worker_traffic_mb(0) == pytest.approx(4 * model_mb)
+        assert network.meter.worker_bytes(0) / MB == pytest.approx(4 * model_mb)
 
 
 class TestDCDPSGD:
@@ -270,7 +270,7 @@ class TestDCDPSGD:
                 make_workers(model_factory, partitions, config), network, rng=0
             )
             algorithm.run_round(0)
-            traffic[name] = network.worker_traffic_mb(0)
+            traffic[name] = network.meter.worker_bytes(0) / MB
         assert traffic["dcd"] < traffic["dense"]
 
 

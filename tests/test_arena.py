@@ -19,7 +19,6 @@ from repro.nn.arena import ParameterArena, shared_arena
 from repro.sim import ExperimentConfig, make_workers, run_experiment
 from repro.sim.trainer import TrainingWorker
 from repro.sim.engine import evaluate_consensus
-from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
 from repro.utils.rng import spawn_generators
 
 from reference.per_model import REFERENCE, per_worker_compute
@@ -91,17 +90,15 @@ class TestArenaViews:
         model.zero_grad()
         for param in model.parameters():
             assert np.shares_memory(param.grad, arena.grads[0])
-        flat_grads = model.get_flat_grads()
-        assert np.shares_memory(flat_grads, arena.grads[0])
+        assert np.shares_memory(model._flat_grad_view, arena.grads[0])
 
     def test_grad_none_until_first_use_and_zeroed_in_flat_view(self):
         arena, models = make_adopted()
         model = models[0]
         assert all(p.grad is None for p in model.parameters())
         arena.grads[0, :] = 7.0  # stale garbage must not leak
-        np.testing.assert_array_equal(
-            model.get_flat_grads(), np.zeros(arena.model_size)
-        )
+        model.zero_grad()
+        np.testing.assert_array_equal(arena.grads[0], np.zeros(arena.model_size))
 
     def test_accumulate_grad_in_place(self):
         arena, models = make_adopted()
@@ -188,45 +185,6 @@ class TestOptimizerUnderViews:
         # the update never detached the views
         for param in adopted.parameters():
             assert np.shares_memory(param.data, arena.data[0])
-
-
-# ----------------------------------------------------------------------
-# flat helpers (copy semantics)
-# ----------------------------------------------------------------------
-class TestFlatCopySemantics:
-    def test_flatten_arrays_into_preallocated_out(self):
-        arrays = [np.arange(6, dtype=np.float64).reshape(2, 3), np.ones(2)]
-        out = np.empty(8)
-        result = flatten_arrays(arrays, out=out)
-        assert result is out
-        np.testing.assert_array_equal(result, [0, 1, 2, 3, 4, 5, 1, 1])
-        with pytest.raises(ValueError):
-            flatten_arrays(arrays, out=np.empty(5))
-
-    def test_flatten_arrays_casts_non_float64(self):
-        result = flatten_arrays([np.array([1, 2], dtype=np.int32)])
-        assert result.dtype == np.float64
-        np.testing.assert_array_equal(result, [1.0, 2.0])
-
-    def test_flatten_arrays_accepts_plain_sequences(self):
-        result = flatten_arrays([[1.0, 2.0], [3.0]])
-        assert result.dtype == np.float64
-        np.testing.assert_array_equal(result, [1.0, 2.0, 3.0])
-
-    def test_unflatten_copy_false_returns_views(self):
-        vector = np.arange(6, dtype=np.float64)
-        specs = param_specs([np.empty((2, 2)), np.empty(2)])
-        views = unflatten_vector(vector, specs, copy=False)
-        assert all(np.shares_memory(v, vector) for v in views)
-        views[0][0, 0] = 99.0
-        assert vector[0] == 99.0
-
-    def test_unflatten_copy_true_is_independent(self):
-        vector = np.arange(6, dtype=np.float64)
-        specs = param_specs([np.empty((2, 2)), np.empty(2)])
-        arrays = unflatten_vector(vector, specs)
-        arrays[0][0, 0] = 99.0
-        assert vector[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +332,7 @@ def test_setup_adopts_batchnorm_model_and_keeps_the_compute_loop():
     from repro.nn.layers import Linear
     from repro.nn.module import Sequential
     from repro.nn.layers import BatchNorm2d, Conv2d, Flatten
+    from tests.reference.per_worker import per_worker
 
     images = make_synthetic_images(
         120, num_classes=4, channels=1, size=8, noise=0.2, rng=0
@@ -382,12 +341,12 @@ def test_setup_adopts_batchnorm_model_and_keeps_the_compute_loop():
     config = ExperimentConfig(rounds=1, batch_size=8, seed=3)
     workers = _bare_workers(
         partitions, config,
-        factory=lambda: Sequential(
+        factory=lambda: per_worker(Sequential(
             Conv2d(1, 4, 3, padding=1, rng=1),
             BatchNorm2d(4),
             Flatten(),
             Linear(4 * 8 * 8, 4, rng=1),
-        ),
+        )),
     )
     algorithm = SAPSPSGD(compression_ratio=8.0, base_seed=3)
     algorithm.setup(workers, SimulatedNetwork(3), rng=3)

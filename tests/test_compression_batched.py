@@ -1,7 +1,8 @@
 """Tests for the matrix-level (arena-aware) compression pipeline.
 
-The acceptance contract: ``compress_matrix`` must produce payloads
-equivalent to per-row ``compress`` — same values, indices and wire bytes
+The acceptance contract: the matrix compressors must produce payloads
+equivalent to the per-row ``compress`` of ``tests/reference/compressors.py``
+— same values, indices and wire bytes
 — for shared-mask and top-k, in both float64 and float32, and batched
 error feedback must match per-worker buffers.  Threshold top-k, the
 in-place error feedback and the sparse all-reduce mean are also checked
@@ -17,16 +18,16 @@ from hypothesis import strategies as st
 
 from repro.compression.error_feedback import BatchedErrorFeedback
 from repro.compression.base import BatchPayload, IndexedPayload
-from repro.compression.random_mask import RandomMaskCompressor
-from repro.compression.topk import (
-    TopKCompressor,
-    k_for,
-    top_k_indices,
-    top_k_indices_matrix,
-)
+from repro.compression.topk import k_for, top_k_indices_matrix
 from repro.compression import topk
 from repro.utils import parallel
 from tests.reference import topk as reference
+from tests.reference.compressors import (
+    RandomMaskCompressor,
+    TopKCompressor,
+    to_dense,
+    top_k_indices,
+)
 from tests.reference.error_feedback import ErrorFeedback
 
 DTYPES = [np.float64, np.float32]
@@ -48,8 +49,8 @@ def _matrix(rng, rows=6, size=400, dtype=np.float64):
 def assert_rows_equivalent(batch, reference_payloads):
     """Each batch row must match the per-row payload in values, indices
     and wire bytes."""
-    assert len(batch) == len(reference_payloads)
-    for row_payload, reference in zip(batch, reference_payloads):
+    assert len(batch.payloads) == len(reference_payloads)
+    for row_payload, reference in zip(batch.payloads, reference_payloads):
         np.testing.assert_array_equal(row_payload.values, reference.values)
         assert row_payload.values.dtype == reference.values.dtype
         if hasattr(reference, "indices"):
@@ -87,13 +88,12 @@ class TestMatrixEquivalence:
 
     def test_to_dense_matches_per_row(self, rng, dtype):
         matrix = _matrix(rng, dtype=dtype)
-        for compressor in (
-            RandomMaskCompressor(8.0),
-            TopKCompressor(8.0),
+        for batch in (
+            RandomMaskCompressor(8.0).compress_matrix_with_seed(matrix, 0),
+            TopKCompressor(8.0).compress_matrix(matrix),
         ):
-            batch = compressor.compress_matrix(matrix)
             stacked = np.stack(
-                [payload.to_dense(matrix.shape[1]) for payload in batch]
+                [to_dense(payload, matrix.shape[1]) for payload in batch.payloads]
             )
             np.testing.assert_array_equal(batch.to_dense(matrix.shape[1]), stacked)
             assert batch.to_dense(matrix.shape[1]).dtype == dtype
@@ -103,26 +103,6 @@ class TestMatrixEquivalence:
 
 
 class TestBaseLoopFallback:
-    def test_generic_compressor_loops_rows(self, rng):
-        """A compressor that only implements ``compress`` still gets the
-        batched API via the base-class row loop."""
-        from repro.compression.base import Compressor
-
-        matrix = rng.normal(size=(4, 50))
-
-        class Halver(Compressor):
-            @property
-            def ratio(self):
-                return 1.0
-
-            def compress(self, vector, round_index=0):
-                return IndexedPayload(
-                    values=np.asarray(vector) * 0.5, indices=np.arange(len(vector))
-                )
-
-        batch = Halver().compress_matrix(matrix)
-        np.testing.assert_array_equal(batch.to_dense(50), matrix * 0.5)
-
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             TopKCompressor(2.0).compress_matrix(np.zeros(5))
@@ -131,7 +111,7 @@ class TestBaseLoopFallback:
         matrix = rng.normal(size=(3, 100))
         batch = TopKCompressor(10.0).compress_matrix(matrix)
         assert batch.num_bytes() == sum(batch.row_bytes())
-        assert batch.row_bytes() == [p.num_bytes() for p in batch]
+        assert batch.row_bytes() == [p.num_bytes() for p in batch.payloads]
 
 
 class TestTopKIndicesMatrix:
@@ -167,7 +147,7 @@ class TestBatchedErrorFeedback:
                     gradients[row], round_index
                 )
                 sent.append(row_dense)
-                np.testing.assert_array_equal(batch[row].to_dense(size), row_dense)
+                np.testing.assert_array_equal(to_dense(batch[row], size), row_dense)
                 np.testing.assert_array_equal(
                     batch[row].values, payload.values
                 )

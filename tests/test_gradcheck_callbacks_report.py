@@ -10,7 +10,7 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork
 from repro.nn.layers import Linear
 from repro.nn import MLP
-from repro.nn.activations import ReLU, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.module import Module, Sequential
 from repro.sim import ExperimentConfig, run_experiment
 from tests.gradcheck import GradCheckReport, check_gradients, numerical_gradient
@@ -25,7 +25,7 @@ class TestGradcheckUtility:
         assert len(report.entries) == 3
 
     def test_passes_on_composite(self, rng):
-        model = Sequential(Linear(3, 5, rng=0), Tanh(), Linear(5, 2, rng=0))
+        model = Sequential(Linear(3, 5, rng=0), ReLU(), Linear(5, 2, rng=0))
         report = check_gradients(model, rng.normal(size=(4, 3)))
         assert report.passed
 

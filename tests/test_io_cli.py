@@ -414,6 +414,22 @@ class TestRunConfiguration:
             assert f"on the {engine} engine that is {takers}," in message
             assert message.endswith(f"not --algorithm {key}")
 
+    def test_population_model_always_is_no_population(self, tmp_path, capsys):
+        """Every client always up is every family's default: ``always``
+        parses to no population, so any algorithm takes it and the run is
+        the run without it."""
+        args = cli.build_parser().parse_args(
+            ["run", "--algorithm", "d-psgd", *SMALL, "--population-model", "always"]
+        )
+        assert callable(cli._build_run(args))
+        saved = {}
+        for flag in ([], ["--population-model", "always"]):
+            path = tmp_path / f"run{len(flag)}.json"
+            assert main(["run", "--algorithm", "saps-psgd", *SMALL, "--rounds", "4",
+                         "--eval-every", "2", *flag, "--output", str(path)]) == 0
+            saved[bool(flag)] = path.read_bytes()
+        assert saved[True] == saved[False]
+
     def test_readme_support_table_is_the_rule(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = {}
@@ -464,3 +480,15 @@ class TestCLIReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "## Final accuracy" in out
+
+    @pytest.mark.parametrize("kind", ["run output", "missing"])
+    def test_report_on_a_file_that_is_no_comparison_names_it(self, tmp_path, kind):
+        path = tmp_path / "run.json"
+        if kind == "run output":
+            save_result(make_result(), path)  # what `repro run --output` writes
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", str(path)])
+        problem = "not a comparison: it has no 'results'" if kind == "run output" else "no such file"
+        assert str(exit_info.value) == (
+            f"input error: {path}: {problem}; expected a comparison saved by `compare --output`"
+        )

@@ -144,8 +144,8 @@ class TestTrafficMeter:
     def test_mb_conversions(self):
         meter = TrafficMeter(2)
         meter.record(0, 0, 1, int(2 * MB))
-        assert meter.worker_traffic_mb(0) == pytest.approx(2.0)
-        assert meter.worker_traffic_mb(1) == pytest.approx(2.0)
+        assert meter.worker_bytes(0) / MB == pytest.approx(2.0)
+        assert meter.worker_bytes(1) / MB == pytest.approx(2.0)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
@@ -240,14 +240,14 @@ class TestSimulatedNetwork:
         network = SimulatedNetwork(2, bandwidth=bandwidth)
         payload = payload_of(int(MB / 4))  # 1 MB
         network.send(0, 0, 1, payload)
-        assert network.worker_traffic_mb(0) == pytest.approx(1.0)
+        assert network.meter.worker_bytes(0) / MB == pytest.approx(1.0)
         assert network.finish_round() == pytest.approx(0.5)
 
     def test_exchange_symmetric(self):
         network = SimulatedNetwork(2)
         payload = payload_of(100)
         network.exchange(0, 0, 1, payload, payload)
-        assert network.worker_traffic_mb(0) == network.worker_traffic_mb(1)
+        assert network.meter.worker_bytes(0) / MB == network.meter.worker_bytes(1) / MB
 
     def test_no_bandwidth_no_time(self):
         network = SimulatedNetwork(2)

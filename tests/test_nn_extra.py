@@ -9,6 +9,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.activations import ReLU
 from repro.nn.module import Sequential
 from tests.gradcheck import check_gradients
+from tests.reference.per_worker import flat_grads, per_worker
 
 
 class TestOddShapes:
@@ -30,7 +31,7 @@ class TestOddShapes:
     def test_maxpool_overlapping_windows(self, rng):
         # stride < kernel: overlapping receptive fields.
         inputs = rng.permutation(49).astype(np.float64).reshape(1, 1, 7, 7)
-        report = check_gradients(MaxPool2d(3, stride=2), inputs)
+        report = check_gradients(per_worker(MaxPool2d(3, stride=2)), inputs)
         assert report.passed, report.summary()
 
     def test_batch_of_one(self, rng):
@@ -65,7 +66,7 @@ class TestBatchNormEval:
 
 class TestPaperModelsSmoke:
     def test_mnist_cnn_one_training_step_reduces_loss(self, rng):
-        model = MnistCNN(rng=0)
+        model = per_worker(MnistCNN(rng=0))
         loss_fn = CrossEntropyLoss()
         optimizer = SGD(model.parameters(), lr=0.05)
         images = rng.normal(size=(8, 1, 28, 28))
@@ -83,13 +84,13 @@ class TestPaperModelsSmoke:
         assert loss_value() < initial
 
     def test_cifar10_cnn_backward_produces_finite_grads(self, rng):
-        model = Cifar10CNN(rng=0)
+        model = per_worker(Cifar10CNN(rng=0))
         loss_fn = CrossEntropyLoss()
         model.zero_grad()
         logits = model.forward(rng.normal(size=(2, 3, 32, 32)))
         _, grad = loss_fn(logits, np.array([3, 7]))
         model.backward(grad)
-        grads = model.get_flat_grads()
+        grads = flat_grads(model)
         assert np.isfinite(grads).all()
         assert np.abs(grads).max() > 0
 
@@ -150,13 +151,13 @@ class TestOptimizerIntegration:
 
 class TestCompositeGradients:
     def test_small_conv_stack(self, rng):
-        model = Sequential(
+        model = per_worker(Sequential(
             Conv2d(1, 2, 3, padding=1, rng=0),
             ReLU(),
             MaxPool2d(2),
             Flatten(),
             Linear(2 * 3 * 3, 4, rng=0),
-        )
+        ))
         inputs = rng.permutation(36).astype(np.float64).reshape(1, 1, 6, 6)
         report = check_gradients(model, inputs, atol=1e-5, rtol=1e-3)
         assert report.passed, report.summary()

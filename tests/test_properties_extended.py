@@ -30,7 +30,11 @@ class TestChurnProperties:
             6, mttf=mttf, mttr=mttr, horizon=40.0, seed=seed, min_up=3
         )
         for time in [0.0] + [event.time for event in plan.events]:
-            assert sum(plan.up_at(rank, time) for rank in range(6)) >= 3
+            up = [
+                not any(start <= time < end for start, end in plan.down_intervals(rank))
+                for rank in range(6)
+            ]
+            assert sum(up) >= 3
 
     @given(seed=st.integers(0, 1000), delta=st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)

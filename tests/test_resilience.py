@@ -125,7 +125,7 @@ class TestCheckpointStore:
         store.capture(
             FakeAlgorithm(), np.array([True, False, True, True]), time=2.0
         )
-        assert store.captures == 2 and len(store) == 4
+        assert store.captures == 2 and len(store._snapshots) == 4
         # Worker 1 was dead at the second capture: keeps its t=1 state.
         assert store.latest(1).time == 1.0
         np.testing.assert_array_equal(store.latest(1).params, [2.0, 3.0])
@@ -327,7 +327,7 @@ class TestStartTracked:
         assert tracked._link_free == manual._link_free
         assert tracked.trace.totals == manual.trace.totals
         assert self.metered(tracked) == self.metered(manual)
-        assert len(tracked.queue) == 1 and tracked._inflight == {}
+        assert tracked.queue._live == 1 and tracked._inflight == {}
         time, action = tracked.queue.pop()
         assert time == max(end for _, end in ends) == 1.0
         action(time)
@@ -342,7 +342,7 @@ class TestStartTracked:
         )
         assert engine.resilience.timeout_exchanges == 1
         assert engine._inflight == {}
-        assert len(engine.queue) == 1
+        assert engine.queue._live == 1
         time, action = engine.queue.pop()
         action(time)
         assert time == 0.8 and aborted == [0.8] and done == []
@@ -378,7 +378,7 @@ class TestStartTracked:
         engine.now = 0.3
         engine._on_crash(crashed, 0.3)
         assert aborted == [0.3] and done == []
-        assert engine._inflight == {} and len(engine.queue) == 0
+        assert engine._inflight == {} and engine.queue._live == 0
         assert engine.resilience.aborted_exchanges == 1
         assert engine._link_free == {**before, **stacked}
 

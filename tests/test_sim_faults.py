@@ -99,10 +99,10 @@ class TestFaultPlanQueries:
 
     def test_up_at(self):
         plan = self._plan()
-        assert plan.up_at(1, 1.9)
-        assert not plan.up_at(1, 2.0)  # crash instant counts as down
-        assert plan.up_at(1, 5.0)  # recovery instant counts as up
-        assert not plan.up_at(1, 100.0)  # never recovered after t=8
+        assert plan.up_during(1, 1.9, 1.95)
+        assert not plan.up_during(1, 2.0, 2.05)  # crash instant counts as down
+        assert plan.up_during(1, 5.0, 5.05)  # recovery instant counts as up
+        assert not plan.up_during(1, 100.0, 100.05)  # never recovered after t=8
 
     def test_link_intervals_and_link_up_at(self):
         plan = self._plan()
@@ -263,7 +263,9 @@ class TestRoundProjections:
         plan = self._saps().fault_plan
         for time in np.arange(0.0, 6.0, 0.25):
             for rank in range(4):
-                assert plan.up_during(rank, time, time + 1e-9) == plan.up_at(rank, time)
+                assert plan.up_during(rank, time, time + 1e-9) == (
+                    not any(start <= time < end for start, end in plan.down_intervals(rank))
+                )
             assert plan.link_up_during(0, 1, time, time + 1e-9) == (
                 not any(start <= time < end for start, end in plan.link_down_intervals(0, 1))
             )

@@ -73,7 +73,7 @@ class TestConsensusSimulation:
         trace = simulate_consensus(
             states, lambda t: selector.select(t).gossip, rounds=200
         )
-        assert trace.final < 1e-6 * trace.initial
+        assert trace.final < 1e-6 * trace.distances[0]
 
     def test_sparsified_gossip_still_converges(self):
         states = random_initial_states(8, 50, rng=0)
@@ -82,7 +82,7 @@ class TestConsensusSimulation:
             states, lambda t: selector.select(t).gossip,
             rounds=400, compression_ratio=5.0, seed=0,
         )
-        assert trace.final < 1e-2 * trace.initial
+        assert trace.final < 1e-2 * trace.distances[0]
 
     def test_sparser_is_slower(self):
         """Lemma 2: larger c → contraction factor closer to 1."""

@@ -33,7 +33,7 @@ class TestConstantCompute:
 class TestHeterogeneousCompute:
     def test_spread_creates_stragglers(self):
         model = HeterogeneousCompute(8, mean_step_time=0.1, spread=8.0, rng=0)
-        assert model.imbalance() > 2.0
+        assert model.worker_means.max() / model.worker_means.min() > 2.0
 
     def test_round_time_gated_by_straggler(self):
         model = HeterogeneousCompute(8, spread=8.0, jitter=0.0, rng=0)

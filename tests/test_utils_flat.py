@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
+from repro.utils.flat import param_specs
 
 
 class TestParamSpecs:
@@ -16,53 +16,3 @@ class TestParamSpecs:
 
     def test_empty(self):
         assert param_specs([]) == []
-
-
-class TestRoundTrip:
-    def test_flatten_unflatten_identity(self):
-        rng = np.random.default_rng(0)
-        arrays = [rng.normal(size=(3, 4)), rng.normal(size=7), rng.normal(size=(2, 2, 2))]
-        flat = flatten_arrays(arrays)
-        restored = unflatten_vector(flat, param_specs(arrays))
-        for original, back in zip(arrays, restored):
-            np.testing.assert_array_equal(original, back)
-
-    def test_flatten_copies(self):
-        array = np.ones(3)
-        flat = flatten_arrays([array])
-        flat[0] = 99.0
-        assert array[0] == 1.0
-
-    def test_unflatten_copies(self):
-        arrays = [np.zeros(3)]
-        flat = flatten_arrays(arrays)
-        restored = unflatten_vector(flat, param_specs(arrays))
-        restored[0][0] = 5.0
-        assert flat[0] == 0.0
-
-    def test_empty_vector(self):
-        assert flatten_arrays([]).size == 0
-        assert unflatten_vector(np.zeros(0), []) == []
-
-    def test_size_mismatch_raises(self):
-        specs = param_specs([np.zeros(3)])
-        with pytest.raises(ValueError):
-            unflatten_vector(np.zeros(4), specs)
-
-    def test_dtype_default_semantics(self):
-        # Float inputs keep their common float dtype (the dtype-parametric
-        # substrate packs float32 models into float32 vectors) ...
-        assert flatten_arrays([np.ones(3, dtype=np.float32)]).dtype == np.float32
-        assert flatten_arrays([np.ones(3)]).dtype == np.float64
-        assert (
-            flatten_arrays(
-                [np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float64)]
-            ).dtype
-            == np.float64
-        )
-        # ... while non-float inputs still promote to float64 and an
-        # explicit dtype always wins.
-        assert flatten_arrays([np.ones(3, dtype=np.int32)]).dtype == np.float64
-        assert (
-            flatten_arrays([np.ones(3)], dtype=np.float32).dtype == np.float32
-        )

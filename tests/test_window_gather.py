@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 from repro.nn.batched import BatchedMaxPool2d
 from repro.nn.layers import MaxPool2d
+from tests.reference.per_worker import per_worker
 from tests.reference import conv2d as reference
 
 #: Pooling inputs: few distinct values (ties everywhere), both zeros,
@@ -154,7 +155,7 @@ class TestMaxPool:
             grads, argmax, cols_shape, shape, kernel, stride, padding
         )
         inputs = channels_last(images) if nhwc else images
-        layer = MaxPool2d(kernel, stride=stride, padding=padding)
+        layer = per_worker(MaxPool2d(kernel, stride=stride, padding=padding))
         got = layer.forward(inputs)
         np.testing.assert_array_equal(layer._argmax, argmax)
         assert_same_floats(got, expected)
