@@ -6,6 +6,8 @@ optionally under a fault plan, sampling or a population), ``event`` (an
 asynchronous family on the event engine), ``pool_chain`` (window kernels)
 or ``cli`` (``repro run`` end to end).  A builder returns a short, fully
 seeded run's state as named arrays; :func:`digest` hashes them exactly.
+``sampled_saps`` and ``sampled_fedavg`` run the worker-less sampled
+families on a small evicting :class:`~repro.nn.sharded.ShardedArena`.
 ``expected.json`` holds each row's digest with its final loss and
 accuracy, as ``python -m tests.golden regen REV`` (``__main__.py``) wrote
 it from the ``src/`` of commit ``REV``.
@@ -212,17 +214,103 @@ def event(family, dtype, compute, optim="sgd", scenario=""):
                     if "renewal" in scenario else None),
     )
     result = engine.run(algorithm, validation, DURATION, checkpoint_every=0.5)
-    history = [
-        [r.time_s, r.train_loss, r.val_loss, r.val_accuracy,
-         r.consensus_distance, r.worker_traffic_mb, r.server_traffic_mb,
-         r.events_processed, r.local_steps, r.mean_staleness]
-        for r in result.history
-    ]
     return {
         "arena": algorithm.arena.data,
-        "history": np.array(history, np.float64),
+        "history": _history(result),
         "total_local_steps": np.array([result.total_local_steps]),
         "staleness_log": np.array(algorithm.staleness_log, np.int64),
+    }
+
+
+def _history(result) -> np.ndarray:
+    return np.array(
+        [[r.time_s, r.train_loss, r.val_loss, r.val_accuracy,
+          r.consensus_distance, r.worker_traffic_mb, r.server_traffic_mb,
+          r.events_processed, r.local_steps, r.mean_staleness]
+         for r in result.history],
+        np.float64,
+    )
+
+
+#: The sampled families' lazy task and enrolment: ``SAMPLED_CLIENTS``
+#: clients, ``SAMPLED_SEATS`` drawn per round or in flight, a resident
+#: arena of ``SAMPLED_CAPACITY`` rows, so rows are evicted and faulted back.
+SAMPLED_CLIENTS, SAMPLED_SEATS, SAMPLED_CAPACITY = 400, 24, 40
+
+
+def _sampled_task():
+    from repro.algorithms import LogisticBlobsTask
+
+    return LogisticBlobsTask(num_features=8, num_classes=4, batch_size=8,
+                             validation_samples=256, seed=3)
+
+
+def _sampled_arena(arena) -> dict:
+    """Every client's row (resident, spilled or cold) and the LRU counters."""
+    stats = arena.stats()
+    return {
+        "rows": np.stack([arena.peek(c) for c in range(arena.num_clients)]),
+        "arena_stats": np.array(
+            [stats[key] for key in ("hits", "misses", "evictions",
+                                    "writeback_bytes", "pin_contentions")],
+            np.int64,
+        ),
+    }
+
+
+def sampled_saps(dtype, local_steps, population, rounds=10):
+    """``rounds`` of :class:`SampledSAPS`, with a renewal population or
+    uniform draws."""
+    from repro.algorithms import SampledSAPS
+    from repro.sim import RenewalPopulation
+
+    task = _sampled_task()
+    algorithm = SampledSAPS(
+        task, SAMPLED_CLIENTS, sample_size=SAMPLED_SEATS,
+        capacity=SAMPLED_CAPACITY, compression_ratio=4.0,
+        local_steps=local_steps, lr=0.2, dtype=dtype, seed=3,
+        population=(RenewalPopulation(SAMPLED_CLIENTS, mean_up=4.0,
+                                      mean_down=2.0, seed=3)
+                    if population else None),
+    )
+    losses = np.array([algorithm.run_round(r) for r in range(rounds)],
+                      np.float64)
+    assert algorithm.arena.evictions > 0
+    return {
+        "losses": losses,
+        "eval": np.array(algorithm.evaluate(), np.float64),
+        "exchanges": np.array([algorithm.exchange_count,
+                               algorithm.total_local_steps]),
+        **_sampled_arena(algorithm.arena),
+    }
+
+
+def sampled_fedavg(dtype):
+    """:data:`DURATION` simulated seconds of :class:`SampledAsyncFedAvg`
+    on the event engine over a renewal population."""
+    from repro.algorithms import SampledAsyncFedAvg
+    from repro.network import SimulatedNetwork
+    from repro.sim import ConstantCompute, EventEngine, RenewalPopulation
+
+    task = _sampled_task()
+    algorithm = SampledAsyncFedAvg(
+        task, SAMPLED_CLIENTS, sample_size=SAMPLED_SEATS,
+        capacity=SAMPLED_CAPACITY, local_steps=3, lr=0.2, dtype=dtype, seed=3,
+    )
+    engine = EventEngine(
+        SimulatedNetwork(SAMPLED_CLIENTS, server_bandwidth=100.0),
+        compute_model=ConstantCompute(0.05),
+        population=RenewalPopulation(SAMPLED_CLIENTS, mean_up=4.0,
+                                     mean_down=2.0, seed=3),
+    )
+    result = engine.run(algorithm, task, DURATION, checkpoint_every=0.5)
+    assert algorithm.arena.evictions > 0
+    return {
+        "history": _history(result),
+        "global_model": algorithm.global_model,
+        "total_local_steps": np.array([result.total_local_steps]),
+        "staleness_log": np.array(algorithm.staleness_log, np.int64),
+        **_sampled_arena(algorithm.arena),
     }
 
 
@@ -294,7 +382,9 @@ def cli(argv):
     }
 
 
-BUILDERS = {"sync": sync, "event": event, "pool_chain": pool_chain, "cli": cli}
+BUILDERS = {"sync": sync, "event": event, "pool_chain": pool_chain,
+            "sampled_saps": sampled_saps, "sampled_fedavg": sampled_fedavg,
+            "cli": cli}
 
 
 def _name(*parts) -> str:
@@ -387,6 +477,13 @@ ROWS = {
     **{_name("sync-saps-last-down", d, optim):
        _sync("saps", "event", d, 8, plan="last-down", optim=optim)
        for d, optim in ((F64, "sgd"), (F32, "nesterov"))},
+    # The worker-less sampled families: every dtype with one and three
+    # local steps, with and without a renewal population.
+    **{_name("sampled-saps", d, f"local{steps}", "renewal" if population else ""):
+       ("sampled_saps", dict(dtype=d, local_steps=steps, population=population))
+       for d, steps, population in ((F64, 1, True), (F32, 1, False),
+                                    (F64, 3, False), (F32, 3, True))},
+    "event-sampled-fedavg-f64-renewal": ("sampled_fedavg", dict(dtype=F64)),
     **{f"cli-{name}": ("cli", dict(argv=argv)) for name, argv in CLI_CASES.items()},
 }
 
