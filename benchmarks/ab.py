@@ -23,8 +23,12 @@ least nine tenths of the pairs won and the gap wider than that range.
 ``--calls`` adds one untimed run per tree under ``cProfile`` and prints
 each side's function-call count between the end of set-up and the end
 of the run: a noise-free measure of per-event overhead where ``run_s``
-spreads by several percent.  Exit status is 1 when any digest differs
-between the trees on any workload (or a run dies).
+spreads by several percent.  The summary line ends with ``counters
+equal`` when every pair's exact-repeat counters (``network.*``,
+``sim.events.*``, ``nn.sharded.*``: the children's ``counters``) agree,
+else with each differing counter and both trees' values.  Exit status is
+1 when any digest differs between the trees on any workload (or a run
+dies); a counter difference alone does not fail it.
 
 Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
 trees may be the same directory (``--smoke`` against itself is how the
@@ -203,6 +207,14 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
     change = statistics.median(changes)
     digests = (f"DIGEST DIFFERS in {mismatches} pair(s)" if mismatches
                else "digests equal")
+    differing: Dict[str, str] = {}
+    for b, n in zip(runs["base"], runs["new"]):
+        for name in sorted(b["counters"].keys() | n["counters"].keys()):
+            old, now = b["counters"].get(name), n["counters"].get(name)
+            if old != now:
+                differing.setdefault(name, f"{name} {old} -> {now}")
+    counters = ("counters differ: " + ", ".join(differing.values())
+                if differing else "counters equal")
     print(f"run_s change per pair: median {change:+.1%}, "
           f"new faster in {faster}/{len(changes)} pairs; {digests}")
     calls = ""
@@ -227,7 +239,7 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
         f"setup_s {medians['base', 'setup_s']:.3f} -> "
         f"{medians['new', 'setup_s']:.3f}, peak_rss_mb "
         f"{medians['base', 'peak_rss_mb']:.1f} -> "
-        f"{medians['new', 'peak_rss_mb']:.1f}{calls}, {digests}"
+        f"{medians['new', 'peak_rss_mb']:.1f}{calls}, {digests}, {counters}"
     )
     return summary, mismatches
 

@@ -30,10 +30,11 @@ checkpoints it like any worker-backed variant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
 from repro.core.matching import greedy_weighted_matching
@@ -41,7 +42,7 @@ from repro.network.metrics import TrafficMeter
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 class LogisticBlobsTask:
@@ -117,30 +118,46 @@ class LogisticBlobsTask:
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= probs.sum(axis=-1, keepdims=True)
         return probs
 
     def run_local(
-        self, row: np.ndarray, client: int, cycle: int, steps: int, lr: float
-    ) -> float:
-        """``steps`` SGD steps in place on ``row``; returns mean loss."""
-        weights, bias = self._unpack(row)
+        self, rows: np.ndarray, clients: Sequence[int], cycles: Sequence[int],
+        steps: int, lr: float,
+    ) -> np.ndarray:
+        """``steps`` SGD steps in place on each of the ``(K, N)`` ``rows``,
+        row ``k`` on client ``clients[k]``'s batches of its ``cycles[k]``-th
+        participation; returns each row's mean loss.  The rows step as
+        stacked BLAS (``(K, B, D) @ (K, D, C)`` logits, softmax and loss on
+        the last axis): each gets the floats it would get trained alone."""
+        count = rows.shape[0]
+        split = self.num_classes * self.num_features
+        weights = rows[:, :split].reshape(count, self.num_classes, -1)
+        bias = rows[:, split:]
+        client_rows = np.arange(count)[:, None]
         batch_rows = np.arange(self.batch_size)
-        losses = []
+        losses = np.empty((count, steps))
         for local in range(steps):
-            features, labels = self.client_batch(client, cycle * steps + local)
-            probs = self._softmax(features @ weights.T + bias)
-            losses.append(
-                -float(np.mean(np.log(probs[batch_rows, labels] + 1e-12)))
+            batches = [
+                self.client_batch(client, cycle * steps + local)
+                for client, cycle in zip(clients, cycles)
+            ]
+            features = np.stack([features for features, _ in batches])
+            labels = np.stack([labels for _, labels in batches])
+            probs = self._softmax(
+                features @ weights.transpose(0, 2, 1) + bias[:, None, :]
+            )
+            losses[:, local] = -np.mean(
+                np.log(probs[client_rows, batch_rows, labels] + 1e-12), axis=1
             )
             grad_logits = probs
-            grad_logits[batch_rows, labels] -= 1.0
+            grad_logits[client_rows, batch_rows, labels] -= 1.0
             grad_logits /= self.batch_size
-            weights -= lr * (grad_logits.T @ features)
-            bias -= lr * grad_logits.sum(axis=0)
-        return float(np.mean(losses))
+            weights -= lr * (grad_logits.transpose(0, 2, 1) @ features)
+            bias -= lr * grad_logits.sum(axis=1)
+        return np.mean(losses, axis=1)
 
     def evaluate(self, vector: np.ndarray) -> Tuple[float, float]:
         """(validation loss, accuracy) of a flat model vector."""
@@ -218,7 +235,7 @@ class SampledAsyncFedAvg:
         self.local_steps = int(local_steps)
         self.mixing = float(mixing)
         self.staleness_power = float(staleness_power)
-        self.lr = float(lr)
+        self.lr = float(check_non_negative(lr, "lr"))
         self.model_size = task.model_size
         self.model_bytes = task.model_size * BYTES_PER_VALUE
         dtype = resolve_dtype(dtype)
@@ -360,11 +377,12 @@ class SampledAsyncFedAvg:
     def _on_compute_done(
         self, client: int, version: int, cycle: int, now: float
     ) -> None:
-        loss = self.task.run_local(
-            self.arena.row(client), client, cycle, self.local_steps, self.lr
+        (loss,) = self.task.run_local(
+            self.arena.row(client)[None], [client], [cycle],
+            self.local_steps, self.lr,
         )
         self.total_local_steps += self.local_steps
-        self._loss_sum += loss
+        self._loss_sum += float(loss)
         self._loss_events += 1
         self.engine.start_tracked(
             now, ((client, TrafficMeter.SERVER),), self.model_bytes,
@@ -384,6 +402,18 @@ class SampledAsyncFedAvg:
         self.arena.release([client])
         self._active.discard(client)
         self._fill_seat(now)
+
+
+def _average_pairs(
+    data: np.ndarray, pairs: np.ndarray, indices: np.ndarray
+) -> None:
+    """Eq. 7 on every matched pair of rows at once: each ``(a, b)`` row of
+    ``pairs`` leaves agreeing on ``½(x_a + x_b)`` at ``indices``."""
+    left = np.ix_(pairs[:, 0], indices)
+    right = np.ix_(pairs[:, 1], indices)
+    averaged = 0.5 * (data[left] + data[right])
+    data[left] = averaged
+    data[right] = averaged
 
 
 class SampledSAPS:
@@ -452,7 +482,7 @@ class SampledSAPS:
         self.sample_size = sample_size
         self.compression_ratio = compression_ratio
         self.local_steps = int(local_steps)
-        self.lr = float(lr)
+        self.lr = float(check_non_negative(lr, "lr"))
         self.round_duration = float(round_duration)
         self.population = population
         self.seed = int(seed)
@@ -560,27 +590,28 @@ class SampledSAPS:
 
         # Pin the whole participant set for the round: local SGD and the
         # pairwise merge hold live row views, eviction would tear them.
-        losses = []
-        with ctx.resident(self.arena, participants):
-            for client in participants:
-                cycle = self._cycle_counts.get(client, 0)
+        arena = self.arena
+        with ctx.resident(arena, participants):
+            # Rows are touched in draw order, then pair by pair in matching
+            # order: that LRU order picks the next rounds' eviction victims.
+            slots = [arena.slot_of(client) for client in participants]
+            cycles = [self._cycle_counts.get(c, 0) for c in participants]
+            for client, cycle in zip(participants, cycles):
                 self._cycle_counts[client] = cycle + 1
-                losses.append(
-                    self.task.run_local(
-                        self.arena.row(client),
-                        client,
-                        cycle,
-                        self.local_steps,
-                        self.lr,
-                    )
-                )
+            rows = arena.data[slots]
+            losses = obs.timed(
+                "compute", self.task.run_local, rows, participants, cycles,
+                self.local_steps, self.lr,
+            )
+            arena.data[slots] = rows
             self.total_local_steps += len(participants) * self.local_steps
-            for a, b in matching:
-                row_a = self.arena.row(a)
-                row_b = self.arena.row(b)
-                averaged = 0.5 * (row_a[indices] + row_b[indices])
-                row_a[indices] = averaged
-                row_b[indices] = averaged
+            if matching:
+                pair_slots = np.array(
+                    [(arena.slot_of(a), arena.slot_of(b)) for a, b in matching]
+                )
+                obs.timed(
+                    "mix", _average_pairs, arena.data, pair_slots, indices
+                )
             self.exchange_count += len(matching)
             self.exchanged_bytes += (
                 2 * len(matching) * indices.size * BYTES_PER_VALUE

@@ -17,6 +17,13 @@ def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
+def check_non_negative(value: float, name: str = "value") -> float:
+    """Require a finite number ``>= 0`` (NaN and inf fail)."""
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    return value
+
+
 def check_positive(value: float, name: str = "value") -> float:
     """Require a strictly positive, finite number (NaN and inf fail)."""
     if not 0 < value < float("inf"):

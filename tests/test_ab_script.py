@@ -1,8 +1,7 @@
 """``benchmarks/ab.py``: one smoke pair of this tree against itself on the
 cheapest workload, with equal ``--calls`` counts, and, with the children
-faked, the two-workload
-summary and the exit status when the two trees' trajectories differ on
-any workload."""
+faked, the two-workload summary, the exit status when the two trees'
+trajectories differ on any workload, and the counter comparison."""
 
 from __future__ import annotations
 
@@ -31,7 +30,9 @@ def test_smoke_pair_against_itself():
     assert int(base) == int(new) > 0
     summary = out.split("summary:\n", 1)[1].splitlines()
     assert summary[0].startswith("  saps1024_mlp: run_s ")
-    assert summary[0].endswith(f"calls {base} -> {new} (+0.00%), digests equal")
+    assert summary[0].endswith(
+        f"calls {base} -> {new} (+0.00%), digests equal, counters equal"
+    )
     assert out.rstrip().endswith("digests equal in every pair")
 
 
@@ -42,7 +43,7 @@ def test_a_differing_digest_fails(monkeypatch, capsys):
         differs = tree.name == "new" and workload == "second"
         digest = ("b" if differs else "a") * 64
         return {"run_s": 1.0, "steps": 10, "setup_s": 0.5,
-                "peak_rss_mb": 50.0, "digest": digest}
+                "peak_rss_mb": 50.0, "digest": digest, "counters": {}}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
     monkeypatch.setattr(Path, "is_file", lambda self: True)
@@ -68,7 +69,8 @@ def test_summary_states_the_gain_verdict(monkeypatch, capsys):
     def fake_run(tree, workload, seed, smoke, pycache):
         run_s = next(base_run_s if tree.name == "base" else new_run_s)
         return {"run_s": run_s, "steps": 100, "setup_s": 0.25,
-                "peak_rss_mb": 50.0, "digest": "a" * 64}
+                "peak_rss_mb": 50.0, "digest": "a" * 64,
+                "counters": {"network.transfers": 7}}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
     monkeypatch.setattr(Path, "is_file", lambda self: True)
@@ -86,7 +88,35 @@ def test_summary_states_the_gain_verdict(monkeypatch, capsys):
     assert "new better in 9/10, median gap +1, base IQR 0.2: GAIN" in summary
     assert "worker_steps_per_s 47.6 -> 90.9 (new better in 9/10" in summary
     assert "setup_s 0.250 -> 0.250" in summary
-    assert summary.endswith("digests equal")
+    assert summary.endswith("digests equal, counters equal")
     assert ab.verdict([1.0, 1.0], [1.0, 1.0], lower_is_better=True).endswith(
         "no gain"
     )
+
+
+def test_differing_counters_are_named_but_do_not_fail(monkeypatch, capsys):
+    """Equal digests, but the new tree's arena evicts differently: the
+    summary names each differing counter with both trees' values, and the
+    exit status stays digest-based."""
+    from benchmarks import ab
+
+    def fake_run(tree, workload, seed, smoke, pycache):
+        new = tree.name == "new"
+        counters = {"network.transfers": 40, "nn.sharded.hits": 9 if new else 8,
+                    "nn.sharded.evictions": 3 if new else 5}
+        if new:
+            counters["sim.events.events"] = 12
+        return {"run_s": 1.0, "steps": 10, "setup_s": 0.5,
+                "peak_rss_mb": 50.0, "digest": "a" * 64, "counters": counters}
+
+    monkeypatch.setattr(ab, "run_child", fake_run)
+    monkeypatch.setattr(Path, "is_file", lambda self: True)
+    assert ab.main(["/trees/base", "/trees/new", "--pairs", "2",
+                    "--workload", "w"]) == 0
+    out = capsys.readouterr().out
+    summary = out.split("summary:\n", 1)[1].splitlines()[0]
+    assert summary.endswith(
+        "digests equal, counters differ: nn.sharded.evictions 5 -> 3, "
+        "nn.sharded.hits 8 -> 9, sim.events.events None -> 12"
+    )
+    assert out.rstrip().endswith("digests equal in every pair")

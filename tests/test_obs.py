@@ -394,6 +394,38 @@ class TestBitIdentity:
         phases = {row.name for row in phase_table(snapshot)}
         assert {"compute", "comm", "mix", "eval"} <= phases
 
+    def test_sampled_saps_identical_with_trace_and_spanned(self):
+        """A SampledSAPS run on an evicting arena gives the same losses,
+        rows and evaluation traced and untraced; the traced one spans the
+        stacked local pass as compute and the pair merge as mix."""
+        from repro.algorithms import LogisticBlobsTask, SampledSAPS
+
+        def run(obs_mode):
+            task = LogisticBlobsTask(num_features=8, num_classes=4, seed=2)
+            algorithm = SampledSAPS(
+                task, 300, sample_size=20, capacity=30, local_steps=2,
+                dtype="float32", seed=2,
+            )
+            if obs_mode != "off":
+                obs.start(obs_mode)
+            try:
+                losses = [algorithm.run_round(r) for r in range(6)]
+                registry = obs.metrics()
+                snapshot = registry.snapshot() if registry else {}
+            finally:
+                obs.install(None)
+            arena = algorithm.arena
+            rows = np.stack([arena.peek(c) for c in range(300)])
+            return (repr(losses), rows.tobytes(), repr(algorithm.evaluate()),
+                    arena.stats()), snapshot
+
+        baseline, _ = run("off")
+        traced, snapshot = run("trace")
+        assert traced == baseline
+        assert baseline[3]["evictions"] > 0
+        phases = {row.name for row in phase_table(snapshot)}
+        assert {"compute", "mix"} <= phases
+
     def test_conv_kernels_identical_with_trace_and_spanned(self):
         """The batched kernels take an untimed path when telemetry is off;
         both paths give the same floats, and the timed one names every

@@ -5,16 +5,20 @@ argument checks, the sampled-neighborhood SAPS equivalence properties
 (full-coverage sampling bit-identical to full participation;
 trajectories independent of arena capacity thanks to eviction
 writeback), the AsyncGossip mid-round re-match when a waiting partner
-goes down, the ShardedArena pin telemetry, and the streamed consensus
-diagnostics against the dense formulas.
+goes down, the ShardedArena pin telemetry, the streamed consensus
+diagnostics against the dense formulas, and the stacked local-training
+kernel of the sampled families against its per-client oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     AsyncGossip,
     LogisticBlobsTask,
+    SampledAsyncFedAvg,
     SampledSAPS,
     SAPSPSGD,
 )
@@ -33,6 +37,7 @@ from repro.sim import (
 from repro.sim.participation import ParticipationContext
 from repro.theory.streaming import StreamingMoments, arena_consensus
 from repro.utils import parallel
+from tests.reference import sampled as reference
 
 
 @pytest.fixture
@@ -184,6 +189,56 @@ class TestSampledSAPSStandalone:
             SampledSAPS(task, 100, sample_size=50, capacity=10)
         with pytest.raises(ValueError):
             SampledSAPS(task, 100, compression_ratio=0.5)
+
+    @pytest.mark.parametrize(
+        "lr", [float("nan"), float("inf"), -float("inf"), -5.0]
+    )
+    @pytest.mark.parametrize("family", [SampledSAPS, SampledAsyncFedAvg])
+    def test_bad_lr_is_refused(self, family, lr):
+        """A NaN lr would write NaN into every trained row and a negative
+        one ascends the loss; lr = 0 (no local progress) stays legal."""
+        task = LogisticBlobsTask()
+        with pytest.raises(ValueError, match="lr"):
+            family(task, 100, sample_size=10, lr=lr)
+        assert family(task, 100, sample_size=10, lr=0.0).lr == 0.0
+
+
+class TestStackedLocalTraining:
+    """``LogisticBlobsTask.run_local`` trains K rows as one stacked pass;
+    each row's floats and loss equal the per-client loop's
+    (``tests/reference/sampled.py``) bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.integers(1, 40),
+        steps=st.integers(1, 3),
+        dtype=st.sampled_from(["float32", "float64"]),
+        features=st.integers(1, 12),
+        classes=st.integers(2, 8),
+        batch=st.integers(1, 20),
+        lr=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_per_client_oracle(
+        self, count, steps, dtype, features, classes, batch, lr, seed
+    ):
+        task = LogisticBlobsTask(
+            num_features=features, num_classes=classes, batch_size=batch,
+            validation_samples=1, seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(count, task.model_size)).astype(dtype)
+        clients = rng.choice(10**6, size=count, replace=False).tolist()
+        cycles = rng.integers(0, 4, size=count).tolist()
+        expected = rows.copy()
+        expected_losses = [
+            reference.run_local(task, row, client, cycle, steps, lr)
+            for row, client, cycle in zip(expected, clients, cycles)
+        ]
+        losses = task.run_local(rows, clients, cycles, steps, lr)
+        assert rows.dtype == np.dtype(dtype)
+        assert losses.tolist() == expected_losses
+        assert rows.tobytes() == expected.tobytes()
 
 
 class _PartnerOutage(ClientPopulation):
