@@ -139,13 +139,13 @@ class LogisticBlobsTask:
         client_rows = np.arange(count)[:, None]
         batch_rows = np.arange(self.batch_size)
         losses = np.empty((count, steps))
+        features = np.empty((count, self.batch_size, self.num_features))
+        labels = np.empty((count, self.batch_size), dtype=np.int64)
         for local in range(steps):
-            batches = [
-                self.client_batch(client, cycle * steps + local)
-                for client, cycle in zip(clients, cycles)
-            ]
-            features = np.stack([features for features, _ in batches])
-            labels = np.stack([labels for _, labels in batches])
+            for k, (client, cycle) in enumerate(zip(clients, cycles)):
+                features[k], labels[k] = self.client_batch(
+                    client, cycle * steps + local
+                )
             probs = self._softmax(
                 features @ weights.transpose(0, 2, 1) + bias[:, None, :]
             )
