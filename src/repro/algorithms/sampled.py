@@ -53,7 +53,7 @@ class LogisticBlobsTask:
     ``derive_seed(seed, "client", c, s)`` — identical every time it is
     asked for, never stored.  The model is the flat ``(C·D + C)`` vector
     ``[W.ravel(), b]`` and local training is plain softmax-cross-entropy
-    SGD, vectorized over the batch.
+    SGD, vectorized over the batch and stacked over a round's clients.
     """
 
     def __init__(
@@ -589,7 +589,7 @@ class SampledSAPS:
         indices = np.flatnonzero(mask)
 
         # Pin the whole participant set for the round: local SGD and the
-        # pairwise merge hold live row views, eviction would tear them.
+        # pairwise merge hold slots, eviction would hand them to others.
         arena = self.arena
         with ctx.resident(arena, participants):
             # Rows are touched in draw order, then pair by pair in matching
