@@ -136,8 +136,10 @@ class LogisticBlobsTask:
         split = self.num_classes * self.num_features
         weights = rows[:, :split].reshape(count, self.num_classes, -1)
         bias = rows[:, split:]
-        client_rows = np.arange(count)[:, None]
-        batch_rows = np.arange(self.batch_size)
+        # Row k's sample b starts at flat offset (k * B + b) * C of a
+        # (K, B, C) block; adding the sample's label picks its label column.
+        offsets = np.arange(count * self.batch_size).reshape(count, -1)
+        offsets *= self.num_classes
         losses = np.empty((count, steps))
         features = np.empty((count, self.batch_size, self.num_features))
         labels = np.empty((count, self.batch_size), dtype=np.int64)
@@ -149,15 +151,15 @@ class LogisticBlobsTask:
             probs = self._softmax(
                 features @ weights.transpose(0, 2, 1) + bias[:, None, :]
             )
-            losses[:, local] = -np.mean(
-                np.log(probs[client_rows, batch_rows, labels] + 1e-12), axis=1
-            )
+            picked = offsets + labels
+            log_p = np.log(probs.reshape(-1)[picked] + 1e-12)
+            losses[:, local] = -log_p.sum(axis=1) / self.batch_size
             grad_logits = probs
-            grad_logits[client_rows, batch_rows, labels] -= 1.0
+            grad_logits.reshape(-1)[picked] -= 1.0
             grad_logits /= self.batch_size
             weights -= lr * (grad_logits.transpose(0, 2, 1) @ features)
             bias -= lr * grad_logits.sum(axis=1)
-        return np.mean(losses, axis=1)
+        return losses.sum(axis=1) / steps
 
     def evaluate(self, vector: np.ndarray) -> Tuple[float, float]:
         """(validation loss, accuracy) of a flat model vector."""
