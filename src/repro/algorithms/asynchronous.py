@@ -38,8 +38,10 @@ from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
+from repro.core.gossip import average_pairs
 from repro.network.metrics import TrafficMeter
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_non_negative
 
 
 class AsyncAlgorithm(DistributedAlgorithm):
@@ -392,17 +394,9 @@ class AsyncGossip(AsyncAlgorithm):
             self._begin_cycle(node, now)
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
-        obs.timed("mix", self._average_masked, a, b, indices)
+        obs.timed("mix", average_pairs, self.arena.data, [a], [b], indices)
         self._begin_cycle(a, now)
         self._begin_cycle(b, now)
-
-    def _average_masked(self, a: int, b: int, indices: np.ndarray) -> None:
-        """Eq. 7 on the masked components of the pair — same math as the
-        synchronous SAPS exchange."""
-        data = self.arena.data
-        averaged = 0.5 * (data[a, indices] + data[b, indices])
-        data[a, indices] = averaged
-        data[b, indices] = averaged
 
 
 class AsyncDPSGD(AsyncAlgorithm):
@@ -493,6 +487,27 @@ class AsyncDPSGD(AsyncAlgorithm):
         self._begin_cycle(rank, now)
 
 
+class StalenessMix:
+    """FedAsync's server rule: an upload ``u`` of staleness ``s`` enters the
+    global model ``g`` as ``(1 − α)·g + α·u``, ``α = mixing / (1 + s) **
+    staleness_power``, cast back to ``g``'s dtype."""
+
+    def __init__(self, mixing: float, staleness_power: float) -> None:
+        if not 0.0 < mixing <= 1.0:
+            raise ValueError(f"mixing must be in (0, 1], got {mixing}")
+        self.mixing = float(mixing)
+        self.staleness_power = float(
+            check_non_negative(staleness_power, "staleness_power")
+        )
+
+    def __call__(
+        self, global_model: np.ndarray, upload: np.ndarray, staleness: int
+    ) -> np.ndarray:
+        alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
+        mixed = (1.0 - alpha) * global_model + alpha * upload
+        return mixed.astype(global_model.dtype, copy=False)
+
+
 class AsyncFedAvg(AsyncAlgorithm):
     """FedAsync-style federated averaging with a staleness-weighted server.
 
@@ -520,16 +535,9 @@ class AsyncFedAvg(AsyncAlgorithm):
         sample_size: Optional[int] = None,
     ) -> None:
         super().__init__(local_steps=local_steps)
-        if not 0.0 < mixing <= 1.0:
-            raise ValueError(f"mixing must be in (0, 1], got {mixing}")
-        if staleness_power < 0.0:
-            raise ValueError(
-                f"staleness_power must be >= 0, got {staleness_power}"
-            )
+        self._mix = StalenessMix(mixing, staleness_power)
         if sample_size is not None and int(sample_size) < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        self.mixing = float(mixing)
-        self.staleness_power = float(staleness_power)
         #: Sampled participation: at most this many clients hold an
         #: in-flight cycle at any moment; each completed (or dropped)
         #: upload frees the seat for a freshly sampled client.  ``None``
@@ -654,15 +662,12 @@ class AsyncFedAvg(AsyncAlgorithm):
     def _on_upload(self, rank: int, base_version: int, now: float) -> None:
         staleness = self.server_version - base_version
         self.staleness_log.append(staleness)
-        alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        obs.timed("mix", self._mix_upload, rank, alpha)
+        self.global_model = obs.timed(
+            "mix", self._mix, self.global_model, self.arena.data[rank],
+            staleness,
+        )
         self.server_version += 1
         self._cycle_finished(rank, now)
-
-    def _mix_upload(self, rank: int, alpha: float) -> None:
-        upload = self.arena.data[rank]
-        mixed = (1.0 - alpha) * self.global_model + alpha * upload
-        self.global_model = mixed.astype(self.global_model.dtype, copy=False)
 
     def consensus_model(self) -> np.ndarray:
         """The evaluated model is the server's global model."""

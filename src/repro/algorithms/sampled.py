@@ -35,10 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.algorithms.asynchronous import StalenessMix
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
+from repro.core.gossip import average_pairs
 from repro.core.matching import greedy_weighted_matching
 from repro.network.metrics import TrafficMeter
+from repro.nn.arena import consensus_fold
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 from repro.utils.rng import derive_seed
@@ -214,12 +217,7 @@ class SampledAsyncFedAvg:
             )
         if local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        if not 0.0 < mixing <= 1.0:
-            raise ValueError(f"mixing must be in (0, 1], got {mixing}")
-        if staleness_power < 0.0:
-            raise ValueError(
-                f"staleness_power must be >= 0, got {staleness_power}"
-            )
+        self._mix = StalenessMix(mixing, staleness_power)
         if capacity is None:
             # Headroom above the pinned set so pins can never dead-lock
             # and recently-active rows get a little reuse.
@@ -235,8 +233,6 @@ class SampledAsyncFedAvg:
         self.num_clients = num_clients
         self.sample_size = sample_size
         self.local_steps = int(local_steps)
-        self.mixing = float(mixing)
-        self.staleness_power = float(staleness_power)
         self.lr = float(check_non_negative(lr, "lr"))
         self.model_size = task.model_size
         self.model_bytes = task.model_size * BYTES_PER_VALUE
@@ -309,11 +305,9 @@ class SampledAsyncFedAvg:
         only the active working set is materialized, so this reports the
         drift of the rows that exist — the honest sampled analogue.
         """
-        slots = self.arena.resident_slots()
-        if slots.size == 0:
-            return 0.0
-        diffs = self.arena.data[slots] - self.global_model
-        return float(np.mean(np.sum(diffs ** 2, axis=1)))
+        return consensus_fold(
+            self.arena.resident_rows(), center=self.global_model
+        )[1]
 
     def evaluate_consensus_model(self, validation) -> Tuple[float, float]:
         """Engine snapshot hook: the task owns its validation split."""
@@ -395,27 +389,14 @@ class SampledAsyncFedAvg:
     def _on_upload(self, client: int, version: int, now: float) -> None:
         staleness = self.server_version - version
         self.staleness_log.append(staleness)
-        alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        upload = self.arena.row(client)
-        mixed = (1.0 - alpha) * self.global_model + alpha * upload
-        self.global_model = mixed.astype(self.global_model.dtype, copy=False)
+        self.global_model = self._mix(
+            self.global_model, self.arena.row(client), staleness
+        )
         self.server_version += 1
         self.upload_count += 1
         self.arena.release([client])
         self._active.discard(client)
         self._fill_seat(now)
-
-
-def _average_pairs(
-    data: np.ndarray, pairs: np.ndarray, indices: np.ndarray
-) -> None:
-    """Eq. 7 on every matched pair of rows at once: each ``(a, b)`` row of
-    ``pairs`` leaves agreeing on ``½(x_a + x_b)`` at ``indices``."""
-    left = np.ix_(pairs[:, 0], indices)
-    right = np.ix_(pairs[:, 1], indices)
-    averaged = 0.5 * (data[left] + data[right])
-    data[left] = averaged
-    data[right] = averaged
 
 
 class SampledSAPS:
@@ -436,9 +417,9 @@ class SampledSAPS:
     :class:`SampledAsyncFedAvg`.
 
     Resident memory is ∝ ``capacity``, never enrolment; the consensus
-    diagnostics stream over resident rows + writeback store + lazy cold
-    mass (:func:`~repro.theory.streaming.arena_consensus`), so nothing
-    ever materializes ``(n, N)``.
+    model folds resident rows + writeback store + lazy cold mass
+    (:meth:`ShardedArena.consensus`), so nothing ever materializes
+    ``(n, N)``.
     """
 
     name = "Sampled-SAPS"
@@ -612,7 +593,8 @@ class SampledSAPS:
                     [(arena.slot_of(a), arena.slot_of(b)) for a, b in matching]
                 )
                 obs.timed(
-                    "mix", _average_pairs, arena.data, pair_slots, indices
+                    "mix", average_pairs, arena.data, pair_slots[:, 0],
+                    pair_slots[:, 1], indices,
                 )
             self.exchange_count += len(matching)
             self.exchanged_bytes += (
@@ -621,16 +603,6 @@ class SampledSAPS:
         self.rounds_run += 1
         return float(np.mean(losses))
 
-    # ------------------------------------------------------------------
-    # streamed diagnostics (never materialize (n, N))
-    # ------------------------------------------------------------------
-    def _streamed(self) -> Tuple[np.ndarray, float]:
-        # Imported here: repro.theory pulls in repro.sim.engine at module
-        # load, which circles back into repro.algorithms.
-        from repro.theory.streaming import arena_consensus
-
-        return arena_consensus(self.arena)
-
     def evaluate(self) -> Tuple[float, float]:
-        """(validation loss, accuracy) of the streamed consensus model."""
-        return self.task.evaluate(self._streamed()[0])
+        """(validation loss, accuracy) of the whole enrolment's mean model."""
+        return self.task.evaluate(self.arena.consensus()[0])

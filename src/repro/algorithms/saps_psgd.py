@@ -33,7 +33,11 @@ from repro import obs
 from repro.algorithms.base import DistributedAlgorithm
 from repro.compression.base import check_compression_ratio
 from repro.compression.random_mask import RandomMaskCompressor, generate_mask
-from repro.core.gossip import FixedRingSelector, RandomPeerSelector
+from repro.core.gossip import (
+    FixedRingSelector,
+    RandomPeerSelector,
+    average_pairs,
+)
 from repro.core.protocol import Coordinator, RoundPlan
 from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import derive_seed
@@ -260,9 +264,9 @@ class SAPSPSGD(DistributedAlgorithm):
             pairs.append((a, b))
 
         # Batched Eq. (7) end-to-end: one compress_matrix call builds
-        # the round's shared mask (Algorithm 2, lines 6-7) and gathers
-        # every replica's surviving components in a single fancy-indexed
-        # read; the merge averages the matched blocks and scatters back.
+        # the round's shared mask (Algorithm 2, lines 6-7) and the
+        # payloads the pairs ship; the merge averages every matched pair's
+        # masked components and scatters them back.
         if pairs:
             with obs.phase("comm"):
                 if gathered is not None:
@@ -277,17 +281,15 @@ class SAPSPSGD(DistributedAlgorithm):
                     batch = self.compressor.compress_matrix_with_seed(
                         self.arena.data, plan.mask_seed
                     )
-                indices, values = batch.indices, batch.values
-                pair_array = np.asarray(pairs, dtype=np.int64)
-                left, right = pair_array[:, 0], pair_array[:, 1]
-                replicas = self.arena.data
                 for a, b in pairs:
                     self.network.exchange(
                         round_index, a, b, batch[a], batch[b]
                     )
-                averaged = 0.5 * (values[left] + values[right])
-                replicas[np.ix_(left, indices)] = averaged
-                replicas[np.ix_(right, indices)] = averaged
+                pair_array = np.asarray(pairs, dtype=np.int64)
+                average_pairs(
+                    self.arena.data, pair_array[:, 0], pair_array[:, 1],
+                    batch.indices,
+                )
 
         if self.network.bandwidth is not None:
             self.round_bandwidths.append(

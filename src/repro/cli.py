@@ -359,6 +359,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    config = _configured(_config, args)
     partitions, validation, factory = _build_workload(args)
     bandwidth = _configured(_build_bandwidth, args)
     settings = SuiteSettings(
@@ -369,7 +370,7 @@ def cmd_compare(args) -> int:
         base_seed=args.seed,
     )
     results = run_comparison(
-        partitions, validation, factory, _config(args),
+        partitions, validation, factory, config,
         bandwidth=bandwidth, settings=settings,
         local_steps=args.local_steps if args.local_steps > 1 else None,
     )

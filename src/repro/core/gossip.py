@@ -60,6 +60,19 @@ def gossip_matrix_from_matching(matching: Matching, num_workers: int) -> np.ndar
     return gossip
 
 
+def average_pairs(
+    replicas: np.ndarray, left, right, indices: np.ndarray
+) -> None:
+    """Eq. 7 on matched rows at once: rows ``left[i]`` and ``right[i]`` of
+    ``replicas`` leave agreeing on ``½(x_a + x_b)`` at the shared mask's
+    ``indices``; every other component stays put."""
+    left = np.ix_(left, indices)
+    right = np.ix_(right, indices)
+    averaged = 0.5 * (replicas[left] + replicas[right])
+    replicas[left] = averaged
+    replicas[right] = averaged
+
+
 def ring_gossip_matrix(num_workers: int, self_weight: float = 1.0 / 3.0) -> np.ndarray:
     """Uniform ring gossip matrix used by the D-PSGD/DCD-PSGD baselines:
     each worker averages itself with its two ring neighbours."""

@@ -37,7 +37,7 @@ per-layer storage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -142,12 +142,11 @@ class ParameterArena:
     # ------------------------------------------------------------------
     def mean_model(self) -> np.ndarray:
         """``X̄ = X·1/n`` as one reduction (fresh array)."""
-        return self.data.mean(axis=0)
+        return fold_mean(self.data)
 
     def consensus_distance(self) -> float:
-        """``(1/n)Σᵢ‖xᵢ − x̄‖²`` as one pass over the matrix."""
-        mean = self.data.mean(axis=0)
-        return float(np.mean(np.sum((self.data - mean) ** 2, axis=1)))
+        """``(1/n)Σᵢ‖xᵢ − x̄‖²``, one row block at a time."""
+        return consensus_fold(self.data)[1]
 
     def mix(self, gossip: np.ndarray) -> None:
         """Apply one gossip step ``X ← W·X`` in a single matmul."""
@@ -158,6 +157,87 @@ class ParameterArena:
                 f"({self.num_workers}, {self.num_workers})"
             )
         self.data[...] = gossip @ self.data
+
+
+#: Byte budget of one row block of :func:`consensus_fold`: the most its
+#: ``(rows, N)`` temporaries hold at once, never a copy of every row.
+FOLD_BLOCK_BYTES = 1 << 20
+
+#: Client rows for the fold: a ``(n, N)`` matrix, or a list of ``(N,)``
+#: rows that live apart (a sharded arena's slots and writeback store).
+Rows = Union[np.ndarray, List[np.ndarray]]
+
+
+def _blocks(rows: Rows, itemsize: Optional[int] = None):
+    """``rows`` as ``(k, N)`` arrays of at most :data:`FOLD_BLOCK_BYTES`
+    at ``itemsize`` bytes a value (default: the rows'); a list is stacked
+    one block at a time."""
+    if len(rows) == 0:
+        return
+    itemsize = itemsize or rows[0].itemsize
+    size = max(1, FOLD_BLOCK_BYTES // (max(1, rows[0].size) * itemsize))
+    for start in range(0, len(rows), size):
+        block = rows[start : start + size]
+        yield block if isinstance(block, np.ndarray) else np.stack(block)
+
+
+def fold_mean(
+    rows: Rows,
+    cold: Optional[np.ndarray] = None,
+    cold_count: int = 0,
+    dtype: DTypeLike = None,
+) -> np.ndarray:
+    """Pass 1 of :func:`consensus_fold`: ``(Σᵢ xᵢ + cold_count·cold) / n``
+    over ``n = len(rows) + cold_count`` clients, summed in ``dtype``
+    (default: the rows' own).
+
+    A matrix is one reduction down its rows, so its mean is
+    ``rows.mean(axis=0)`` bit for bit; a list is summed block by block."""
+    count = len(rows) + cold_count
+    if count == 0:
+        raise ValueError("no rows to average")
+    if isinstance(rows, np.ndarray):
+        total = rows.sum(axis=0, dtype=dtype)
+    else:
+        total = sum(
+            (block.sum(axis=0, dtype=dtype) for block in _blocks(rows)), 0.0
+        )
+    if cold_count:
+        total = total + cold_count * np.asarray(cold, dtype=dtype)
+    return total / count
+
+
+def consensus_fold(
+    rows: Rows,
+    center: Optional[np.ndarray] = None,
+    cold: Optional[np.ndarray] = None,
+    cold_count: int = 0,
+    dtype: DTypeLike = None,
+) -> Tuple[np.ndarray, float]:
+    """``(x̄, (1/n) Σᵢ ‖xᵢ − x̄‖²)`` over ``n = len(rows) + cold_count``
+    clients — the consensus distance Theorem 1 bounds — holding at most one
+    row block of temporaries.
+
+    ``cold_count`` further clients all sit at ``cold`` (a sharded arena's
+    never-touched clients) and cost O(N).  Pass 1 is :func:`fold_mean`.
+    Pass 2 writes each row's ``‖xᵢ − x̄‖²`` into a per-row vector one block
+    at a time, so a matrix's distance is
+    ``np.mean(np.sum((X − x̄) ** 2, axis=1))`` bit for bit.  A given
+    ``center`` replaces ``x̄`` and skips pass 1.  No clients: distance 0.
+    """
+    if center is None:
+        center = fold_mean(rows, cold, cold_count, dtype)
+    count = len(rows) + cold_count
+    if count == 0:
+        return center, 0.0
+    per_row = []
+    for block in _blocks(rows, center.itemsize):
+        diff = block - center
+        per_row.append(np.square(diff, out=diff).sum(axis=1))
+    total = np.concatenate(per_row).sum() if per_row else 0.0
+    if cold_count:
+        total = total + cold_count * np.square(cold - center).sum()
+    return center, float(total / count)
 
 
 def shared_arena(models: Sequence[Module]) -> Optional[ParameterArena]:

@@ -11,16 +11,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.utils.validation import check_non_negative, check_positive
 
 
 class Optimizer:
     """Base optimizer over a list of :class:`Parameter`."""
 
     def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
-        self.lr = lr
+        self.lr = check_positive(lr, "lr")
 
     def step(self) -> None:
         raise NotImplementedError
@@ -46,8 +45,7 @@ class SGD(Optimizer):
         super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+        check_non_negative(weight_decay, "weight_decay")
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov requires momentum > 0")
         self.momentum = momentum

@@ -29,10 +29,11 @@ enrolment.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.arena import consensus_fold
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 
 
@@ -236,7 +237,7 @@ class ShardedArena:
         stored = self._store.get(client)
         if stored is not None:
             return stored
-        return self.cold_vector.copy()
+        return self._cold_vector.copy()
 
     def set_cold(self, vector: np.ndarray) -> None:
         """Install the state dormant (never-touched) clients start from."""
@@ -302,19 +303,27 @@ class ShardedArena:
         return delta
 
     # ------------------------------------------------------------------
-    # the three kinds of client state, for streamed reductions
+    # consensus over the three kinds of client state
     # ------------------------------------------------------------------
-    def resident_slots(self) -> np.ndarray:
-        """Slots currently holding a client row (ascending)."""
-        return np.array(sorted(self._slot_of.values()), dtype=np.int64)
+    def resident_rows(self) -> List[np.ndarray]:
+        """Live views of the resident client rows, in slot order."""
+        return [self.data[slot] for slot in sorted(self._slot_of.values())]
 
-    def stored_rows(self) -> List[np.ndarray]:
-        """The writeback store's row copies — fed block-wise to the
-        streaming consensus fold."""
-        return list(self._store.values())
+    def consensus(self) -> Tuple[np.ndarray, float]:
+        """``(x̄, (1/n) Σᵢ ‖xᵢ − x̄‖²)`` over the whole enrolment, never
+        building ``(n, N)``: the resident rows, the writeback store, and
+        every never-touched client as one cold mass, summed in float64
+        (:func:`~repro.nn.arena.consensus_fold`)."""
+        rows = self.resident_rows() + list(self._store.values())
+        return consensus_fold(
+            rows,
+            cold=self._cold_vector,
+            cold_count=self.num_clients - len(rows),
+            dtype=np.float64,
+        )
 
     @property
-    def cold_vector(self) -> np.ndarray:
+    def _cold_vector(self) -> np.ndarray:
         """The state every never-touched client sits at."""
         if self._cold is not None:
             return self._cold

@@ -20,6 +20,7 @@ from repro.nn.module import Module
 from repro.sim.trainer import TrainingWorker, bind_arena
 from repro.utils.dtypes import resolve_dtype
 from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.algorithms
     from repro.algorithms.base import DistributedAlgorithm
@@ -69,12 +70,10 @@ class ExperimentConfig:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        check_positive(self.lr, "lr")
         if self.eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {self.eval_every}")
-        if self.lr_gamma <= 0:
-            raise ValueError(f"lr_gamma must be positive, got {self.lr_gamma}")
+        check_positive(self.lr_gamma, "lr_gamma")
         if self.local_steps < 1:
             raise ValueError(
                 f"local_steps must be >= 1, got {self.local_steps}"

@@ -14,14 +14,13 @@ from typing import Callable, List
 import numpy as np
 
 from repro.compression.random_mask import generate_mask
+from repro.nn.arena import consensus_fold
 from repro.utils.rng import SeedLike, as_generator, derive_seed
 
 
 def consensus_distance(states: np.ndarray) -> float:
-    """``(1/n)·Σᵢ‖xᵢ − x̄‖²`` for states of shape ``(n, dim)``."""
-    states = np.asarray(states, dtype=np.float64)
-    mean = states.mean(axis=0, keepdims=True)
-    return float(np.mean(np.sum((states - mean) ** 2, axis=1)))
+    """``(1/n)·Σᵢ‖xᵢ − x̄‖²`` for states of shape ``(n, dim)``, in float64."""
+    return consensus_fold(np.asarray(states, dtype=np.float64))[1]
 
 
 @dataclass

@@ -4,8 +4,13 @@ per-model reference loop, and ``setup`` making arena backing an invariant."""
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.decentralized import DPSGD
 from repro.algorithms.psgd import PSGD, TopKPSGD
@@ -15,7 +20,8 @@ from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
 from repro.nn import MLP
 from repro.nn.optim import SGD
-from repro.nn.arena import ParameterArena, shared_arena
+from repro.nn import arena as arena_module
+from repro.nn.arena import ParameterArena, consensus_fold, shared_arena
 from repro.sim import ExperimentConfig, make_workers, run_experiment
 from repro.sim.trainer import TrainingWorker
 from repro.sim.engine import evaluate_consensus
@@ -155,6 +161,54 @@ class TestArenaViews:
         mean = stacked.mean(axis=0)
         expected = float(np.mean(np.sum((stacked - mean) ** 2, axis=1)))
         assert arena.consensus_distance() == expected
+
+
+class TestConsensusFold:
+    """The row-blocked fold is the whole-matrix formula bit for bit, at any
+    block budget, and never holds a copy of the matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        width=st.integers(1, 4_000),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        budget=st.integers(1, 1 << 21),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_fold_is_the_whole_matrix_formula(
+        self, n, width, dtype, budget, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(1e-3, 1e3)
+        rows = (scale * rng.normal(size=(n, width))).astype(dtype)
+        center = (scale * rng.normal(size=width)).astype(dtype)
+        with mock.patch.object(arena_module, "FOLD_BLOCK_BYTES", budget):
+            mean, distance = consensus_fold(rows)
+            _, centred = consensus_fold(list(rows), center=center)
+        whole = rows.mean(axis=0)
+        assert mean.dtype == dtype
+        np.testing.assert_array_equal(mean, whole)
+        assert distance == float(
+            np.mean(np.sum((rows - whole) ** 2, axis=1))
+        )
+        # SampledAsyncFedAvg's distance of resident rows to the server model.
+        assert centred == float(np.mean(np.sum((rows - center) ** 2, axis=1)))
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((16, 85_002), np.float32), ((1_024, 1_386), np.float64)],
+        ids=["topk16-f32", "saps1024-f64"],
+    )
+    def test_peak_stays_below_one_matrix(self, shape, dtype):
+        arena = ParameterArena(*shape, dtype=dtype)
+        arena.data[...] = np.random.default_rng(0).normal(size=shape)
+        tracemalloc.start()
+        try:
+            arena.consensus_distance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arena.data.nbytes
 
 
 # ----------------------------------------------------------------------

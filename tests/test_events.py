@@ -21,6 +21,8 @@ from repro.algorithms import (
     AsyncGossip,
     DPSGD,
     FedAvg,
+    LogisticBlobsTask,
+    SampledAsyncFedAvg,
     SAPSPSGD,
 )
 from repro.analysis import (
@@ -515,8 +517,17 @@ class TestAsyncFedAvg:
     def test_validation(self):
         with pytest.raises(ValueError):
             AsyncFedAvg(mixing=0.0)
-        with pytest.raises(ValueError):
-            AsyncFedAvg(staleness_power=-1.0)
+        task = LogisticBlobsTask()
+        # NaN < 0 is False: a NaN power once got through, to NaN weights.
+        for power in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="staleness_power"):
+                AsyncFedAvg(staleness_power=power)
+            with pytest.raises(ValueError, match="staleness_power"):
+                SampledAsyncFedAvg(task, 100, sample_size=8,
+                                   staleness_power=power)
+        for mixing in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="mixing"):
+                SampledAsyncFedAvg(task, 100, sample_size=8, mixing=mixing)
 
 
 class TestEventTrace:

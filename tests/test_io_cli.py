@@ -98,6 +98,9 @@ BAD_FLAGS = [
     ("--num-threads 0", "num_threads"),
     ("--connectivity-gap 0", "connectivity_gap must be >= 1, got 0"),
     ("--lr -1", "lr must"),
+    # NaN <= 0 is False: these once trained, printing nan losses.
+    ("--lr nan", "lr must be positive and finite, got nan"),
+    ("--lr inf", "lr must be positive and finite, got inf"),
 ]
 
 
@@ -386,6 +389,12 @@ class TestRunConfiguration:
         message = str(exit_info.value)
         assert message.startswith("configuration error: ")
         assert names in message
+
+    def test_bad_compare_flag_exits_naming_it(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_comparison", _trains)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", *SMALL, "--lr", "0"])
+        assert str(exit_info.value).startswith("configuration error: lr must")
 
     def test_error_inside_a_round_keeps_its_traceback(self, monkeypatch):
         def fails_in_round(*args, **kwargs):

@@ -60,6 +60,10 @@ class TestSGD:
             {"lr": 0.1, "momentum": 1.0},
             {"lr": 0.1, "weight_decay": -1.0},
             {"lr": 0.1, "nesterov": True},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"lr": 0.1, "weight_decay": float("nan")},
+            {"lr": 0.1, "weight_decay": float("inf")},
         ],
     )
     def test_invalid_args(self, kwargs):

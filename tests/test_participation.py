@@ -5,10 +5,12 @@ argument checks, the sampled-neighborhood SAPS equivalence properties
 (full-coverage sampling bit-identical to full participation;
 trajectories independent of arena capacity thanks to eviction
 writeback), the AsyncGossip mid-round re-match when a waiting partner
-goes down, the ShardedArena pin telemetry, the streamed consensus
-diagnostics against the dense formulas, and the stacked local-training
+goes down, the ShardedArena pin telemetry, the consensus fold over sharded
+state against the dense formulas, and the stacked local-training
 kernel of the sampled families against its per-client oracle.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from repro.algorithms import (
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
-from repro.nn.arena import ParameterArena
+from repro.nn import arena as arena_module
+from repro.nn.arena import ParameterArena, consensus_fold
 from repro.nn.sharded import ShardedArena
 from repro.sim.population import ClientPopulation
 from repro.sim import (
@@ -35,7 +38,6 @@ from repro.sim import (
     run_experiment,
 )
 from repro.sim.participation import ParticipationContext
-from repro.theory.streaming import StreamingMoments, arena_consensus
 from repro.utils import parallel
 from tests.reference import sampled as reference
 
@@ -154,8 +156,8 @@ class TestSampledSAPSStandalone:
         assert small_algo.arena.evictions > 0
         assert big_losses == small_losses
         assert big_eval == small_eval
-        assert arena_consensus(small_algo.arena)[1] == pytest.approx(
-            arena_consensus(big_algo.arena)[1], rel=1e-9
+        assert small_algo.arena.consensus()[1] == pytest.approx(
+            big_algo.arena.consensus()[1], rel=1e-9
         )
 
     def test_learns_and_stays_sharded(self):
@@ -360,31 +362,29 @@ class TestPinTelemetry:
 
 
 class TestStreamingConsensus:
+    """The consensus fold streamed over rows that live apart: a list of
+    rows, a cold mass and a sharded arena's three kinds of client state."""
+
     def test_moments_match_numpy(self, rng):
         rows = rng.normal(size=(23, 7))
-        stats = StreamingMoments(7)
-        for start in range(0, 23, 5):
-            stats.add_rows(rows[start : start + 5])
-        assert stats.count == 23
-        np.testing.assert_allclose(stats.mean, rows.mean(axis=0))
-        assert stats.consensus_distance() == pytest.approx(rows.var(axis=0).sum())
+        mean, distance = consensus_fold(list(rows))
+        np.testing.assert_allclose(mean, rows.mean(axis=0))
+        assert distance == pytest.approx(rows.var(axis=0).sum())
         expected = float(
             np.mean(np.sum((rows - rows.mean(axis=0)) ** 2, axis=1))
         )
-        assert stats.consensus_distance() == pytest.approx(expected)
+        assert distance == pytest.approx(expected)
 
     def test_add_mass_equals_repeated_rows(self, rng):
         vector = rng.normal(size=5)
         rows = rng.normal(size=(4, 5))
-        lazy = StreamingMoments(5)
-        lazy.add_rows(rows)
-        lazy.add_mass(vector, 100)
-        dense = StreamingMoments(5)
-        dense.add_rows(np.vstack([rows, np.tile(vector, (100, 1))]))
-        np.testing.assert_allclose(lazy.mean, dense.mean)
-        assert lazy.consensus_distance() == pytest.approx(
-            dense.consensus_distance()
-        )
+        lazy = consensus_fold(list(rows), cold=vector, cold_count=100)
+        dense = consensus_fold(np.vstack([rows, np.tile(vector, (100, 1))]))
+        np.testing.assert_allclose(lazy[0], dense[0])
+        assert lazy[1] == pytest.approx(dense[1])
+        only_cold = consensus_fold([], cold=vector, cold_count=3)
+        np.testing.assert_allclose(only_cold[0], vector)
+        assert only_cold[1] == pytest.approx(0.0, abs=1e-30)
 
     def test_arena_consensus_matches_dense_formulas(self, rng):
         """The whole enrolment resident, faulted in out of client order:
@@ -395,33 +395,36 @@ class TestStreamingConsensus:
         replicas.data[...] = rng.normal(size=(9, 6))
         for client in rng.permutation(9):
             arena.row(client)[...] = replicas.data[client]
-        mean, distance = arena_consensus(arena, block=4)
+        mean, distance = arena.consensus()
         np.testing.assert_allclose(mean, replicas.mean_model())
         assert distance == pytest.approx(replicas.consensus_distance())
 
     def test_arena_consensus_streams_sharded_state(self, rng):
-        arena = ShardedArena(60, 6, capacity=8, cold=np.full(6, 0.25))
-        for client in [3, 9, 14, 2, 7, 30, 41, 5, 9, 22, 3, 19]:
-            arena.row(client)[...] += rng.normal(size=6)
-        mean, distance = arena_consensus(arena, block=4)
-        replicas = np.stack(
-            [arena.peek(c) for c in range(60)]
-        ).astype(np.float64)
-        np.testing.assert_allclose(mean, replicas.mean(axis=0))
-        expected = float(
-            np.mean(np.sum((replicas - replicas.mean(axis=0)) ** 2, axis=1))
-        )
-        assert distance == pytest.approx(expected)
-        assert arena.evictions > 0, "the test should exercise writeback"
+        """Resident, written-back and cold clients, in blocks of a few
+        rows, against the dense formula over every client's row."""
+        for dtype in ("float64", "float32"):
+            arena = ShardedArena(60, 6, capacity=8, dtype=dtype,
+                                 cold=np.full(6, 0.25))
+            for client in [3, 9, 14, 2, 7, 30, 41, 5, 9, 22, 3, 19]:
+                arena.row(client)[...] += rng.normal(size=6)
+            with mock.patch.object(arena_module, "FOLD_BLOCK_BYTES", 100):
+                mean, distance = arena.consensus()
+            replicas = np.stack(
+                [arena.peek(c) for c in range(60)]
+            ).astype(np.float64)
+            assert mean.dtype == np.float64
+            np.testing.assert_allclose(mean, replicas.mean(axis=0))
+            expected = float(np.mean(
+                np.sum((replicas - replicas.mean(axis=0)) ** 2, axis=1)
+            ))
+            assert distance == pytest.approx(expected)
+            assert arena.evictions > 0, "the test should exercise writeback"
 
     def test_empty_and_validation(self):
-        stats = StreamingMoments(3)
-        assert stats.consensus_distance() == 0.0
-        stats.add_mass(np.ones(3), 0)
-        assert stats.count == 0
-        with pytest.raises(ValueError):
-            StreamingMoments(0)
-        with pytest.raises(ValueError):
-            stats.add_mass(np.ones(3), -1)
-        with pytest.raises(ValueError):
-            stats.add_rows(np.ones((2, 4)))
+        center = np.ones(3)
+        assert consensus_fold([], center=center) == (center, 0.0)
+        assert consensus_fold(np.empty((0, 3)), center=center)[1] == 0.0
+        with pytest.raises(ValueError, match="no rows"):
+            consensus_fold([])
+        with pytest.raises(ValueError, match="no rows"):
+            consensus_fold(np.empty((0, 3)))

@@ -84,6 +84,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(eval_every=0)
 
+    @pytest.mark.parametrize("field", ["lr", "lr_gamma"])
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    def test_rates_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ExperimentConfig(**{field: value})
+
 
 class TestRunExperiment:
     def test_history_structure(self, workload):
