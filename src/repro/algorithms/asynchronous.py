@@ -394,7 +394,7 @@ class AsyncGossip(AsyncAlgorithm):
             self._begin_cycle(node, now)
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
-        obs.timed("mix", average_pairs, self.arena.data, [a], [b], indices)
+        obs.timed("mix", average_pairs, self.arena.data, a, b, indices)
         self._begin_cycle(a, now)
         self._begin_cycle(b, now)
 

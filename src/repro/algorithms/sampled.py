@@ -593,8 +593,8 @@ class SampledSAPS:
                     [(arena.slot_of(a), arena.slot_of(b)) for a, b in matching]
                 )
                 obs.timed(
-                    "mix", average_pairs, arena.data, pair_slots[:, 0],
-                    pair_slots[:, 1], indices,
+                    "mix", average_pairs, arena.data, pair_slots[:, :1],
+                    pair_slots[:, 1:], indices,
                 )
             self.exchange_count += len(matching)
             self.exchanged_bytes += (

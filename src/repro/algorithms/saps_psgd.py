@@ -287,7 +287,7 @@ class SAPSPSGD(DistributedAlgorithm):
                     )
                 pair_array = np.asarray(pairs, dtype=np.int64)
                 average_pairs(
-                    self.arena.data, pair_array[:, 0], pair_array[:, 1],
+                    self.arena.data, pair_array[:, :1], pair_array[:, 1:],
                     batch.indices,
                 )
 

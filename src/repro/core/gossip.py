@@ -63,11 +63,13 @@ def gossip_matrix_from_matching(matching: Matching, num_workers: int) -> np.ndar
 def average_pairs(
     replicas: np.ndarray, left, right, indices: np.ndarray
 ) -> None:
-    """Eq. 7 on matched rows at once: rows ``left[i]`` and ``right[i]`` of
+    """Eq. 7 on matched rows at once: rows ``left`` and ``right`` of
     ``replicas`` leave agreeing on ``½(x_a + x_b)`` at the shared mask's
-    ``indices``; every other component stays put."""
-    left = np.ix_(left, indices)
-    right = np.ix_(right, indices)
+    ``indices``; every other component stays put.  ``left`` / ``right``
+    are one row each, or ``(P, 1)`` columns paired entry by entry (they
+    broadcast against ``indices``, cheaper than ``np.ix_``)."""
+    left = (left, indices)
+    right = (right, indices)
     averaged = 0.5 * (replicas[left] + replicas[right])
     replicas[left] = averaged
     replicas[right] = averaged

@@ -174,11 +174,15 @@ def _blocks(rows: Rows, itemsize: Optional[int] = None):
     one block at a time."""
     if len(rows) == 0:
         return
+    width = rows[0].size
     itemsize = itemsize or rows[0].itemsize
-    size = max(1, FOLD_BLOCK_BYTES // (max(1, rows[0].size) * itemsize))
+    size = max(1, FOLD_BLOCK_BYTES // (max(1, width) * itemsize))
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
-        yield block if isinstance(block, np.ndarray) else np.stack(block)
+        if not isinstance(block, np.ndarray):
+            # One flat copy: np.stack costs about four times as much a row.
+            block = np.concatenate(block).reshape(len(block), width)
+        yield block
 
 
 def fold_mean(
