@@ -170,8 +170,8 @@ Rows = Union[np.ndarray, List[np.ndarray]]
 
 def _blocks(rows: Rows, itemsize: Optional[int] = None):
     """``rows`` as ``(k, N)`` arrays of at most :data:`FOLD_BLOCK_BYTES`
-    at ``itemsize`` bytes a value (default: the rows'); a list is stacked
-    one block at a time."""
+    at ``itemsize`` bytes a value (default: the rows'); a list's rows are
+    copied together one block at a time."""
     if len(rows) == 0:
         return
     width = rows[0].size

@@ -367,7 +367,9 @@ class TestStreamingConsensus:
 
     def test_moments_match_numpy(self, rng):
         rows = rng.normal(size=(23, 7))
-        mean, distance = consensus_fold(list(rows))
+        # Blocks of five rows, as the row list streams in.
+        with mock.patch.object(arena_module, "FOLD_BLOCK_BYTES", 5 * 7 * 8):
+            mean, distance = consensus_fold(list(rows))
         np.testing.assert_allclose(mean, rows.mean(axis=0))
         assert distance == pytest.approx(rows.var(axis=0).sum())
         expected = float(
