@@ -1,4 +1,4 @@
-"""The five timing questions a whole single-thread run cannot answer.
+"""The six timing questions a whole single-thread run cannot answer.
 
 ``benchmarks/e2e`` owns whole-run timing (wall-clock, memory, traffic and
 time to target, per layer) on five untraced single-thread workloads.
@@ -21,9 +21,15 @@ and held by the :data:`GATES` table below:
 * ``peer_selection`` — the spread of one ``AdaptivePeerSelector.select``
   at n = 1024 over seeds and rounds: a whole run reports a total, and a
   fallback round that costs 100× the median (the third one did, before
-  PR 21) hides inside it.
+  PR 21) hides inside it;
+* ``substream_seeding`` — the per-seed cost of positioning a generator
+  at a seed's stream through :class:`repro.utils.rng.Substreams` against
+  one ``default_rng`` per seed, with K = 1 and K = 512 seeds per pass:
+  ``sampled_saps100k`` runs mostly wide passes, and the one-key calls
+  (an async participant's batch, a lone availability query) must not
+  pay for them.
 
-The middle three are A/Bs and share one primitive, :func:`_paired_ratio`:
+The A/Bs (the middle three and the last) share one primitive, :func:`_paired_ratio`:
 order-balanced pairs, judged by the median of per-pair ratios.
 
 Usage::
@@ -71,6 +77,7 @@ from repro.sim import (
 from repro.sim.calendar import CalendarQueue
 from repro.sim.faults import FaultPlan
 from repro.utils import parallel
+from repro.utils.rng import Substreams, derive_seed, pcg64_states
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hot_paths.json"
 
@@ -97,6 +104,10 @@ GATES = [
     # the median round (read ≈ 90 for the default matcher before PR 21).
     ("peer_selection", "worst_over_median_default", "<=", lambda cpus: 10),
     ("peer_selection", "worst_over_median_weighted", "<=", lambda cpus: 10),
+    # Ratios against numpy's own seeding on the same box: a wide pass
+    # pays off, and a one-key call costs about what default_rng does.
+    ("substream_seeding", "speedup_512", ">=", lambda cpus: 3),
+    ("substream_seeding", "cost_ratio_1", "<=", lambda cpus: 1.15),
 ]
 
 
@@ -425,6 +436,53 @@ def bench_peer_selection(rounds: int) -> dict:
     return results
 
 
+#: Seeds each seeding arm positions a generator at, and the seeds per pass.
+SEED_COUNT = 2048
+SEED_BATCHES = (1, 512)
+
+
+def bench_substream_seeding(pairs: int) -> dict:
+    """Per-seed wall time of reaching a seed's stream: ``default_rng(seed)``
+    against :func:`~repro.utils.rng.pcg64_states` over K seeds at a time
+    plus one :meth:`Substreams.at` per seed, order-balanced, for each K.
+    The seeds are ``derive_seed`` keys'; hashing a key to its seed is
+    the same sha256 on both sides, so the arms start from the seeds."""
+    seeds = [derive_seed(0, "client", client, 7) for client in range(SEED_COUNT)]
+    streams = Substreams(0, "client")
+
+    def timed(body):
+        def run():
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                body()
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+        return run
+
+    @timed
+    def fresh():
+        for seed in seeds:
+            np.random.default_rng(seed)
+
+    results = {"seeds": SEED_COUNT}
+    for batch in SEED_BATCHES:
+        @timed
+        def repointed():
+            for first in range(0, SEED_COUNT, batch):
+                for state in pcg64_states(seeds[first:first + batch]):
+                    streams.at(state)
+
+        row = _paired_ratio(fresh, repointed, pairs)
+        results[f"default_rng_seconds_per_seed_{batch}"] = row["base_seconds"] / SEED_COUNT
+        results[f"repointed_seconds_per_seed_{batch}"] = row["treated_seconds"] / SEED_COUNT
+        results[f"cost_ratio_{batch}"] = row["ratio"]
+        results[f"cost_ratio_quartiles_{batch}"] = row["ratio_quartiles"]
+    results["speedup_512"] = 1.0 / results["cost_ratio_512"]
+    return results
+
+
 def run_suite(repeats: int) -> dict:
     # Pairs go where the gate is tightest against the box's noise:
     # fault_round's 5 % needs the most, the storm's ~2 s arms allow few.
@@ -434,6 +492,7 @@ def run_suite(repeats: int) -> dict:
         ("event_throughput", bench_event_throughput, max(repeats - 2, 3)),
         ("fault_round", bench_fault_round, 8 * repeats),
         ("peer_selection", bench_peer_selection, 30),
+        ("substream_seeding", bench_substream_seeding, 4 * repeats),
     )
     report = {"cpu_count": os.cpu_count()}
     for name, scenario, count in scenarios:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The five timing scenarios a whole e2e run cannot see, checked against the
+# The six timing scenarios a whole e2e run cannot see, checked against the
 # GATES table in bench_hot_paths.py (exit 1 on any breach); < 55 s, writes
 # BENCH_hot_paths.json.  `--full` takes more repeats; other arguments are
 # forwarded to benchmarks.bench_hot_paths.

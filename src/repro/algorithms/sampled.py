@@ -44,7 +44,7 @@ from repro.network.metrics import TrafficMeter
 from repro.nn.arena import consensus_fold
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
-from repro.utils.rng import derive_seed
+from repro.utils.rng import Substreams, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -75,14 +75,18 @@ class LogisticBlobsTask:
             )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if noise <= 0:
-            raise ValueError(f"noise must be > 0, got {noise}")
+        check_positive(noise, "noise")
+        if validation_samples < 1:
+            raise ValueError(
+                f"validation_samples must be >= 1, got {validation_samples}"
+            )
         self.num_features = int(num_features)
         self.num_classes = int(num_classes)
         self.batch_size = int(batch_size)
         self.noise = float(noise)
         self.seed = int(seed)
         self.model_size = self.num_classes * self.num_features + self.num_classes
+        self._batch_streams = Substreams(self.seed, "client")
         rng = np.random.default_rng(derive_seed(self.seed, "task-centers"))
         # Unit-norm class centers: separation is controlled by `noise`.
         centers = rng.normal(size=(self.num_classes, self.num_features))
@@ -101,14 +105,25 @@ class LogisticBlobsTask:
     # ------------------------------------------------------------------
     def client_batch(self, client: int, step: int) -> Tuple[np.ndarray, np.ndarray]:
         """Client ``client``'s ``step``-th batch (deterministic, lazy)."""
-        rng = np.random.default_rng(
-            derive_seed(self.seed, "client", client, step)
-        )
-        labels = rng.integers(self.num_classes, size=self.batch_size)
-        features = self.centers[labels] + self.noise * rng.normal(
-            size=(self.batch_size, self.num_features)
-        )
-        return features, labels
+        features, labels = self._batches([(client, step)])
+        return features[0], labels[0]
+
+    def _batches(self, keys: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(M, B, D)`` features and ``(M, B)`` labels of the batches at
+        ``(client, step)`` keys, seeded in one pass.  Each key's draws
+        are its own ``default_rng`` stream's; the features are
+        ``noise · z + centers[labels]`` over the whole block, which IEEE
+        commutativity makes the per-key ``centers[labels] + noise · z``."""
+        streams = self._batch_streams
+        labels = np.empty((len(keys), self.batch_size), dtype=np.int64)
+        normals = np.empty((len(keys), self.batch_size, self.num_features))
+        for k, state in enumerate(streams.states(keys)):
+            rng = streams.at(state)
+            labels[k] = rng.integers(self.num_classes, size=self.batch_size)
+            normals[k] = rng.normal(size=(self.batch_size, self.num_features))
+        normals *= self.noise
+        normals += self.centers[labels]
+        return normals, labels
 
     # ------------------------------------------------------------------
     # flat-vector model ops
@@ -144,13 +159,15 @@ class LogisticBlobsTask:
         offsets = np.arange(count * self.batch_size).reshape(count, -1)
         offsets *= self.num_classes
         losses = np.empty((count, steps))
-        features = np.empty((count, self.batch_size, self.num_features))
-        labels = np.empty((count, self.batch_size), dtype=np.int64)
+        # Every (step, row) batch of the pass, seeded together.
+        all_features, all_labels = self._batches([
+            (client, cycle * steps + local)
+            for local in range(steps)
+            for client, cycle in zip(clients, cycles)
+        ])
         for local in range(steps):
-            for k, (client, cycle) in enumerate(zip(clients, cycles)):
-                features[k], labels[k] = self.client_batch(
-                    client, cycle * steps + local
-                )
+            features = all_features[local * count:(local + 1) * count]
+            labels = all_labels[local * count:(local + 1) * count]
             probs = self._softmax(
                 features @ weights.transpose(0, 2, 1) + bias[:, None, :]
             )
@@ -489,6 +506,7 @@ class SampledSAPS:
             derive_seed(self.seed, "matching")
         )
         self._bandwidth: Dict[int, float] = {}
+        self._bandwidth_streams = Substreams(self.seed, "bandwidth")
         self.last_participants: Optional[List[int]] = None
         self.rounds_run = 0
         self.exchange_count = 0
@@ -511,32 +529,23 @@ class SampledSAPS:
             round_duration=self.round_duration,
         )
 
-    def client_bandwidth(self, client: int) -> float:
-        """Client ``client``'s uplink capability, derived on first use.
-
-        Uniform on [1, 100) Mbps from a per-client seed substream — the
-        million-client analogue of the dense runs' random bandwidth
-        matrix, without ever materializing ``(n, n)``.
-        """
-        cached = self._bandwidth.get(client)
-        if cached is None:
-            rng = np.random.default_rng(
-                derive_seed(self.seed, "bandwidth", client)
-            )
-            cached = float(rng.uniform(1.0, 100.0))
-            self._bandwidth[client] = cached
-        return cached
-
     def _neighborhood_weights(self, participants: List[int]) -> np.ndarray:
         """Pairwise bandwidth submatrix for the sampled neighborhood.
 
-        Edge rate is the bottleneck link: ``min`` of the endpoints'
-        capabilities — O(K) seed derivations and an O(K²) broadcast, for
-        K = participants, independent of enrolment.
+        Each client's uplink capability is uniform on [1, 100) Mbps from
+        its own ``derive_seed(seed, "bandwidth", c)`` substream, drawn on
+        first use (the round's new clients seeded in one pass) and kept:
+        the million-client analogue of the dense runs' random bandwidth
+        matrix, without ever materializing ``(n, n)``.  Edge rate is the
+        bottleneck link, ``min`` of the endpoints' capabilities: an O(K²)
+        broadcast for K = participants, independent of enrolment.
         """
-        caps = np.array(
-            [self.client_bandwidth(c) for c in participants], dtype=np.float64
-        )
+        bandwidth = self._bandwidth
+        fresh = [c for c in participants if c not in bandwidth]
+        streams = self._bandwidth_streams
+        for client, state in zip(fresh, streams.states([(c,) for c in fresh])):
+            bandwidth[client] = float(streams.at(state).uniform(1.0, 100.0))
+        caps = np.array([bandwidth[c] for c in participants], dtype=np.float64)
         weights = np.minimum(caps[:, None], caps[None, :])
         np.fill_diagonal(weights, 0.0)
         return weights

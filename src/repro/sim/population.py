@@ -34,7 +34,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.utils.rng import derive_seed
+from repro.utils.rng import Substreams
+from repro.utils.validation import check_positive
 
 
 class ClientPopulation:
@@ -90,53 +91,69 @@ class RenewalPopulation(ClientPopulation):
         seed: int = 0,
     ) -> None:
         super().__init__(num_clients)
-        if mean_up <= 0 or mean_down <= 0:
-            raise ValueError(
-                f"mean_up and mean_down must be > 0, got {mean_up}, {mean_down}"
-            )
-        self.mean_up = float(mean_up)
-        self.mean_down = float(mean_down)
+        self.mean_up = float(check_positive(mean_up, "mean_up"))
+        self.mean_down = float(check_positive(mean_down, "mean_down"))
         self.seed = int(seed)
         self.availability = self.mean_up / (self.mean_up + self.mean_down)
-        #: client -> (initially_up, toggle times ascending, generator)
+        self._streams = Substreams(self.seed, "population")
+        #: client -> (initially_up, toggle times ascending, the client's
+        #: PCG64 ``(state, inc)`` at the start of its stream)
         self._timelines: Dict[int, tuple] = {}
 
     @property
     def touched_clients(self) -> int:
         return len(self._timelines)
 
-    def _timeline(self, client: int, until: float):
-        state = self._timelines.get(client)
-        if state is None:
-            gen = np.random.default_rng(
-                derive_seed(self.seed, "population", client)
-            )
-            initially_up = bool(gen.random() < self.availability)
-            state = (initially_up, [], gen)
-            self._timelines[client] = state
-        initially_up, toggles, gen = state
+    def _open(self, clients: List[int], until: float) -> None:
+        """Start the timelines of never-touched ``clients``, seeded in one
+        pass, each extended past ``until``."""
+        streams = self._streams
+        for client, state in zip(clients, streams.states([(c,) for c in clients])):
+            rng = streams.at(state)
+            initially_up = bool(rng.random() < self.availability)
+            toggles: List[float] = []
+            self._extend(rng, initially_up, toggles, until)
+            self._timelines[client] = (initially_up, toggles, state)
+
+    def _extend(self, rng, initially_up: bool, toggles: List[float], until: float) -> None:
         # Extend past `until`: toggle parity gives the current state, the
         # exponential draw for that state gives the next toggle.
         while not toggles or toggles[-1] <= until:
             up = initially_up == (len(toggles) % 2 == 0)
             mean = self.mean_up if up else self.mean_down
             last = toggles[-1] if toggles else 0.0
-            toggles.append(last + float(gen.exponential(mean)))
+            toggles.append(last + float(rng.exponential(mean)))
+
+    def _timeline(self, client: int, until: float):
+        if client not in self._timelines:
+            self._open([client], until)
+        initially_up, toggles, state = self._timelines[client]
+        if toggles[-1] <= until:
+            # Replay the stream to where it stopped: the initial-state
+            # uniform, then one standard exponential per toggle drawn (a
+            # scaled exponential consumes the bits of an unscaled one).
+            rng = self._streams.at(state)
+            rng.random()
+            rng.standard_exponential(len(toggles))
+            self._extend(rng, initially_up, toggles, until)
         return initially_up, toggles
+
+    @staticmethod
+    def _check_time(time: float) -> float:
+        time = float(time)
+        if not 0 <= time < float("inf"):
+            raise ValueError(f"time must be finite and >= 0, got {time}")
+        return time
 
     def is_up(self, client: int, time: float) -> bool:
         client = self._check_client(client)
-        time = float(time)
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time}")
+        time = self._check_time(time)
         initially_up, toggles = self._timeline(client, time)
         return initially_up == (bisect_right(toggles, time) % 2 == 0)
 
     def next_up(self, client: int, time: float) -> float:
         client = self._check_client(client)
-        time = float(time)
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time}")
+        time = self._check_time(time)
         initially_up, toggles = self._timeline(client, time)
         index = bisect_right(toggles, time)
         if initially_up == (index % 2 == 0):
@@ -150,6 +167,7 @@ class RenewalPopulation(ClientPopulation):
         count = min(int(count), self.num_clients)
         if count <= 0:
             return []
+        time = self._check_time(time)
         chosen: set = set()
         # Rejection sampling against the up set.  The attempt budget
         # covers availabilities down to ~2% before giving up and
@@ -157,9 +175,16 @@ class RenewalPopulation(ClientPopulation):
         attempts = 0
         budget = 50 * count + 200
         while len(chosen) < count and attempts < budget:
-            for c in rng.integers(0, self.num_clients, size=count - len(chosen)):
+            candidates = rng.integers(
+                0, self.num_clients, size=count - len(chosen)
+            ).tolist()
+            # The batch's never-touched clients, the ones the loop below
+            # would start one by one, start together.
+            fresh = [c for c in candidates if c not in self._timelines]
+            if fresh:
+                self._open(list(dict.fromkeys(fresh)), time)
+            for c in candidates:
                 attempts += 1
-                c = int(c)
                 if c not in chosen and self.is_up(c, time):
                     chosen.add(c)
         return sorted(chosen)

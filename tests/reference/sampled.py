@@ -1,11 +1,13 @@
 """``LogisticBlobsTask``'s local training as it was before it was
-stacked: one client row at a time, one batch at a time, kept verbatim
-(with the two helpers it called) as the oracle the stacked kernel is
+stacked: one client row at a time, one batch at a time, each batch from
+a fresh ``default_rng`` on its ``derive_seed`` key.  Kept verbatim (with
+the helpers it called) as the oracle the stacked, batch-seeded kernel is
 checked against bit for bit (``tests/test_participation.py::
 TestStackedLocalTraining``).
 
-:func:`run_local` takes the task where the method took ``self``; it reads
-only the task's shapes and :meth:`~LogisticBlobsTask.client_batch`.
+:func:`run_local` and :func:`client_batch` take the task where the
+methods took ``self``; they read only the task's shapes, seed, centers
+and noise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,20 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from repro.utils.rng import derive_seed
+
+
+def client_batch(task, client: int, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Client ``client``'s ``step``-th batch (deterministic, lazy)."""
+    rng = np.random.default_rng(
+        derive_seed(task.seed, "client", client, step)
+    )
+    labels = rng.integers(task.num_classes, size=task.batch_size)
+    features = task.centers[labels] + task.noise * rng.normal(
+        size=(task.batch_size, task.num_features)
+    )
+    return features, labels
 
 
 def _unpack(task, vector: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -37,7 +53,7 @@ def run_local(
     batch_rows = np.arange(task.batch_size)
     losses = []
     for local in range(steps):
-        features, labels = task.client_batch(client, cycle * steps + local)
+        features, labels = client_batch(task, client, cycle * steps + local)
         probs = _softmax(features @ weights.T + bias)
         losses.append(
             -float(np.mean(np.log(probs[batch_rows, labels] + 1e-12)))

@@ -17,6 +17,7 @@ PASSING = {
     "peer_selection": {
         "worst_over_median_default": 2.3, "worst_over_median_weighted": 5.5,
     },
+    "substream_seeding": {"speedup_512": 3.9, "cost_ratio_1": 0.95},
 }
 
 #: One breaching reading per gate row, with the floor its message names.
@@ -29,6 +30,8 @@ BREACHES = [
     ("fault_round", "overhead", 0.07, "<= 0.05"),
     ("peer_selection", "worst_over_median_default", 93.0, "<= 10"),
     ("peer_selection", "worst_over_median_weighted", 10.4, "<= 10"),
+    ("substream_seeding", "speedup_512", 2.9, ">= 3"),
+    ("substream_seeding", "cost_ratio_1", 1.2, "<= 1.15"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from golden import ROWS, digest, expected, run_row
 from repro.compression import topk
-from repro.utils import parallel
+from repro.utils import parallel, rng
 
 EXPECTED = expected()
 LIBRARY = [name for name, (builder, _) in ROWS.items() if builder != "cli"]
@@ -46,3 +46,19 @@ def test_cli_row(name):
 def test_topk_block_rows_never_show(monkeypatch, name, threads, block_rows):
     monkeypatch.setattr(topk, "TOPK_BLOCK_ROWS", block_rows)
     assert _digest_at(name, threads) == EXPECTED[name]["digest"]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (builder, _) in ROWS.items() if builder.startswith("sampled")]
+)
+def test_sampled_rows_seed_on_both_sides_of_the_crossover(monkeypatch, name):
+    """Each sampled row pins both seeding paths: some passes seed fewer
+    than ``rng.VECTOR_MIN_SEEDS`` keys (Python ints), some at least that
+    many (uint64 lanes)."""
+    sizes = []
+    seeded = rng.pcg64_states
+    monkeypatch.setattr(
+        rng, "pcg64_states", lambda seeds: sizes.append(len(seeds)) or seeded(seeds)
+    )
+    assert digest(run_row(name)) == EXPECTED[name]["digest"]
+    assert min(sizes) < rng.VECTOR_MIN_SEEDS <= max(sizes)

@@ -95,6 +95,12 @@ BAD_FLAGS = [
         "--engine event --fault-plan mttf=2,mttr=1 --sim-time inf",
         "--sim-time must be positive and finite, got inf",
     ),
+    # NaN <= 0 is False: a NaN mean once ran with nobody ever up.
+    ("--population-model renewal:up=nan", "mean_up must be positive and finite, got nan"),
+    (
+        "--population-model renewal:up=60,down=inf",
+        "mean_down must be positive and finite, got inf",
+    ),
     ("--num-threads 0", "num_threads"),
     ("--connectivity-gap 0", "connectivity_gap must be >= 1, got 0"),
     ("--lr -1", "lr must"),

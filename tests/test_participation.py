@@ -39,6 +39,7 @@ from repro.sim import (
 )
 from repro.sim.participation import ParticipationContext
 from repro.utils import parallel
+from repro.utils.rng import derive_seed
 from tests.reference import sampled as reference
 
 
@@ -193,6 +194,38 @@ class TestSampledSAPSStandalone:
             SampledSAPS(task, 100, compression_ratio=0.5)
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(noise=float("nan")), "noise must be positive and finite, got nan"),
+            (dict(noise=float("inf")), "noise must be positive and finite, got inf"),
+            (dict(noise=0.0), "noise must be positive and finite, got 0.0"),
+            (dict(validation_samples=0), "validation_samples must be >= 1, got 0"),
+            (dict(validation_samples=-1), "validation_samples must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_task_is_refused(self, kwargs, message):
+        """A NaN noise fills every batch with NaN; no validation samples
+        made ``evaluate`` return (nan, nan), and a negative count failed
+        inside numpy."""
+        with pytest.raises(ValueError, match=message):
+            LogisticBlobsTask(**kwargs)
+
+    def test_bandwidths_are_the_per_client_streams(self):
+        """Capabilities seeded a round at a time, in one pass or a few
+        keys, are each client's own ``default_rng`` uniform draw."""
+        algorithm = SampledSAPS(LogisticBlobsTask(), 1000, sample_size=40, seed=5)
+        participants = list(range(0, 400, 10))
+        algorithm._neighborhood_weights(participants[:3])
+        weights = algorithm._neighborhood_weights(participants)
+        caps = np.array([
+            np.random.default_rng(derive_seed(5, "bandwidth", c)).uniform(1.0, 100.0)
+            for c in participants
+        ])
+        expected = np.minimum.outer(caps, caps)
+        np.fill_diagonal(expected, 0.0)
+        assert weights.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
         "lr", [float("nan"), float("inf"), -float("inf"), -5.0]
     )
     @pytest.mark.parametrize("family", [SampledSAPS, SampledAsyncFedAvg])
@@ -241,6 +274,23 @@ class TestStackedLocalTraining:
         assert rows.dtype == np.dtype(dtype)
         assert losses.tolist() == expected_losses
         assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        client=st.integers(0, 10**7), step=st.integers(0, 10**4),
+        batch=st.integers(1, 20), seed=st.integers(0, 2**40),
+    )
+    def test_client_batch_is_the_oracle_batch(self, client, step, batch, seed):
+        """The one-key call of the batch-seeded path draws the batch a
+        fresh ``default_rng`` on its key draws."""
+        task = LogisticBlobsTask(
+            num_features=5, num_classes=3, batch_size=batch,
+            validation_samples=1, seed=seed,
+        )
+        features, labels = task.client_batch(client, step)
+        expected_features, expected_labels = reference.client_batch(task, client, step)
+        assert labels.tolist() == expected_labels.tolist()
+        assert features.tobytes() == expected_features.tobytes()
 
 
 class _PartnerOutage(ClientPopulation):

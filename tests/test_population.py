@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import EventEngine, RenewalPopulation, parse_population
+from repro.utils import rng as rng_module
+from tests.reference import population as reference
 
 
 class TestRenewalPopulation:
@@ -65,6 +69,83 @@ class TestRenewalPopulation:
             pop.is_up(10, 0.0)
         with pytest.raises(ValueError):
             pop.next_up(0, -1.0)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", ["mean_up", "mean_down"])
+    def test_non_finite_means_are_refused(self, name, mean):
+        """NaN <= 0 is False: a NaN mean once made nobody ever up."""
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            RenewalPopulation(10, **{name: mean})
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_is_refused(self, time):
+        pop = RenewalPopulation(10)
+        for query in (pop.is_up, pop.next_up):
+            with pytest.raises(ValueError, match="time must be finite"):
+                query(0, time)
+        with pytest.raises(ValueError, match="time must be finite"):
+            pop.sample_up(time, 3, np.random.default_rng(0))
+
+
+#: One population query: ("is_up" | "next_up", client, time) or
+#: ("sample_up", time, count, rng seed).
+_QUERY = st.one_of(
+    st.tuples(
+        st.sampled_from(["is_up", "next_up"]), st.integers(0, 59),
+        st.floats(0.0, 80.0),
+    ),
+    st.tuples(
+        st.just("sample_up"), st.floats(0.0, 80.0), st.integers(0, 70),
+        st.integers(0, 2**32),
+    ),
+)
+
+
+class TestAgainstTheOracle:
+    """The batch-seeded population answers every interleaving of queries
+    as the per-client-``Generator`` one did (``tests/reference/
+    population.py``), touching the same clients: times jump back and
+    forth, so timelines are extended by replay again and again."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        queries=st.lists(_QUERY, min_size=1, max_size=25),
+        means=st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 8.0)),
+        seed=st.integers(0, 2**20),
+    )
+    def test_same_answers_and_touched_clients(self, queries, means, seed):
+        mean_up, mean_down = means
+        pop = RenewalPopulation(60, mean_up=mean_up, mean_down=mean_down, seed=seed)
+        oracle = reference.RenewalPopulation(
+            60, mean_up=mean_up, mean_down=mean_down, seed=seed
+        )
+        for query in queries:
+            if query[0] == "sample_up":
+                _, time, count, draw_seed = query
+                answers = [
+                    side.sample_up(time, count, np.random.default_rng(draw_seed))
+                    for side in (pop, oracle)
+                ]
+            else:
+                name, client, time = query
+                answers = [getattr(side, name)(client, time) for side in (pop, oracle)]
+            assert answers[0] == answers[1], query
+            assert pop.touched_clients == oracle.touched_clients
+        for client, (initially_up, toggles, _) in oracle._timelines.items():
+            assert pop._timelines[client][:2] == (initially_up, toggles)
+
+    def test_a_sampling_batch_is_seeded_in_one_pass(self, monkeypatch):
+        """``sample_up`` seeds its candidates' never-touched clients
+        together: one pass per candidate batch, not one per client."""
+        sizes = []
+        seeded = rng_module.pcg64_states
+        monkeypatch.setattr(
+            rng_module, "pcg64_states", lambda seeds: sizes.append(len(seeds)) or seeded(seeds)
+        )
+        pop = RenewalPopulation(100_000, seed=2)
+        pop.sample_up(1.0, 64, np.random.default_rng(0))
+        assert sum(sizes) == pop.touched_clients
+        assert sizes[0] == 64 and len(sizes) < 10
 
 
 class TestParsePopulation:

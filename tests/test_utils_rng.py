@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import as_generator, derive_seed, spawn_generators
+from repro.utils.rng import (
+    VECTOR_MIN_SEEDS,
+    Substreams,
+    as_generator,
+    derive_seed,
+    pcg64_states,
+    spawn_generators,
+)
 
 
 class TestAsGenerator:
@@ -63,3 +72,90 @@ class TestDeriveSeed:
     def test_no_component_collision_from_concatenation(self):
         # ("ab", "c") must differ from ("a", "bc").
         assert derive_seed(0, "ab", "c") != derive_seed(0, "a", "bc")
+
+
+#: Seeds at the hash's word boundaries: one 32-bit word or two.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def _numpy_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+def _draws(generator):
+    """One of each draw the library makes off a seeded stream."""
+    return (
+        generator.integers(10, size=7).tolist(),
+        generator.integers(2**40, size=3).tolist(),
+        generator.integers(1000, size=5, dtype=np.uint32).tolist(),
+        generator.normal(size=6).tobytes(),
+        generator.uniform(1.0, 100.0),
+        generator.random(),
+        generator.exponential(3.0, size=4).tobytes(),
+        generator.standard_exponential(),
+    )
+
+
+class TestPcg64States:
+    """The closed-form seeding equals numpy's ``SeedSequence`` →
+    ``PCG64`` seeding, on Python ints (few seeds) and on uint64 lanes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(EDGE_SEEDS)),
+            min_size=1, max_size=2 * VECTOR_MIN_SEEDS + 8,
+        )
+    )
+    def test_states_equal_numpys(self, seeds):
+        assert pcg64_states(seeds) == [_numpy_state(seed) for seed in seeds]
+
+    def test_both_paths_are_taken(self):
+        few, many = EDGE_SEEDS, EDGE_SEEDS * VECTOR_MIN_SEEDS
+        assert len(few) < VECTOR_MIN_SEEDS <= len(many)
+        assert pcg64_states(many) == pcg64_states(few) * VECTOR_MIN_SEEDS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(EDGE_SEEDS)),
+            min_size=2, max_size=VECTOR_MIN_SEEDS + 4,
+        ),
+        odd=st.integers(0, 4).map(lambda n: 2 * n + 1),
+    )
+    def test_repointed_draws_equal_a_fresh_generator(self, seeds, odd):
+        """Every draw after :meth:`Substreams.at` equals a fresh
+        ``default_rng`` on the seed, even after the previous key left a
+        buffered half-word (an odd count of uint32 draws)."""
+        streams = Substreams(0)
+        states = pcg64_states(seeds)
+        for seed, state in zip(seeds, states):
+            generator = streams.at(state)
+            assert _draws(generator) == _draws(np.random.default_rng(seed))
+            generator.integers(7, size=odd, dtype=np.uint32)
+            assert generator.bit_generator.state["has_uint32"] == 1
+
+
+class TestSubstreams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.integers(0, 2**40),
+        keys=st.lists(
+            st.tuples(st.integers(0, 10**9), st.integers(0, 10**6)),
+            min_size=0, max_size=2 * VECTOR_MIN_SEEDS,
+        ),
+    )
+    def test_states_are_the_derived_seeds(self, base, keys):
+        streams = Substreams(base, "client")
+        assert streams.states(keys) == [
+            _numpy_state(derive_seed(base, "client", *key)) for key in keys
+        ]
+
+    def test_one_component_keys_and_several_labels(self):
+        streams = Substreams(9, "a", 3)
+        (state,) = streams.states([(17,)])
+        assert state == _numpy_state(derive_seed(9, "a", 3, 17))
+        assert streams.at(state).random() == np.random.default_rng(
+            derive_seed(9, "a", 3, 17)
+        ).random()
