@@ -79,6 +79,9 @@ class TestRenewalPopulation:
 
     @pytest.mark.parametrize("time", [float("nan"), float("inf")])
     def test_non_finite_time_is_refused(self, time):
+        """An infinite time once never returned (toggles were appended
+        without end); a NaN one answered as if past every toggle drawn,
+        and ``next_up`` of a client down there raised an IndexError."""
         pop = RenewalPopulation(10)
         for query in (pop.is_up, pop.next_up):
             with pytest.raises(ValueError, match="time must be finite"):
