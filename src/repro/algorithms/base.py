@@ -40,7 +40,7 @@ class DistributedAlgorithm:
     def __init__(self) -> None:
         self.workers: List["TrainingWorker"] = []
         self.network: Optional[SimulatedNetwork] = None
-        self._rng = as_generator(None)
+        self._rng: Optional[np.random.Generator] = None  # set by setup
         #: Workers that computed in the last round (None = all).  The
         #: engine's compute-time model reads this to bill stragglers.
         self.last_participants: Optional[List[int]] = None

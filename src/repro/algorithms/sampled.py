@@ -48,6 +48,64 @@ from repro.utils.rng import Substreams, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
 
 
+def _check_sampling(
+    num_clients: int, min_clients: int, sample_size: int,
+    capacity: Optional[int], local_steps: int, lr: float,
+) -> Tuple[int, int, int]:
+    """The sampled families' shared argument checks: ``(num_clients,
+    sample_size, capacity)`` as ints, ``capacity`` defaulted."""
+    num_clients = int(num_clients)
+    sample_size = int(sample_size)
+    if num_clients < min_clients:
+        raise ValueError(
+            f"num_clients must be >= {min_clients}, got {num_clients}"
+        )
+    if not 1 <= sample_size <= num_clients:
+        raise ValueError(
+            f"sample_size must be in [1, {num_clients}], got {sample_size}"
+        )
+    if local_steps < 1:
+        raise ValueError(f"local_steps must be >= 1, got {local_steps}")
+    if capacity is None:
+        # Headroom above the pinned set so pins can never dead-lock
+        # and recently-active rows get a little reuse.
+        capacity = min(num_clients, 2 * sample_size + 16)
+    capacity = int(capacity)
+    if capacity < sample_size:
+        raise ValueError(
+            f"capacity ({capacity}) must cover the {sample_size} "
+            f"concurrently pinned participants"
+        )
+    check_non_negative(lr, "lr")
+    return num_clients, sample_size, capacity
+
+
+def _pair_by_caps(
+    caps: np.ndarray, rng: np.random.Generator
+) -> List[Tuple[int, int]]:
+    """:func:`greedy_weighted_matching` under bottleneck weights
+    ``min(caps[i], caps[j])``: the same ``(low, high)`` pairs, in the same
+    order, with ``rng`` left in the same state.
+
+    With distinct caps, heaviest-first greedy pairs clients adjacent in
+    descending-cap order, (1st, 2nd), (3rd, 4th), …: once every weight
+    above the k-th cap is taken, at most one client ranked above k is
+    still free, so no tie key decides.  The sort advances ``rng`` past
+    the ``K(K−1)/2`` keys (one 64-bit output each) the matcher draws.
+    Equal caps let the keys decide: such a round runs the matcher on the
+    ``(K, K)`` matrix.
+    """
+    order = np.argsort(-caps, kind="stable")
+    if np.any(np.diff(caps[order]) == 0):
+        weights = np.minimum.outer(caps, caps)
+        np.fill_diagonal(weights, 0.0)
+        return greedy_weighted_matching(weights, rng=rng)
+    count = caps.size
+    rng.bit_generator.advance(count * (count - 1) // 2)
+    pairs = np.sort(order[: count - count % 2].reshape(-1, 2), axis=1)
+    return sorted(map(tuple, pairs.tolist()))
+
+
 class LogisticBlobsTask:
     """Softmax regression on per-client Gaussian blobs, fully lazy.
 
@@ -224,33 +282,16 @@ class SampledAsyncFedAvg:
         dtype: DTypeLike = None,
         seed: int = 0,
     ) -> None:
-        num_clients = int(num_clients)
-        sample_size = int(sample_size)
-        if num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-        if not 1 <= sample_size <= num_clients:
-            raise ValueError(
-                f"sample_size must be in [1, {num_clients}], got {sample_size}"
-            )
-        if local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {local_steps}")
+        num_clients, sample_size, capacity = _check_sampling(
+            num_clients, 1, sample_size, capacity, local_steps, lr
+        )
         self._mix = StalenessMix(mixing, staleness_power)
-        if capacity is None:
-            # Headroom above the pinned set so pins can never dead-lock
-            # and recently-active rows get a little reuse.
-            capacity = min(num_clients, 2 * sample_size + 16)
-        capacity = int(capacity)
-        if capacity < sample_size:
-            raise ValueError(
-                f"capacity ({capacity}) must cover the {sample_size} "
-                f"concurrently pinned participants"
-            )
         self.task = task
         self.num_workers = num_clients  # engine-protocol name
         self.num_clients = num_clients
         self.sample_size = sample_size
         self.local_steps = int(local_steps)
-        self.lr = float(check_non_negative(lr, "lr"))
+        self.lr = float(lr)
         self.model_size = task.model_size
         self.model_bytes = task.model_size * BYTES_PER_VALUE
         dtype = resolve_dtype(dtype)
@@ -333,11 +374,10 @@ class SampledAsyncFedAvg:
     # ------------------------------------------------------------------
     # sampling (delegated to the shared participation layer)
     # ------------------------------------------------------------------
-    def _draw_participant(self, now: float) -> Optional[int]:
-        return self.participation_ctx.draw_seat(now, self._rng, self._active)
-
     def _fill_seat(self, now: float) -> None:
-        replacement = self._draw_participant(now)
+        replacement = self.participation_ctx.draw_seat(
+            now, self._rng, self._active
+        )
         if replacement is None:
             self.engine.schedule(now + 1.0, self._fill_seat)
             return
@@ -423,10 +463,9 @@ class SampledSAPS:
     its max-weight matching over the full ``(n, n)`` bandwidth matrix and
     keeps every replica dense — both O(n) or O(n²) in the enrolment.
     Here each round draws ``sample_size`` up clients through the shared
-    :class:`~repro.sim.participation.ParticipationContext`, builds the
-    bandwidth submatrix for just that neighborhood (pairwise rate =
-    bottleneck link, ``min`` of the two endpoints' lazily seeded uplink
-    capabilities), matches *within* the sample, and runs the paper's
+    :class:`~repro.sim.participation.ParticipationContext`, matches
+    *within* the sample on bottleneck links (``min`` of two lazily seeded
+    uplink caps: a sort, :func:`_pair_by_caps`), and runs the paper's
     shared-mask Eq. (7) exchange on :class:`ShardedArena` rows pinned for
     the round.  Evicted rows write back (``retain_evicted=True``): gossip
     is peer-to-peer, a client's model *is* its state between
@@ -455,36 +494,25 @@ class SampledSAPS:
         dtype: DTypeLike = None,
         seed: int = 0,
     ) -> None:
-        num_clients = int(num_clients)
-        sample_size = int(sample_size)
-        if num_clients < 2:
-            raise ValueError(f"num_clients must be >= 2, got {num_clients}")
-        if not 1 <= sample_size <= num_clients:
-            raise ValueError(
-                f"sample_size must be in [1, {num_clients}], got {sample_size}"
-            )
-        compression_ratio = check_compression_ratio(compression_ratio)
-        if local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        check_positive(round_duration, "round_duration")
-        if capacity is None:
-            # Room for the pinned participant set plus reuse headroom.
-            capacity = min(num_clients, 2 * sample_size + 16)
-        capacity = int(capacity)
-        if capacity < sample_size:
-            raise ValueError(
-                f"capacity ({capacity}) must cover the {sample_size} "
-                f"concurrently pinned participants"
-            )
+        num_clients, sample_size, capacity = _check_sampling(
+            num_clients, 2, sample_size, capacity, local_steps, lr
+        )
+        # Imported here: repro.algorithms must not import the repro.sim
+        # package at module load (sim.comparison imports the algorithms).
+        from repro.sim.participation import ParticipationContext
+
+        self.participation_ctx = ParticipationContext(
+            num_clients, population=population, sample_size=sample_size,
+            round_duration=round_duration,
+        )
         self.task = task
         self.num_clients = num_clients
         self.num_workers = num_clients
         self.sample_size = sample_size
-        self.compression_ratio = compression_ratio
+        self.compression_ratio = check_compression_ratio(compression_ratio)
         self.local_steps = int(local_steps)
-        self.lr = float(check_non_negative(lr, "lr"))
+        self.lr = float(lr)
         self.round_duration = float(round_duration)
-        self.population = population
         self.seed = int(seed)
         self.model_size = task.model_size
         self.model_bytes = task.model_size * BYTES_PER_VALUE
@@ -508,70 +536,41 @@ class SampledSAPS:
         self._bandwidth: Dict[int, float] = {}
         self._bandwidth_streams = Substreams(self.seed, "bandwidth")
         self.last_participants: Optional[List[int]] = None
-        self.rounds_run = 0
         self.exchange_count = 0
         self.exchanged_bytes = 0
         self.total_local_steps = 0
         self._cycle_counts: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # participation / bandwidth (both lazy)
-    # ------------------------------------------------------------------
-    def participation_context(self):
-        # Imported here: repro.algorithms must not import the repro.sim
-        # package at module load (sim.comparison imports the algorithms).
-        from repro.sim.participation import ParticipationContext
-
-        return ParticipationContext(
-            self.num_clients,
-            population=self.population,
-            sample_size=self.sample_size,
-            round_duration=self.round_duration,
-        )
-
-    def _neighborhood_weights(self, participants: List[int]) -> np.ndarray:
-        """Pairwise bandwidth submatrix for the sampled neighborhood.
-
-        Each client's uplink capability is uniform on [1, 100) Mbps from
-        its own ``derive_seed(seed, "bandwidth", c)`` substream, drawn on
-        first use (the round's new clients seeded in one pass) and kept:
-        the million-client analogue of the dense runs' random bandwidth
-        matrix, without ever materializing ``(n, n)``.  Edge rate is the
-        bottleneck link, ``min`` of the endpoints' capabilities: an O(K²)
-        broadcast for K = participants, independent of enrolment.
-        """
+    def _caps(self, participants: List[int]) -> np.ndarray:
+        """The participants' uplink capabilities: each client's is uniform
+        on [1, 100) Mbps from its own ``derive_seed(seed, "bandwidth", c)``
+        substream, drawn on first use (the round's new clients seeded in
+        one pass) and kept.  A pair's rate is the bottleneck link, ``min``
+        of its two caps."""
         bandwidth = self._bandwidth
         fresh = [c for c in participants if c not in bandwidth]
         streams = self._bandwidth_streams
         for client, state in zip(fresh, streams.states([(c,) for c in fresh])):
             bandwidth[client] = float(streams.at(state).uniform(1.0, 100.0))
-        caps = np.array([bandwidth[c] for c in participants], dtype=np.float64)
-        weights = np.minimum(caps[:, None], caps[None, :])
-        np.fill_diagonal(weights, 0.0)
-        return weights
+        return np.array([bandwidth[c] for c in participants], dtype=np.float64)
 
     # ------------------------------------------------------------------
     # the round
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> float:
-        ctx = self.participation_context()
+        ctx = self.participation_ctx
         participants = ctx.select_round(round_index, self._participation_rng)
         self.last_participants = list(participants)
         if not participants:
-            self.rounds_run += 1
             return float("nan")
 
-        # Max-weight matching restricted to the sampled (up) neighborhood;
-        # local indices map back through `participants`.
-        matching = []
-        if len(participants) >= 2:
-            local_pairs = greedy_weighted_matching(
-                self._neighborhood_weights(participants),
-                rng=self._matching_rng,
-            )
-            matching = [
-                (participants[i], participants[j]) for i, j in local_pairs
-            ]
+        # Greedy max-weight matching restricted to the sampled (up)
+        # neighborhood; local indices map back through `participants`.
+        caps = self._caps(participants)
+        matching = [
+            (participants[i], participants[j])
+            for i, j in _pair_by_caps(caps, self._matching_rng)
+        ]
 
         mask = generate_mask(
             self.model_size,
@@ -609,7 +608,6 @@ class SampledSAPS:
             self.exchanged_bytes += (
                 2 * len(matching) * indices.size * BYTES_PER_VALUE
             )
-        self.rounds_run += 1
         return float(np.mean(losses))
 
     def evaluate(self) -> Tuple[float, float]:

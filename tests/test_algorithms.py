@@ -12,6 +12,8 @@ import pytest
 from repro.algorithms import (
     DCDPSGD,
     DPSGD,
+    AsyncDPSGD,
+    AsyncFedAvg,
     AsyncGossip,
     FedAvg,
     LogisticBlobsTask,
@@ -66,6 +68,30 @@ ALL_ALGORITHMS = [
     lambda: DCDPSGD(compression_ratio=4.0),
     lambda: SAPSPSGD(compression_ratio=10.0),
 ]
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [*ALL_ALGORITHMS, AsyncDPSGD, AsyncFedAvg, AsyncGossip],
+    ids=[
+        "PSGD", "TopKPSGD", "FedAvg", "SparseFedAvg", "DPSGD", "DCDPSGD",
+        "SAPSPSGD", "AsyncDPSGD", "AsyncFedAvg", "AsyncGossip",
+    ],
+)
+def test_construction_seeds_no_generator_from_os_entropy(factory, monkeypatch):
+    """``setup`` binds every family's generator, so a constructor has no
+    use for one: an OS-entropy placeholder would only cost a seeding."""
+    unseeded = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        if seed is None:
+            unseeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    factory()
+    assert unseeded == []
 
 
 @pytest.mark.parametrize("factory", ALL_ALGORITHMS)
@@ -453,8 +479,7 @@ def _sampled_saps_round(dtype, rng, monkeypatch):
     )
     matchings = []
     monkeypatch.setattr(
-        sampled, "greedy_weighted_matching",
-        _recording(sampled.greedy_weighted_matching, matchings),
+        sampled, "_pair_by_caps", _recording(sampled._pair_by_caps, matchings)
     )
     arena = algorithm.arena
     before = rng.normal(size=(n, task.model_size)).astype(dtype)

@@ -10,6 +10,7 @@ state against the dense formulas, and the stacked local-training
 kernel of the sampled families against its per-client oracle.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from repro.algorithms import (
     SampledSAPS,
     SAPSPSGD,
 )
+from repro.algorithms.sampled import _pair_by_caps
+from repro.core.matching import greedy_weighted_matching
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
@@ -193,6 +196,50 @@ class TestSampledSAPSStandalone:
         with pytest.raises(ValueError):
             SampledSAPS(task, 100, compression_ratio=0.5)
 
+    @pytest.mark.parametrize("family", [SampledSAPS, SampledAsyncFedAvg])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(sample_size=200), r"sample_size must be in \[1, 100\], got 200"),
+            (dict(sample_size=0), r"sample_size must be in \[1, 100\], got 0"),
+            (dict(local_steps=0), "local_steps must be >= 1, got 0"),
+            (
+                dict(sample_size=50, capacity=10),
+                r"capacity \(10\) must cover the 50 concurrently pinned",
+            ),
+        ],
+    )
+    def test_both_families_refuse_alike(self, family, kwargs, message):
+        """The sampled families share their sampling checks and messages."""
+        with pytest.raises(ValueError, match=message):
+            family(LogisticBlobsTask(), 100, **{"sample_size": 10, **kwargs})
+
+    @pytest.mark.parametrize(
+        "family, minimum", [(SampledSAPS, 2), (SampledAsyncFedAvg, 1)]
+    )
+    def test_enrolment_minimum_and_default_capacity(self, family, minimum):
+        """Only the enrolment minimum differs (a gossip pair needs two);
+        the default capacity is the pinned set plus headroom, within n."""
+        task = LogisticBlobsTask()
+        with pytest.raises(
+            ValueError, match=f"num_clients must be >= {minimum}, got {minimum - 1}"
+        ):
+            family(task, minimum - 1, sample_size=1)
+        assert family(task, 1000, sample_size=50).arena.capacity == 116
+        assert family(task, 100, sample_size=50).arena.capacity == 100
+
+    def test_population_of_another_size_is_refused_at_construction(self):
+        """The participation context is built, and so checked, once: a
+        population sized for another enrolment used to construct and then
+        fail at the first round."""
+        with pytest.raises(
+            ValueError, match="population models 50 clients, context has 100"
+        ):
+            SampledSAPS(
+                LogisticBlobsTask(), 100, sample_size=8,
+                population=RenewalPopulation(50),
+            )
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -215,15 +262,12 @@ class TestSampledSAPSStandalone:
         keys, are each client's own ``default_rng`` uniform draw."""
         algorithm = SampledSAPS(LogisticBlobsTask(), 1000, sample_size=40, seed=5)
         participants = list(range(0, 400, 10))
-        algorithm._neighborhood_weights(participants[:3])
-        weights = algorithm._neighborhood_weights(participants)
-        caps = np.array([
+        algorithm._caps(participants[:3])
+        expected = np.array([
             np.random.default_rng(derive_seed(5, "bandwidth", c)).uniform(1.0, 100.0)
             for c in participants
         ])
-        expected = np.minimum.outer(caps, caps)
-        np.fill_diagonal(expected, 0.0)
-        assert weights.tobytes() == expected.tobytes()
+        assert algorithm._caps(participants).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "lr", [float("nan"), float("inf"), -float("inf"), -5.0]
@@ -236,6 +280,55 @@ class TestSampledSAPSStandalone:
         with pytest.raises(ValueError, match="lr"):
             family(task, 100, sample_size=10, lr=lr)
         assert family(task, 100, sample_size=10, lr=0.0).lr == 0.0
+
+
+class TestPairByCaps:
+    """A sampled round pairs its participants by sorting their bandwidth
+    caps; that is greedy max-weight matching on the ``(K, K)`` bottleneck
+    matrix ``min(cap_i, cap_j)``, tie keys and all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(2, 600),
+        ties=st.sampled_from(["none", "all", "odd one out", "middle"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_greedy_on_the_bottleneck_matrix(self, count, ties, seed):
+        draw = np.random.default_rng(seed)
+        caps = draw.uniform(1.0, 100.0, size=count)
+        ranked = np.argsort(-caps, kind="stable")
+        if ties == "all":
+            caps[:] = caps[0]
+        elif ties == "odd one out":
+            # The lowest cap (unmatched when K is odd) ties the next one.
+            caps[ranked[-1]] = caps[ranked[-2]]
+        elif ties == "middle":
+            for rank in {min(count // 3, count - 2), min(count // 2, count - 2)}:
+                caps[ranked[rank + 1]] = caps[ranked[rank]]
+        weights = np.minimum.outer(caps, caps)
+        np.fill_diagonal(weights, 0.0)
+        sorted_rng = np.random.default_rng(seed + 1)
+        oracle_rng = np.random.default_rng(seed + 1)
+        pairs = _pair_by_caps(caps, sorted_rng)
+        assert pairs == greedy_weighted_matching(weights, rng=oracle_rng)
+        assert sorted_rng.random() == oracle_rng.random()
+
+    def test_a_large_round_builds_no_matrix(self):
+        """Pairing a K = 2,048 sample takes a sort, not the 32 MiB
+        bottleneck matrix and the 2M tie keys greedy would draw."""
+        algorithm = SampledSAPS(LogisticBlobsTask(), 4096, sample_size=2048)
+        participants = list(range(0, 4096, 2))
+        algorithm._caps(participants)  # draw the caps outside the trace
+        tracemalloc.start()
+        try:
+            pairs = _pair_by_caps(
+                algorithm._caps(participants), algorithm._matching_rng
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1024
+        assert peak < 2**20
 
 
 class TestStackedLocalTraining:
