@@ -22,6 +22,8 @@ and held by the :data:`GATES` table below:
   at n = 1024 over seeds and rounds: a whole run reports a total, and a
   fallback round that costs 100× the median (the third one did, before
   PR 21) hides inside it;
+  it also reads the most one weighted ``select`` allocates at once, the
+  transient that sets ``saps1024_mlp``'s peak RSS;
 * ``substream_seeding`` — the per-seed cost of positioning a generator
   at a seed's stream through :class:`repro.utils.rng.Substreams` against
   one ``default_rng`` per seed, with K = 1 and K = 512 seeds per pass:
@@ -40,7 +42,7 @@ Writes the readings to ``BENCH_hot_paths.json`` (untracked: a file every
 run overwrites from a different machine is not a history), checks every
 row of :data:`GATES` against them, lists each breached row and exits
 non-zero if there is one.  ``--quick`` takes fewer repeats and A/B pairs
-(< 55 s on two cores).
+(< 65 s on two cores).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import operator
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import List, Tuple
 
@@ -104,6 +107,10 @@ GATES = [
     # the median round (read ≈ 90 for the default matcher before PR 21).
     ("peer_selection", "worst_over_median_default", "<=", lambda cpus: 10),
     ("peer_selection", "worst_over_median_weighted", "<=", lambda cpus: 10),
+    # Bytes, so machine-independent: one weighted round at n = 1024 holds
+    # no dense float copy of its graph (≈ 31 MiB when it multiplied B by
+    # its graph every round, 18 since it reads B along the edge list).
+    ("peer_selection", "peak_mib_weighted", "<=", lambda cpus: 24),
     # Ratios against numpy's own seeding on the same box: a wide pass
     # pays off, and a one-key call costs about what default_rng does.
     ("substream_seeding", "speedup_512", ">=", lambda cpus: 3),
@@ -433,6 +440,24 @@ def bench_peer_selection(rounds: int) -> dict:
         results[f"median_seconds_{label}"] = median
         results[f"max_seconds_{label}"] = worst
         results[f"worst_over_median_{label}"] = worst / median
+    # The same weighted rounds once more, untimed: tracing slows every
+    # allocation.  A round's peak is counted above what was live before it.
+    peak = 0
+    for seed in range(3):
+        selector = AdaptivePeerSelector(
+            random_uniform_bandwidth(CLUSTER_WORKERS, low=1.0, rng=seed),
+            rng=seed, prefer_weighted=True,
+        )
+        tracemalloc.start()
+        try:
+            for round_index in range(rounds):
+                live = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                selector.select(round_index)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - live)
+        finally:
+            tracemalloc.stop()
+    results["peak_mib_weighted"] = peak / 2**20
     return results
 
 

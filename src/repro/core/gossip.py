@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs
 from repro.core.matching import (
     Matching,
-    greedy_weighted_matching,
+    greedy_matching_on_graph,
     matching_to_partner_array,
     randomly_max_match,
 )
@@ -97,6 +97,26 @@ def _restrict(graph: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
     return graph & (active[:, None] & active)
 
 
+#: Largest ``T_thres`` whose initial stamp ``-10 T_thres - 1`` is an int32.
+_MAX_GAP = (2**31 - 1) // 10
+
+
+def _median_link(bandwidth: np.ndarray) -> float:
+    """``np.median`` of a symmetric matrix's off-diagonal, read off its
+    strict upper triangle: every link appears there once and twice in the
+    off-diagonal, so the off-diagonal's two middle order statistics are
+    the upper triangle's ``(U - 1) // 2``-th and ``U // 2``-th of ``U``
+    links (the same one when ``U`` is odd), averaged as ``np.median``
+    averages them."""
+    n = bandwidth.shape[0]
+    upper = bandwidth[~np.tri(n, dtype=bool)]
+    if upper.size == 0:
+        return float("nan")
+    middle = [(upper.size - 1) // 2, upper.size // 2]
+    upper.partition(middle)
+    return float(np.mean(upper[middle]))
+
+
 @dataclass
 class PeerSelectionResult:
     """Outcome of one round of Algorithm 3."""
@@ -119,7 +139,8 @@ class AdaptivePeerSelector:
     ----------
     bandwidth:
         Raw pairwise-speed matrix; symmetrized with ``min`` as in the
-        paper.
+        paper.  NaN reads as no link, inf as the largest finite speed; a
+        negative entry raises ``ValueError`` naming it.
     bandwidth_threshold:
         ``B_thres``; edges at or above it form the preferred graph
         ``B*``.  Pass ``None`` to use the median link speed (a practical
@@ -141,26 +162,31 @@ class AdaptivePeerSelector:
     ) -> None:
         bandwidth = check_square(np.asarray(bandwidth, dtype=np.float64))
         self.bandwidth = symmetrize_min(bandwidth)
-        self.num_workers = self.bandwidth.shape[0]
-        if connectivity_gap <= 0:
+        if self.bandwidth.min(initial=0.0) < 0:
+            i, j = np.argwhere(self.bandwidth < 0)[0].tolist()
+            if not bandwidth[i, j] < 0:
+                i, j = j, i
             raise ValueError(
-                f"connectivity_gap must be positive, got {connectivity_gap}"
+                "bandwidth must be non-negative (NaN reads as no link): "
+                f"bandwidth[{i}, {j}] = {float(bandwidth[i, j])!r}"
+            )
+        self.num_workers = self.bandwidth.shape[0]
+        if not 0 < connectivity_gap <= _MAX_GAP:
+            raise ValueError(
+                f"connectivity_gap must be in [1, {_MAX_GAP}], got {connectivity_gap}"
             )
         self.connectivity_gap = int(connectivity_gap)
-        off_diagonal = self.bandwidth[
-            ~np.eye(self.num_workers, dtype=bool)
-        ]
         if bandwidth_threshold is None:
-            bandwidth_threshold = float(np.median(off_diagonal))
+            bandwidth_threshold = _median_link(self.bandwidth)
         self.bandwidth_threshold = float(bandwidth_threshold)
         self.filtered = threshold_graph(self.bandwidth, self.bandwidth_threshold)
         self._rng = as_generator(rng)
         self.prefer_weighted = prefer_weighted
-        # R: last-communication timestamps.  Initialized far in the past
-        # so round 0 starts with an empty RC graph.
+        # R: last-communication timestamps (round numbers).  Initialized
+        # far in the past so round 0 starts with an empty RC graph.
         self.timestamps = np.full(
             (self.num_workers, self.num_workers), -10 * self.connectivity_gap - 1,
-            dtype=np.int64,
+            dtype=np.int32,
         )
 
     # ------------------------------------------------------------------
@@ -200,7 +226,7 @@ class AdaptivePeerSelector:
 
     def _match(self, graph: np.ndarray) -> Matching:
         if self.prefer_weighted:
-            return greedy_weighted_matching(self.bandwidth * graph, rng=self._rng)
+            return greedy_matching_on_graph(graph, self.bandwidth, rng=self._rng)
         return randomly_max_match(graph, rng=self._rng)
 
     # ------------------------------------------------------------------

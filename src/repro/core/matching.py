@@ -281,14 +281,42 @@ def greedy_weighted_matching(
     """
     weights = check_square(np.asarray(weights, dtype=np.float64), "weights")
     support = _checked_support(weights)
+    np.fill_diagonal(support, False)
+    return greedy_matching_on_graph(support, weights, rng, complete_with_blossom)
+
+
+def greedy_matching_on_graph(
+    adjacency: np.ndarray,
+    weights: np.ndarray,
+    rng: SeedLike = None,
+    complete_with_blossom: bool = True,
+) -> Matching:
+    """The greedy core: :func:`greedy_weighted_matching` over the edges of
+    ``adjacency`` (symmetric, empty diagonal), edge ``(i, j)`` weighing
+    ``weights[i, j]`` (finite, non-negative; an edge of weight 0 is no
+    edge).  Neither input is checked or copied, so a caller that
+    validated them once may pass a graph and a matrix it keeps; the
+    matching and the draws are those of ``weights * adjacency`` through
+    :func:`greedy_weighted_matching`.
+    """
     rng = as_generator(rng)
-    n = weights.shape[0]
+    n = adjacency.shape[0]
     # Row-major upper-triangle edge list: the tie keys are aligned to it.
-    rows, cols = np.divmod(np.flatnonzero(np.triu(support, k=1)), n)
-    if rows.size == 0:
+    flat = np.flatnonzero(np.triu(adjacency, k=1))
+    heavy = weights.ravel()[flat]
+    if not heavy.all():
+        positive = heavy > 0
+        flat, heavy = flat[positive], heavy[positive]
+        adjacency = adjacency & (weights > 0)
+    if flat.size == 0:
         return []
+    # int32 endpoints: the per-edge arrays the tiers carry are the round's
+    # largest allocation (E ≈ n²/2 on a fallback round's complete graph).
+    rows = np.empty(flat.size, dtype=np.int32)
+    cols = np.empty_like(rows)
+    np.divmod(flat, n, out=(rows, cols))
+    del flat
     keys = rng.random(rows.size)
-    heavy = weights[rows, cols]
     match = [-1] * n
     free = n
     tier = 8 * n
@@ -307,8 +335,7 @@ def greedy_weighted_matching(
         keep = (heavy < cut) & unmatched[rows] & unmatched[cols]
         rows, cols, heavy, keys = rows[keep], cols[keep], heavy[keep], keys[keep]
     if complete_with_blossom and free >= 2:
-        np.fill_diagonal(support, False)
-        return max_cardinality_matching(support, initial_match=match)
+        return max_cardinality_matching(adjacency, initial_match=match)
     return [(v, match[v]) for v in range(n) if match[v] > v]
 
 

@@ -75,7 +75,7 @@ def symmetrize_min(matrix: np.ndarray) -> np.ndarray:
     """
     matrix = check_square(np.asarray(matrix, dtype=np.float64), "bandwidth matrix")
     symmetric = np.fmin(matrix, matrix.T)  # fmin ignores nan where possible
-    symmetric = np.nan_to_num(symmetric, nan=0.0)
+    np.nan_to_num(symmetric, copy=False, nan=0.0)
     np.fill_diagonal(symmetric, 0.0)
     return symmetric
 

@@ -54,6 +54,7 @@ class SGD(Optimizer):
         self._velocities: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._flat_params: Optional[np.ndarray] = None
         self._flat_grads: Optional[np.ndarray] = None
+        self._flat_scratch: Optional[np.ndarray] = None
 
     def attach_flat_storage(
         self, flat_params: np.ndarray, flat_grads: np.ndarray
@@ -64,7 +65,9 @@ class SGD(Optimizer):
         whose segments are exactly this optimizer's parameters, in order
         (i.e. the model's arena row).  The vectorized step is
         bit-identical to the per-parameter loop; momentum state stays
-        per-parameter, so momentum runs keep the loop.
+        per-parameter, so momentum runs keep the loop.  The step's
+        row-sized scratch buffer is allocated by the first vectorized
+        step: a worker trained by a batched cluster never steps itself.
         """
         total = sum(param.size for param in self.parameters)
         if flat_params.size != total or flat_grads.size != total:
@@ -76,7 +79,7 @@ class SGD(Optimizer):
             raise ValueError("all parameters must be arena-backed")
         self._flat_params = flat_params
         self._flat_grads = flat_grads
-        self._flat_scratch = np.empty_like(flat_params)
+        self._flat_scratch = None
 
     def step(self) -> None:
         if (
@@ -86,7 +89,9 @@ class SGD(Optimizer):
         ):
             # Vectorized row update: same elementwise operations as the
             # loop below, one numpy dispatch instead of one per layer and
-            # no per-step temporaries.
+            # no per-step temporaries (the scratch row is made once, here).
+            if self._flat_scratch is None:
+                self._flat_scratch = np.empty_like(self._flat_params)
             grad = self._flat_grads
             if self.weight_decay:
                 grad = np.add(

@@ -1,5 +1,7 @@
 """Tests for Algorithm 3 (adaptive peer selection) and gossip matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,48 @@ class TestAdaptivePeerSelector:
         with pytest.raises(ValueError):
             AdaptivePeerSelector(bandwidth, connectivity_gap=0)
 
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 2)])
+    def test_negative_bandwidth_is_refused_at_construction(
+        self, bandwidth, prefer_weighted, entry
+    ):
+        """It used to construct, and only the weighted matcher's first
+        ``select`` failed; the default matcher never noticed."""
+        bandwidth = bandwidth.copy()
+        bandwidth[entry] = -1.0
+        i, j = entry
+        with pytest.raises(ValueError, match=rf"bandwidth\[{i}, {j}\] = -1\.0"):
+            AdaptivePeerSelector(bandwidth, rng=0, prefer_weighted=prefer_weighted)
+
+    def test_nan_is_no_link_and_inf_the_fastest(self, bandwidth):
+        bandwidth = bandwidth.copy()
+        bandwidth[0, 1] = bandwidth[1, 0] = np.nan
+        bandwidth[2, 3] = bandwidth[3, 2] = np.inf
+        np.fill_diagonal(bandwidth, np.nan)
+        selector = AdaptivePeerSelector(bandwidth, rng=0, prefer_weighted=True)
+        assert selector.bandwidth[0, 1] == 0.0
+        assert selector.bandwidth[2, 3] == np.finfo(np.float64).max
+        assert np.all(np.diag(selector.bandwidth) == 0.0)
+        assert len(selector.select(0).matching) == 4
+
+    def test_gap_must_keep_the_initial_stamp_an_int32(self, bandwidth):
+        largest = (2**31 - 1) // 10
+        selector = AdaptivePeerSelector(bandwidth, connectivity_gap=largest)
+        assert selector.timestamps[0, 1] == -10 * largest - 1
+        with pytest.raises(ValueError, match="connectivity_gap"):
+            AdaptivePeerSelector(bandwidth, connectivity_gap=largest + 1)
+
+    def test_default_threshold_equals_np_median_bit_for_bit(self):
+        """Read off the upper triangle, for an even and an odd number of
+        links, ties and zero links included."""
+        rng = np.random.default_rng(3)
+        for n, tied in itertools.product((2, 3, 5, 6, 33, 64), (False, True)):
+            values = rng.integers(0, 4, (n, n)) * rng.random() if tied else rng.random((n, n))
+            upper = np.triu(values, 1)
+            bandwidth = upper + upper.T
+            expected = float(np.median(bandwidth[~np.eye(n, dtype=bool)]))
+            assert AdaptivePeerSelector(bandwidth).bandwidth_threshold == expected
+
     def test_overtime_matrix_links_components(self):
         bandwidth = np.ones((4, 4)) - np.eye(4)
         selector = AdaptivePeerSelector(bandwidth, connectivity_gap=5, rng=0)
@@ -220,8 +264,17 @@ class TestSelectorEqualsReferenceMatchers:
             active = masks[t] if churn else None
             ours = shipped.select(t, active=active)
             with monkeypatch.context() as patch:
-                for name in ("greedy_weighted_matching", "randomly_max_match"):
-                    patch.setattr(gossip_module, name, getattr(reference_matching, name))
+                # The plain selector's weighted matcher is the parent's:
+                # the reference greedy on the dense ``bandwidth * graph``.
+                patch.setattr(
+                    gossip_module, "greedy_matching_on_graph",
+                    lambda graph, bandwidth, rng: reference_matching.greedy_weighted_matching(
+                        bandwidth * graph, rng=rng
+                    ),
+                )
+                patch.setattr(
+                    gossip_module, "randomly_max_match", reference_matching.randomly_max_match
+                )
                 theirs = plain.select(t, active=active)
             assert ours.matching == theirs.matching
             assert ours.used_fallback == theirs.used_fallback

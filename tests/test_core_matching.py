@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.matching import (
+    greedy_matching_on_graph,
     greedy_weighted_matching,
     is_valid_matching,
     matching_to_partner_array,
@@ -271,6 +272,34 @@ class TestEqualsReference:
             weights, rng=ours, complete_with_blossom=complete
         ) == reference.greedy_weighted_matching(
             weights, rng=theirs, complete_with_blossom=complete
+        )
+        assert ours.random() == theirs.random()
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 200),
+        st.sampled_from(["random", "multipartite", "thinned_multipartite"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_core_on_a_selector_graph(self, seed, n, kind, masked, complete):
+        """Algorithm 3's weighted round: the core on (graph, B) against the
+        reference greedy on the dense ``B * graph`` — an ``active`` mask
+        cut into the graph, B with planted equal links and zero links."""
+        rng = np.random.default_rng(seed)
+        graph = _graph(rng, n, kind)
+        if masked:
+            active = rng.random(n) < 0.8
+            graph &= active[:, None] & active
+        bandwidth = _symmetric(rng.uniform(1.0, 5.0, (n, n)))
+        planted = _symmetric(rng.random((n, n)) < 0.3)
+        bandwidth[planted] = rng.choice([0.0, 2.5, 4.0])
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert greedy_matching_on_graph(
+            graph, bandwidth, rng=ours, complete_with_blossom=complete
+        ) == reference.greedy_weighted_matching(
+            bandwidth * graph, rng=theirs, complete_with_blossom=complete
         )
         assert ours.random() == theirs.random()
 

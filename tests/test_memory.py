@@ -1,0 +1,120 @@
+"""What Algorithm 3's selector and the workers' optimizers hold, measured
+with tracemalloc at ``saps1024_mlp``'s scale (n = 1,024, the
+``bench_peer_selection`` bandwidth draw): state nobody reads is not
+allocated, and a round's temporaries stay a few dense bool matrices and
+per-edge arrays."""
+
+import contextlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.gossip import AdaptivePeerSelector
+from repro.data import make_blobs
+from repro.network.bandwidth import random_uniform_bandwidth
+from repro.nn import MLP
+from repro.nn import optim
+from repro.sim.trainer import TrainingWorker, bind_arena
+
+MiB = 1024 * 1024
+WORKERS = 1024
+
+
+@contextlib.contextmanager
+def traced():
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+def traced_call(call):
+    """``(result, kept, peak)``: bytes ``call()`` left allocated and the
+    most it had allocated at once, both above what was live before it."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = call()
+    current, peak = tracemalloc.get_traced_memory()
+    return result, current - before, peak - before
+
+
+@pytest.fixture(scope="module")
+def bandwidth():
+    return random_uniform_bandwidth(WORKERS, low=1.0, rng=1)
+
+
+class TestSelector:
+    def test_construction_peaks_within_2_mib_of_its_state(self, bandwidth):
+        """The parent copied the NaN-free matrix once more and the
+        off-diagonal twice for the median: 26.0 MiB peak for 18.1 kept."""
+        with traced():
+            selector, kept, peak = traced_call(
+                lambda: AdaptivePeerSelector(bandwidth, rng=1, prefer_weighted=True)
+            )
+        # B (float64), B* (bool) and R (int32): 13 MiB at n = 1,024.
+        assert kept <= 13 * MiB + MiB // 4
+        assert peak - kept <= 2 * MiB
+        assert selector.timestamps.dtype == np.int32
+
+    def test_weighted_select_transients(self, bandwidth):
+        """No dense float copy of the candidate graph, no per-round
+        re-validation: round 0 (fallback on the complete graph) at most
+        20 MiB, a connected round at most 12 (the parent: 31.0 / 20.0)."""
+        selector = AdaptivePeerSelector(bandwidth, rng=1, prefer_weighted=True)
+        with traced():
+            result, _, fallback_peak = traced_call(lambda: selector.select(0))
+            assert result.used_fallback
+            round_index = 1
+            while selector.select(round_index).used_fallback:
+                round_index += 1
+            result, _, connected_peak = traced_call(
+                lambda: selector.select(round_index + 1)
+            )
+            assert not result.used_fallback
+        assert fallback_peak <= 20 * MiB
+        assert connected_peak <= 12 * MiB
+
+
+class TestOptimizerScratch:
+    @pytest.fixture(scope="class")
+    def shard(self):
+        return make_blobs(64, num_classes=10, num_features=32, rng=1)
+
+    def workers(self, shard, count, weight_decay=0.0):
+        return [
+            TrainingWorker(
+                rank, MLP(32, [32], 10, rng=1), shard, batch_size=16, lr=0.1,
+                weight_decay=weight_decay, rng=rank,
+            )
+            for rank in range(count)
+        ]
+
+    def test_binding_allocates_no_per_worker_scratch(self, shard):
+        """A batched cluster steps every worker; the parent gave each
+        bound optimizer a row-sized scratch anyway (10.9 MiB here)."""
+        workers = self.workers(shard, WORKERS)
+        with traced():
+            bind_arena(workers)
+            snapshot = tracemalloc.take_snapshot()
+        by_optim = snapshot.filter_traces([tracemalloc.Filter(True, optim.__file__)])
+        assert sum(stat.size for stat in by_optim.statistics("filename")) == 0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bound_worker_steps_as_the_per_parameter_loop(self, shard, weight_decay):
+        bound = self.workers(shard, 4, weight_decay)
+        bind_arena(bound)
+        (plain,) = self.workers(shard, 1, weight_decay)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            grads = [rng.normal(size=p.data.shape) for p in plain.model.parameters()]
+            for worker in (bound[2], plain):
+                worker.model.zero_grad()
+                for param, grad in zip(worker.model.parameters(), grads):
+                    param.accumulate_grad(grad)
+                worker.optimizer.step()
+        assert bound[2].optimizer._flat_scratch is not None  # the vectorized path ran
+        np.testing.assert_array_equal(
+            bound[2].model.get_flat_params(), plain.model.get_flat_params()
+        )
