@@ -12,7 +12,9 @@ graph".  This module provides both, from scratch:
   equally-sized matchings are broken uniformly.
 * :func:`greedy_weighted_matching` — an extension beyond the paper:
   prefer heavier (higher-bandwidth) edges greedily, then complete to a
-  maximum matching with blossom augmentation.
+  maximum matching with blossom augmentation.  Its core,
+  :func:`greedy_matching_on_graph`, runs on a graph's edge list with the
+  weights read from a matrix, for a caller that validated both once.
 
 Graphs are symmetric boolean adjacency matrices; matchings are lists of
 ``(i, j)`` pairs with ``i < j``.
@@ -249,23 +251,6 @@ def randomly_max_match(adjacency: np.ndarray, rng: SeedLike = None) -> Matching:
     return sorted((min(a, b), max(a, b)) for a, b in restored)
 
 
-def _checked_support(weights: np.ndarray) -> np.ndarray:
-    """``weights > 0``, refusing what would otherwise read as a non-edge
-    (NaN, negative), sort first forever (infinite) or surface only if the
-    completion happens to run (a support that is not symmetric)."""
-    support = weights > 0
-    bad = support != support.T
-    if weights.size and not (weights.min() >= 0 and weights.max() < np.inf):
-        bad = ~np.isfinite(weights) | (weights < 0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0].tolist()
-        raise ValueError(
-            "weights must be finite, non-negative and positive at [j, i] "
-            f"wherever they are at [i, j]: weights[{i}, {j}] = {float(weights[i, j])!r}"
-        )
-    return support
-
-
 def greedy_weighted_matching(
     weights: np.ndarray,
     rng: SeedLike = None,
@@ -280,7 +265,19 @@ def greedy_weighted_matching(
     (``ValueError`` otherwise); the upper triangle's values are used.
     """
     weights = check_square(np.asarray(weights, dtype=np.float64), "weights")
-    support = _checked_support(weights)
+    # Refuse what would otherwise read as a non-edge (NaN, negative), sort
+    # first forever (infinite) or surface only if the completion happens
+    # to run (a support that is not symmetric).
+    support = weights > 0
+    bad = support != support.T
+    if weights.size and not (weights.min() >= 0 and weights.max() < np.inf):
+        bad = ~np.isfinite(weights) | (weights < 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            "weights must be finite, non-negative and positive at [j, i] "
+            f"wherever they are at [i, j]: weights[{i}, {j}] = {float(weights[i, j])!r}"
+        )
     np.fill_diagonal(support, False)
     return greedy_matching_on_graph(support, weights, rng, complete_with_blossom)
 
