@@ -42,7 +42,7 @@ Writes the readings to ``BENCH_hot_paths.json`` (untracked: a file every
 run overwrites from a different machine is not a history), checks every
 row of :data:`GATES` against them, lists each breached row and exits
 non-zero if there is one.  ``--quick`` takes fewer repeats and A/B pairs
-(< 65 s on two cores).
+(< 70 s on two cores).
 """
 
 from __future__ import annotations

@@ -291,10 +291,10 @@ def greedy_matching_on_graph(
     """The greedy core: :func:`greedy_weighted_matching` over the edges of
     ``adjacency`` (symmetric, empty diagonal), edge ``(i, j)`` weighing
     ``weights[i, j]`` (finite, non-negative; an edge of weight 0 is no
-    edge).  Neither input is checked or copied, so a caller that
-    validated them once may pass a graph and a matrix it keeps; the
-    matching and the draws are those of ``weights * adjacency`` through
-    :func:`greedy_weighted_matching`.
+    edge).  Neither input is checked, so a caller that validated them
+    once may pass a graph and a matrix it keeps, and no dense product of
+    the two is built; the matching and the draws are those of
+    ``weights * adjacency`` through :func:`greedy_weighted_matching`.
     """
     rng = as_generator(rng)
     n = adjacency.shape[0]
