@@ -14,7 +14,8 @@ and held by the :data:`GATES` table below:
 * ``event_throughput`` — calendar queue vs binary heap on the sampling
   storm (500k standing renewal events + 512-event round bursts; Brown,
   1988) — the engine only ever runs the calendar, so no whole run shows
-  what the heap would have cost;
+  what the heap would have cost.  The heap arm is the tests' pop-order
+  oracle, ``tests/reference/events.py`` (run from the repo root);
 * ``fault_round`` — an async-gossip run with no fault plan vs an *empty*
   :class:`repro.sim.FaultPlan`: the empty plan must schedule nothing
   and cost nothing;
@@ -72,7 +73,6 @@ from repro.nn import MLP
 from repro.sim import (
     ClusterTrainer,
     ConstantCompute,
-    EventQueue,
     ExperimentConfig,
     make_workers,
     run_event_experiment,
@@ -81,6 +81,7 @@ from repro.sim.calendar import CalendarQueue
 from repro.sim.faults import FaultPlan
 from repro.utils import parallel
 from repro.utils.rng import Substreams, derive_seed, pcg64_states
+from tests.reference.events import EventQueue
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hot_paths.json"
 

@@ -274,7 +274,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", start, start + duration)
-        engine.worker_free[rank] = start + duration
         self._schedule_worker(
             rank, start + duration, lambda t, r=rank: self._on_compute_done(r, t)
         )
@@ -516,9 +515,9 @@ class AsyncFedAvg(AsyncAlgorithm):
     upload (server's receive link); the server immediately mixes the
     upload in with weight ``mixing / (1 + staleness) ** staleness_power``
     where staleness is the number of server updates since this worker's
-    download.  Under contention (the event engine's default) concurrent
-    downloads/uploads serialize on the shared server link ends — exactly
-    the satellite contention model.
+    download.  Concurrent downloads/uploads serialize on the shared
+    server link ends (the event engine's link model) — exactly the
+    satellite contention model.
 
     Under an active fault plan the upload leg is retried with deadline /
     backoff; an upload that exhausts its budget is never mixed in (the
@@ -634,7 +633,6 @@ class AsyncFedAvg(AsyncAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", now, now + duration)
-        engine.worker_free[rank] = now + duration
         self._schedule_worker(
             rank,
             now + duration,

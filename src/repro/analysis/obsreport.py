@@ -11,9 +11,9 @@ reports the engines print from their in-memory state:
 * :func:`obs_worker_timeline` — the per-worker compute/comm/idle
   breakdown of :func:`repro.analysis.timeline.worker_timeline`,
   rebuilt from the ``worker.<rank>.*`` counters and the ``run.horizon_s``
-  gauge alone.  Same formulas (``busy = compute + comm``,
-  ``idle = max(horizon − busy, 0)``, ``utilization = min(busy/horizon,
-  1)``), so the two reports can never disagree on a recorded run.
+  gauge alone.  Both build each row with
+  :func:`~repro.analysis.timeline.timeline_row`, so the two reports can
+  never disagree on a recorded run.
 
 ``render_obs_report`` stitches all three into the one-screen profile the
 CLI prints after an instrumented run.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.tables import render_table
-from repro.analysis.timeline import WorkerTimeline
+from repro.analysis.timeline import WorkerTimeline, timeline_row
 
 
 @dataclass
@@ -141,21 +141,15 @@ def obs_worker_timeline(snapshot: Dict) -> List[WorkerTimeline]:
     )
     if not workers:
         raise ValueError("snapshot has no worker.<rank>.compute_s counters")
-    rows = []
-    for worker in workers:
-        compute = float(counters.get(f"worker.{worker}.compute_s", 0.0))
-        comm = float(counters.get(f"worker.{worker}.comm_s", 0.0))
-        busy = compute + comm
-        rows.append(
-            WorkerTimeline(
-                worker=worker,
-                compute_s=compute,
-                comm_s=comm,
-                idle_s=float(max(horizon - busy, 0.0)),
-                utilization=float(min(busy / horizon, 1.0)),
-            )
+    return [
+        timeline_row(
+            worker,
+            float(counters.get(f"worker.{worker}.compute_s", 0.0)),
+            float(counters.get(f"worker.{worker}.comm_s", 0.0)),
+            horizon,
         )
-    return rows
+        for worker in workers
+    ]
 
 
 def render_obs_report(snapshot: Dict, top: int = 10) -> str:

@@ -88,6 +88,21 @@ def render_time_to_accuracy(rows: List[TimeToAccuracy]) -> str:
     )
 
 
+def timeline_row(
+    worker: int, compute: float, comm: float, horizon: float
+) -> WorkerTimeline:
+    """One worker's row from its busy seconds over ``horizon``: idle is
+    clamped at 0 and utilization at 1 (see :func:`worker_timeline`)."""
+    busy = compute + comm
+    return WorkerTimeline(
+        worker=worker,
+        compute_s=float(compute),
+        comm_s=float(comm),
+        idle_s=float(max(horizon - busy, 0.0)),
+        utilization=float(min(busy / horizon, 1.0)),
+    )
+
+
 def worker_timeline(trace, horizon: float) -> List[WorkerTimeline]:
     """Per-worker compute/communication/idle seconds over ``horizon`` —
     the run's own (``result.horizon``): the trace's sums are clipped at
@@ -103,20 +118,10 @@ def worker_timeline(trace, horizon: float) -> List[WorkerTimeline]:
         raise ValueError(f"horizon must be positive, got {horizon}")
     compute = trace.busy_seconds("compute", horizon)
     comm = trace.busy_seconds("comm", horizon)
-    rows = []
-    for worker in range(trace.num_workers):
-        busy = compute[worker] + comm[worker]
-        idle = max(horizon - busy, 0.0)
-        rows.append(
-            WorkerTimeline(
-                worker=worker,
-                compute_s=float(compute[worker]),
-                comm_s=float(comm[worker]),
-                idle_s=float(idle),
-                utilization=float(min(busy / horizon, 1.0)),
-            )
-        )
-    return rows
+    return [
+        timeline_row(worker, compute[worker], comm[worker], horizon)
+        for worker in range(trace.num_workers)
+    ]
 
 
 def render_worker_timeline(rows: List[WorkerTimeline]) -> str:

@@ -136,26 +136,6 @@ class CommunicationTimer:
         )
         return duration
 
-    @staticmethod
-    def reserve_endpoints(
-        start: float,
-        duration: float,
-        endpoints: Optional[Tuple],
-        link_free: Dict,
-    ) -> Tuple[float, float]:
-        """Greedy in-order link reservation: the transfer begins once
-        ``start`` is reached and every declared endpoint is free, then
-        occupies all of them for ``duration``.  Returns ``(begin, end)``
-        and advances ``link_free`` in place: the event engine's
-        (:class:`repro.sim.events.EventEngine`) contention algorithm."""
-        begin = start
-        for endpoint in endpoints or ():
-            begin = max(begin, link_free.get(endpoint, 0.0))
-        end = begin + duration
-        for endpoint in endpoints or ():
-            link_free[endpoint] = end
-        return begin, end
-
     def finish_round(self) -> float:
         """Close the round: elapsed = slowest concurrent transfer."""
         elapsed = max(self._current) if self._current else 0.0

@@ -30,6 +30,13 @@ from repro.resilience.checkpoint import CheckpointStore, WorkerSnapshot
 from repro.utils.rng import derive_seed
 
 
+#: Retry ``attempt``'s backoff is ``BACKOFF_BASE * BACKOFF_FACTOR **
+#: attempt`` seconds, stretched by a uniform factor in ``[1, 1 + JITTER)``.
+BACKOFF_BASE = 0.25
+BACKOFF_FACTOR = 2.0
+JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class ExchangePolicy:
     """Deadline + exponential-backoff retry parameters of one run.
@@ -41,9 +48,6 @@ class ExchangePolicy:
 
     timeout: float = 5.0
     max_retries: int = 3
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,16 +57,6 @@ class ExchangePolicy:
             raise ValueError(
                 f"max_retries must be non-negative, got {self.max_retries}"
             )
-        if self.backoff_base <= 0:
-            raise ValueError(
-                f"backoff_base must be positive, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def backoff_delay(self, rank: int, attempt: int, counter: int) -> float:
         """Delay before retry ``attempt`` (0-based) of one exchange.
@@ -73,8 +67,8 @@ class ExchangePolicy:
         rng = np.random.default_rng(
             derive_seed(self.seed, "backoff", rank, counter, attempt)
         )
-        scale = 1.0 + self.jitter * float(rng.random())
-        return self.backoff_base * (self.backoff_factor ** attempt) * scale
+        scale = 1.0 + JITTER * float(rng.random())
+        return BACKOFF_BASE * (BACKOFF_FACTOR ** attempt) * scale
 
 
 # ----------------------------------------------------------------------

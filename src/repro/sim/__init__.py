@@ -13,7 +13,7 @@ from repro.sim.comparison import (
     run_comparison,
 )
 from repro.sim.timing import ConstantCompute, HeterogeneousCompute
-from repro.sim.events import EventEngine, EventQueue, run_event_experiment
+from repro.sim.events import EventEngine, run_event_experiment
 from repro.sim.population import RenewalPopulation, parse_population
 from repro.sim.faults import FaultPlan
 
@@ -29,7 +29,6 @@ __all__ = [
     "ConstantCompute",
     "HeterogeneousCompute",
     "EventEngine",
-    "EventQueue",
     "RenewalPopulation",
     "parse_population",
     "run_event_experiment",

@@ -1,8 +1,8 @@
-"""Calendar-queue event scheduler: bucketed time bins behind the
-:class:`~repro.sim.events.EventQueue` API.
+"""Calendar-queue event scheduler: bucketed time bins, the event
+engine's (:class:`~repro.sim.events.EventEngine`) only queue.
 
-The binary-heap :class:`~repro.sim.events.EventQueue` pays ``O(log n)``
-*Python-level list comparisons* per push and pop.  At a standing event
+A binary-heap event queue pays ``O(log n)`` *Python-level list
+comparisons* per push and pop.  At a standing event
 population of a few hundred thousand (a million-client sampled run keeps
 one in-flight cycle per active participant plus the population model's
 wake-ups) that is ~17 list comparisons per operation and the queue tops
@@ -18,8 +18,8 @@ A calendar queue [Brown 1988] replaces the heap with timestamp buckets:
   so with the adaptive width keeping buckets small the per-event
   comparison count drops from ``log n`` to ``log m ≈ 2–4``.
 
-Equivalence contract (property-tested against the heap oracle in
-``tests/test_calendar_queue.py``):
+Equivalence contract (property-tested against the binary-heap oracle,
+``tests/reference/events.py``, in ``tests/test_calendar_queue.py``):
 
 * pop order is exactly ``(time, push-sequence)`` — ties at equal
   timestamps pop in push order, bit-for-bit the heap's order;
@@ -45,8 +45,8 @@ from bisect import insort
 from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Tuple
 
-#: Tombstone marking a cancelled entry.  Each queue class checks entries
-#: only through its own methods, so the sentinel is module-private.
+#: Tombstone marking a cancelled entry; entries are checked only through
+#: the queue's own methods, so the sentinel is module-private.
 _CANCELLED = object()
 
 #: Bucket sort key: the timestamp alone.  Entries at equal times always
@@ -60,9 +60,9 @@ _TIME = itemgetter(0)
 class CalendarQueue:
     """Bucketed deterministic priority queue of ``(time, action)`` events.
 
-    Drop-in replacement for :class:`~repro.sim.events.EventQueue`
-    (``push`` / ``cancel`` / ``pop`` / ``peek_time`` / ``len`` / ``bool``)
-    with identical observable behaviour and ``O(1)`` amortized push.
+    Same API as the binary-heap oracle (``push`` / ``cancel`` / ``pop``
+    / ``peek_time`` / ``bool``) with identical observable behaviour and
+    ``O(1)`` amortized push.
     """
 
     __slots__ = (
@@ -101,7 +101,7 @@ class CalendarQueue:
         self._low = 0
 
     # ------------------------------------------------------------------
-    # the EventQueue API
+    # the queue API
     # ------------------------------------------------------------------
     def push(self, time: float, action: Callable) -> List:
         time = float(time)

@@ -268,7 +268,6 @@ def run_experiment(
     model_factory: Callable[[], Module],
     config: ExperimentConfig,
     network: Optional[SimulatedNetwork] = None,
-    record_initial: bool = True,
     round_callback: Optional[Callable[[int, float], None]] = None,
     snapshot_callback: Optional[Callable[[RoundRecord], None]] = None,
     compute_model=None,
@@ -339,8 +338,7 @@ def run_experiment(
         if snapshot_callback is not None:
             snapshot_callback(record)
 
-    if record_initial:
-        snapshot(round_index=-1, train_loss=float("nan"))
+    snapshot(round_index=-1, train_loss=float("nan"))
 
     running_loss = float("nan")
     milestones = set(config.lr_milestones or [])

@@ -7,11 +7,11 @@ the regimes the paper's Fig. 6 motivates — stragglers overlapping
 compute with communication, asynchronous gossip, staleness.  This module
 provides the missing execution layer:
 
-* :class:`EventQueue` — a deterministic min-heap of timed events (ties
-  pop in push order), so a run's event order — and therefore every RNG
-  draw made inside handlers — is a pure function of config + seed;
-* :class:`EventEngine` — per-worker clocks, per-endpoint link clocks
-  (contention, on by default), and a :class:`EventTrace` of per-worker
+* :class:`EventEngine` — a :class:`~repro.sim.calendar.CalendarQueue`
+  of timed events (ties pop in push order, so a run's event order — and
+  therefore every RNG draw made inside handlers — is a pure function of
+  config + seed), per-endpoint link clocks that serialize transfers
+  sharing a link end, and a :class:`EventTrace` of per-worker
   compute/communication busy totals, unifying the
   :class:`~repro.sim.timing.ComputeModel`, the bandwidth matrix, fault
   plans (:mod:`repro.sim.faults`) and client arrival processes
@@ -30,14 +30,13 @@ does.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.data.datasets import Dataset
-from repro.network.metrics import MB, CommunicationTimer, TrafficMeter
+from repro.network.metrics import MB, TrafficMeter
 from repro.network.transport import SimulatedNetwork
 from repro.resilience import (
     ExchangePolicy,
@@ -57,97 +56,6 @@ from repro.sim.faults import FaultPlan
 from repro.sim.timing import ComputeModel, ConstantCompute
 from repro.utils.dtypes import resolve_dtype
 from repro.utils.rng import as_generator
-
-
-#: Tombstone marking a cancelled queue entry (``None`` stays a valid
-#: action payload).
-_CANCELLED = object()
-
-
-class EventQueue:
-    """Deterministic priority queue of ``(time, action)`` events.
-
-    Events at equal times pop in push order (a monotone sequence number
-    breaks ties), so processing order never depends on heap internals —
-    the determinism guarantee every async variant's seed-reproducibility
-    rests on.
-
-    :meth:`push` returns a handle that :meth:`cancel` turns into a
-    no-op in place (the crash machinery aborts scheduled transfer
-    completions this way).  Cancellation never touches the heap
-    structure, so the pop order of surviving events is exactly what it
-    would have been — determinism survives aborts.
-    """
-
-    __slots__ = ("_heap", "_count", "_live")
-
-    def __init__(self) -> None:
-        # Entries are mutable [time, seq, action] lists; a cancelled
-        # entry keeps its heap position with action = _CANCELLED.
-        self._heap: List[List] = []
-        self._count = 0
-        self._live = 0
-
-    def push(self, time: float, action: Callable) -> List:
-        time = float(time)
-        if not np.isfinite(time) or time < 0.0:
-            raise ValueError(f"event time must be finite and >= 0, got {time}")
-        entry = [time, self._count, action]
-        heapq.heappush(self._heap, entry)
-        self._count += 1
-        self._live += 1
-        return entry
-
-    def push_many(self, events) -> List[List]:
-        """Batched :meth:`push`; returns the handles in input order.
-
-        Same (time, push-order) semantics as a push loop — the batched
-        form exists so callers can hit either scheduler through one API
-        (:class:`~repro.sim.calendar.CalendarQueue` amortizes real work
-        here; for the heap it is just the loop)."""
-        return [self.push(time, action) for time, action in events]
-
-    #: Compaction floor: below this heap size the tombstone overhead is
-    #: noise and rebuilding would only churn allocations.
-    _COMPACT_MIN = 64
-
-    def cancel(self, entry: List) -> None:
-        """Void a pushed event (idempotent); survivors keep their order.
-
-        When tombstones outnumber live entries (long fault-heavy runs
-        cancel in bulk — aborted exchanges, dead incarnations) the heap
-        is rebuilt from the survivors in place, so its size tracks the
-        live population instead of growing unboundedly.  Pop order is
-        untouched: it is the total order by ``(time, seq)``, which does
-        not depend on the heap's internal layout.
-        """
-        if entry[2] is not _CANCELLED:
-            entry[2] = _CANCELLED
-            self._live -= 1
-            heap = self._heap
-            if len(heap) > self._COMPACT_MIN and self._live < len(heap) // 2:
-                self._heap = [e for e in heap if e[2] is not _CANCELLED]
-                heapq.heapify(self._heap)
-
-    def pop(self) -> Tuple[float, Callable]:
-        while True:
-            entry = heapq.heappop(self._heap)
-            time, _, action = entry
-            if action is not _CANCELLED:
-                # Tombstone the popped entry so a late cancel() against
-                # its handle is a harmless no-op.
-                entry[2] = _CANCELLED
-                self._live -= 1
-                return time, action
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2] is _CANCELLED:
-            heapq.heappop(heap)  # drop cancelled entries lazily
-        return heap[0][0] if heap else None
-
-    def __bool__(self) -> bool:
-        return self._live > 0
 
 
 class EventTrace:
@@ -220,15 +128,20 @@ class EventTrace:
 class EventEngine:
     """Deterministic discrete-event executor over one simulated network.
 
-    Holds the queue, the wall clock, per-worker clocks, per-endpoint link
-    clocks (for contention, on by default; the synchronous timer has
-    none) and the shared scenario models: compute
+    Holds the queue, the wall clock, per-endpoint link clocks (the
+    synchronous timer has none) and the shared scenario models: compute
     times, the fault plan and the client population.  Asynchronous
     algorithms (:mod:`repro.algorithms.asynchronous`) bind to the engine
     and drive it through :meth:`schedule` and :meth:`start_tracked`, the
     one way to start a transfer that has a completion event.  Whether a
     fault plan is active is the engine's business: without one,
     :meth:`start_tracked` is plain transfers plus a scheduled completion.
+
+    ``contention`` and ``scheduler`` choose nothing: the engine always
+    serializes transfers on shared link ends and always runs a
+    :class:`~repro.sim.calendar.CalendarQueue`.  The keywords stay, each
+    accepting only that one value, because the frozen e2e benchmark
+    (``benchmarks/e2e/workloads.py``) spells them.
     """
 
     #: Safety valve: an algorithm whose events never advance time (no
@@ -250,17 +163,15 @@ class EventEngine:
         self.network = network
         self.num_workers = network.num_workers
         self.compute_model = compute_model
-        self.contention = bool(contention)
-        if scheduler not in ("calendar", "heap"):
+        if contention is not True:
             raise ValueError(
-                f"scheduler must be 'calendar' or 'heap', got {scheduler!r}"
+                f"contention must be True (links always contend), got {contention!r}"
             )
-        self.scheduler = scheduler
-        # Both schedulers pop in exactly (time, push-order) — the
-        # calendar queue is property-tested bit-for-bit against the heap
-        # (tests/test_calendar_queue.py), so the default is the fast one
-        # and "heap" stays available as the oracle.
-        self.queue = CalendarQueue() if scheduler == "calendar" else EventQueue()
+        if scheduler != "calendar":
+            raise ValueError(
+                f"scheduler must be 'calendar' (the only one), got {scheduler!r}"
+            )
+        self.queue = CalendarQueue()
         #: Client up/down arrival process (repro.sim.population) — the
         #: algorithms gate cycle starts on it; None means always-on.
         self.population = population
@@ -270,9 +181,8 @@ class EventEngine:
                 f"network has {self.num_workers} workers"
             )
         self.now = 0.0
-        #: Time each worker becomes free (informational; the handlers
-        #: keep the authoritative per-worker state machines).
-        self.worker_free = np.zeros(self.num_workers, dtype=np.float64)
+        #: Time each link end (``SimulatedNetwork.link_endpoints`` key)
+        #: is free again.
         self._link_free: Dict[Tuple, float] = {}
         self.trace = EventTrace(self.num_workers)
         self.trace.sink = obs.recorder().trace
@@ -361,20 +271,21 @@ class EventEngine:
     ) -> Tuple[float, float]:
         """Account one directed transfer; returns its ``(begin, end)``.
 
-        Under contention the transfer waits for the sender's transmit end
-        and the receiver's receive end to free up (links are full
-        duplex), then occupies both for its duration.  Bytes are metered
-        either way (``index`` is the meter's round slot — async callers
-        pass their exchange counter).
+        Greedy in-order link reservation: the transfer waits for the
+        sender's transmit end and the receiver's receive end to free up
+        (links are full duplex), then occupies both for its duration.
+        Bytes are metered at the call (``index`` is the meter's round
+        slot — async callers pass their exchange counter).
         """
         duration = self.transfer_seconds(sender, receiver, num_bytes)
         endpoints = SimulatedNetwork.link_endpoints(sender, receiver)
-        if self.contention:
-            begin, end = CommunicationTimer.reserve_endpoints(
-                start, duration, endpoints, self._link_free
-            )
-        else:
-            begin, end = start, start + duration
+        link_free = self._link_free
+        begin = start
+        for endpoint in endpoints:
+            begin = max(begin, link_free.get(endpoint, 0.0))
+        end = begin + duration
+        for endpoint in endpoints:
+            link_free[endpoint] = end
         self.network.meter.record(index, sender, receiver, num_bytes)
         for node in (sender, receiver):
             if node != TrafficMeter.SERVER:
@@ -565,7 +476,6 @@ class EventEngine:
         validation: Dataset,
         duration: float,
         checkpoint_every: float,
-        record_initial: bool = True,
     ) -> ExperimentResult:
         """Drive ``algorithm`` (an async variant already ``setup()``)
         until the simulated clock reaches ``duration``, snapshotting
@@ -624,8 +534,7 @@ class EventEngine:
                 obs.end_round(len(result.history) - 1)
 
         algorithm.start()
-        if record_initial:
-            snapshot(0.0)
+        snapshot(0.0)
         # Checkpoint times are k * checkpoint_every (multiplication, not
         # accumulation) so the final checkpoint lands exactly on a round
         # multiple of the interval instead of drifting past it.
@@ -685,7 +594,6 @@ def run_event_experiment(
     compute_model: Optional[ComputeModel] = None,
     duration: float = 30.0,
     checkpoint_every: Optional[float] = None,
-    contention: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     exchange_policy: Optional[ExchangePolicy] = None,
     recovery: Optional[RecoveryPolicy] = None,
@@ -723,7 +631,6 @@ def run_event_experiment(
     engine = EventEngine(
         network,
         compute_model=compute_model,
-        contention=contention,
         fault_plan=fault_plan,
         exchange_policy=exchange_policy,
         recovery=recovery,

@@ -1,18 +1,20 @@
 """Calendar queue vs binary-heap oracle: bit-for-bit equivalence.
 
-The engine's default scheduler is the bucketed :class:`CalendarQueue`;
+The engine's only scheduler is the bucketed :class:`CalendarQueue`;
 its contract is *exact* (time, push-order) pop order — the same total
-order the heap-backed :class:`EventQueue` produces.  These tests drive
-both through identical randomized schedules (ties, out-of-order pushes,
-cancellations, interleaved pops) and require identical observable
-behaviour, plus the EventQueue tombstone-compaction regression.
+order the heap-backed :class:`EventQueue` oracle
+(``tests/reference/events.py``) produces.  These tests drive both
+through identical randomized schedules (ties, out-of-order pushes,
+cancellations, interleaved pops) and whole engine runs, and require
+identical observable behaviour, plus the oracle's tombstone-compaction
+regression.
 """
 
 import numpy as np
 import pytest
 
 from repro.sim.calendar import CalendarQueue
-from repro.sim.events import EventQueue
+from tests.reference.events import EventQueue
 
 
 def drain(queue):
@@ -212,10 +214,9 @@ class TestEngineSchedulerEquivalence:
             make_workers,
         )
 
-        def run(scheduler):
-            # run_event_experiment's own steps, spelled out: the heap is
-            # injected through the engine's kwarg (the only place the
-            # choice still exists).
+        def run(queue_factory):
+            # run_event_experiment's own steps, spelled out, with the
+            # engine's queue swapped before the run.
             full = make_blobs(num_samples=260, num_classes=4,
                               num_features=8, rng=0)
             train, validation = full.split(fraction=0.8, rng=0)
@@ -227,13 +228,11 @@ class TestEngineSchedulerEquivalence:
                 lambda: MLP(8, [8], 4, rng=0), partitions, config
             )
             algorithm.setup(workers, network, rng=config.seed)
-            engine = EventEngine(
-                network, compute_model=ConstantCompute(0.05),
-                scheduler=scheduler,
-            )
+            engine = EventEngine(network, compute_model=ConstantCompute(0.05))
+            engine.queue = queue_factory()
             return engine.run(algorithm, validation, 5.0, 1.0)
 
-        a, b = run("calendar"), run("heap")
+        a, b = run(CalendarQueue), run(EventQueue)
         assert len(a.history) == len(b.history)
         for ra, rb in zip(a.history, b.history):
             for name in ra.__dataclass_fields__:

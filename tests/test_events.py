@@ -2,7 +2,8 @@
 
 The load-bearing suite of the event subsystem:
 
-* the deterministic event queue;
+* the deterministic event queue: the engine's calendar queue and the
+  binary-heap oracle (``tests/reference/events.py``) under one contract;
 * link contention: the synchronous timer's max-of-transfers round and
   the event engine's per-endpoint reservation;
 * the synchronous round loop's simulated clock against closed forms —
@@ -38,47 +39,60 @@ from repro.nn import MLP
 from repro.sim import (
     ConstantCompute,
     EventEngine,
-    EventQueue,
     ExperimentConfig,
     HeterogeneousCompute,
     run_event_experiment,
     run_experiment,
 )
+from repro.sim.calendar import CalendarQueue
 from repro.sim.events import EventTrace
 from tests.conftest import settled_growth
+from tests.reference.events import EventQueue
 
 
 class TestEventQueue:
+    """The queue contract on the engine's calendar queue; the subclass
+    below holds the binary-heap oracle to the same tests."""
+
+    Queue = CalendarQueue
+
     def test_orders_by_time(self):
-        queue = EventQueue()
+        queue = self.Queue()
         for time in (3.0, 1.0, 2.0):
             queue.push(time, time)
         assert [queue.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_ties_pop_in_push_order(self):
-        queue = EventQueue()
+        queue = self.Queue()
         for tag in ("a", "b", "c"):
             queue.push(1.0, tag)
         assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
 
     def test_len_and_bool(self):
-        queue = EventQueue()
+        queue = self.Queue()
         assert not queue and queue._live == 0
         queue.push(0.0, None)
         assert queue and queue._live == 1
         assert queue.peek_time() == 0.0
 
     def test_rejects_bad_times(self):
-        queue = EventQueue()
+        queue = self.Queue()
         with pytest.raises(ValueError):
             queue.push(-1.0, None)
         with pytest.raises(ValueError):
             queue.push(float("nan"), None)
 
 
+class TestReferenceEventQueue(TestEventQueue):
+    Queue = EventQueue
+
+
 class TestEventQueueDeterminism:
     """Property-style checks of the FIFO-on-ties and cancellation
-    contracts the fault engine leans on."""
+    contracts the fault engine leans on, on the engine's calendar queue;
+    the subclass below holds the binary-heap oracle to them too."""
+
+    Queue = CalendarQueue
 
     def _reference_order(self, pushes):
         """Stable sort by time = the contractual pop order."""
@@ -87,7 +101,7 @@ class TestEventQueueDeterminism:
     def test_interleaved_push_pop_respects_push_order_on_ties(self):
         rng = np.random.default_rng(1234)
         for trial in range(20):
-            queue = EventQueue()
+            queue = self.Queue()
             pushes, popped = [], []
             sequence = 0
             for _ in range(200):
@@ -113,7 +127,7 @@ class TestEventQueueDeterminism:
 
     def test_drain_after_all_pushes_matches_stable_sort(self):
         rng = np.random.default_rng(99)
-        queue = EventQueue()
+        queue = self.Queue()
         pushes = []
         for sequence in range(300):
             time = float(rng.integers(0, 10))
@@ -125,7 +139,7 @@ class TestEventQueueDeterminism:
     def test_cancel_never_reorders_survivors(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
-            control, queue = EventQueue(), EventQueue()
+            control, queue = self.Queue(), self.Queue()
             handles, pushes = [], []
             for sequence in range(150):
                 time = float(rng.integers(0, 6))
@@ -148,7 +162,7 @@ class TestEventQueueDeterminism:
             assert control._live == 150
 
     def test_cancel_updates_len_and_peek(self):
-        queue = EventQueue()
+        queue = self.Queue()
         first = queue.push(1.0, "first")
         queue.push(2.0, "second")
         queue.cancel(first)
@@ -158,7 +172,7 @@ class TestEventQueueDeterminism:
         assert not queue
 
     def test_cancel_is_idempotent_and_safe_after_pop(self):
-        queue = EventQueue()
+        queue = self.Queue()
         entry = queue.push(1.0, "only")
         queue.cancel(entry)
         queue.cancel(entry)  # double-cancel: no-op
@@ -169,6 +183,10 @@ class TestEventQueueDeterminism:
         assert queue._live == 0
 
 
+class TestReferenceEventQueueDeterminism(TestEventQueueDeterminism):
+    Queue = EventQueue
+
+
 class TestContention:
     def test_off_is_max_of_transfers(self):
         timer = CommunicationTimer()
@@ -176,33 +194,28 @@ class TestContention:
         timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", 0), ("rx", 2)))
         assert timer.finish_round() == pytest.approx(3.0)
 
+    @staticmethod
+    def unit_engine(n):
+        """An engine over ``n`` workers linked at 1 MB/s each way."""
+        return EventEngine(SimulatedNetwork(n, bandwidth=np.ones((n, n)) - np.eye(n)))
+
     def test_on_serializes_shared_endpoint(self):
-        link_free = {}
-        reserve = CommunicationTimer.reserve_endpoints
+        engine = self.unit_engine(3)
         # Two uploads out of worker 0's transmit end: they serialize.
-        assert reserve(0.0, 2.0, (("tx", 0), ("rx", 1)), link_free) == (0.0, 2.0)
-        assert reserve(0.0, 3.0, (("tx", 0), ("rx", 2)), link_free) == (2.0, 5.0)
+        assert engine.start_transfer(0.0, 0, 1, int(2 * MB)) == (0.0, 2.0)
+        assert engine.start_transfer(0.0, 0, 2, int(3 * MB)) == (2.0, 5.0)
 
     def test_on_disjoint_endpoints_still_parallel(self):
-        link_free = {}
-        reserve = CommunicationTimer.reserve_endpoints
-        assert reserve(0.0, 2.0, (("tx", 0), ("rx", 1)), link_free) == (0.0, 2.0)
-        assert reserve(0.0, 3.0, (("tx", 2), ("rx", 3)), link_free) == (0.0, 3.0)
-
-    def test_undeclared_endpoints_never_contend(self):
-        link_free = {}
-        reserve = CommunicationTimer.reserve_endpoints
-        assert reserve(0.0, 2.0, None, link_free) == (0.0, 2.0)
-        assert reserve(0.0, 3.0, None, link_free) == (0.0, 3.0)
-        assert link_free == {}
+        engine = self.unit_engine(4)
+        assert engine.start_transfer(0.0, 0, 1, int(2 * MB)) == (0.0, 2.0)
+        assert engine.start_transfer(0.0, 2, 3, int(3 * MB)) == (0.0, 3.0)
 
     def test_contention_is_in_order_greedy_schedule(self):
         """The engine's contention algorithm is greedy in-order link
         reservation.  Here transfer 2 waits for tx-0 (until t=3) and
         transfer 3 then waits for rx-2 (until t=5), ending at t=9 — not
         the per-endpoint-sum lower bound of 6."""
-        bandwidth = np.full((3, 3), 1.0) - np.eye(3)
-        engine = EventEngine(SimulatedNetwork(3, bandwidth=bandwidth), contention=True)
+        engine = self.unit_engine(3)
         engine.start_transfer(0.0, 0, 1, int(3 * MB))
         assert engine.start_transfer(0.0, 0, 2, int(2 * MB)) == (
             pytest.approx(3.0), pytest.approx(5.0)
@@ -219,9 +232,7 @@ class TestContention:
         assert endpoints == (("tx", 0), ("rx", 1))
 
     def test_engine_transfer_serializes_on_shared_link_end(self):
-        bandwidth = np.full((3, 3), 1.0) - np.eye(3)
-        network = SimulatedNetwork(3, bandwidth=bandwidth)
-        engine = EventEngine(network, contention=True)
+        engine = self.unit_engine(3)
         begin_1, end_1 = engine.start_transfer(0.0, 0, 1, int(2 * MB))
         begin_2, end_2 = engine.start_transfer(0.0, 0, 2, int(2 * MB))
         assert (begin_1, end_1) == (0.0, pytest.approx(2.0))
@@ -231,15 +242,6 @@ class TestContention:
         # Opposite direction is a different link end: full duplex.
         begin_3, _ = engine.start_transfer(0.0, 1, 0, int(2 * MB))
         assert begin_3 == 0.0
-
-    def test_engine_no_contention_is_parallel(self):
-        bandwidth = np.full((3, 3), 1.0) - np.eye(3)
-        network = SimulatedNetwork(3, bandwidth=bandwidth)
-        engine = EventEngine(network, contention=False)
-        _, end_1 = engine.start_transfer(0.0, 0, 1, int(2 * MB))
-        begin_2, _ = engine.start_transfer(0.0, 0, 2, int(2 * MB))
-        assert end_1 == pytest.approx(2.0)
-        assert begin_2 == 0.0
 
 
 @pytest.fixture
@@ -609,6 +611,14 @@ class TestTimelineAnalysis:
 
 
 class TestEngineConfig:
+    def test_only_the_one_link_model_and_scheduler(self):
+        network = SimulatedNetwork(2)
+        EventEngine(network, contention=True, scheduler="calendar")
+        with pytest.raises(ValueError, match="contention"):
+            EventEngine(network, contention=False)
+        with pytest.raises(ValueError, match="scheduler"):
+            EventEngine(network, scheduler="heap")
+
     def test_run_validation(self, workload):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=5, eval_every=5, lr=0.2, seed=11)

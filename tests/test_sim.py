@@ -109,14 +109,6 @@ class TestRunExperiment:
         assert traffic == sorted(traffic)
         assert traffic[0] == 0.0
 
-    def test_no_initial_record(self, workload):
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=10, eval_every=5, seed=0)
-        result = run_experiment(
-            PSGD(), partitions, validation, factory, config, record_initial=False
-        )
-        assert result.history[0].round_index == 4
-
     def test_final_round_always_recorded(self, workload):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=7, eval_every=5, seed=0)

@@ -41,8 +41,6 @@ REPO = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "repro.nn.sharded:ShardedArena.peek": "reads a client's row without faulting it in, so tests check "
     "the resident / spilled / cold guarantee without moving the LRU order",
-    "repro.sim.events:EventQueue.cancel": "the heap's cancel is the oracle tests/test_calendar_queue.py "
-    "checks CalendarQueue.cancel against; the engine cancels on the calendar queue only",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
