@@ -12,9 +12,10 @@ warmer box.  Bytecode caches are redirected to an empty directory, so
 both trees compile from source as a fresh checkout does.  ``--workload``
 takes one or more names, run one after the other.  Each gets a block:
 every pair — ``run_s``, ``worker_steps_per_s``, ``setup_s``,
-``peak_rss_mb`` and the trajectory digest of each side — then the
-medians, the base tree's ``run_s`` quartiles and the median per-pair
-change.  One summary line per workload follows all the blocks, so "the
+``peak_rss_mb``, the child's minor page faults and system CPU seconds
+(``getrusage(RUSAGE_CHILDREN)`` deltas around it) and the trajectory
+digest of each side — then the medians, the base tree's ``run_s``
+quartiles and the median per-pair change.  One summary line per workload follows all the blocks, so "the
 claimed workload moved, the others did not" is one command.  For
 ``run_s`` and ``worker_steps_per_s`` the line states the verdict of
 the gain rule: the new tree's wins out of the pairs, the median gap
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -106,9 +108,15 @@ def _last_line(tree: Path, workload: str, seed: int, smoke: bool,
 
 def run_child(tree: Path, workload: str, seed: int, smoke: bool,
               pycache: str) -> dict:
+    """The child's record, plus its ``minor_faults`` and ``sys_s``."""
     child = str(tree / "benchmarks" / "e2e" / "child.py")
-    return json.loads(_last_line(tree, workload, seed, smoke, pycache,
-                                 [sys.executable, child], CHILD_TIMEOUT_S))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    record = json.loads(_last_line(tree, workload, seed, smoke, pycache,
+                                   [sys.executable, child], CHILD_TIMEOUT_S))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    record["minor_faults"] = after.ru_minflt - before.ru_minflt
+    record["sys_s"] = after.ru_stime - before.ru_stime
+    return record
 
 
 def count_calls(tree: Path, workload: str, seed: int, smoke: bool,
@@ -159,7 +167,9 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
     print(f"{'pair':>4} {'first':>5} {'base run_s':>10} {'new run_s':>10} "
           f"{'change':>8} {'base steps/s':>12} {'new steps/s':>12} "
           f"{'base setup':>10} {'new setup':>10} {'base rss':>9} "
-          f"{'new rss':>9} {'base digest':>12} {'new digest':>12}")
+          f"{'new rss':>9} {'base faults':>11} {'new faults':>11} "
+          f"{'base sys':>8} {'new sys':>8} {'base digest':>12} "
+          f"{'new digest':>12}")
     for pair in range(args.pairs):
         order = ("base", "new") if pair % 2 == 0 else ("new", "base")
         record = {}
@@ -177,6 +187,8 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
               f"{steps_per_s(base):>12.1f} {steps_per_s(new):>12.1f} "
               f"{base['setup_s']:>10.3f} {new['setup_s']:>10.3f} "
               f"{base['peak_rss_mb']:>9.1f} {new['peak_rss_mb']:>9.1f} "
+              f"{base['minor_faults']:>11} {new['minor_faults']:>11} "
+              f"{base['sys_s']:>8.3f} {new['sys_s']:>8.3f} "
               f"{base['digest'][:12]:>12} {new['digest'][:12]:>12}"
               f"{'' if same else '  DIGEST DIFFERS'}")
 
@@ -188,6 +200,8 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
         "worker_steps_per_s": steps_per_s,
         "setup_s": lambda r: r["setup_s"],
         "peak_rss_mb": lambda r: r["peak_rss_mb"],
+        "minor_faults": lambda r: r["minor_faults"],
+        "sys_s": lambda r: r["sys_s"],
     }
     medians = {
         (side, name): statistics.median(series(side, metric))
@@ -199,7 +213,9 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
               f"worker_steps_per_s median "
               f"{medians[side, 'worker_steps_per_s']:.1f}, setup_s median "
               f"{medians[side, 'setup_s']:.3f}, peak_rss_mb median "
-              f"{medians[side, 'peak_rss_mb']:.1f}")
+              f"{medians[side, 'peak_rss_mb']:.1f}, minor_faults median "
+              f"{medians[side, 'minor_faults']:.0f}, sys_s median "
+              f"{medians[side, 'sys_s']:.3f}")
     changes = [
         n["run_s"] / b["run_s"] - 1.0 for b, n in zip(runs["base"], runs["new"])
     ]
@@ -239,7 +255,11 @@ def run_workload(trees: Dict[str, Path], workload: str, args,
         f"setup_s {medians['base', 'setup_s']:.3f} -> "
         f"{medians['new', 'setup_s']:.3f}, peak_rss_mb "
         f"{medians['base', 'peak_rss_mb']:.1f} -> "
-        f"{medians['new', 'peak_rss_mb']:.1f}{calls}, {digests}, {counters}"
+        f"{medians['new', 'peak_rss_mb']:.1f}, minor_faults "
+        f"{medians['base', 'minor_faults']:.0f} -> "
+        f"{medians['new', 'minor_faults']:.0f}, sys_s "
+        f"{medians['base', 'sys_s']:.3f} -> "
+        f"{medians['new', 'sys_s']:.3f}{calls}, {digests}, {counters}"
     )
     return summary, mismatches
 

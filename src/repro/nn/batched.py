@@ -51,6 +51,11 @@ All gradient writes go straight into ``arena.grads`` through the bound
 views, so downstream consumers (all-reduce averaging, batched
 compression, error feedback) see exactly what the per-worker backward
 passes would have produced.
+
+The window kernels keep every array they build (halos, patches, GEMM
+outputs, folds, pool candidates) in their own ``workspace``: a warm pass
+allocates none, and an array a kernel returns is valid until its next
+call (a :class:`BatchedReLU` overwrites it).
 """
 
 from __future__ import annotations
@@ -185,14 +190,20 @@ class BatchedLinear(BatchedKernel):
 
 
 class BatchedReLU(BatchedKernel):
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
+    """``x · (x > 0)``, ``in_place`` over a conv's or linear's output;
+    backward writes the input gradient over the output."""
+
+    def __init__(self, in_place: bool = False) -> None:
+        self.in_place = in_place
+        self._mask = self._output = None
 
     def forward(
         self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         self._mask = inputs > 0
-        return inputs * self._mask
+        out = inputs if self.in_place else None
+        self._output = np.multiply(inputs, self._mask, out=out)
+        return self._output
 
     def backward(
         self, grad_output: np.ndarray, rows=None, need_input_grad: bool = True
@@ -201,10 +212,10 @@ class BatchedReLU(BatchedKernel):
             raise RuntimeError("backward called before forward")
         if not need_input_grad:
             return None
-        return grad_output * self._mask
+        return np.multiply(grad_output, self._mask, out=self._output)
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return inputs * (inputs > 0)
+        return np.multiply(inputs, inputs > 0, out=inputs if self.in_place else None)
 
 
 class _WindowKernel(BatchedKernel):
@@ -245,13 +256,11 @@ class BatchedConv2d(_WindowKernel):
     that comes back through a ReLU or a max-pool in that layout reshapes
     into the GEMM's ``(n, B·oh·ow, out_c)`` matrix as a view.
 
-    The stacked patch matrix (``(n, B·oh·ow, C·kh·kw)``, cached through
-    backward) is the dominant transient of the conv path; the
-    :class:`~repro.sim.cluster.ClusterTrainer` folds its footprint into
-    the cluster-block byte budget
-    (``_workspace_bytes_per_worker``/``_block_rows``), so blocks shrink
-    until one block's weights *and* its im2col workspace fit the budget
-    together — the full-cluster tensor is never materialized at once.
+    The workspace holds the halo (backward's fold too), the patch matrix
+    (``(n, B·oh·ow, C·kh·kw)``, cached through backward, then holding the
+    input-grad columns) and the GEMM output; the
+    :class:`~repro.sim.cluster.ClusterTrainer`'s block budget counts them
+    (``_workspace_bytes_per_worker``).
     Child spans: ``compute.conv.gather`` / ``.gemm`` / ``.scatter``.
     """
 
@@ -277,9 +286,15 @@ class BatchedConv2d(_WindowKernel):
             arena, weight_spec, (out_channels, weight_spec.size // out_channels)
         )
         self.biases, self.bias_grads = _arena_views(arena, bias_spec)
+        self.workspace: dict = {}
         self._cols: Optional[np.ndarray] = None
         self._used_weights: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
+
+    def _matmul(self, name: str, left: np.ndarray, right: np.ndarray):
+        shape = left.shape[:-1] + right.shape[-1:]
+        out = F.buffer(self.workspace, name, shape, np.result_type(left, right))
+        return np.matmul(left, right, out=out)
 
     def forward(
         self, inputs: np.ndarray, rows=None
@@ -293,7 +308,7 @@ class BatchedConv2d(_WindowKernel):
         with obs.phase("compute.conv.gather"):
             cols = F.im2col(
                 self._images(inputs), self.kernel_size, self.stride,
-                self.padding,
+                self.padding, workspace=self.workspace,
             ).reshape(count, batch * out_h * out_w, -1)
         self._cols = cols
         self._used_weights = weights
@@ -301,7 +316,7 @@ class BatchedConv2d(_WindowKernel):
         # einsum('nmk,nok->nmo') via stacked BLAS — per-worker
         # cols @ weight_matrix.T, bit for bit.
         with obs.phase("compute.conv.gemm"):
-            output = np.matmul(cols, weights.swapaxes(1, 2))
+            output = self._matmul("output", cols, weights.swapaxes(1, 2))
             if self.biases is not None:
                 biases = self.biases if rows is None else self.biases[rows]
                 output += biases[:, None, :]
@@ -340,13 +355,14 @@ class BatchedConv2d(_WindowKernel):
                     self.bias_grads[rows] = grad_matrix.sum(axis=1)
             if not need_input_grad:
                 return None
-            grad_cols = np.matmul(grad_matrix, self._used_weights)
+            # The patch matrix is spent: its buffer takes the columns.
+            grad_cols = self._matmul("cols", grad_matrix, self._used_weights)
         with obs.phase("compute.conv.scatter"):
             folded = F.col2im(
                 grad_cols.reshape(-1, grad_cols.shape[2]),
                 (count * batch, channels, height, width),
                 self.kernel_size, self.stride, self.padding,
-                channels_last=True,
+                channels_last=True, workspace=self.workspace,
             )
         return folded.reshape(self._input_shape)
 
@@ -358,9 +374,10 @@ class BatchedConv2d(_WindowKernel):
         batch, _, height, width = inputs.shape
         out_h, out_w = self._output_hw(height, width)
         with obs.phase("compute.conv.gather"):
-            cols = F.im2col(inputs, self.kernel_size, self.stride, self.padding)
+            cols = F.im2col(inputs, self.kernel_size, self.stride, self.padding,
+                            workspace=self.workspace)
         with obs.phase("compute.conv.gemm"):
-            output = cols @ weight_matrix.T
+            output = self._matmul("output", cols, weight_matrix.T)
             if self.bias_spec is not None:
                 output += vector[self.bias_spec.offset : self.bias_spec.end]
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(
@@ -370,7 +387,7 @@ class BatchedConv2d(_WindowKernel):
 
 class BatchedMaxPool2d(_WindowKernel):
     """Max pooling over ``(n, B, c, h, w)`` stacks with argmax routing:
-    workers and channels fold into the rows of
+    workers fold into the images of
     :func:`~repro.nn.functional.max_pool`, the function the per-worker
     :class:`~repro.nn.layers.MaxPool2d` runs too (parity by sharing)."""
 
@@ -383,6 +400,7 @@ class BatchedMaxPool2d(_WindowKernel):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
+        self.workspace: dict = {}
         self._argmax: Optional[np.ndarray] = None
         self._layout: Optional[str] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
@@ -392,7 +410,8 @@ class BatchedMaxPool2d(_WindowKernel):
     ) -> np.ndarray:
         images = self._images(inputs)
         output, self._argmax, self._layout = F.max_pool(
-            images, self.kernel_size, self.stride, self.padding
+            images, self.kernel_size, self.stride, self.padding,
+            self.workspace,
         )
         self._input_shape = inputs.shape
         return output.reshape(inputs.shape[:2] + output.shape[1:])
@@ -408,12 +427,13 @@ class BatchedMaxPool2d(_WindowKernel):
         grad = F.max_pool_backward(
             grad_output, self._argmax,
             (count * batch,) + self._input_shape[2:], self._layout,
-            self.kernel_size, self.stride, self.padding,
+            self.kernel_size, self.stride, self.padding, self.workspace,
         )
         return grad.reshape(self._input_shape)
 
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return F.max_pool(inputs, self.kernel_size, self.stride, self.padding)[0]
+        pool = (self.kernel_size, self.stride, self.padding, self.workspace)
+        return F.max_pool(inputs, *pool)[0]
 
 
 class BatchedGlobalAvgPool2d(BatchedKernel):
@@ -573,8 +593,8 @@ class BatchedSequential:
     def forward_vector(self, vector: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Eval-mode forward of one flat model vector.
 
-        No *training* state is mutated: parameters, gradients, backward
-        caches and RNG streams are untouched."""
+        Parameters, gradients and RNG streams are untouched; the kernels'
+        workspaces are reused, so run it between training passes."""
         out = inputs
         for kernel, phase in zip(self.kernels, self.phases):
             with obs.phase(phase):
@@ -646,7 +666,7 @@ def build_batched_model(arena: ParameterArena) -> Optional[BatchedSequential]:
     if reference is None or any(plan != reference for plan in plans[1:]):
         return None
     kernels: List[BatchedKernel] = []
-    for entry in reference:
+    for position, entry in enumerate(reference):
         kind = entry[0]
         if kind == "linear":
             kernels.append(BatchedLinear(arena, entry[1], entry[2]))
@@ -659,7 +679,8 @@ def build_batched_model(arena: ParameterArena) -> Optional[BatchedSequential]:
         elif kind == "flatten":
             kernels.append(BatchedFlatten())
         else:
-            kernels.append(BatchedReLU())
+            kernels.append(BatchedReLU(in_place=position > 0 and (
+                reference[position - 1][0] in ("conv", "linear"))))
     return BatchedSequential(
         kernels, arena.num_workers, [entry[0] for entry in reference]
     )

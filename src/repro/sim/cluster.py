@@ -153,10 +153,7 @@ class ClusterTrainer:
         # of treating the segments as never-touched.
         for worker in self.workers:
             worker.model.zero_grad()
-        #: Per-worker transient-workspace bytes (the conv/pool kernels'
-        #: stacked patch matrices) — folded into the block-size
-        #: computation so one block's weights *and* its patch workspace
-        #: fit the cache budget together (:meth:`_block_rows`).
+        #: Per-worker workspace bytes, budgeted with the weights.
         self._workspace_bytes = self._workspace_bytes_per_worker()
 
     # ------------------------------------------------------------------
@@ -302,54 +299,44 @@ class ClusterTrainer:
             shard_labels.take(indices, axis=0, out=labels[position])
         return features, labels
 
-    #: Target resident size of one execution block (rows × model bytes,
-    #: plus the per-row transient workspace of the conv/pool kernels):
-    #: big enough to amortize kernel dispatch, small enough that a
-    #: block's weights/grads/activations stay cache-resident (read once
-    #: for forward + backward + update) instead of streaming the full
-    #: replica matrix through DRAM several times per step.  16 MB was
-    #: the empirical sweet spot at n = 1024 on the bench MLP.
+    #: Byte budget of one execution block: its rows' weights plus their
+    #: window-kernel workspaces.  It bounds what a step holds at once and
+    #: amortizes dispatch; it is not cache-resident on a 2 MiB L2 (the
+    #: kernels tile for that).  16 MiB was the empirical sweet spot at
+    #: n = 1024 on the bench MLP.
     BLOCK_BYTES = 16 << 20
 
     def _workspace_bytes_per_worker(self) -> int:
-        """Per-worker bytes of the batched kernels' dominant transient
-        buffers: the stacked patch matrices the conv and pooling kernels
-        gather (and, for conv, cache through backward).
-
-        Folding this into :meth:`_block_rows` is what keeps the conv
-        path from materializing the full ``(n·B·L, C·kh·kw)`` patch
-        matrix at large n: the block size shrinks until one block's
-        weights *and* its patch workspace fit the byte budget together.
-        Zero for the MLP family (no window kernels), so flat workloads
-        keep their historical partition.
-        """
+        """Bytes a worker adds to the window kernels' warm workspaces
+        (:mod:`repro.nn.batched`): per conv its halo, patch matrix and
+        GEMM output; per max-pool its halo, candidate slabs, maxima,
+        argmax, offsets, masks and positions.  Zero for the MLP family
+        (no window kernels), so flat workloads keep their partition."""
         sample_shape = self.workers[0].loader.dataset.features.shape[1:]
         if len(sample_shape) != 3:
             return 0
         itemsize = self.workers[0].loader.dataset.features.dtype.itemsize
-        batch = self._batch_size
         channels, height, width = sample_shape
         total = 0
         for kernel in self.net.kernels:
-            if isinstance(kernel, BatchedConv2d):
+            if isinstance(kernel, (BatchedConv2d, BatchedMaxPool2d)):
+                (kh, kw), (ph, pw) = kernel.kernel_size, kernel.padding
                 out_h, out_w = kernel._output_hw(height, width)
-                kh, kw = kernel.kernel_size
-                patch = batch * out_h * out_w * channels * kh * kw * itemsize
-                # The forward cols are cached for backward, which builds
-                # an equally sized grad_cols matrix: both are live at
-                # once during the backward pass.
-                total += 2 * patch
-                channels, height, width = kernel.out_channels, out_h, out_w
-            elif isinstance(kernel, BatchedMaxPool2d):
-                out_h, out_w = kernel._output_hw(height, width)
-                kh, kw = kernel.kernel_size
-                total += batch * channels * out_h * out_w * kh * kw * itemsize
+                total += channels * (height + 2 * ph) * (width + 2 * pw) * itemsize
                 height, width = out_h, out_w
+            if isinstance(kernel, BatchedConv2d):  # patches, GEMM output
+                cells = channels * kh * kw + kernel.out_channels
+                total += out_h * out_w * cells * itemsize
+                channels = kernel.out_channels
+            elif isinstance(kernel, BatchedMaxPool2d):  # as listed above
+                argmax = np.min_scalar_type(-kh * kw).itemsize
+                per_cell = max(kh * kw * itemsize, 8) + itemsize + 2 * argmax + 2 + 8
+                total += channels * out_h * out_w * per_cell
             elif isinstance(kernel, BatchedGlobalAvgPool2d):
                 height = width = 1
             elif isinstance(kernel, BatchedFlatten):
                 break
-        return total
+        return total * self._batch_size
 
     def _block_rows(self) -> int:
         per_worker = max(

@@ -1,6 +1,6 @@
 """``benchmarks/ab.py``: one smoke pair of this tree against itself on the
-cheapest workload, with equal ``--calls`` counts, and, with the children
-faked, the two-workload summary, the exit status when the two trees'
+cheapest workload, with equal ``--calls`` counts and each child's minor
+faults and system time, and, with the children faked, the two-workload summary, the exit status when the two trees'
 trajectories differ on any workload, and the counter comparison."""
 
 from __future__ import annotations
@@ -28,8 +28,17 @@ def test_smoke_pair_against_itself():
                  if line.startswith("calls under cProfile: "))
     base, new = calls.split("base ")[1].split(", new ")
     assert int(base) == int(new) > 0
+    header = next(line for line in out.splitlines() if line.startswith("pair"))
+    for column in ("base faults", "new faults", "base sys", "new sys"):
+        assert column in header
+    pair = next(line for line in out.splitlines() if line.startswith("   1"))
+    base_faults, new_faults, base_sys, new_sys = pair.split()[11:15]
+    assert int(base_faults) > 0 and int(new_faults) > 0
+    assert float(base_sys) >= 0.0 and float(new_sys) >= 0.0
+    assert "minor_faults median " in out and "sys_s median " in out
     summary = out.split("summary:\n", 1)[1].splitlines()
     assert summary[0].startswith("  saps1024_mlp: run_s ")
+    assert ", minor_faults " in summary[0] and ", sys_s " in summary[0]
     assert summary[0].endswith(
         f"calls {base} -> {new} (+0.00%), digests equal, counters equal"
     )
@@ -43,7 +52,8 @@ def test_a_differing_digest_fails(monkeypatch, capsys):
         differs = tree.name == "new" and workload == "second"
         digest = ("b" if differs else "a") * 64
         return {"run_s": 1.0, "steps": 10, "setup_s": 0.5,
-                "peak_rss_mb": 50.0, "digest": digest, "counters": {}}
+                "peak_rss_mb": 50.0, "minor_faults": 900, "sys_s": 0.125,
+                "digest": digest, "counters": {}}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
     monkeypatch.setattr(Path, "is_file", lambda self: True)
@@ -69,7 +79,9 @@ def test_summary_states_the_gain_verdict(monkeypatch, capsys):
     def fake_run(tree, workload, seed, smoke, pycache):
         run_s = next(base_run_s if tree.name == "base" else new_run_s)
         return {"run_s": run_s, "steps": 100, "setup_s": 0.25,
-                "peak_rss_mb": 50.0, "digest": "a" * 64,
+                "peak_rss_mb": 50.0, "sys_s": 0.25,
+                "minor_faults": 4000 if tree.name == "base" else 400,
+                "digest": "a" * 64,
                 "counters": {"network.transfers": 7}}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
@@ -88,6 +100,7 @@ def test_summary_states_the_gain_verdict(monkeypatch, capsys):
     assert "new better in 9/10, median gap +1, base IQR 0.2: GAIN" in summary
     assert "worker_steps_per_s 47.6 -> 90.9 (new better in 9/10" in summary
     assert "setup_s 0.250 -> 0.250" in summary
+    assert "minor_faults 4000 -> 400, sys_s 0.250 -> 0.250" in summary
     assert summary.endswith("digests equal, counters equal")
     assert ab.verdict([1.0, 1.0], [1.0, 1.0], lower_is_better=True).endswith(
         "no gain"
@@ -107,7 +120,8 @@ def test_differing_counters_are_named_but_do_not_fail(monkeypatch, capsys):
         if new:
             counters["sim.events.events"] = 12
         return {"run_s": 1.0, "steps": 10, "setup_s": 0.5,
-                "peak_rss_mb": 50.0, "digest": "a" * 64, "counters": counters}
+                "peak_rss_mb": 50.0, "minor_faults": 900, "sys_s": 0.125,
+                "digest": "a" * 64, "counters": counters}
 
     monkeypatch.setattr(ab, "run_child", fake_run)
     monkeypatch.setattr(Path, "is_file", lambda self: True)

@@ -137,6 +137,13 @@ class TestConvStackDtypePreservation:
         # The 7×7 input inside its one-cell halo is a 9×9 source.
         index = F.window_index("nchw", 2, 9, 9, (3, 3), (2, 2), True)
         assert index.dtype == np.intp and not index.flags.writeable
+        # One slab per window offset (y, x), each the 2×4×4 window
+        # origins shifted by that offset: channel 0's first row first.
+        slabs = index.reshape(9, 2 * 4 * 4)
+        np.testing.assert_array_equal(slabs[0, :4], [0, 2, 4, 6])
+        offsets = [y * 9 + x for y in range(3) for x in range(3)]
+        np.testing.assert_array_equal(slabs - slabs[0], np.repeat(
+            np.array(offsets)[:, None], 32, axis=1))
         layer.forward(images)
         layer.forward(np.ones((5, 2, 7, 7), dtype=np.float32))
         # Not rebuilt per forward, nor per batch size.

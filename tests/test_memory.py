@@ -2,9 +2,11 @@
 with tracemalloc at ``saps1024_mlp``'s scale (n = 1,024, the
 ``bench_peer_selection`` bandwidth draw): state nobody reads is not
 allocated, and a round's temporaries stay a few dense bool matrices and
-per-edge arrays."""
+per-edge arrays.  At ``saps32_cnn``'s shape, a warm conv step and a warm
+consensus eval allocate nothing block-sized."""
 
 import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,11 @@ from repro.data import make_blobs
 from repro.network.bandwidth import random_uniform_bandwidth
 from repro.nn import MLP
 from repro.nn import optim
+from repro.presets import instantiate_preset
+from repro.sim.cluster import ClusterTrainer
+from repro.sim.engine import make_workers
 from repro.sim.trainer import TrainingWorker, bind_arena
+from repro.utils import parallel
 
 MiB = 1024 * 1024
 WORKERS = 1024
@@ -118,3 +124,51 @@ class TestOptimizerScratch:
         np.testing.assert_array_equal(
             bound[2].model.get_flat_params(), plain.model.get_flat_params()
         )
+
+
+class TestConvStep:
+    """TinyCNN on 1×10×10 inputs, n = 32, B = 16, float64 (``saps32_cnn``),
+    one thread.  The window kernels' workspaces hold every halo, patch
+    matrix, GEMM output, fold and pool buffer, so what a warm step or
+    eval still allocates is the ReLU masks and the small dense heads.
+    The parent read 14.0 MiB peak and 4.5 MiB kept for the step, and
+    4.8 MiB peak for the eval."""
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        partitions, validation, factory, config = instantiate_preset(
+            "mnist-cnn", 32, fast=True, samples_per_worker=64,
+            validation_samples=2048, seed=1,
+        )
+        config = dataclasses.replace(config, batch_size=16, momentum=0.9)
+        parallel.set_num_threads(1)
+        try:
+            trainer = ClusterTrainer.build(make_workers(factory, partitions, config))
+            vector = trainer.arena.mean_model()
+            for _ in range(2):
+                trainer.step()
+                trainer.evaluate_vector(vector, validation)
+            yield trainer, lambda: trainer.evaluate_vector(vector, validation)
+        finally:
+            parallel.set_num_threads(None)
+
+    def test_warm_step_and_eval_allocate_nothing_block_sized(self, warm):
+        """Measured 0.60 MiB peak and 0.27 kept for the step, 0.26 peak
+        for the eval; the bounds add 0.4, 0.23 and 0.24 MiB."""
+        trainer, evaluate = warm
+        with traced():
+            _, step_kept, step_peak = traced_call(trainer.step)
+            _, _, eval_peak = traced_call(evaluate)
+        assert step_peak <= MiB
+        assert step_kept <= MiB // 2
+        assert eval_peak <= MiB // 2
+
+    def test_block_budget_counts_what_the_workspaces_hold(self, warm):
+        trainer, _ = warm
+        held = sum(
+            buffer.nbytes
+            for kernel in trainer.net.kernels if hasattr(kernel, "workspace")
+            for buffer in kernel.workspace.values()
+        )
+        assert trainer._block_rows() == 19  # 32 workers: blocks of 19 and 13
+        assert held == trainer._block_rows() * trainer._workspace_bytes

@@ -11,6 +11,7 @@ dtypes and both memory layouts the gather reads in place.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -103,7 +104,35 @@ class TestGather:
         got = F.im2col(
             images, kernel, stride, padding, -np.inf, per_channel=True
         )
-        assert_same_floats(got, expected)
+        # One slab per window offset: (kh·kw, batch, cells), the cells in
+        # the input's layout order.
+        window = kernel[0] * kernel[1]
+        out_h, out_w = F.output_hw(shape, kernel, stride, padding)
+        if nhwc:
+            slabs = got.reshape(window, batch, out_h, out_w, channels)
+            slabs = slabs.transpose(0, 1, 4, 2, 3)
+        else:
+            slabs = got.reshape(window, batch, channels, out_h, out_w)
+        assert_same_floats(np.moveaxis(slabs, 0, -1).reshape(-1, window), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(windows(), st.booleans(), st.booleans())
+    def test_every_index_entry_lies_inside_its_image(
+        self, window, nhwc, per_channel
+    ):
+        """The one range check that lets every gather use ``mode="clip"``:
+        no entry of any cached index reaches outside one padded image,
+        and every patch cell appears."""
+        shape, kernel, stride, padding, _, _ = window
+        _, channels, height, width = shape
+        padded_h, padded_w = height + 2 * padding[0], width + 2 * padding[1]
+        index = F.window_index(
+            "nhwc" if nhwc else "nchw", channels, padded_h, padded_w,
+            kernel, stride, per_channel,
+        )
+        out_h, out_w = F.output_hw(shape, kernel, stride, padding)
+        assert index.size == channels * out_h * out_w * kernel[0] * kernel[1]
+        assert 0 <= index.min() and index.max() < channels * padded_h * padded_w
 
     def test_strides_outside_both_layouts_are_gathered_from_a_copy(self, rng):
         images = rng.normal(size=(2, 3, 9, 9))[:, :, ::2, 1::2]
@@ -136,7 +165,8 @@ class TestCol2Im:
         shape = (2, 3, 6, 5)
         cols = rng.normal(size=(2 * 6 * 5, 3 * 9))
         got = F.col2im(cols, shape, (3, 3), (1, 1), (1, 1), channels_last=True)
-        assert got.base is not None and got.base.shape == (2, 8, 7, 3)
+        # A (2, 8, 7, 3) buffer: channels innermost, then columns, rows.
+        assert got.strides == (8 * 7 * 3 * 8, 8, 7 * 3 * 8, 3 * 8)
 
 
 class TestMaxPool:
@@ -157,7 +187,8 @@ class TestMaxPool:
         inputs = channels_last(images) if nhwc else images
         layer = per_worker(MaxPool2d(kernel, stride=stride, padding=padding))
         got = layer.forward(inputs)
-        np.testing.assert_array_equal(layer._argmax, argmax)
+        # (batch, channels, oh, ow), in the reference's row order.
+        np.testing.assert_array_equal(layer._argmax.reshape(-1), argmax)
         assert_same_floats(got, expected)
         grad = layer.backward(grads)
         if padding == (0, 0):  # laid out like the forward input
@@ -188,6 +219,25 @@ class TestMaxPool:
         pool = BatchedMaxPool2d(kernel, stride, padding)
         got = pool.forward(images)
         assert_same_floats(got, expected.reshape(got.shape))
-        assert_same_floats(pool.forward_vector(None, folded), expected)
         grad = pool.backward(grads.reshape(got.shape))
         assert_same_floats(grad, expected_grad.reshape(stacked))
+        # The eval pass reuses the workspace, so it runs after backward.
+        assert_same_floats(pool.forward_vector(None, folded), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_wider_than_int8_keeps_its_argmax(self, dtype):
+        """12×11 = 132 candidates: the argmax needs int16, and a winner
+        past offset 127 (ties and NaN included) must survive the store."""
+        images = sample(None, (2, 3, 14, 13), dtype, 5)
+        images[1, 1] = sample(POOL_VALUES, (14, 13), dtype, 6)
+        images[1, 2] = -np.inf
+        # Padded row 11, column 9 of the first window: offset 11·11 + 9.
+        images[0, 0, 10, 9] = 9.0
+        kernel, stride, padding = (12, 11), (1, 2), (1, 0)
+        expected, argmax, _ = reference.max_pool(images, kernel, stride, padding)
+        got, got_argmax, _ = F.max_pool(images, kernel, stride, padding)
+        assert got_argmax.dtype == np.int16
+        assert got_argmax[0, 0, 0, 0] == 130
+        np.testing.assert_array_equal(got_argmax.reshape(-1), argmax)
+        assert_same_floats(got, expected)
+        assert F.max_pool(images[:, :, :3, :3], (2, 2), (2, 2), (0, 0))[1].dtype == np.int8
