@@ -31,6 +31,10 @@ else with each differing counter and both trees' values.  Exit status is
 1 when any digest differs between the trees on any workload (or a run
 dies); a counter difference alone does not fail it.
 
+The header prints the numerics key the children run under
+(``repro.utils.numerics``; both trees' children get one environment, so
+one key): a digest holds only under its key.
+
 Each tree needs its own ``benchmarks/e2e/child.py`` and ``src/``; the
 trees may be the same directory (``--smoke`` against itself is how the
 tier-1 suite checks this script).
@@ -52,8 +56,10 @@ from typing import Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
+sys.path.insert(0, str(HERE.parent / "src"))
 
 from child import THREAD_VARS  # noqa: E402
+from repro.utils import numerics  # noqa: E402
 
 CHILD_TIMEOUT_S = 120.0
 
@@ -104,6 +110,18 @@ def _last_line(tree: Path, workload: str, seed: int, smoke: bool,
             f"{done.stderr.strip()[-2000:]}"
         )
     return done.stdout.strip().splitlines()[-1]
+
+
+def numerics_key(pycache: str) -> str:
+    """The numerics key in the children's environment, read by this
+    checkout's :mod:`repro.utils.numerics` (a tree may predate it)."""
+    src = HERE.parent / "src"
+    env = {**child_env(src.parent, pycache), "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", numerics.__name__], env=env, capture_output=True,
+        text=True, timeout=CHILD_TIMEOUT_S,
+    )
+    return done.stdout.strip() or numerics.UNKNOWN
 
 
 def run_child(tree: Path, workload: str, seed: int, smoke: bool,
@@ -285,6 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"{tree} has no benchmarks/e2e/child.py")
 
     with tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
+        print(f"numerics key (base and new): {numerics_key(pycache)}\n")
         results = [
             run_workload(trees, workload, args, pycache)
             for workload in args.workload

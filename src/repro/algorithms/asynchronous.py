@@ -26,11 +26,19 @@ off the engine (one scenario timeline for everything): a worker that its
 population model has down sleeps until its next up-time, and under an
 active fault plan every exchange is crash-abortable with deadline /
 backoff retries.
+
+In AsyncGossip and AsyncFedAvg nothing writes a computing worker's row,
+loader stream or optimizer row before its compute-done event, so the
+first such event steps every computing worker in one stacked pass and
+each other one commits at its own (:meth:`AsyncAlgorithm._run_local`):
+one pass per worker's floats, in a fraction of the calls.  AsyncDPSGD
+averages into computing rows, so it steps one row at a time.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -56,6 +64,10 @@ class AsyncAlgorithm(DistributedAlgorithm):
     """
 
     is_asynchronous = True
+    #: Whether nothing writes a worker's row, loader stream or optimizer
+    #: row between its compute start and its compute-done event, so its
+    #: local steps may run early, stacked with another worker's.
+    frozen_while_computing = True
 
     def __init__(self, local_steps: int = 1) -> None:
         super().__init__()
@@ -73,6 +85,13 @@ class AsyncAlgorithm(DistributedAlgorithm):
         self._cycle_counts: Optional[np.ndarray] = None
         self._loss_sum = 0.0
         self._loss_events = 0
+        #: Workers whose compute has begun and whose steps have not run.
+        self._frozen: set = set()
+        #: Steps run ahead, by rank: ``(losses, steps_taken, last_loss,
+        #: loader state before the draw)``; the new row and velocity row
+        #: wait in :attr:`_side`, the ``(rows, velocity rows)`` side block.
+        self._pending: Dict[int, tuple] = {}
+        self._side: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # engine protocol
@@ -109,7 +128,13 @@ class AsyncAlgorithm(DistributedAlgorithm):
         self._begin_cycle(rank, now)
 
     def on_worker_crashed(self, rank: int, now: float) -> None:
-        """Crash hook: drop variant-specific bookkeeping of the worker."""
+        """Crash hook: the worker's compute never finishes, so a step run
+        ahead for it is dropped and its loader rewound to before that
+        draw.  Variants drop their own bookkeeping on top."""
+        self._frozen.discard(rank)
+        pending = self._pending.pop(rank, None)
+        if pending is not None:
+            self.workers[rank].loader._rng.bit_generator.state = pending[-1]
 
     def _schedule_worker(self, rank: int, time: float, action) -> None:
         """Schedule an event on behalf of ``rank``.
@@ -274,6 +299,8 @@ class AsyncAlgorithm(DistributedAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", start, start + duration)
+        if self.frozen_while_computing:
+            self._frozen.add(rank)
         self._schedule_worker(
             rank, start + duration, lambda t, r=rank: self._on_compute_done(r, t)
         )
@@ -281,17 +308,75 @@ class AsyncAlgorithm(DistributedAlgorithm):
     def _on_compute_done(self, rank: int, now: float) -> None:
         raise NotImplementedError
 
-    def _run_local(self, rank: int, steps: Optional[int] = None) -> float:
-        """Execute the local steps numerically (through the base class's
-        compute seam); returns the mean loss."""
-        k = self.local_steps if steps is None else steps
-        losses = self._local_steps(k, np.array([rank], dtype=np.intp))
+    def _run_local(self, rank: int) -> float:
+        """Commit ``rank``'s ``local_steps`` steps at its compute-done
+        event (stepped now by :meth:`_step_frozen`, or earlier in another
+        worker's pass); returns their mean loss.  Losses enter the mean
+        in completion order, and a non-finite one raises
+        :class:`~repro.algorithms.base.DivergenceError` here, as one pass
+        per worker would."""
+        k = self.local_steps
+        self._frozen.discard(rank)
+        pending = self._pending.pop(rank, None)
+        if pending is None:
+            losses = self._step_frozen(rank, k)
+        else:
+            losses, steps_taken, last_loss, _ = pending
+            self.arena.data[rank] = self._side[0][rank]
+            if self.cluster_trainer._velocity is not None:
+                self.cluster_trainer._velocity[rank] = self._side[1][rank]
+            worker = self.workers[rank]
+            worker.steps_taken, worker.last_loss = steps_taken, last_loss
         # np.mean's sum and count, without its wrapper.
         loss = float(losses.sum()) / losses.size
+        if not math.isfinite(loss):
+            self._check_finite(losses[None], [rank], "simulated time", self.engine.now)
         self.total_local_steps += k
         self._loss_sum += loss * k
         self._loss_events += k
         return loss
+
+    def _step_frozen(self, rank: int, k: int) -> np.ndarray:
+        """``k`` steps of ``rank`` and every other frozen worker in one
+        pass; returns ``rank``'s ``(k,)`` losses.  The others' results go
+        to :attr:`_pending` with their loader states from before the draw
+        (for :meth:`on_worker_crashed`), and their old rows, velocity rows
+        and counters are put back for evals, merges and checkpoints."""
+        trainer, others = self.cluster_trainer, sorted(self._frozen)
+        if trainer is None or not others:
+            return self._local_steps(k, np.array([rank], dtype=np.intp))[0]
+        self._frozen.clear()
+        rows = np.array(others, dtype=np.intp)
+        data, velocity = self.arena.data, trainer._velocity
+        if self._side is None:
+            self._side = (np.empty_like(data),
+                          np.empty_like(data) if trainer.momentum else None)
+        side_rows, side_velocities = self._side
+        # Old rows wait in the side block during the pass, then swap back.
+        side_rows[rows] = data[rows]
+        if velocity is not None:
+            side_velocities[rows] = velocity[rows]
+        workers = [self.workers[other] for other in others]
+        counters = [(worker.steps_taken, worker.last_loss) for worker in workers]
+        states = [w.loader._rng.bit_generator.state if self.engine.faults_active
+                  else None for w in workers]
+        # Ascending ranks: a contiguous run takes the trainer's view path.
+        ranks = np.sort(np.append(rows, rank))
+        losses = trainer.batched_steps(k, ranks=ranks)
+        at = np.searchsorted(ranks, rows).tolist()
+        new_rows = data[rows]
+        data[rows] = side_rows[rows]
+        side_rows[rows] = new_rows
+        if trainer._velocity is not None:
+            new_rows = trainer._velocity[rows]
+            # A velocity the pass allocated was zero before it.
+            trainer._velocity[rows] = 0.0 if velocity is None else side_velocities[rows]
+            side_velocities[rows] = new_rows
+        for i, (other, worker) in enumerate(zip(others, workers)):
+            self._pending[other] = (losses[at[i]], worker.steps_taken,
+                                    worker.last_loss, states[i])
+            worker.steps_taken, worker.last_loss = counters[i]
+        return losses[int(np.searchsorted(ranks, rank))]
 
 
 class AsyncGossip(AsyncAlgorithm):
@@ -331,6 +416,7 @@ class AsyncGossip(AsyncAlgorithm):
         super().start()
 
     def on_worker_crashed(self, rank: int, now: float) -> None:
+        super().on_worker_crashed(rank, now)
         # A crashed worker must not linger in the matching pool — a
         # later arrival would pair with a corpse.
         if rank in self._waiting:
@@ -411,6 +497,8 @@ class AsyncDPSGD(AsyncAlgorithm):
     """
 
     name = "Async-D-PSGD"
+    # _average_pair rewrites a computing peer's row.
+    frozen_while_computing = False
 
     def __init__(self, local_steps: int = 1) -> None:
         super().__init__(local_steps=local_steps)
@@ -425,6 +513,7 @@ class AsyncDPSGD(AsyncAlgorithm):
         losses = self._local_gradients_into_arena(
             np.array([rank], dtype=np.intp)
         )
+        self._check_finite(losses, [rank], "simulated time", now, "gradient")
         loss = float(losses[0])
         gradient = self.arena.grads[rank].copy()
         self.total_local_steps += 1
@@ -596,6 +685,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         self._fill_seat(now)
 
     def on_worker_crashed(self, rank: int, now: float) -> None:
+        super().on_worker_crashed(rank, now)
         if self.sample_size is not None and rank in self._active:
             # The crashed client's seat is refilled immediately; its
             # recovery hands the worker back to the dormant pool.
@@ -633,6 +723,8 @@ class AsyncFedAvg(AsyncAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", now, now + duration)
+        if self.frozen_while_computing:
+            self._frozen.add(rank)
         self._schedule_worker(
             rank,
             now + duration,

@@ -31,6 +31,13 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.trainer import TrainingWorker
 
 
+class DivergenceError(FloatingPointError):
+    """A local step produced a non-finite loss: every value the run would
+    report from then on is noise, so it stops where the loss appeared.
+    The message names the family, the worker, the round or simulated
+    time, and the phase."""
+
+
 class DistributedAlgorithm:
     """Base class; subclasses implement :meth:`run_round`."""
 
@@ -125,6 +132,22 @@ class DistributedAlgorithm:
         if self.arena is not None:
             return self.arena.model_size
         return self.workers[0].model_size
+
+    def _check_finite(
+        self, losses: np.ndarray, ranks, clock: str, at, phase: str = "local step"
+    ) -> None:
+        """Raise :class:`DivergenceError` naming the first worker of
+        ``ranks`` (all when ``None``) with a non-finite loss in ``losses``
+        (one row per worker), at ``clock`` ``at`` ("round", 3)."""
+        finite = np.isfinite(losses)
+        if finite.all():
+            return
+        row = int(np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0])
+        rank = row if ranks is None else int(np.asarray(ranks)[row])
+        raise DivergenceError(
+            f"{self.name}: worker {rank} produced a non-finite loss in its "
+            f"{phase} at {clock} {at}"
+        )
 
     def _local_gradients_into_arena(self, ranks=None) -> np.ndarray:
         """One sampled mini-batch gradient per worker (all, or ``ranks``),

@@ -118,6 +118,7 @@ class DPSGD(DistributedAlgorithm):
 
     def run_round(self, round_index: int) -> float:
         losses = self._local_gradients_into_arena()
+        self._check_finite(losses, None, "round", round_index, "gradient")
         with obs.phase("comm"):
             self._account_ring_traffic(round_index)
         with obs.phase("mix"):
@@ -170,6 +171,7 @@ class DCDPSGD(DPSGD):
         # Each worker's mini-batch gradient is its (live) row of the
         # arena grad matrix.
         losses = self._local_gradients_into_arena()
+        self._check_finite(losses, None, "round", round_index, "gradient")
         gradients = self.arena.grads
 
         # Phase 1: local updates from replicas; collect the model deltas

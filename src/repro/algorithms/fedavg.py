@@ -133,6 +133,7 @@ class FedAvg(DistributedAlgorithm):
             self.global_model, dtype=self.arena.dtype
         )
         losses = self._local_steps(self.local_steps, rows)
+        self._check_finite(losses, rows, "round", round_index)
         # Server-side average straight off the replica matrix rows.
         self.global_model = self.arena.data[selected].mean(axis=0)
         self._account(
@@ -185,6 +186,7 @@ class SparseFedAvg(FedAvg):
             self.global_model, dtype=self.arena.dtype
         )
         losses = self._local_steps(self.local_steps, rows)
+        self._check_finite(losses, rows, "round", round_index)
         uploads = [self.arena.data[rank] for rank in selected]
         for upload in uploads:
             delta = upload - self.global_model

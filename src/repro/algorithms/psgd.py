@@ -31,6 +31,7 @@ class PSGD(DistributedAlgorithm):
         # all-reduce is one column-mean and the update one broadcasted
         # row operation — no per-worker concat/split.
         losses = self._local_gradients_into_arena()
+        self._check_finite(losses, None, "round", round_index, "gradient")
         average = self.arena.grads.mean(axis=0)
         self._apply_average_gradient(average)
 
@@ -80,6 +81,7 @@ class TopKPSGD(DistributedAlgorithm):
         # when the ClusterTrainer is attached); error feedback makes one
         # pass over its (n, N) residual and the mean folds sparse rows.
         losses = self._local_gradients_into_arena()
+        self._check_finite(losses, None, "round", round_index, "gradient")
         batch = self._batch_feedback.compress(self.arena.grads, round_index)
         payload_bytes = batch.row_bytes()
         self._apply_average_gradient(batch.dense_mean(self.model_size))

@@ -252,6 +252,7 @@ class SAPSPSGD(DistributedAlgorithm):
                 self.local_steps,
                 None if active.all() else active_ranks,
             )
+        self._check_finite(losses, active_ranks, "round", round_index)
 
         # Downed links first: surviving pairs actually exchange.
         pairs = []

@@ -191,16 +191,22 @@ class BatchedLinear(BatchedKernel):
 
 class BatchedReLU(BatchedKernel):
     """``x · (x > 0)``, ``in_place`` over a conv's or linear's output;
-    backward writes the input gradient over the output."""
+    backward writes the input gradient over the output.  The mask lives
+    in the kernel's workspace."""
 
     def __init__(self, in_place: bool = False) -> None:
         self.in_place = in_place
         self._mask = self._output = None
+        self.workspace: dict = {}
 
     def forward(
         self, inputs: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        self._mask = inputs > 0
+        # The mask in the input's memory order (a conv's output is
+        # channels-last), so every pass over it runs at unit stride.
+        order = np.argsort(inputs.strides)[::-1]
+        mask = F.buffer(self.workspace, "mask", np.take(inputs.shape, order), np.bool_)
+        self._mask = np.greater(inputs, 0, out=mask.transpose(np.argsort(order)))
         out = inputs if self.in_place else None
         self._output = np.multiply(inputs, self._mask, out=out)
         return self._output

@@ -55,6 +55,7 @@ from repro.nn.batched import (
     BatchedFlatten,
     BatchedGlobalAvgPool2d,
     BatchedMaxPool2d,
+    BatchedReLU,
     build_batched_model,
 )
 from repro.nn.losses import CrossEntropyLoss
@@ -310,8 +311,9 @@ class ClusterTrainer:
         """Bytes a worker adds to the window kernels' warm workspaces
         (:mod:`repro.nn.batched`): per conv its halo, patch matrix and
         GEMM output; per max-pool its halo, candidate slabs, maxima,
-        argmax, offsets, masks and positions.  Zero for the MLP family
-        (no window kernels), so flat workloads keep their partition."""
+        argmax, offsets, masks and positions; per ReLU on a feature map
+        its mask.  The dense head's ReLU masks are left out, and the MLP
+        family counts zero, so flat workloads keep their partition."""
         sample_shape = self.workers[0].loader.dataset.features.shape[1:]
         if len(sample_shape) != 3:
             return 0
@@ -332,9 +334,9 @@ class ClusterTrainer:
                 argmax = np.min_scalar_type(-kh * kw).itemsize
                 per_cell = max(kh * kw * itemsize, 8) + itemsize + 2 * argmax + 2 + 8
                 total += channels * out_h * out_w * per_cell
-            elif isinstance(kernel, BatchedGlobalAvgPool2d):
-                height = width = 1
-            elif isinstance(kernel, BatchedFlatten):
+            elif isinstance(kernel, BatchedReLU):  # a bool mask
+                total += channels * height * width
+            elif isinstance(kernel, (BatchedGlobalAvgPool2d, BatchedFlatten)):
                 break
         return total * self._batch_size
 

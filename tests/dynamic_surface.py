@@ -138,6 +138,8 @@ ROOTS = [
     ("paper claims", ("python", "-m", "pytest", "-q", "-p", "no:benchmark", "-p", "no:cacheprovider",
                       *sorted(f"benchmarks/{p.name}" for p in (REPO / "benchmarks").glob("bench_*.py")))),
     ("e2e smoke", ("python", "benchmarks/e2e/run.py", "--smoke", "--out", "{tmp}/e2e.json")),
+    # The golden regen step and ab.py print the numerics key.
+    ("numerics key", ("python", "-m", "repro.utils.numerics")),
     # The other subcommands, and inputs whose path no run above reaches.
     ("compare", _repro("compare", *_SMALL_RUN, "--output", "{tmp}/compare.json")),
     ("report", _repro("report", "{tmp}/compare.json", "--output", "{tmp}/report.md")),

@@ -5,8 +5,10 @@ commit ``REV``.
 of this checkout's case table runs in one subprocess whose ``PYTHONPATH``
 is that tree's ``src`` plus this checkout's root (for the ``tests``
 package).  The subprocess refuses to run unless ``repro`` imports from the
-extracted tree, so an installed copy can never be measured instead.  One
-line per row says ``equal`` or ``moved`` (old -> new final loss and
+extracted tree, so an installed copy can never be measured instead.  The
+first line is the numerics key the rows ran under (this checkout's
+``repro.utils.numerics`` in the subprocess's environment); one line per
+row then says ``equal`` or ``moved`` (old -> new final loss and
 accuracy), or ``new`` / ``removed`` for a row only one side has.
 """
 
@@ -62,6 +64,11 @@ def regen(rev: str) -> None:
         tree = extract(rev, Path(tmp))
         out = Path(tmp) / "rows.json"
         env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{ROOT}"}
+        key = subprocess.run(
+            [sys.executable, "-m", "repro.utils.numerics"], check=True, cwd=ROOT,
+            env={**env, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        ).stdout.strip()
+        print(f"numerics: {key}")
         subprocess.run(
             [sys.executable, "-c", CHILD, str(tree), str(out)],
             check=True, cwd=ROOT, env=env,

@@ -129,10 +129,11 @@ class TestOptimizerScratch:
 class TestConvStep:
     """TinyCNN on 1×10×10 inputs, n = 32, B = 16, float64 (``saps32_cnn``),
     one thread.  The window kernels' workspaces hold every halo, patch
-    matrix, GEMM output, fold and pool buffer, so what a warm step or
-    eval still allocates is the ReLU masks and the small dense heads.
-    The parent read 14.0 MiB peak and 4.5 MiB kept for the step, and
-    4.8 MiB peak for the eval."""
+    matrix, GEMM output, fold and pool buffer, and each ReLU keeps its
+    mask there, so what a warm step still allocates is the small dense
+    head (an eval also allocates its ReLU masks).  Before the workspaces the
+    step read 14.0 MiB peak and 4.5 MiB kept, and the eval 4.8 MiB
+    peak."""
 
     @pytest.fixture(scope="class")
     def warm(self):
@@ -153,8 +154,9 @@ class TestConvStep:
             parallel.set_num_threads(None)
 
     def test_warm_step_and_eval_allocate_nothing_block_sized(self, warm):
-        """Measured 0.60 MiB peak and 0.27 kept for the step, 0.26 peak
-        for the eval; the bounds add 0.4, 0.23 and 0.24 MiB."""
+        """Measured 0.25 MiB peak and 0.03 kept for the step (0.60 and
+        0.27 with the ReLU masks allocated per call), 0.26 peak for the
+        eval."""
         trainer, evaluate = warm
         with traced():
             _, step_kept, step_peak = traced_call(trainer.step)
