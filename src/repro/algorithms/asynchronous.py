@@ -64,10 +64,6 @@ class AsyncAlgorithm(DistributedAlgorithm):
     """
 
     is_asynchronous = True
-    #: Whether nothing writes a worker's row, loader stream or optimizer
-    #: row between its compute start and its compute-done event, so its
-    #: local steps may run early, stacked with another worker's.
-    frozen_while_computing = True
 
     def __init__(self, local_steps: int = 1) -> None:
         super().__init__()
@@ -87,11 +83,10 @@ class AsyncAlgorithm(DistributedAlgorithm):
         self._loss_events = 0
         #: Workers whose compute has begun and whose steps have not run.
         self._frozen: set = set()
-        #: Steps run ahead, by rank: ``(losses, steps_taken, last_loss,
-        #: loader state before the draw)``; the new row and velocity row
-        #: wait in :attr:`_side`, the ``(rows, velocity rows)`` side block.
+        #: Steps run ahead, by rank: ``(losses, new row, new velocity
+        #: row, steps_taken, last_loss, loader state before the draw)``,
+        #: each row its own copy.
         self._pending: Dict[int, tuple] = {}
-        self._side: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # engine protocol
@@ -299,8 +294,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", start, start + duration)
-        if self.frozen_while_computing:
-            self._frozen.add(rank)
+        self._frozen.add(rank)
         self._schedule_worker(
             rank, start + duration, lambda t, r=rank: self._on_compute_done(r, t)
         )
@@ -321,10 +315,10 @@ class AsyncAlgorithm(DistributedAlgorithm):
         if pending is None:
             losses = self._step_frozen(rank, k)
         else:
-            losses, steps_taken, last_loss, _ = pending
-            self.arena.data[rank] = self._side[0][rank]
-            if self.cluster_trainer._velocity is not None:
-                self.cluster_trainer._velocity[rank] = self._side[1][rank]
+            losses, row, velocity_row, steps_taken, last_loss, _ = pending
+            self.arena.data[rank] = row
+            if velocity_row is not None:
+                self.cluster_trainer._velocity[rank] = velocity_row
             worker = self.workers[rank]
             worker.steps_taken, worker.last_loss = steps_taken, last_loss
         # np.mean's sum and count, without its wrapper.
@@ -348,14 +342,9 @@ class AsyncAlgorithm(DistributedAlgorithm):
         self._frozen.clear()
         rows = np.array(others, dtype=np.intp)
         data, velocity = self.arena.data, trainer._velocity
-        if self._side is None:
-            self._side = (np.empty_like(data),
-                          np.empty_like(data) if trainer.momentum else None)
-        side_rows, side_velocities = self._side
-        # Old rows wait in the side block during the pass, then swap back.
-        side_rows[rows] = data[rows]
-        if velocity is not None:
-            side_velocities[rows] = velocity[rows]
+        # The old rows wait out the pass here, then go back.
+        old_rows = data[rows]
+        old_velocities = None if velocity is None else velocity[rows]
         workers = [self.workers[other] for other in others]
         counters = [(worker.steps_taken, worker.last_loss) for worker in workers]
         states = [w.loader._rng.bit_generator.state if self.engine.faults_active
@@ -364,18 +353,18 @@ class AsyncAlgorithm(DistributedAlgorithm):
         ranks = np.sort(np.append(rows, rank))
         losses = trainer.batched_steps(k, ranks=ranks)
         at = np.searchsorted(ranks, rows).tolist()
-        new_rows = data[rows]
-        data[rows] = side_rows[rows]
-        side_rows[rows] = new_rows
-        if trainer._velocity is not None:
-            new_rows = trainer._velocity[rows]
-            # A velocity the pass allocated was zero before it.
-            trainer._velocity[rows] = 0.0 if velocity is None else side_velocities[rows]
-            side_velocities[rows] = new_rows
+        stepped = trainer._velocity
         for i, (other, worker) in enumerate(zip(others, workers)):
-            self._pending[other] = (losses[at[i]], worker.steps_taken,
-                                    worker.last_loss, states[i])
+            # Row copies: a view would keep the whole pass's block alive.
+            self._pending[other] = (
+                losses[at[i]], data[other].copy(),
+                None if stepped is None else stepped[other].copy(),
+                worker.steps_taken, worker.last_loss, states[i])
             worker.steps_taken, worker.last_loss = counters[i]
+        data[rows] = old_rows
+        if stepped is not None:
+            # A velocity the pass allocated was zero before it.
+            stepped[rows] = 0.0 if velocity is None else old_velocities
         return losses[int(np.searchsorted(ranks, rank))]
 
 
@@ -497,8 +486,6 @@ class AsyncDPSGD(AsyncAlgorithm):
     """
 
     name = "Async-D-PSGD"
-    # _average_pair rewrites a computing peer's row.
-    frozen_while_computing = False
 
     def __init__(self, local_steps: int = 1) -> None:
         super().__init__(local_steps=local_steps)
@@ -510,6 +497,8 @@ class AsyncDPSGD(AsyncAlgorithm):
         super().start()
 
     def _on_compute_done(self, rank: int, now: float) -> None:
+        # One row, never a stacked pass (nothing here reads _frozen):
+        # _average_pair rewrites a computing peer's row.
         losses = self._local_gradients_into_arena(
             np.array([rank], dtype=np.intp)
         )
@@ -723,8 +712,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", now, now + duration)
-        if self.frozen_while_computing:
-            self._frozen.add(rank)
+        self._frozen.add(rank)
         self._schedule_worker(
             rank,
             now + duration,

@@ -30,12 +30,14 @@ checkpoints it like any worker-backed variant.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.algorithms.asynchronous import StalenessMix
+from repro.algorithms.base import DivergenceError
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
 from repro.core.gossip import average_pairs
@@ -434,6 +436,11 @@ class SampledAsyncFedAvg:
             self.arena.row(client)[None], [client], [cycle],
             self.local_steps, self.lr,
         )
+        if not math.isfinite(loss):
+            raise DivergenceError(
+                f"{self.name}: client {client} produced a non-finite loss in "
+                f"its local step at simulated time {now}"
+            )
         self.total_local_steps += self.local_steps
         self._loss_sum += float(loss)
         self._loss_events += 1
@@ -594,6 +601,13 @@ class SampledSAPS:
                 "compute", self.task.run_local, rows, participants, cycles,
                 self.local_steps, self.lr,
             )
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise DivergenceError(
+                    f"{self.name}: client {participants[int(np.argmin(finite))]}"
+                    f" produced a non-finite loss in its local step at round "
+                    f"{round_index}"
+                )
             arena.data[slots] = rows
             self.total_local_steps += len(participants) * self.local_steps
             if matching:

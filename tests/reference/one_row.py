@@ -16,8 +16,6 @@ from repro.algorithms import AsyncFedAvg, AsyncGossip
 class OneRowLocal:
     """Mixin: the one-row ``_run_local``; nothing is ever stacked."""
 
-    frozen_while_computing = False
-
     def _run_local(self, rank: int) -> float:
         k = self.local_steps
         losses = self._local_steps(k, np.array([rank], dtype=np.intp))

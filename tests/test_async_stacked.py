@@ -24,15 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import AsyncFedAvg, AsyncGossip, SAPSPSGD
+from repro.algorithms import (
+    AsyncFedAvg, AsyncGossip, LogisticBlobsTask, SAPSPSGD, SampledAsyncFedAvg,
+    SampledSAPS,
+)
 from repro.algorithms.base import DivergenceError
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.resilience import make_recovery_policy
 from repro.sim import (
-    EventEngine, ExperimentConfig, HeterogeneousCompute, RenewalPopulation,
-    make_workers,
+    ConstantCompute, EventEngine, ExperimentConfig, HeterogeneousCompute,
+    RenewalPopulation, make_workers,
 )
 from repro.sim.cluster import ClusterTrainer
 from repro.sim.faults import FaultEvent, FaultPlan
@@ -263,3 +266,30 @@ def test_async_gossip_raises_at_the_diverged_workers_own_done_event():
     assert str(caught.value) == (
         "Async-SAPS: worker 1 produced a non-finite loss in its local step "
         f"at simulated time {firsts[1]}")
+
+
+def test_sampled_saps_names_the_diverged_client_and_round():
+    n = 12
+    algorithm = SampledSAPS(LogisticBlobsTask(num_features=6, num_classes=3),
+                            n, sample_size=7, capacity=n, seed=0)
+    algorithm.run_round(0)
+    for client in range(n):
+        algorithm.arena.row(client)[0] = np.nan
+    with pytest.raises(DivergenceError) as caught:
+        algorithm.run_round(1)
+    assert str(caught.value) == (
+        f"Sampled-SAPS: client {algorithm.last_participants[0]} produced a "
+        "non-finite loss in its local step at round 1")
+
+
+def test_sampled_async_fedavg_raises_at_the_first_compute_done():
+    algorithm = SampledAsyncFedAvg(LogisticBlobsTask(), 50, sample_size=4, seed=0)
+    algorithm.global_model[0] = np.nan
+    engine = EventEngine(SimulatedNetwork(50, server_bandwidth=100.0),
+                         compute_model=ConstantCompute(0.5))
+    with pytest.raises(DivergenceError, match=(
+            r"^Sampled-Async-FedAvg: client \d+ produced a non-finite loss in "
+            r"its local step at simulated time ")):
+        engine.run(algorithm, validation=algorithm.task, duration=5.0,
+                   checkpoint_every=1.0)
+    assert algorithm.total_local_steps == 0
