@@ -15,7 +15,7 @@ def render_fig3(results, label):
     lines = [f"Fig. 3 ({label}) — accuracy vs round"]
     series = {}
     for name, result in results.items():
-        xs, ys = result.series("round_index", "val_accuracy")
+        xs, ys = result.series("round_index")
         series[name] = (xs, ys)
         lines.append(render_series(name, xs, ys, "round", "top-1 acc"))
     lines.append(render_ascii_plot(series))

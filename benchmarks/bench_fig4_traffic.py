@@ -21,7 +21,7 @@ def render_fig4(results, label):
     lines = [f"Fig. 4 ({label}) — accuracy vs per-worker traffic [MB]"]
     series = {}
     for name, result in results.items():
-        xs, ys = result.series("worker_traffic_mb", "val_accuracy")
+        xs, ys = result.series("worker_traffic_mb")
         series[name] = (xs, ys)
         lines.append(render_series(name, xs, ys, "MB", "top-1 acc"))
     positive = {
@@ -56,9 +56,7 @@ def test_fig4_frontier_dominance(mlp_results):
     communication to achieve the same level of accuracy"."""
 
     def analyze():
-        summary = dominance_summary(
-            mlp_results, cost_attr="worker_traffic_mb", resolution=120
-        )
+        summary = dominance_summary(mlp_results, resolution=120)
         rows = sorted(
             ([name, round(share, 3)] for name, share in summary.items()),
             key=lambda row: -row[1],

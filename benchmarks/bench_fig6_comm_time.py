@@ -16,7 +16,7 @@ from benchmarks.conftest import write_output
 def render_fig6(results, label):
     lines = [f"Fig. 6 ({label}) — accuracy vs communication time [s]"]
     for name, result in results.items():
-        xs, ys = result.series("comm_time_s", "val_accuracy")
+        xs, ys = result.series("comm_time_s")
         lines.append(render_series(name, xs, ys, "s", "top-1 acc"))
     return "\n".join(lines)
 

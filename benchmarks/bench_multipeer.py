@@ -55,7 +55,7 @@ def test_degree_tradeoff():
                     degree * 2,
                     round(rho, 4),
                     round(factor, 6),
-                    rounds_to_epsilon(factor, 1e-3),
+                    rounds_to_epsilon(factor),
                     f"{trace.final:.2e}",
                 ]
             )
@@ -81,7 +81,7 @@ def test_degree_tradeoff():
     # Traffic doubles per degree step while the consensus-horizon gain
     # (rounds to 1e-3 with c=100) is far less than 2x beyond k=2.
     horizon = {
-        k: rounds_to_epsilon(stats[k]["factor"], 1e-3) for k in [2, 4, 8]
+        k: rounds_to_epsilon(stats[k]["factor"]) for k in [2, 4, 8]
     }
     assert horizon[4] / horizon[8] < 2.0
 

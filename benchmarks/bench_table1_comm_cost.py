@@ -26,9 +26,6 @@ def build_table():
         num_workers=NUM_WORKERS,
         rounds=ROUNDS,
         compression_ratio=100.0,
-        topk_compression=1000.0,
-        dcd_compression=4.0,
-        max_neighbors=2,
     )
     rows = [
         [

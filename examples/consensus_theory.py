@@ -75,7 +75,7 @@ def main() -> None:
                 int(ratio),
                 round(predicted, 4),
                 round(trace.empirical_rate(), 4),
-                rounds_to_epsilon(predicted, 1e-3),
+                rounds_to_epsilon(predicted),
             ]
         )
     print(

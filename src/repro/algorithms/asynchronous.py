@@ -16,7 +16,7 @@ all reusing the arena / batched-kernel numeric substrate:
 * :class:`AsyncFedAvg` — FedAsync-style server (Xie et al., 2019):
   workers download/compute/upload on their own clocks and the server
   mixes each upload with a **staleness-attenuated** weight
-  ``alpha / (1 + staleness) ** staleness_power``.
+  ``MIXING / (1 + staleness) ** STALENESS_POWER``.
 
 The variants subclass :class:`DistributedAlgorithm` so ``setup`` gives
 them the shared arena, the batched :class:`ClusterTrainer` and the
@@ -49,7 +49,6 @@ from repro.compression.random_mask import generate_mask
 from repro.core.gossip import average_pairs
 from repro.network.metrics import TrafficMeter
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_non_negative
 
 
 class AsyncAlgorithm(DistributedAlgorithm):
@@ -482,13 +481,14 @@ class AsyncDPSGD(AsyncAlgorithm):
     held gradient to its own averaged model.  The gradient was taken at
     parameters that other pairs may have averaged over in the meantime;
     the number of such foreign mixings is recorded in
-    :attr:`staleness_log` per applied gradient.
+    :attr:`staleness_log` per applied gradient.  A cycle is one gradient,
+    so ``local_steps`` stays 1: the compute it bills is the step it takes.
     """
 
     name = "Async-D-PSGD"
 
-    def __init__(self, local_steps: int = 1) -> None:
-        super().__init__(local_steps=local_steps)
+    def __init__(self) -> None:
+        super().__init__()
         self._mix_counts: Optional[np.ndarray] = None
         self.exchange_count = 0
 
@@ -564,25 +564,19 @@ class AsyncDPSGD(AsyncAlgorithm):
         self._begin_cycle(rank, now)
 
 
-class StalenessMix:
+#: FedAsync's mixing weight and staleness exponent (Xie et al., 2019).
+MIXING, STALENESS_POWER = 0.6, 1.0
+
+
+def staleness_mix(
+    global_model: np.ndarray, upload: np.ndarray, staleness: int
+) -> np.ndarray:
     """FedAsync's server rule: an upload ``u`` of staleness ``s`` enters the
-    global model ``g`` as ``(1 − α)·g + α·u``, ``α = mixing / (1 + s) **
-    staleness_power``, cast back to ``g``'s dtype."""
-
-    def __init__(self, mixing: float, staleness_power: float) -> None:
-        if not 0.0 < mixing <= 1.0:
-            raise ValueError(f"mixing must be in (0, 1], got {mixing}")
-        self.mixing = float(mixing)
-        self.staleness_power = float(
-            check_non_negative(staleness_power, "staleness_power")
-        )
-
-    def __call__(
-        self, global_model: np.ndarray, upload: np.ndarray, staleness: int
-    ) -> np.ndarray:
-        alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        mixed = (1.0 - alpha) * global_model + alpha * upload
-        return mixed.astype(global_model.dtype, copy=False)
+    global model ``g`` as ``(1 − α)·g + α·u``, ``α = MIXING / (1 + s) **
+    STALENESS_POWER``, cast back to ``g``'s dtype."""
+    alpha = MIXING / float((1 + staleness) ** STALENESS_POWER)
+    mixed = (1.0 - alpha) * global_model + alpha * upload
+    return mixed.astype(global_model.dtype, copy=False)
 
 
 class AsyncFedAvg(AsyncAlgorithm):
@@ -591,7 +585,7 @@ class AsyncFedAvg(AsyncAlgorithm):
     Each worker loops on its own clock: download the global model
     (server's transmit link), run ``local_steps`` local SGD steps,
     upload (server's receive link); the server immediately mixes the
-    upload in with weight ``mixing / (1 + staleness) ** staleness_power``
+    upload in with weight ``MIXING / (1 + staleness) ** STALENESS_POWER``
     where staleness is the number of server updates since this worker's
     download.  Concurrent downloads/uploads serialize on the shared
     server link ends (the event engine's link model) — exactly the
@@ -607,12 +601,9 @@ class AsyncFedAvg(AsyncAlgorithm):
     def __init__(
         self,
         local_steps: int = 5,
-        mixing: float = 0.6,
-        staleness_power: float = 1.0,
         sample_size: Optional[int] = None,
     ) -> None:
         super().__init__(local_steps=local_steps)
-        self._mix = StalenessMix(mixing, staleness_power)
         if sample_size is not None and int(sample_size) < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         #: Sampled participation: at most this many clients hold an
@@ -741,7 +732,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         staleness = self.server_version - base_version
         self.staleness_log.append(staleness)
         self.global_model = obs.timed(
-            "mix", self._mix, self.global_model, self.arena.data[rank],
+            "mix", staleness_mix, self.global_model, self.arena.data[rank],
             staleness,
         )
         self.server_version += 1

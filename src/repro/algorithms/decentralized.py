@@ -3,16 +3,17 @@
 * :class:`DPSGD` — Lian et al.: ``x_i ← Σ_j W_ij x_j − γ g_i`` with a
   fixed ring gossip matrix; both neighbours receive the *full* model
   every round (Table I: ``4 n_p N T``).
-* :class:`DCDPSGD` — Tang et al.: each worker keeps replicas ``x̂_j`` of
-  its neighbours' models and exchanges only a compressed model
-  *difference*; the replicas integrate the differences identically on
-  both sides.  The paper sets ``c = 4`` ("if c is larger than 4, it
-  would lose much accuracy"), which our bench inherits.
+* :class:`DCDPSGD` — Tang et al.: each worker keeps public copies
+  ``x̂_j`` of its own and its neighbours' models and exchanges only a
+  compressed model *difference*; every copy integrates the differences
+  identically, so one ``(n, N)`` matrix ``X̂`` holds them all.  The
+  paper sets ``c = 4`` ("if c is larger than 4, it would lose much
+  accuracy"), which our bench inherits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -145,7 +146,7 @@ class DPSGD(DistributedAlgorithm):
 
 
 class DCDPSGD(DPSGD):
-    """Difference-compressed D-PSGD with neighbour replicas."""
+    """Difference-compressed D-PSGD over one public-model matrix ``X̂``."""
 
     name = "DCD-PSGD"
 
@@ -155,57 +156,47 @@ class DCDPSGD(DPSGD):
 
     def _after_setup(self) -> None:
         super()._after_setup()
-        initial = self.workers[0].get_params()
-        # replicas[i][j]: worker i's public copy of worker j's model, for
-        # j in {i} ∪ neighbours(i).  All start at the shared init, so all
-        # copies of the same worker stay bit-identical forever (the DCD
-        # invariant — each side integrates the same compressed deltas).
-        self.replicas: List[Dict[int, np.ndarray]] = []
-        for rank in range(self.num_workers):
-            owned = {rank: initial.copy()}
-            for neighbor in self._ring_neighbors(rank):
-                owned[neighbor] = initial.copy()
-            self.replicas.append(owned)
+        # X̂: row j is worker j's public model, the copy that j and both
+        # of its ring neighbours hold.  Every copy starts at the shared
+        # init and integrates the same compressed deltas, so one row
+        # stands for all three (the DCD invariant).
+        self.public = np.tile(self.workers[0].get_params(), (self.num_workers, 1))
 
     def run_round(self, round_index: int) -> float:
         # Each worker's mini-batch gradient is its (live) row of the
         # arena grad matrix.
         losses = self._local_gradients_into_arena()
         self._check_finite(losses, None, "round", round_index, "gradient")
-        gradients = self.arena.grads
+        n = self.num_workers
+        ranks = np.arange(n)
+        prev_ranks, next_ranks = (ranks - 1) % n, (ranks + 1) % n
+        public = self.public
 
-        # Phase 1: local updates from replicas; collect the model deltas
-        # as one (n, N) matrix, then compress all rows in a single
-        # batched top-k pass (deterministic, so identical to compressing
-        # each worker's delta on its own).
-        delta_matrix = np.empty(
-            (self.num_workers, self.model_size),
-            dtype=self.workers[0].model.dtype,
-        )
+        # Phase 1: local updates from the public models, accumulated
+        # self, left, right, then the step, with the rates in the arena
+        # dtype (a python float's product casts the same way); the model
+        # deltas then go through one batched top-k pass (deterministic,
+        # so identical to compressing each worker's delta on its own).
         with obs.phase("mix"):
-            for rank, worker in enumerate(self.workers):
-                mixed = self.gossip[rank, rank] * self.replicas[rank][rank]
-                for neighbor in self._ring_neighbors(rank):
-                    mixed = (
-                        mixed
-                        + self.gossip[rank, neighbor]
-                        * self.replicas[rank][neighbor]
-                    )
-                lr = worker.optimizer.lr
-                new_params = mixed - lr * gradients[rank]
-                worker.set_params(new_params)
+            rates = np.array(
+                [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
+            )
+            new = np.diag(self.gossip)[:, None] * public
+            new += self.gossip[ranks, prev_ranks][:, None] * public[prev_ranks]
+            new += self.gossip[ranks, next_ranks][:, None] * public[next_ranks]
+            new -= rates[:, None] * self.arena.grads
+            self.arena.data[...] = new
+            for worker in self.workers:
                 worker.steps_taken += 1
-                delta_matrix[rank] = new_params - self.replicas[rank][rank]
+            delta_matrix = np.subtract(new, public, out=new)
 
-        # Phase 2: everyone integrates the same deltas into replicas.
+        # Phase 2: every holder integrates the same deltas into X̂.
         with obs.phase("comm"):
             batch = self.compressor.compress_matrix(delta_matrix, round_index)
-            deltas = batch.to_dense(self.model_size)
+            public += batch.to_dense(self.model_size)
             payload_bytes = batch.row_bytes()
-            for rank in range(self.num_workers):
-                self.replicas[rank][rank] += deltas[rank]
+            for rank in range(n):
                 for neighbor in self._ring_neighbors(rank):
-                    self.replicas[neighbor][rank] += deltas[rank]
                     self.network.meter.record(
                         round_index, rank, neighbor, payload_bytes[rank]
                     )

@@ -38,7 +38,6 @@ class FedAvg(DistributedAlgorithm):
         self,
         participation: float = 0.5,
         local_steps: int = 5,
-        server_bandwidth: Optional[float] = None,
         sample_size: Optional[int] = None,
         population=None,
         round_duration: float = 1.0,
@@ -53,7 +52,6 @@ class FedAvg(DistributedAlgorithm):
         check_positive(round_duration, "round_duration")
         self.participation = participation
         self.local_steps = local_steps
-        self._server_bandwidth = server_bandwidth
         #: Sampled participation: draw exactly ``sample_size`` clients per
         #: round (optionally from the clients a ``population`` model says
         #: are up at ``round_index * round_duration``) instead of the
@@ -67,9 +65,11 @@ class FedAvg(DistributedAlgorithm):
         # Snapshot: the server's model must not follow worker 0's local
         # steps (get_params may be a live arena-row view).
         self.global_model = self.workers[0].snapshot_params()
-        if self._server_bandwidth is None and self.network.bandwidth is not None:
-            # The paper's Fig. 6 setup: the server gets the best link.
-            self._server_bandwidth = float(self.network.bandwidth.max())
+        # The paper's Fig. 6 setup: the server gets the best link.
+        self._server_bandwidth = (
+            None if self.network.bandwidth is None
+            else float(self.network.bandwidth.max())
+        )
         if (
             self.population is not None
             and self.population.num_clients != self.num_workers
@@ -156,7 +156,6 @@ class SparseFedAvg(FedAvg):
         participation: float = 0.5,
         local_steps: int = 5,
         compression_ratio: float = 100.0,
-        server_bandwidth: Optional[float] = None,
         sample_size: Optional[int] = None,
         population=None,
         round_duration: float = 1.0,
@@ -164,7 +163,6 @@ class SparseFedAvg(FedAvg):
         super().__init__(
             participation,
             local_steps,
-            server_bandwidth,
             sample_size=sample_size,
             population=population,
             round_duration=round_duration,

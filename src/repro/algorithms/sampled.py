@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.algorithms.asynchronous import StalenessMix
+from repro.algorithms.asynchronous import staleness_mix
 from repro.algorithms.base import DivergenceError
 from repro.compression.base import BYTES_PER_VALUE, check_compression_ratio
 from repro.compression.random_mask import generate_mask
@@ -47,7 +47,7 @@ from repro.nn.arena import consensus_fold
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 from repro.utils.rng import Substreams, derive_seed
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative
 
 
 def _check_sampling(
@@ -119,12 +119,15 @@ class LogisticBlobsTask:
     SGD, vectorized over the batch and stacked over a round's clients.
     """
 
+    #: Standard deviation of the features around their unit-norm class
+    #: center.
+    noise = 0.6
+
     def __init__(
         self,
         num_features: int = 32,
         num_classes: int = 10,
         batch_size: int = 16,
-        noise: float = 0.6,
         validation_samples: int = 2048,
         seed: int = 0,
     ) -> None:
@@ -135,7 +138,6 @@ class LogisticBlobsTask:
             )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        check_positive(noise, "noise")
         if validation_samples < 1:
             raise ValueError(
                 f"validation_samples must be >= 1, got {validation_samples}"
@@ -143,7 +145,6 @@ class LogisticBlobsTask:
         self.num_features = int(num_features)
         self.num_classes = int(num_classes)
         self.batch_size = int(batch_size)
-        self.noise = float(noise)
         self.seed = int(seed)
         self.model_size = self.num_classes * self.num_features + self.num_classes
         self._batch_streams = Substreams(self.seed, "client")
@@ -278,8 +279,6 @@ class SampledAsyncFedAvg:
         sample_size: int = 512,
         capacity: Optional[int] = None,
         local_steps: int = 5,
-        mixing: float = 0.6,
-        staleness_power: float = 1.0,
         lr: float = 0.1,
         dtype: DTypeLike = None,
         seed: int = 0,
@@ -287,7 +286,6 @@ class SampledAsyncFedAvg:
         num_clients, sample_size, capacity = _check_sampling(
             num_clients, 1, sample_size, capacity, local_steps, lr
         )
-        self._mix = StalenessMix(mixing, staleness_power)
         self.task = task
         self.num_workers = num_clients  # engine-protocol name
         self.num_clients = num_clients
@@ -453,7 +451,7 @@ class SampledAsyncFedAvg:
     def _on_upload(self, client: int, version: int, now: float) -> None:
         staleness = self.server_version - version
         self.staleness_log.append(staleness)
-        self.global_model = self._mix(
+        self.global_model = staleness_mix(
             self.global_model, self.arena.row(client), staleness
         )
         self.server_version += 1

@@ -52,7 +52,6 @@ class SAPSPSGD(DistributedAlgorithm):
     def __init__(
         self,
         compression_ratio: float = 100.0,
-        bandwidth_threshold: Optional[float] = None,
         connectivity_gap: int = 20,
         selector: str = "adaptive",
         base_seed: int = 0,
@@ -78,7 +77,6 @@ class SAPSPSGD(DistributedAlgorithm):
         #: Round-level compressor: the whole replica matrix goes through
         #: ``compress_matrix_with_seed`` (one shared mask, one gather).
         self.compressor = RandomMaskCompressor(self.compression_ratio)
-        self.bandwidth_threshold = bandwidth_threshold
         self.connectivity_gap = connectivity_gap
         self.selector_kind = selector
         self.base_seed = int(base_seed)
@@ -124,7 +122,6 @@ class SAPSPSGD(DistributedAlgorithm):
                 bandwidth = np.ones((n, n)) - np.eye(n)
             self.coordinator = Coordinator(
                 bandwidth,
-                bandwidth_threshold=self.bandwidth_threshold,
                 connectivity_gap=self.connectivity_gap,
                 base_seed=self.base_seed,
                 rng=self._rng,

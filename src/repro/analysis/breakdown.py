@@ -58,10 +58,8 @@ def breakdown_traffic(meter: TrafficMeter) -> TrafficBreakdown:
     )
 
 
-def payload_size_histogram(
-    meter: TrafficMeter, num_bins: int = 8
-) -> Dict[str, List]:
-    """Histogram of per-transfer sizes (bytes), log-spaced bins."""
+def payload_size_histogram(meter: TrafficMeter) -> Dict[str, List]:
+    """Histogram of per-transfer sizes (bytes), eight log-spaced bins."""
     tally = {n: count for n, count in meter.size_counts.items() if n > 0}
     if not tally:
         return {"edges": [], "counts": []}
@@ -72,7 +70,7 @@ def payload_size_histogram(
         return {
             "edges": [float(low), float(high)], "counts": [int(counts.sum())]
         }
-    edges = np.logspace(np.log10(low), np.log10(high), num_bins + 1)
+    edges = np.logspace(np.log10(low), np.log10(high), 9)
     counts, _ = np.histogram(sizes, bins=edges, weights=counts)
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 

@@ -3,7 +3,7 @@
 The reproduction question for Figs. 4/6 is "who leads, over how much of
 the budget range".  Curves are compared by monotone step interpolation of
 accuracy-at-cost (accuracy at a budget = best accuracy recorded at or
-under that cost).
+under that cost).  The cost is worker traffic (MB), Fig. 4's axis.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import numpy as np
 from repro.sim.engine import ExperimentResult
 
 
-def accuracy_at_cost(
-    result: ExperimentResult, budget: float, cost_attr: str = "worker_traffic_mb"
-) -> Optional[float]:
-    """Best validation accuracy achieved within a cost budget, or None if
-    even the first snapshot exceeds the budget."""
+def accuracy_at_cost(result: ExperimentResult, budget: float) -> Optional[float]:
+    """Best validation accuracy achieved within a traffic budget, or None
+    if even the first snapshot exceeds the budget."""
     best: Optional[float] = None
     for record in result.history:
-        if getattr(record, cost_attr) <= budget:
+        if record.worker_traffic_mb <= budget:
             value = record.val_accuracy
             best = value if best is None else max(best, value)
     return best
@@ -30,7 +28,6 @@ def accuracy_at_cost(
 
 def dominance_summary(
     results: Dict[str, ExperimentResult],
-    cost_attr: str = "worker_traffic_mb",
     resolution: int = 100,
 ) -> Dict[str, float]:
     """Fraction of the (log-spaced) budget range each algorithm leads.
@@ -39,10 +36,10 @@ def dominance_summary(
     the strongest form of the paper's Fig. 4 claim.
     """
     costs = [
-        getattr(record, cost_attr)
+        record.worker_traffic_mb
         for result in results.values()
         for record in result.history
-        if getattr(record, cost_attr) > 0
+        if record.worker_traffic_mb > 0
     ]
     if not costs:
         return {name: 0.0 for name in results}
@@ -56,7 +53,7 @@ def dominance_summary(
     decided = 0
     for budget in grid:
         scored = {
-            name: accuracy_at_cost(result, budget, cost_attr) or 0.0
+            name: accuracy_at_cost(result, budget) or 0.0
             for name, result in results.items()
         }
         best = max(scored.values())

@@ -93,15 +93,13 @@ def render_phase_table(rows: List[PhaseRow]) -> str:
     )
 
 
-def top_counters(snapshot: Dict, limit: int = 10) -> List[List]:
-    """The ``limit`` largest non-phase, non-worker counters.
+def top_counters(snapshot: Dict) -> List[List]:
+    """The ten largest non-phase, non-worker counters.
 
     Phase timings get their own table and the per-worker mirrors feed
     :func:`obs_worker_timeline`; everything else (traffic, compression,
     exchange outcomes, arena churn) ranks here by magnitude.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     counters = snapshot.get("counters", {})
     rows = [
         [name, value]
@@ -109,7 +107,7 @@ def top_counters(snapshot: Dict, limit: int = 10) -> List[List]:
         if not name.startswith("phase.") and not name.startswith("worker.")
     ]
     rows.sort(key=lambda row: abs(row[1]), reverse=True)
-    return [[name, round(value, 4)] for name, value in rows[:limit]]
+    return [[name, round(value, 4)] for name, value in rows[:10]]
 
 
 def render_top_counters(rows: List[List]) -> str:
@@ -152,13 +150,13 @@ def obs_worker_timeline(snapshot: Dict) -> List[WorkerTimeline]:
     ]
 
 
-def render_obs_report(snapshot: Dict, top: int = 10) -> str:
+def render_obs_report(snapshot: Dict) -> str:
     """The one-screen profile: phases, top counters, worker utilization."""
     sections = []
     phases = phase_table(snapshot)
     if phases:
         sections.append(render_phase_table(phases))
-    counters = top_counters(snapshot, limit=top)
+    counters = top_counters(snapshot)
     if counters:
         sections.append(render_top_counters(counters))
     try:

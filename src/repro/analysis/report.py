@@ -97,7 +97,7 @@ def comparison_report(
     sections.append("## Accuracy vs traffic (Fig. 4 view)")
     sections.append("")
     for name, result in results.items():
-        xs, ys = result.series("worker_traffic_mb", "val_accuracy")
+        xs, ys = result.series("worker_traffic_mb")
         points = ", ".join(
             f"({format_value(float(x))} MB, {100 * y:.1f}%)"
             for x, y in zip(xs, ys)

@@ -66,15 +66,15 @@ def render_series(
     ys: Sequence[float],
     x_label: str = "x",
     y_label: str = "y",
-    max_points: int = 20,
 ) -> str:
-    """Render one curve as a compact point listing (down-sampled)."""
+    """Render one curve as a compact point listing (down-sampled to
+    about 20 points)."""
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     indices = list(range(len(xs)))
-    if len(indices) > max_points:
-        step = len(indices) / max_points
-        indices = [int(i * step) for i in range(max_points)]
+    if len(indices) > 20:
+        step = len(indices) / 20
+        indices = [int(i * step) for i in range(20)]
         if indices[-1] != len(xs) - 1:
             indices.append(len(xs) - 1)
     points = ", ".join(
@@ -86,12 +86,13 @@ def render_series(
 
 def render_ascii_plot(
     series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
-    width: int = 70,
-    height: int = 16,
     logx: bool = False,
 ) -> str:
-    """Tiny multi-series ASCII scatter plot for terminal figures."""
+    """Tiny multi-series ASCII scatter plot (70 × 16 characters) for
+    terminal figures."""
     import math
+
+    width, height = 70, 16
 
     symbols = "ox+*#@%&"
     points = []

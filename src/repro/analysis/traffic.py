@@ -29,11 +29,10 @@ def table1_costs(
     num_workers: int,
     rounds: int,
     compression_ratio: float = 100.0,
-    topk_compression: float = 1000.0,
-    dcd_compression: float = 4.0,
-    max_neighbors: int = 2,
 ) -> List[CostModel]:
-    """Evaluate every Table I row for concrete ``(N, n, T, c, n_p)``.
+    """Evaluate every Table I row for concrete ``(N, n, T, c)``, with the
+    paper's other settings: TopK-PSGD at ``c = 1000``, DCD-PSGD at
+    ``c = 4`` and ``n_p = 2`` ring neighbours.
 
     Formulas are the table's, verbatim:
 
@@ -52,11 +51,8 @@ def table1_costs(
     """
     if model_size <= 0 or num_workers <= 0 or rounds <= 0:
         raise ValueError("model_size, num_workers and rounds must be positive")
-    if max_neighbors < 1:
-        raise ValueError("max_neighbors must be >= 1")
     n, big_n, t = num_workers, float(model_size), rounds
-    c_saps, c_topk, c_dcd = compression_ratio, topk_compression, dcd_compression
-    np_ = max_neighbors
+    c_saps, c_topk, c_dcd, np_ = compression_ratio, 1000.0, 4.0, 2
     return [
         CostModel("PS-PSGD", 2 * big_n * n * t, 2 * big_n * t, False, False, False),
         CostModel("PSGD (all-reduce)", None, 2 * big_n * t, False, False, False),

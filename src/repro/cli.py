@@ -286,6 +286,11 @@ def _build_run(args) -> Callable[[], ExperimentResult]:
     asynchronous = event and args.algorithm in ASYNC_FACTORIES
     if asynchronous:
         check_positive(args.sim_time, "--sim-time")
+        if args.algorithm == "d-psgd" and args.local_steps > 1:
+            raise ValueError(
+                f"--local-steps {args.local_steps}: d-psgd on --engine event "
+                "(AD-PSGD) takes one gradient per cycle; use --local-steps 1"
+            )
         if args.checkpoint_every is not None:
             check_positive(args.checkpoint_every, "--checkpoint-every")
     plan = _parse_fault_plan(

@@ -254,12 +254,11 @@ def randomly_max_match(adjacency: np.ndarray, rng: SeedLike = None) -> Matching:
 def greedy_weighted_matching(
     weights: np.ndarray,
     rng: SeedLike = None,
-    complete_with_blossom: bool = True,
 ) -> Matching:
     """Bandwidth-greedy matching (extension; not in the paper's Alg. 3).
 
     Edges with positive weight are taken heaviest-first (random tie
-    breaks); optionally the result is extended to maximum cardinality via
+    breaks); the result is then extended to maximum cardinality via
     blossom augmentation restricted to positive-weight edges.  Weights
     must be finite, non-negative and symmetric in support
     (``ValueError`` otherwise); the upper triangle's values are used.
@@ -279,14 +278,13 @@ def greedy_weighted_matching(
             f"wherever they are at [i, j]: weights[{i}, {j}] = {float(weights[i, j])!r}"
         )
     np.fill_diagonal(support, False)
-    return greedy_matching_on_graph(support, weights, rng, complete_with_blossom)
+    return greedy_matching_on_graph(support, weights, rng)
 
 
 def greedy_matching_on_graph(
     adjacency: np.ndarray,
     weights: np.ndarray,
     rng: SeedLike = None,
-    complete_with_blossom: bool = True,
 ) -> Matching:
     """The greedy core: :func:`greedy_weighted_matching` over the edges of
     ``adjacency`` (symmetric, empty diagonal), edge ``(i, j)`` weighing
@@ -331,7 +329,7 @@ def greedy_matching_on_graph(
         unmatched = np.array(match) == -1
         keep = (heavy < cut) & unmatched[rows] & unmatched[cols]
         rows, cols, heavy, keys = rows[keep], cols[keep], heavy[keep], keys[keep]
-    if complete_with_blossom and free >= 2:
+    if free >= 2:
         return max_cardinality_matching(adjacency, initial_match=match)
     return [(v, match[v]) for v in range(n) if match[v] > v]
 

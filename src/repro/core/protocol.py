@@ -51,7 +51,6 @@ class Coordinator:
     def __init__(
         self,
         bandwidth: np.ndarray,
-        bandwidth_threshold: Optional[float] = None,
         connectivity_gap: int = 20,
         base_seed: int = 0,
         rng: SeedLike = None,
@@ -59,7 +58,6 @@ class Coordinator:
     ) -> None:
         self.selector = AdaptivePeerSelector(
             bandwidth,
-            bandwidth_threshold=bandwidth_threshold,
             connectivity_gap=connectivity_gap,
             rng=as_generator(rng if rng is not None else base_seed),
             prefer_weighted=prefer_weighted,

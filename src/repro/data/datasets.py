@@ -142,19 +142,15 @@ def make_synthetic_images(
     return Dataset(features, labels, num_classes, name=name)
 
 
-def synthetic_mnist(
-    num_samples: int = 2000, noise: float = 0.4, rng: SeedLike = None
-) -> Dataset:
+def synthetic_mnist(num_samples: int = 2000, rng: SeedLike = None) -> Dataset:
     """MNIST-shaped substitute: ``(1, 28, 28)``, 10 classes."""
     return make_synthetic_images(
-        num_samples, 10, 1, 28, noise=noise, rng=rng, name="synthetic-mnist"
+        num_samples, 10, 1, 28, noise=0.4, rng=rng, name="synthetic-mnist"
     )
 
 
-def synthetic_cifar10(
-    num_samples: int = 2000, noise: float = 0.4, rng: SeedLike = None
-) -> Dataset:
+def synthetic_cifar10(num_samples: int = 2000, rng: SeedLike = None) -> Dataset:
     """CIFAR-10-shaped substitute: ``(3, 32, 32)``, 10 classes."""
     return make_synthetic_images(
-        num_samples, 10, 3, 32, noise=noise, rng=rng, name="synthetic-cifar10"
+        num_samples, 10, 3, 32, noise=0.4, rng=rng, name="synthetic-cifar10"
     )

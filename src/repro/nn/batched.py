@@ -123,7 +123,7 @@ class BatchedLinear(BatchedKernel):
         self,
         arena: ParameterArena,
         weight_spec: ParamSpec,
-        bias_spec: Optional[ParamSpec] = None,
+        bias_spec: ParamSpec,
     ) -> None:
         self.weight_spec = weight_spec
         self.bias_spec = bias_spec
@@ -145,9 +145,8 @@ class BatchedLinear(BatchedKernel):
         # the same contiguous (B, in) @ (in, out) GEMM the per-worker
         # layer runs, so results match it bit for bit.
         output = np.matmul(inputs, weights.swapaxes(1, 2))
-        if self.biases is not None:
-            biases = self.biases if rows is None else self.biases[rows]
-            output += biases[:, None, :]
+        biases = self.biases if rows is None else self.biases[rows]
+        output += biases[:, None, :]
         return output
 
     def backward(
@@ -169,12 +168,11 @@ class BatchedLinear(BatchedKernel):
             self.weight_grads[rows] = np.matmul(
                 grad_output.swapaxes(1, 2), self._inputs
             )
-        if self.bias_grads is not None:
-            if rows is None or isinstance(rows, slice):
-                target = self.bias_grads if rows is None else self.bias_grads[rows]
-                np.add.reduce(grad_output, axis=1, out=target)
-            else:
-                self.bias_grads[rows] = grad_output.sum(axis=1)
+        if rows is None or isinstance(rows, slice):
+            target = self.bias_grads if rows is None else self.bias_grads[rows]
+            np.add.reduce(grad_output, axis=1, out=target)
+        else:
+            self.bias_grads[rows] = grad_output.sum(axis=1)
         if not need_input_grad:
             return None
         # einsum('nbo,noi->nbi'): grad wrt the stacked inputs.
@@ -184,8 +182,7 @@ class BatchedLinear(BatchedKernel):
         spec = self.weight_spec
         weight = vector[spec.offset : spec.end].reshape(spec.shape)
         output = inputs @ weight.T
-        if self.bias_spec is not None:
-            output += vector[self.bias_spec.offset : self.bias_spec.end]
+        output += vector[self.bias_spec.offset : self.bias_spec.end]
         return output
 
 
@@ -628,9 +625,7 @@ def _layer_plan(model: Module) -> Optional[List[tuple]]:
     try:
         for layer in model.layers:
             if type(layer) is Linear:
-                weight_spec = next(specs)
-                bias_spec = next(specs) if layer.bias is not None else None
-                plan.append(("linear", weight_spec, bias_spec))
+                plan.append(("linear", next(specs), next(specs)))
             elif type(layer) is Conv2d:
                 weight_spec = next(specs)
                 bias_spec = next(specs) if layer.bias is not None else None

@@ -20,7 +20,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: SeedLike = None,
         dtype: DTypeLike = None,
     ) -> None:
@@ -37,11 +36,9 @@ class Linear(Module):
                 dtype=dtype,
             ),
         )
-        self.bias: Optional[Parameter] = None
-        if bias:
-            self.bias = self.register_parameter(
-                "bias", Parameter(initializers.zeros((out_features,), dtype), dtype=dtype)
-            )
+        self.bias = self.register_parameter(
+            "bias", Parameter(initializers.zeros((out_features,), dtype), dtype=dtype)
+        )
         self._input: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -51,16 +48,14 @@ class Linear(Module):
             )
         self._input = inputs
         output = inputs @ self.weight.data.T
-        if self.bias is not None:
-            output += self.bias.data
+        output += self.bias.data
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         self.weight.accumulate_grad(grad_output.T @ self._input)
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_output.sum(axis=0))
+        self.bias.accumulate_grad(grad_output.sum(axis=0))
         return grad_output @ self.weight.data
 
 
@@ -187,21 +182,17 @@ class BatchNorm2d(Module):
     """Batch normalization over ``(batch, h, w)`` per channel.
 
     Keeps running statistics for eval mode, like the framework the paper
-    trained with.
+    trained with (and with its defaults: running-statistics ``momentum``
+    0.1, ``eps`` 1e-5).
     """
 
-    def __init__(
-        self,
-        num_features: int,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-        dtype: DTypeLike = None,
-    ) -> None:
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, num_features: int, dtype: DTypeLike = None) -> None:
         super().__init__()
         dtype = resolve_dtype(dtype)
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = self.register_parameter(
             "gamma", Parameter(initializers.ones((num_features,), dtype), dtype=dtype)
         )

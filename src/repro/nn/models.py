@@ -89,13 +89,7 @@ class MnistCNN(Sequential):
     cite ([35]): conv32-pool-conv64-pool-FC512-FC10 with 'same' padding.
     """
 
-    def __init__(
-        self,
-        num_classes: int = 10,
-        hidden: int = 512,
-        rng: SeedLike = None,
-        dtype: DTypeLike = None,
-    ) -> None:
+    def __init__(self, rng: SeedLike = None, dtype: DTypeLike = None) -> None:
         rng = as_generator(rng)
         dtype = resolve_dtype(dtype)
         super().__init__(
@@ -106,23 +100,17 @@ class MnistCNN(Sequential):
             ReLU(),
             MaxPool2d(2),
             Flatten(),
-            Linear(64 * 7 * 7, hidden, rng=rng, dtype=dtype),
+            Linear(64 * 7 * 7, 512, rng=rng, dtype=dtype),
             ReLU(),
-            Linear(hidden, num_classes, rng=rng, dtype=dtype),
+            Linear(512, 10, rng=rng, dtype=dtype),
         )
-        self.num_classes = num_classes
+        self.num_classes = 10
 
 
 class Cifar10CNN(Sequential):
     """CIFAR10-CNN: same family for ``(3, 32, 32)`` inputs."""
 
-    def __init__(
-        self,
-        num_classes: int = 10,
-        hidden: int = 512,
-        rng: SeedLike = None,
-        dtype: DTypeLike = None,
-    ) -> None:
+    def __init__(self, rng: SeedLike = None, dtype: DTypeLike = None) -> None:
         rng = as_generator(rng)
         dtype = resolve_dtype(dtype)
         super().__init__(
@@ -133,11 +121,11 @@ class Cifar10CNN(Sequential):
             ReLU(),
             MaxPool2d(2),
             Flatten(),
-            Linear(64 * 8 * 8, hidden, rng=rng, dtype=dtype),
+            Linear(64 * 8 * 8, 512, rng=rng, dtype=dtype),
             ReLU(),
-            Linear(hidden, num_classes, rng=rng, dtype=dtype),
+            Linear(512, 10, rng=rng, dtype=dtype),
         )
-        self.num_classes = num_classes
+        self.num_classes = 10
 
 
 class _PadChannelShortcut(Module):
@@ -231,23 +219,16 @@ class BasicBlock(Module):
 
 
 class ResNetCIFAR(Module):
-    """He et al.'s CIFAR ResNet: depth = 6·blocks_per_stage + 2.
-
-    ``ResNetCIFAR(blocks_per_stage=3)`` is ResNet-20 with 269,722
-    trainable parameters — exactly the count in the paper's Table II.
+    """He et al.'s CIFAR ResNet at the paper's depth: three stages of
+    three basic blocks, widths 16 / 32 / 64, 10 classes — ResNet-20 with
+    269,722 trainable parameters, exactly the count in Table II.
     """
 
-    def __init__(
-        self,
-        blocks_per_stage: int = 3,
-        num_classes: int = 10,
-        base_width: int = 16,
-        rng: SeedLike = None,
-        dtype: DTypeLike = None,
-    ) -> None:
+    def __init__(self, rng: SeedLike = None, dtype: DTypeLike = None) -> None:
         super().__init__()
         rng = as_generator(rng)
         dtype = resolve_dtype(dtype)
+        blocks_per_stage, base_width = 3, 16
         self.depth = 6 * blocks_per_stage + 2
         self.conv1 = self.register_module(
             "conv1", Conv2d(3, base_width, 3, padding=1, bias=False, rng=rng, dtype=dtype)
@@ -269,9 +250,9 @@ class ResNetCIFAR(Module):
                 in_channels = width
         self.pool = self.register_module("pool", GlobalAvgPool2d())
         self.fc = self.register_module(
-            "fc", Linear(widths[-1], num_classes, rng=rng, dtype=dtype)
+            "fc", Linear(widths[-1], 10, rng=rng, dtype=dtype)
         )
-        self.num_classes = num_classes
+        self.num_classes = 10
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         out = self.relu.forward(self.bn1.forward(self.conv1.forward(inputs)))
@@ -286,10 +267,6 @@ class ResNetCIFAR(Module):
         return self.conv1.backward(self.bn1.backward(self.relu.backward(grad)))
 
 
-def ResNet20(
-    num_classes: int = 10, rng: SeedLike = None, dtype: DTypeLike = None
-) -> ResNetCIFAR:
+def ResNet20(rng: SeedLike = None, dtype: DTypeLike = None) -> ResNetCIFAR:
     """The paper's ResNet-20 (269,722 parameters)."""
-    return ResNetCIFAR(
-        blocks_per_stage=3, num_classes=num_classes, rng=rng, dtype=dtype
-    )
+    return ResNetCIFAR(rng=rng, dtype=dtype)

@@ -41,12 +41,10 @@ class Parameter:
         in error messages and tests.
     """
 
-    def __init__(
-        self, data: np.ndarray, name: str = "", dtype: DTypeLike = None
-    ) -> None:
+    def __init__(self, data: np.ndarray, dtype: DTypeLike = None) -> None:
         self.data = np.asarray(data, dtype=resolve_dtype(dtype))
         self.grad: Optional[np.ndarray] = None
-        self.name = name
+        self.name = ""
         #: True once :meth:`bind_views` rebound storage into an arena row.
         self.arena_backed = False
         self._grad_view: Optional[np.ndarray] = None

@@ -29,7 +29,7 @@ enrolment.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class ShardedArena:
         Flat parameter count per client.
     capacity:
         Resident row budget (clamped to ``num_clients``).
-    cold:
-        Flat vector dormant clients start from (e.g. the global model at
-        enrolment); ``None`` means zeros.  Updatable via
-        :meth:`set_cold`.
     retain_evicted:
         Whether evicted rows are written back to a per-client store and
         restored on the next touch (peer-to-peer semantics).  ``False``
@@ -66,7 +62,6 @@ class ShardedArena:
         model_size: int,
         capacity: int,
         dtype: DTypeLike = None,
-        cold: Optional[np.ndarray] = None,
         retain_evicted: bool = True,
     ) -> None:
         num_clients = int(num_clients)
@@ -84,9 +79,10 @@ class ShardedArena:
         self.dtype = resolve_dtype(dtype)
         self.data = np.zeros((rows, self.model_size), dtype=self.dtype)
         self.retain_evicted = bool(retain_evicted)
+        #: The flat vector dormant clients start from (e.g. the global
+        #: model at enrolment), set by :meth:`set_cold`; ``None`` means
+        #: zeros.
         self._cold = None
-        if cold is not None:
-            self.set_cold(cold)
         self._slot_of: Dict[int, int] = {}
         self._lru: "OrderedDict[int, int]" = OrderedDict()  # client -> slot
         self._free: List[int] = list(range(rows - 1, -1, -1))

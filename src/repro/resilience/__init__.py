@@ -11,8 +11,7 @@ the system survives them):
   :class:`~repro.resilience.policy.ColdRecovery` — what a recovering worker
   restarts from;
 * :class:`~repro.resilience.checkpoint.CheckpointStore` — latest periodic
-  per-worker snapshots (params + optimizer velocity + error-feedback
-  residual);
+  per-worker snapshots (params + optimizer velocity);
 * :class:`ResilienceStats` — goodput, retry/abort counts, downtime and
   MTTR accounting, consumed by :mod:`repro.analysis.resilience`.
 """

@@ -7,8 +7,7 @@ the **latest** periodic snapshot of its training state:
 * the flat parameter vector (the worker's arena row);
 * the optimizer velocity row, when the batched
   :class:`~repro.sim.cluster.ClusterTrainer` runs with momentum (or the
-  per-parameter SGD velocities on the loop path);
-* the error-feedback residual row, when the algorithm carries one.
+  per-parameter SGD velocities on the loop path).
 
 Only the latest snapshot is retained — restoring from "the last periodic
 checkpoint" is the semantics, and keeping one ``(N,)`` row per worker
@@ -30,7 +29,6 @@ class WorkerSnapshot:
     time: float
     params: np.ndarray
     velocity: Optional[np.ndarray] = None
-    residual: Optional[np.ndarray] = None
 
 
 def _velocity_row(algorithm, rank: int) -> Optional[np.ndarray]:
@@ -38,14 +36,6 @@ def _velocity_row(algorithm, rank: int) -> Optional[np.ndarray]:
     velocity = getattr(trainer, "_velocity", None)
     if velocity is not None:
         return velocity[rank].copy()
-    return None
-
-
-def _residual_row(algorithm, rank: int) -> Optional[np.ndarray]:
-    feedback = getattr(algorithm, "error_feedback", None)
-    residual = getattr(feedback, "residual", None)
-    if residual is not None and np.ndim(residual) == 2:
-        return np.asarray(residual)[rank].copy()
     return None
 
 
@@ -73,7 +63,6 @@ class CheckpointStore:
                 time=float(time),
                 params=algorithm.arena.data[rank].copy(),
                 velocity=_velocity_row(algorithm, rank),
-                residual=_residual_row(algorithm, rank),
             )
         self.captures += 1
 

@@ -79,13 +79,12 @@ def _write_state(
     rank: int,
     params: np.ndarray,
     velocity: Optional[np.ndarray] = None,
-    residual: Optional[np.ndarray] = None,
 ) -> None:
     """Overwrite one worker's training state.
 
-    Optimizer velocity and error-feedback residual rows are zeroed when
-    the snapshot carries none — a restarted worker must not inherit the
-    momentum of its dead incarnation.
+    The optimizer velocity row is zeroed when the snapshot carries none —
+    a restarted worker must not inherit the momentum of its dead
+    incarnation.
     """
     arena = algorithm.arena
     arena.data[rank] = np.asarray(params, dtype=arena.dtype)
@@ -93,10 +92,6 @@ def _write_state(
     velocity_matrix = getattr(trainer, "_velocity", None)
     if velocity_matrix is not None:
         velocity_matrix[rank] = velocity if velocity is not None else 0.0
-    feedback = getattr(algorithm, "error_feedback", None)
-    residual_matrix = getattr(feedback, "residual", None)
-    if residual_matrix is not None and np.ndim(residual_matrix) == 2:
-        residual_matrix[rank] = residual if residual is not None else 0.0
 
 
 class RecoveryPolicy:
@@ -130,7 +125,7 @@ class ColdRecovery(RecoveryPolicy):
 
 class CheckpointRecovery(RecoveryPolicy):
     """Restart from the last periodic snapshot (params + optimizer
-    velocity + error-feedback residual); cold when none was taken yet."""
+    velocity); cold when none was taken yet."""
 
     name = "checkpoint"
 
@@ -142,10 +137,7 @@ class CheckpointRecovery(RecoveryPolicy):
         if snapshot is None:
             self._cold_restore(engine, algorithm, rank, now)
             return
-        _write_state(
-            algorithm, rank, snapshot.params, snapshot.velocity,
-            snapshot.residual,
-        )
+        _write_state(algorithm, rank, snapshot.params, snapshot.velocity)
         engine.resilience.record_restore(rank, self.name, now - snapshot.time)
         algorithm.restart_worker(rank, now)
 

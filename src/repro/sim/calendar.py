@@ -84,10 +84,9 @@ class CalendarQueue:
     #: resizing, amortized O(1) per operation.
     _MIN_HIGH = 256
 
-    def __init__(self, width: float = 1.0) -> None:
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValueError(f"bucket width must be finite and > 0, got {width}")
-        self._width = float(width)
+    def __init__(self) -> None:
+        #: Bucket width in simulated seconds, re-chosen at each rebuild.
+        self._width = 1.0
         self._buckets: dict = {}
         self._keyheap: List[int] = []
         #: The earliest bucket, sorted, drained through a cursor.
@@ -172,7 +171,7 @@ class CalendarQueue:
             # Compaction: long fault-heavy runs cancel in bulk; rebuild
             # once tombstones dominate so buckets don't grow unboundedly.
             if self._dead > 64 and self._dead >= self._live:
-                self._rebuild(width=self._width)
+                self._rebuild()
 
     def pop(self) -> Tuple[float, Callable]:
         while True:
@@ -243,7 +242,7 @@ class CalendarQueue:
         self._cur_key = key
         return True
 
-    def _rebuild(self, width: Optional[float] = None) -> None:
+    def _rebuild(self) -> None:
         """Re-bucket every live entry (dropping tombstones) at a width
         matched to the current population — amortized O(1) per event."""
         entries: List[List] = []
@@ -256,8 +255,7 @@ class CalendarQueue:
             for e in bucket:
                 if e[2] is not _CANCELLED:
                     append(e)
-        if width is None:
-            width = self._choose_width(entries)
+        width = self._choose_width(entries)
         self._width = width
         self._buckets = {}
         self._keyheap = []

@@ -362,7 +362,7 @@ class ClusterTrainer:
 
     def _run_pass(
         self,
-        ranks,
+        rows,
         apply_update: bool,
         gather_indices: Optional[np.ndarray] = None,
         gather_out: Optional[np.ndarray] = None,
@@ -382,8 +382,8 @@ class ClusterTrainer:
         gathering from the full matrix afterwards.  Returns the
         per-worker losses and records each worker's ``last_loss`` (and
         ``steps_taken`` when updating), mirroring the per-worker loop.
+        ``rows`` is already normalized (:meth:`_normalize_ranks`).
         """
-        rows = self._normalize_ranks(ranks)
         # Hoisted allocation: block threads must never race the (n, N)
         # velocity alloc.
         if apply_update and self.momentum and self._velocity is None:
@@ -448,13 +448,14 @@ class ClusterTrainer:
             worker.last_loss = loss
         return losses
 
-    def step(self, ranks=None) -> np.ndarray:
-        """One mini-batch SGD step for all (or ``ranks``) workers at once.
+    def step(self) -> np.ndarray:
+        """One mini-batch SGD step for every worker at once (a subset steps
+        through :meth:`batched_steps`).
 
-        Returns the per-worker losses, in ``ranks`` order (float64, each
-        entry exactly what ``worker.local_step()`` would have returned).
+        Returns the per-worker losses (float64, each entry exactly what
+        ``worker.local_step()`` would have returned).
         """
-        return self._run_pass(ranks, apply_update=True)
+        return self._run_pass(None, apply_update=True)
 
     def batched_steps(self, k: int, ranks=None) -> np.ndarray:
         """``k`` local steps amortized between communication rounds.
@@ -467,11 +468,11 @@ class ClusterTrainer:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         rows = self._normalize_ranks(ranks)
-        first = self.step(rows)
+        first = self._run_pass(rows, apply_update=True)
         losses = np.empty((first.size, k), dtype=np.float64)
         losses[:, 0] = first
         for step_index in range(1, k):
-            losses[:, step_index] = self.step(rows)
+            losses[:, step_index] = self._run_pass(rows, apply_update=True)
         return losses
 
     def batched_steps_gather(
@@ -511,7 +512,7 @@ class ClusterTrainer:
         mini-batch per worker and leave the gradients in ``arena.grads``
         (rows of workers outside ``ranks`` keep their previous content).
         Returns the per-worker losses without applying any update."""
-        return self._run_pass(ranks, apply_update=False)
+        return self._run_pass(self._normalize_ranks(ranks), apply_update=False)
 
     # ------------------------------------------------------------------
     # the matrix optimizer update

@@ -41,7 +41,6 @@ class SuiteSettings:
     fedavg_local_steps: int = 5
     sfedavg_compression: float = 100.0
     connectivity_gap: int = 20
-    bandwidth_threshold: Optional[float] = None
     base_seed: int = 0
     #: Local SGD steps per round for the decentralized algorithms'
     #: local phase (SAPS-PSGD); FedAvg/S-FedAvg keep their own
@@ -69,7 +68,6 @@ def paper_algorithm_suite(
         "DCD-PSGD": lambda: DCDPSGD(settings.dcd_compression),
         "SAPS-PSGD": lambda: SAPSPSGD(
             compression_ratio=settings.saps_compression,
-            bandwidth_threshold=settings.bandwidth_threshold,
             connectivity_gap=settings.connectivity_gap,
             base_seed=settings.base_seed,
             local_steps=settings.saps_local_steps,
@@ -84,41 +82,28 @@ def run_comparison(
     config: ExperimentConfig,
     bandwidth: Optional[np.ndarray] = None,
     settings: Optional[SuiteSettings] = None,
-    algorithms: Optional[Sequence[str]] = None,
-    dtype: Optional[str] = None,
     local_steps: Optional[int] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run the full (or a named subset of the) suite on one workload.
+    """Run the full suite on one workload.
 
     Every algorithm gets a *fresh* network meter so trajectories are
     independently accounted, and the same config seed so workers sample
     comparable batch sequences.
 
-    ``dtype`` / ``local_steps`` override the corresponding
-    :class:`ExperimentConfig` fields for the whole comparison (the
-    passed config and settings are not mutated).  A ``local_steps``
-    above 1 is the workload-level schedule: the engine applies it to
-    every algorithm with a local phase (SAPS-PSGD and FedAvg/S-FedAvg
-    alike), and :attr:`SuiteSettings.saps_local_steps` is updated so the
-    constructed suite agrees with the recorded config.
+    ``local_steps`` overrides :attr:`ExperimentConfig.local_steps` for
+    the whole comparison (the passed config and settings are not
+    mutated).  A ``local_steps`` above 1 is the workload-level schedule:
+    the engine applies it to every algorithm with a local phase
+    (SAPS-PSGD and FedAvg/S-FedAvg alike), and
+    :attr:`SuiteSettings.saps_local_steps` is updated so the constructed
+    suite agrees with the recorded config.
     """
-    overrides = {}
-    if dtype is not None:
-        overrides["dtype"] = dtype
     if local_steps is not None:
-        overrides["local_steps"] = local_steps
-    if overrides:
-        config = replace(config, **overrides)
-    if local_steps is not None:
+        config = replace(config, local_steps=local_steps)
         settings = replace(
             settings or SuiteSettings(), saps_local_steps=local_steps
         )
     suite = paper_algorithm_suite(settings)
-    if algorithms is not None:
-        unknown = set(algorithms) - set(suite)
-        if unknown:
-            raise KeyError(f"unknown algorithms: {sorted(unknown)}")
-        suite = {name: suite[name] for name in algorithms}
 
     results: Dict[str, ExperimentResult] = {}
     for name, factory in suite.items():

@@ -154,11 +154,12 @@ class ExperimentResult:
             return float("nan")
         return max(record.val_accuracy for record in self.history)
 
-    def series(self, x_attr: str, y_attr: str = "val_accuracy"):
-        """Paired series for plotting, e.g. ``series("worker_traffic_mb")``
-        is Fig. 4's curve for this algorithm."""
+    def series(self, x_attr: str):
+        """Validation accuracy against ``x_attr`` for plotting, e.g.
+        ``series("worker_traffic_mb")`` is Fig. 4's curve for this
+        algorithm."""
         xs = [getattr(record, x_attr) for record in self.history]
-        ys = [getattr(record, y_attr) for record in self.history]
+        ys = [record.val_accuracy for record in self.history]
         return xs, ys
 
     def cost_to_reach(

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.algorithms.asynchronous import AsyncDPSGD
 from repro.data.datasets import Dataset
 from repro.network.metrics import MB, TrafficMeter
 from repro.network.transport import SimulatedNetwork
@@ -619,6 +620,11 @@ def run_event_experiment(
     (:mod:`repro.sim.population`); async algorithms defer cycle starts
     to each worker's next up-time.
     """
+    if config.local_steps > 1 and isinstance(algorithm, AsyncDPSGD):
+        raise ValueError(
+            f"AD-PSGD takes one gradient per cycle, so local_steps must "
+            f"be 1, got {config.local_steps}"
+        )
     if network is None:
         network = SimulatedNetwork(num_workers=len(partitions))
     validation = validation.astype(resolve_dtype(config.dtype))

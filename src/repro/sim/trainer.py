@@ -226,13 +226,13 @@ class TrainingWorker:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, dataset: Dataset, batch_size: int = 256) -> Tuple[float, float]:
+    def evaluate(self, dataset: Dataset) -> Tuple[float, float]:
         """``(mean_loss, top1_accuracy)`` of the current model on a
         dataset, in eval mode (cast once against the model dtype — see
         :func:`evaluate_forward`)."""
         self.model.eval()
         result = evaluate_forward(
-            self.model.forward, dataset, self.model.dtype, batch_size
+            self.model.forward, dataset, self.model.dtype
         )
         self.model.train()
         return result

@@ -92,8 +92,8 @@ def simulate_consensus(
 
 
 def random_initial_states(
-    num_workers: int, dim: int, spread: float = 1.0, rng: SeedLike = None
+    num_workers: int, dim: int, rng: SeedLike = None
 ) -> np.ndarray:
-    """Convenience: i.i.d. Gaussian worker states with given spread."""
+    """Convenience: i.i.d. standard Gaussian worker states."""
     rng = as_generator(rng)
-    return rng.normal(0.0, spread, size=(num_workers, dim))
+    return rng.normal(0.0, 1.0, size=(num_workers, dim))

@@ -73,11 +73,9 @@ def consensus_factor(compression_ratio: float, rho: float) -> float:
     return q + p * rho**2
 
 
-def rounds_to_epsilon(factor: float, epsilon: float = 1e-3) -> int:
+def rounds_to_epsilon(factor: float) -> int:
     """Rounds needed for the contraction ``factor`` to shrink consensus
-    error below ``epsilon`` (from 1)."""
+    error below ε = 1e-3 (from 1)."""
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must be in (0, 1), got {factor}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return int(np.ceil(np.log(epsilon) / np.log(factor)))
+    return int(np.ceil(np.log(1e-3) / np.log(factor)))

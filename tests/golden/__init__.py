@@ -57,6 +57,8 @@ PLANS = {
     # contiguous run 0 .. n - 2.
     "last-down": "crash:5@1.5,recover:5@5",
     "event": "crash:2@0.7,recover:2@1.9,link_down:0-1@0.3,link_up:0-1@2.2",
+    # After the first checkpoint capture (1.0 s): the restore is warm.
+    "late": "crash:2@1.4,recover:2@2.3",
 }
 
 #: ``(momentum, weight_decay, nesterov)``
@@ -178,8 +180,8 @@ def sync(family, data, dtype, rounds, plan=None, delta=1.0, extra="",
 def event(family, dtype, compute, optim="sgd", scenario=""):
     """:data:`DURATION` simulated seconds of an asynchronous ``family`` on
     the ``event`` blobs under ``compute``; ``scenario`` is "plan"
-    (``PLANS["event"]``), "renewal" (a renewal population), both
-    ("plan-renewal") or neither."""
+    (``PLANS["event"]``), "late-plan" (``PLANS["late"]``), "renewal" (a
+    renewal population), "plan-renewal" or neither."""
     from repro.algorithms import AsyncDPSGD, AsyncFedAvg, AsyncGossip
     from repro.sim import (
         ConstantCompute, EventEngine, FaultPlan, HeterogeneousCompute,
@@ -208,7 +210,8 @@ def event(family, dtype, compute, optim="sgd", scenario=""):
     engine = EventEngine(
         network,
         compute_model=compute_model,
-        fault_plan=(FaultPlan.parse(PLANS["event"], n, horizon=DURATION, seed=4)
+        fault_plan=(FaultPlan.parse(PLANS["late" if "late" in scenario else "event"],
+                                    n, horizon=DURATION, seed=4)
                     if "plan" in scenario else None),
         population=(RenewalPopulation(n, mean_up=1.0, mean_down=0.5, seed=3)
                     if "renewal" in scenario else None),
@@ -426,6 +429,8 @@ EVENT_CASES = [
     # A fault plan and a population at once.
     *[(family, F64, "hetero0", "sgd", "plan-renewal")
       for family in ("gossip-bandwidth", "dpsgd", "fedavg-sampled")],
+    # A checkpoint restore that carries a velocity row.
+    ("gossip-bandwidth", F64, "hetero0", "momentum", "late-plan"),
 ]
 
 _SYNC7 = "--workers 7 --rounds 12 --eval-every 4"

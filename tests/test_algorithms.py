@@ -272,20 +272,43 @@ class TestDPSGD:
 
 
 class TestDCDPSGD:
-    def test_replica_consistency_invariant(self):
-        """Every copy of worker j's public replica must stay identical
-        across holders — both sides integrate the same compressed deltas."""
-        partitions, _, model_factory, config, network = build_setup()
-        algorithm = DCDPSGD(compression_ratio=4.0)
-        algorithm.setup(make_workers(model_factory, partitions, config), network, rng=0)
-        for t in range(5):
-            algorithm.run_round(t)
-        for rank in range(N_WORKERS):
-            mine = algorithm.replicas[rank][rank]
-            for holder in algorithm._ring_neighbors(rank):
+    @staticmethod
+    def _against_replicas(n, dtype, ratio):
+        from tests.reference.replicas import ReplicaDCDPSGD
+
+        full = make_blobs(num_samples=40 * n, num_classes=4, num_features=6, rng=n)
+        partitions = partition_iid(full, n, rng=n)
+        config = ExperimentConfig(batch_size=8, lr=0.2, seed=n, dtype=dtype)
+        runs = []
+        for family in (DCDPSGD, ReplicaDCDPSGD):
+            algorithm = family(compression_ratio=ratio)
+            network = SimulatedNetwork(n, bandwidth=random_uniform_bandwidth(n, rng=n))
+            workers = make_workers(
+                lambda: MLP(6, [12], 4, rng=n, dtype=dtype), partitions, config
+            )
+            algorithm.setup(workers, network, rng=0)
+            losses = [algorithm.run_round(t) for t in range(12)]
+            runs.append((algorithm, network, losses))
+        (ours, our_net, our_losses), (oracle, oracle_net, oracle_losses) = runs
+        assert our_losses == oracle_losses
+        np.testing.assert_array_equal(ours.arena.data, oracle.arena.data)
+        for rank in range(n):
+            for holder in (rank, *oracle._ring_neighbors(rank)):
                 np.testing.assert_array_equal(
-                    algorithm.replicas[holder][rank], mine
+                    oracle.replicas[holder][rank], ours.public[rank]
                 )
+            assert our_net.meter.worker_bytes(rank) == oracle_net.meter.worker_bytes(rank)
+        assert our_net.timer.total_seconds == oracle_net.timer.total_seconds
+
+    def test_replica_consistency_invariant(self):
+        """Every holder's copy of worker j's public model stays equal to
+        row j of ``X̂`` — all of them integrate the same compressed
+        deltas — and the one-matrix rounds equal the 3n-copy oracle's
+        bit for bit: losses, arena, traffic and link time."""
+        for n in (3, 5, 8):
+            for dtype in ("float64", "float32"):
+                for ratio in (1.5, 4.0):
+                    self._against_replicas(n, dtype, ratio)
 
     def test_traffic_below_dpsgd(self):
         traffic = {}

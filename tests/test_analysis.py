@@ -37,7 +37,7 @@ class TestTable1:
     def test_paper_formulas(self):
         n, big_n, t = 32, 1e6, 100
         by_name = cost_models_by_name(
-            table1_costs(big_n, n, t, compression_ratio=100, topk_compression=1000)
+            table1_costs(big_n, n, t, compression_ratio=100)
         )
         assert by_name["PS-PSGD"].server_cost == 2 * big_n * n * t
         assert by_name["PSGD (all-reduce)"].server_cost is None
@@ -68,8 +68,6 @@ class TestTable1:
     def test_validation(self):
         with pytest.raises(ValueError):
             table1_costs(0, 32, 100)
-        with pytest.raises(ValueError):
-            table1_costs(1e6, 32, 100, max_neighbors=0)
 
 
 class TestTargets:
@@ -126,8 +124,8 @@ class TestRendering:
     def test_render_series_downsamples(self):
         xs = list(range(100))
         ys = list(range(100))
-        text = render_series("curve", xs, ys, max_points=5)
-        assert text.count("(") <= 7
+        text = render_series("curve", xs, ys)
+        assert text.count("(") <= 22
         assert "curve" in text
 
     def test_render_series_length_mismatch(self):

@@ -102,7 +102,7 @@ def test_step_equals_the_per_worker_loop(rank_set, hyper, steps):
     before_rng = [_rng_state(worker) for worker in batched.workers]
 
     for _ in range(steps):
-        got = trainer.step(ranks)
+        got = trainer.batched_steps(1, ranks)[:, 0]
         want = loop._local_steps(1, ranks)[:, 0]
         assert got.tobytes() == want.tobytes()
 

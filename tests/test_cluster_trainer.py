@@ -205,9 +205,9 @@ class TestBuild:
     def test_rejects_duplicate_ranks(self):
         _, _, trainer, _ = _make_pair("mlp", num_workers=3)
         with pytest.raises(ValueError):
-            trainer.step(ranks=[0, 0])
+            trainer.batched_steps(1, ranks=[0, 0])
         with pytest.raises(ValueError):
-            trainer.step(ranks=[])
+            trainer.batched_steps(1, ranks=[])
 
     @pytest.mark.parametrize(
         "ranks,message",
@@ -228,7 +228,7 @@ class TestBuild:
         _, workers, trainer, _ = _make_pair("mlp", num_workers=4)
         states = [w.loader._rng.bit_generator.state for w in workers]
         data = trainer.arena.data.copy()
-        for call in (trainer.step, trainer.compute_gradients,
+        for call in (lambda r: trainer.batched_steps(1, r), trainer.compute_gradients,
                      lambda r: trainer.batched_steps(2, r)):
             with pytest.raises(ValueError, match=message):
                 call(ranks)
@@ -303,7 +303,7 @@ class TestStepEquivalence:
             loop_losses = np.array(
                 [loop_workers[r].local_step() for r in ranks]
             )
-            batched_losses = trainer.step(ranks=ranks)
+            batched_losses = trainer.batched_steps(1, ranks=ranks)[:, 0]
             np.testing.assert_array_equal(loop_losses, batched_losses)
         assert_params_close(loop_workers, batched_workers)
         # untouched workers saw no steps and no RNG consumption
@@ -407,7 +407,9 @@ class TestConvEquivalence:
             loop_losses = np.array(
                 [loop_workers[r].local_step() for r in ranks]
             )
-            np.testing.assert_array_equal(loop_losses, trainer.step(ranks=ranks))
+            np.testing.assert_array_equal(
+                loop_losses, trainer.batched_steps(1, ranks=ranks)[:, 0]
+            )
         assert_params_close(loop_workers, batched_workers)
         assert loop_workers[1].steps_taken == 0
         assert batched_workers[1].steps_taken == 0
@@ -507,7 +509,7 @@ def _tiny_cnn_run(monkeypatch, block_rows: int, threads: int):
     parallel.set_num_threads(threads)
     try:
         losses = trainer.batched_steps(3)
-        subset = trainer.step(ranks=[0, 3, 4, 8])
+        subset = trainer.batched_steps(1, ranks=[0, 3, 4, 8])[:, 0]
         evaluation = trainer.evaluate_vector(
             trainer.arena.mean_model(), validation, batch_size=16
         )
@@ -685,21 +687,19 @@ class TestPlumbing:
         suite = paper_algorithm_suite(SuiteSettings(saps_local_steps=3))
         assert suite["SAPS-PSGD"]().local_steps == 3
 
-    def test_run_comparison_threads_dtype_and_local_steps(self):
+    def test_run_comparison_threads_local_steps(self):
         from repro.sim import run_comparison
 
         partitions, validation = _workload(4)
         config = ExperimentConfig(rounds=4, batch_size=8, eval_every=2, seed=3)
         results = run_comparison(
-            partitions, validation,
-            lambda: MODEL_FACTORIES["mlp"]("float32"),
-            config, algorithms=["SAPS-PSGD"],
-            dtype="float32", local_steps=2,
+            partitions, validation, lambda: MODEL_FACTORIES["mlp"](),
+            config, local_steps=2,
         )
-        result = results["SAPS-PSGD"]
-        assert result.config.dtype == "float32"
-        assert result.config.local_steps == 2
-        assert config.dtype == "float64" and config.local_steps == 1
+        for result in results.values():
+            assert result.config.local_steps == 2
+        assert results["SAPS-PSGD"].history[-1].local_steps == 2 * 4 * 4
+        assert config.local_steps == 1
 
     def test_evaluate_casts_dataset_once_against_model_dtype(self):
         partitions, validation = _workload(3)

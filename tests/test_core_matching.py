@@ -177,14 +177,13 @@ class TestGreedyWeightedMatching:
 
     def test_without_completion_can_be_smaller(self):
         # Path 0-1-2-3 with heavy middle edge: greedy takes (1,2) and
-        # cannot match 0 or 3 without augmentation.
+        # cannot match 0 or 3 without augmentation, which always runs.
         weights = np.zeros((4, 4))
         for (a, b), w in {(0, 1): 1.0, (1, 2): 5.0, (2, 3): 1.0}.items():
             weights[a, b] = weights[b, a] = w
-        short = greedy_weighted_matching(weights, rng=0, complete_with_blossom=False)
-        full = greedy_weighted_matching(weights, rng=0, complete_with_blossom=True)
-        assert len(short) == 1
-        assert len(full) == 2
+        short = reference.greedy_weighted_matching(weights, rng=0, complete_with_blossom=False)
+        assert short == [(1, 2)]
+        assert greedy_weighted_matching(weights, rng=0) == [(0, 1), (2, 3)]
 
 
 class TestMatchingHelpers:
@@ -262,17 +261,14 @@ class TestEqualsReference:
         st.integers(0, 10_000),
         st.integers(2, 200),
         st.sampled_from(["dense", "sparse", "integer_tied", "min_cap", "zero_rows"]),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_greedy_weighted_matching(self, seed, n, kind, complete):
+    def test_greedy_weighted_matching(self, seed, n, kind):
         weights = _weights(np.random.default_rng(seed), n, kind)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         assert greedy_weighted_matching(
-            weights, rng=ours, complete_with_blossom=complete
-        ) == reference.greedy_weighted_matching(
-            weights, rng=theirs, complete_with_blossom=complete
-        )
+            weights, rng=ours
+        ) == reference.greedy_weighted_matching(weights, rng=theirs)
         assert ours.random() == theirs.random()
 
     @given(
@@ -280,10 +276,9 @@ class TestEqualsReference:
         st.integers(2, 200),
         st.sampled_from(["random", "multipartite", "thinned_multipartite"]),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_greedy_core_on_a_selector_graph(self, seed, n, kind, masked, complete):
+    def test_greedy_core_on_a_selector_graph(self, seed, n, kind, masked):
         """Algorithm 3's weighted round: the core on (graph, B) against the
         reference greedy on the dense ``B * graph`` — an ``active`` mask
         cut into the graph, B with planted equal links and zero links."""
@@ -297,10 +292,8 @@ class TestEqualsReference:
         bandwidth[planted] = rng.choice([0.0, 2.5, 4.0])
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         assert greedy_matching_on_graph(
-            graph, bandwidth, rng=ours, complete_with_blossom=complete
-        ) == reference.greedy_weighted_matching(
-            bandwidth * graph, rng=theirs, complete_with_blossom=complete
-        )
+            graph, bandwidth, rng=ours
+        ) == reference.greedy_weighted_matching(bandwidth * graph, rng=theirs)
         assert ours.random() == theirs.random()
 
     @given(
@@ -364,13 +357,14 @@ class TestGreedyWeightedMatchingValidation:
             greedy_weighted_matching(weights, rng=rng)
         assert rng.random() == np.random.default_rng(0).random()
 
-    @pytest.mark.parametrize("complete", [True, False])
-    def test_asymmetric_support(self, complete):
-        """Used to surface only if the blossom completion happened to run."""
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_asymmetric_support(self, upper):
+        """Used to surface only if the blossom completion happened to run;
+        the zero may sit on either side of the diagonal."""
         weights = _symmetric(np.ones((4, 4)))
-        weights[2, 0] = 0.0
+        weights[(0, 2) if upper else (2, 0)] = 0.0
         with pytest.raises(ValueError, match=r"weights\[0, 2\]"):
-            greedy_weighted_matching(weights, rng=0, complete_with_blossom=complete)
+            greedy_weighted_matching(weights, rng=0)
 
     def test_all_zero_draws_nothing(self):
         rng = np.random.default_rng(0)

@@ -57,6 +57,8 @@ BAD_FLAGS = [
     ("--participation sampled --sample-size 0", "sample_size"),
     ("--exchange-timeout 0", "--exchange-timeout"),
     ("--local-steps 0", "local_steps"),
+    # AD-PSGD takes one gradient a cycle; more steps were billed, never run.
+    ("--algorithm d-psgd --engine event --local-steps 3", "--local-steps 3: d-psgd"),
     ("--rounds 0", "rounds"),
     ("--bandwidth fig1 --workers 8", "--bandwidth fig1"),
     ("--fault-plan crash:99@1", "fault event names worker 99"),

@@ -30,11 +30,6 @@ class TestLinear:
     def test_gradients(self, rng, grad_check):
         grad_check(Linear(4, 3, rng=rng), rng.normal(size=(5, 4)))
 
-    def test_no_bias(self, rng, grad_check):
-        layer = Linear(3, 2, bias=False, rng=rng)
-        assert layer.bias is None
-        grad_check(layer, rng.normal(size=(4, 3)))
-
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             Linear(4, 3, rng=rng).forward(rng.normal(size=(2, 5)))
@@ -139,7 +134,7 @@ class TestBatchNorm2d:
         np.testing.assert_allclose(out.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
     def test_running_stats_converge(self, rng):
-        layer = BatchNorm2d(2, momentum=0.5)
+        layer = BatchNorm2d(2)
         for _ in range(50):
             layer.forward(rng.normal(loc=3.0, size=(16, 2, 3, 3)))
         np.testing.assert_allclose(layer.running_mean, 3.0, atol=0.3)

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.nn import Cifar10CNN, MLP, MnistCNN, ResNet20, TinyCNN
-from repro.nn.models import ResNetCIFAR
 from repro.nn.losses import CrossEntropyLoss
 from tests.reference.per_worker import flat_grads, per_worker
 
@@ -30,11 +29,6 @@ class TestResNet20:
         grads = flat_grads(model)
         assert np.isfinite(grads).all()
         assert np.any(grads != 0)
-
-    def test_resnet32_depth_and_size(self):
-        model = ResNetCIFAR(blocks_per_stage=5, rng=0)
-        assert model.depth == 32
-        assert model.num_parameters() > ResNet20(rng=0).num_parameters()
 
 
 class TestPaperCNNs:

@@ -568,7 +568,7 @@ class TestObsReport:
 
     def test_top_counters_exclude_phase_and_worker_lanes(self):
         _, snapshot = self.timeline_run()
-        top = top_counters(snapshot, limit=50)
+        top = top_counters(snapshot)
         assert top
         for name, _value in top:
             assert not name.startswith("phase.")

@@ -243,17 +243,17 @@ class TestSampledSAPSStandalone:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(noise=float("nan")), "noise must be positive and finite, got nan"),
-            (dict(noise=float("inf")), "noise must be positive and finite, got inf"),
-            (dict(noise=0.0), "noise must be positive and finite, got 0.0"),
+            (dict(num_features=0), "need num_features >= 1 and num_classes >= 2, got 0, 10"),
+            (dict(num_classes=1), "need num_features >= 1 and num_classes >= 2, got 32, 1"),
+            (dict(batch_size=0), "batch_size must be >= 1, got 0"),
             (dict(validation_samples=0), "validation_samples must be >= 1, got 0"),
             (dict(validation_samples=-1), "validation_samples must be >= 1, got -1"),
         ],
     )
     def test_bad_task_is_refused(self, kwargs, message):
-        """A NaN noise fills every batch with NaN; no validation samples
-        made ``evaluate`` return (nan, nan), and a negative count failed
-        inside numpy."""
+        """No validation samples made ``evaluate`` return (nan, nan), and a
+        negative count failed inside numpy; the shape checks name both
+        sizes."""
         with pytest.raises(ValueError, match=message):
             LogisticBlobsTask(**kwargs)
 
@@ -548,8 +548,8 @@ class TestStreamingConsensus:
         """Resident, written-back and cold clients, in blocks of a few
         rows, against the dense formula over every client's row."""
         for dtype in ("float64", "float32"):
-            arena = ShardedArena(60, 6, capacity=8, dtype=dtype,
-                                 cold=np.full(6, 0.25))
+            arena = ShardedArena(60, 6, capacity=8, dtype=dtype)
+            arena.set_cold(np.full(6, 0.25))
             for client in [3, 9, 14, 2, 7, 30, 41, 5, 9, 22, 3, 19]:
                 arena.row(client)[...] += rng.normal(size=6)
             with mock.patch.object(arena_module, "FOLD_BLOCK_BYTES", 100):

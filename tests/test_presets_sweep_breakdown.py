@@ -140,7 +140,8 @@ class TestBreakdown:
         meter = TrafficMeter(2)
         for size in [10, 10, 1000, 100_000]:
             meter.record(0, 0, 1, size)
-        histogram = payload_size_histogram(meter, num_bins=4)
+        histogram = payload_size_histogram(meter)
+        assert len(histogram["counts"]) == 8
         assert sum(histogram["counts"]) == 4
 
     def test_histogram_empty_and_constant(self):

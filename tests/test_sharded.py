@@ -33,7 +33,8 @@ class TestSampledMode:
 
     def test_lazy_cold_state_for_dormant_clients(self):
         cold = np.arange(5, dtype=np.float64)
-        arena = ShardedArena(1000, 5, capacity=3, cold=cold)
+        arena = ShardedArena(1000, 5, capacity=3)
+        arena.set_cold(cold)
         assert np.all(arena.peek(999) == cold)  # no fault-in
         assert arena.resident_clients == 0
         assert np.all(arena.row(999) == cold)

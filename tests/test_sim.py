@@ -158,26 +158,6 @@ class TestComparison:
         assert suite["DCD-PSGD"]().compressor.ratio == 4.0
         assert suite["FedAvg"]().participation == 0.5
 
-    def test_subset_run(self, workload):
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=0)
-        settings = SuiteSettings(saps_compression=10.0)
-        results = run_comparison(
-            partitions, validation, factory, config,
-            settings=settings, algorithms=["PSGD", "SAPS-PSGD"],
-        )
-        assert set(results) == {"PSGD", "SAPS-PSGD"}
-        for result in results.values():
-            assert result.history
-
-    def test_unknown_algorithm_rejected(self, workload):
-        partitions, validation, factory = workload
-        config = ExperimentConfig(rounds=5, seed=0)
-        with pytest.raises(KeyError):
-            run_comparison(
-                partitions, validation, factory, config, algorithms=["NoSuch"]
-            )
-
     def test_bandwidth_threading(self, workload):
         partitions, validation, factory = workload
         config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=0)
@@ -186,7 +166,7 @@ class TestComparison:
             partitions, validation, factory, config,
             bandwidth=bandwidth,
             settings=SuiteSettings(saps_compression=10.0),
-            algorithms=["SAPS-PSGD", "D-PSGD"],
         )
+        assert len(results) == 7
         for result in results.values():
             assert result.history[-1].comm_time_s > 0

@@ -61,7 +61,7 @@ class TestSpectral:
         assert factors == sorted(factors)
 
     def test_rounds_to_epsilon(self):
-        assert rounds_to_epsilon(0.5, 1e-3) == 10  # 2^-10 < 1e-3
+        assert rounds_to_epsilon(0.5) == 10  # 2^-10 < 1e-3
         with pytest.raises(ValueError):
             rounds_to_epsilon(1.0)
 
