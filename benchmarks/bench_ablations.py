@@ -280,7 +280,8 @@ def test_ablation_shared_vs_independent_mask(mlp_workload, bandwidth_32):
 
         def run_round(self, round_index):
             plan = self._plan(round_index)
-            losses = [worker.local_step() for worker in self.workers]
+            losses = self.cluster_trainer.batched_steps(1)
+            rows = self.arena.data
             for a, b in plan.matching:
                 mask_a = generate_mask(
                     self.model_size, self.compression_ratio,
@@ -290,15 +291,10 @@ def test_ablation_shared_vs_independent_mask(mlp_workload, bandwidth_32):
                     self.model_size, self.compression_ratio,
                     derive_seed(self.base_seed, "ind", round_index, b),
                 )
-                params_a = self.workers[a].get_params()
-                params_b = self.workers[b].get_params()
+                params_a, params_b = rows[a].copy(), rows[b].copy()
                 # Each side averages the coordinates *it received*.
-                new_a = params_a.copy()
-                new_a[mask_b] = 0.5 * (params_a[mask_b] + params_b[mask_b])
-                new_b = params_b.copy()
-                new_b[mask_a] = 0.5 * (params_b[mask_a] + params_a[mask_a])
-                self.workers[a].set_params(new_a)
-                self.workers[b].set_params(new_b)
+                rows[a, mask_b] = 0.5 * (params_a[mask_b] + params_b[mask_b])
+                rows[b, mask_a] = 0.5 * (params_b[mask_a] + params_a[mask_a])
             if self.coordinator is not None:
                 for rank in range(self.num_workers):
                     self.coordinator.notify_round_end(rank)

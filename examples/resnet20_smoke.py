@@ -4,10 +4,11 @@ Everything else in this repository uses scaled models for speed; this
 example runs a short smoke of the real architecture from Table II —
 ResNet-20 with option-A shortcuts on CIFAR-shaped synthetic data —
 through the full SAPS-PSGD stack (coordinator, random masks, adaptive
-matching, traffic accounting), then two rounds of PSGD, whose gradient
-all-reduce takes each worker's gradient through the per-worker compute
-loop ResNet-20's batch norm needs.  Pure-numpy conv is slow, so this is a
-handful of rounds with small batches.
+matching, traffic accounting), then two rounds of PSGD's gradient
+all-reduce.  Batch norm has no batched kernel, so the cluster trainer
+runs each worker's own module on its slice of the stacked batch, with
+the same matrix update as every other model.  Pure-numpy conv is slow,
+so this is a handful of rounds with small batches.
 
 Run:  python examples/resnet20_smoke.py
 """

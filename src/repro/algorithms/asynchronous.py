@@ -58,8 +58,8 @@ class AsyncAlgorithm(DistributedAlgorithm):
     subclass-specific (:meth:`_start_cycle`).  The base class handles
     binding to the engine, availability gating (a dead worker restarts
     through recovery, a down one sleeps until its next up-time),
-    local-step execution through the batched trainer when available, and
-    running train-loss accounting.
+    local-step execution through the trainer, and running train-loss
+    accounting.
     """
 
     is_asynchronous = True
@@ -336,8 +336,11 @@ class AsyncAlgorithm(DistributedAlgorithm):
         (for :meth:`on_worker_crashed`), and their old rows, velocity rows
         and counters are put back for evals, merges and checkpoints."""
         trainer, others = self.cluster_trainer, sorted(self._frozen)
-        if trainer is None or not others:
-            return self._local_steps(k, np.array([rank], dtype=np.intp))[0]
+        # A model without a batched plan keeps batch-norm statistics on
+        # its own modules, outside the arena, which the put-back below
+        # cannot restore: it steps one row at its own event.
+        if trainer.net is None or not others:
+            return trainer.batched_steps(k, np.array([rank], dtype=np.intp))[0]
         self._frozen.clear()
         rows = np.array(others, dtype=np.intp)
         data, velocity = self.arena.data, trainer._velocity
@@ -385,11 +388,12 @@ class AsyncGossip(AsyncAlgorithm):
     def __init__(
         self,
         compression_ratio: float = 100.0,
-        local_steps: int = 1,
         peer_choice: str = "bandwidth",
         base_seed: int = 0,
     ) -> None:
-        super().__init__(local_steps=local_steps)
+        # ``local_steps`` is the run's: ``run_event_experiment`` writes
+        # ``ExperimentConfig.local_steps`` onto it.
+        super().__init__()
         self.compression_ratio = check_compression_ratio(compression_ratio)
         if peer_choice not in ("bandwidth", "random"):
             raise ValueError(f"unknown peer_choice {peer_choice!r}")
@@ -499,7 +503,7 @@ class AsyncDPSGD(AsyncAlgorithm):
     def _on_compute_done(self, rank: int, now: float) -> None:
         # One row, never a stacked pass (nothing here reads _frozen):
         # _average_pair rewrites a computing peer's row.
-        losses = self._local_gradients_into_arena(
+        losses = self.cluster_trainer.compute_gradients(
             np.array([rank], dtype=np.intp)
         )
         self._check_finite(losses, [rank], "simulated time", now, "gradient")
@@ -621,9 +625,6 @@ class AsyncFedAvg(AsyncAlgorithm):
     def _after_setup(self) -> None:
         self.global_model = self.workers[0].snapshot_params()
         self.server_version = 0
-        if self.network.server_bandwidth is None and self.network.bandwidth is not None:
-            # The paper's Fig. 6 convention: the server gets the best link.
-            self.network.server_bandwidth = float(self.network.bandwidth.max())
 
     # ------------------------------------------------------------------
     # sampled participation: a K-seat pool over the enrolled population

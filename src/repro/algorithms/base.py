@@ -9,11 +9,9 @@ algorithm on the paper's axes without algorithm-specific glue.
 The cluster state is always the paper's replica matrix ``X ∈ R^{n×N}``:
 after :meth:`~DistributedAlgorithm.setup` every worker is a row of one
 :class:`~repro.nn.arena.ParameterArena` and every communication phase is
-written over that matrix.  Only local *compute* has two routes — the
-batched :class:`~repro.sim.cluster.ClusterTrainer`, or the per-worker
-loop for models it declines (ResNet-20's BatchNorm + residual wiring) —
-and both sit behind one seam here: :meth:`_local_steps` and
-:meth:`_local_gradients_into_arena`.
+written over that matrix.  Local compute has one route too: the
+:class:`~repro.sim.cluster.ClusterTrainer` that ``setup`` builds over the
+same rows (``cluster_trainer``), for every model.
 """
 
 from __future__ import annotations
@@ -54,10 +52,8 @@ class DistributedAlgorithm:
         #: The :class:`ParameterArena` whose rows ``0..n-1`` are the
         #: workers' models, in rank order.  Set by :meth:`setup`.
         self.arena: Optional[ParameterArena] = None
-        #: Batched local-step engine (:class:`repro.sim.cluster.ClusterTrainer`)
-        #: when the workers admit an exactly-equivalent batched path;
-        #: ``None`` keeps the per-worker compute loop.  Set by
-        #: :meth:`setup`.
+        #: The local-step engine (:class:`repro.sim.cluster.ClusterTrainer`)
+        #: over :attr:`arena`'s rows.  Set by :meth:`setup`.
         self.cluster_trainer = None
         #: ``lr·ḡ`` scratch of :meth:`_apply_average_gradient`.
         self._scaled_average: Optional[np.ndarray] = None
@@ -77,7 +73,8 @@ class DistributedAlgorithm:
         consensus analysis notes ``‖X_0 − X̄_0 1ᵀ‖² = 0`` when workers
         share the initial model), taken from worker 0.  Workers that are
         not yet rows of one arena are adopted into one
-        (:func:`repro.sim.trainer.bind_arena`).
+        (:func:`repro.sim.trainer.bind_arena`); workers whose steps cannot
+        stack are refused (:meth:`repro.sim.cluster.ClusterTrainer.build`).
         """
         if len(workers) < 2:
             raise ValueError("distributed algorithms need at least 2 workers")
@@ -95,18 +92,15 @@ class DistributedAlgorithm:
                 f"all workers must share one architecture; got model "
                 f"sizes {sorted(sizes)}"
             )
-        # Deferred imports: repro.sim pulls in repro.algorithms at
+        # Deferred import: repro.sim pulls in repro.algorithms at
         # package-import time (via the comparison harness).
         from repro.sim.cluster import ClusterTrainer
-        from repro.sim.trainer import bind_arena
 
-        self.arena = bind_arena(self.workers)
+        self.cluster_trainer = ClusterTrainer.build(self.workers)
+        self.arena = self.cluster_trainer.arena
         # One broadcast over the replica matrix replaces n-1
         # concat/split round-trips.
         self.arena.broadcast_row(0)
-        self.cluster_trainer = ClusterTrainer.build(
-            self.workers, arena=self.arena
-        )
         self._after_setup()
 
     def _after_setup(self) -> None:
@@ -148,43 +142,6 @@ class DistributedAlgorithm:
             f"{self.name}: worker {rank} produced a non-finite loss in its "
             f"{phase} at {clock} {at}"
         )
-
-    def _local_gradients_into_arena(self, ranks=None) -> np.ndarray:
-        """One sampled mini-batch gradient per worker (all, or ``ranks``),
-        left in ``arena.grads``; returns the per-worker losses in
-        ``ranks`` order.
-
-        Batched through the :class:`ClusterTrainer` when available —
-        bit-identical to the per-worker ``compute_gradient`` loop, which
-        runs the models the trainer declines."""
-        if self.cluster_trainer is not None:
-            return self.cluster_trainer.compute_gradients(ranks)
-        if ranks is None:
-            ranks = range(self.num_workers)
-        with obs.phase("compute"):
-            return np.array(
-                [self.workers[rank].compute_gradient() for rank in ranks]
-            )
-
-    def _local_steps(self, k: int, ranks=None) -> np.ndarray:
-        """``k`` local SGD steps on every worker (or ``ranks``); returns
-        the ``(len(ranks), k)`` loss matrix, worker-major.
-
-        Batched: each step is one matrix-level forward/backward/update
-        for all the workers at once — same per-worker RNG streams and
-        loss order as the per-worker ``local_step`` loop, which runs the
-        models the trainer declines; bit-identical trajectories."""
-        if self.cluster_trainer is not None:
-            return self.cluster_trainer.batched_steps(k, ranks=ranks)
-        if ranks is None:
-            ranks = range(self.num_workers)
-        with obs.phase("compute"):
-            return np.array(
-                [
-                    [self.workers[rank].local_step() for _ in range(k)]
-                    for rank in ranks
-                ]
-            )
 
     #: Row-block byte budget of the fused update/mix passes — same
     #: rationale as :attr:`repro.sim.cluster.ClusterTrainer.BLOCK_BYTES`:

@@ -118,7 +118,7 @@ class DPSGD(DistributedAlgorithm):
         replicas[...] = buf
 
     def run_round(self, round_index: int) -> float:
-        losses = self._local_gradients_into_arena()
+        losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
         with obs.phase("comm"):
             self._account_ring_traffic(round_index)
@@ -165,7 +165,7 @@ class DCDPSGD(DPSGD):
     def run_round(self, round_index: int) -> float:
         # Each worker's mini-batch gradient is its (live) row of the
         # arena grad matrix.
-        losses = self._local_gradients_into_arena()
+        losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
         n = self.num_workers
         ranks = np.arange(n)

@@ -65,11 +65,6 @@ class FedAvg(DistributedAlgorithm):
         # Snapshot: the server's model must not follow worker 0's local
         # steps (get_params may be a live arena-row view).
         self.global_model = self.workers[0].snapshot_params()
-        # The paper's Fig. 6 setup: the server gets the best link.
-        self._server_bandwidth = (
-            None if self.network.bandwidth is None
-            else float(self.network.bandwidth.max())
-        )
         if (
             self.population is not None
             and self.population.num_clients != self.num_workers
@@ -118,9 +113,10 @@ class FedAvg(DistributedAlgorithm):
             self.network.meter.record(
                 round_index, rank, TrafficMeter.SERVER, upload_bytes
             )
-        if self._server_bandwidth is not None:
+        server_bandwidth = self.network.server_bandwidth
+        if server_bandwidth is not None:
             total = len(selected) * (model_bytes + upload_bytes)
-            self.network.timer.add_transfer(total, self._server_bandwidth)
+            self.network.timer.add_transfer(total, server_bandwidth)
         self.network.finish_round()
 
     def run_round(self, round_index: int) -> float:
@@ -132,7 +128,7 @@ class FedAvg(DistributedAlgorithm):
         self.arena.data[rows] = np.asarray(
             self.global_model, dtype=self.arena.dtype
         )
-        losses = self._local_steps(self.local_steps, rows)
+        losses = self.cluster_trainer.batched_steps(self.local_steps, rows)
         self._check_finite(losses, rows, "round", round_index)
         # Server-side average straight off the replica matrix rows.
         self.global_model = self.arena.data[selected].mean(axis=0)
@@ -183,7 +179,7 @@ class SparseFedAvg(FedAvg):
         self.arena.data[rows] = np.asarray(
             self.global_model, dtype=self.arena.dtype
         )
-        losses = self._local_steps(self.local_steps, rows)
+        losses = self.cluster_trainer.batched_steps(self.local_steps, rows)
         self._check_finite(losses, rows, "round", round_index)
         uploads = [self.arena.data[rank] for rank in selected]
         for upload in uploads:

@@ -26,11 +26,10 @@ class PSGD(DistributedAlgorithm):
     name = "PSGD"
 
     def run_round(self, round_index: int) -> float:
-        # Gradients land in the arena's grad matrix (in one batched
-        # forward/backward when the ClusterTrainer is attached); the
-        # all-reduce is one column-mean and the update one broadcasted
-        # row operation — no per-worker concat/split.
-        losses = self._local_gradients_into_arena()
+        # Gradients land in the arena's grad matrix; the all-reduce is
+        # one column-mean and the update one broadcasted row operation —
+        # no per-worker concat/split.
+        losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
         average = self.arena.grads.mean(axis=0)
         self._apply_average_gradient(average)
@@ -77,10 +76,10 @@ class TopKPSGD(DistributedAlgorithm):
         )
 
     def run_round(self, round_index: int) -> float:
-        # Gradients accumulate into the arena's grad matrix (batched
-        # when the ClusterTrainer is attached); error feedback makes one
-        # pass over its (n, N) residual and the mean folds sparse rows.
-        losses = self._local_gradients_into_arena()
+        # Gradients accumulate into the arena's grad matrix; error
+        # feedback makes one pass over its (n, N) residual and the mean
+        # folds sparse rows.
+        losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
         batch = self._batch_feedback.compress(self.arena.grads, round_index)
         payload_bytes = batch.row_bytes()

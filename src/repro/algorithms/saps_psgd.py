@@ -233,10 +233,10 @@ class SAPSPSGD(DistributedAlgorithm):
         # (each block's masked columns are read while that block is
         # cache-hot).  Mask generation uses its own seeded generator, so
         # hoisting it before the local phase perturbs no RNG stream.
-        # An offline or undrawn subset, or a model the batched trainer
-        # declines, takes its local steps first and regathers below.
+        # An offline or undrawn subset takes its local steps first and
+        # regathers below.
         gathered = mask_indices = None
-        if self.cluster_trainer is not None and active.all():
+        if active.all():
             mask = generate_mask(
                 self.model_size, self.compression_ratio, plan.mask_seed
             )
@@ -245,9 +245,8 @@ class SAPSPSGD(DistributedAlgorithm):
                 self.local_steps, mask_indices
             )
         else:
-            losses = self._local_steps(
-                self.local_steps,
-                None if active.all() else active_ranks,
+            losses = self.cluster_trainer.batched_steps(
+                self.local_steps, active_ranks
             )
         self._check_finite(losses, active_ranks, "round", round_index)
 

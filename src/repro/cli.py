@@ -85,7 +85,7 @@ ALGORITHM_FACTORIES = {
     "dcd-psgd": lambda args: partial(DCDPSGD, min(args.compression, 4.0)),
     "saps-psgd": lambda args: partial(
         SAPSPSGD, compression_ratio=args.compression, base_seed=args.seed,
-        local_steps=args.local_steps, connectivity_gap=args.connectivity_gap,
+        connectivity_gap=args.connectivity_gap,
     ),
 }
 
@@ -94,10 +94,7 @@ ALGORITHM_FACTORIES = {
 #: then also carries the compute model).
 ASYNC_FACTORIES = {
     "saps-psgd": lambda args: partial(
-        AsyncGossip,
-        compression_ratio=args.compression,
-        base_seed=args.seed,
-        local_steps=max(args.local_steps, 1),
+        AsyncGossip, compression_ratio=args.compression, base_seed=args.seed,
     ),
     "d-psgd": lambda args: AsyncDPSGD,
     "fedavg": lambda args: AsyncFedAvg,
@@ -272,11 +269,7 @@ def _build_run(args) -> Callable[[], ExperimentResult]:
         partitions, validation, factory = _build_workload(args)
         config = _config(args)
     bandwidth = _build_bandwidth(args)
-    network = SimulatedNetwork(
-        args.workers,
-        bandwidth=bandwidth,
-        server_bandwidth=float(bandwidth.max()) if bandwidth is not None else None,
-    )
+    network = SimulatedNetwork(args.workers, bandwidth=bandwidth)
     population = parse_population(args.population_model, args.workers, seed=args.seed)
     sampled = args.participation == "sampled"
     if sampled != (args.sample_size is not None):

@@ -1,19 +1,15 @@
 """Mini-batch sampling (Algorithm 2, line 14: "Sample a mini-batch").
 
-:meth:`DataLoader.sample` draws one random batch — the decentralized
-algorithms run one SGD step per communication round.
+A :class:`DataLoader` is one worker's shard, batch size and generator.
+:class:`repro.sim.cluster.ClusterTrainer` draws every worker's batch
+from them in one stacked pass: ``batch_size`` distinct rows a draw,
+with replacement across draws.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
-
 from repro.data.datasets import Dataset
 from repro.utils.rng import SeedLike, as_generator
-
-Batch = Tuple[np.ndarray, np.ndarray]
 
 
 class DataLoader:
@@ -42,11 +38,3 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = min(batch_size, len(dataset))
         self._rng = as_generator(rng)
-
-    def sample(self) -> Batch:
-        """One random batch with replacement across calls (within a batch
-        the samples are distinct)."""
-        indices = self._rng.choice(
-            len(self.dataset), size=self.batch_size, replace=False
-        )
-        return self.dataset.features[indices], self.dataset.labels[indices]

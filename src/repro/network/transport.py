@@ -30,8 +30,9 @@ class SimulatedNetwork:
         are non-negative; 0 means "no link".
     server_bandwidth:
         Link speed between the central node and any worker, used by the
-        centralized baselines.  The paper's Fig. 6 setup gives the server
-        "the maximum bandwidth"; pass that value here.
+        centralized baselines.  Defaults to the matrix's largest entry:
+        the paper's Fig. 6 setup gives the server "the maximum
+        bandwidth".  ``None`` with no matrix skips server time.
     """
 
     def __init__(
@@ -57,6 +58,8 @@ class SimulatedNetwork:
                 )
         if server_bandwidth is not None:
             check_positive(server_bandwidth, "server_bandwidth")
+        elif bandwidth is not None:
+            server_bandwidth = float(bandwidth.max())
         self.bandwidth = bandwidth
         self.server_bandwidth = server_bandwidth
         self.meter = TrafficMeter(num_workers)

@@ -39,8 +39,8 @@ This module stacks the worker axis into the kernels:
   batched kernel — Linear / Conv2d / pooling / Flatten chains with ReLU
   activations, which covers the MLP family *and* the TinyCNN / MnistCNN
   / Cifar10CNN conv presets.  Architectures without batched kernels (batch norm,
-  residual wiring) return ``None`` and the caller keeps the per-worker
-  loop.
+  residual wiring) return ``None``, and
+  :class:`~repro.sim.cluster.ClusterTrainer` runs each row's own module.
 
 Every kernel also exposes ``forward_vector(vector, inputs)``: a plain
 2-D forward pass with parameters sliced from one flat vector.  This is
@@ -657,7 +657,7 @@ def build_batched_model(arena: ParameterArena) -> Optional[BatchedSequential]:
 
     Returns ``None`` when any row has no adopted model, when any layer
     lacks an exact batched kernel, or when the adopted models do not all
-    share one layer plan — the caller then keeps the per-worker loop.
+    share one layer plan — the trainer then runs each row's own module.
     """
     models = [arena.model(rank) for rank in range(arena.num_workers)]
     if any(model is None for model in models):

@@ -127,10 +127,10 @@ def instantiate_preset(
     paper's full architecture on the full-shape synthetic dataset —
     slow in pure numpy, intended for smoke-scale runs.  The TinyCNN
     scale tiers and the full :class:`MnistCNN`/:class:`Cifar10CNN`
-    architectures all compile onto the batched cluster engine
-    (:meth:`repro.sim.ClusterTrainer.build`), so local compute runs
-    loop-free; :class:`ResNet20` (batch norm, residual wiring) keeps the
-    per-worker loop.
+    architectures all compile onto the batched kernels of
+    :class:`repro.sim.ClusterTrainer`; :class:`ResNet20` (batch norm,
+    residual wiring) has no batched plan, so the trainer runs each
+    worker's own module on its slice of the stacked batch.
 
     ``dtype`` selects the training precision (``"float64"`` default,
     ``"float32"`` for the reduced-precision path); it flows into both the

@@ -5,9 +5,8 @@ recovering worker *from*.  :class:`CheckpointStore` keeps, per worker,
 the **latest** periodic snapshot of its training state:
 
 * the flat parameter vector (the worker's arena row);
-* the optimizer velocity row, when the batched
-  :class:`~repro.sim.cluster.ClusterTrainer` runs with momentum (or the
-  per-parameter SGD velocities on the loop path).
+* the optimizer velocity row, when the
+  :class:`~repro.sim.cluster.ClusterTrainer` runs with momentum.
 
 Only the latest snapshot is retained — restoring from "the last periodic
 checkpoint" is the semantics, and keeping one ``(N,)`` row per worker
@@ -32,11 +31,8 @@ class WorkerSnapshot:
 
 
 def _velocity_row(algorithm, rank: int) -> Optional[np.ndarray]:
-    trainer = getattr(algorithm, "cluster_trainer", None)
-    velocity = getattr(trainer, "_velocity", None)
-    if velocity is not None:
-        return velocity[rank].copy()
-    return None
+    velocity = algorithm.cluster_trainer._velocity
+    return None if velocity is None else velocity[rank].copy()
 
 
 class CheckpointStore:

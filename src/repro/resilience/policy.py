@@ -88,8 +88,7 @@ def _write_state(
     """
     arena = algorithm.arena
     arena.data[rank] = np.asarray(params, dtype=arena.dtype)
-    trainer = getattr(algorithm, "cluster_trainer", None)
-    velocity_matrix = getattr(trainer, "_velocity", None)
+    velocity_matrix = algorithm.cluster_trainer._velocity
     if velocity_matrix is not None:
         velocity_matrix[rank] = velocity if velocity is not None else 0.0
 

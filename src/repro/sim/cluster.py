@@ -1,41 +1,40 @@
-"""Cluster-level batched local SGD: one engine step for all workers.
+"""Cluster-level local SGD: one engine step for all workers.
 
-:class:`ClusterTrainer` replaces the hot-path Python loop of n
-independent :meth:`~repro.sim.trainer.TrainingWorker.local_step` calls
-with a handful of matrix operations over the shared
-:class:`~repro.nn.arena.ParameterArena`:
+:class:`ClusterTrainer` is the one local-compute route of every
+worker-backed algorithm (Algorithm 2's ``SGD(net, D_p, L)``): a handful
+of matrix operations over the shared
+:class:`~repro.nn.arena.ParameterArena` stand in for n independent
+per-worker steps.
 
 1. **Stacked sampling** — one RNG draw per worker through the worker's
-   *own* :class:`~repro.data.loader.DataLoader` (stream-identical to the
-   per-worker loop, churn included), stacked into an ``(n, B, d)`` batch
-   tensor (``(n, B, c, h, w)`` for the conv-family models).
-2. **Batched forward/backward** — a :class:`~repro.nn.batched.BatchedSequential`
+   *own* :class:`~repro.data.loader.DataLoader` (stream-identical to a
+   per-worker draw, churn included), stacked into an
+   ``(n, B, d)`` batch tensor (``(n, B, c, h, w)`` for images).
+2. **Forward/backward** — a :class:`~repro.nn.batched.BatchedSequential`
    compiled over the arena's weight views (see :mod:`repro.nn.batched`),
-   so gradients land directly in ``arena.grads``.
+   so gradients land directly in ``arena.grads``.  A model without a
+   batched plan (batch norm, residual wiring: ResNet-20) has ``net =
+   None``, and each row's own module runs on its slice of the stacked
+   batch; its parameters are arena views, so its gradients land in the
+   same place.
 3. **Matrix optimizer update** — SGD with optional momentum / Nesterov /
    weight decay applied to ``arena.data`` as whole-matrix operations,
    with momentum state held as one ``(n, N)`` velocity matrix.
 
-The batched step is **bit-identical** to the per-worker loop (enforced
-by ``tests/test_cluster_trainer.py``): each worker's GEMMs run through
-the same BLAS kernels on the same operands, element-wise ops are
-shape-blind, and the optimizer algebra is replayed in the loop's
-evaluation order.  :meth:`batched_steps` amortizes ``k`` local steps
-between communication rounds; :meth:`compute_gradients` is the batched
-analogue of :meth:`~repro.sim.trainer.TrainingWorker.compute_gradient`
-for gradient-averaging algorithms; :meth:`evaluate_vector` forwards an
-arbitrary flat model (e.g. the consensus average) through the batched
-kernels without borrowing and restoring a worker replica.
+Every route is **bit-identical** to the per-worker loop kept as the
+oracle in ``tests/reference/per_worker.py`` (``tests/test_cluster_trainer.py``):
+each worker's GEMMs run through the same BLAS kernels on the same
+operands, element-wise ops are shape-blind, and the optimizer algebra is
+replayed in the loop's evaluation order.  :meth:`batched_steps`
+amortizes ``k`` local steps between communication rounds;
+:meth:`compute_gradients` leaves one mini-batch gradient per worker in
+``arena.grads`` for gradient-averaging algorithms; :meth:`evaluate_vector`
+forwards an arbitrary flat model (e.g. the consensus average).
 
-:meth:`ClusterTrainer.build` returns ``None`` whenever exact
-equivalence cannot be guaranteed — no shared arena, a layer without a
-batched kernel (batch norm, residual wiring), heterogeneous batch sizes
-or optimizer hyperparameters, pre-existing per-worker momentum state —
-and the algorithms' compute seam (:mod:`repro.algorithms.base`) keeps the
-per-worker loop, which the equivalence tests also diff against.
-Linear/Conv2d/pooling/Flatten chains all compile, so the TinyCNN and
-MnistCNN/Cifar10CNN presets ride the batched path alongside the MLP
-family.
+:meth:`ClusterTrainer.build` refuses, with a ``ValueError`` naming the
+field, workers that cannot be stacked: different batch sizes, optimizer
+hyperparameters, feature shapes or dtypes.  Per-worker learning rates
+are fine.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.data.datasets import Dataset
-from repro.data.loader import DataLoader
-from repro.nn.arena import ParameterArena, shared_arena
+from repro.nn.arena import ParameterArena
 from repro.nn.batched import (
     BatchedConv2d,
     BatchedCrossEntropyLoss,
@@ -59,8 +57,7 @@ from repro.nn.batched import (
     build_batched_model,
 )
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD
-from repro.sim.trainer import TrainingWorker, evaluate_forward
+from repro.sim.trainer import TrainingWorker, bind_arena, evaluate_forward
 from repro.utils import parallel
 
 
@@ -73,14 +70,17 @@ class _ExecContext:
     worker thread therefore gets its own kernel chain (views into the
     *same* arena — building one is cheap, reshaped slices only), loss
     head and buffers; rows written through different contexts are
-    disjoint, so the arena itself needs no locking.
+    disjoint, so the arena itself needs no locking.  Without a kernel
+    chain (``net`` None) the loss head is the per-row one.
     """
 
     __slots__ = ("net", "loss_fn", "feature_buf", "label_buf", "scratch")
 
-    def __init__(self, net, loss_fn) -> None:
+    def __init__(self, net) -> None:
         self.net = net
-        self.loss_fn = loss_fn
+        self.loss_fn = (
+            CrossEntropyLoss() if net is None else BatchedCrossEntropyLoss()
+        )
         self.feature_buf: Optional[np.ndarray] = None
         self.label_buf: Optional[np.ndarray] = None
         self.scratch: Optional[np.ndarray] = None
@@ -105,7 +105,7 @@ class _ExecContext:
 
 
 class ClusterTrainer:
-    """Batched local-step engine over one arena's worth of workers."""
+    """Local-step engine over one arena's worth of workers."""
 
     def __init__(
         self,
@@ -117,7 +117,6 @@ class ClusterTrainer:
         self.arena = arena
         self.net = net
         self._batch_size = workers[0].loader.batch_size
-        self.loss_fn = BatchedCrossEntropyLoss()
         optimizer = self.workers[0].optimizer
         self.momentum = optimizer.momentum
         self.weight_decay = optimizer.weight_decay
@@ -131,7 +130,7 @@ class ClusterTrainer:
         #: threads get their own lazily (:meth:`_context`).  Keyed by
         #: thread ident — pool threads persist across calls, so contexts
         #: amortize over the run.
-        self._contexts = {threading.get_ident(): _ExecContext(net, self.loss_fn)}
+        self._contexts = {threading.get_ident(): _ExecContext(net)}
         self._context_lock = threading.Lock()
         #: Hoisted per-worker sampler bindings
         #: ``(rng.choice, features, labels, len, batch_size)`` — the
@@ -150,8 +149,8 @@ class ClusterTrainer:
         ]
         # Bind every parameter's grad to its arena view once: batched
         # backward writes into arena.grads, and the per-parameter API
-        # (Parameter.grad, optimizer loops) must see those writes instead
-        # of treating the segments as never-touched.
+        # (Parameter.grad) must see those writes instead of treating the
+        # segments as never-touched.
         for worker in self.workers:
             worker.model.zero_grad()
         #: Per-worker workspace bytes, budgeted with the weights.
@@ -161,64 +160,26 @@ class ClusterTrainer:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        workers: Sequence[TrainingWorker],
-        arena: Optional[ParameterArena] = None,
-    ) -> Optional["ClusterTrainer"]:
-        """A trainer for ``workers``, or ``None`` when the batched path
-        cannot reproduce the per-worker loop exactly."""
+    def build(cls, workers: Sequence[TrainingWorker]) -> "ClusterTrainer":
+        """The trainer of ``workers``, which become rows ``0..n-1`` of one
+        arena (:func:`~repro.sim.trainer.bind_arena`).
+
+        Raises ``ValueError`` naming the first field in which a worker
+        differs from worker 0 — batch size, momentum, weight decay,
+        nesterov, feature shape or dtype — since every step runs all
+        rows as one stack."""
         workers = list(workers)
-        if not workers:
-            return None
-        if arena is None:
-            arena = shared_arena([worker.model for worker in workers])
-        if arena is None or arena.num_workers != len(workers):
-            return None
-        optimizers = [worker.optimizer for worker in workers]
-        if any(type(optimizer) is not SGD for optimizer in optimizers):
-            return None
-        reference = optimizers[0]
-        hyper = (reference.momentum, reference.weight_decay, reference.nesterov)
-        if any(
-            (opt.momentum, opt.weight_decay, opt.nesterov) != hyper
-            for opt in optimizers[1:]
-        ):
-            return None
-        # Per-parameter momentum state accumulated outside the trainer
-        # would silently diverge from the (n, N) velocity matrix.
-        if any(
-            velocity is not None
-            for optimizer in optimizers
-            for velocity in optimizer._velocities
-        ):
-            return None
-        if any(type(worker.loss_fn) is not CrossEntropyLoss for worker in workers):
-            return None
-        loaders = [worker.loader for worker in workers]
-        if any(type(loader) is not DataLoader for loader in loaders):
-            return None
-        batch_size = loaders[0].batch_size
-        if any(loader.batch_size != batch_size for loader in loaders):
-            return None
-        # Flat feature vectors (MLP/logistic) and (c, h, w) images (the
-        # conv-family kernels) both stack into (n, B, ...) buffers.
-        sample_shape = loaders[0].dataset.features.shape[1:]
-        if len(sample_shape) not in (1, 3):
-            return None
-        feature_dtype = loaders[0].dataset.features.dtype
-        label_dtype = loaders[0].dataset.labels.dtype
-        if any(
-            loader.dataset.features.shape[1:] != sample_shape
-            or loader.dataset.features.dtype != feature_dtype
-            or loader.dataset.labels.dtype != label_dtype
-            for loader in loaders
-        ):
-            return None
-        net = build_batched_model(arena)
-        if net is None:
-            return None
-        return cls(workers, arena, net)
+        arena = bind_arena(workers)
+        expected = _stack_fields(workers[0])
+        for worker in workers[1:]:
+            for field, value in _stack_fields(worker).items():
+                if value != expected[field]:
+                    raise ValueError(
+                        f"worker {worker.rank} has {field} {value!r} but "
+                        f"worker {workers[0].rank} has {expected[field]!r}; "
+                        f"local steps stack every worker, so they must agree"
+                    )
+        return cls(workers, arena, build_batched_model(arena))
 
     # ------------------------------------------------------------------
     # batched local computation
@@ -265,9 +226,7 @@ class ClusterTrainer:
         ident = threading.get_ident()
         ctx = self._contexts.get(ident)
         if ctx is None:
-            net = build_batched_model(self.arena)
-            assert net is not None, "batched model compiled at build time"
-            ctx = _ExecContext(net, BatchedCrossEntropyLoss())
+            ctx = _ExecContext(build_batched_model(self.arena))
             with self._context_lock:
                 self._contexts[ident] = ctx
         return ctx
@@ -276,7 +235,7 @@ class ClusterTrainer:
         """One mini-batch per worker, stacked along a new worker axis.
 
         Each worker's indices come from its *own* loader RNG via the
-        same ``choice`` call :meth:`DataLoader.sample` makes (stream
+        same ``choice`` call a per-worker draw makes (stream
         identity, churn included); the features/labels are gathered
         straight into the context's persistent ``(n, B, d)`` buffers
         instead of stacking n freshly allocated batch arrays.  A worker
@@ -315,7 +274,7 @@ class ClusterTrainer:
         its mask.  The dense head's ReLU masks are left out, and the MLP
         family counts zero, so flat workloads keep their partition."""
         sample_shape = self.workers[0].loader.dataset.features.shape[1:]
-        if len(sample_shape) != 3:
+        if len(sample_shape) != 3 or self.net is None:
             return 0
         itemsize = self.workers[0].loader.dataset.features.dtype.itemsize
         channels, height, width = sample_shape
@@ -355,6 +314,16 @@ class ClusterTrainer:
         land in ``arena.grads`` (overwritten — no zero fill needed, each
         parameter is written exactly once per pass)."""
         features, labels = self._stacked_batch(rank_list, ctx)
+        if ctx.net is None:
+            # No batched plan: each row's own module on its batch.
+            losses = np.empty(len(rank_list), dtype=np.float64)
+            for position, rank in enumerate(rank_list):
+                model = self.workers[rank].model
+                model.zero_grad()
+                logits = model.forward(features[position])
+                losses[position], grad = ctx.loss_fn(logits, labels[position])
+                model.backward(grad)
+            return losses
         logits = ctx.net.forward(features, row_sel)
         losses, grad = obs.timed("compute.loss", ctx.loss_fn, logits, labels)
         ctx.net.backward(grad, row_sel)
@@ -440,8 +409,7 @@ class ClusterTrainer:
             self.workers[offset:offset + total] if rank_of is None
             else [self.workers[rank] for rank in rank_of]
         )
-        # tolist() hands back exact python floats in one C pass (same
-        # values worker.local_step would have returned).
+        # tolist() hands back exact python floats in one C pass.
         for worker, loss in zip(step_workers, losses.tolist()):
             if apply_update:
                 worker.steps_taken += 1
@@ -453,7 +421,7 @@ class ClusterTrainer:
         through :meth:`batched_steps`).
 
         Returns the per-worker losses (float64, each entry exactly what
-        ``worker.local_step()`` would have returned).
+        one per-worker step would have returned).
         """
         return self._run_pass(None, apply_update=True)
 
@@ -508,8 +476,8 @@ class ClusterTrainer:
         return losses, values
 
     def compute_gradients(self, ranks=None) -> np.ndarray:
-        """Batched :meth:`TrainingWorker.compute_gradient`: sample one
-        mini-batch per worker and leave the gradients in ``arena.grads``
+        """Sample one mini-batch per worker (all, or ``ranks``) and leave
+        the gradients in ``arena.grads``
         (rows of workers outside ``ranks`` keep their previous content).
         Returns the per-worker losses without applying any update."""
         return self._run_pass(self._normalize_ranks(ranks), apply_update=False)
@@ -583,10 +551,11 @@ class ClusterTrainer:
         """``(mean_loss, top1_accuracy)`` of one flat model vector.
 
         Forwards ``vector`` directly through the batched kernels' eval
-        path — no worker replica is borrowed, mutated or restored.  Runs
-        the same shared evaluation loop as
-        :meth:`TrainingWorker.evaluate` (:func:`evaluate_forward`), cast
-        once against the vector dtype.
+        path — no worker replica is borrowed, mutated or restored —
+        through the shared evaluation loop :func:`evaluate_forward`,
+        cast once against the vector dtype.  Without a batched plan,
+        worker 0's module is borrowed (its batch-norm statistics
+        included) and restored, serially.
 
         With threads configured, validation batches run concurrently:
         each pool thread forwards through its own kernel chain (the same
@@ -594,6 +563,17 @@ class ClusterTrainer:
         stays on the caller in batch order — bit-identical to serial.
         """
         vector = np.asarray(vector)
+        if self.net is None:
+            probe = self.workers[0]
+            saved = probe.snapshot_params()
+            probe.set_params(vector)
+            probe.model.eval()
+            result = evaluate_forward(
+                probe.model.forward, dataset, probe.model.dtype, batch_size
+            )
+            probe.model.train()
+            probe.set_params(saved)
+            return result
 
         def thread_forward():
             net = self._context().net
@@ -606,3 +586,17 @@ class ClusterTrainer:
             batch_size,
             thread_forward=thread_forward,
         )
+
+
+def _stack_fields(worker: TrainingWorker) -> dict:
+    """What must agree across workers for their steps to stack."""
+    optimizer, dataset = worker.optimizer, worker.loader.dataset
+    return {
+        "batch size": worker.loader.batch_size,
+        "momentum": optimizer.momentum,
+        "weight decay": optimizer.weight_decay,
+        "nesterov": optimizer.nesterov,
+        "feature shape": dataset.features.shape[1:],
+        "feature dtype": dataset.features.dtype,
+        "label dtype": dataset.labels.dtype,
+    }

@@ -42,10 +42,6 @@ class SuiteSettings:
     sfedavg_compression: float = 100.0
     connectivity_gap: int = 20
     base_seed: int = 0
-    #: Local SGD steps per round for the decentralized algorithms'
-    #: local phase (SAPS-PSGD); FedAvg/S-FedAvg keep their own
-    #: ``fedavg_local_steps``.  The paper uses 1.
-    saps_local_steps: int = 1
 
 
 def paper_algorithm_suite(
@@ -70,7 +66,6 @@ def paper_algorithm_suite(
             compression_ratio=settings.saps_compression,
             connectivity_gap=settings.connectivity_gap,
             base_seed=settings.base_seed,
-            local_steps=settings.saps_local_steps,
         ),
     }
 
@@ -91,29 +86,18 @@ def run_comparison(
     comparable batch sequences.
 
     ``local_steps`` overrides :attr:`ExperimentConfig.local_steps` for
-    the whole comparison (the passed config and settings are not
-    mutated).  A ``local_steps`` above 1 is the workload-level schedule:
-    the engine applies it to every algorithm with a local phase
-    (SAPS-PSGD and FedAvg/S-FedAvg alike), and
-    :attr:`SuiteSettings.saps_local_steps` is updated so the constructed
-    suite agrees with the recorded config.
+    the whole comparison (the passed config is not mutated).  A
+    ``local_steps`` above 1 is the workload-level schedule: the engine
+    applies it to every algorithm with a local phase (SAPS-PSGD and
+    FedAvg/S-FedAvg alike).
     """
     if local_steps is not None:
         config = replace(config, local_steps=local_steps)
-        settings = replace(
-            settings or SuiteSettings(), saps_local_steps=local_steps
-        )
     suite = paper_algorithm_suite(settings)
 
     results: Dict[str, ExperimentResult] = {}
     for name, factory in suite.items():
-        network = SimulatedNetwork(
-            num_workers=len(partitions),
-            bandwidth=bandwidth,
-            server_bandwidth=(
-                float(np.max(bandwidth)) if bandwidth is not None else None
-            ),
-        )
+        network = SimulatedNetwork(len(partitions), bandwidth=bandwidth)
         results[name] = run_experiment(
             algorithm=factory(),
             partitions=partitions,

@@ -217,24 +217,11 @@ def make_workers(
 def evaluate_consensus(
     algorithm: "DistributedAlgorithm", dataset: Dataset
 ) -> tuple:
-    """Evaluate the consensus (average) model without disturbing training.
-
-    With a batched :class:`~repro.sim.cluster.ClusterTrainer` attached,
-    the averaged row is forwarded directly through the batched kernels'
-    eval path — no snapshot/restore dance on a borrowed replica.  A
-    model the trainer declines (ResNet-20) is evaluated by borrowing and
-    restoring worker 0; both paths produce identical numbers (same
-    weights through the same GEMMs)."""
-    vector = algorithm.consensus_model()
-    trainer = getattr(algorithm, "cluster_trainer", None)
-    if trainer is not None:
-        return trainer.evaluate_vector(vector, dataset)
-    probe = algorithm.workers[0]
-    saved = probe.snapshot_params()
-    probe.set_params(vector)
-    loss, accuracy = probe.evaluate(dataset)
-    probe.set_params(saved)
-    return loss, accuracy
+    """Evaluate the consensus (average) model without disturbing training
+    (:meth:`~repro.sim.cluster.ClusterTrainer.evaluate_vector`)."""
+    return algorithm.cluster_trainer.evaluate_vector(
+        algorithm.consensus_model(), dataset
+    )
 
 
 def _trace_round(

@@ -1,19 +1,12 @@
 """Local training state of one simulated worker.
 
-:class:`TrainingWorker` bundles a model replica, a data shard, a loss and
-an optimizer — Algorithm 2's ``SGD(net, D_p, L)`` — and exposes the two
-operations the distributed algorithms need: apply one local SGD step, or
-just *compute* the gradient (for algorithms that average gradients before
-stepping, like PSGD).
-
-The per-worker loop here is the production compute path for every model
-:meth:`repro.sim.cluster.ClusterTrainer.build` declines — ResNet-20's
-BatchNorm + residual wiring — reached through the one seam in
-:mod:`repro.algorithms.base`.  For every architecture the batched
-kernels do cover (the MLP/logistic family and the TinyCNN / MnistCNN /
-Cifar10CNN Conv/pool/Flatten chains) the batched step must
-reproduce ``local_step`` bit for bit — enforced by
-``tests/test_cluster_trainer.py``.
+:class:`TrainingWorker` bundles a model replica, a data shard and an
+optimizer's hyperparameters — the state of Algorithm 2's
+``SGD(net, D_p, L)``.  It holds no compute path of its own: every local
+step and gradient runs in :class:`repro.sim.cluster.ClusterTrainer`,
+over the arena rows :func:`bind_arena` makes of the workers' models.
+The per-worker loop the trainer is checked against lives in
+``tests/reference/per_worker.py``.
 """
 
 from __future__ import annotations
@@ -41,9 +34,8 @@ def bind_arena(
 
     Workers that already are such rows keep their arena.  Workers whose
     models are bound to no arena are adopted into a fresh one (``dtype``
-    defaults to the models' own): every parameter becomes
-    a view of its worker's row and each optimizer updates that row as
-    one vector.  Anything in between — another arena, rows out of rank
+    defaults to the models' own): every parameter becomes a view of its
+    worker's row.  Anything in between — another arena, rows out of rank
     order, a partial binding — raises ``ValueError``, because every
     round indexes the replica matrix by rank.
     """
@@ -60,12 +52,7 @@ def bind_arena(
                 f"one arena in rank order; pass them bound to no arena "
                 f"(they are adopted) or adopted in rank order"
             )
-    arena = ParameterArena.adopt_models(models, dtype=dtype)
-    for worker in workers:
-        worker.optimizer.attach_flat_storage(
-            worker.model._flat_view, worker.model._flat_grad_view
-        )
-    return arena
+    return ParameterArena.adopt_models(models, dtype=dtype)
 
 
 def evaluate_forward(
@@ -77,14 +64,14 @@ def evaluate_forward(
 ) -> Tuple[float, float]:
     """``(mean_loss, top1_accuracy)`` of a logits function over a dataset.
 
-    The one evaluation loop shared by :meth:`TrainingWorker.evaluate`
-    and the batched consensus path
-    (:meth:`repro.sim.cluster.ClusterTrainer.evaluate_vector`) — both
-    must stay numerically identical, so the batching, loss accumulation
-    and accuracy count live here once.  The dataset is cast once against
-    ``dtype`` up front (a float64 validation set fed to a float32 model
-    used to upcast every forward pass to a throwaway float64
-    computation, batch by batch; no-op when the dtypes agree).
+    The one evaluation loop of
+    :meth:`repro.sim.cluster.ClusterTrainer.evaluate_vector`, whether it
+    forwards through the batched kernels or a borrowed module: the
+    batching, loss accumulation and accuracy count live here once.  The
+    dataset is cast once against ``dtype`` up front (a float64
+    validation set fed to a float32 model used to upcast every forward
+    pass to a throwaway float64 computation, batch by batch; no-op when
+    the dtypes agree).
 
     ``thread_forward`` (optional) is a zero-argument factory returning a
     forward bound to the *calling thread's* private execution state.
@@ -163,42 +150,11 @@ class TrainingWorker:
         self.rank = rank
         self.model = model
         self.loader = DataLoader(shard, batch_size, rng=as_generator(rng))
-        self.loss_fn = CrossEntropyLoss()
         self.optimizer = SGD(
             model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay
         )
         self.steps_taken = 0
         self.last_loss: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # local computation
-    # ------------------------------------------------------------------
-    def local_step(self) -> float:
-        """One mini-batch SGD step on the local shard; returns the loss."""
-        features, labels = self.loader.sample()
-        self.model.train()
-        self.model.zero_grad()
-        logits = self.model.forward(features)
-        loss, grad = self.loss_fn(logits, labels)
-        self.model.backward(grad)
-        self.optimizer.step()
-        self.steps_taken += 1
-        self.last_loss = loss
-        return loss
-
-    def compute_gradient(self) -> float:
-        """Gradient of one sampled mini-batch at the current parameters,
-        left in the model's gradients *without* applying it (for
-        algorithms that average gradients before stepping, like PSGD);
-        returns the loss."""
-        features, labels = self.loader.sample()
-        self.model.train()
-        self.model.zero_grad()
-        logits = self.model.forward(features)
-        loss, grad = self.loss_fn(logits, labels)
-        self.model.backward(grad)
-        self.last_loss = loss
-        return loss
 
     # ------------------------------------------------------------------
     # flat-vector access
@@ -222,17 +178,3 @@ class TrainingWorker:
     @property
     def model_size(self) -> int:
         return self.model.num_parameters()
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def evaluate(self, dataset: Dataset) -> Tuple[float, float]:
-        """``(mean_loss, top1_accuracy)`` of the current model on a
-        dataset, in eval mode (cast once against the model dtype — see
-        :func:`evaluate_forward`)."""
-        self.model.eval()
-        result = evaluate_forward(
-            self.model.forward, dataset, self.model.dtype
-        )
-        self.model.train()
-        return result

@@ -363,6 +363,45 @@ def pool_chain(dtype):
     return arrays
 
 
+def batchnorm(dtype, rounds=4):
+    """``rounds`` of SAPS-PSGD under momentum on two workers of a model
+    with no batched plan (batch norm and a residual block), then a
+    consensus evaluation."""
+    from repro.algorithms import SAPSPSGD
+    from repro.data import make_synthetic_images, partition_iid
+    from repro.network import SimulatedNetwork
+    from repro.nn.activations import ReLU
+    from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear
+    from repro.nn.models import BasicBlock
+    from repro.nn.module import Sequential
+    from repro.sim import ExperimentConfig, make_workers
+    from repro.sim.engine import evaluate_consensus
+
+    full = make_synthetic_images(64, num_classes=4, channels=1, size=6,
+                                 noise=0.2, rng=5)
+    train, validation = full.split(fraction=48 / 64, rng=5)
+    config = ExperimentConfig(batch_size=6, lr=0.1, momentum=0.9, seed=3,
+                              dtype=dtype)
+    factory = lambda: Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=7, dtype=dtype),
+        BatchNorm2d(4, dtype=dtype),
+        ReLU(),
+        BasicBlock(4, 4, rng=7, dtype=dtype),
+        GlobalAvgPool2d(),
+        Linear(4, 4, rng=7, dtype=dtype),
+    )
+    workers = make_workers(factory, partition_iid(train, 2, rng=5), config)
+    algorithm = SAPSPSGD(compression_ratio=4.0, base_seed=3)
+    algorithm.setup(workers, SimulatedNetwork(2), rng=5)
+    return {
+        "losses": np.array([algorithm.run_round(r) for r in range(rounds)],
+                           np.float64),
+        "arena": algorithm.arena.data,
+        "eval": np.array(evaluate_consensus(algorithm, validation.astype(dtype)),
+                         np.float64),
+    }
+
+
 def cli(argv):
     """``repro run ARGV --output out.json`` in a temporary directory:
     the stdout bytes and ``out.json``, which holds the history at full
@@ -386,8 +425,8 @@ def cli(argv):
 
 
 BUILDERS = {"sync": sync, "event": event, "pool_chain": pool_chain,
-            "sampled_saps": sampled_saps, "sampled_fedavg": sampled_fedavg,
-            "cli": cli}
+            "batchnorm": batchnorm, "sampled_saps": sampled_saps,
+            "sampled_fedavg": sampled_fedavg, "cli": cli}
 
 
 def _name(*parts) -> str:
@@ -469,6 +508,8 @@ ROWS = {
     # evaluation, and the pool chain: the window kernels.
     **{_name("sync-saps-cnn", d): _sync("saps", "mnist-cnn", d, 5) for d in (F64, F32)},
     **{_name("pool-chain", d): ("pool_chain", dict(dtype=d)) for d in (F64, F32)},
+    # A model with no batched plan: each row's own module on the trainer.
+    "sync-saps-batchnorm-f32": ("batchnorm", dict(dtype=F32)),
     # Top-k and error feedback: TopK-PSGD and DCD-PSGD at n = 16.
     **{_name("sync", family, d): _sync(family, "topk", d, 5)
        for family in ("topk", "dcd") for d in (F64, F32)},

@@ -1,6 +1,6 @@
 """The event engine's local steps one row at a time, as AsyncGossip and
 AsyncFedAvg ran them before their stacked passes: each compute-done
-event steps its own worker through the compute seam and nothing else.
+event steps its own worker's row on the trainer and nothing else.
 The oracle ``tests/test_async_stacked.py`` runs the shipped families
 against.  AsyncDPSGD still steps one row at a time in ``src/``, so it
 needs no oracle here.
@@ -18,7 +18,9 @@ class OneRowLocal:
 
     def _run_local(self, rank: int) -> float:
         k = self.local_steps
-        losses = self._local_steps(k, np.array([rank], dtype=np.intp))
+        losses = self.cluster_trainer.batched_steps(
+            k, np.array([rank], dtype=np.intp)
+        )
         # np.mean's sum and count, without its wrapper.
         loss = float(losses.sum()) / losses.size
         self.total_local_steps += k

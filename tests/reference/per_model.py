@@ -5,8 +5,8 @@ The shipped classes run every round on the replica matrix
 classes here execute the same algorithms the way the paper states them
 per worker: a Python loop over :class:`~repro.sim.trainer.TrainingWorker`
 objects, touching a model only through ``get_params`` / ``set_params`` /
-:func:`compute_gradient` / ``local_step`` and never through an arena or a
-:class:`~repro.sim.cluster.ClusterTrainer`.  They run on the same machine
+:func:`compute_gradient` / ``per_worker.local_step`` and never through an
+arena or a :class:`~repro.sim.cluster.ClusterTrainer`.  They run on the same machine
 as the code under test, so trajectories must agree bit for bit at any
 dtype and BLAS build — no golden files.
 
@@ -18,8 +18,8 @@ only what is not under test: constructor validation, peer selection and
 the traffic meters' accounting helpers.
 
 :func:`per_worker_compute` is the smaller oracle: the shipped class and
-its matrix-level communication, with only local compute forced through
-the per-worker seam (the state production reaches for ResNet-20).
+its matrix-level communication, with only local compute run one worker
+at a time (``per_worker.PerWorkerTrainer``).
 """
 
 from __future__ import annotations
@@ -36,16 +36,22 @@ from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import as_generator, derive_seed
 from tests.reference.compressors import TopKCompressor
 from tests.reference.error_feedback import ErrorFeedback
-from tests.reference.per_worker import flat_grads, per_worker
+from tests.reference.per_worker import (
+    PerWorkerTrainer,
+    flat_grads,
+    local_step,
+    per_worker,
+    sample_gradient,
+)
 
 
 def per_worker_compute(algorithm):
-    """``algorithm``, set to drop its batched trainer at ``setup``.
+    """``algorithm``, set to swap its trainer for a
+    :class:`PerWorkerTrainer` at ``setup``.
 
     Returns the same object; its rounds then take local steps and
-    gradients through the per-worker loop behind
-    ``DistributedAlgorithm._local_steps`` / ``_local_gradients_into_arena``
-    while communication stays on the replica matrix.
+    gradients one worker at a time while communication stays on the
+    replica matrix.
     """
     shipped_setup = algorithm.setup
 
@@ -53,7 +59,7 @@ def per_worker_compute(algorithm):
         for worker in workers:
             per_worker(worker.model)
         shipped_setup(workers, network, rng=rng)
-        algorithm.cluster_trainer = None
+        algorithm.cluster_trainer = PerWorkerTrainer(algorithm.workers)
 
     algorithm.setup = setup
     return algorithm
@@ -62,7 +68,7 @@ def per_worker_compute(algorithm):
 def compute_gradient(worker):
     """``(loss, flat gradient)`` of one sampled mini-batch at the
     worker's current parameters, without applying it."""
-    return worker.compute_gradient(), flat_grads(worker.model)
+    return sample_gradient(worker), flat_grads(worker.model)
 
 
 def apply_gradient(worker, flat_gradient, lr=None):
@@ -82,10 +88,10 @@ class PerModelLoop:
             per_worker(worker.model)
         self.network = network
         self._rng = as_generator(rng)
-        # No matrix, no batched trainer: evaluate_consensus then borrows
-        # worker 0 as its probe, the per-model evaluation path.
+        # No matrix: evaluate_consensus borrows worker 0 as its probe,
+        # the per-model evaluation path.
         self.arena = None
-        self.cluster_trainer = None
+        self.cluster_trainer = PerWorkerTrainer(self.workers)
         initial = self.workers[0].get_params().copy()
         for worker in self.workers[1:]:
             worker.set_params(initial)
@@ -225,7 +231,7 @@ class ReferenceSAPSPSGD(PerModelLoop, SAPSPSGD):
 
         # Algorithm 2, line 5: local SGD on every online worker.
         losses = [
-            worker.local_step()
+            local_step(worker)
             for worker, is_up in zip(self.workers, active)
             if is_up
             for _ in range(self.local_steps)

@@ -28,7 +28,7 @@ class ReplicaDCDPSGD(DCDPSGD):
             self.replicas.append(owned)
 
     def run_round(self, round_index: int) -> float:
-        losses = self._local_gradients_into_arena()
+        losses = self.cluster_trainer.compute_gradients()
         gradients = self.arena.grads
         delta_matrix = np.empty(
             (self.num_workers, self.model_size), dtype=self.arena.dtype

@@ -198,6 +198,24 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             FedAvg(participation=0.0)
 
+    @pytest.mark.parametrize("server_bandwidth", [None, 0.5])
+    @pytest.mark.parametrize("cls", [FedAvg, SparseFedAvg])
+    def test_bills_the_networks_server_link(self, cls, server_bandwidth):
+        """The server's link is the network's: an explicit value is
+        billed as given, and by default it is the fastest link."""
+        partitions, _, model_factory, config, _ = build_setup()
+        bandwidth = random_uniform_bandwidth(N_WORKERS, rng=0)
+        network = SimulatedNetwork(
+            N_WORKERS, bandwidth=bandwidth, server_bandwidth=server_bandwidth
+        )
+        algorithm = cls(participation=1.0, local_steps=1)
+        algorithm.setup(make_workers(model_factory, partitions, config), network, rng=0)
+        algorithm.run_round(0)
+        link = bandwidth.max() if server_bandwidth is None else server_bandwidth
+        assert network.total_time_seconds() == pytest.approx(
+            network.server_traffic_mb() / link
+        )
+
 
 class TestSparseFedAvg:
     def test_upload_cheaper_than_download(self):

@@ -28,6 +28,7 @@ from repro.sim.engine import evaluate_consensus
 from repro.utils.rng import spawn_generators
 
 from reference.per_model import REFERENCE, per_worker_compute
+from tests.reference.per_worker import PerWorkerTrainer, sgd_step
 
 
 def make_model(seed=0):
@@ -232,7 +233,7 @@ class TestOptimizerUnderViews:
                 model.zero_grad()
                 for param, grad in zip(model.parameters(), grads):
                     param.accumulate_grad(grad)
-                optimizer.step()
+                sgd_step(optimizer)
         np.testing.assert_array_equal(
             plain.get_flat_params(), adopted.get_flat_params()
         )
@@ -381,7 +382,7 @@ def test_setup_adopts_bare_workers():
     assert algorithm.cluster_trainer is not None
 
 
-def test_setup_adopts_batchnorm_model_and_keeps_the_compute_loop():
+def test_setup_adopts_batchnorm_model_onto_the_trainer():
     from repro.data import make_synthetic_images
     from repro.nn.layers import Linear
     from repro.nn.module import Sequential
@@ -405,15 +406,14 @@ def test_setup_adopts_batchnorm_model_and_keeps_the_compute_loop():
     algorithm = SAPSPSGD(compression_ratio=8.0, base_seed=3)
     algorithm.setup(workers, SimulatedNetwork(3), rng=3)
     assert algorithm.arena is not None
-    assert algorithm.cluster_trainer is None
+    assert algorithm.cluster_trainer.net is None
     assert np.isfinite(algorithm.run_round(0))
 
 
 def test_saps_through_the_compute_seam_equals_the_batched_run():
-    # An MLP admits both compute routes; forcing the per-worker one (the
-    # state a BatchNorm model is in) must not change a bit in 3 rounds,
-    # with a churn-free fused round on one side and loop + regather on
-    # the other.
+    # The per-worker oracle inside the shipped SAPS must not change a bit
+    # in 3 rounds, with the trainer's fused update + gather on one side
+    # and the loop + regather on the other.
     partitions, _ = _workload(4)
     config = ExperimentConfig(rounds=3, batch_size=8, lr=0.1, seed=3)
 
@@ -428,7 +428,7 @@ def test_saps_through_the_compute_seam_equals_the_batched_run():
     seam = per_worker_compute(factory())
     batched_losses, batched_replicas = run(batched)
     seam_losses, seam_replicas = run(seam)
-    assert batched.cluster_trainer is not None and seam.cluster_trainer is None
+    assert isinstance(seam.cluster_trainer, PerWorkerTrainer)
     assert batched_losses == seam_losses
     np.testing.assert_array_equal(batched_replicas, seam_replicas)
 

@@ -52,11 +52,17 @@ OPTIMIZERS = {
     "decay": (0.9, 1e-3, False),
 }
 
+def _steps(algorithm, k):
+    """``algorithm`` taking ``k`` local steps a cycle, as
+    ``run_event_experiment`` sets them from the config."""
+    algorithm.local_steps = k
+    return algorithm
+
+
 FAMILIES = {
-    "gossip-bandwidth": lambda cls, k: cls(compression_ratio=3.0, local_steps=k,
-                                           base_seed=2),
-    "gossip-random": lambda cls, k: cls(compression_ratio=3.0, local_steps=k,
-                                        base_seed=2, peer_choice="random"),
+    "gossip-bandwidth": lambda cls, k: _steps(cls(compression_ratio=3.0, base_seed=2), k),
+    "gossip-random": lambda cls, k: _steps(
+        cls(compression_ratio=3.0, base_seed=2, peer_choice="random"), k),
     "fedavg": lambda cls, k: cls(local_steps=k),
     "fedavg-sampled": lambda cls, k: cls(local_steps=k, sample_size=3),
 }

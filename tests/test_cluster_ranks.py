@@ -2,9 +2,9 @@
 
 For n in [2, 9], a drawn rank set — one row, a contiguous run, every
 worker, a sorted or an unsorted non-contiguous subset — and drawn SGD
-hyperparameters and dtype, :meth:`ClusterTrainer.step` must equal the
-per-worker loop that :func:`reference.per_model.per_worker_compute`
-leaves behind, bit for bit: stepped rows, gradients, velocity, losses,
+hyperparameters and dtype, :meth:`ClusterTrainer.batched_steps` must
+equal the per-worker loop that :func:`reference.per_model.per_worker_compute`
+puts in its place, bit for bit: stepped rows, gradients, velocity, losses,
 ``steps_taken`` and every loader's RNG state.  Rows outside the set stay
 exactly as they were.  One row and contiguous runs take the zero-copy
 slice path, the rest the index path; both must agree with the loop.
@@ -29,6 +29,7 @@ from repro.nn.batched import BatchedCrossEntropyLoss
 from repro.sim import ExperimentConfig, HeterogeneousCompute, make_workers
 
 from reference.per_model import per_worker_compute
+from tests.reference.per_worker import PerWorkerTrainer, flat_velocity
 
 
 @st.composite
@@ -58,7 +59,8 @@ hyperparameters = st.fixed_dictionaries({
 
 
 def _algorithm(n: int, hyper: dict, loop: bool) -> SAPSPSGD:
-    """SAPS-PSGD set up on n MLP workers; ``loop`` drops its trainer."""
+    """SAPS-PSGD set up on n MLP workers; ``loop`` swaps its trainer for
+    the per-worker one."""
     full = make_blobs(num_samples=16 * n, num_classes=3, num_features=6, rng=2)
     config = ExperimentConfig(
         batch_size=4, lr=hyper["lr"], momentum=hyper["momentum"],
@@ -77,14 +79,6 @@ def _algorithm(n: int, hyper: dict, loop: bool) -> SAPSPSGD:
     return algorithm
 
 
-def _loop_velocity(worker, model_size: int, dtype) -> np.ndarray:
-    """The loop's per-parameter momentum state as one flat row."""
-    velocities = worker.optimizer._velocities
-    if all(velocity is None for velocity in velocities):
-        return np.zeros(model_size, dtype)
-    return np.concatenate([velocity.ravel() for velocity in velocities])
-
-
 def _rng_state(worker):
     return worker.loader._rng.bit_generator.state
 
@@ -96,14 +90,14 @@ def test_step_equals_the_per_worker_loop(rank_set, hyper, steps):
     batched = _algorithm(n, hyper, loop=False)
     loop = _algorithm(n, hyper, loop=True)
     trainer = batched.cluster_trainer
-    assert trainer is not None and loop.cluster_trainer is None
+    assert isinstance(loop.cluster_trainer, PerWorkerTrainer)
     before_data = batched.arena.data.copy()
     before_grads = batched.arena.grads.copy()
     before_rng = [_rng_state(worker) for worker in batched.workers]
 
     for _ in range(steps):
         got = trainer.batched_steps(1, ranks)[:, 0]
-        want = loop._local_steps(1, ranks)[:, 0]
+        want = loop.cluster_trainer.batched_steps(1, ranks)[:, 0]
         assert got.tobytes() == want.tobytes()
 
     stepped = np.zeros(n, dtype=bool)
@@ -118,7 +112,6 @@ def test_step_equals_the_per_worker_loop(rank_set, hyper, steps):
         batched.arena.grads[~stepped].tobytes()
         == before_grads[~stepped].tobytes()
     )
-    size, dtype = batched.arena.model_size, batched.arena.dtype
     for rank in range(n):
         worker, reference = batched.workers[rank], loop.workers[rank]
         assert worker.steps_taken == reference.steps_taken
@@ -129,7 +122,7 @@ def test_step_equals_the_per_worker_loop(rank_set, hyper, steps):
             assert _rng_state(worker) == before_rng[rank]
         if hyper["momentum"]:
             row = trainer._velocity[rank]
-            expected = _loop_velocity(reference, size, dtype)
+            expected = flat_velocity(reference)
             assert row.tobytes() == expected.tobytes()
 
 

@@ -1,12 +1,11 @@
-"""Equivalence suite for the batched cluster-step engine.
+"""Equivalence suite for the cluster-step engine.
 
-The :class:`~repro.sim.cluster.ClusterTrainer` batched local step must
-match the per-worker ``TrainingWorker.local_step`` loop exactly: same
-RNG streams, same per-(worker, step) losses, parameters equal to ≤ 1 ulp
-at float64 (in practice bit-identical — each worker slice runs the same
-BLAS kernels).  The per-worker loop is the oracle throughout — and the
-production compute path of the models the batched engine declines, so
-the end-to-end comparisons run it through the algorithms' own seam
+The :class:`~repro.sim.cluster.ClusterTrainer` local step must match the
+per-worker loop of ``tests/reference/per_worker.py`` exactly: same RNG
+streams, same per-(worker, step) losses, parameters equal to ≤ 1 ulp at
+float64 (in practice bit-identical — each worker slice runs the same
+BLAS kernels).  The per-worker loop is the oracle throughout; the
+end-to-end comparisons run it inside the shipped algorithms
 (``per_worker_compute``), arena on.
 """
 
@@ -24,6 +23,7 @@ from repro.algorithms.saps_psgd import SAPSPSGD
 from repro.data import Dataset, make_blobs, make_synthetic_images, partition_iid
 from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
+from repro.nn.arena import shared_arena
 from repro.nn.layers import Linear
 from repro.nn import MLP, TinyCNN
 from repro.nn.module import Sequential
@@ -40,7 +40,9 @@ from repro.sim.engine import RoundRecord, evaluate_consensus
 from repro.utils import parallel
 
 from reference.per_model import compute_gradient, per_worker_compute
-from reference.per_worker import per_worker
+from tests.reference.per_worker import (
+    PerWorkerTrainer, evaluate, local_step, per_worker, sample_batch,
+)
 
 
 NUM_FEATURES = 12
@@ -84,7 +86,6 @@ def _make_pair(model_key, num_workers, momentum=0.0, weight_decay=0.0,
         per_worker(worker.model)
     batched_workers = make_workers(factory, partitions, config)
     trainer = ClusterTrainer.build(batched_workers)
-    assert trainer is not None
     return loop_workers, batched_workers, trainer, validation
 
 
@@ -121,7 +122,6 @@ def _make_conv_pair(num_workers, momentum=0.0, weight_decay=0.0,
         per_worker(worker.model)
     batched_workers = make_workers(factory, partitions, config)
     trainer = ClusterTrainer.build(batched_workers)
-    assert trainer is not None
     return loop_workers, batched_workers, trainer, validation
 
 
@@ -145,7 +145,7 @@ class TestBuild:
         _, _, trainer, _ = _make_pair(model_key, num_workers=3)
         assert trainer.num_workers == 3
 
-    def test_none_without_arena(self):
+    def test_adopts_workers_bound_to_no_arena(self):
         # Hand-built workers, models bound to no arena (make_workers
         # always adopts; DistributedAlgorithm.setup would too).
         partitions, _ = _workload(3)
@@ -156,15 +156,16 @@ class TestBuild:
             )
             for rank, shard in enumerate(partitions)
         ]
-        assert ClusterTrainer.build(workers) is None
+        trainer = ClusterTrainer.build(workers)
+        assert shared_arena([w.model for w in workers]) is trainer.arena
 
     def test_builds_for_conv_models(self):
         _, _, trainer, _ = _make_conv_pair(num_workers=3)
         assert trainer.num_workers == 3
 
     def test_none_for_batchnorm_models(self):
-        from repro.nn.layers import Linear
-        from repro.nn.module import Sequential
+        """No batched plan: ``net`` is None and each row's own module
+        steps."""
         from repro.nn.layers import BatchNorm2d, Conv2d, Flatten
 
         full = make_synthetic_images(
@@ -173,34 +174,44 @@ class TestBuild:
         partitions = partition_iid(full, 3, rng=0)
         config = ExperimentConfig(rounds=1, batch_size=8)
         workers = make_workers(
-            lambda: Sequential(
+            lambda: per_worker(Sequential(
                 Conv2d(1, 4, 3, padding=1, rng=1),
                 BatchNorm2d(4),
                 Flatten(),
                 Linear(4 * 8 * 8, 4, rng=1),
-            ),
+            )),
             partitions, config,
         )
-        assert ClusterTrainer.build(workers) is None
+        trainer = ClusterTrainer.build(workers)
+        assert trainer.net is None
+        assert np.isfinite(trainer.batched_steps(2)).all()
 
-    def test_none_for_heterogeneous_batch_sizes(self):
-        loop_workers, _, _, _ = _make_pair("mlp", num_workers=3)
-        loop_workers[1].loader.batch_size = 4
-        assert ClusterTrainer.build(loop_workers) is None
+    @pytest.mark.parametrize(
+        "field,change",
+        [
+            ("batch size", lambda w: setattr(w.loader, "batch_size", 4)),
+            ("momentum", lambda w: setattr(w.optimizer, "momentum", 0.5)),
+            ("weight decay", lambda w: setattr(w.optimizer, "weight_decay", 0.1)),
+        ],
+        ids=["batch-size", "momentum", "weight-decay"],
+    )
+    def test_refuses_workers_that_do_not_stack(self, field, change):
+        workers, _, _, _ = _make_pair("mlp", num_workers=3)
+        change(workers[1])
+        with pytest.raises(ValueError, match=f"worker 1 has {field}"):
+            ClusterTrainer.build(workers)
 
-    def test_none_for_heterogeneous_optimizers(self):
-        loop_workers, _, _, _ = _make_pair("mlp", num_workers=3)
-        loop_workers[2].optimizer.momentum = 0.5
-        assert ClusterTrainer.build(loop_workers) is None
-
-    def test_none_for_existing_momentum_state(self):
-        partitions, _ = _workload(3)
-        config = ExperimentConfig(rounds=1, batch_size=8, momentum=0.9, seed=3)
+    def test_refuses_heterogeneous_features(self):
+        partitions, _ = _workload(2)
+        partitions[1] = partitions[1].astype(np.float32)
         workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
+            lambda: MODEL_FACTORIES["mlp"](), partitions,
+            ExperimentConfig(rounds=1, batch_size=8),
         )
-        workers[0].local_step()  # populates per-parameter velocities
-        assert ClusterTrainer.build(workers) is None
+        for worker, shard in zip(workers, partitions):
+            worker.loader.dataset = shard
+        with pytest.raises(ValueError, match="worker 1 has feature dtype"):
+            ClusterTrainer.build(workers)
 
     def test_rejects_duplicate_ranks(self):
         _, _, trainer, _ = _make_pair("mlp", num_workers=3)
@@ -264,7 +275,7 @@ class TestStepEquivalence:
             model_key, num_workers
         )
         for _ in range(12):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             batched_losses = trainer.step()
             np.testing.assert_array_equal(loop_losses, batched_losses)
             assert_params_close(loop_workers, batched_workers)
@@ -275,7 +286,7 @@ class TestStepEquivalence:
             model_key, num_workers=3, momentum=0.9, weight_decay=1e-3
         )
         for _ in range(12):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             batched_losses = trainer.step()
             np.testing.assert_array_equal(loop_losses, batched_losses)
         assert_params_close(loop_workers, batched_workers)
@@ -286,7 +297,7 @@ class TestStepEquivalence:
         )
         k = 4
         loop_losses = [
-            worker.local_step() for worker in loop_workers for _ in range(k)
+            local_step(worker) for worker in loop_workers for _ in range(k)
         ]
         batched = trainer.batched_steps(k)
         assert batched.shape == (3, k)
@@ -301,7 +312,7 @@ class TestStepEquivalence:
         ranks = [0, 2, 4]
         for _ in range(6):
             loop_losses = np.array(
-                [loop_workers[r].local_step() for r in ranks]
+                [local_step(loop_workers[r]) for r in ranks]
             )
             batched_losses = trainer.batched_steps(1, ranks=ranks)[:, 0]
             np.testing.assert_array_equal(loop_losses, batched_losses)
@@ -315,12 +326,12 @@ class TestStepEquivalence:
             "mlp", num_workers=3
         )
         for worker in loop_workers:
-            worker.local_step()
+            local_step(worker)
         trainer.step()
         # after the same number of draws, the next sample must agree
         for loop_worker, batched_worker in zip(loop_workers, batched_workers):
-            loop_batch = loop_worker.loader.sample()
-            batched_batch = batched_worker.loader.sample()
+            loop_batch = sample_batch(loop_worker.loader)
+            batched_batch = sample_batch(batched_worker.loader)
             np.testing.assert_array_equal(loop_batch[0], batched_batch[0])
             np.testing.assert_array_equal(loop_batch[1], batched_batch[1])
 
@@ -331,7 +342,7 @@ class TestStepEquivalence:
         trainer.batched_steps(3)
         for worker in loop_workers:
             for _ in range(3):
-                worker.local_step()
+                local_step(worker)
         for loop_worker, batched_worker in zip(loop_workers, batched_workers):
             assert batched_worker.steps_taken == 3
             assert batched_worker.last_loss == loop_worker.last_loss
@@ -341,7 +352,7 @@ class TestStepEquivalence:
             "mlp", num_workers=3, dtype="float32"
         )
         for _ in range(8):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             batched_losses = trainer.step()
             np.testing.assert_array_equal(loop_losses, batched_losses)
         assert _params_matrix(batched_workers).dtype == np.float32
@@ -359,7 +370,7 @@ class TestConvEquivalence:
             num_workers, dtype=dtype
         )
         for _ in range(8):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             batched_losses = trainer.step()
             np.testing.assert_array_equal(loop_losses, batched_losses)
         assert _params_matrix(batched_workers).dtype == np.dtype(dtype)
@@ -370,7 +381,7 @@ class TestConvEquivalence:
             num_workers=3, momentum=0.9, weight_decay=1e-3
         )
         for _ in range(8):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             np.testing.assert_array_equal(loop_losses, trainer.step())
         assert_params_close(loop_workers, batched_workers)
 
@@ -394,7 +405,7 @@ class TestConvEquivalence:
             num_workers=3, dtype=dtype, factory=factory
         )
         for _ in range(6):
-            loop_losses = np.array([w.local_step() for w in loop_workers])
+            loop_losses = np.array([local_step(w) for w in loop_workers])
             np.testing.assert_array_equal(loop_losses, trainer.step())
         assert_params_close(loop_workers, batched_workers, maxulp=1)
 
@@ -405,7 +416,7 @@ class TestConvEquivalence:
         ranks = [0, 2, 4]
         for _ in range(4):
             loop_losses = np.array(
-                [loop_workers[r].local_step() for r in ranks]
+                [local_step(loop_workers[r]) for r in ranks]
             )
             np.testing.assert_array_equal(
                 loop_losses, trainer.batched_steps(1, ranks=ranks)[:, 0]
@@ -437,7 +448,7 @@ class TestConvEquivalence:
         probe = loop_workers[0]
         saved = probe.snapshot_params()
         probe.set_params(vector)
-        expected = probe.evaluate(validation)
+        expected = evaluate(probe, validation)
         probe.set_params(saved)
         assert trainer.evaluate_vector(vector, validation) == expected
 
@@ -463,7 +474,9 @@ class TestConvEquivalence:
                 algorithm, partitions, validation, factory, config,
                 network=SimulatedNetwork(4),
             )
-            assert (algorithm.cluster_trainer is None) == (compute == "loop")
+            assert isinstance(
+                algorithm.cluster_trainer, PerWorkerTrainer
+            ) == (compute == "loop")
             histories[compute] = result.history
         assert len(histories["batched"]) == len(histories["loop"])
         for field in TRACKED_FIELDS:
@@ -486,7 +499,7 @@ class TestConvEquivalence:
             validation_samples=24,
         )
         workers = make_workers(factory, partitions, config)
-        assert ClusterTrainer.build(workers) is not None
+        assert ClusterTrainer.build(workers).net is not None
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +512,6 @@ def _tiny_cnn_run(monkeypatch, block_rows: int, threads: int):
     )
     config = dataclasses.replace(config, batch_size=4, lr=0.1, momentum=0.9)
     trainer = ClusterTrainer.build(make_workers(factory, partitions, config))
-    assert trainer is not None
     per_worker = (
         trainer.arena.model_size * trainer.arena.dtype.itemsize
         + trainer._workspace_bytes
@@ -562,7 +574,7 @@ class TestEvaluateVector:
         probe = loop_workers[0]
         saved = probe.snapshot_params()
         probe.set_params(vector)
-        expected = probe.evaluate(validation)
+        expected = evaluate(probe, validation)
         probe.set_params(saved)
         assert trainer.evaluate_vector(vector, validation) == expected
 
@@ -583,7 +595,6 @@ class TestEvaluateVector:
         )
         algorithm = PSGD()
         algorithm.setup(workers, SimulatedNetwork(4), rng=3)
-        assert algorithm.cluster_trainer is not None
         algorithm.run_round(0)
         before = workers[0].snapshot_params()
         loss, accuracy = evaluate_consensus(algorithm, validation)
@@ -637,8 +648,7 @@ def test_all_families_bit_identical_to_loop(algorithm_factory):
     loop_algorithm = per_worker_compute(algorithm_factory())
     batched = _run_end_to_end(batched_algorithm)
     loop = _run_end_to_end(loop_algorithm)
-    assert batched_algorithm.cluster_trainer is not None
-    assert loop_algorithm.cluster_trainer is None
+    assert isinstance(loop_algorithm.cluster_trainer, PerWorkerTrainer)
     assert len(batched.history) == len(loop.history)
     for field in TRACKED_FIELDS:
         batched_series = np.array([getattr(r, field) for r in batched.history])
@@ -681,12 +691,6 @@ class TestPlumbing:
         )
         assert algorithm.local_steps == 3
 
-    def test_suite_threads_saps_local_steps(self):
-        from repro.sim import SuiteSettings, paper_algorithm_suite
-
-        suite = paper_algorithm_suite(SuiteSettings(saps_local_steps=3))
-        assert suite["SAPS-PSGD"]().local_steps == 3
-
     def test_run_comparison_threads_local_steps(self):
         from repro.sim import run_comparison
 
@@ -704,11 +708,11 @@ class TestPlumbing:
     def test_evaluate_casts_dataset_once_against_model_dtype(self):
         partitions, validation = _workload(3)
         config = ExperimentConfig(rounds=1, batch_size=8, dtype="float32")
-        workers = make_workers(
+        trainer = ClusterTrainer.build(make_workers(
             lambda: MODEL_FACTORIES["mlp"]("float32"), partitions, config
-        )
-        worker = workers[0]
+        ))
+        vector = trainer.arena.mean_model()
         assert validation.features.dtype == np.float64
-        mixed = worker.evaluate(validation)
-        cast = worker.evaluate(validation.astype(np.float32))
+        mixed = trainer.evaluate_vector(vector, validation)
+        cast = trainer.evaluate_vector(vector, validation.astype(np.float32))
         assert mixed == cast

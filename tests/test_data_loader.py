@@ -1,10 +1,13 @@
-"""Tests for DataLoader."""
+"""Tests for DataLoader and the per-worker draw
+(``tests/reference/per_worker.py``) the cluster trainer's stacked draw
+is held to."""
 
 import numpy as np
 import pytest
 
 from repro.data.loader import DataLoader
 from repro.data import make_blobs
+from tests.reference.per_worker import sample_batch
 
 
 @pytest.fixture
@@ -15,13 +18,13 @@ def dataset():
 class TestSample:
     def test_sample_size(self, dataset):
         loader = DataLoader(dataset, batch_size=8, rng=0)
-        features, labels = loader.sample()
+        features, labels = sample_batch(loader)
         assert features.shape[0] == 8
         assert labels.shape == (8,)
 
     def test_sample_has_distinct_rows(self, dataset):
         loader = DataLoader(dataset, batch_size=20, rng=0)
-        features, _ = loader.sample()
+        features, _ = sample_batch(loader)
         checksums = np.round(features.sum(axis=1), 9)
         assert len(set(checksums.tolist())) == 20
 
@@ -32,7 +35,7 @@ class TestSample:
             for f, l in zip(dataset.features, dataset.labels)
         }
         for _ in range(10):
-            features, labels = loader.sample()
+            features, labels = sample_batch(loader)
             for f, l in zip(features, labels):
                 assert lookup[round(float(f.sum()), 9)] == l
 

@@ -16,7 +16,7 @@ from repro.nn import MLP, MnistCNN, ResNet20, TinyCNN
 from repro.nn.layers import Linear
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Parameter
-from repro.sim import ExperimentConfig, make_workers, run_experiment
+from repro.sim import ClusterTrainer, ExperimentConfig, make_workers, run_experiment
 from repro.utils.dtypes import DEFAULT_DTYPE, resolve_dtype
 
 
@@ -293,7 +293,7 @@ class TestTrainingDtype:
         for worker in workers:
             assert worker.model.dtype == np.float32
             assert worker.model._arena.dtype == np.float32
-        loss = workers[0].local_step()
+        loss = ClusterTrainer.build(workers).batched_steps(1)[0, 0]
         assert workers[0].model._flat_grad_view.dtype == np.float32
         assert np.isfinite(loss)
 

@@ -438,8 +438,6 @@ class TestAsyncGossip:
             AsyncGossip(compression_ratio=0.5)
         with pytest.raises(ValueError):
             AsyncGossip(peer_choice="round-robin")
-        with pytest.raises(ValueError):
-            AsyncGossip(local_steps=0)
 
 
 class TestAsyncDPSGD:

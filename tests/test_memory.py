@@ -88,11 +88,11 @@ class TestOptimizerScratch:
     def shard(self):
         return make_blobs(64, num_classes=10, num_features=32, rng=1)
 
-    def workers(self, shard, count, weight_decay=0.0):
+    def workers(self, shard, count):
         return [
             TrainingWorker(
                 rank, MLP(32, [32], 10, rng=1), shard, batch_size=16, lr=0.1,
-                weight_decay=weight_decay, rng=rank,
+                rng=rank,
             )
             for rank in range(count)
         ]
@@ -106,24 +106,6 @@ class TestOptimizerScratch:
             snapshot = tracemalloc.take_snapshot()
         by_optim = snapshot.filter_traces([tracemalloc.Filter(True, optim.__file__)])
         assert sum(stat.size for stat in by_optim.statistics("filename")) == 0
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_bound_worker_steps_as_the_per_parameter_loop(self, shard, weight_decay):
-        bound = self.workers(shard, 4, weight_decay)
-        bind_arena(bound)
-        (plain,) = self.workers(shard, 1, weight_decay)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            grads = [rng.normal(size=p.data.shape) for p in plain.model.parameters()]
-            for worker in (bound[2], plain):
-                worker.model.zero_grad()
-                for param, grad in zip(worker.model.parameters(), grads):
-                    param.accumulate_grad(grad)
-                worker.optimizer.step()
-        assert bound[2].optimizer._flat_scratch is not None  # the vectorized path ran
-        np.testing.assert_array_equal(
-            bound[2].model.get_flat_params(), plain.model.get_flat_params()
-        )
 
 
 class TestConvStep:

@@ -259,6 +259,14 @@ class TestSimulatedNetwork:
         network.send_bytes(0, TrafficMeter.SERVER, 0, int(MB))
         assert network.finish_round() == pytest.approx(0.25)
 
+    def test_server_link_defaults_to_the_fastest_link(self):
+        bandwidth = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        assert SimulatedNetwork(3, bandwidth=bandwidth).server_bandwidth == 3.0
+        assert SimulatedNetwork(
+            3, bandwidth=bandwidth, server_bandwidth=0.5
+        ).server_bandwidth == 0.5
+        assert SimulatedNetwork(3).server_bandwidth is None
+
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
             SimulatedNetwork(3, bandwidth=np.zeros((2, 2)))

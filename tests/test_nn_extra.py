@@ -9,7 +9,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.activations import ReLU
 from repro.nn.module import Sequential
 from tests.gradcheck import check_gradients
-from tests.reference.per_worker import flat_grads, per_worker
+from tests.reference.per_worker import flat_grads, per_worker, sgd_step
 
 
 class TestOddShapes:
@@ -81,7 +81,7 @@ class TestPaperModelsSmoke:
             model.zero_grad()
             _, grad = loss_fn(model.forward(images), labels)
             model.backward(grad)
-            optimizer.step()
+            sgd_step(optimizer)
         assert loss_value() < initial
 
     def test_cifar10_cnn_backward_produces_finite_grads(self, rng):
@@ -117,7 +117,7 @@ class TestOptimizerIntegration:
         for _ in range(400):
             model.zero_grad()
             model.backward(mse_grad(model.forward(features), targets[:, None]))
-            optimizer.step()
+            sgd_step(optimizer)
         np.testing.assert_allclose(
             model.weight.data.ravel(), weights, atol=0.05
         )
@@ -131,7 +131,7 @@ class TestOptimizerIntegration:
             for _ in range(300):
                 model.zero_grad()
                 model.backward(mse_grad(model.forward(features), targets[:, None]))
-                optimizer.step()
+                sgd_step(optimizer)
             return float(np.linalg.norm(model.weight.data))
 
         assert train(1.0) < train(0.0)
@@ -144,7 +144,7 @@ class TestOptimizerIntegration:
             optimizer = SGD([param], lr=0.02, momentum=momentum)
             for _ in range(60):
                 param.grad = 2.0 * param.data
-                optimizer.step()
+                sgd_step(optimizer)
             return abs(float(param.data[0]))
 
         assert solve(0.9) < solve(0.0)

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.nn import Cifar10CNN, MLP, MnistCNN, ResNet20, TinyCNN
 from repro.nn.losses import CrossEntropyLoss
-from tests.reference.per_worker import flat_grads, per_worker
+from tests.reference.per_worker import flat_grads, per_worker, sgd_step
 
 
 class TestResNet20:
@@ -76,7 +76,7 @@ class TestSmallModels:
             logits = model.forward(features)
             loss, grad = loss_fn(logits, labels)
             model.backward(grad)
-            optimizer.step()
+            sgd_step(optimizer)
         predictions = np.argmax(model.forward(features), axis=1)
         assert np.array_equal(predictions, labels)
 

@@ -257,11 +257,8 @@ def test_evaluate_vector_thread_determinism():
     partitions = partition_iid(full, n, rng=2)
     config = ExperimentConfig(rounds=1, batch_size=8, lr=0.1, seed=5)
     workers = make_workers(lambda: MLP(6, [10], 3, rng=2), partitions, config)
-    from repro.nn.arena import shared_arena
-
-    arena = shared_arena([worker.model for worker in workers])
-    trainer = ClusterTrainer.build(workers, arena=arena)
-    vector = arena.mean_model()
+    trainer = ClusterTrainer.build(workers)
+    vector = trainer.arena.mean_model()
     validation = make_blobs(
         num_samples=300, num_classes=3, num_features=6, rng=7
     )

@@ -2,6 +2,8 @@
 checkpoints, resilience stats, and end-to-end crash/recovery scenarios
 on the event engine under all three recovery policies."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,7 @@ class TestCheckpointStore:
 
         class FakeAlgorithm:
             arena = FakeArena()
+            cluster_trainer = SimpleNamespace(_velocity=None)
 
         store = CheckpointStore(1.0)
         store.capture(FakeAlgorithm(), np.array([True] * 4), time=1.0)

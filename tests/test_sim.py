@@ -8,6 +8,7 @@ from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn import MLP
 from repro.sim import (
+    ClusterTrainer,
     ExperimentConfig,
     ExperimentResult,
     SuiteSettings,
@@ -30,21 +31,27 @@ def workload():
     return partitions, validation, factory
 
 
+def _trainer(worker) -> ClusterTrainer:
+    return ClusterTrainer.build([worker])
+
+
 class TestTrainingWorker:
     def test_local_step_reduces_loss(self, workload):
         partitions, validation, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.2, rng=0)
-        initial = np.mean([worker.local_step() for _ in range(3)])
-        for _ in range(60):
-            worker.local_step()
-        final = np.mean([worker.local_step() for _ in range(3)])
+        trainer = _trainer(worker)
+        initial = trainer.batched_steps(3).mean()
+        trainer.batched_steps(60)
+        final = trainer.batched_steps(3).mean()
         assert final < initial
 
     def test_compute_gradient_does_not_move_params(self, workload):
         partitions, _, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.2, rng=0)
-        before = worker.get_params()
-        worker.compute_gradient()
+        trainer = _trainer(worker)
+        before = worker.snapshot_params()
+        trainer.compute_gradients()
+        assert np.abs(trainer.arena.grads).max() > 0
         np.testing.assert_array_equal(worker.get_params(), before)
 
     def test_apply_gradient(self, workload):
@@ -65,14 +72,16 @@ class TestTrainingWorker:
     def test_evaluate_returns_loss_and_accuracy(self, workload):
         partitions, validation, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.2, rng=0)
-        loss, accuracy = worker.evaluate(validation)
+        loss, accuracy = _trainer(worker).evaluate_vector(
+            worker.get_params(), validation
+        )
         assert loss > 0
         assert 0.0 <= accuracy <= 1.0
 
     def test_steps_counted(self, workload):
         partitions, _, factory = workload
         worker = TrainingWorker(0, factory(), partitions[0], 16, lr=0.2, rng=0)
-        worker.local_step()
+        _trainer(worker).batched_steps(1)
         apply_gradient(worker, np.zeros(worker.model_size))
         assert worker.steps_taken == 2
 
