@@ -159,10 +159,12 @@ def local_step(worker) -> float:
     return loss
 
 
-def evaluate(worker, dataset):
+def evaluate(worker, dataset, batch_size=256):
     """``(mean_loss, top1_accuracy)`` of the worker's model, in eval mode."""
     worker.model.eval()
-    result = evaluate_forward(worker.model.forward, dataset, worker.model.dtype)
+    result = evaluate_forward(
+        worker.model.forward, dataset, worker.model.dtype, batch_size
+    )
     worker.model.train()
     return result
 
@@ -198,10 +200,6 @@ class PerWorkerTrainer:
         probe = self.workers[0]
         saved = probe.snapshot_params()
         probe.set_params(vector)
-        probe.model.eval()
-        result = evaluate_forward(
-            probe.model.forward, dataset, probe.model.dtype, batch_size
-        )
-        probe.model.train()
+        result = evaluate(probe, dataset, batch_size)
         probe.set_params(saved)
         return result

@@ -111,10 +111,9 @@ def _run(family, dtype, momentum, oracle):
 @pytest.mark.parametrize("family", [*SYNC, *EVENT])
 def test_trainer_equals_the_per_worker_oracle(monkeypatch, family, dtype, momentum):
     want_history, want_rows = _run(family, dtype, momentum, oracle=True)
-    for threads in (1, 4):
-        # One-row blocks: at four threads, rows step concurrently.
-        monkeypatch.setattr(ClusterTrainer, "BLOCK_BYTES",
-                            1 if threads > 1 else ClusterTrainer.BLOCK_BYTES)
+    # One-row blocks at four threads: rows step concurrently.
+    for threads, block_bytes in ((1, ClusterTrainer.BLOCK_BYTES), (4, 1)):
+        monkeypatch.setattr(ClusterTrainer, "BLOCK_BYTES", block_bytes)
         parallel.set_num_threads(threads)
         try:
             history, rows = _run(family, dtype, momentum, oracle=False)
