@@ -7,8 +7,8 @@ with exactly one peer).
 
 Peer selection is *adaptive*:
 
-1. A timestamp matrix ``R`` records when each pair last communicated; an
-   edge is "recently connected" (RC) when ``R_ij > t − T_thres``.
+1. ``R`` keeps the matchings of the last ``T_thres`` rounds; their union
+   is the "recently connected" (RC) graph.
 2. If the RC edges span a connected graph, match on the
    bandwidth-filtered graph ``B* = [B ≥ B_thres]`` — preferring
    high-bandwidth links (Algorithm 1's ``GetNewConnectedGraph``).
@@ -18,27 +18,33 @@ Peer selection is *adaptive*:
    below 1 (Assumption 3).
 4. Any still-unmatched workers are matched ignoring bandwidth
    (``GetUnmatch``).
+
+``R`` is a ring of the recent matchings (O(n·T_thres)), its components
+come from union-find, the weighted matcher reads B's links from lists
+built once, and a fallback graph, complete multipartite over the RC
+components, is matched in closed form rather than by the blossom.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.matching import (
     Matching,
-    greedy_matching_on_graph,
+    by_block,
+    greedy_matching_on_sorted,
+    heaviest_links,
     matching_to_partner_array,
+    max_cardinality_matching,
+    multipartite_max_matching,
     randomly_max_match,
-)
-from repro.network.topology import (
-    connected_components,
-    is_connected,
-    threshold_graph,
+    randomly_max_match_multipartite,
 )
 from repro.network.bandwidth import symmetrize_min
 from repro.utils.rng import SeedLike, as_generator
@@ -97,10 +103,6 @@ def _restrict(graph: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
     return graph & (active[:, None] & active)
 
 
-#: Largest ``T_thres`` whose initial stamp ``-10 T_thres - 1`` is an int32.
-_MAX_GAP = (2**31 - 1) // 10
-
-
 def _median_link(bandwidth: np.ndarray) -> float:
     """``np.median`` of a symmetric matrix's off-diagonal, read off its
     strict upper triangle: every link appears there once and twice in the
@@ -115,6 +117,36 @@ def _median_link(bandwidth: np.ndarray) -> float:
     middle = [(upper.size - 1) // 2, upper.size // 2]
     upper.partition(middle)
     return float(np.mean(upper[middle]))
+
+
+def _component_labels(num_workers: int, pairs: np.ndarray) -> np.ndarray:
+    """Each vertex's connected component in the graph whose edges are the
+    rows of ``pairs``, named by its smallest vertex: roots hook under the
+    smaller root across an edge, then every vertex jumps to its root."""
+    labels = np.arange(num_workers)
+    heads, tails = pairs[:, 0], pairs[:, 1]
+    while True:
+        a, b = labels[heads], labels[tails]
+        if np.array_equal(a, b):
+            return labels
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
+
+
+def _links(bandwidth: np.ndarray) -> np.ndarray:
+    """Flat indices ``i * n + j`` (``i < j``) of B's links (positive
+    pairs), ascending, listed a block of rows at a time so that no
+    transient outgrows the result."""
+    n = bandwidth.shape[0]
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    step = max(1, 2**16 // max(n, 1))
+    blocks = []
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))[:, None]
+        pairs = (rows * n + np.arange(n))[np.arange(n) > rows]
+        blocks.append(pairs[bandwidth.ravel()[pairs] > 0].astype(dtype))
+    return np.concatenate(blocks or [np.empty(0, dtype)])
 
 
 @dataclass
@@ -147,6 +179,7 @@ class AdaptivePeerSelector:
         default the paper leaves to the user).
     connectivity_gap:
         ``T_thres``: how many rounds an edge stays "recently connected".
+        Rounds are expected in non-decreasing order.
     prefer_weighted:
         Extension switch: use bandwidth-greedy matching inside ``B*``
         instead of uniform random maximum matching.
@@ -171,63 +204,67 @@ class AdaptivePeerSelector:
                 f"bandwidth[{i}, {j}] = {float(bandwidth[i, j])!r}"
             )
         self.num_workers = self.bandwidth.shape[0]
-        if not 0 < connectivity_gap <= _MAX_GAP:
-            raise ValueError(
-                f"connectivity_gap must be in [1, {_MAX_GAP}], got {connectivity_gap}"
-            )
+        if connectivity_gap < 1:
+            raise ValueError(f"connectivity_gap must be at least 1, got {connectivity_gap}")
         self.connectivity_gap = int(connectivity_gap)
         if bandwidth_threshold is None:
             bandwidth_threshold = _median_link(self.bandwidth)
         self.bandwidth_threshold = float(bandwidth_threshold)
-        self.filtered = threshold_graph(self.bandwidth, self.bandwidth_threshold)
+        # B*, as the blossom's input; the weighted matcher drops no-link pairs.
+        self.filtered = self.bandwidth >= self.bandwidth_threshold
+        if prefer_weighted:
+            self.filtered &= self.bandwidth > 0
+        np.fill_diagonal(self.filtered, False)
         self._rng = as_generator(rng)
         self.prefer_weighted = prefer_weighted
-        # R: last-communication timestamps (round numbers).  Initialized
-        # far in the past so round 0 starts with an empty RC graph.
-        self.timestamps = np.full(
-            (self.num_workers, self.num_workers), -10 * self.connectivity_gap - 1,
-            dtype=np.int32,
+        # R: the recent rounds' matchings, oldest first, as (round, pairs).
+        self._recent: Deque[Tuple[int, np.ndarray]] = deque()
+        if prefer_weighted:
+            # B's links and B*'s in ascending order (the order a round's tie
+            # keys are drawn in), and the first greedy tier heaviest first
+            # (B*'s share of it is a prefix).
+            weight = self.bandwidth.ravel()
+            self._links = _links(self.bandwidth)
+            self._preferred = self._links[
+                by_block(lambda e: weight[e] >= self.bandwidth_threshold, self._links)
+            ]
+            self._heaviest = heaviest_links(self._links, weight, 8 * self.num_workers)
+
+    def _match(
+        self, connected: bool, labels: np.ndarray, active: Optional[np.ndarray]
+    ) -> Matching:
+        n = self.num_workers
+        everyone = np.ones(n, dtype=bool) if active is None else active
+        if not self.prefer_weighted:
+            if connected:
+                return randomly_max_match(_restrict(self.filtered, active), rng=self._rng)
+            return randomly_max_match_multipartite(labels, everyone, rng=self._rng)
+        parts = np.arange(n) if connected else labels
+
+        def accept(edges: np.ndarray) -> np.ndarray:
+            """Which links are this round's candidates."""
+            rows = edges // n
+            cols = edges - rows * n
+            keep = np.take(parts, rows) != np.take(parts, cols)
+            return keep if active is None else keep & np.take(active, rows) & np.take(active, cols)
+
+        links = self._preferred if connected else self._links
+        ranked = links if connected and active is None else links[by_block(accept, links)]
+        match = greedy_matching_on_sorted(
+            n, self._heaviest[: links.size], self.bandwidth.ravel(), ranked,
+            None if connected and active is None else accept, rng=self._rng,
         )
-
-    # ------------------------------------------------------------------
-    # Algorithm 3 sub-procedures
-    # ------------------------------------------------------------------
-    def recently_connected(self, round_index: int) -> np.ndarray:
-        """``IfConnected``'s Q matrix: edges with
-        ``R_ij > t − T_thres``."""
-        rc = self.timestamps > (round_index - self.connectivity_gap)
-        rc |= rc.T
-        np.fill_diagonal(rc, False)
-        return rc
-
-    def overtime_matrix(
-        self, round_index: int, rc: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``GetOvertimeMatrix``: edges between distinct RC components."""
-        if rc is None:
-            rc = self.recently_connected(round_index)
-        labels = np.zeros(self.num_workers, dtype=np.int64)
-        for label, component in enumerate(connected_components(rc)):
-            labels[component] = label
-        return labels[:, None] != labels
-
-    @staticmethod
-    def unmatched_graph(
-        matching: Matching, num_workers: int, active: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``GetUnmatch``: complete graph over the (``active``) workers
-        missing from ``matching``."""
-        free = matching_to_partner_array(matching, num_workers) == -1
-        if active is not None:
-            free &= np.asarray(active, dtype=bool)
-        graph = free[:, None] & free
-        np.fill_diagonal(graph, False)
-        return graph
-
-    def _match(self, graph: np.ndarray) -> Matching:
-        if self.prefer_weighted:
-            return greedy_matching_on_graph(graph, self.bandwidth, rng=self._rng)
-        return randomly_max_match(graph, rng=self._rng)
+        if connected:
+            if match.count(-1) < 2:
+                return [(v, match[v]) for v in range(n) if match[v] > v]
+            return max_cardinality_matching(_restrict(self.filtered, active), initial_match=match)
+        sizes = np.bincount(labels[everyone])
+        if (sizes.sum() ** 2 - (sizes**2).sum()) // 2 > ranked.size:
+            # A no-link pair between components: the candidate graph is
+            # not complete multipartite, so the blossom completes it.
+            graph = _restrict((labels[:, None] != labels) & (self.bandwidth > 0), active)
+            return max_cardinality_matching(graph, initial_match=match)
+        return multipartite_max_matching(labels, everyone, initial_match=match)
 
     # ------------------------------------------------------------------
     # the per-round entry point (Algorithm 3 proper)
@@ -242,40 +279,45 @@ class AdaptivePeerSelector:
         claims robustness to.  Offline workers get ``W_ii = 1``.
 
         Returns the matching (``W_t`` is built from it when read) and
-        diagnostics.  Updates the timestamp matrix ``R`` for matched pairs.
+        diagnostics.  Records the matching in ``R``.
         """
         started = perf_counter()
+        n = self.num_workers
         with obs.phase("peer_selection"):
-            rc = self.recently_connected(round_index)  # the round's one RC graph
+            recent = self._recent
+            while recent and recent[0][0] <= round_index - self.connectivity_gap:
+                recent.popleft()
+            pairs = np.concatenate([p for _, p in recent] or [np.empty((0, 2), int)])
+            # GetOvertimeMatrix's parts: components of the whole RC graph.
+            labels = _component_labels(n, pairs)
             if active is None:
-                connected = is_connected(rc)
+                connected = not labels.any()
             else:
                 active = np.asarray(active, dtype=bool)
                 # Connectivity is judged on the *active* subgraph — offline
                 # workers cannot carry information this round.
-                connected = is_connected(rc[np.ix_(active, active)])
-            candidate = (
-                self.filtered if connected else self.overtime_matrix(round_index, rc)
-            )
+                judged = _component_labels(n, pairs[active[pairs].all(axis=1)])[active]
+                connected = not np.any(judged != judged[:1])
             with obs.phase("match"):
-                matching = list(self._match(_restrict(candidate, active)))
-            participants = self.num_workers if active is None else int(active.sum())
+                matching = list(self._match(connected, labels, active))
+            participants = n if active is None else int(active.sum())
             second_pass = 0
             if len(matching) != participants // 2:
                 with obs.phase("second_pass"):
-                    free = self.unmatched_graph(matching, self.num_workers, active)
-                    extra = randomly_max_match(free, rng=self._rng)
+                    free = matching_to_partner_array(matching, n) == -1
+                    if active is not None:
+                        free &= active
+                    # GetUnmatch: the free workers' complete graph.
+                    extra = randomly_max_match_multipartite(np.arange(n), free, rng=self._rng)
                 second_pass = len(extra)
                 matching.extend(extra)
                 matching.sort()
-
-            for a, b in matching:
-                self.timestamps[a, b] = self.timestamps[b, a] = round_index
+            recent.append((round_index, np.array(matching, dtype=np.int32).reshape(-1, 2)))
         obs.observe("peer_selection.select_ms", 1e3 * (perf_counter() - started))
         obs.inc("peer_selection.fallback_rounds", not connected)
         obs.inc("peer_selection.second_pass_pairs", second_pass)
         return PeerSelectionResult(
-            matching, self.num_workers, not connected, second_pass
+            matching, n, not connected, second_pass
         )
 
 
@@ -288,13 +330,15 @@ class RandomPeerSelector:
             raise ValueError("need at least 2 workers")
         self.num_workers = num_workers
         self._rng = as_generator(rng)
-        self._complete = ~np.eye(num_workers, dtype=bool)
 
     def select(
         self, round_index: int, active: Optional[np.ndarray] = None
     ) -> PeerSelectionResult:
-        matching = randomly_max_match(_restrict(self._complete, active), rng=self._rng)
-        return PeerSelectionResult(matching, self.num_workers)
+        n = self.num_workers
+        # The complete graph: every worker its own part.
+        everyone = np.ones(n, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+        matching = randomly_max_match_multipartite(np.arange(n), everyone, rng=self._rng)
+        return PeerSelectionResult(matching, n)
 
 
 class FixedRingSelector:

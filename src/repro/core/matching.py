@@ -13,38 +13,30 @@ graph".  This module provides both, from scratch:
 * :func:`greedy_weighted_matching` — an extension beyond the paper:
   prefer heavier (higher-bandwidth) edges greedily, then complete to a
   maximum matching with blossom augmentation.  Its core,
-  :func:`greedy_matching_on_graph`, runs on a graph's edge list with the
-  weights read from a matrix, for a caller that validated both once.
+  :func:`greedy_matching_on_sorted`, takes its first tier presorted.
+* :func:`multipartite_max_matching` / :func:`randomly_max_match_multipartite`
+  — the blossom's own result on a complete multipartite graph
+  (Algorithm 3's fallback and second-pass graphs), in closed form.
 
 Graphs are symmetric boolean adjacency matrices; matchings are lists of
-``(i, j)`` pairs with ``i < j``.
+``(i, j)`` pairs with ``i < j``.  Every shortcut is exact — same pairs,
+same RNG draws as the plain algorithms in ``tests/reference/matching.py``:
 
-Shortcuts keep a call's cost near the cost of its output.  Each is exact
-— same pairs, same RNG draws as the plain algorithms, which
-``tests/reference/matching.py`` keeps as the oracle:
-
-* *Filter before sort.*  The strict order (−weight, random tie key, edge
-  index) makes the greedy matching unique, however much of the order is
-  materialised: take the heaviest ≈ 8n edges (cut on a weight *value*, so
-  ties never straddle a tier), sort and scan those, drop every edge that
-  lost an endpoint, repeat.
-* *Rows are bit sets, packed on first visit.*  A search scans a row in
-  ascending order and skips odd vertices and its own blossom; one ``&``
-  does the skipping, the lowest set bit is the next neighbour, and a
-  contraction relabels its cycle's members, not all ``n``.
-* *Failed roots are remembered by row.*  An augmenting path has two free
-  ends, so nothing is searched with fewer than two free vertices; and if
-  the search from free ``r`` fails, a free vertex with the same row fails
-  too — its path, re-rooted at ``r``, would be one from ``r`` — now and
-  after any later augmentation, which never creates a path from a vertex
-  that had none.  The free vertices of one part of a complete
-  multipartite graph (Algorithm 3's fallback graph) share a row: a
-  surplus part costs one search, not one per vertex.
+* *Greedy tiers.*  The order (−weight, random tie key, edge index) is
+  strict, so the greedy matching is unique however little of the order
+  is materialised: scan the heaviest ≈ 8n candidates (cut on a weight
+  value), keep what joins two unmatched vertices, repeat.
+* *Rows are bit sets, packed on first visit*: one ``&`` skips a search's
+  odd vertices and its own blossom, and a contraction relabels only its
+  cycle.
+* *Failed roots are remembered by row*: a free vertex whose row matches
+  a failed root's fails too, and nothing is searched with fewer than two
+  free vertices.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,60 +270,162 @@ def greedy_weighted_matching(
             f"wherever they are at [i, j]: weights[{i}, {j}] = {float(weights[i, j])!r}"
         )
     np.fill_diagonal(support, False)
-    return greedy_matching_on_graph(support, weights, rng)
+    n, flat = len(weights), weights.ravel()
+    ranked = np.flatnonzero(np.triu(support, k=1))
+    match = greedy_matching_on_sorted(
+        n, heaviest_links(ranked, flat, 8 * n), flat, ranked, rng=rng
+    )
+    return max_cardinality_matching(support, initial_match=match)
 
 
-def greedy_matching_on_graph(
-    adjacency: np.ndarray,
+def by_block(predicate: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """``predicate(edges)``, 2**16 edges at a time: a long list's whole
+    temporaries would each cost fresh pages."""
+    blocks = [edges[at:at + 2**16] for at in range(0, edges.size, 2**16)]
+    return np.concatenate([predicate(block) for block in blocks or [edges]])
+
+
+def heaviest_links(links: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """The ``links`` (flat indices into ``weights``) heavier than the
+    ``count``-th heaviest, heaviest first — all of them if there are no
+    more: a first greedy tier, closed on a weight value so that no tie
+    straddles it.  Found a block at a time, in ``count``-sized memory."""
+    pool = links[:0]
+    for at in range(0, links.size, 2**16):
+        pool = np.concatenate([pool, links[at:at + 2**16]])
+        if pool.size > count:
+            pool = pool[np.argpartition(-weights[pool], count - 1)[:count]]
+    if links.size > count:
+        pool = pool[weights[pool] > weights[pool].min()]
+    return pool[np.argsort(-weights[pool])]
+
+
+def greedy_matching_on_sorted(
+    num_vertices: int,
+    heaviest: np.ndarray,
     weights: np.ndarray,
+    ranked: np.ndarray,
+    accept: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     rng: SeedLike = None,
-) -> Matching:
-    """The greedy core: :func:`greedy_weighted_matching` over the edges of
-    ``adjacency`` (symmetric, empty diagonal), edge ``(i, j)`` weighing
-    ``weights[i, j]`` (finite, non-negative; an edge of weight 0 is no
-    edge).  Neither input is checked, so a caller that validated them
-    once may pass a graph and a matrix it keeps, and no dense product of
-    the two is built; the matching and the draws are those of
-    ``weights * adjacency`` through :func:`greedy_weighted_matching`.
-    """
+) -> List[int]:
+    """:func:`greedy_weighted_matching`'s partner list (``-1``: unmatched)
+    and draws, unchecked.  Edges are flat indices ``i * n + j`` (``i < j``)
+    weighing ``weights[e] > 0``: ``ranked`` holds the candidates ascending
+    (the order the tie keys are drawn in), ``heaviest`` the first tier
+    (:func:`heaviest_links`), among which ``accept`` tells the candidates."""
     rng = as_generator(rng)
-    n = adjacency.shape[0]
-    # Row-major upper-triangle edge list: the tie keys are aligned to it.
-    flat = np.flatnonzero(np.triu(adjacency, k=1))
-    heavy = weights.ravel()[flat]
-    if not heavy.all():
-        positive = heavy > 0
-        flat, heavy = flat[positive], heavy[positive]
-        adjacency = adjacency & (weights > 0)
-    if flat.size == 0:
-        return []
-    # int32 endpoints: the per-edge arrays the tiers carry are the round's
-    # largest allocation (E ≈ n²/2 on a fallback round's complete graph).
-    rows = np.empty(flat.size, dtype=np.int32)
-    cols = np.empty_like(rows)
-    np.divmod(flat, n, out=(rows, cols))
-    del flat
-    keys = rng.random(rows.size)
+    n, tier = num_vertices, 8 * num_vertices
+    keys = rng.random(ranked.size)
     match = [-1] * n
     free = n
-    tier = 8 * n
-    while rows.size and free >= 2:
-        # Masks keep edge order, so lexsort's stability is still the
-        # edge-index tie break of the full sort.
-        cut = np.partition(heavy, -tier)[-tier] if rows.size > tier else 0.0
-        head = np.flatnonzero(heavy >= cut)
-        order = head[np.lexsort((keys[head], -heavy[head]))]
-        for a, b in zip(rows[order].tolist(), cols[order].tolist()):
+    head = heaviest[accept(heaviest)] if accept is not None else heaviest.copy()
+    heavy = weights[head]
+    same = heavy[1:] == heavy[:-1]
+    tied = np.zeros(head.size, dtype=bool)  # only a tie needs its keys
+    tied[1:] |= same
+    tied[:-1] |= same
+    edges = head[tied]
+    head[tied] = edges[np.lexsort((edges, keys[np.searchsorted(ranked, edges)], -heavy[tied]))]
+    rest, rest_keys = ranked, keys
+    while free >= 2:
+        rows, cols = np.divmod(head, n)
+        for a, b in zip(rows.tolist(), cols.tolist()):
             if match[a] == -1 and match[b] == -1:
-                match[a] = b
-                match[b] = a
+                match[a], match[b] = b, a
                 free -= 2
-        unmatched = np.array(match) == -1
-        keep = (heavy < cut) & unmatched[rows] & unmatched[cols]
-        rows, cols, heavy, keys = rows[keep], cols[keep], heavy[keep], keys[keep]
-    if free >= 2:
-        return max_cardinality_matching(adjacency, initial_match=match)
+        # Every edge scanned lost an endpoint.  The next tier is the
+        # heaviest of those joining two unmatched vertices, found among
+        # the candidates or, when fewer, among the unmatched pairs.
+        spare = np.flatnonzero(np.array(match) == -1)
+        if spare.size**2 < rest.size:
+            a, b = np.triu_indices(spare.size, 1)
+            pairs = spare[a] * n + spare[b]
+            at = np.minimum(np.searchsorted(rest, pairs), rest.size - 1)
+            found = rest[at] == pairs
+            rest, rest_keys = pairs[found], rest_keys[at[found]]
+        else:
+            unmatched = np.zeros(n, dtype=bool)
+            unmatched[spare] = True
+            keep = by_block(lambda e: unmatched[e // n] & unmatched[e % n], rest)
+            rest, rest_keys = rest[keep], rest_keys[keep]
+        if not rest.size:
+            break
+        heavy = weights[rest]
+        cut = np.partition(heavy, -tier)[-tier] if rest.size > tier else -np.inf
+        pick = np.flatnonzero(heavy >= cut)
+        head = rest[pick[np.lexsort((rest_keys[pick], -heavy[pick]))]]
+    return match
+
+
+def multipartite_max_matching(
+    parts: np.ndarray,
+    active: np.ndarray,
+    initial_match: Optional[Sequence[int]] = None,
+) -> Matching:
+    """:func:`max_cardinality_matching`'s pairs on the complete
+    multipartite graph over the ``active`` vertices (``parts[v]`` names
+    ``v``'s part), in O(n) and with no graph.  Roots are taken in
+    ascending order.  A root with a free active vertex outside its part
+    takes the lowest one (the warm start, with no ``initial_match``).
+    Otherwise every free vertex lies in the root's part ``P``: the root
+    takes ``u``, the lowest vertex outside ``P`` whose partner ``v`` is
+    outside ``P`` too, and ``v`` the lowest free vertex above the root;
+    with no such ``u``, no root of ``P`` is searched again."""
+    n = len(parts)
+    parts = np.asarray(parts).tolist()
+    match = [-1] * n if initial_match is None else list(initial_match)
+    # ``after[v]`` leads to the lowest free active vertex at or above v.
+    after = [v if active[v] and match[v] == -1 else v + 1 for v in range(n)] + [n]
+
+    def lowest_free(v: int) -> int:
+        while after[v] != v:
+            after[v] = v = after[after[v]]
+        return v
+
+    def pair(a: int, b: int) -> None:
+        match[a], match[b] = b, a
+        after[a], after[b] = a + 1, b + 1
+
+    resume = {}  # per part: where its search outside itself resumes
+    root = lowest_free(0)
+    while root < n:
+        part = parts[root]
+        u = lowest_free(max(resume.get(part, 0), root + 1))
+        while u < n and parts[u] == part:
+            u = lowest_free(u + 1)
+        if u == n:
+            break
+        resume[part] = u
+        pair(root, u)
+        root = lowest_free(root + 1)
+    for u in range(n) if root < n else ():
+        v = match[u]
+        if v > u and parts[u] != part and parts[v] != part:
+            mate = lowest_free(root + 1)
+            if mate == n:
+                break
+            pair(root, u)
+            pair(v, mate)
+            root = lowest_free(root + 1)
+            if root == n:
+                break
     return [(v, match[v]) for v in range(n) if match[v] > v]
+
+
+def randomly_max_match_multipartite(
+    parts: np.ndarray, active: np.ndarray, rng: SeedLike = None
+) -> Matching:
+    """:func:`randomly_max_match` on the complete multipartite graph over
+    the ``active`` vertices: the same permutation draw and pairs.  With
+    every vertex its own part the graph is complete, and the free
+    vertices pair consecutively in permuted order."""
+    permutation = as_generator(rng).permutation(len(parts))
+    match = multipartite_max_matching(
+        np.asarray(parts)[permutation], np.asarray(active, dtype=bool)[permutation]
+    )
+    return sorted(
+        tuple(sorted((int(permutation[a]), int(permutation[b])))) for a, b in match
+    )
 
 
 def is_valid_matching(matching: Matching, num_vertices: int) -> bool:

@@ -44,8 +44,8 @@ class RoundPlan:
 class Coordinator:
     """Algorithm 1: lightweight tracker-style coordinator.
 
-    Holds only *small* global state — bandwidth matrix, timestamps, seeds
-    — never model parameters.
+    Holds only *small* global state — bandwidth matrix, recent matchings,
+    seeds — never model parameters.
     """
 
     def __init__(

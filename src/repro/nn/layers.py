@@ -140,9 +140,11 @@ class Conv2d(Module):
 
 class MaxPool2d(Module):
     """Max pooling (padded cells are ``-inf``:
-    :func:`repro.nn.functional.max_pool`).  Every model holding one
-    compiles to :class:`repro.nn.batched.BatchedMaxPool2d`, which runs it;
-    the layer carries the window geometry."""
+    :func:`repro.nn.functional.max_pool`), run by
+    :class:`repro.nn.batched.BatchedMaxPool2d` in a model's batched plan;
+    the layer carries the window geometry.  A model with no plan
+    (BatchNorm, residual wiring) cannot hold one:
+    :meth:`repro.sim.cluster.ClusterTrainer.build` refuses it."""
 
     def __init__(self, kernel_size, stride=None, padding=0) -> None:
         super().__init__()
@@ -174,8 +176,10 @@ class GlobalAvgPool2d(Module):
 
 
 class Flatten(Module):
-    """Flatten all non-batch dimensions.  Every model holding one compiles
-    to :class:`repro.nn.batched.BatchedFlatten`, which runs it."""
+    """Flatten all non-batch dimensions, run by
+    :class:`repro.nn.batched.BatchedFlatten` in a model's batched plan.  A
+    model with no plan (BatchNorm, residual wiring) cannot hold one:
+    :meth:`repro.sim.cluster.ClusterTrainer.build` refuses it."""
 
 
 class BatchNorm2d(Module):

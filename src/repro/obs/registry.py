@@ -31,7 +31,10 @@ Name schema (documented in the README's Observability section):
 * ``peer_selection.select_ms`` (histogram) / ``.fallback_rounds`` /
   ``.second_pass_pairs`` — one ``AdaptivePeerSelector.select`` each;
   ``matching.augment_searches`` / ``.searches_skipped`` — blossom
-  searches run, and skipped as twins of a failed root.
+  searches run, and skipped as twins of a failed root, in the blossoms
+  that still run (the default matcher's ``B*`` rounds, a weighted ``B*``
+  round the greedy leaves two workers of, a fallback graph with a
+  no-link pair); a fallback round completes in closed form.
 * ``round.compute_s`` / ``round.comm_s`` — per-round barrier times
   (histograms); ``run.horizon_s`` / ``run.rounds`` — run gauges.
 

@@ -57,6 +57,7 @@ from repro.nn.batched import (
     build_batched_model,
 )
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.module import Module
 from repro.sim.trainer import TrainingWorker, bind_arena, evaluate_forward
 from repro.utils import parallel
 
@@ -167,7 +168,9 @@ class ClusterTrainer:
         Raises ``ValueError`` naming the first field in which a worker
         differs from worker 0 — batch size, momentum, weight decay,
         nesterov, feature shape or dtype — since every step runs all
-        rows as one stack."""
+        rows as one stack; and, for a model with no batched plan (each
+        row's own module then runs), naming a layer that runs only
+        inside one (``MaxPool2d``, ``Flatten``)."""
         workers = list(workers)
         arena = bind_arena(workers)
         expected = _stack_fields(workers[0])
@@ -179,7 +182,16 @@ class ClusterTrainer:
                         f"worker {workers[0].rank} has {expected[field]!r}; "
                         f"local steps stack every worker, so they must agree"
                     )
-        return cls(workers, arena, build_batched_model(arena))
+        net = build_batched_model(arena)
+        for worker in workers if net is None else ():
+            for layer in worker.model.modules():
+                if getattr(layer.forward, "__func__", None) is Module.forward:
+                    raise ValueError(
+                        f"worker {worker.rank}'s model has no batched plan, so "
+                        f"its own layers run, but its {type(layer).__name__} "
+                        f"runs only inside a batched plan"
+                    )
+        return cls(workers, arena, net)
 
     # ------------------------------------------------------------------
     # batched local computation

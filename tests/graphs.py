@@ -1,8 +1,14 @@
 """Graph builders the matching and connectivity tests draw inputs from
-(symmetric boolean adjacency matrices with a zero diagonal), and the
-doubly-stochastic check the gossip-matrix tests apply to their outputs."""
+(symmetric boolean adjacency matrices with a zero diagonal), the dense
+connectivity predicates and threshold graph the selector oracle
+(``tests/reference/selector.py``) runs on, and the doubly-stochastic
+check the gossip-matrix tests apply to their outputs."""
+
+from typing import List
 
 import numpy as np
+
+from repro.utils.validation import check_square
 
 
 def adjacency_from_edges(num_vertices, edges):
@@ -35,3 +41,48 @@ def is_doubly_stochastic(matrix, atol=1e-9):
         np.allclose(matrix @ ones, ones, atol=atol)
         and np.allclose(matrix.T @ ones, ones, atol=atol)
     )
+
+
+def _component_of(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the vertices reachable from ``start`` — breadth-first, a
+    whole frontier per step rather than a vertex."""
+    member = np.zeros(adjacency.shape[0], dtype=bool)
+    member[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        reached = adjacency[frontier].any(axis=0) & ~member
+        member |= reached
+        frontier = np.flatnonzero(reached)
+    return member
+
+
+def is_connected(adjacency: np.ndarray) -> bool:
+    """BFS connectivity test on a symmetric adjacency matrix.
+
+    A graph with isolated vertices is not connected; the empty graph on
+    one vertex is.
+    """
+    adjacency = check_square(np.asarray(adjacency, dtype=bool))
+    return adjacency.shape[0] == 0 or bool(_component_of(adjacency, 0).all())
+
+
+def connected_components(adjacency: np.ndarray) -> List[List[int]]:
+    """Connected components as sorted vertex lists (sorted by min vertex)."""
+    adjacency = check_square(np.asarray(adjacency, dtype=bool))
+    visited = np.zeros(adjacency.shape[0], dtype=bool)
+    components: List[List[int]] = []
+    for start in range(adjacency.shape[0]):
+        if not visited[start]:
+            member = _component_of(adjacency, start)
+            visited |= member
+            components.append(np.flatnonzero(member).tolist())
+    return components
+
+
+def threshold_graph(bandwidth: np.ndarray, threshold: float) -> np.ndarray:
+    """Algorithm 1's ``GetNewConnectedGraph``: ``B*_ij = 1`` iff
+    ``B_ij >= threshold`` (diagonal excluded)."""
+    bandwidth = check_square(np.asarray(bandwidth, dtype=np.float64))
+    adjacency = bandwidth >= threshold
+    np.fill_diagonal(adjacency, False)
+    return adjacency

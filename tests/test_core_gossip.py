@@ -5,9 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import matching as reference_matching
 from repro import obs
-from repro.core import gossip as gossip_module
 from repro.core.gossip import (
     AdaptivePeerSelector,
     FixedRingSelector,
@@ -17,10 +15,21 @@ from repro.core.gossip import (
 )
 from repro.core.matching import is_valid_matching
 from repro.network.bandwidth import random_uniform_bandwidth
-from repro.network.topology import is_connected
 from repro.theory.spectral import second_largest_eigenvalue
 from tests.conftest import scoped
-from tests.graphs import adjacency_from_edges, is_doubly_stochastic
+from tests.graphs import adjacency_from_edges, is_connected, is_doubly_stochastic
+from tests.reference.selector import ReferenceSelector
+
+
+def recently_connected(selector, round_index):
+    """The RC graph ``select(round_index)`` judges: the union of the
+    recorded matchings of rounds after ``round_index − T_thres``."""
+    edges = [
+        pair for stamp, pairs in selector._recent
+        if stamp > round_index - selector.connectivity_gap
+        for pair in pairs.tolist()
+    ]
+    return adjacency_from_edges(selector.num_workers, edges)
 
 
 class TestGossipMatrixFromMatching:
@@ -81,12 +90,12 @@ class TestAdaptivePeerSelector:
         assert len(result.matching) == 3
         assert is_doubly_stochastic(result.gossip)
 
-    def test_timestamps_updated(self, bandwidth):
+    def test_matching_is_recorded_for_its_round(self, bandwidth):
         selector = AdaptivePeerSelector(bandwidth, rng=0)
         result = selector.select(5)
-        for a, b in result.matching:
-            assert selector.timestamps[a, b] == 5
-            assert selector.timestamps[b, a] == 5
+        (stamp, pairs), = selector._recent
+        assert stamp == 5
+        assert pairs.tolist() == [list(pair) for pair in result.matching]
 
     def test_first_round_uses_fallback(self, bandwidth):
         """Round 0 has an empty RC graph (disconnected), so Algorithm 3
@@ -100,8 +109,7 @@ class TestAdaptivePeerSelector:
         selector = AdaptivePeerSelector(bandwidth, connectivity_gap=10, rng=0)
         for t in range(40):
             selector.select(t)
-        rc = selector.recently_connected(40)
-        assert is_connected(rc)
+        assert is_connected(recently_connected(selector, 40))
 
     def test_prefers_filtered_edges_when_connected(self, bandwidth):
         """After warm-up, matchings should be drawn from B* (links at or
@@ -170,12 +178,17 @@ class TestAdaptivePeerSelector:
         assert np.all(np.diag(selector.bandwidth) == 0.0)
         assert len(selector.select(0).matching) == 4
 
-    def test_gap_must_keep_the_initial_stamp_an_int32(self, bandwidth):
-        largest = (2**31 - 1) // 10
-        selector = AdaptivePeerSelector(bandwidth, connectivity_gap=largest)
-        assert selector.timestamps[0, 1] == -10 * largest - 1
-        with pytest.raises(ValueError, match="connectivity_gap"):
-            AdaptivePeerSelector(bandwidth, connectivity_gap=largest + 1)
+    def test_gap_allocates_nothing_per_possible_round(self, bandwidth):
+        """``T_thres`` may exceed any run: ``R`` holds the rounds played,
+        not one slot per round of the gap."""
+        selector = AdaptivePeerSelector(bandwidth, connectivity_gap=10**12, rng=0)
+        for t in range(5):
+            selector.select(t)
+        assert [stamp for stamp, _ in selector._recent] == list(range(5))
+        short = AdaptivePeerSelector(bandwidth, connectivity_gap=3, rng=0)
+        for t in range(5):
+            short.select(t)
+        assert [stamp for stamp, _ in short._recent] == [2, 3, 4]
 
     def test_default_threshold_equals_np_median_bit_for_bit(self):
         """Read off the upper triangle, for an even and an odd number of
@@ -188,20 +201,29 @@ class TestAdaptivePeerSelector:
             expected = float(np.median(bandwidth[~np.eye(n, dtype=bool)]))
             assert AdaptivePeerSelector(bandwidth).bandwidth_threshold == expected
 
-    def test_overtime_matrix_links_components(self):
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    def test_overtime_matrix_links_components(self, prefer_weighted):
+        """With (0, 1) and (2, 3) recently connected, the fallback round
+        matches only across the two components."""
         bandwidth = np.ones((4, 4)) - np.eye(4)
-        selector = AdaptivePeerSelector(bandwidth, connectivity_gap=5, rng=0)
-        # Mark (0,1) and (2,3) recently connected.
-        selector.timestamps[0, 1] = selector.timestamps[1, 0] = 9
-        selector.timestamps[2, 3] = selector.timestamps[3, 2] = 9
-        cross = selector.overtime_matrix(10)
-        assert cross[0, 2] and cross[1, 3]
-        assert not cross[0, 1] and not cross[2, 3]
+        selector = AdaptivePeerSelector(
+            bandwidth, connectivity_gap=5, rng=0, prefer_weighted=prefer_weighted
+        )
+        selector._recent.append((9, np.array([[0, 1], [2, 3]])))
+        result = selector.select(10)
+        assert result.used_fallback and result.second_pass_pairs == 0
+        assert result.matching in ([(0, 2), (1, 3)], [(0, 3), (1, 2)])
 
-    def test_unmatched_graph(self):
-        graph = AdaptivePeerSelector.unmatched_graph([(0, 1)], 4)
-        assert graph[2, 3]
-        assert not graph[0, 2]
+    def test_unmatched_workers_pair_in_the_second_pass(self):
+        """``GetUnmatch``: a fallback round whose cross-component edges
+        cannot cover every worker pairs the rest ignoring bandwidth."""
+        bandwidth = np.ones((6, 6)) - np.eye(6)
+        selector = AdaptivePeerSelector(bandwidth, connectivity_gap=5, rng=0)
+        selector._recent.append((9, np.array([[0, 1], [1, 2], [2, 3], [3, 4]])))
+        result = selector.select(10)
+        # One edge leaves {0..4} (to 5); the other four workers pair up blind.
+        assert result.used_fallback and result.second_pass_pairs == 2
+        assert len(result.matching) == 3
 
     def test_weighted_variant_runs(self, bandwidth):
         selector = AdaptivePeerSelector(bandwidth, rng=0, prefer_weighted=True)
@@ -245,52 +267,66 @@ class TestFixedRingSelector:
 
 
 class TestSelectorEqualsReferenceMatchers:
-    """Algorithm 3 over the shipped matchers makes the decisions it
-    makes over the plain ones in ``tests/reference/matching.py``."""
+    """The shipped selector (ring of matchings, presorted links, closed-form
+    fallback completion) makes the decisions of the dense Algorithm 3
+    over the plain matchers, ``tests/reference/selector.py``: the same
+    matchings, fallbacks, second passes and generator state."""
 
-    @pytest.mark.parametrize("prefer_weighted", [False, True])
-    @pytest.mark.parametrize("churn", [False, True])
-    def test_25_rounds_at_128_workers(self, monkeypatch, prefer_weighted, churn):
-        bandwidth = random_uniform_bandwidth(128, rng=1)
-        shipped, plain = (
-            AdaptivePeerSelector(
-                bandwidth, connectivity_gap=6, rng=1, prefer_weighted=prefer_weighted
-            )
-            for _ in range(2)
+    def run_both(self, bandwidth, rounds, masks=None, **kwargs):
+        shipped, plain = AdaptivePeerSelector(bandwidth, **kwargs), ReferenceSelector(
+            bandwidth, **kwargs
         )
-        masks = np.random.default_rng(1).random((25, 128)) < 0.8
         outcomes = []
-        for t in range(25):
-            active = masks[t] if churn else None
-            ours = shipped.select(t, active=active)
-            with monkeypatch.context() as patch:
-                # The plain selector's weighted matcher is the parent's:
-                # the reference greedy on the dense ``bandwidth * graph``.
-                patch.setattr(
-                    gossip_module, "greedy_matching_on_graph",
-                    lambda graph, bandwidth, rng: reference_matching.greedy_weighted_matching(
-                        bandwidth * graph, rng=rng
-                    ),
-                )
-                patch.setattr(
-                    gossip_module, "randomly_max_match", reference_matching.randomly_max_match
-                )
-                theirs = plain.select(t, active=active)
-            assert ours.matching == theirs.matching
-            assert ours.used_fallback == theirs.used_fallback
-            assert ours.second_pass_pairs == theirs.second_pass_pairs
+        for t in range(rounds):
+            active = None if masks is None else masks[t]
+            ours, theirs = shipped.select(t, active=active), plain.select(t, active=active)
+            assert ours.matching == theirs.matching, t
+            assert ours.used_fallback == theirs.used_fallback, t
+            assert ours.second_pass_pairs == theirs.second_pass_pairs, t
             gossip = ours.gossip  # built on demand
             np.testing.assert_array_equal(gossip, gossip.T)
             assert is_doubly_stochastic(gossip)
-            if churn:
+            if active is not None:
                 offline = np.flatnonzero(~active)
                 assert np.all(gossip[offline, offline] == 1.0)
             outcomes.append((ours.used_fallback, ours.second_pass_pairs > 0))
-        np.testing.assert_array_equal(shipped.timestamps, plain.timestamps)
         assert shipped._rng.random() == plain._rng.random()
+        return outcomes
+
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    @pytest.mark.parametrize("churn", [False, True])
+    def test_25_rounds_at_128_workers(self, prefer_weighted, churn):
+        """25 rounds of ``T_thres`` = 6: start-up fallbacks, connected
+        rounds and the expiry fallbacks after them."""
+        bandwidth = random_uniform_bandwidth(128, rng=1)
+        masks = np.random.default_rng(1).random((25, 128)) < 0.8
+        outcomes = self.run_both(
+            bandwidth, 25, masks if churn else None,
+            connectivity_gap=6, rng=1, prefer_weighted=prefer_weighted,
+        )
         # The run must have exercised what it claims to compare.
         assert {True, False} == {fallback for fallback, _ in outcomes}
         assert any(second for _, second in outcomes)
+
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    @pytest.mark.parametrize("churn", [False, True])
+    @pytest.mark.parametrize("links", ["integer", "nan_and_zero"])
+    def test_ties_and_missing_links(self, prefer_weighted, churn, links):
+        """Integer-valued B (the greedy's tiers full of ties) and B with
+        NaN and zero links (the fallback graph is then not complete
+        multipartite, and the blossom completes it), at an odd n."""
+        rng = np.random.default_rng(2)
+        n = 67
+        bandwidth = np.ceil(random_uniform_bandwidth(n, low=1.0, rng=2))
+        if links == "nan_and_zero":
+            bandwidth[rng.random((n, n)) < 0.15] = np.nan
+            bandwidth[rng.random((n, n)) < 0.15] = 0.0
+        masks = rng.random((20, n)) < 0.85
+        outcomes = self.run_both(
+            bandwidth, 20, masks if churn else None,
+            connectivity_gap=4, rng=2, prefer_weighted=prefer_weighted,
+        )
+        assert any(fallback for fallback, _ in outcomes)
 
     def test_selection_is_recorded_only_when_asked(self):
         selector = AdaptivePeerSelector(random_uniform_bandwidth(8, rng=0), rng=0)
@@ -308,4 +344,3 @@ class TestSelectorEqualsReferenceMatchers:
         assert counters["peer_selection.second_pass_pairs"] == sum(
             r.second_pass_pairs for r in results
         )
-        assert "matching.augment_searches" in counters

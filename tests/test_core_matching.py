@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.matching import (
-    greedy_matching_on_graph,
+    greedy_matching_on_sorted,
     greedy_weighted_matching,
     is_valid_matching,
     matching_to_partner_array,
     max_cardinality_matching,
+    multipartite_max_matching,
     randomly_max_match,
+    randomly_max_match_multipartite,
 )
 from reference import matching as reference
 from tests.conftest import scoped
@@ -279,9 +281,10 @@ class TestEqualsReference:
     )
     @settings(max_examples=60, deadline=None)
     def test_greedy_core_on_a_selector_graph(self, seed, n, kind, masked):
-        """Algorithm 3's weighted round: the core on (graph, B) against the
-        reference greedy on the dense ``B * graph`` — an ``active`` mask
-        cut into the graph, B with planted equal links and zero links."""
+        """Algorithm 3's weighted round: the core on B's links sorted once
+        (the candidates told by a predicate) against the reference greedy
+        on the dense ``B * graph`` — an ``active`` mask cut into the
+        graph, B with planted equal links and zero links."""
         rng = np.random.default_rng(seed)
         graph = _graph(rng, n, kind)
         if masked:
@@ -290,10 +293,22 @@ class TestEqualsReference:
         bandwidth = _symmetric(rng.uniform(1.0, 5.0, (n, n)))
         planted = _symmetric(rng.random((n, n)) < 0.3)
         bandwidth[planted] = rng.choice([0.0, 2.5, 4.0])
+        weights = bandwidth.ravel()
+        links = np.flatnonzero(np.triu(bandwidth, 1))
+        heaviest = links[np.argsort(-weights[links])]
+        accepted = graph.ravel()
+        ranked = links[accepted[links]]
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert greedy_matching_on_graph(
-            graph, bandwidth, rng=ours
-        ) == reference.greedy_weighted_matching(bandwidth * graph, rng=theirs)
+        match = greedy_matching_on_sorted(
+            n, heaviest, weights, ranked, lambda edges: accepted[edges], rng=ours
+        )
+        support = graph & (bandwidth > 0)
+        pairs = (
+            max_cardinality_matching(support, initial_match=match)
+            if match.count(-1) >= 2
+            else [(v, match[v]) for v in range(n) if match[v] > v]
+        )
+        assert pairs == reference.greedy_weighted_matching(bandwidth * graph, rng=theirs)
         assert ours.random() == theirs.random()
 
     @given(
@@ -313,6 +328,57 @@ class TestEqualsReference:
         assert randomly_max_match(graph, rng=ours) == reference.randomly_max_match(
             graph, rng=theirs
         )
+        assert ours.random() == theirs.random()
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 140),
+        st.integers(1, 7),
+        st.booleans(),
+        st.sampled_from(["none", "warm", "greedy"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_multipartite_completion(self, seed, n, parts, majority, initial):
+        """The closed-form warm start and completion reproduce the blossom
+        on a complete multipartite graph restricted to an ``active``
+        mask: 1–7 parts, a majority part or not, from no matching, from
+        every other pair of a greedy one, or from a full greedy one."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, parts, n)
+        if majority:
+            labels[rng.random(n) < 0.7] = parts
+        active = rng.random(n) < rng.choice([0.8, 1.0])
+        graph = (labels[:, None] != labels) & active[:, None] & active
+        match = None
+        if initial == "warm":
+            match = _partial_matching(graph, seed)
+        elif initial == "greedy":
+            pairs = reference.greedy_weighted_matching(
+                rng.random((n, n)) * graph, rng=seed, complete_with_blossom=False
+            )
+            match = matching_to_partner_array(pairs, n).tolist()
+        assert multipartite_max_matching(
+            labels, active, initial_match=match
+        ) == reference.max_cardinality_matching(graph, initial_match=match)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert randomly_max_match_multipartite(
+            labels, active, rng=ours
+        ) == reference.randomly_max_match(graph, rng=theirs)
+        assert ours.random() == theirs.random()
+
+    @given(st.integers(0, 10_000), st.integers(1, 160))
+    @settings(max_examples=60, deadline=None)
+    def test_second_pass_pairs_in_permuted_order(self, seed, n):
+        """Every vertex its own part: the complete graph over the free
+        vertices, Algorithm 3's ``GetUnmatch``."""
+        rng = np.random.default_rng(seed)
+        free = rng.random(n) < rng.uniform(0.1, 1.0)
+        graph = free[:, None] & free
+        np.fill_diagonal(graph, False)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert randomly_max_match_multipartite(
+            np.arange(n), free, rng=ours
+        ) == reference.randomly_max_match(graph, rng=theirs)
         assert ours.random() == theirs.random()
 
     def test_surplus_part_costs_one_search_not_one_per_vertex(self):

@@ -1,8 +1,8 @@
 """What Algorithm 3's selector and the workers' optimizers hold, measured
 with tracemalloc at ``saps1024_mlp``'s scale (n = 1,024, the
 ``bench_peer_selection`` bandwidth draw): state nobody reads is not
-allocated, and a round's temporaries stay a few dense bool matrices and
-per-edge arrays.  At ``saps32_cnn``'s shape, a warm conv step and a warm
+allocated, and a round's temporaries stay per-edge arrays, no dense
+graph.  At ``saps32_cnn``'s shape, a warm conv step and a warm
 consensus eval allocate nothing block-sized."""
 
 import contextlib
@@ -53,21 +53,24 @@ def bandwidth():
 
 class TestSelector:
     def test_construction_peaks_within_2_mib_of_its_state(self, bandwidth):
-        """The parent copied the NaN-free matrix once more and the
-        off-diagonal twice for the median: 26.0 MiB peak for 18.1 kept."""
+        """The links are sorted a weight band at a time: a whole-list
+        argsort would hold 8 MiB of keys and indices for a 2 MiB
+        result.  Before R became a ring it was a 4 MiB int32 matrix."""
         with traced():
             selector, kept, peak = traced_call(
                 lambda: AdaptivePeerSelector(bandwidth, rng=1, prefer_weighted=True)
             )
-        # B (float64), B* (bool) and R (int32): 13 MiB at n = 1,024.
+        # B (float64), B* (bool), the sorted links and B*'s (int32): 12 MiB
+        # at n = 1,024, and no per-round state until the first select.
         assert kept <= 13 * MiB + MiB // 4
         assert peak - kept <= 2 * MiB
-        assert selector.timestamps.dtype == np.int32
+        assert selector._heaviest.dtype == np.int32
+        assert not selector._recent
 
     def test_weighted_select_transients(self, bandwidth):
-        """No dense float copy of the candidate graph, no per-round
-        re-validation: round 0 (fallback on the complete graph) at most
-        20 MiB, a connected round at most 12 (the parent: 31.0 / 20.0)."""
+        """No dense graph per round: round 0 (fallback on the complete
+        graph) at most 14 MiB, a connected round at most 5.25 (11.3 /
+        4.3 read; the dense selector's: 18.0 / 9.0)."""
         selector = AdaptivePeerSelector(bandwidth, rng=1, prefer_weighted=True)
         with traced():
             result, _, fallback_peak = traced_call(lambda: selector.select(0))
@@ -79,8 +82,8 @@ class TestSelector:
                 lambda: selector.select(round_index + 1)
             )
             assert not result.used_fallback
-        assert fallback_peak <= 20 * MiB
-        assert connected_peak <= 12 * MiB
+        assert fallback_peak <= 14 * MiB
+        assert connected_peak <= 5 * MiB + MiB // 4
 
 
 class TestOptimizerScratch:

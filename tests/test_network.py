@@ -18,14 +18,14 @@ from repro.network.metrics import (
     TrafficMeter,
     utilized_bandwidth_per_round,
 )
-from repro.network.topology import (
+from repro.network.bandwidth import mbits_to_mbytes, symmetrize_min
+from tests.conftest import settled_growth
+from tests.graphs import (
+    adjacency_from_edges,
     connected_components,
     is_connected,
     threshold_graph,
 )
-from repro.network.bandwidth import mbits_to_mbytes, symmetrize_min
-from tests.conftest import settled_growth
-from tests.graphs import adjacency_from_edges
 
 
 def payload_of(num_values):

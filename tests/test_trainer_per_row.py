@@ -29,7 +29,7 @@ from repro.algorithms import (
 from repro.data import make_synthetic_images, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
 from repro.nn.activations import ReLU
-from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear
+from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, MaxPool2d
 from repro.nn.models import BasicBlock
 from repro.nn.module import Sequential
 from repro.resilience.checkpoint import CheckpointStore
@@ -141,3 +141,15 @@ def test_checkpoint_captures_and_cold_restore_zeroes_the_velocity_row():
     assert not velocity[1].any() and velocity[0].any()
     _write_state(algorithm, 1, snapshot.params, snapshot.velocity)
     np.testing.assert_array_equal(velocity[1], snapshot.velocity)
+
+
+@pytest.mark.parametrize("name", ["MaxPool2d", "Flatten"])
+def test_a_layer_only_a_batched_plan_runs_is_refused_at_build(name):
+    """It used to build, then raise ``NotImplementedError`` on the first
+    step: the layer has no forward of its own."""
+    partitions, _, config, _ = _workload("float64", momentum=0.0)
+    tail = {"MaxPool2d": lambda: [MaxPool2d(2), GlobalAvgPool2d()],
+            "Flatten": lambda: [Flatten(), Linear(108, 4, rng=7)]}[name]
+    factory = lambda: Sequential(Conv2d(1, 3, 3, padding=1, rng=7), BatchNorm2d(3), *tail())
+    with pytest.raises(ValueError, match=name):
+        ClusterTrainer.build(make_workers(factory, partitions, config))
