@@ -31,7 +31,7 @@ BREACHES = [
     ("fault_round", "overhead", 0.07, "<= 0.05"),
     ("peer_selection", "worst_over_median_default", 93.0, "<= 10"),
     ("peer_selection", "worst_over_median_weighted", 5.2, "<= 5"),
-    ("peer_selection", "peak_mib_weighted", 31.0, "<= 13"),
+    ("peer_selection", "peak_mib_weighted", 31.0, "<= 12.75"),
     ("substream_seeding", "speedup_512", 2.9, ">= 3"),
     ("substream_seeding", "cost_ratio_1", 1.2, "<= 1.15"),
 ]
