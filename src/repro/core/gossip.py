@@ -241,18 +241,19 @@ class AdaptivePeerSelector:
             return randomly_max_match_multipartite(labels, everyone, rng=self._rng)
         parts = np.arange(n) if connected else labels
 
-        def accept(edges: np.ndarray) -> np.ndarray:
+        def candidates(edges: np.ndarray) -> np.ndarray:
             """Which links are this round's candidates."""
             rows = edges // n
             cols = edges - rows * n
             keep = np.take(parts, rows) != np.take(parts, cols)
             return keep if active is None else keep & np.take(active, rows) & np.take(active, cols)
 
+        # Every B* link is a candidate of a connected round without churn.
+        accept = None if connected and active is None else candidates
         links = self._preferred if connected else self._links
-        ranked = links if connected and active is None else links[by_block(accept, links)]
+        ranked = links if accept is None else links[by_block(accept, links)]
         match = greedy_matching_on_sorted(
-            n, self._heaviest[: links.size], self.bandwidth.ravel(), ranked,
-            None if connected and active is None else accept, rng=self._rng,
+            n, self._heaviest[: links.size], self.bandwidth.ravel(), ranked, accept, rng=self._rng
         )
         if connected:
             if match.count(-1) < 2:
