@@ -201,18 +201,18 @@ class TestAdaptivePeerSelector:
             expected = float(np.median(bandwidth[~np.eye(n, dtype=bool)]))
             assert AdaptivePeerSelector(bandwidth).bandwidth_threshold == expected
 
-    @pytest.mark.parametrize("prefer_weighted", [False, True])
-    def test_overtime_matrix_links_components(self, prefer_weighted):
+    def test_overtime_matrix_links_components(self):
         """With (0, 1) and (2, 3) recently connected, the fallback round
-        matches only across the two components."""
+        matches only across the two components, under either matcher."""
         bandwidth = np.ones((4, 4)) - np.eye(4)
-        selector = AdaptivePeerSelector(
-            bandwidth, connectivity_gap=5, rng=0, prefer_weighted=prefer_weighted
-        )
-        selector._recent.append((9, np.array([[0, 1], [2, 3]])))
-        result = selector.select(10)
-        assert result.used_fallback and result.second_pass_pairs == 0
-        assert result.matching in ([(0, 2), (1, 3)], [(0, 3), (1, 2)])
+        for prefer_weighted in (False, True):
+            selector = AdaptivePeerSelector(
+                bandwidth, connectivity_gap=5, rng=0, prefer_weighted=prefer_weighted
+            )
+            selector._recent.append((9, np.array([[0, 1], [2, 3]])))
+            result = selector.select(10)
+            assert result.used_fallback and result.second_pass_pairs == 0
+            assert result.matching in ([(0, 2), (1, 3)], [(0, 3), (1, 2)])
 
     def test_unmatched_workers_pair_in_the_second_pass(self):
         """``GetUnmatch``: a fallback round whose cross-component edges
