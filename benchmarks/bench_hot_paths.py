@@ -107,7 +107,7 @@ GATES = [
     # fallback and connectivity-gap-expiry rounds included — may cost 10×
     # the median round (read ≈ 90 for the default matcher before PR 21).
     # The weighted matcher's fallback completion is closed-form, not the
-    # blossom, so its expiry rounds stay within 5× (read 2.2–2.7; 4.3–6.3
+    # blossom, so its expiry rounds stay within 5× (read 1.8–2.8; 4.3–6.3
     # with the blossom).
     ("peer_selection", "worst_over_median_default", "<=", lambda cpus: 10),
     ("peer_selection", "worst_over_median_weighted", "<=", lambda cpus: 5),
