@@ -113,9 +113,9 @@ GATES = [
     ("peer_selection", "worst_over_median_weighted", "<=", lambda cpus: 5),
     # Bytes, so machine-independent: one weighted round at n = 1024 holds
     # no dense float copy of its graph (≈ 31 MiB when it multiplied B by
-    # its graph every round, 18 since it reads B along the edge list, 10.3
-    # since it reads B's links from one list sorted at construction).
-    ("peer_selection", "peak_mib_weighted", "<=", lambda cpus: 12.75),
+    # its graph every round, 18 since it reads B along the edge list, 8.7
+    # since it reads B's links from lists built at construction).
+    ("peer_selection", "peak_mib_weighted", "<=", lambda cpus: 11),
     # Ratios against numpy's own seeding on the same box: a wide pass
     # pays off, and a one-key call costs about what default_rng does.
     ("substream_seeding", "speedup_512", ">=", lambda cpus: 3),

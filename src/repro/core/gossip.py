@@ -37,7 +37,6 @@ import numpy as np
 from repro import obs
 from repro.core.matching import (
     Matching,
-    by_block,
     greedy_matching_on_sorted,
     heaviest_links,
     matching_to_partner_array,
@@ -134,10 +133,10 @@ def _component_labels(num_workers: int, pairs: np.ndarray) -> np.ndarray:
             labels = up
 
 
-def _links(bandwidth: np.ndarray) -> np.ndarray:
+def _links(bandwidth: np.ndarray, lowest: float) -> np.ndarray:
     """Flat indices ``i * n + j`` (``i < j``) of B's links (positive
-    pairs), ascending, listed a block of rows at a time so that no
-    transient outgrows the result."""
+    pairs) at least ``lowest`` fast, ascending, listed a block of rows at
+    a time so that no transient outgrows the result."""
     n = bandwidth.shape[0]
     dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     step = max(1, 2**16 // max(n, 1))
@@ -145,7 +144,8 @@ def _links(bandwidth: np.ndarray) -> np.ndarray:
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))[:, None]
         pairs = (rows * n + np.arange(n))[np.arange(n) > rows]
-        blocks.append(pairs[bandwidth.ravel()[pairs] > 0].astype(dtype))
+        speed = bandwidth.ravel()[pairs]
+        blocks.append(pairs[(speed > 0) & (speed >= lowest)].astype(dtype))
     return np.concatenate(blocks or [np.empty(0, dtype)])
 
 
@@ -223,12 +223,11 @@ class AdaptivePeerSelector:
             # B's links and B*'s in ascending order (the order a round's tie
             # keys are drawn in), and the first greedy tier heaviest first
             # (B*'s share of it is a prefix).
-            weight = self.bandwidth.ravel()
-            self._links = _links(self.bandwidth)
-            self._preferred = self._links[
-                by_block(lambda e: weight[e] >= self.bandwidth_threshold, self._links)
-            ]
-            self._heaviest = heaviest_links(self._links, weight, 8 * self.num_workers)
+            self._links = _links(self.bandwidth, 0.0)
+            self._preferred = _links(self.bandwidth, self.bandwidth_threshold)
+            self._heaviest = heaviest_links(
+                self._links, self.bandwidth.ravel(), 8 * self.num_workers
+            )
 
     def _match(
         self, connected: bool, labels: np.ndarray, active: Optional[np.ndarray]
@@ -239,31 +238,25 @@ class AdaptivePeerSelector:
             if connected:
                 return randomly_max_match(_restrict(self.filtered, active), rng=self._rng)
             return randomly_max_match_multipartite(labels, everyone, rng=self._rng)
-        parts = np.arange(n) if connected else labels
-
-        def candidates(edges: np.ndarray) -> np.ndarray:
-            """Which links are this round's candidates."""
-            rows = edges // n
-            cols = edges - rows * n
-            keep = np.take(parts, rows) != np.take(parts, cols)
-            return keep if active is None else keep & np.take(active, rows) & np.take(active, cols)
-
-        # Every B* link is a candidate of a connected round without churn.
-        accept = None if connected and active is None else candidates
         links = self._preferred if connected else self._links
-        ranked = links if accept is None else links[by_block(accept, links)]
+        # A link is a candidate if it joins two active workers of distinct
+        # parts: every B* link, in a connected round without churn.
+        accept = None
+        if not connected or active is not None:
+            parts = np.arange(n) if connected else labels
+            candidate = _restrict(parts[:, None] != parts, active).ravel()
+            accept = candidate.__getitem__
+        ranked = links if accept is None else links[accept(links)]
         match = greedy_matching_on_sorted(
             n, self._heaviest[: links.size], self.bandwidth.ravel(), ranked, accept, rng=self._rng
         )
         if connected:
-            if match.count(-1) < 2:
-                return [(v, match[v]) for v in range(n) if match[v] > v]
             return max_cardinality_matching(_restrict(self.filtered, active), initial_match=match)
         sizes = np.bincount(labels[everyone])
         if (sizes.sum() ** 2 - (sizes**2).sum()) // 2 > ranked.size:
             # A no-link pair between components: the candidate graph is
             # not complete multipartite, so the blossom completes it.
-            graph = _restrict((labels[:, None] != labels) & (self.bandwidth > 0), active)
+            graph = candidate.reshape(n, n) & (self.bandwidth > 0)
             return max_cardinality_matching(graph, initial_match=match)
         return multipartite_max_matching(labels, everyone, initial_match=match)
 

@@ -49,20 +49,27 @@ Matching = List[Tuple[int, int]]
 
 class _NeighborSets(dict):
     """``graph[v]``: ``v``'s neighbours as an integer (bit ``u`` set iff
-    ``u`` is adjacent), packed from the adjacency row on first visit."""
+    ``u`` is adjacent), read off the adjacency packed 8 columns to a byte
+    on first visit."""
 
     def __init__(self, adjacency: np.ndarray) -> None:
         super().__init__()
         adjacency = check_square(np.asarray(adjacency, dtype=bool), "adjacency")
         if np.any(np.diag(adjacency)):
             raise ValueError("adjacency must have an empty diagonal (no self-loops)")
-        if not np.array_equal(adjacency, adjacency.T):
+        n = adjacency.shape[0]
+        self.rows = np.packbits(adjacency, axis=1, bitorder="little")
+        # Symmetric iff the rows packed this way equal the columns packed
+        # 8 rows to a byte: a transpose of bytes, 8x cheaper than of bools.
+        padded = np.zeros((-(-n // 8) * 8, n), dtype=np.uint8)
+        padded[:n] = adjacency
+        shifts = np.arange(8, dtype=np.uint8)[:, None]
+        columns = np.bitwise_or.reduce(padded.reshape(-1, 8, n) << shifts, axis=1)
+        if not np.array_equal(self.rows, columns.T):
             raise ValueError("adjacency must be symmetric")
-        self.adjacency = adjacency
 
     def __missing__(self, vertex: int) -> int:
-        packed = np.packbits(self.adjacency[vertex], bitorder="little")
-        self[vertex] = row = int.from_bytes(packed.tobytes(), "little")
+        self[vertex] = row = int.from_bytes(self.rows[vertex].tobytes(), "little")
         return row
 
 
@@ -182,7 +189,7 @@ def max_cardinality_matching(
     List of matched pairs ``(i, j)`` with ``i < j``, sorted.
     """
     graph = _NeighborSets(adjacency)
-    n = graph.adjacency.shape[0]
+    n = len(graph.rows)
     if initial_match is not None:
         match = list(initial_match)
         if len(match) != n:
@@ -278,13 +285,6 @@ def greedy_weighted_matching(
     return max_cardinality_matching(support, initial_match=match)
 
 
-def by_block(predicate: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """``predicate(edges)``, 2**16 edges at a time: a long list's whole
-    temporaries would each cost fresh pages."""
-    blocks = [edges[at:at + 2**16] for at in range(0, edges.size, 2**16)]
-    return np.concatenate([predicate(block) for block in blocks or [edges]])
-
-
 def heaviest_links(links: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """The ``links`` (flat indices into ``weights``) heavier than the
     ``count``-th heaviest, heaviest first — all of them if there are no
@@ -318,14 +318,9 @@ def greedy_matching_on_sorted(
     keys = rng.random(ranked.size)
     match = [-1] * n
     free = n
-    head = heaviest[accept(heaviest)] if accept is not None else heaviest.copy()
-    heavy = weights[head]
-    same = heavy[1:] == heavy[:-1]
-    tied = np.zeros(head.size, dtype=bool)  # only a tie needs its keys
-    tied[1:] |= same
-    tied[:-1] |= same
-    edges = head[tied]
-    head[tied] = edges[np.lexsort((edges, keys[np.searchsorted(ranked, edges)], -heavy[tied]))]
+    # Ascending first, so that the stable sort leaves equal keys in edge order.
+    head = np.sort(heaviest[accept(heaviest)] if accept is not None else heaviest)
+    head = head[np.lexsort((keys[np.searchsorted(ranked, head)], -weights[head]))]
     rest, rest_keys = ranked, keys
     while free >= 2:
         rows, cols = np.divmod(head, n)
@@ -334,20 +329,10 @@ def greedy_matching_on_sorted(
                 match[a], match[b] = b, a
                 free -= 2
         # Every edge scanned lost an endpoint.  The next tier is the
-        # heaviest of those joining two unmatched vertices, found among
-        # the candidates or, when fewer, among the unmatched pairs.
-        spare = np.flatnonzero(np.array(match) == -1)
-        if spare.size**2 < rest.size:
-            a, b = np.triu_indices(spare.size, 1)
-            pairs = spare[a] * n + spare[b]
-            at = np.minimum(np.searchsorted(rest, pairs), rest.size - 1)
-            found = rest[at] == pairs
-            rest, rest_keys = pairs[found], rest_keys[at[found]]
-        else:
-            unmatched = np.zeros(n, dtype=bool)
-            unmatched[spare] = True
-            keep = by_block(lambda e: unmatched[e // n] & unmatched[e % n], rest)
-            rest, rest_keys = rest[keep], rest_keys[keep]
+        # heaviest of the candidates joining two unmatched vertices.
+        unmatched = np.array(match) == -1
+        keep = (unmatched[:, None] & unmatched).ravel()[rest]
+        rest, rest_keys = rest[keep], rest_keys[keep]
         if not rest.size:
             break
         heavy = weights[rest]

@@ -32,9 +32,8 @@ Name schema (documented in the README's Observability section):
   ``.second_pass_pairs`` — one ``AdaptivePeerSelector.select`` each;
   ``matching.augment_searches`` / ``.searches_skipped`` — blossom
   searches run, and skipped as twins of a failed root, in the blossoms
-  that still run (the default matcher's ``B*`` rounds, a weighted ``B*``
-  round the greedy leaves two workers of, a fallback graph with a
-  no-link pair); a fallback round completes in closed form.
+  that still run (a ``B*`` round of either matcher, a fallback graph
+  with a no-link pair); a fallback round completes in closed form.
 * ``round.compute_s`` / ``round.comm_s`` — per-round barrier times
   (histograms); ``run.horizon_s`` / ``run.rounds`` — run gauges.
 

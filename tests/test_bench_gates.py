@@ -16,7 +16,7 @@ PASSING = {
     "fault_round": {"extra_events": 0, "overhead": 0.01},
     "peer_selection": {
         "worst_over_median_default": 2.3, "worst_over_median_weighted": 2.7,
-        "peak_mib_weighted": 11.0,
+        "peak_mib_weighted": 8.7,
     },
     "substream_seeding": {"speedup_512": 3.9, "cost_ratio_1": 0.95},
 }
@@ -31,7 +31,7 @@ BREACHES = [
     ("fault_round", "overhead", 0.07, "<= 0.05"),
     ("peer_selection", "worst_over_median_default", 93.0, "<= 10"),
     ("peer_selection", "worst_over_median_weighted", 5.2, "<= 5"),
-    ("peer_selection", "peak_mib_weighted", 31.0, "<= 12.75"),
+    ("peer_selection", "peak_mib_weighted", 31.0, "<= 11"),
     ("substream_seeding", "speedup_512", 2.9, ">= 3"),
     ("substream_seeding", "cost_ratio_1", 1.2, "<= 1.15"),
 ]
