@@ -63,8 +63,8 @@ class _NeighborSets(dict):
         # 8 rows to a byte: a transpose of bytes, 8x cheaper than of bools.
         padded = np.zeros((-(-n // 8) * 8, n), dtype=np.uint8)
         padded[:n] = adjacency
-        shifts = np.arange(8, dtype=np.uint8)[:, None]
-        columns = np.bitwise_or.reduce(padded.reshape(-1, 8, n) << shifts, axis=1)
+        bits = (1 << np.arange(8, dtype=np.uint8))[:, None]
+        columns = np.bitwise_or.reduce(padded.reshape(-(-n // 8), 8, n) * bits, axis=1)
         if not np.array_equal(self.rows, columns.T):
             raise ValueError("adjacency must be symmetric")
 
@@ -318,16 +318,22 @@ def greedy_matching_on_sorted(
     keys = rng.random(ranked.size)
     match = [-1] * n
     free = n
-    # Ascending first, so that the stable sort leaves equal keys in edge order.
+    # A tier is taken in edge order (its keys looked up in ascending order,
+    # which misses the cache less) and scanned in (−weight, tie key, edge
+    # index) order: complex numbers sort by real part, then imaginary
+    # part, and a stable sort keeps edge order among equal pairs.
     head = np.sort(heaviest[accept(heaviest)] if accept is not None else heaviest)
-    head = head[np.lexsort((keys[np.searchsorted(ranked, head)], -weights[head]))]
+    order = -weights[head] + 1j * keys[np.searchsorted(ranked, head)]
+    head = head[np.argsort(order, kind="stable")]
     rest, rest_keys = ranked, keys
-    while free >= 2:
+    while True:
         rows, cols = np.divmod(head, n)
         for a, b in zip(rows.tolist(), cols.tolist()):
             if match[a] == -1 and match[b] == -1:
                 match[a], match[b] = b, a
                 free -= 2
+        if free < 2:
+            break
         # Every edge scanned lost an endpoint.  The next tier is the
         # heaviest of the candidates joining two unmatched vertices.
         unmatched = np.array(match) == -1
@@ -338,7 +344,7 @@ def greedy_matching_on_sorted(
         heavy = weights[rest]
         cut = np.partition(heavy, -tier)[-tier] if rest.size > tier else -np.inf
         pick = np.flatnonzero(heavy >= cut)
-        head = rest[pick[np.lexsort((rest_keys[pick], -heavy[pick]))]]
+        head = rest[pick[np.argsort(-heavy[pick] + 1j * rest_keys[pick], kind="stable")]]
     return match
 
 

@@ -77,6 +77,10 @@ class TestMaxCardinalityMatching:
     def test_empty_graph(self):
         assert max_cardinality_matching(np.zeros((4, 4), dtype=bool)) == []
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_graph_with_fewer_than_two_vertices(self, n):
+        assert max_cardinality_matching(np.zeros((n, n), dtype=bool)) == []
+
     def test_star_graph(self):
         edges = [(0, i) for i in range(1, 6)]
         match = max_cardinality_matching(adjacency_from_edges(6, edges))
@@ -87,6 +91,16 @@ class TestMaxCardinalityMatching:
         bad[0, 1] = True
         with pytest.raises(ValueError):
             max_cardinality_matching(bad)
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 17, 70])
+    def test_every_asymmetric_pair_rejected(self, n):
+        """Rows and columns are compared packed 8 to a byte: a lone
+        one-way edge anywhere, the last partial byte included, is found."""
+        for i, j in [(0, n - 1), (n - 1, 0), (n // 2 - 1, n - 1), (n - 2, n - 1)]:
+            bad = complete_adjacency(n)
+            bad[i, j] = False
+            with pytest.raises(ValueError, match="symmetric"):
+                max_cardinality_matching(bad)
 
     def test_self_loop_rejected(self):
         bad = np.eye(3, dtype=bool)
