@@ -296,8 +296,7 @@ def test_ablation_shared_vs_independent_mask(mlp_workload, bandwidth_32):
                 rows[a, mask_b] = 0.5 * (params_a[mask_b] + params_b[mask_b])
                 rows[b, mask_a] = 0.5 * (params_b[mask_a] + params_a[mask_a])
             if self.coordinator is not None:
-                for rank in range(self.num_workers):
-                    self.coordinator.notify_round_end(rank)
+                self.coordinator.notify_round_end(np.arange(self.num_workers))
             self.network.finish_round()
             return float(np.mean(losses))
 

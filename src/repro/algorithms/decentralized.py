@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
@@ -41,14 +41,10 @@ class DPSGD(DistributedAlgorithm):
         self._mix_buf: np.ndarray | None = None
         self._mix_tmp: np.ndarray | None = None
 
-    def _ring_neighbors(self, rank: int) -> List[int]:
-        n = self.num_workers
-        return [(rank - 1) % n, (rank + 1) % n]
-
-    def _ring_link_bandwidth(self, a: int, b: int) -> float:
-        if self.network.bandwidth is None:
-            return 0.0
-        return float(self.network.bandwidth[a, b])
+    def _ring(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every rank's left and right ring neighbour."""
+        ranks = np.arange(self.num_workers)
+        return (ranks - 1) % ranks.size, (ranks + 1) % ranks.size
 
     def _mix_ring(self) -> None:
         """Row-blocked ring mix: one cache-hot pass per block.
@@ -72,10 +68,8 @@ class DPSGD(DistributedAlgorithm):
         replicas = self.arena.data
         grads = self.arena.grads
         # Neighbour index vectors and per-row mixing weights (columns).
-        n = self.num_workers
-        ranks = np.arange(n)
-        prev_ranks = (ranks - 1) % n
-        next_ranks = (ranks + 1) % n
+        ranks = np.arange(self.num_workers)
+        prev_ranks, next_ranks = self._ring()
         self_w = np.diag(self.gossip)[:, None]
         prev_w = self.gossip[ranks, prev_ranks][:, None]
         next_w = self.gossip[ranks, next_ranks][:, None]
@@ -121,28 +115,19 @@ class DPSGD(DistributedAlgorithm):
         losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
         with obs.phase("comm"):
-            self._account_ring_traffic(round_index)
+            # Both neighbours' full models arrive at each worker: per
+            # rank, from its left neighbour, then from its right.
+            self.network.send_bytes(
+                round_index, np.column_stack(self._ring()).ravel(),
+                np.repeat(np.arange(self.num_workers), 2),
+                self.model_size * BYTES_PER_VALUE,
+            )
         with obs.phase("mix"):
             self._mix_ring()
         for worker in self.workers:
             worker.steps_taken += 1
         self.network.finish_round()
         return float(np.mean(losses))
-
-    def _account_ring_traffic(self, round_index: int) -> None:
-        """Meter both neighbours' full models arriving at each worker."""
-        model_bytes = self.model_size * BYTES_PER_VALUE
-        for rank in range(self.num_workers):
-            for neighbor in self._ring_neighbors(rank):
-                self.network.meter.record(
-                    round_index, neighbor, rank, model_bytes
-                )
-                if self.network.bandwidth is not None:
-                    self.network.timer.add_transfer(
-                        model_bytes,
-                        self._ring_link_bandwidth(neighbor, rank),
-                        endpoints=self.network.link_endpoints(neighbor, rank),
-                    )
 
 
 class DCDPSGD(DPSGD):
@@ -167,9 +152,8 @@ class DCDPSGD(DPSGD):
         # arena grad matrix.
         losses = self.cluster_trainer.compute_gradients()
         self._check_finite(losses, None, "round", round_index, "gradient")
-        n = self.num_workers
-        ranks = np.arange(n)
-        prev_ranks, next_ranks = (ranks - 1) % n, (ranks + 1) % n
+        ranks = np.arange(self.num_workers)
+        prev_ranks, next_ranks = self._ring()
         public = self.public
 
         # Phase 1: local updates from the public models, accumulated
@@ -194,19 +178,10 @@ class DCDPSGD(DPSGD):
         with obs.phase("comm"):
             batch = self.compressor.compress_matrix(delta_matrix, round_index)
             public += batch.to_dense(self.model_size)
-            payload_bytes = batch.row_bytes()
-            for rank in range(n):
-                for neighbor in self._ring_neighbors(rank):
-                    self.network.meter.record(
-                        round_index, rank, neighbor, payload_bytes[rank]
-                    )
-                    if self.network.bandwidth is not None:
-                        self.network.timer.add_transfer(
-                            payload_bytes[rank],
-                            self._ring_link_bandwidth(rank, neighbor),
-                            endpoints=self.network.link_endpoints(
-                                rank, neighbor
-                            ),
-                        )
+            # Per rank, to its left neighbour, then to its right.
+            self.network.send(
+                round_index, np.repeat(ranks, 2),
+                np.column_stack([prev_ranks, next_ranks]).ravel(), batch,
+            )
         self.network.finish_round()
         return float(np.mean(losses))

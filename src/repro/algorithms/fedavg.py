@@ -97,27 +97,23 @@ class FedAvg(DistributedAlgorithm):
             round_index, self._rng
         )
 
-    def _account(self, round_index: int, selected: List[int], upload_bytes: int) -> None:
-        """Dense download + (possibly sparse) upload per selected worker."""
+    def _account(self, selected: List[int], upload_bytes: int) -> None:
+        """Dense download + (possibly sparse) upload per selected worker,
+        timed as one server batch."""
         with obs.phase("comm"):
-            self._account_inner(round_index, selected, upload_bytes)
-
-    def _account_inner(
-        self, round_index: int, selected: List[int], upload_bytes: int
-    ) -> None:
-        model_bytes = self.model_size * BYTES_PER_VALUE
-        for rank in selected:
-            self.network.meter.record(
-                round_index, TrafficMeter.SERVER, rank, model_bytes
+            ranks = np.asarray(selected, dtype=np.int64)
+            server = np.full(ranks.size, TrafficMeter.SERVER)
+            model_bytes = self.model_size * BYTES_PER_VALUE
+            self.network.meter.record_round(
+                np.concatenate([server, ranks]),
+                np.concatenate([ranks, server]),
+                np.repeat([model_bytes, upload_bytes], ranks.size),
             )
-            self.network.meter.record(
-                round_index, rank, TrafficMeter.SERVER, upload_bytes
-            )
-        server_bandwidth = self.network.server_bandwidth
-        if server_bandwidth is not None:
-            total = len(selected) * (model_bytes + upload_bytes)
-            self.network.timer.add_transfer(total, server_bandwidth)
-        self.network.finish_round()
+            server_bandwidth = self.network.server_bandwidth
+            if server_bandwidth is not None:
+                total = len(selected) * (model_bytes + upload_bytes)
+                self.network.timer.add_transfer(total, server_bandwidth)
+            self.network.finish_round()
 
     def run_round(self, round_index: int) -> float:
         selected = self._select(round_index)
@@ -132,9 +128,7 @@ class FedAvg(DistributedAlgorithm):
         self._check_finite(losses, rows, "round", round_index)
         # Server-side average straight off the replica matrix rows.
         self.global_model = self.arena.data[selected].mean(axis=0)
-        self._account(
-            round_index, selected, self.model_size * BYTES_PER_VALUE
-        )
+        self._account(selected, self.model_size * BYTES_PER_VALUE)
         return float(np.mean(losses))
 
     def consensus_model(self) -> np.ndarray:
@@ -204,5 +198,5 @@ class SparseFedAvg(FedAvg):
             self.global_model.dtype, copy=False
         )
         upload_bytes = kept * (BYTES_PER_VALUE + BYTES_PER_INDEX)
-        self._account(round_index, selected, upload_bytes)
+        self._account(selected, upload_bytes)
         return float(np.mean(losses))

@@ -38,12 +38,11 @@ class PSGD(DistributedAlgorithm):
         # round regardless of n (sends N to its successor, receives N from
         # its predecessor — Table I's 2NT worker cost).
         with obs.phase("comm"):
-            n = self.num_workers
+            ranks = np.arange(self.num_workers)
             model_bytes = self.model_size * BYTES_PER_VALUE
-            for i in range(n):
-                self.network.meter.record(
-                    round_index, i, (i + 1) % n, model_bytes
-                )
+            self.network.meter.record_round(
+                ranks, (ranks + 1) % ranks.size, np.full(ranks.size, model_bytes)
+            )
             bottleneck = self.min_link_bandwidth()
             if bottleneck is not None:
                 # The collective moves 2N per worker gated by the
@@ -89,16 +88,14 @@ class TopKPSGD(DistributedAlgorithm):
         # n-1 workers (and receives n-1 sparse gradients).
         with obs.phase("comm"):
             n = self.num_workers
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        self.network.meter.record(
-                            round_index, i, j, payload_bytes[i]
-                        )
+            senders, receivers = np.nonzero(~np.eye(n, dtype=bool))
+            self.network.meter.record_round(
+                senders, receivers, payload_bytes[senders]
+            )
             bottleneck = self.min_link_bandwidth()
             if bottleneck is not None:
                 # A worker's NIC serializes its n-1 uploads.
-                worst = max(payload_bytes)
+                worst = int(payload_bytes.max())
                 self.network.timer.add_transfer((n - 1) * worst, bottleneck)
         self.network.finish_round()
         return float(np.mean(losses))

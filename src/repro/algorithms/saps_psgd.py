@@ -250,42 +250,38 @@ class SAPSPSGD(DistributedAlgorithm):
             )
         self._check_finite(losses, active_ranks, "round", round_index)
 
-        # Downed links first: surviving pairs actually exchange.
-        pairs = []
-        for a, b in plan.matching:
-            if faults and self.exchange_lost(round_index, a, b):
-                # The exchange was lost: both peers keep their local
-                # models (equivalent to being unmatched this round).
-                self.dropped_exchanges += 1
-                continue
-            pairs.append((a, b))
+        pairs = np.asarray(plan.matching, dtype=np.int64).reshape(-1, 2)
+        if faults:
+            # Downed links first: surviving pairs actually exchange; a
+            # lost exchange leaves both peers with their local models
+            # (equivalent to being unmatched this round).
+            kept = np.array(
+                [not self.exchange_lost(round_index, a, b) for a, b in plan.matching],
+                dtype=bool,
+            )
+            self.dropped_exchanges += int(kept.size - kept.sum())
+            pairs = pairs[kept]
 
-        # Batched Eq. (7) end-to-end: one compress_matrix call builds
-        # the round's shared mask (Algorithm 2, lines 6-7) and the
-        # payloads the pairs ship; the merge averages every matched pair's
-        # masked components and scatters them back.
-        if pairs:
+        # Batched Eq. (7) end-to-end: one batch holds the round's shared
+        # mask (Algorithm 2, lines 6-7) and the values the pairs ship;
+        # the merge averages every matched pair's masked components and
+        # scatters them back.
+        if pairs.size:
             with obs.phase("comm"):
                 if gathered is not None:
                     # Fused path: values were gathered during the
                     # update pass — bit-identical to re-reading the
                     # arena here.
                     batch = self.compressor.batch_from_values(
-                        gathered, mask_indices, plan.mask_seed,
-                        model_size=self.model_size,
+                        gathered, mask_indices, self.model_size
                     )
                 else:
                     batch = self.compressor.compress_matrix_with_seed(
                         self.arena.data, plan.mask_seed
                     )
-                for a, b in pairs:
-                    self.network.exchange(
-                        round_index, a, b, batch[a], batch[b]
-                    )
-                pair_array = np.asarray(pairs, dtype=np.int64)
+                self.network.exchange(round_index, pairs[:, 0], pairs[:, 1], batch)
                 average_pairs(
-                    self.arena.data, pair_array[:, :1], pair_array[:, 1:],
-                    batch.indices,
+                    self.arena.data, pairs[:, :1], pairs[:, 1:], batch.indices
                 )
 
         if self.network.bandwidth is not None:
@@ -293,9 +289,7 @@ class SAPSPSGD(DistributedAlgorithm):
                 utilized_bandwidth_per_round(plan.matching, self.network.bandwidth)
             )
         if self.coordinator is not None:
-            for rank in range(self.num_workers):
-                if active[rank]:
-                    self.coordinator.notify_round_end(rank)
+            self.coordinator.notify_round_end(active_ranks)
             assert self.coordinator.round_complete()
         self.network.finish_round()
         return float(np.mean(losses))

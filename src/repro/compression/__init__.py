@@ -2,5 +2,5 @@
 
 Each compressor takes the full ``(n, N)`` replica/gradient matrix of one
 round and returns a :class:`~repro.compression.base.BatchPayload`
-(per-row payloads plus batched value/index arrays).
+(the kept values of every row and their indices).
 """

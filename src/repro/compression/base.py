@@ -1,30 +1,28 @@
-"""Payloads and their byte-accounting.
-
-A compressor turns each row of a replica matrix into a :class:`Payload` —
-the thing that actually crosses the (simulated) wire.  Payload subtypes
-know their own wire size, which is how the library reproduces the
-paper's traffic numbers:
-
-* :class:`SharedMaskPayload` — the paper's scheme: the mask is derived
-  from a coordinator seed on *both* sides, so only the ``≈N/c`` surviving
-  values travel; **no index overhead** (Section II-B).
-* :class:`IndexedPayload` — Top-k-style: values *and* their indices
-  travel (used by TopK-PSGD and DCD-PSGD).
+"""A round's compressed payload and its byte-accounting.
 
 Since the parameter arena stores the whole cluster as one ``(n, N)``
 replica matrix, compression runs **per round instead of per worker**:
-the compressors take the matrix and return a :class:`BatchPayload` — one
-payload per row plus the batched value/index arrays, so decompression and
-error feedback stay matrix-shaped and keep the source dtype (a float32
-round must not re-inflate into float64 and double the memory traffic the
-simulation is modelling).  Each row equals, element for element, what
-the per-row compressors of ``tests/reference/compressors.py`` build.
+the compressors take the matrix and return a :class:`BatchPayload` —
+the kept values of every row, and the indices they sit at.  Row ``i``
+is what worker ``i`` puts on the (simulated) wire, and its weight is
+arithmetic on the batch's shape, which is how the library reproduces
+the paper's traffic numbers:
+
+* a shared-mask batch (the paper's scheme) derives the mask from a
+  coordinator seed on *both* sides, so only the ``≈N/c`` surviving
+  values travel; **no index overhead** (Section II-B);
+* a top-k batch (TopK-PSGD, DCD-PSGD) ships values *and* their indices.
+
+Decompression and error feedback stay matrix-shaped and keep the source
+dtype (a float32 round must not re-inflate into float64 and double the
+memory traffic the simulation is modelling).  Each row equals, element
+for element, what the per-row compressors of
+``tests/reference/compressors.py`` build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -37,76 +35,37 @@ BYTES_PER_VALUE = 4
 BYTES_PER_INDEX = 4
 
 
-class Payload:
-    """Base class for anything sent between peers."""
-
-    def num_bytes(self) -> int:
-        raise NotImplementedError
-
-
 @dataclass
-class SharedMaskPayload(Payload):
-    """Masked values only — receiver regenerates the mask from the seed.
-
-    ``indices`` are carried in-object for simulation convenience but do
-    NOT count toward wire size: both end-points derive them from the
-    shared seed (Algorithm 2, lines 6-7).
-    """
-
-    values: np.ndarray
-    indices: np.ndarray
-    mask_seed: int
-
-    def num_bytes(self) -> int:
-        return self.values.size * BYTES_PER_VALUE
-
-
-@dataclass
-class IndexedPayload(Payload):
-    """Sparse values with explicit indices (Top-k style)."""
-
-    values: np.ndarray
-    indices: np.ndarray
-
-    def num_bytes(self) -> int:
-        return self.values.size * BYTES_PER_VALUE + self.indices.size * BYTES_PER_INDEX
-
-
-@dataclass
-class BatchPayload(Payload):
-    """One communication round's payloads for every row of a matrix.
-
-    Row ``i``'s payload (``batch[i]``) is exactly what a per-row
-    compressor would have built for ``matrix[i]`` — same values, indices
-    and wire bytes — and is backed by the batched arrays:
+class BatchPayload:
+    """One communication round's compressed rows, one per worker.
 
     ``values``
-        ``(n, k)`` value matrix whose rows back the per-row payloads
-        (views — no per-row copies).
+        ``(n, k)`` value matrix: row ``i`` is what worker ``i`` sends.
     ``indices``
-        A shared ``(k,)`` index vector for shared-mask batches, or an
-        ``(n, k)`` per-row index matrix for top-k batches.
+        A shared ``(k,)`` index vector for shared-mask batches (both
+        ends derive it from the round seed, so it does not travel), or
+        an ``(n, k)`` per-row index matrix for top-k batches (shipped
+        beside the values).
     """
 
-    payloads: List[Payload]
     values: np.ndarray
     indices: np.ndarray
 
-    def __getitem__(self, index: int) -> Payload:
-        return self.payloads[index]
+    def row_bytes(self) -> np.ndarray:
+        """Wire bytes per row (what each worker actually sends):
+        ``k·4`` for a shared mask, ``k·(4 + 4)`` for top-k."""
+        rows, kept = self.values.shape
+        per_value = BYTES_PER_VALUE + (BYTES_PER_INDEX if self.indices.ndim == 2 else 0)
+        return np.full(rows, kept * per_value, dtype=np.int64)
 
     def num_bytes(self) -> int:
         """Total wire bytes across all rows."""
-        return sum(payload.num_bytes() for payload in self.payloads)
-
-    def row_bytes(self) -> List[int]:
-        """Wire bytes per row (what each worker actually sends)."""
-        return [payload.num_bytes() for payload in self.payloads]
+        return int(self.row_bytes().sum())
 
     def to_dense(self, size: int) -> np.ndarray:
         """Materialize the whole batch as an ``(n, size)`` matrix, in the
         values' dtype: one scatter of the batched arrays."""
-        dense = np.zeros((len(self.payloads), size), dtype=self.values.dtype)
+        dense = np.zeros((len(self.values), size), dtype=self.values.dtype)
         if self.indices.ndim == 1:
             dense[:, self.indices] = self.values
         else:
@@ -134,7 +93,7 @@ class BatchPayload(Payload):
         for row, values in enumerate(sent):
             total[self.indices if shared else self.indices[row]] += values
         return np.true_divide(
-            total, np.intp(len(self.payloads)), out=total, casting="unsafe"
+            total, np.intp(len(self.values)), out=total, casting="unsafe"
         )
 
 
@@ -154,23 +113,22 @@ def check_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def record_batch_metrics(matrix: np.ndarray, batch: BatchPayload) -> None:
+def record_batch_metrics(batch: BatchPayload, dense_values: int) -> None:
     """Account one round's compression savings in the metrics registry.
 
     ``compression.bytes_dense`` is what the round would have shipped
-    uncompressed (``n·N`` values at wire width); ``bytes_wire`` is what
-    the batch actually weighs; ``bytes_saved`` their difference.  No-op
-    (one attribute read) when telemetry is off, and never touches the
-    payloads' numeric content.
+    uncompressed (its ``dense_values`` at wire width); ``bytes_wire`` is
+    what the batch actually weighs; ``bytes_saved`` their difference.
+    No-op (one attribute read) when telemetry is off, and never touches
+    the batch's numeric content.
     """
     from repro import obs
 
     registry = obs.metrics()
     if registry is None:
         return
-    dense = int(matrix.size) * BYTES_PER_VALUE
-    wire = int(batch.num_bytes())
+    dense = int(dense_values) * BYTES_PER_VALUE
+    wire = batch.num_bytes()
     registry.inc("compression.bytes_dense", float(dense))
     registry.inc("compression.bytes_wire", float(wire))
     registry.inc("compression.bytes_saved", float(dense - wire))
-

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.compression.base import (
     BatchPayload,
-    SharedMaskPayload,
     check_compression_ratio,
     check_matrix,
     record_batch_metrics,
@@ -45,11 +44,7 @@ class RandomMaskCompressor:
         self.ratio = check_compression_ratio(compression_ratio)
 
     def batch_from_values(
-        self,
-        values: np.ndarray,
-        indices: np.ndarray,
-        seed: int,
-        model_size: int | None = None,
+        self, values: np.ndarray, indices: np.ndarray, model_size: int
     ) -> BatchPayload:
         """Assemble the round's :class:`BatchPayload` from pre-gathered
         components.
@@ -57,37 +52,14 @@ class RandomMaskCompressor:
         The fused round engine reads each replica block's masked columns
         immediately after that block's local update, while the rows are
         still cache-hot; this wraps the resulting ``(n, k)`` value matrix
-        in exactly the payload structure
-        :meth:`compress_matrix_with_seed` builds, skipping its second
-        full pass over the replica matrix.  Caller contract:
-        ``values[i] == matrix[i, indices]`` where ``indices`` are the
-        kept positions of ``seed``'s mask.
+        without :meth:`compress_matrix_with_seed`'s second full pass over
+        the replica matrix.  Caller contract: ``values[i] ==
+        matrix[i, indices]`` where ``indices`` are the kept positions of
+        the round seed's mask, and ``model_size`` is ``N`` (the savings
+        are measured against the ``(n, N)`` read).
         """
-        values = check_matrix(values)
-        batch = BatchPayload(
-            payloads=[
-                SharedMaskPayload(
-                    values=values[row], indices=indices, mask_seed=int(seed)
-                )
-                for row in range(values.shape[0])
-            ],
-            values=values,
-            indices=indices,
-        )
-        # Dense reference: the fused gather never materializes the
-        # (n, N) read, so the caller passes ``model_size`` for parity
-        # with :meth:`compress_matrix_with_seed`'s accounting.
-        if model_size is not None:
-            from repro import obs
-            from repro.compression.base import BYTES_PER_VALUE
-
-            registry = obs.metrics()
-            if registry is not None:
-                dense = values.shape[0] * int(model_size) * BYTES_PER_VALUE
-                wire = int(batch.num_bytes())
-                registry.inc("compression.bytes_dense", float(dense))
-                registry.inc("compression.bytes_wire", float(wire))
-                registry.inc("compression.bytes_saved", float(dense - wire))
+        batch = BatchPayload(values=check_matrix(values), indices=indices)
+        record_batch_metrics(batch, len(batch.values) * model_size)
         return batch
 
     def compress_matrix_with_seed(
@@ -101,18 +73,5 @@ class RandomMaskCompressor:
         read.
         """
         matrix = check_matrix(matrix)
-        mask = generate_mask(matrix.shape[1], self.ratio, seed)
-        indices = np.flatnonzero(mask)
-        values = matrix[:, indices]
-        batch = BatchPayload(
-            payloads=[
-                SharedMaskPayload(
-                    values=values[row], indices=indices, mask_seed=int(seed)
-                )
-                for row in range(matrix.shape[0])
-            ],
-            values=values,
-            indices=indices,
-        )
-        record_batch_metrics(matrix, batch)
-        return batch
+        indices = np.flatnonzero(generate_mask(matrix.shape[1], self.ratio, seed))
+        return self.batch_from_values(matrix[:, indices], indices, matrix.shape[1])

@@ -20,7 +20,6 @@ import numpy as np
 from repro import obs
 from repro.compression.base import (
     BatchPayload,
-    IndexedPayload,
     check_compression_ratio,
     check_matrix,
     record_batch_metrics,
@@ -125,13 +124,6 @@ class TopKCompressor:
         matrix = check_matrix(matrix)
         indices = top_k_indices_matrix(matrix, self.k_for(matrix.shape[1]))
         values = np.take_along_axis(matrix, indices, axis=1)
-        batch = BatchPayload(
-            payloads=[
-                IndexedPayload(values=values[row], indices=indices[row])
-                for row in range(matrix.shape[0])
-            ],
-            values=values,
-            indices=indices,
-        )
-        record_batch_metrics(matrix, batch)
+        batch = BatchPayload(values=values, indices=indices)
+        record_batch_metrics(batch, matrix.size)
         return batch

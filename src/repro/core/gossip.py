@@ -210,11 +210,14 @@ class AdaptivePeerSelector:
         if bandwidth_threshold is None:
             bandwidth_threshold = _median_link(self.bandwidth)
         self.bandwidth_threshold = float(bandwidth_threshold)
-        # B*, as the blossom's input; the weighted matcher drops no-link pairs.
-        self.filtered = self.bandwidth >= self.bandwidth_threshold
-        if prefer_weighted:
-            self.filtered &= self.bandwidth > 0
-        np.fill_diagonal(self.filtered, False)
+        # B*, as the blossom's input: no matcher pairs over a 0 (no) link.
+        self._linked = self.bandwidth > 0
+        self.filtered = (self.bandwidth >= self.bandwidth_threshold) & self._linked
+        # Where B lacks a link, the graphs matched in closed form are not
+        # complete (multipartite) and must be cut down to B's links.
+        np.fill_diagonal(self._linked, True)
+        if self._linked.all():
+            self._linked = None
         self._rng = as_generator(rng)
         self.prefer_weighted = prefer_weighted
         # R: the recent rounds' matchings, oldest first, as (round, pairs).
@@ -229,6 +232,17 @@ class AdaptivePeerSelector:
                 self._links, self.bandwidth.ravel(), 8 * self.num_workers
             )
 
+    def _match_multipartite(self, parts: np.ndarray, members: np.ndarray) -> Matching:
+        """``RandomlyMaxMatch`` on the complete multipartite graph over
+        ``members`` (``parts[v]`` names ``v``'s part): in closed form, or,
+        where one of its pairs has no link, by the blossom on the linked
+        subgraph.  Either way one permutation is drawn."""
+        if self._linked is not None:
+            graph = _restrict(parts[:, None] != parts, members)
+            if (graph > self._linked).any():
+                return randomly_max_match(graph & self._linked, rng=self._rng)
+        return randomly_max_match_multipartite(parts, members, rng=self._rng)
+
     def _match(
         self, connected: bool, labels: np.ndarray, active: Optional[np.ndarray]
     ) -> Matching:
@@ -237,7 +251,7 @@ class AdaptivePeerSelector:
         if not self.prefer_weighted:
             if connected:
                 return randomly_max_match(_restrict(self.filtered, active), rng=self._rng)
-            return randomly_max_match_multipartite(labels, everyone, rng=self._rng)
+            return self._match_multipartite(labels, everyone)
         links = self._preferred if connected else self._links
         # A link is a candidate if it joins two active workers of distinct
         # parts: every B* link, in a connected round without churn.
@@ -302,7 +316,7 @@ class AdaptivePeerSelector:
                     if active is not None:
                         free &= active
                     # GetUnmatch: the free workers' complete graph.
-                    extra = randomly_max_match_multipartite(np.arange(n), free, rng=self._rng)
+                    extra = self._match_multipartite(np.arange(n), free)
                 second_pass = len(extra)
                 matching.extend(extra)
                 matching.sort()

@@ -17,7 +17,7 @@ Message flow per round ``t``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class Coordinator:
         )
         self.num_workers = self.selector.num_workers
         self.base_seed = int(base_seed)
-        self._round_ends: Set[int] = set()
+        #: Which workers sent this round's "ROUND END".
+        self._ended = np.zeros(self.num_workers, dtype=bool)
         self._expected_ends = self.num_workers
         self.current_round = -1
 
@@ -84,7 +85,7 @@ class Coordinator:
             round_index, active=active
         )
         self.current_round = round_index
-        self._round_ends = set()
+        self._ended[:] = False
         self._expected_ends = (
             self.num_workers if active is None else int(np.sum(active))
         )
@@ -98,15 +99,20 @@ class Coordinator:
             used_fallback=selection.used_fallback,
         )
 
-    def notify_round_end(self, rank: int) -> None:
-        """A worker's "ROUND END" message (Algorithm 2, line 11)."""
-        if not 0 <= rank < self.num_workers:
-            raise ValueError(f"rank {rank} out of range")
-        if rank in self._round_ends:
-            raise ValueError(f"worker {rank} already ended round")
-        self._round_ends.add(rank)
+    def notify_round_end(self, ranks) -> None:
+        """The "ROUND END" messages (Algorithm 2, line 11) of a rank or
+        an array of ranks; a rank out of range, or one that already
+        ended the round, raises naming it."""
+        ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
+        bad = (ranks < 0) | (ranks >= self.num_workers)
+        if bad.any():
+            raise ValueError(f"rank {ranks[bad][0]} out of range")
+        ends = np.bincount(ranks, minlength=self.num_workers) + self._ended
+        if ends.max(initial=0) > 1:
+            raise ValueError(f"worker {np.argmax(ends > 1)} already ended round")
+        self._ended = ends.astype(bool)
 
     def round_complete(self) -> bool:
         """True once every *participating* worker has notified
         (Algorithm 1, line 7)."""
-        return len(self._round_ends) == self._expected_ends
+        return int(self._ended.sum()) == self._expected_ends

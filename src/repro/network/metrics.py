@@ -1,15 +1,17 @@
 """Traffic and communication-time accounting.
 
 The paper's Figs. 4-6 and Table IV plot *per-worker accumulated traffic*
-(MB) and *communication time* (s).  The simulator attributes every payload
-to its sender and receiver here, and models per-round time as the paper
-does: synchronous rounds, so a round costs ``max over concurrent
-transfers of bytes / link_bandwidth``.
+(MB) and *communication time* (s).  The simulator attributes every
+transfer to its sender and receiver here, and models per-round time as
+the paper does: synchronous rounds, so a round costs ``max over
+concurrent transfers of bytes / link_bandwidth``.  A synchronous round
+hands over its transfers as arrays (senders, receivers, bytes), one call
+per round; the event engine meters one transfer at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -64,6 +66,28 @@ class TrafficMeter:
         self.num_transfers += 1
         self.size_counts[num_bytes] = self.size_counts.get(num_bytes, 0) + 1
 
+    def record_round(
+        self, senders: np.ndarray, receivers: np.ndarray, num_bytes: np.ndarray
+    ) -> None:
+        """Account a round's directed transfers ``senders[i] →
+        receivers[i]`` of ``num_bytes[i]`` each: what :meth:`record` does
+        per transfer, as array operations over the round."""
+        if (num_bytes < 0).any():
+            raise ValueError(f"num_bytes must be non-negative, got {num_bytes.min()}")
+        nodes = np.concatenate([senders, receivers])
+        bad = (nodes < self.SERVER) | (nodes >= self.num_workers)
+        if bad.any():
+            raise ValueError(f"node {nodes[bad][0]} out of range")
+        # The server's -1 lands in the last slot.
+        slots = self.num_workers + 1
+        self._sent += np.bincount(senders % slots, num_bytes, slots)
+        self._received += np.bincount(receivers % slots, num_bytes, slots)
+        self.total_bytes += int(num_bytes.sum())
+        self.num_transfers += int(num_bytes.size)
+        sizes, counts = np.unique(num_bytes, return_counts=True)
+        for size, count in zip(sizes.tolist(), counts.tolist()):
+            self.size_counts[size] = self.size_counts.get(size, 0) + count
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -85,42 +109,42 @@ class TrafficMeter:
 class CommunicationTimer:
     """Synchronous-round communication-time model.
 
-    Per round, callers report each concurrent transfer's
-    ``(bytes, bandwidth_mb_per_s)``; the round's elapsed time is the
-    maximum single-transfer duration (all transfers proceed in parallel,
-    and the round barrier waits for the slowest — exactly the model behind
-    the paper's Fig. 6).  Serial phases within a round (e.g. FedAvg's
-    download-then-upload) can be accounted by calling
-    :meth:`finish_round` per phase.  Per-endpoint link contention is the
-    event engine's (:class:`repro.sim.events.EventEngine`).
+    Per round, callers report the concurrent transfers: a round's linked
+    transfers as arrays through :meth:`add_transfers`, or one collective
+    (an all-reduce, an allgather, a server batch) through
+    :meth:`add_transfer`.  A transfer lasts ``(bytes / MB) / bandwidth``
+    seconds, and the round's elapsed time is the longest one (all
+    transfers proceed in parallel, and the round barrier waits for the
+    slowest — exactly the model behind the paper's Fig. 6).  Serial
+    phases within a round (e.g. FedAvg's download-then-upload) can be
+    accounted by calling :meth:`finish_round` per phase.  Per-endpoint
+    link contention is the event engine's
+    (:class:`repro.sim.events.EventEngine`).
     """
+
+    #: Sender / receiver of a collective transfer: it names no link ends
+    #: and occupies every participant.
+    COLLECTIVE = -2
 
     def __init__(self) -> None:
         self.total_seconds = 0.0
         self.round_seconds: List[float] = []
-        self._current: List[float] = []
-        self._current_endpoints: List[Optional[Tuple]] = []
-        self._last: Tuple[List[float], List[Optional[Tuple]]] = ([], [])
+        #: The open phase's ``(durations, senders, receivers)`` chunks.
+        self._current: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._last: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @property
-    def last_round_transfers(self) -> List[Tuple[float, float, Optional[Tuple]]]:
-        """``(begin_s, end_s, endpoints)`` of every transfer of the most
-        recently finished round/phase, relative to the phase start: the
-        schedule :meth:`finish_round` timed, spelled out on demand (the
+    def last_round_transfers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(durations, senders, receivers)`` of every transfer of the
+        most recently finished round/phase, in the order they were
+        added; each began at the phase start.  Built when read (the
         round loop asks only when it keeps per-worker timelines)."""
-        return [(0.0, duration, endpoints) for duration, endpoints in zip(*self._last)]
+        empty = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
+        return tuple(np.concatenate(column) for column in zip(empty, *self._last))
 
-    def add_transfer(
-        self,
-        num_bytes: float,
-        bandwidth_mb_per_s: float,
-        endpoints: Optional[Tuple] = None,
-    ) -> float:
-        """Register one transfer in the current round; returns its duration.
-
-        ``endpoints`` names the directional link ends this transfer
-        occupies (any hashable keys), for the per-worker timeline.
-        """
+    def add_transfer(self, num_bytes: float, bandwidth_mb_per_s: float) -> float:
+        """Register one collective transfer in the current round; returns
+        its duration (0 for no bytes)."""
         if num_bytes < 0:
             raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
         if num_bytes == 0:
@@ -130,20 +154,45 @@ class CommunicationTimer:
                 f"bandwidth must be positive, got {bandwidth_mb_per_s}"
             )
         duration = (num_bytes / MB) / bandwidth_mb_per_s
-        self._current.append(duration)
-        self._current_endpoints.append(
-            tuple(endpoints) if endpoints is not None else None
-        )
+        ends = np.array([self.COLLECTIVE])
+        self._current.append((np.array([duration]), ends, ends))
         return duration
+
+    def add_transfers(
+        self,
+        round_index: int,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        num_bytes: np.ndarray,
+        bandwidth_mb_per_s: np.ndarray,
+    ) -> None:
+        """Register a round's linked transfers ``senders[i] →
+        receivers[i]`` of ``num_bytes[i]`` over a link of
+        ``bandwidth_mb_per_s[i]``.  Zero-byte transfers take no time; a
+        transfer with bytes over a link that is not positive raises,
+        naming its ends and ``round_index``."""
+        sent = num_bytes > 0
+        dead = sent & ~(bandwidth_mb_per_s > 0)
+        if dead.any():
+            i = np.flatnonzero(dead)[0]
+            raise ValueError(
+                f"round {round_index}: worker {senders[i]} -> worker "
+                f"{receivers[i]} has no link (bandwidth "
+                f"{bandwidth_mb_per_s[i]} MB/s)"
+            )
+        durations = (num_bytes[sent] / MB) / bandwidth_mb_per_s[sent]
+        self._current.append((durations, senders[sent], receivers[sent]))
 
     def finish_round(self) -> float:
         """Close the round: elapsed = slowest concurrent transfer."""
-        elapsed = max(self._current) if self._current else 0.0
-        self._last = (self._current, self._current_endpoints)
+        elapsed = max(
+            (float(chunk.max()) for chunk, _, _ in self._current if chunk.size),
+            default=0.0,
+        )
+        self._last = self._current
         self.round_seconds.append(elapsed)
         self.total_seconds += elapsed
         self._current = []
-        self._current_endpoints = []
         return elapsed
 
 
@@ -157,6 +206,5 @@ def utilized_bandwidth_per_round(
     pairs.  Returns ``inf`` for an empty matching (no communication
     constraint).
     """
-    if not matching:
-        return float("inf")
-    return float(min(bandwidth[i, j] for i, j in matching))
+    pairs = np.asarray(matching, dtype=np.intp).reshape(-1, 2)
+    return float(bandwidth[pairs[:, 0], pairs[:, 1]].min(initial=np.inf))

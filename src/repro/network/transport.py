@@ -1,9 +1,13 @@
 """Simulated transport: couples a bandwidth matrix with traffic/time meters.
 
 :class:`SimulatedNetwork` is what the algorithms talk to.  It does not
-move data (the in-process simulator hands payload objects around
-directly); it *accounts* — bytes per endpoint and synchronous-round time —
-so every experiment gets Figs. 4-6 numbers for free.
+move data (the algorithms mix the replica matrix in place); it
+*accounts* — bytes per endpoint and synchronous-round time — so every
+experiment gets Figs. 4-6 numbers for free.  A synchronous round says
+who sends how many bytes to whom in one call of arrays
+(:meth:`~SimulatedNetwork.send_bytes`, :meth:`~SimulatedNetwork.send`,
+:meth:`~SimulatedNetwork.exchange`); each transfer is metered at both
+ends and timed at its link.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.compression.base import Payload
-from repro.network.metrics import MB, CommunicationTimer, TrafficMeter
+from repro.compression.base import BatchPayload
+from repro.network.metrics import CommunicationTimer, TrafficMeter
 from repro.utils.validation import check_positive, check_square
 
 
@@ -86,39 +90,36 @@ class SimulatedNetwork:
             return None
         return float(self.bandwidth[sender, receiver])
 
-    def send(
-        self, round_index: int, sender: int, receiver: int, payload: Payload
-    ) -> int:
-        """Account one payload transfer; returns its wire size in bytes."""
-        num_bytes = payload.num_bytes()
-        self.meter.record(round_index, sender, receiver, num_bytes)
-        link = self.link_bandwidth(sender, receiver)
-        if link is not None:
-            self.timer.add_transfer(
-                num_bytes, link, endpoints=self.link_endpoints(sender, receiver)
-            )
-        return num_bytes
+    def send_bytes(self, round_index: int, senders, receivers, num_bytes) -> None:
+        """Account a round's linked transfers ``senders[i] →
+        receivers[i]`` of ``num_bytes[i]`` bytes (one number applies to
+        all): metered at both ends, timed at the link — a server end at
+        ``server_bandwidth`` — wherever time is modelled."""
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        num_bytes = np.broadcast_to(np.asarray(num_bytes, dtype=np.int64), senders.shape)
+        self.meter.record_round(senders, receivers, num_bytes)
+        server = (senders == TrafficMeter.SERVER) | (receivers == TrafficMeter.SERVER)
+        if self.bandwidth is not None:
+            speeds = np.where(server, self.server_bandwidth, self.bandwidth[senders, receivers])
+        elif self.server_bandwidth is not None:  # only the server's links are timed
+            senders, receivers, num_bytes = senders[server], receivers[server], num_bytes[server]
+            speeds = np.full(senders.shape, self.server_bandwidth)
+        else:  # time is not modelled
+            return
+        self.timer.add_transfers(round_index, senders, receivers, num_bytes, speeds)
 
-    def send_bytes(
-        self, round_index: int, sender: int, receiver: int, num_bytes: int
-    ) -> int:
-        """Account a raw byte transfer (for aggregate collectives)."""
-        self.meter.record(round_index, sender, receiver, num_bytes)
-        link = self.link_bandwidth(sender, receiver)
-        if link is not None:
-            self.timer.add_transfer(
-                num_bytes, link, endpoints=self.link_endpoints(sender, receiver)
-            )
-        return num_bytes
+    def send(self, round_index: int, senders, receivers, batch: BatchPayload) -> None:
+        """:meth:`send_bytes` of each sender's row of ``batch``."""
+        self.send_bytes(round_index, senders, receivers, batch.row_bytes()[senders])
 
-    def exchange(
-        self, round_index: int, worker_a: int, worker_b: int, payload_a: Payload,
-        payload_b: Payload,
-    ) -> Tuple[int, int]:
-        """Bidirectional peer exchange (the SAPS pattern)."""
-        bytes_a = self.send(round_index, worker_a, worker_b, payload_a)
-        bytes_b = self.send(round_index, worker_b, worker_a, payload_b)
-        return bytes_a, bytes_b
+    def exchange(self, round_index: int, worker_a, worker_b, batch: BatchPayload) -> None:
+        """Both directions of a round's pairs ``(worker_a[i],
+        worker_b[i])`` (the SAPS pattern): each sends its row of
+        ``batch`` to the other."""
+        forward = np.column_stack([worker_a, worker_b]).ravel()
+        backward = np.column_stack([worker_b, worker_a]).ravel()
+        self.send(round_index, forward, backward, batch)
 
     def finish_round(self) -> float:
         """Close the synchronous round in the timer."""

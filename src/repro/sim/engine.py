@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro import obs
 from repro.data.datasets import Dataset
-from repro.network.metrics import TrafficMeter
+from repro.network.metrics import CommunicationTimer, TrafficMeter
 from repro.network.transport import SimulatedNetwork
 from repro.nn.module import Module
 from repro.sim.trainer import TrainingWorker, bind_arena
@@ -237,16 +237,19 @@ def _trace_round(
         for rank in participants:
             dt = float(compute_model.step_time(round_index, rank, steps))
             trace.add(rank, "compute", start, start + dt)
-    for begin, end, endpoints in transfers:
-        if endpoints:
-            nodes = [n for _, n in endpoints if n != TrafficMeter.SERVER]
-        else:
+    durations, senders, receivers = transfers
+    for duration, sender, receiver in zip(
+        durations.tolist(), senders.tolist(), receivers.tolist()
+    ):
+        if sender == CommunicationTimer.COLLECTIVE:
             # Collectives (ring all-reduce, sparse allgather, the
             # aggregated server batch) declare no link ends but occupy
             # every participant.
             nodes = participants
+        else:
+            nodes = [n for n in (sender, receiver) if n != TrafficMeter.SERVER]
         for node in nodes:
-            trace.add(node, "comm", barrier + begin, barrier + end)
+            trace.add(node, "comm", barrier, barrier + duration)
 
 
 def run_experiment(

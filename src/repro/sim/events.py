@@ -232,16 +232,22 @@ class EventEngine:
             return 0.0
         return float(self.compute_model.step_time(cycle_index, rank, steps))
 
-    def transfer_seconds(self, sender: int, receiver: int, num_bytes: int) -> float:
+    def transfer_seconds(
+        self, sender: int, receiver: int, num_bytes: int, index: int
+    ) -> float:
         """Unloaded duration of one directed transfer (0 when the link is
-        not time-modelled)."""
+        not time-modelled); a transfer over a link that is not positive
+        raises, naming its ends and ``index`` (the meter's slot)."""
         if num_bytes == 0:
             return 0.0
         link = self.network.link_bandwidth(sender, receiver)
         if link is None:
             return 0.0
         if link <= 0:
-            raise ValueError(f"bandwidth must be positive, got {link}")
+            raise ValueError(
+                f"exchange {index}: worker {sender} -> worker {receiver} "
+                f"has no link (bandwidth {link} MB/s)"
+            )
         return (num_bytes / MB) / link
 
     def schedule(self, time: float, action: Callable) -> None:
@@ -278,7 +284,7 @@ class EventEngine:
         Bytes are metered at the call (``index`` is the meter's round
         slot — async callers pass their exchange counter).
         """
-        duration = self.transfer_seconds(sender, receiver, num_bytes)
+        duration = self.transfer_seconds(sender, receiver, num_bytes, index)
         endpoints = SimulatedNetwork.link_endpoints(sender, receiver)
         link_free = self._link_free
         begin = start

@@ -107,3 +107,15 @@ def settled_growth(call, calls=100_000):
         return tracemalloc.get_traced_memory()[0] - settled
     finally:
         tracemalloc.stop()
+
+
+def cut_links(seed, num_workers=8, cuts=6):
+    """Bandwidth uniform on (1, 5] MB/s with ``cuts`` random links set to
+    0 MB/s (no link) on both sides."""
+    from repro.network.bandwidth import random_uniform_bandwidth
+
+    bandwidth = random_uniform_bandwidth(num_workers, low=1.0, rng=seed)
+    rows, cols = np.triu_indices(num_workers, 1)
+    cut = np.random.default_rng(seed).choice(rows.size, cuts, replace=False)
+    bandwidth[rows[cut], cols[cut]] = bandwidth[cols[cut], rows[cut]] = 0.0
+    return bandwidth

@@ -2,9 +2,11 @@
 compressors are checked against.
 
 ``repro.compression`` compresses a whole ``(n, N)`` replica matrix per
-round.  What it once also did one vector at a time lives here: the
-seeded shared-mask payload, the top-k payload, the one-row top-k
-selection and a payload's dense scatter.  :class:`RandomMaskCompressor`
+round into one :class:`~repro.compression.base.BatchPayload` whose wire
+size is arithmetic on its shape.  What it once also did one vector at a
+time lives here: the per-row payload objects that each know their own
+wire size (:class:`SharedMaskPayload`, :class:`IndexedPayload`), the
+one-row top-k selection and a payload's dense scatter.  :class:`RandomMaskCompressor`
 and :class:`TopKCompressor` are the shipped classes with their per-row
 ``compress`` put back, so one object carries both paths (the per-row
 ``ErrorFeedback`` of ``error_feedback.py`` runs on ``compress``).
@@ -12,10 +14,44 @@ and :class:`TopKCompressor` are the shipped classes with their per-row
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.compression import random_mask, topk
-from repro.compression.base import IndexedPayload, SharedMaskPayload
+from repro.compression.base import BYTES_PER_INDEX, BYTES_PER_VALUE
+
+
+class Payload:
+    """Base class for anything sent between peers."""
+
+    def num_bytes(self) -> int:
+        raise NotImplementedError
+
+
+@dataclass
+class SharedMaskPayload(Payload):
+    """Masked values only — the receiver regenerates the mask from the
+    seed, so ``indices`` do NOT count toward wire size (Algorithm 2,
+    lines 6-7)."""
+
+    values: np.ndarray
+    indices: np.ndarray
+    mask_seed: int
+
+    def num_bytes(self) -> int:
+        return self.values.size * BYTES_PER_VALUE
+
+
+@dataclass
+class IndexedPayload(Payload):
+    """Sparse values with explicit indices (Top-k style)."""
+
+    values: np.ndarray
+    indices: np.ndarray
+
+    def num_bytes(self) -> int:
+        return self.values.size * BYTES_PER_VALUE + self.indices.size * BYTES_PER_INDEX
 
 
 def to_dense(payload, size: int) -> np.ndarray:

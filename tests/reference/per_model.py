@@ -14,8 +14,11 @@ Covered families: SAPS-PSGD, PSGD, TopK-PSGD, D-PSGD (the ones whose
 communication phase has a vectorized form worth checking).  A reference
 class is a drop-in for its shipped parent — same constructor, same
 ``setup`` / ``run_round`` / ``run_experiment`` call shapes — and inherits
-only what is not under test: constructor validation, peer selection and
-the traffic meters' accounting helpers.
+only what is not under test: constructor validation and peer selection.
+Traffic and time are accounted one transfer at a time on the
+per-transfer timer of ``tests/reference/network.py``, so a trajectory's
+``worker_traffic_mb`` and ``comm_time_s`` check the shipped array record
+against an independent accounting.
 
 :func:`per_worker_compute` is the smaller oracle: the shipped class and
 its matrix-level communication, with only local compute run one worker
@@ -29,13 +32,14 @@ import numpy as np
 from repro.algorithms.decentralized import DPSGD
 from repro.algorithms.psgd import PSGD, TopKPSGD
 from repro.algorithms.saps_psgd import SAPSPSGD
-from repro.compression.base import BYTES_PER_VALUE, SharedMaskPayload
+from repro.compression.base import BYTES_PER_VALUE
 from repro.compression.random_mask import generate_mask
 from repro.core.gossip import ring_gossip_matrix
 from repro.network.metrics import utilized_bandwidth_per_round
 from repro.utils.rng import as_generator, derive_seed
-from tests.reference.compressors import TopKCompressor
+from tests.reference.compressors import SharedMaskPayload, TopKCompressor
 from tests.reference.error_feedback import ErrorFeedback
+from tests.reference.network import per_transfer, send_bytes
 from tests.reference.per_worker import (
     PerWorkerTrainer,
     flat_grads,
@@ -71,6 +75,11 @@ def compute_gradient(worker):
     return sample_gradient(worker), flat_grads(worker.model)
 
 
+def ring_neighbors(rank, num_workers):
+    """``rank``'s left and right ring neighbour."""
+    return [(rank - 1) % num_workers, (rank + 1) % num_workers]
+
+
 def apply_gradient(worker, flat_gradient, lr=None):
     """``x ← x − lr·g`` on one worker for an externally supplied gradient
     (``lr`` defaults to the worker's optimizer rate)."""
@@ -86,7 +95,7 @@ class PerModelLoop:
         self.workers = list(workers)
         for worker in self.workers:
             per_worker(worker.model)
-        self.network = network
+        self.network = per_transfer(network)
         self._rng = as_generator(rng)
         # No matrix: evaluate_consensus borrows worker 0 as its probe,
         # the per-model evaluation path.
@@ -189,10 +198,14 @@ class ReferenceDPSGD(PerModelLoop, DPSGD):
             loss, gradient = compute_gradient(worker)
             losses.append(loss)
             gradients.append(gradient)
-        self._account_ring_traffic(round_index)
+        n = self.num_workers
+        model_bytes = self.model_size * BYTES_PER_VALUE
+        for rank in range(n):
+            for neighbor in ring_neighbors(rank, n):
+                send_bytes(self.network, round_index, neighbor, rank, model_bytes)
         for rank, worker in enumerate(self.workers):
             mixed = self.gossip[rank, rank] * params[rank]
-            for neighbor in self._ring_neighbors(rank):
+            for neighbor in ring_neighbors(rank, n):
                 mixed = mixed + self.gossip[rank, neighbor] * params[neighbor]
             # D-PSGD's learning rates are float64 whatever the model
             # dtype: the step is formed and subtracted in float64 and
@@ -250,17 +263,15 @@ class ReferenceSAPSPSGD(PerModelLoop, SAPSPSGD):
                 continue
             params_a = self.workers[a].get_params().copy()
             params_b = self.workers[b].get_params().copy()
-            self.network.exchange(
-                round_index, a, b,
-                SharedMaskPayload(
-                    values=params_a[indices], indices=indices,
+            for sender, receiver, params in ((a, b, params_a), (b, a, params_b)):
+                payload = SharedMaskPayload(
+                    values=params[indices], indices=indices,
                     mask_seed=plan.mask_seed,
-                ),
-                SharedMaskPayload(
-                    values=params_b[indices], indices=indices,
-                    mask_seed=plan.mask_seed,
-                ),
-            )
+                )
+                send_bytes(
+                    self.network, round_index, sender, receiver,
+                    payload.num_bytes(),
+                )
             averaged = 0.5 * (params_a[indices] + params_b[indices])
             params_a[indices] = averaged
             params_b[indices] = averaged

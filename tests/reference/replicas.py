@@ -1,8 +1,10 @@
 """DCD-PSGD with one public copy per holder, as it ran before ``X̂``:
 ``replicas[i][j]`` is worker ``i``'s copy of worker ``j``'s public model,
 for ``j`` in ``{i}`` and ``i``'s two ring neighbours, each integrating
-every delta on its own.  The oracle ``tests/test_algorithms.py`` holds
-the one-matrix family to, copy by copy.
+every delta on its own, and each transfer accounted on its own on the
+per-transfer timer of ``tests/reference/network.py``.  The oracle
+``tests/test_algorithms.py`` holds the one-matrix family to, copy by
+copy.
 """
 
 from __future__ import annotations
@@ -12,13 +14,19 @@ from typing import Dict, List
 import numpy as np
 
 from repro.algorithms import DCDPSGD
+from tests.reference.network import per_transfer, send_bytes
+from tests.reference.per_model import ring_neighbors
 
 
 class ReplicaDCDPSGD(DCDPSGD):
     """DCD-PSGD over ``3n`` neighbour copies."""
 
+    def _ring_neighbors(self, rank: int) -> List[int]:
+        return ring_neighbors(rank, self.num_workers)
+
     def _after_setup(self) -> None:
         super()._after_setup()
+        per_transfer(self.network)
         initial = self.workers[0].get_params()
         self.replicas: List[Dict[int, np.ndarray]] = []
         for rank in range(self.num_workers):
@@ -48,14 +56,9 @@ class ReplicaDCDPSGD(DCDPSGD):
             self.replicas[rank][rank] += deltas[rank]
             for neighbor in self._ring_neighbors(rank):
                 self.replicas[neighbor][rank] += deltas[rank]
-                self.network.meter.record(
-                    round_index, rank, neighbor, payload_bytes[rank]
+                send_bytes(
+                    self.network, round_index, rank, neighbor,
+                    int(payload_bytes[rank]),
                 )
-                if self.network.bandwidth is not None:
-                    self.network.timer.add_transfer(
-                        payload_bytes[rank],
-                        self._ring_link_bandwidth(rank, neighbor),
-                        endpoints=self.network.link_endpoints(rank, neighbor),
-                    )
         self.network.finish_round()
         return float(np.mean(losses))

@@ -7,8 +7,9 @@ construction and completes a fallback round's matching in closed form.
 ``(n, n)`` timestamp matrix ``R``; the RC graph, ``GetOvertimeMatrix``
 and ``GetUnmatch`` rebuilt as ``(n, n)`` bool graphs every round; and
 the plain matchers of ``tests/reference/matching.py`` run on them (the
-weighted one on the dense ``B * graph``).  Same constructor, same
-``select``; nothing in ``src/`` imports it.
+weighted one on the dense ``B * graph``).  No graph it matches keeps
+a pair with no link (``B_ij = 0``).  Same constructor, same ``select``;
+nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class ReferenceSelector:
         return labels[:, None] != labels
 
     def _match(self, graph: np.ndarray) -> Matching:
+        graph = graph & (self.bandwidth > 0)
         if self.prefer_weighted:
             return plain.greedy_weighted_matching(self.bandwidth * graph, rng=self._rng)
         return plain.randomly_max_match(graph, rng=self._rng)
@@ -96,7 +98,7 @@ class ReferenceSelector:
                 free &= active
             graph = free[:, None] & free
             np.fill_diagonal(graph, False)
-            extra = plain.randomly_max_match(graph, rng=self._rng)
+            extra = plain.randomly_max_match(graph & (self.bandwidth > 0), rng=self._rng)
             second_pass = len(extra)
             matching.extend(extra)
             matching.sort()

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.compression.base import BatchPayload, IndexedPayload, check_matrix
+from repro.compression.base import BatchPayload, check_matrix
 from repro.compression.topk import k_for
 from repro.utils import parallel
 from repro.utils.dtypes import DTypeLike, resolve_dtype
@@ -50,7 +50,7 @@ def top_k_indices_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def to_dense(batch: BatchPayload, size: int) -> np.ndarray:
-    dense = np.zeros((len(batch.payloads), size), dtype=batch.values.dtype)
+    dense = np.zeros((len(batch.values), size), dtype=batch.values.dtype)
     if batch.indices.ndim == 1:
         dense[:, batch.indices] = batch.values
     else:
@@ -74,14 +74,7 @@ class TopKCompressor:
         matrix = check_matrix(matrix)
         indices = top_k_indices_matrix(matrix, k_for(matrix.shape[1], self.ratio))
         values = np.take_along_axis(matrix, indices, axis=1)
-        return BatchPayload(
-            payloads=[
-                IndexedPayload(values=values[row], indices=indices[row])
-                for row in range(matrix.shape[0])
-            ],
-            values=values,
-            indices=indices,
-        )
+        return BatchPayload(values=values, indices=indices)
 
 
 class BatchedErrorFeedback:

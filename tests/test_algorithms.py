@@ -38,6 +38,7 @@ from repro.sim import (
     run_experiment,
 )
 from repro.utils.rng import derive_seed
+from tests.conftest import cut_links
 
 
 N_WORKERS = 4
@@ -570,3 +571,53 @@ def test_masked_exchange_averages_pairs_and_touches_nothing_else(
     sums = [state.sum(axis=0, dtype=np.float64) for state in (before, after)]
     tolerance = np.finfo(dtype).eps * np.abs(before).sum(axis=0)
     assert np.all(np.abs(sums[1] - sums[0]) <= tolerance)
+
+
+def run_eight_workers(algorithm, bandwidth, rounds=6):
+    full = make_blobs(num_samples=320, num_classes=4, num_features=8, rng=0)
+    train, validation = full.split(fraction=0.8, rng=0)
+    config = ExperimentConfig(
+        rounds=rounds, batch_size=8, lr=0.2, eval_every=rounds, seed=0
+    )
+    return run_experiment(
+        algorithm, partition_iid(train, 8, rng=0), validation,
+        lambda: MLP(8, [8], 4, rng=0), config,
+        SimulatedNetwork(8, bandwidth=bandwidth),
+    )
+
+
+class TestMissingLinks:
+    """0 MB/s is no link (``SimulatedNetwork``'s convention)."""
+
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    def test_adaptive_saps_runs_around_missing_links(self, prefer_weighted):
+        for seed in range(4):
+            result = run_eight_workers(
+                SAPSPSGD(
+                    compression_ratio=10.0, connectivity_gap=3, base_seed=seed,
+                    prefer_weighted=prefer_weighted,
+                ),
+                cut_links(seed),
+            )
+            assert 0 < result.history[-1].comm_time_s < np.inf
+
+    @pytest.mark.parametrize(
+        "factory, cut, message",
+        [
+            (lambda: SAPSPSGD(2.0, selector="ring"), (0, 1), "worker 0 -> worker 1"),
+            (lambda: SAPSPSGD(2.0, selector="random"), None, "worker"),
+            (DPSGD, (2, 3), "worker 3 -> worker 2"),
+            (DCDPSGD, (2, 3), "worker 2 -> worker 3"),
+        ],
+        ids=["saps-ring", "saps-random", "d-psgd", "dcd-psgd"],
+    )
+    def test_bandwidth_blind_baselines_fail_loudly(self, factory, cut, message):
+        """A baseline that ignores bandwidth can bill a transfer over a
+        missing link; the round stops there, naming it."""
+        bandwidth = np.ones((8, 8)) - np.eye(8)
+        if cut is None:
+            bandwidth[:] = 0.0  # no links at all
+        else:
+            bandwidth[cut] = bandwidth[cut[::-1]] = 0.0
+        with pytest.raises(ValueError, match=rf"round 0: {message}.* has no link"):
+            run_eight_workers(factory(), bandwidth)

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.compression.base import (
-    BYTES_PER_INDEX,
-    BYTES_PER_VALUE,
-    IndexedPayload,
-    SharedMaskPayload,
-)
+from repro.compression.base import BYTES_PER_INDEX, BYTES_PER_VALUE
 from repro.compression.random_mask import generate_mask
 from tests.reference.compressors import (
+    IndexedPayload,
     RandomMaskCompressor,
+    SharedMaskPayload,
     TopKCompressor,
     to_dense,
     top_k_indices,

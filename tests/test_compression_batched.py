@@ -11,13 +11,15 @@ bit for bit against the argpartition / dense originals kept in
 k-th magnitude, ±0, NaN, ±inf and fewer than k non-zeros.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.error_feedback import BatchedErrorFeedback
-from repro.compression.base import BatchPayload, IndexedPayload
+from repro.compression.base import BatchPayload
 from repro.compression.topk import k_for, top_k_indices_matrix
 from repro.compression import topk
 from repro.utils import parallel
@@ -46,16 +48,20 @@ def _matrix(rng, rows=6, size=400, dtype=np.float64):
     return rng.normal(size=(rows, size)).astype(dtype)
 
 
+def row_indices(batch, row):
+    """The indices row ``row`` of ``batch`` sits at."""
+    return batch.indices if batch.indices.ndim == 1 else batch.indices[row]
+
+
 def assert_rows_equivalent(batch, reference_payloads):
     """Each batch row must match the per-row payload in values, indices
     and wire bytes."""
-    assert len(batch.payloads) == len(reference_payloads)
-    for row_payload, reference in zip(batch.payloads, reference_payloads):
-        np.testing.assert_array_equal(row_payload.values, reference.values)
-        assert row_payload.values.dtype == reference.values.dtype
-        if hasattr(reference, "indices"):
-            np.testing.assert_array_equal(row_payload.indices, reference.indices)
-        assert row_payload.num_bytes() == reference.num_bytes()
+    assert len(batch.values) == len(reference_payloads)
+    for row, reference in enumerate(reference_payloads):
+        np.testing.assert_array_equal(batch.values[row], reference.values)
+        assert batch.values.dtype == reference.values.dtype
+        np.testing.assert_array_equal(row_indices(batch, row), reference.indices)
+        assert batch.row_bytes()[row] == reference.num_bytes()
 
 
 class TestKFor:
@@ -92,9 +98,11 @@ class TestMatrixEquivalence:
             RandomMaskCompressor(8.0).compress_matrix_with_seed(matrix, 0),
             TopKCompressor(8.0).compress_matrix(matrix),
         ):
-            stacked = np.stack(
-                [to_dense(payload, matrix.shape[1]) for payload in batch.payloads]
+            rows = (
+                SimpleNamespace(values=values, indices=row_indices(batch, row))
+                for row, values in enumerate(batch.values)
             )
+            stacked = np.stack([to_dense(row, matrix.shape[1]) for row in rows])
             np.testing.assert_array_equal(batch.to_dense(matrix.shape[1]), stacked)
             assert batch.to_dense(matrix.shape[1]).dtype == dtype
             assert_same_floats(
@@ -111,7 +119,9 @@ class TestBaseLoopFallback:
         matrix = rng.normal(size=(3, 100))
         batch = TopKCompressor(10.0).compress_matrix(matrix)
         assert batch.num_bytes() == sum(batch.row_bytes())
-        assert batch.row_bytes() == [p.num_bytes() for p in batch.payloads]
+        assert batch.row_bytes().tolist() == [
+            TopKCompressor(10.0).compress(row).num_bytes() for row in matrix
+        ]
 
 
 class TestTopKIndicesMatrix:
@@ -147,10 +157,8 @@ class TestBatchedErrorFeedback:
                     gradients[row], round_index
                 )
                 sent.append(row_dense)
-                np.testing.assert_array_equal(to_dense(batch[row], size), row_dense)
-                np.testing.assert_array_equal(
-                    batch[row].values, payload.values
-                )
+                np.testing.assert_array_equal(batch.to_dense(size)[row], row_dense)
+                np.testing.assert_array_equal(batch.values[row], payload.values)
                 np.testing.assert_array_equal(
                     batched.residual[row], per_worker[row].residual
                 )
@@ -294,18 +302,9 @@ class TestParentOracle:
         values = rng.choice(MEAN_PALETTES[palette], size=(rows, k)).astype(dtype)
         if shared:
             indices = np.sort(rng.choice(size, k, replace=False))
-            row_indices = [indices] * rows
         else:
             indices = np.sort(rng.random((rows, size)).argsort(axis=1)[:, :k], axis=1)
-            row_indices = list(indices)
-        batch = BatchPayload(
-            payloads=[
-                IndexedPayload(values=v, indices=i)
-                for v, i in zip(values, row_indices)
-            ],
-            values=values,
-            indices=indices,
-        )
+        batch = BatchPayload(values=values, indices=indices)
         with np.errstate(invalid="ignore"):  # inf + -inf
             assert_same_floats(
                 batch.dense_mean(size), reference.dense_mean(batch, size)

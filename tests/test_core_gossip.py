@@ -16,7 +16,7 @@ from repro.core.gossip import (
 from repro.core.matching import is_valid_matching
 from repro.network.bandwidth import random_uniform_bandwidth
 from repro.theory.spectral import second_largest_eigenvalue
-from tests.conftest import scoped
+from tests.conftest import cut_links, scoped
 from tests.graphs import adjacency_from_edges, is_connected, is_doubly_stochastic
 from tests.reference.selector import ReferenceSelector
 
@@ -216,7 +216,7 @@ class TestAdaptivePeerSelector:
 
     def test_unmatched_workers_pair_in_the_second_pass(self):
         """``GetUnmatch``: a fallback round whose cross-component edges
-        cannot cover every worker pairs the rest ignoring bandwidth."""
+        cannot cover every worker pairs the rest ignoring link speed."""
         bandwidth = np.ones((6, 6)) - np.eye(6)
         selector = AdaptivePeerSelector(bandwidth, connectivity_gap=5, rng=0)
         selector._recent.append((9, np.array([[0, 1], [1, 2], [2, 3], [3, 4]])))
@@ -224,6 +224,20 @@ class TestAdaptivePeerSelector:
         # One edge leaves {0..4} (to 5); the other four workers pair up blind.
         assert result.used_fallback and result.second_pass_pairs == 2
         assert len(result.matching) == 3
+
+    @pytest.mark.parametrize("prefer_weighted", [False, True])
+    def test_no_pair_matched_over_a_missing_link(self, prefer_weighted):
+        """0 MB/s is no link: a fallback round's matching (closed form
+        over the RC components) and GetUnmatch's second pass pair only
+        linked workers, from the very first round."""
+        for seed in range(100):
+            bandwidth = cut_links(seed)
+            selector = AdaptivePeerSelector(
+                bandwidth, connectivity_gap=3, rng=seed, prefer_weighted=prefer_weighted
+            )
+            for t in range(6):
+                for a, b in selector.select(t).matching:
+                    assert bandwidth[a, b] > 0, (seed, t, a, b)
 
     def test_weighted_variant_runs(self, bandwidth):
         selector = AdaptivePeerSelector(bandwidth, rng=0, prefer_weighted=True)
@@ -281,6 +295,7 @@ class TestSelectorEqualsReferenceMatchers:
             active = None if masks is None else masks[t]
             ours, theirs = shipped.select(t, active=active), plain.select(t, active=active)
             assert ours.matching == theirs.matching, t
+            assert all(shipped.bandwidth[a, b] > 0 for a, b in ours.matching), t
             assert ours.used_fallback == theirs.used_fallback, t
             assert ours.second_pass_pairs == theirs.second_pass_pairs, t
             gossip = ours.gossip  # built on demand
@@ -313,8 +328,9 @@ class TestSelectorEqualsReferenceMatchers:
     @pytest.mark.parametrize("links", ["integer", "nan_and_zero"])
     def test_ties_and_missing_links(self, prefer_weighted, churn, links):
         """Integer-valued B (the greedy's tiers full of ties) and B with
-        NaN and zero links (the fallback graph is then not complete
-        multipartite, and the blossom completes it), at an odd n."""
+        NaN and zero links (the fallback and second-pass graphs are then
+        not complete (multipartite), and the blossom matches their
+        linked pairs), at an odd n."""
         rng = np.random.default_rng(2)
         n = 67
         bandwidth = np.ceil(random_uniform_bandwidth(n, low=1.0, rng=2))

@@ -52,6 +52,21 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             coordinator.notify_round_end(6)
 
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [([2, 0, 2], "worker 2 already ended"), ([1, -1], "rank -1 out of range"),
+         ([0, 6], "rank 6 out of range"), ([3], "worker 3 already ended")],
+    )
+    def test_round_ends_at_once_reject_by_rank(self, coordinator, ranks, message):
+        """A round's ranks in one call: a repeated or out-of-range rank
+        raises naming it, and nothing of that call is recorded."""
+        coordinator.plan_round(0)
+        coordinator.notify_round_end([3, 4])
+        with pytest.raises(ValueError, match=message):
+            coordinator.notify_round_end(ranks)
+        coordinator.notify_round_end([0, 1, 2, 5])
+        assert coordinator.round_complete()
+
     def test_partners_mirror_matching(self, coordinator):
         plan = coordinator.plan_round(0)
         for a, b in plan.matching:

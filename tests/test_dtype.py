@@ -8,8 +8,13 @@ arena, flat packing, payload round-trips and a full training run.
 import numpy as np
 import pytest
 
-from repro.compression.base import IndexedPayload, SharedMaskPayload
-from tests.reference.compressors import RandomMaskCompressor, TopKCompressor, to_dense
+from tests.reference.compressors import (
+    IndexedPayload,
+    RandomMaskCompressor,
+    SharedMaskPayload,
+    TopKCompressor,
+    to_dense,
+)
 from tests.reference.per_worker import per_worker
 from repro.data import make_blobs, partition_iid
 from repro.nn import MLP, MnistCNN, ResNet20, TinyCNN

@@ -190,8 +190,10 @@ class TestReferenceEventQueueDeterminism(TestEventQueueDeterminism):
 class TestContention:
     def test_off_is_max_of_transfers(self):
         timer = CommunicationTimer()
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", 0), ("rx", 1)))
-        timer.add_transfer(3 * MB, 1.0, endpoints=(("tx", 0), ("rx", 2)))
+        timer.add_transfers(
+            0, np.array([0, 0]), np.array([1, 2]), np.array([2 * MB, 3 * MB]),
+            np.array([1.0, 1.0]),
+        )
         assert timer.finish_round() == pytest.approx(3.0)
 
     @staticmethod
@@ -224,12 +226,24 @@ class TestContention:
 
     def test_last_round_transfers_recorded(self):
         timer = CommunicationTimer()
-        timer.add_transfer(2 * MB, 1.0, endpoints=(("tx", 0), ("rx", 1)))
+        timer.add_transfers(
+            0, np.array([0, 2]), np.array([1, 1]), np.array([2 * MB, 0]),
+            np.array([1.0, 1.0]),
+        )
         timer.finish_round()
-        assert len(timer.last_round_transfers) == 1
-        begin, end, endpoints = timer.last_round_transfers[0]
-        assert (begin, end) == (0.0, pytest.approx(2.0))
-        assert endpoints == (("tx", 0), ("rx", 1))
+        durations, senders, receivers = timer.last_round_transfers
+        assert durations.tolist() == [pytest.approx(2.0)]  # 0 bytes: skipped
+        assert (senders.tolist(), receivers.tolist()) == ([0], [1])
+
+    def test_transfer_over_no_link_names_its_ends_and_exchange(self):
+        bandwidth = np.ones((3, 3)) - np.eye(3)
+        bandwidth[0, 2] = bandwidth[2, 0] = 0.0
+        engine = EventEngine(SimulatedNetwork(3, bandwidth=bandwidth))
+        assert engine.start_transfer(0.0, 2, 0, 0, 7) == (0.0, 0.0)
+        with pytest.raises(
+            ValueError, match=r"exchange 7: worker 2 -> worker 0 has no link"
+        ):
+            engine.start_transfer(0.0, 2, 0, int(MB), 7)
 
     def test_engine_transfer_serializes_on_shared_link_end(self):
         engine = self.unit_engine(3)
@@ -328,7 +342,8 @@ class TestSyncEquivalenceOracle:
             PSGD(), partitions, validation, factory, config, network,
             compute_model=ConstantCompute(0.05),
         )
-        assert [e for _, _, e in network.timer.last_round_transfers] == [None]
+        _, senders, receivers = network.timer.last_round_transfers
+        assert senders.tolist() == receivers.tolist() == [CommunicationTimer.COLLECTIVE]
         comm = result.trace.busy_seconds("comm")
         assert sum(result.round_comm_seconds) > 0
         np.testing.assert_allclose(comm, sum(result.round_comm_seconds))

@@ -1,9 +1,13 @@
 """Tests for the network substrate: bandwidth, topology, metrics, transport."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compression.base import SharedMaskPayload
+from repro.compression.base import BatchPayload
 from repro.network import (
     FIG1_BANDWIDTH_MBPS,
     FIG1_CITIES,
@@ -26,11 +30,12 @@ from tests.graphs import (
     is_connected,
     threshold_graph,
 )
+from tests.reference import network as per_transfer_network
 
 
-def payload_of(num_values):
-    """A payload weighing ``num_values`` wire values."""
-    return SharedMaskPayload(np.zeros(num_values), np.arange(num_values), mask_seed=0)
+def batch_of(num_values, rows=2):
+    """A shared-mask batch whose rows weigh ``num_values`` wire values."""
+    return BatchPayload(np.zeros((rows, num_values)), np.arange(num_values))
 
 
 class TestFig1Data:
@@ -164,6 +169,33 @@ class TestTrafficMeter:
         assert meter.num_transfers == 100_000
         assert meter.size_counts == {4096: 100_000}
 
+    def test_round_record_totals(self):
+        meter = TrafficMeter(3)
+        meter.record_round(
+            np.array([0, 1, TrafficMeter.SERVER]), np.array([1, 0, 2]),
+            np.array([100, 50, 7]),
+        )
+        assert meter.worker_bytes(0) == meter.worker_bytes(1) == 150
+        assert meter.worker_bytes(2) == 7
+        assert meter.server_traffic_mb() == pytest.approx(7 / MB)
+        assert meter.size_counts == {7: 1, 50: 1, 100: 1}
+        assert type(meter.total_bytes) is int and meter.total_bytes == 157
+        assert type(meter.num_transfers) is int and meter.num_transfers == 3
+
+    @pytest.mark.parametrize(
+        "senders, receivers, num_bytes, message",
+        [
+            ([0, 5], [1, 0], [1, 1], "node 5 out of range"),
+            ([0, 1], [-2, 0], [1, 1], "node -2 out of range"),
+            ([0, 1], [1, 0], [3, -4], "got -4"),
+        ],
+    )
+    def test_round_record_rejects_by_value(self, senders, receivers, num_bytes, message):
+        meter = TrafficMeter(2)
+        with pytest.raises(ValueError, match=message):
+            meter.record_round(np.array(senders), np.array(receivers), np.array(num_bytes))
+        assert meter.num_transfers == 0 and not meter._sent.any()
+
 
 class TestCommunicationTimer:
     def test_round_time_is_max_concurrent(self):
@@ -238,26 +270,34 @@ class TestSimulatedNetwork:
     def test_send_accounts_bytes_and_time(self):
         bandwidth = np.array([[0.0, 2.0], [2.0, 0.0]])
         network = SimulatedNetwork(2, bandwidth=bandwidth)
-        payload = payload_of(int(MB / 4))  # 1 MB
-        network.send(0, 0, 1, payload)
+        network.send(0, [0], [1], batch_of(int(MB / 4)))  # 1 MB
         assert network.meter.worker_bytes(0) / MB == pytest.approx(1.0)
         assert network.finish_round() == pytest.approx(0.5)
 
     def test_exchange_symmetric(self):
         network = SimulatedNetwork(2)
-        payload = payload_of(100)
-        network.exchange(0, 0, 1, payload, payload)
-        assert network.meter.worker_bytes(0) / MB == network.meter.worker_bytes(1) / MB
+        network.exchange(0, [0], [1], batch_of(100))
+        assert network.meter.worker_bytes(0) == network.meter.worker_bytes(1) == 800
+        assert network.meter.num_transfers == 2
 
     def test_no_bandwidth_no_time(self):
         network = SimulatedNetwork(2)
-        network.send(0, 0, 1, payload_of(100))
+        network.send(0, [0], [1], batch_of(100))
         assert network.finish_round() == 0.0
 
     def test_server_link(self):
         network = SimulatedNetwork(2, server_bandwidth=4.0)
-        network.send_bytes(0, TrafficMeter.SERVER, 0, int(MB))
+        network.send_bytes(0, [TrafficMeter.SERVER], [0], int(MB))
         assert network.finish_round() == pytest.approx(0.25)
+
+    def test_transfer_over_no_link_names_its_ends_and_round(self):
+        bandwidth = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        network = SimulatedNetwork(3, bandwidth=bandwidth)
+        network.send_bytes(4, [0, 2], [2, 0], 0)  # no bytes, no time
+        with pytest.raises(
+            ValueError, match=r"round 4: worker 2 -> worker 0 has no link \(bandwidth 0.0"
+        ):
+            network.send_bytes(4, [0, 2], [1, 0], [8, 8])
 
     def test_server_link_defaults_to_the_fastest_link(self):
         bandwidth = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
@@ -284,3 +324,67 @@ class TestSimulatedNetwork:
     def test_bad_server_bandwidth_rejected(self, value):
         with pytest.raises(ValueError, match="server_bandwidth"):
             SimulatedNetwork(2, server_bandwidth=value)
+
+
+@st.composite
+def transfer_phases(draw):
+    """A network (no time, server time only, or a full matrix) and 1-4
+    phases, each up to 12 linked transfers (server ends, repeated links,
+    zero bytes and mixed sizes) plus at most one collective."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(TrafficMeter.SERVER, n - 1)
+    size = st.sampled_from([0, 4, 400, 4096, 123_457, 2**33])
+    transfer = st.tuples(node, node, size).filter(lambda t: t[0] != t[1])
+    phase = st.tuples(st.lists(transfer, max_size=12), st.none() | size)
+    timed = draw(st.sampled_from(["none", "server", "matrix"]))
+    bandwidth = random_uniform_bandwidth(n, low=0.5, rng=draw(st.integers(0, 9)))
+    return (
+        n,
+        bandwidth if timed == "matrix" else None,
+        3.0 if timed == "server" else None,
+        draw(st.lists(phase, min_size=1, max_size=4)),
+    )
+
+
+class TestArrayRecordEqualsPerTransfer:
+    """One array call per phase meters and times what the per-transfer
+    ``record`` / ``add_transfer`` loop of ``tests/reference/network.py``
+    does: the same per-node totals, run totals (as Python ints), size
+    counts, phase times and transfers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(transfer_phases())
+    def test_same_accounting(self, case):
+        n, bandwidth, server_bandwidth, phases = case
+        ours = SimulatedNetwork(n, bandwidth=bandwidth, server_bandwidth=server_bandwidth)
+        theirs = per_transfer_network.per_transfer(
+            SimulatedNetwork(n, bandwidth=bandwidth, server_bandwidth=server_bandwidth)
+        )
+        for index, (transfers, collective) in enumerate(phases):
+            senders, receivers, sizes = (
+                np.array(column, dtype=np.int64).reshape(-1)
+                for column in (zip(*transfers) if transfers else ([], [], []))
+            )
+            ours.send_bytes(index, senders, receivers, sizes)
+            for transfer in transfers:
+                per_transfer_network.send_bytes(theirs, index, *transfer)
+            if collective is not None:
+                ours.timer.add_transfer(collective, 2.5)
+                theirs.timer.add_transfer(collective, 2.5)
+            assert ours.finish_round() == theirs.finish_round()
+            durations, senders, receivers = ours.timer.last_round_transfers
+            assert Counter(
+                (0.0, duration, None if sender == CommunicationTimer.COLLECTIVE
+                 else (("tx", sender), ("rx", receiver)))
+                for duration, sender, receiver in zip(
+                    durations.tolist(), senders.tolist(), receivers.tolist()
+                )
+            ) == Counter(theirs.timer.last_round_transfers)
+        np.testing.assert_array_equal(ours.meter._sent, theirs.meter._sent)
+        np.testing.assert_array_equal(ours.meter._received, theirs.meter._received)
+        assert type(ours.meter.total_bytes) is int
+        assert ours.meter.total_bytes == theirs.meter.total_bytes
+        assert ours.meter.num_transfers == theirs.meter.num_transfers
+        assert ours.meter.size_counts == theirs.meter.size_counts
+        assert ours.timer.round_seconds == theirs.timer.round_seconds
+        assert ours.timer.total_seconds == theirs.timer.total_seconds

@@ -704,8 +704,8 @@ class TestCompressionMetrics:
         )
 
     def test_fused_gather_parity_with_full_pass(self):
-        """``batch_from_values(model_size=...)`` accounts exactly like
-        the full-matrix pass it short-circuits."""
+        """``batch_from_values`` accounts exactly like the full-matrix
+        pass it short-circuits."""
         compressor = RandomMaskCompressor(compression_ratio=10.0)
         full = self.counters_for(
             lambda: compressor.compress_matrix_with_seed(self.MATRIX, 21)
@@ -715,8 +715,7 @@ class TestCompressionMetrics:
             reference = compressor.compress_matrix_with_seed(self.MATRIX, 21)
             obs.metrics().counters.clear()
             compressor.batch_from_values(
-                reference.values, reference.indices, 21,
-                model_size=self.MATRIX.shape[1],
+                reference.values, reference.indices, self.MATRIX.shape[1]
             )
 
         assert self.counters_for(fused) == full
