@@ -6,6 +6,7 @@ reports the engines print from their in-memory state:
 
 * :func:`phase_table` — where the wall time went, per ``phase.*`` span
   family (total vs self time, call counts, share of the run);
+* :func:`memory_table` — how far each phase raised the peak RSS;
 * :func:`top_counters` — the largest non-phase counters (traffic,
   compression savings, exchange outcomes, arena residency churn);
 * :func:`obs_worker_timeline` — the per-worker compute/comm/idle
@@ -15,8 +16,8 @@ reports the engines print from their in-memory state:
   :func:`~repro.analysis.timeline.timeline_row`, so the two reports can
   never disagree on a recorded run.
 
-``render_obs_report`` stitches all three into the one-screen profile the
-CLI prints after an instrumented run.
+``render_obs_report`` stitches them into the one-screen profile the CLI
+prints after an instrumented run, naming the phase that set the peak.
 """
 
 from __future__ import annotations
@@ -93,18 +94,27 @@ def render_phase_table(rows: List[PhaseRow]) -> str:
     )
 
 
-def top_counters(snapshot: Dict) -> List[List]:
-    """The ten largest non-phase, non-worker counters.
+def memory_table(snapshot: Dict) -> List[List]:
+    """``[phase, MB it raised the peak RSS by, MB the peak then reached]``
+    from the ``mem.<phase>.*`` records, largest raise first."""
+    level = snapshot.get("gauges", {}).get
+    rows = [[key[4:-14], round(kb / 1024, 2), round(level(key[:-8] + "rss_kb", 0) / 1024, 2)]
+            for key, kb in snapshot.get("counters", {}).items() if key.startswith("mem.")]
+    return sorted(rows, key=lambda row: -row[1])
 
-    Phase timings get their own table and the per-worker mirrors feed
-    :func:`obs_worker_timeline`; everything else (traffic, compression,
+
+def top_counters(snapshot: Dict) -> List[List]:
+    """The ten largest non-phase, non-memory, non-worker counters.
+
+    Phase timings and peak raises get their own tables and the per-worker
+    mirrors feed :func:`obs_worker_timeline`; everything else (traffic, compression,
     exchange outcomes, arena churn) ranks here by magnitude.
     """
     counters = snapshot.get("counters", {})
     rows = [
         [name, value]
         for name, value in counters.items()
-        if not name.startswith("phase.") and not name.startswith("worker.")
+        if not name.startswith(("phase.", "worker.", "mem."))
     ]
     rows.sort(key=lambda row: abs(row[1]), reverse=True)
     return [[name, round(value, 4)] for name, value in rows[:10]]
@@ -156,6 +166,11 @@ def render_obs_report(snapshot: Dict) -> str:
     phases = phase_table(snapshot)
     if phases:
         sections.append(render_phase_table(phases))
+    memory = memory_table(snapshot)
+    if memory:  # the phase whose raise reached the highest level set the peak
+        phase, _, level = max(memory, key=lambda row: row[2])
+        sections.append(render_table(["phase", "peak raise [MB]", "peak reached [MB]"], memory,
+                                     title=f"Peak RSS by phase (set in {phase}: {level} MB)"))
     counters = top_counters(snapshot)
     if counters:
         sections.append(render_top_counters(counters))

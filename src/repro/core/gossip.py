@@ -264,6 +264,8 @@ class AdaptivePeerSelector:
         match = greedy_matching_on_sorted(
             n, self._heaviest[: links.size], self.bandwidth.ravel(), ranked, accept, rng=self._rng
         )
+        if connected and match.count(-1) < 2:  # nothing left for a blossom to search
+            return [(v, u) for v, u in enumerate(match) if u > v]
         if connected:
             return max_cardinality_matching(_restrict(self.filtered, active), initial_match=match)
         sizes = np.bincount(labels[everyone])

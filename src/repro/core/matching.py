@@ -312,22 +312,24 @@ def greedy_matching_on_sorted(
     and draws, unchecked.  Edges are flat indices ``i * n + j`` (``i < j``)
     weighing ``weights[e] > 0``: ``ranked`` holds the candidates ascending
     (the order the tie keys are drawn in), ``heaviest`` the first tier
-    (:func:`heaviest_links`), among which ``accept`` tells the candidates."""
+    (:func:`heaviest_links`), among which ``accept`` tells the candidates.
+    The tie keys, ``rng.random(ranked.size)``, are drawn only if a scanned
+    tier holds a weight tie, else skipped (:func:`_skip_doubles`)."""
     rng = as_generator(rng)
-    n, tier = num_vertices, 8 * num_vertices
-    keys = rng.random(ranked.size)
-    match = [-1] * n
-    free = n
-    # A tier is taken in edge order (its keys looked up in ascending order,
-    # which misses the cache less) and scanned in (−weight, tie key, edge
-    # index) order: complex numbers sort by real part, then imaginary
-    # part, and a stable sort keeps edge order among equal pairs.
+    n, tier, keys = num_vertices, 8 * num_vertices, None
+    match, free, rest = [-1] * n, n, ranked
     head = np.sort(heaviest[accept(heaviest)] if accept is not None else heaviest)
-    order = -weights[head] + 1j * keys[np.searchsorted(ranked, head)]
-    head = head[np.argsort(order, kind="stable")]
-    rest, rest_keys = ranked, keys
     while True:
-        rows, cols = np.divmod(head, n)
+        # A tier, taken in edge order, is scanned in (−weight, tie key, edge
+        # index) order: complex numbers sort by real part, then imaginary
+        # part, and a stable sort keeps edge order among equal pairs.  Its
+        # keys are looked up in ascending order, which misses the cache less.
+        heavy = -weights[head]
+        order = np.argsort(heavy, kind="stable")
+        if (heavy[order[1:]] == heavy[order[:-1]]).any():
+            keys = rng.random(ranked.size) if keys is None else keys
+            order = np.argsort(heavy + 1j * keys[np.searchsorted(ranked, head)], kind="stable")
+        rows, cols = np.divmod(head[order], n)
         for a, b in zip(rows.tolist(), cols.tolist()):
             if match[a] == -1 and match[b] == -1:
                 match[a], match[b] = b, a
@@ -337,15 +339,27 @@ def greedy_matching_on_sorted(
         # Every edge scanned lost an endpoint.  The next tier is the
         # heaviest of the candidates joining two unmatched vertices.
         unmatched = np.array(match) == -1
-        keep = (unmatched[:, None] & unmatched).ravel()[rest]
-        rest, rest_keys = rest[keep], rest_keys[keep]
+        rest = rest[(unmatched[:, None] & unmatched).ravel()[rest]]
         if not rest.size:
             break
         heavy = weights[rest]
         cut = np.partition(heavy, -tier)[-tier] if rest.size > tier else -np.inf
-        pick = np.flatnonzero(heavy >= cut)
-        head = rest[pick[np.argsort(-heavy[pick] + 1j * rest_keys[pick], kind="stable")]]
+        head = rest[heavy >= cut]
+    if keys is None:
+        _skip_doubles(rng, ranked.size)
     return match
+
+
+def _skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Move ``rng`` as ``rng.random(count)`` would: a PCG64 by jump-ahead,
+    keeping the buffered 32-bit half that ``advance`` clears; others by the draw."""
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        rng.random(count)
+        return
+    state, moved = bits.state, bits.advance(count).state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = moved
 
 
 def multipartite_max_matching(

@@ -225,7 +225,7 @@ def consensus_fold(
     ``cold_count`` further clients all sit at ``cold`` (a sharded arena's
     never-touched clients) and cost O(N).  Pass 1 is :func:`fold_mean`.
     Pass 2 writes each row's ``‖xᵢ − x̄‖²`` into a per-row vector one block
-    at a time, so a matrix's distance is
+    at a time, through one reused block buffer, so a matrix's distance is
     ``np.mean(np.sum((X − x̄) ** 2, axis=1))`` bit for bit.  A given
     ``center`` replaces ``x̄`` and skips pass 1.  No clients: distance 0.
     """
@@ -234,11 +234,14 @@ def consensus_fold(
     count = len(rows) + cold_count
     if count == 0:
         return center, 0.0
-    per_row = []
+    diff_type = np.result_type(rows[0], center) if len(rows) else center.dtype
+    per_row, at, buffer = np.empty(len(rows), diff_type), 0, None
     for block in _blocks(rows, center.itemsize):
-        diff = block - center
-        per_row.append(np.square(diff, out=diff).sum(axis=1))
-    total = np.concatenate(per_row).sum() if per_row else 0.0
+        buffer = np.empty(block.shape, diff_type) if buffer is None else buffer
+        diff = np.subtract(block, center, out=buffer[: len(block)])
+        np.add.reduce(np.square(diff, out=diff), axis=1, out=per_row[at:at + len(block)])
+        at += len(block)
+    total = per_row.sum()
     if cold_count:
         total = total + cold_count * np.square(cold - center).sum()
     return center, float(total / count)

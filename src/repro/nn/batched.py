@@ -518,10 +518,6 @@ class BatchedCrossEntropyLoss:
                 f"{logits.shape[:2]}"
             )
         num_workers, batch, _ = logits.shape
-        # np.max / np.sum / np.mean's own ufunc reductions, called direct.
-        shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        sum_exp = np.add.reduce(exp, axis=2, keepdims=True)
         cache = self._idx_cache
         if cache is None or cache[0] != num_workers or cache[1] != batch:
             cache = (
@@ -532,15 +528,21 @@ class BatchedCrossEntropyLoss:
             )
             self._idx_cache = cache
         worker_idx, batch_idx = cache[2], cache[3]
-        log_lik = shifted[worker_idx, batch_idx, labels] - np.log(sum_exp[..., 0])
+        # One (n, B, C) buffer: shifted logits (the labels' read first), exp,
+        # softmax, gradient; np.max / np.sum's own ufunc reductions, direct.
+        grad = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+        picked = grad[worker_idx, batch_idx, labels]
+        np.exp(grad, out=grad)
+        sum_exp = np.add.reduce(grad, axis=2, keepdims=True)
+        log_lik = picked - np.log(sum_exp[..., 0])
         # np.mean's division too (float32: a float64 loop, then a cast).
         total = np.add.reduce(log_lik, axis=1)
         losses = -np.true_divide(
             total, np.intp(batch), out=total, casting="unsafe"
         )
-        grad = exp / sum_exp
+        grad /= sum_exp
         grad[worker_idx, batch_idx, labels] -= 1.0
-        return losses.astype(np.float64), grad / batch
+        return losses.astype(np.float64), np.divide(grad, batch, out=grad)
 
 
 class BatchedSequential:

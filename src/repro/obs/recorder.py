@@ -8,7 +8,8 @@ Two implementations share one duck type:
   bench gates this ≤ 2% of a fused n=1024 round).
 * :class:`MetricsRecorder` — accumulates span times into a
   :class:`~repro.obs.registry.MetricsRegistry` and (optionally) emits
-  wall-time lanes into a :class:`~repro.obs.trace.TraceRecorder`.
+  wall-time lanes into a :class:`~repro.obs.trace.TraceRecorder`; span
+  exits charge peak-RSS rises (:meth:`MetricsRecorder.charge_rss`).
 
 Span frames are pooled per thread on a free list, so steady-state
 tracing allocates nothing either; each thread keeps its own span stack,
@@ -25,6 +26,11 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 from typing import Optional
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # not POSIX: peak RSS goes unattributed
+    getrusage = None
 
 from repro.obs.registry import MetricsRegistry
 
@@ -102,6 +108,7 @@ class _PhaseFrame:
         registry.inc(f"phase.{name}.count", 1.0)
         if recorder.trace is not None:
             recorder.trace.add_wall_span(name, self.start, total)
+        recorder.charge_rss(name)
         self.local.free.append(self)
         return False
 
@@ -119,6 +126,20 @@ class MetricsRecorder:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace
         self._local = threading.local()
+        self._rss_lock, self._rss_kb = threading.Lock(), 0
+
+    def charge_rss(self, name: str) -> None:
+        """Charge ``ru_maxrss``'s rise (kB) since the last read to
+        ``mem.<name>.peak_raise_kb``, gauging the level as ``.peak_rss_kb``.
+        Span exits read, and so does a top-level main-thread span's entry,
+        as ``unphased``: what rose outside every span (from process start
+        on), so the charges sum to the highest level read."""
+        level = getrusage(RUSAGE_SELF).ru_maxrss if getrusage else 0
+        with self._rss_lock:
+            rise, self._rss_kb = level - self._rss_kb, max(level, self._rss_kb)
+        if rise > 0:
+            self.registry.inc(f"mem.{name}.peak_raise_kb", rise)
+            self.registry.gauge(f"mem.{name}.peak_rss_kb", level)
 
     def _thread_state(self):
         local = self._local
@@ -132,6 +153,8 @@ class MetricsRecorder:
     def phase(self, name: str) -> _PhaseFrame:
         """A context manager timing one named span on this thread."""
         local = self._thread_state()
+        if not local.stack and threading.current_thread() is threading.main_thread():
+            self.charge_rss("unphased")
         free = local.free
         frame = free.pop() if free else _PhaseFrame(self, local)
         frame.name = name

@@ -34,6 +34,8 @@ Name schema (documented in the README's Observability section):
   searches run, and skipped as twins of a failed root, in the blossoms
   that still run (a ``B*`` round of either matcher, a fallback graph
   with a no-link pair); a fallback round completes in closed form.
+* ``mem.<name>.peak_raise_kb`` / gauge ``.peak_rss_kb`` — how far the peak RSS
+  rose in span ``<name>`` (``unphased``: outside spans), and the level reached.
 * ``round.compute_s`` / ``round.comm_s`` — per-round barrier times
   (histograms); ``run.horizon_s`` / ``run.rounds`` — run gauges.
 

@@ -18,8 +18,9 @@ per-worker steps.
    batch; its parameters are arena views, so its gradients land in the
    same place.
 3. **Matrix optimizer update** — SGD with optional momentum / Nesterov /
-   weight decay applied to ``arena.data`` as whole-matrix operations,
-   with momentum state held as one ``(n, N)`` velocity matrix.
+   weight decay applied to ``arena.data`` as matrix operations on a
+   fixed-byte chunk of rows at a time, with momentum state held as one
+   ``(n, N)`` velocity matrix.
 
 Every route is **bit-identical** to the per-worker loop kept as the
 oracle in ``tests/reference/per_worker.py`` (``tests/test_cluster_trainer.py``):
@@ -497,62 +498,47 @@ class ClusterTrainer:
     # ------------------------------------------------------------------
     # the matrix optimizer update
     # ------------------------------------------------------------------
-    def _apply_update(self, rows, ctx: _ExecContext) -> None:
-        """SGD/momentum/weight-decay over whole arena rows.
+    #: Bytes of rows one optimizer update works on at once (its scratch).
+    UPDATE_CHUNK_BYTES = 1 << 20
 
-        ``rows`` is ``None``, a slice (in-place on arena views) or an
-        index array (gather/scatter).  Replays the per-parameter loop's
-        evaluation order elementwise (decay into the gradient, velocity
-        update, scaled subtraction), so the result is bit-identical to n
-        independent optimizer steps.  The scratch buffer is the calling
-        context's own (blocks running concurrently must not share it);
-        the ``(n, N)`` velocity matrix *is* shared, but blocks touch
-        disjoint rows.
-        """
+    def _apply_update(self, rows, ctx: _ExecContext) -> None:
+        """SGD/momentum/weight-decay over arena rows ``rows`` (a slice: arena
+        views, or an index array: gathered and scattered back), a chunk of
+        :attr:`UPDATE_CHUNK_BYTES` at a time through the calling context's
+        own scratch; blocks share the ``(n, N)`` velocity, on disjoint rows.
+        The per-parameter loop's elementwise order is replayed (decay into
+        the gradient, velocity update, scaled subtraction): bit-identical."""
         arena = self.arena
-        is_view = rows is None or isinstance(rows, slice)
-        if rows is None:
-            params = arena.data
-            grads = arena.grads
-            step_workers = self.workers
-        elif is_view:
-            params = arena.data[rows]
-            grads = arena.grads[rows]
-            step_workers = self.workers[rows]
-        else:
-            params = arena.data[rows]
-            grads = arena.grads[rows]
-            step_workers = [self.workers[rank] for rank in rows]
-        scratch = ctx.scratch_rows(
-            params.shape[0], arena.model_size, arena.dtype
-        )
+        scattered = not isinstance(rows, slice)
+        ranks = rows if scattered else range(self.num_workers)[rows]
         rates = np.array(
-            [worker.optimizer.lr for worker in step_workers], dtype=arena.dtype
+            [self.workers[rank].optimizer.lr for rank in ranks], dtype=arena.dtype
         )[:, None]
-        if self.weight_decay:
-            # wd·X + G == G + wd·X exactly (IEEE addition commutes), so
-            # the decayed gradient can build in the scratch buffer.
-            np.multiply(params, self.weight_decay, out=scratch)
-            scratch += grads
-            grads = scratch
-        if self.momentum:
-            if self._velocity is None:
-                self._velocity = np.zeros_like(arena.data)
-            velocity = self._velocity[rows] if rows is not None else self._velocity
-            velocity *= self.momentum
-            velocity += grads
-            if not is_view:
-                self._velocity[rows] = velocity
-            if self.nesterov:
-                update = grads + self.momentum * velocity
-            else:
-                update = velocity
-        else:
+        chunk = max(1, self.UPDATE_CHUNK_BYTES // (arena.model_size * arena.dtype.itemsize))
+        scratch = ctx.scratch_rows(min(chunk, len(ranks)), arena.model_size, arena.dtype)
+        for at in range(0, len(ranks), chunk):
+            part, rate = ranks[at:at + chunk], rates[at:at + chunk]
+            part = part if scattered else slice(part.start, part.stop)
+            params, grads, out = arena.data[part], arena.grads[part], scratch[: len(rate)]
+            if self.weight_decay:
+                # wd·X + G == G + wd·X exactly (IEEE addition commutes), so
+                # the decayed gradient can build in the scratch buffer.
+                np.multiply(params, self.weight_decay, out=out)
+                out += grads
+                grads = out
             update = grads
-        np.multiply(update, rates, out=scratch)
-        params -= scratch
-        if not is_view:
-            arena.data[rows] = params
+            if self.momentum:
+                update = self._velocity[part]
+                update *= self.momentum
+                update += grads
+                if scattered:
+                    self._velocity[part] = update
+                if self.nesterov:
+                    update = grads + self.momentum * update
+            np.multiply(update, rate, out=out)
+            params -= out
+            if scattered:
+                arena.data[part] = params
 
     # ------------------------------------------------------------------
     # consensus evaluation

@@ -126,6 +126,56 @@ def test_step_equals_the_per_worker_loop(rank_set, hyper, steps):
             assert row.tobytes() == expected.tobytes()
 
 
+#: (momentum, weight decay, nesterov) of each optimizer the update replays.
+OPTIMIZERS = {
+    "sgd": (0.0, 0.0, False),
+    "momentum": (0.9, 0.0, False),
+    "nesterov": (0.9, 0.0, True),
+    "weight decay": (0.0, 1e-3, False),
+    "all three": (0.5, 1e-3, True),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 9), st.sampled_from(["slice", "sorted", "unsorted"]),
+    st.sampled_from(sorted(OPTIMIZERS)), st.sampled_from(["float64", "float32"]),
+    st.integers(1, 2), st.data(),
+)
+def test_chunked_update_equals_the_per_worker_loop(n, kind, optimizer, dtype, steps, data):
+    """The optimizer update runs a chunk of ``UPDATE_CHUNK_BYTES`` at a
+    time; drawn here from under one row (N straddles a chunk) to over n
+    rows, never a multiple of a row, it must leave the per-worker loop's
+    rows, velocity and losses bit for bit, on slice (a contiguous run),
+    sorted-index and unsorted-index rows."""
+    momentum, weight_decay, nesterov = OPTIMIZERS[optimizer]
+    hyper = {"momentum": momentum, "weight_decay": weight_decay,
+             "nesterov": nesterov, "lr": 0.2, "dtype": dtype}
+    if kind == "slice":
+        start = data.draw(st.integers(0, n - 1))
+        ranks = list(range(start, data.draw(st.integers(start + 1, n))))
+    else:
+        ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                                   unique=True).filter(lambda r: max(r) - min(r) >= len(r)))
+        ranks = sorted(ranks) if kind == "sorted" else ranks
+    batched, loop = _algorithm(n, hyper, loop=False), _algorithm(n, hyper, loop=True)
+    for algorithm in (batched, loop):  # each chunk must take its own rows' rates
+        for worker in algorithm.workers:
+            worker.optimizer.lr = 0.05 * (1 + worker.rank)
+    trainer = batched.cluster_trainer
+    row_bytes = batched.arena.data[0].nbytes
+    trainer.UPDATE_CHUNK_BYTES = data.draw(st.integers(1, (n + 1) * row_bytes - 1).filter(
+        lambda size: size % row_bytes))
+    # A run (every row included) takes the view path, the rest the index path.
+    assert isinstance(trainer._normalize_ranks(ranks), np.ndarray) == (kind != "slice")
+    for _ in range(steps):
+        got = trainer.batched_steps(1, ranks)[:, 0]
+        assert got.tobytes() == loop.cluster_trainer.batched_steps(1, ranks)[:, 0].tobytes()
+    assert batched.arena.data.tobytes() == loop.arena.data.tobytes()
+    for rank in ranks if momentum else ():
+        assert trainer._velocity[rank].tobytes() == flat_velocity(loop.workers[rank]).tobytes()
+
+
 def _parent_step_time(model, round_index, rank, steps):
     """The step time as computed before the jitter-free shortcut."""
     jitter_rng = np.random.default_rng(

@@ -13,6 +13,7 @@ from repro.core.gossip import (
     gossip_matrix_from_matching,
     ring_gossip_matrix,
 )
+from repro.core import matching as matching_module
 from repro.core.matching import is_valid_matching
 from repro.network.bandwidth import random_uniform_bandwidth
 from repro.theory.spectral import second_largest_eigenvalue
@@ -343,6 +344,48 @@ class TestSelectorEqualsReferenceMatchers:
             connectivity_gap=4, rng=2, prefer_weighted=prefer_weighted,
         )
         assert any(fallback for fallback, _ in outcomes)
+
+    @pytest.mark.parametrize("generator", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("links", ["distinct", "integer", "no_link"])
+    def test_lazy_tie_keys_leave_the_reference_generator_state(
+        self, monkeypatch, links, generator
+    ):
+        """The weighted greedy draws its tie keys only in a round whose
+        scanned tiers tie, and otherwise jumps a PCG64 ahead by as many
+        steps (another generator draws them): after every round the
+        matchings and ``bit_generator.state`` equal the reference's, whose
+        greedy always draws.  Rounds alternate with churn, so second
+        passes permute and some skips start with a buffered 32-bit half
+        (``has_uint32 = 1``), which the jump must keep."""
+        n = 67
+        bandwidth = random_uniform_bandwidth(n, low=1.0, rng=3)
+        if links == "integer":
+            bandwidth = np.ceil(bandwidth)  # tiers full of ties
+        elif links == "no_link":
+            bandwidth = cut_links(3, n, cuts=300)
+        masks = np.random.default_rng(3).random((30, n)) < 0.85
+        selectors = [
+            cls(bandwidth, connectivity_gap=4, rng=np.random.Generator(generator(3)),
+                prefer_weighted=True)
+            for cls in (AdaptivePeerSelector, ReferenceSelector)
+        ]
+        skip, buffered = matching_module._skip_doubles, []
+
+        def spy(rng, count):
+            buffered.append(rng.bit_generator.state.get("has_uint32"))
+            skip(rng, count)
+
+        monkeypatch.setattr(matching_module, "_skip_doubles", spy)
+        for t in range(30):
+            ours, theirs = (s.select(t, masks[t] if t % 2 else None) for s in selectors)
+            assert ours.matching == theirs.matching, t
+            np.testing.assert_equal(
+                *(s._rng.bit_generator.state for s in selectors), err_msg=str(t)
+            )
+        # Each kind ran what it is here for: skips with a buffered half
+        # (MT19937 keeps none), and (integer speeds) rounds that drew keys.
+        assert 1 in buffered or generator is np.random.MT19937
+        assert len(buffered) < 30 if links == "integer" else len(buffered) == 30
 
     def test_selection_is_recorded_only_when_asked(self):
         selector = AdaptivePeerSelector(random_uniform_bandwidth(8, rng=0), rng=0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.matching import (
+    _skip_doubles,
     greedy_matching_on_sorted,
     heaviest_links,
     greedy_weighted_matching,
@@ -201,6 +202,27 @@ class TestGreedyWeightedMatching:
         short = reference.greedy_weighted_matching(weights, rng=0, complete_with_blossom=False)
         assert short == [(1, 2)]
         assert greedy_weighted_matching(weights, rng=0) == [(0, 1), (2, 3)]
+
+
+    @pytest.mark.parametrize(
+        "generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 523_776])
+    def test_skipped_tie_keys_leave_the_drawn_state(self, generator, count):
+        """A round without ties moves its generator as ``random(count)``
+        would, a buffered 32-bit half included: jumped ahead on PCG64,
+        drawn on the others."""
+        drawn, skipped = (np.random.Generator(generator(7)) for _ in range(2))
+        for rng in (drawn, skipped):
+            rng.integers(0, 10, dtype=np.uint32)  # buffers the other half
+        assert drawn.bit_generator.state["has_uint32"] == 1
+        drawn.random(count)
+        _skip_doubles(skipped, count)
+        np.testing.assert_equal(skipped.bit_generator.state, drawn.bit_generator.state)
+        assert drawn.integers(0, 2**32, 8, dtype=np.uint32).tolist() == (
+            skipped.integers(0, 2**32, 8, dtype=np.uint32).tolist()
+        )
 
 
 class TestMatchingHelpers:

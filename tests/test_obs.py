@@ -14,6 +14,10 @@ The two CI-gated invariants of the observability work:
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from repro.algorithms import (
     TopKPSGD,
 )
 from repro.analysis.obsreport import (
+    memory_table,
     obs_worker_timeline,
     phase_table,
     top_counters,
@@ -266,6 +271,64 @@ class TestPhaseBalance:
                 pass
         assert len(recorder._thread_state().stack) == 0
         assert recorder.registry.counters.get("phase.loop.count", 0.0) == 5
+
+
+# ======================================================================
+# peak RSS: a measured layer
+# ======================================================================
+#: Run in a fresh interpreter: the test process's own high-water mark is
+#: whatever earlier tests left, so a rise could not be provoked in it.  A
+#: process exec'd straight from it starts from that mark too (Linux keeps
+#: the replaced image's peak), so a small interpreter in between spawns it.
+SPAWN = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+PEAK_RSS_SCRIPT = """
+import json, resource, numpy as np
+from repro import obs
+from repro.analysis import render_obs_report
+recorder = obs.start("metrics")
+with obs.phase("setup"):
+    pass
+with obs.phase("grow"):
+    with obs.phase("inner"):
+        pass
+    ballast = np.ones((128 << 20) // 8)
+del ballast
+with obs.phase("idle"):
+    np.ones((16 << 20) // 8)
+snapshot = recorder.registry.snapshot()
+print(json.dumps({
+    "snapshot": snapshot, "report": render_obs_report(snapshot),
+    "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+class TestPeakRss:
+    def test_rises_are_charged_to_the_span_they_read_in(self):
+        """A span exit charges the rise of ``ru_maxrss`` since the last read
+        to that span: the 128 MiB span is charged at least 96 MiB (the rest
+        may fit under the import's own high-water mark), a span
+        that stays under the high-water mark nothing, and what rose before
+        the first span goes to ``unphased``.  The charges sum to no more
+        than the process's peak, and the report names the span that set it."""
+        out = subprocess.run(
+            [sys.executable, "-c", SPAWN, PEAK_RSS_SCRIPT], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(Path(obs.__file__).parents[2])},
+        )
+        result = json.loads(out.stdout)
+        counters = result["snapshot"]["counters"]
+        raises = {key: value for key, value in counters.items() if key.startswith("mem.")}
+        assert raises["mem.grow.peak_raise_kb"] >= 96 * 1024
+        assert raises["mem.unphased.peak_raise_kb"] > 0
+        assert "mem.idle.peak_raise_kb" not in raises
+        assert sum(raises.values()) <= result["peak_kb"]
+        gauges = result["snapshot"]["gauges"]
+        assert gauges["mem.grow.peak_rss_kb"] == max(
+            value for key, value in gauges.items() if key.startswith("mem.")
+        )
+        assert "Peak RSS by phase (set in grow:" in result["report"]
+        assert memory_table(result["snapshot"])[0][0] == "grow"
+        assert not any(name.startswith("mem.") for name, _ in top_counters(result["snapshot"]))
 
 
 # ======================================================================
